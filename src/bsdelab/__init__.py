@@ -46,7 +46,6 @@ from .generators import (
     TerminalCondition,
     WeightFn,
     dual_generator,
-    eval_generator,
     truncate_generator,
 )
 from .norms import NormReport, estimate_norms

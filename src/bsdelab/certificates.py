@@ -288,6 +288,18 @@ def _check_side(side):
         raise CertificateError(f"side must be one of {SIDES}, got {side!r}")
 
 
+def _side_lhs(side, val, y):
+    """Left-hand side of a side-restricted growth condition for g values ``val``;
+    -inf where the side leaves y unconstrained."""
+    if side == "sgn":
+        return val * np.sign(y)
+    if side == "upper_on_nonpos":
+        return np.where(y <= 0, val, -np.inf)
+    if side == "lower_on_nonneg":
+        return np.where(y >= 0, -val, -np.inf)
+    return np.abs(val)
+
+
 @dataclass(frozen=True)
 class OneSidedLinear:
     """Linear growth restricted to a side of the y axis.
@@ -310,33 +322,15 @@ class OneSidedLinear:
     def _rhs(self, t, y, z):
         return self.f(t) + self.u(t) * np.abs(y) + self.v(t) * np.abs(z)
 
-    def _lhs(self, g, t, y, z):
-        val = g(t, y, z)
-        if self.side == "sgn":
-            return val * np.sign(y)
-        if self.side == "upper_on_nonpos":
-            return np.where(y <= 0, val, -np.inf)
-        if self.side == "lower_on_nonneg":
-            return np.where(y >= 0, -val, -np.inf)
-        return np.abs(val)
-
     def violation(self, g, grid):
         t, y, z = grid.product(grid.t_axis(), grid.y_axis(), grid.z_axis())
-        gap = self._lhs(g, t, y, z) - self._rhs(t, y, z)
+        gap = _side_lhs(self.side, g(t, y, z), y) - self._rhs(t, y, z)
         loc, worst = _argworst(gap, (t, y, z), ("t", "y", "z"))
         return worst, loc
 
     def witness_violation(self, grid):
         t = grid.t_axis()
         return {"f nonnegative": float(np.max(-np.asarray(self.f(t))))}
-
-    def growth_bound(self):
-        """(f, y-slope, z-slope) upper bound; only valid for side='absolute'."""
-        if self.side != "absolute":
-            raise CertificateError(
-                "a global upper growth bound requires side='absolute'"
-            )
-        return self.f, self.u, self.v
 
 
 @dataclass(frozen=True)
@@ -363,16 +357,7 @@ class MixedSubLinear:
 
     def violation(self, g, grid):
         t, y, z = grid.product(grid.t_axis(), grid.y_axis(), grid.z_axis())
-        val = g(t, y, z)
-        if self.side == "sgn":
-            lhs = val * np.sign(y)
-        elif self.side == "upper_on_nonpos":
-            lhs = np.where(y <= 0, val, -np.inf)
-        elif self.side == "lower_on_nonneg":
-            lhs = np.where(y >= 0, -val, -np.inf)
-        else:
-            lhs = np.abs(val)
-        gap = lhs - self._rhs(t, y, z)
+        gap = _side_lhs(self.side, g(t, y, z), y) - self._rhs(t, y, z)
         loc, worst = _argworst(gap, (t, y, z), ("t", "y", "z"))
         return worst, loc
 

@@ -346,20 +346,9 @@ def _effective_config(cfg: RunConfig, check: CheckConfig) -> RunConfig:
         raw["model"] = {**cfg.raw.get("model", {}), **p["model"]}
     eff = RunConfig.from_dict(raw)
     # keep CLI-applied seed/threads authoritative unless the check pins them
-    model = eff.model
-    if "model" not in p or "seed" not in p.get("model", {}):
-        model = replace(model, seed=cfg.model.seed)
-    if "model" not in p or "threads" not in p.get("model", {}):
-        model = replace(model, threads=cfg.model.threads)
-    return RunConfig(
-        model=model,
-        generator=eff.generator,
-        terminal=eff.terminal,
-        checks=(),
-        bounds=eff.bounds,
-        envelope=eff.envelope,
-        raw=cfg.raw,
-    )
+    pinned = p.get("model", {})
+    kept = {k: getattr(cfg.model, k) for k in ("seed", "threads") if k not in pinned}
+    return replace(eff, model=replace(eff.model, **kept), checks=(), raw=cfg.raw)
 
 
 def _run_check(cfg, check: CheckConfig):
@@ -409,15 +398,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     checks = cfg.checks
     if args.tol is not None:
         checks = tuple(replace(c, tol=float(args.tol)) for c in checks)
-    return RunConfig(
-        model=model,
-        generator=cfg.generator,
-        terminal=cfg.terminal,
-        checks=checks,
-        bounds=cfg.bounds,
-        envelope=cfg.envelope,
-        raw=cfg.raw,
-    )
+    return replace(cfg, model=model, checks=checks)
 
 
 def _cmd_solve(cfg, out_dir, quiet):

@@ -25,7 +25,6 @@ __all__ = [
     "WeightValidationError",
     "dual_generator",
     "truncate_generator",
-    "eval_generator",
 ]
 
 WEIGHT_TAGS = ("L1", "L2", "L1&L2", "Lq")
@@ -200,11 +199,6 @@ class TerminalCondition:
     @classmethod
     def parse(cls, source, bound=None):
         return cls(parse_expression(source, variables=("w",)), bound)
-
-
-def eval_generator(g, t, y, z):
-    """Evaluate a driver at a point; finite result or EvalDomainError."""
-    return g(t, y, z)
 
 
 def dual_generator(g):

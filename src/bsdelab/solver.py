@@ -1,27 +1,29 @@
 """Discrete-time solvers for scalar terminal-value equations driven by a
 one-dimensional Brownian motion.
 
-Two backends share one backward recursion.  On the recombining binomial tree
-(increments +-sqrt(dt) with probability 1/2) conditional expectations are
-exact pairwise averages:
+Both backends run one backward sweep, ``_backward_sweep``:
+
+    (E_i, z_i) = expect(i, y_{i+1})
+    y_i = E_i + g(t_i, E_i, z_i) dt                 (explicit)
+    y_i solves y = E_i + g(t_i, y, z_i) dt          (implicit, Picard iteration)
+
+They differ only in the conditional-expectation operator ``expect``.  On the
+recombining binomial tree (increments +-sqrt(dt) with probability 1/2) it is
+the exact pairwise average:
 
     E_i    = (y_{i+1, j+1} + y_{i+1, j}) / 2
     z_{ij} = (y_{i+1, j+1} - y_{i+1, j}) / (2 sqrt(dt))
-    y_{ij} = E_i + g(t_i, E_i, z_{ij}) dt            (explicit)
-    y_{ij} solves y = E_i + g(t_i, y, z_{ij}) dt     (implicit, fixed point)
 
-The Monte-Carlo backend replaces the pairwise averages with least-squares
-projections of y_{i+1} and y_{i+1} dB_i / dt onto polynomials in B_{t_i}.
-Both backends are deterministic functions of their inputs; the Monte-Carlo
-ensemble is generated by a counter-based bit stream keyed by the seed, with
-the (path, step) cell at a fixed stream position, so results do not depend
-on how evaluation work is split across threads.
+On Monte Carlo it is one least-squares projection of the two stacked targets
+y_{i+1} and y_{i+1} dB_i / dt onto polynomials in B_{t_i}: one SVD per step.
+Both backends are deterministic functions of their inputs and evaluate the
+driver on a single thread; the Monte-Carlo ensemble is generated by a
+counter-based bit stream keyed by the seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,20 +43,19 @@ __all__ = [
     "solve_mc_regression",
 ]
 
-_CHUNK = 16384  # fixed evaluation chunk; must not depend on the thread count
-
 
 class SolverError(RuntimeError):
     pass
 
 
 class PicardDivergenceError(SolverError):
-    def __init__(self, step, change, cap):
+    def __init__(self, step, time, change, cap):
         self.step = step
+        self.time = time
         self.change = change
         super().__init__(
-            f"implicit fixed point did not converge at step {step} "
-            f"(last change {change:.3g} after {cap} iterations)"
+            f"implicit fixed point did not converge at step {step} (t = {time:g}): "
+            f"last change {change:.3g} after {cap} iterations"
         )
 
 
@@ -178,28 +179,6 @@ class DiscreteSolution:
         return out
 
 
-def _eval_chunked(fn, t, y, z, threads):
-    """Evaluate fn(t, y, z) over arrays, optionally on a thread pool.
-
-    Chunk boundaries are fixed, so the assembled result is bit-identical for
-    any thread count.
-    """
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if threads <= 1 or y.size <= _CHUNK:
-        return np.asarray(fn(t, y, z), dtype=float)
-    out = np.empty_like(y)
-    spans = [(k, min(k + _CHUNK, y.size)) for k in range(0, y.size, _CHUNK)]
-
-    def work(span):
-        a, b = span
-        out[a:b] = fn(t, y[a:b], z[a:b])
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, spans))
-    return out
-
-
 def _finite_or_raise(arr, step, what):
     if not np.all(np.isfinite(arr)):
         k = int(np.argmin(np.isfinite(np.asarray(arr).ravel())))
@@ -207,16 +186,58 @@ def _finite_or_raise(arr, step, what):
     return arr
 
 
-def _implicit_update(g, t, E, z, dt, tol, cap, threads):
+def _terminal(xi, states, steps):
+    """Payoff at the terminal states: bound-checked, finite, one value per state."""
+    xi.check_bound(states)
+    y = _finite_or_raise(np.asarray(xi(states), dtype=float), steps, "terminal payoff")
+    if y.shape != states.shape:
+        y = np.broadcast_to(y, states.shape).copy()
+    return y
+
+
+def _implicit_update(g, i, t, E, z, dt, tol, cap):
     y = E.copy()
     change = math.inf
     for it in range(1, cap + 1):
-        y_next = E + _eval_chunked(g, t, y, z, threads) * dt
+        y_next = E + np.asarray(g(t, y, z), dtype=float) * dt
         change = float(np.max(np.abs(y_next - y))) if y.size else 0.0
         y = y_next
         if change < tol:
             return y, it
-    raise PicardDivergenceError(step=t, change=change, cap=cap)
+    raise PicardDivergenceError(step=i, time=float(t), change=change, cap=cap)
+
+
+def _backward_sweep(g, grid, y_terminal, expect, scheme, picard_tol, picard_cap, z_clamp):
+    """The backward recursion shared by both backends; see module docstring.
+
+    ``expect(i, y_next)`` returns the backend's estimates (E_i, z_i) of
+    E_i[y_{i+1}] and E_i[y_{i+1} dB_i] / dt.  Returns the y rows, the z rows
+    and the sweep diagnostics.
+    """
+    if scheme not in ("explicit", "implicit"):
+        raise ValueError("scheme must be 'explicit' or 'implicit'")
+    steps = grid.steps
+    dt = grid.dt
+    y_rows = [None] * (steps + 1)
+    z_rows = [None] * steps
+    y_rows[steps] = y_terminal
+    clamped = False
+    picard_max = 0
+    for i in range(steps - 1, -1, -1):
+        t = grid.nodes[i]
+        E, z = expect(i, y_rows[i + 1])
+        if z_clamp is not None:
+            before = z
+            z = np.clip(z, -z_clamp, z_clamp)
+            clamped = clamped or bool(np.any(before != z))
+        if scheme == "explicit":
+            y = E + np.asarray(g(t, E, z), dtype=float) * dt
+        else:
+            y, used = _implicit_update(g, i, t, E, z, dt, picard_tol, picard_cap)
+            picard_max = max(picard_max, used)
+        y_rows[i] = _finite_or_raise(y, i, "value")
+        z_rows[i] = z
+    return tuple(y_rows), tuple(z_rows), {"picard_max_iterations": picard_max, "z_clamped": clamped}
 
 
 def solve_tree(
@@ -235,63 +256,44 @@ def solve_tree(
 
     The terminal slice equals the payoff at the terminal tree states exactly.
     With ``z_clamp`` set, extracted z values are clipped to [-z_clamp, z_clamp]
-    and the solution is labelled non-conforming.
+    and the solution is labelled non-conforming.  ``threads`` is accepted for
+    configuration compatibility; evaluation is single-threaded.
     """
-    if scheme not in ("explicit", "implicit"):
-        raise ValueError("scheme must be 'explicit' or 'implicit'")
     tree = TreeModel.uniform(horizon, steps)
-    dt = tree.grid.dt
     sdt = tree.sqrt_dt
-    terminal_states = tree.brownian_level(steps)
-    xi.check_bound(terminal_states)
-    y_rows = [None] * (steps + 1)
-    z_rows = [None] * steps
-    y_rows[steps] = _finite_or_raise(
-        np.asarray(xi(terminal_states), dtype=float), steps, "terminal payoff"
+
+    def expect(i, nxt):
+        return 0.5 * (nxt[1:] + nxt[:-1]), (nxt[1:] - nxt[:-1]) / (2.0 * sdt)
+
+    y_terminal = _terminal(xi, tree.brownian_level(steps), steps)
+    y, z, diagnostics = _backward_sweep(
+        g, tree.grid, y_terminal, expect, scheme, picard_tol, picard_cap, z_clamp
     )
-    if y_rows[steps].shape != terminal_states.shape:
-        y_rows[steps] = np.broadcast_to(y_rows[steps], terminal_states.shape).copy()
-    clamped = False
-    picard_max = 0
-    for i in range(steps - 1, -1, -1):
-        t = tree.grid.nodes[i]
-        nxt = y_rows[i + 1]
-        E = 0.5 * (nxt[1:] + nxt[:-1])
-        z = (nxt[1:] - nxt[:-1]) / (2.0 * sdt)
-        if z_clamp is not None:
-            before = z
-            z = np.clip(z, -z_clamp, z_clamp)
-            clamped = clamped or bool(np.any(before != z))
-        if scheme == "explicit":
-            y = E + _eval_chunked(g, t, E, z, threads) * dt
-        else:
-            y, used = _implicit_update(g, t, E, z, dt, picard_tol, picard_cap, threads)
-            picard_max = max(picard_max, used)
-        _finite_or_raise(y, i, "value")
-        y_rows[i] = y
-        z_rows[i] = z
     return DiscreteSolution(
         backend="tree",
         grid=tree.grid,
-        y=tuple(y_rows),
-        z=tuple(z_rows),
+        y=y,
+        z=z,
         scheme=scheme,
         generator=g if isinstance(g, Generator) else None,
         terminal=xi,
-        diagnostics={"picard_max_iterations": picard_max, "z_clamped": clamped},
-        conforming=not clamped,
+        diagnostics=diagnostics,
+        conforming=not diagnostics["z_clamped"],
     )
 
 
 def _regress(basis, target):
-    """Least-squares projection; returns (fitted values, condition number)."""
+    """Least-squares projection of each target column; returns (fitted values,
+    condition number).  ``target`` is one vector or a matrix of columns."""
     # economic SVD keeps this deterministic and exposes the conditioning
     u, s, vt = np.linalg.svd(basis, full_matrices=False)
     cond = float(s[0] / s[-1]) if s[-1] > 0 else math.inf
     if s[-1] <= s[0] * 1e-12:
         raise RankDeficientError(step=None, cond=cond)
-    coef = vt.T @ ((u.T @ target) / s)
-    return basis @ coef, cond
+    # targets as contiguous rows: u.T @ columns sums several times less
+    # accurately (checked against a long-double reference)
+    proj = (np.ascontiguousarray(target.T) @ u) / s
+    return basis @ (proj @ vt).T, cond
 
 
 def solve_mc_regression(
@@ -312,10 +314,11 @@ def solve_mc_regression(
     """Least-squares Monte-Carlo backward sweep over a simulated ensemble.
 
     Conditional expectations of y_{i+1} and y_{i+1} dB_i / dt are estimated
-    by projection onto polynomials in the current Brownian value of degree
+    by one projection onto polynomials in the current Brownian value of degree
     <= ``degree`` (scaled by sqrt(t) for conditioning; at t = 0 the basis
     degenerates to the constant, i.e. a plain average).  Deterministic for
-    fixed (seed, paths, steps, degree), independent of the thread count.
+    fixed (seed, paths, steps, degree); ``threads`` is accepted for
+    configuration compatibility and does not change the result.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -325,59 +328,36 @@ def solve_mc_regression(
     ens = PathEnsemble.generate(grid, paths, seed)
     B = ens.brownian_paths()
     dt = grid.dt
-    xi.check_bound(B[:, -1])
-    y = _finite_or_raise(np.asarray(xi(B[:, -1]), dtype=float), steps, "terminal payoff")
-    if y.shape != (paths,):
-        y = np.broadcast_to(y, (paths,)).copy()
-    y_rows = [None] * (steps + 1)
-    z_rows = [None] * steps
-    y_rows[steps] = y
     conds = []
-    clamped = False
-    picard_max = 0
-    for i in range(steps - 1, -1, -1):
-        t = grid.nodes[i]
-        incr = ens.increments[:, i]
-        target_z = y_rows[i + 1] * incr / dt
+
+    def expect(i, y_next):
+        target_z = y_next * ens.increments[:, i] / dt
         if i == 0:
-            E = np.full(paths, float(np.mean(y_rows[1])))
-            z = np.full(paths, float(np.mean(target_z)))
             conds.append(1.0)
-        else:
-            x = B[:, i] / math.sqrt(t)
-            basis = np.vander(x, degree + 1, increasing=True)
-            try:
-                E, cond_e = _regress(basis, y_rows[i + 1])
-                z, cond_z = _regress(basis, target_z)
-            except RankDeficientError as exc:
-                raise RankDeficientError(step=i, cond=exc.cond) from None
-            conds.append(max(cond_e, cond_z))
-        if z_clamp is not None:
-            before = z
-            z = np.clip(z, -z_clamp, z_clamp)
-            clamped = clamped or bool(np.any(before != z))
-        if scheme == "explicit":
-            ynew = E + _eval_chunked(g, t, E, z, threads) * dt
-        else:
-            ynew, used = _implicit_update(g, t, E, z, dt, picard_tol, picard_cap, threads)
-            picard_max = max(picard_max, used)
-        _finite_or_raise(ynew, i, "value")
-        y_rows[i] = ynew
-        z_rows[i] = z
+            return np.full(paths, float(np.mean(y_next))), np.full(paths, float(np.mean(target_z)))
+        basis = np.vander(B[:, i] / math.sqrt(grid.nodes[i]), degree + 1, increasing=True)
+        try:
+            fitted, cond = _regress(basis, np.column_stack((y_next, target_z)))
+        except RankDeficientError as exc:
+            raise RankDeficientError(step=i, cond=exc.cond) from None
+        conds.append(cond)
+        # z is stored per step: copy it out so it does not hold on to E's column
+        return fitted[:, 0], np.ascontiguousarray(fitted[:, 1])
+
+    y_terminal = _terminal(xi, B[:, -1], steps)
+    y, z, diagnostics = _backward_sweep(
+        g, grid, y_terminal, expect, scheme, picard_tol, picard_cap, z_clamp
+    )
     return DiscreteSolution(
         backend="mc-regression",
         grid=grid,
-        y=tuple(y_rows),
-        z=tuple(z_rows),
+        y=y,
+        z=z,
         scheme=scheme,
         generator=g if isinstance(g, Generator) else None,
         terminal=xi,
-        diagnostics={
-            "picard_max_iterations": picard_max,
-            "z_clamped": clamped,
-            "regression_condition_numbers": tuple(reversed(conds)),
-        },
+        diagnostics={**diagnostics, "regression_condition_numbers": tuple(reversed(conds))},
         seed=int(seed),
         paths=int(paths),
-        conforming=not clamped,
+        conforming=not diagnostics["z_clamped"],
     )

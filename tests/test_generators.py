@@ -10,7 +10,6 @@ from bsdelab.generators import (
     WeightFn,
     WeightValidationError,
     dual_generator,
-    eval_generator,
     truncate_generator,
 )
 from tests.test_expressions import random_ast
@@ -50,10 +49,10 @@ class TestGenerator:
 
     def test_eval_examples(self):
         g = Generator.parse("-y^3 + abs(z)^1.5 * sin(y)")
-        assert eval_generator(g, 0.0, 1.0, 0.0) == -1.0
-        assert eval_generator(Generator.parse("0"), 0.7, -3.0, 9.0) == 0.0
+        assert g(0.0, 1.0, 0.0) == -1.0
+        assert Generator.parse("0")(0.7, -3.0, 9.0) == 0.0
         g1 = Generator.parse("abs(z)^2 * (1 - exp(y)) + abs(z) * sin(abs(z))")
-        assert eval_generator(g1, 0.0, 0.0, math.pi) == pytest.approx(0.0, abs=1e-14)
+        assert g1(0.0, 0.0, math.pi) == pytest.approx(0.0, abs=1e-14)
 
 
 class TestDual:

@@ -78,8 +78,10 @@ class TestSolveTree:
     def test_picard_divergence_reported(self):
         # dt * Lip_y = 10 > 1: the fixed point iteration cannot contract
         g = Generator.parse("-100 * y")
-        with pytest.raises(PicardDivergenceError):
+        with pytest.raises(PicardDivergenceError) as err:
             solve_tree(g, TerminalCondition.parse("1"), 10, scheme="implicit")
+        assert err.value.step == 9
+        assert err.value.time == pytest.approx(0.9)
 
     def test_non_finite_generator_value(self):
         g = Generator.parse("1 / y")
@@ -90,13 +92,6 @@ class TestSolveTree:
         lying = TerminalCondition.parse("sin(w)", bound=0.1)
         with pytest.raises(ValueError, match="declared bound"):
             solve_tree(ZERO, lying, 32)
-
-    def test_z_clamp_labels_non_conforming(self):
-        sol = solve_tree(ZERO, B_T, 16, z_clamp=0.5)
-        assert not sol.conforming
-        assert sol.diagnostics["z_clamped"]
-        unclamped = solve_tree(ZERO, B_T, 16, z_clamp=100.0)
-        assert unclamped.conforming
 
     def test_comparison_monotonicity_random_pairs(self):
         # ordered data -> ordered tree solutions (implicit, contraction regime)
@@ -178,6 +173,40 @@ class TestSolveMcRegression:
         with pytest.raises(RankDeficientError) as err:
             _regress(basis, np.arange(50.0))
         assert err.value.cond == math.inf or err.value.cond > 1e12
+
+    def test_stacked_targets_match_single_regressions(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(500)
+        basis = np.vander(x, 4, increasing=True)
+        a = np.sin(3 * x) + rng.standard_normal(500)
+        b = a * rng.standard_normal(500) * 10
+        both, cond = _regress(basis, np.column_stack((a, b)))
+        assert both.shape == (500, 2)
+        for k, target in enumerate((a, b)):
+            single, cond_single = _regress(basis, target)
+            assert np.max(np.abs(both[:, k] - single)) <= 1e-12
+            assert cond == cond_single
+
+
+class TestBackwardSweep:
+    """Behaviour of the sweep both backends share."""
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda **kw: solve_tree(ZERO, B_T, 16, **kw),
+            lambda **kw: solve_mc_regression(ZERO, B_T, 16, 2000, 2, seed=0, **kw),
+        ],
+        ids=["tree", "mc-regression"],
+    )
+    def test_z_clamp_labels_non_conforming(self, solve):
+        sol = solve(z_clamp=0.5)
+        assert not sol.conforming
+        assert sol.diagnostics["z_clamped"]
+        assert max(float(np.max(np.abs(row))) for row in sol.z) <= 0.5
+        unclamped = solve(z_clamp=100.0)
+        assert unclamped.conforming
+        assert not unclamped.diagnostics["z_clamped"]
 
 
 class TestDiscreteSolution:
