@@ -90,11 +90,6 @@ def _argworst(violation, coords, names):
     return {n: float(c[k]) for n, c in zip(names, coords)}, float(violation[k])
 
 
-def _sgn_gap(g, cert_rhs, t, y, z):
-    """gap = g(t,y,z)*sgn(y) - rhs, the one-sided growth residual."""
-    return g(t, y, z) * np.sign(y) - cert_rhs
-
-
 # ---------------------------------------------------------------------------
 # Certificate kinds
 
@@ -208,7 +203,7 @@ class OneSidedSuperLinear:
 
     def violation(self, g, grid):
         t, y, z = grid.product(grid.t_axis(), grid.y_axis(), grid.z_axis())
-        gap = _sgn_gap(g, self.u(t) * self.l(y) + self.h(y) * z * z, t, y, z)
+        gap = _side_lhs("sgn", g(t, y, z), y) - (self.u(t) * self.l(y) + self.h(y) * z * z)
         loc, worst = _argworst(gap, (t, y, z), ("t", "y", "z"))
         return worst, loc
 

@@ -18,21 +18,32 @@ codes: 0 all requested checks pass, 1 check failure, 2 config error,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
 import tempfile
 from dataclasses import replace
+from functools import partial
 from importlib import resources
 
 import numpy as np
 
 from . import __version__
 from .certificates import SampleGrid, check_certificate
-from .config import CheckConfig, ConfigError, ModelConfig, RunConfig, load_config
+from .config import (
+    CheckConfig,
+    ConfigError,
+    ModelConfig,
+    RunConfig,
+    load_config,
+    parse_generator,
+    parse_terminal,
+)
 from .envelopes import EnvelopeGrid, LinearGrowthBound, sup_convolution_generator
-from .generators import Generator, TerminalCondition, WeightFn
+from .generators import WeightFn
 from .ode_bounds import BlowUpError, TimeGrid, sandwich_envelope
 from .report import VerificationReport
 from .solver import TreeModel, solve_mc_regression, solve_tree
@@ -68,19 +79,12 @@ def _atomic_write(path, text):
         raise
 
 
-def _csv(rows, header):
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if cell is None:
-                cells.append("")
-            elif isinstance(cell, float):
-                cells.append(repr(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _write_csv(path, header, rows):
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(path, text.getvalue())
 
 
 def _write_manifest(out_dir, cfg_raw, seed, outputs, command):
@@ -129,44 +133,54 @@ def _solve_with(model: ModelConfig, generator, terminal):
 
 
 def _solution_rows(sol):
+    tree = TreeModel(sol.grid) if sol.backend == "tree" else None
+
+    def mean(i, values):
+        if tree is None:
+            return float(np.mean(values))
+        return float(np.sum(tree.level_probabilities(i) * np.asarray(values)))
+
     rows = []
-    if sol.backend == "tree":
-        tree = TreeModel(sol.grid)
-        for i, t in enumerate(sol.grid.nodes):
-            w = tree.level_probabilities(i)
-            row = np.asarray(sol.y[i])
-            z_mean = None
-            if i < sol.grid.steps:
-                z_mean = float(np.sum(w * np.asarray(sol.z[i])))
-            rows.append(
-                (float(t), float(np.sum(w * row)), float(np.min(row)), float(np.max(row)), z_mean)
-            )
-    else:
-        for i, t in enumerate(sol.grid.nodes):
-            row = np.asarray(sol.y[i])
-            z_mean = float(np.mean(sol.z[i])) if i < sol.grid.steps else None
-            rows.append((float(t), float(np.mean(row)), float(np.min(row)), float(np.max(row)), z_mean))
+    for i, t in enumerate(sol.grid.nodes):
+        row = np.asarray(sol.y[i])
+        z_mean = mean(i, sol.z[i]) if i < sol.grid.steps else None
+        rows.append((float(t), mean(i, row), float(np.min(row)), float(np.max(row)), z_mean))
     return rows
+
+
+def _bounds_envelope(section, model, path):
+    """Backward-ODE sandwich from a section with u, l, xi_bound and optional T, N."""
+    needed = [k for k in ("u", "l", "xi_bound") if k not in section]
+    if needed:
+        raise ConfigError(path, f"missing keys {needed}")
+    grid = TimeGrid.uniform(
+        float(section.get("T", model.horizon)), int(section.get("N", model.steps))
+    )
+    return sandwich_envelope(
+        float(section["xi_bound"]), WeightFn.parse(section["u"]), section["l"], grid
+    )
+
+
+def _driver_envelope(generator, section, grid=None):
+    """Sup-convolution majorant; without a growth section the driver's certificate sizes it."""
+    growth_section = section.get("growth")
+    growth = None
+    if growth_section:
+        growth = LinearGrowthBound.from_parts(
+            growth_section.get("f", "0"), growth_section.get("u", "1"), growth_section.get("v", "1")
+        )
+    return sup_convolution_generator(
+        generator,
+        int(section.get("n", 2)),
+        WeightFn.parse(section.get("u_w", "1")),
+        WeightFn.parse(section.get("v_w", "1")),
+        grid,
+        growth=growth,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Check registry
-
-
-def _sub_generator(params, key):
-    body = params.get(key)
-    if body is None:
-        raise ConfigError(key, "missing driver section")
-    return Generator.parse(body["expr"])
-
-
-def _sub_terminal(params, key):
-    body = params.get(key)
-    if body is None:
-        raise ConfigError(key, "missing terminal section")
-    return TerminalCondition.parse(
-        body["expr"], bound=(float(body["bound"]) if body.get("bound") is not None else None)
-    )
 
 
 def _check_solver_oracle(cfg, check, tol):
@@ -185,22 +199,26 @@ def _check_solver_oracle(cfg, check, tol):
 def _check_comparison(cfg, check, tol):
     sol = _solve_with(cfg.model, cfg.generator, cfg.terminal)
     sol_p = _solve_with(
-        cfg.model, _sub_generator(check.params, "generator_prime"), _sub_terminal(check.params, "terminal_prime")
+        cfg.model,
+        parse_generator(check.params.get("generator_prime"), "generator_prime"),
+        parse_terminal(check.params.get("terminal_prime"), "terminal_prime"),
     )
     return comparison_check(sol, sol_p, tol, name=check.params.get("name", "comparison"))
 
 
 def _check_premise(cfg, check, tol):
-    g_p = _sub_generator(check.params, "generator_prime")
+    g_p = parse_generator(check.params.get("generator_prime"), "generator_prime")
     sol = _solve_with(cfg.model, cfg.generator, cfg.terminal)
-    sol_p = _solve_with(cfg.model, g_p, _sub_terminal(check.params, "terminal_prime"))
+    sol_p = _solve_with(
+        cfg.model, g_p, parse_terminal(check.params.get("terminal_prime"), "terminal_prime")
+    )
     return indicator_premise_check(
         sol, sol_p, cfg.generator, g_p, check.params.get("which", "along_prime"), tol
     )
 
 
 def _check_dominance(cfg, check, tol):
-    g_p = _sub_generator(check.params, "generator_prime")
+    g_p = parse_generator(check.params.get("generator_prime"), "generator_prime")
     return one_sided_dominance_check(
         cfg.generator,
         g_p,
@@ -218,9 +236,11 @@ def _check_sandwich(cfg, check, tol):
         raise ConfigError(
             "generator.certificate", "sandwich needs a one_sided_super_linear certificate"
         )
-    xi_bound = float(check.params.get("xi_bound", cfg.terminal.bound))
+    xi_bound = check.params.get("xi_bound", cfg.terminal.bound if cfg.terminal else None)
+    if xi_bound is None:
+        raise ConfigError("xi_bound", "missing, and the terminal section has no bound")
     grid = TimeGrid.uniform(cfg.model.horizon, cfg.model.steps)
-    env = sandwich_envelope(xi_bound, cert.u, cert.l, grid)
+    env = sandwich_envelope(float(xi_bound), cert.u, cert.l, grid)
     sol = _solve_with(cfg.model, cfg.generator, cfg.terminal)
     return sandwich_check(sol, env, tol)
 
@@ -248,14 +268,8 @@ def _check_transform_residual(cfg, check, tol):
 
 
 def _check_bounds_oracle(cfg, check, tol):
-    section = dict(cfg.bounds or {})
-    section.update(check.params)
-    grid = TimeGrid.uniform(
-        float(section.get("T", cfg.model.horizon)), int(section.get("N", cfg.model.steps))
-    )
-    env = sandwich_envelope(
-        float(section["xi_bound"]), WeightFn.parse(section["u"]), section["l"], grid
-    )
+    section = {**(cfg.bounds or {}), **check.params}
+    env = _bounds_envelope(section, cfg.model, "")
     expected = float(section["expected_U0"])
     gap = abs(float(env.upper[0]) - expected)
     return VerificationReport.from_violation(
@@ -287,19 +301,9 @@ def _check_uniqueness(cfg, check, tol):
 
 
 def _check_envelope_domination(cfg, check, tol):
-    params = check.params
-    growth = LinearGrowthBound.from_parts(
-        params["growth"]["f"], params["growth"]["u"], params["growth"]["v"]
-    )
-    env = sup_convolution_generator(
-        cfg.generator,
-        int(params.get("n", 2)),
-        WeightFn.parse(params.get("u_w", "1")),
-        WeightFn.parse(params.get("v_w", "1")),
-        growth=growth,
-    )
+    env = _driver_envelope(cfg.generator, check.params)
     rng = np.random.default_rng(cfg.model.seed)
-    pts = rng.uniform(-3, 3, size=(int(params.get("points", 25)), 3))
+    pts = rng.uniform(-3, 3, size=(int(check.params.get("points", 25)), 3))
     pts[:, 0] = np.abs(pts[:, 0]) / 3.0 * cfg.model.horizon
     worst = -np.inf
     where = {}
@@ -351,14 +355,6 @@ def _effective_config(cfg: RunConfig, check: CheckConfig) -> RunConfig:
     return replace(eff, model=replace(eff.model, **kept), checks=(), raw=cfg.raw)
 
 
-def _run_check(cfg, check: CheckConfig):
-    if check.kind not in CHECKS:
-        raise ConfigError(f"checks.{check.kind}", f"unknown check kind; know {sorted(CHECKS)}")
-    fn, default_tol = CHECKS[check.kind]
-    tol = check.tol if check.tol is not None else default_tol
-    return fn(_effective_config(cfg, check), check, tol)
-
-
 def _report_row(check, report):
     matched = report.status == check.expect
     return (
@@ -406,7 +402,7 @@ def _cmd_solve(cfg, out_dir, quiet):
         raise ConfigError("generator/terminal", "solve needs both sections")
     sol = _solve_with(cfg.model, cfg.generator, cfg.terminal)
     path = os.path.join(out_dir, "solution.csv")
-    _atomic_write(path, _csv(_solution_rows(sol), ("t", "y_mean", "y_min", "y_max", "z_mean")))
+    _write_csv(path, ("t", "y_mean", "y_min", "y_max", "z_mean"), _solution_rows(sol))
     if not quiet:
         print(f"y0 = {sol.y0!r}")
         print(f"wrote {path}")
@@ -414,22 +410,13 @@ def _cmd_solve(cfg, out_dir, quiet):
 
 
 def _cmd_bounds(cfg, out_dir, quiet):
-    section = cfg.bounds or {}
-    needed = [k for k in ("u", "l", "xi_bound") if k not in section]
-    if needed:
-        raise ConfigError("bounds", f"missing keys {needed}")
-    grid = TimeGrid.uniform(
-        float(section.get("T", cfg.model.horizon)), int(section.get("N", cfg.model.steps))
-    )
-    env = sandwich_envelope(
-        float(section["xi_bound"]), WeightFn.parse(section["u"]), section["l"], grid
-    )
+    env = _bounds_envelope(cfg.bounds or {}, cfg.model, "bounds")
     rows = [
         (float(t), float(L), float(U))
-        for t, L, U in zip(grid.nodes, env.lower, env.upper)
+        for t, L, U in zip(env.grid.nodes, env.lower, env.upper)
     ]
     path = os.path.join(out_dir, "bounds.csv")
-    _atomic_write(path, _csv(rows, ("t", "L", "U")))
+    _write_csv(path, ("t", "L", "U"), rows)
     if not quiet:
         print(f"U0 = {env.upper[0]!r}, L0 = {env.lower[0]!r}")
         print(f"wrote {path}")
@@ -440,23 +427,14 @@ def _cmd_envelope(cfg, out_dir, quiet):
     section = cfg.envelope or {}
     if cfg.generator is None:
         raise ConfigError("generator", "envelope needs a generator section")
-    growth_section = section.get("growth")
-    growth = None
-    if growth_section:
-        growth = LinearGrowthBound.from_parts(
-            growth_section.get("f", "0"), growth_section.get("u", "1"), growth_section.get("v", "1")
-        )
-    env = sup_convolution_generator(
+    env = _driver_envelope(
         cfg.generator,
-        int(section.get("n", 2)),
-        WeightFn.parse(section.get("u_w", "1")),
-        WeightFn.parse(section.get("v_w", "1")),
+        section,
         EnvelopeGrid(
             radius=float(section.get("radius", 100.0)),
             nodes=int(section.get("nodes", 2001)),
             passes=int(section.get("passes", 3)),
         ),
-        growth=growth,
     )
     t0 = float(section.get("t", 0.0))
     z0 = float(section.get("z", 0.0))
@@ -469,7 +447,7 @@ def _cmd_envelope(cfg, out_dir, quiet):
         (float(y), float(cfg.generator(t0, y, z0)), env(t0, float(y), z0)) for y in ys
     ]
     path = os.path.join(out_dir, "envelope.csv")
-    _atomic_write(path, _csv(rows, ("y", "g", "envelope")))
+    _write_csv(path, ("y", "g", "envelope"), rows)
     if not quiet:
         print(f"wrote {path}")
     return EXIT_OK, ["envelope.csv"]
@@ -482,7 +460,15 @@ def _cmd_verify(cfg, out_dir, quiet, per_check_files=False):
     outputs = []
     all_matched = True
     for idx, check in enumerate(cfg.checks):
-        report = _run_check(cfg, check)
+        if check.kind not in CHECKS:
+            raise ConfigError(f"checks[{idx}].check", f"unknown kind; know {sorted(CHECKS)}")
+        fn, default_tol = CHECKS[check.kind]
+        tol = check.tol if check.tol is not None else default_tol
+        try:
+            report = fn(_effective_config(cfg, check), check, tol)
+        except ConfigError as exc:
+            path = ".".join(filter(None, (f"checks[{idx}]", exc.path)))
+            raise ConfigError(path, exc.message) from exc
         row = _report_row(check, report)
         rows.append(row)
         matched = report.status == check.expect
@@ -490,7 +476,7 @@ def _cmd_verify(cfg, out_dir, quiet, per_check_files=False):
         if per_check_files:
             label = check.params.get("name", report.name)
             stem = f"check_{idx:02d}_{label.replace(':', '_').replace('/', '_')}.csv"
-            _atomic_write(os.path.join(out_dir, stem), _csv([row], _REPORT_HEADER))
+            _write_csv(os.path.join(out_dir, stem), _REPORT_HEADER, [row])
             outputs.append(stem)
         if not quiet:
             mark = "ok " if matched else "FAIL"
@@ -498,10 +484,18 @@ def _cmd_verify(cfg, out_dir, quiet, per_check_files=False):
                 f"[{mark}] {check.params.get('name', report.name)}: status={report.status} "
                 f"expected={check.expect} violation={report.violation:.3g}"
             )
-    path = os.path.join(out_dir, "reports.csv")
-    _atomic_write(path, _csv(rows, _REPORT_HEADER))
+    _write_csv(os.path.join(out_dir, "reports.csv"), _REPORT_HEADER, rows)
     outputs.append("reports.csv")
     return (EXIT_OK if all_matched else EXIT_CHECK_FAILED), outputs
+
+
+SUBCOMMANDS = {
+    "solve": _cmd_solve,
+    "bounds": _cmd_bounds,
+    "envelope": _cmd_envelope,
+    "verify": _cmd_verify,
+    "suite": partial(_cmd_verify, per_check_files=True),
+}
 
 
 def default_suite_path():
@@ -510,7 +504,7 @@ def default_suite_path():
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="bsdelab", description=__doc__.split("\n")[0])
-    parser.add_argument("subcommand", choices=("solve", "bounds", "envelope", "verify", "suite"))
+    parser.add_argument("subcommand", choices=tuple(SUBCOMMANDS))
     parser.add_argument("--config", help="path to the JSON run config")
     parser.add_argument(
         "--out",
@@ -541,16 +535,7 @@ def main(argv=None):
         return EXIT_CONFIG_ERROR
     os.makedirs(out_dir, exist_ok=True)
     try:
-        if args.subcommand == "solve":
-            code, outputs = _cmd_solve(cfg, out_dir, args.quiet)
-        elif args.subcommand == "bounds":
-            code, outputs = _cmd_bounds(cfg, out_dir, args.quiet)
-        elif args.subcommand == "envelope":
-            code, outputs = _cmd_envelope(cfg, out_dir, args.quiet)
-        elif args.subcommand == "verify":
-            code, outputs = _cmd_verify(cfg, out_dir, args.quiet)
-        else:
-            code, outputs = _cmd_verify(cfg, out_dir, args.quiet, per_check_files=True)
+        code, outputs = SUBCOMMANDS[args.subcommand](cfg, out_dir, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

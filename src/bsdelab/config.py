@@ -17,7 +17,10 @@ from .certificates import CertificateError, certificate_from_dict
 from .expressions import ExpressionError, ParseError
 from .generators import Generator, TerminalCondition
 
-__all__ = ["ConfigError", "ModelConfig", "CheckConfig", "RunConfig", "load_config"]
+__all__ = [
+    "ConfigError", "ModelConfig", "CheckConfig", "RunConfig", "load_config",
+    "parse_generator", "parse_terminal",
+]
 
 BACKENDS = ("tree", "mc-regression")
 SCHEMES = ("explicit", "implicit")
@@ -28,6 +31,7 @@ class ConfigError(ValueError):
 
     def __init__(self, path, message):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
 
 
@@ -38,6 +42,38 @@ def _need(mapping, key, path, kind=None):
     if kind is not None and not isinstance(value, kind):
         raise ConfigError(f"{path}.{key}", f"expected {kind}, got {type(value).__name__}")
     return value
+
+
+def _section(raw, path):
+    if not isinstance(raw, dict):
+        raise ConfigError(path, "missing" if raw is None else "must be an object")
+    return raw
+
+
+def parse_generator(raw, path):
+    """Driver section ``{"expr": ..., "certificate": ...}`` found at ``path``."""
+    section = _section(raw, path)
+    try:
+        generator = Generator.parse(_need(section, "expr", path, str))
+        if section.get("certificate") is not None:
+            generator = generator.with_certificate(certificate_from_dict(section["certificate"]))
+    except (ParseError, ExpressionError) as exc:
+        raise ConfigError(f"{path}.expr", str(exc)) from exc
+    except CertificateError as exc:
+        raise ConfigError(f"{path}.certificate", str(exc)) from exc
+    return generator
+
+
+def parse_terminal(raw, path):
+    """Terminal section ``{"expr": ..., "bound": ...}`` found at ``path``."""
+    section = _section(raw, path)
+    try:
+        return TerminalCondition.parse(
+            _need(section, "expr", path, str),
+            bound=(float(section["bound"]) if section.get("bound") is not None else None),
+        )
+    except (ParseError, ExpressionError) as exc:
+        raise ConfigError(f"{path}.expr", str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -119,33 +155,8 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("<root>", "config must be a JSON object")
         model = ModelConfig.from_dict(raw.get("model", {}))
-        generator = None
-        if "generator" in raw:
-            gsec = raw["generator"]
-            if not isinstance(gsec, dict):
-                raise ConfigError("generator", "must be an object")
-            try:
-                generator = Generator.parse(_need(gsec, "expr", "generator", str))
-                if "certificate" in gsec and gsec["certificate"] is not None:
-                    generator = generator.with_certificate(
-                        certificate_from_dict(gsec["certificate"])
-                    )
-            except (ParseError, ExpressionError) as exc:
-                raise ConfigError("generator.expr", str(exc)) from exc
-            except CertificateError as exc:
-                raise ConfigError("generator.certificate", str(exc)) from exc
-        terminal = None
-        if "terminal" in raw:
-            tsec = raw["terminal"]
-            if not isinstance(tsec, dict):
-                raise ConfigError("terminal", "must be an object")
-            try:
-                terminal = TerminalCondition.parse(
-                    _need(tsec, "expr", "terminal", str),
-                    bound=(float(tsec["bound"]) if tsec.get("bound") is not None else None),
-                )
-            except (ParseError, ExpressionError) as exc:
-                raise ConfigError("terminal.expr", str(exc)) from exc
+        generator = parse_generator(raw["generator"], "generator") if "generator" in raw else None
+        terminal = parse_terminal(raw["terminal"], "terminal") if "terminal" in raw else None
         checks = []
         raw_checks = raw.get("checks", [])
         if not isinstance(raw_checks, list):

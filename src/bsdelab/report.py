@@ -53,14 +53,3 @@ class VerificationReport:
     @classmethod
     def inconclusive(cls, name, claim, reason, location=None):
         return cls(name, claim, INCONCLUSIVE, float("nan"), location or {}, 0.0, (reason,))
-
-    def as_record(self):
-        return {
-            "name": self.name,
-            "claim": self.claim,
-            "status": self.status,
-            "violation": self.violation,
-            "location": self.location,
-            "tolerance": self.tolerance,
-            "notes": list(self.notes),
-        }

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .generators import _as_univariate
+from .ode_bounds import _reverse_cumtrapz
 
 __all__ = [
     "exp_transform_solution",
@@ -90,9 +91,7 @@ def qs_bounds(alpha_b, beta_b, u_w, grid):
     u_vals = np.asarray(u_w(nodes), dtype=float)
     if np.any(u_vals < 0):
         raise ValueError("the time weight must be nonnegative")
-    seg = 0.5 * (u_vals[1:] + u_vals[:-1]) * np.diff(nodes)
-    tail = np.zeros(len(nodes))
-    tail[:-1] = np.cumsum(seg[::-1])[::-1]
+    tail = _reverse_cumtrapz(u_vals, nodes)
     Q = alpha_b * np.exp(-tail)
     S = beta_b * np.exp(tail)
     return Q, S

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -5,7 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bsdelab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, main
+import pytest
+
+from bsdelab.cli import (
+    EXIT_CHECK_FAILED,
+    EXIT_CONFIG_ERROR,
+    EXIT_OK,
+    EXIT_RUNTIME_ERROR,
+    main,
+)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -15,9 +24,8 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 def read_csv(path):
-    lines = path.read_text().strip().split("\n")
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestConfigErrors:
@@ -49,6 +57,48 @@ class TestConfigErrors:
 
     def test_config_required(self, tmp_path, capsys):
         assert main(["solve", "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+
+
+class TestCheckConfigErrors:
+    """Malformed check-level sections exit 2 and name the check and the key."""
+
+    @pytest.mark.parametrize(
+        "check, where",
+        [
+            (
+                {"check": "comparison", "generator_prime": {"expr": "1 +"},
+                 "terminal_prime": {"expr": "w"}},
+                "checks[0].generator_prime.expr",
+            ),
+            ({"check": "comparison", "terminal_prime": {"expr": "w"}}, "checks[0].generator_prime"),
+            (
+                {"check": "bounds_oracle", "u": "1", "l": "1 + abs(x)", "expected_U0": 4.4},
+                "checks[0]: missing keys ['xi_bound']",
+            ),
+            (
+                {"check": "sandwich", "generator": {"expr": "-y^3", "certificate": {
+                    "kind": "one_sided_super_linear", "u": "1", "l": "1 + abs(y)", "h": "1"}}},
+                "checks[0].xi_bound",
+            ),
+            (
+                {"check": "solver_oracle", "expected": 0.0, "generator": {"expr": "1 +"}},
+                "checks[0].generator.expr",
+            ),
+        ],
+    )
+    def test_exit_code_and_path(self, tmp_path, capsys, check, where):
+        cfg = write_config(
+            tmp_path,
+            {
+                "model": {"N": 20, "scheme": "implicit"},
+                "generator": {"expr": "-1"},
+                "terminal": {"expr": "w"},
+                "checks": [check],
+            },
+        )
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "config error" in err and where in err, err
 
 
 class TestSolveCommand:
@@ -132,6 +182,29 @@ class TestEnvelopeCommand:
             assert float(row["envelope"]) >= float(row["g"]) - 1e-12
 
 
+class TestEnvelopeDominationCheck:
+    def run(self, tmp_path, generator):
+        cfg = write_config(
+            tmp_path,
+            {"generator": generator, "checks": [{"check": "envelope_domination", "points": 3}]},
+        )
+        return main(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"])
+
+    def test_growth_from_certificate(self, tmp_path):
+        generator = {
+            "expr": "-y / 2 + z / 2",
+            "certificate": {
+                "kind": "one_sided_linear", "side": "absolute", "f": "0", "u": "0.5", "v": "0.5"
+            },
+        }
+        assert self.run(tmp_path, generator) == EXIT_OK
+        assert read_csv(tmp_path / "reports.csv")[0]["status"] == "pass"
+
+    def test_no_growth_and_no_certificate(self, tmp_path, capsys):
+        assert self.run(tmp_path, {"expr": "-y^2"}) == EXIT_RUNTIME_ERROR
+        assert "missing growth certificate" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def config(self, expected, tol):
         return {
@@ -178,6 +251,20 @@ class TestSuiteCommand:
         assert "reports.csv" in names
         assert "run_manifest.json" in names
         assert sum(1 for n in names if n.startswith("check_")) >= 10
+
+    def test_suite_csvs_round_trip(self, tmp_path):
+        assert main(["suite", "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        files = sorted(tmp_path.glob("*.csv"))
+        assert len(files) == 16
+        for path in files:
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows, path.name
+            for row in rows:
+                assert len(row) == len(header), path.name
+                record = dict(zip(header, row))
+                assert isinstance(json.loads(record["location"]), dict)
+                assert record["outcome"] == "ok"
 
     def test_console_entry_point(self, tmp_path):
         # A relative PYTHONPATH (e.g. ``src``) stops resolving under cwd=tmp_path,
