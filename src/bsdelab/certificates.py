@@ -9,8 +9,9 @@ proof.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -80,22 +81,46 @@ class SampleGrid:
         shape = tuple(len(a) for a in axes)
         total = math.prod(shape)
         stride = max(1, -(-total // self.cap))
+        # a stride sharing a factor with the last axis length would skip some of its values
+        while math.gcd(stride, shape[-1]) != 1:
+            stride += 1
         flat = np.arange(0, total, stride)
         idx = np.unravel_index(flat, shape)
         return tuple(a[i] for a, i in zip(axes, idx))
-
-
-def _argworst(violation, coords, names):
-    k = int(np.argmax(violation))
-    return {n: float(c[k]) for n, c in zip(names, coords)}, float(violation[k])
 
 
 # ---------------------------------------------------------------------------
 # Certificate kinds
 
 
+class _Certificate:
+    """Grid check shared by all kinds: each states ``gap(g, ...)``, its left- minus
+    right-hand side at sampled points.  The parameters after ``g`` name the sample
+    axes, each starting with the grid axis it is drawn from (``y1`` from y)."""
+
+    def violation(self, g, grid):
+        axes = tuple(inspect.signature(self.gap).parameters)[1:]
+        coords = grid.product(*(getattr(grid, f"{name[0]}_axis")() for name in axes))
+        gap = self.gap(g, *coords)
+        k = int(np.argmax(gap))
+        return float(gap[k]), {n: float(c[k]) for n, c in zip(axes, coords)}
+
+    def witness_violation(self, grid):
+        return {}
+
+
+def _modulus_gaps(name, fn, x, cap, cap_label):
+    """Gaps of a modulus witness sampled at ``x``: zero at zero, nondecreasing, under ``cap``."""
+    r = np.asarray(fn(x))
+    return {
+        f"{name}(0)=0": abs(float(r[0])),
+        f"{name} nondecreasing": float(np.max(-(np.diff(r)))),
+        cap_label: float(np.max(r - cap)),
+    }
+
+
 @dataclass(frozen=True)
-class OneSidedOsgoodY:
+class OneSidedOsgoodY(_Certificate):
     """(g(t,y1,z) - g(t,y2,z)) sgn(y1-y2) <= u(t) rho(|y1-y2|).
 
     rho must be nondecreasing with rho(0)=0 and rho(x) <= k (1+x).
@@ -103,33 +128,24 @@ class OneSidedOsgoodY:
 
     u: WeightFn
     rho: Expression
-    rho_growth_k: float
+    rho_growth_k: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "rho", _as_univariate(self.rho))
         if self.rho_growth_k < 0:
             raise CertificateError("rho growth constant must be >= 0")
 
-    def violation(self, g, grid):
-        t, y1, y2, z = grid.product(grid.t_axis(), grid.y_axis(), grid.y_axis(), grid.z_axis())
+    def gap(self, g, t, y1, y2, z):
         lhs = (g(t, y1, z) - g(t, y2, z)) * np.sign(y1 - y2)
-        gap = lhs - self.u(t) * self.rho(np.abs(y1 - y2))
-        loc, worst = _argworst(gap, (t, y1, y2, z), ("t", "y1", "y2", "z"))
-        return worst, loc
+        return lhs - self.u(t) * self.rho(np.abs(y1 - y2))
 
     def witness_violation(self, grid):
         x = np.linspace(0.0, max(abs(grid.y_range[0]), abs(grid.y_range[1])) * 2, 512)
-        r = np.asarray(self.rho(x))
-        gaps = {
-            "rho(0)=0": abs(float(r[0])),
-            "rho nondecreasing": float(np.max(-(np.diff(r)))) if len(r) > 1 else 0.0,
-            "rho linear growth": float(np.max(r - self.rho_growth_k * (1.0 + x))),
-        }
-        return gaps
+        return _modulus_gaps("rho", self.rho, x, self.rho_growth_k * (1.0 + x), "rho linear growth")
 
 
 @dataclass(frozen=True)
-class ContinuityZ:
+class ContinuityZ(_Certificate):
     """|g(t,y,z1) - g(t,y,z2)| <= v(t) phi(|z1-z2|) with phi(x) <= a x + b."""
 
     v: WeightFn
@@ -142,24 +158,16 @@ class ContinuityZ:
         if self.a < 0 or self.b < 0:
             raise CertificateError("phi envelope slopes a, b must be >= 0")
 
-    def violation(self, g, grid):
-        t, y, z1, z2 = grid.product(grid.t_axis(), grid.y_axis(), grid.z_axis(), grid.z_axis())
-        gap = np.abs(g(t, y, z1) - g(t, y, z2)) - self.v(t) * self.phi(np.abs(z1 - z2))
-        loc, worst = _argworst(gap, (t, y, z1, z2), ("t", "y", "z1", "z2"))
-        return worst, loc
+    def gap(self, g, t, y, z1, z2):
+        return np.abs(g(t, y, z1) - g(t, y, z2)) - self.v(t) * self.phi(np.abs(z1 - z2))
 
     def witness_violation(self, grid):
         x = np.linspace(0.0, (grid.z_range[1] - grid.z_range[0]), 512)
-        p = np.asarray(self.phi(x))
-        return {
-            "phi(0)=0": abs(float(p[0])),
-            "phi nondecreasing": float(np.max(-(np.diff(p)))) if len(p) > 1 else 0.0,
-            "phi <= a x + b": float(np.max(p - (self.a * x + self.b))),
-        }
+        return _modulus_gaps("phi", self.phi, x, self.a * x + self.b, "phi <= a x + b")
 
 
 @dataclass(frozen=True)
-class SubLinearDiffZ:
+class SubLinearDiffZ(_Certificate):
     """|g(t,y,z) - g(t,y,0)| <= lambda(t) |z|^alpha (or (f(t)+|y|+|z|)^alpha)."""
 
     lam: WeightFn
@@ -172,15 +180,9 @@ class SubLinearDiffZ:
         if self.f is not None:
             object.__setattr__(self, "f", _as_univariate(self.f, hint="t"))
 
-    def violation(self, g, grid):
-        t, y, z = grid.product(grid.t_axis(), grid.y_axis(), grid.z_axis())
-        if self.f is None:
-            rhs = self.lam(t) * np.abs(z) ** self.alpha
-        else:
-            rhs = self.lam(t) * (self.f(t) + np.abs(y) + np.abs(z)) ** self.alpha
-        gap = np.abs(g(t, y, z) - g(t, y, np.zeros_like(z))) - rhs
-        loc, worst = _argworst(gap, (t, y, z), ("t", "y", "z"))
-        return worst, loc
+    def gap(self, g, t, y, z):
+        base = np.abs(z) if self.f is None else self.f(t) + np.abs(y) + np.abs(z)
+        return np.abs(g(t, y, z) - g(t, y, np.zeros_like(z))) - self.lam(t) * base**self.alpha
 
     def witness_violation(self, grid):
         if self.f is None:
@@ -190,7 +192,7 @@ class SubLinearDiffZ:
 
 
 @dataclass(frozen=True)
-class OneSidedSuperLinear:
+class OneSidedSuperLinear(_Certificate):
     """g(t,y,z) sgn(y) <= u(t) l(y) + h(y) |z|^2, with l strictly positive."""
 
     u: WeightFn
@@ -201,11 +203,8 @@ class OneSidedSuperLinear:
         object.__setattr__(self, "l", _as_univariate(self.l))
         object.__setattr__(self, "h", _as_univariate(self.h))
 
-    def violation(self, g, grid):
-        t, y, z = grid.product(grid.t_axis(), grid.y_axis(), grid.z_axis())
-        gap = _side_lhs("sgn", g(t, y, z), y) - (self.u(t) * self.l(y) + self.h(y) * z * z)
-        loc, worst = _argworst(gap, (t, y, z), ("t", "y", "z"))
-        return worst, loc
+    def gap(self, g, t, y, z):
+        return _side_lhs("sgn", g(t, y, z), y) - (self.u(t) * self.l(y) + self.h(y) * z * z)
 
     def witness_violation(self, grid):
         y = grid.y_axis()
@@ -218,7 +217,7 @@ class OneSidedSuperLinear:
 
 
 @dataclass(frozen=True)
-class QuadGrowth:
+class QuadGrowth(_Certificate):
     """|g(t,y,z)| <= u_bar(t) phi_bar(y) + h_bar(y) |z|^2."""
 
     u_bar: WeightFn
@@ -229,11 +228,8 @@ class QuadGrowth:
         object.__setattr__(self, "phi_bar", _as_univariate(self.phi_bar))
         object.__setattr__(self, "h_bar", _as_univariate(self.h_bar))
 
-    def violation(self, g, grid):
-        t, y, z = grid.product(grid.t_axis(), grid.y_axis(), grid.z_axis())
-        gap = np.abs(g(t, y, z)) - (self.u_bar(t) * self.phi_bar(y) + self.h_bar(y) * z * z)
-        loc, worst = _argworst(gap, (t, y, z), ("t", "y", "z"))
-        return worst, loc
+    def gap(self, g, t, y, z):
+        return np.abs(g(t, y, z)) - (self.u_bar(t) * self.phi_bar(y) + self.h_bar(y) * z * z)
 
     def witness_violation(self, grid):
         y = grid.y_axis()
@@ -244,43 +240,26 @@ class QuadGrowth:
 
 
 @dataclass(frozen=True)
-class LocalLipschitzZ:
+class LocalLipschitzZ(_Certificate):
     """|g(t,y,z1) - g(t,y,z2)| <= (v(t) + |z1| + |z2|) |z1 - z2|."""
 
     v: WeightFn
 
-    def violation(self, g, grid):
-        t, y, z1, z2 = grid.product(grid.t_axis(), grid.y_axis(), grid.z_axis(), grid.z_axis())
+    def gap(self, g, t, y, z1, z2):
         rhs = (self.v(t) + np.abs(z1) + np.abs(z2)) * np.abs(z1 - z2)
-        gap = np.abs(g(t, y, z1) - g(t, y, z2)) - rhs
-        loc, worst = _argworst(gap, (t, y, z1, z2), ("t", "y", "z1", "z2"))
-        return worst, loc
-
-    def witness_violation(self, grid):
-        return {}
+        return np.abs(g(t, y, z1) - g(t, y, z2)) - rhs
 
 
 @dataclass(frozen=True)
-class ConvexityZ:
+class ConvexityZ(_Certificate):
     """Midpoint convexity (or concavity) of z -> g(t, y, z) on the grid."""
 
     convex: bool = True
 
-    def violation(self, g, grid):
-        t, y, z1, z2 = grid.product(grid.t_axis(), grid.y_axis(), grid.z_axis(), grid.z_axis())
+    def gap(self, g, t, y, z1, z2):
         mid = g(t, y, 0.5 * (z1 + z2))
         avg = 0.5 * (g(t, y, z1) + g(t, y, z2))
-        gap = (mid - avg) if self.convex else (avg - mid)
-        loc, worst = _argworst(gap, (t, y, z1, z2), ("t", "y", "z1", "z2"))
-        return worst, loc
-
-    def witness_violation(self, grid):
-        return {}
-
-
-def _check_side(side):
-    if side not in SIDES:
-        raise CertificateError(f"side must be one of {SIDES}, got {side!r}")
+        return (mid - avg) if self.convex else (avg - mid)
 
 
 def _side_lhs(side, val, y):
@@ -295,8 +274,23 @@ def _side_lhs(side, val, y):
     return np.abs(val)
 
 
+class _SideRestricted(_Certificate):
+    """Growth bound ``_rhs(t, y, z)`` on the side of the y axis named by the field ``side``."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "f", _as_univariate(self.f, hint="t"))
+        if self.side not in SIDES:
+            raise CertificateError(f"side must be one of {SIDES}, got {self.side!r}")
+
+    def gap(self, g, t, y, z):
+        return _side_lhs(self.side, g(t, y, z), y) - self._rhs(t, y, z)
+
+    def witness_violation(self, grid):
+        return {"f nonnegative": float(np.max(-np.asarray(self.f(grid.t_axis()))))}
+
+
 @dataclass(frozen=True)
-class OneSidedLinear:
+class OneSidedLinear(_SideRestricted):
     """Linear growth restricted to a side of the y axis.
 
     side 'sgn':              g(t,y,z) sgn(y) <= f(t) + u(t)|y| + v(t)|z|
@@ -310,26 +304,12 @@ class OneSidedLinear:
     v: WeightFn
     side: str = "sgn"
 
-    def __post_init__(self):
-        object.__setattr__(self, "f", _as_univariate(self.f, hint="t"))
-        _check_side(self.side)
-
     def _rhs(self, t, y, z):
         return self.f(t) + self.u(t) * np.abs(y) + self.v(t) * np.abs(z)
 
-    def violation(self, g, grid):
-        t, y, z = grid.product(grid.t_axis(), grid.y_axis(), grid.z_axis())
-        gap = _side_lhs(self.side, g(t, y, z), y) - self._rhs(t, y, z)
-        loc, worst = _argworst(gap, (t, y, z), ("t", "y", "z"))
-        return worst, loc
-
-    def witness_violation(self, grid):
-        t = grid.t_axis()
-        return {"f nonnegative": float(np.max(-np.asarray(self.f(t))))}
-
 
 @dataclass(frozen=True)
-class MixedSubLinear:
+class MixedSubLinear(_SideRestricted):
     """Growth with the wedge modulus min(v(t)|z|, lambda(t)|z|^alpha) in z."""
 
     f: Expression
@@ -340,25 +320,14 @@ class MixedSubLinear:
     side: str = "sgn"
 
     def __post_init__(self):
-        object.__setattr__(self, "f", _as_univariate(self.f, hint="t"))
+        super().__post_init__()
         if not (0.0 < self.alpha < 1.0):
             raise CertificateError("alpha must lie in (0, 1)")
-        _check_side(self.side)
 
     def _rhs(self, t, y, z):
         az = np.abs(z)
         wedge = np.minimum(self.v(t) * az, self.lam(t) * az**self.alpha)
         return self.f(t) + self.u(t) * np.abs(y) + wedge
-
-    def violation(self, g, grid):
-        t, y, z = grid.product(grid.t_axis(), grid.y_axis(), grid.z_axis())
-        gap = _side_lhs(self.side, g(t, y, z), y) - self._rhs(t, y, z)
-        loc, worst = _argworst(gap, (t, y, z), ("t", "y", "z"))
-        return worst, loc
-
-    def witness_violation(self, grid):
-        t = grid.t_axis()
-        return {"f nonnegative": float(np.max(-np.asarray(self.f(t))))}
 
 
 CERTIFICATE_KINDS = {
@@ -376,11 +345,6 @@ CERTIFICATE_KINDS = {
 _KIND_NAMES = {cls: name for name, cls in CERTIFICATE_KINDS.items()}
 
 
-def _claim_of(cert):
-    doc = (type(cert).__doc__ or "").strip().splitlines()[0]
-    return doc
-
-
 def check_certificate(g, cert, grid=None):
     """Evaluate the certificate's defining inequality over the sample grid.
 
@@ -396,7 +360,7 @@ def check_certificate(g, cert, grid=None):
     worst, loc = cert.violation(g, grid)
     return VerificationReport.from_violation(
         name=f"certificate:{_KIND_NAMES.get(type(cert), type(cert).__name__)}",
-        claim=_claim_of(cert),
+        claim=(type(cert).__doc__ or "").strip().splitlines()[0],
         violation=worst,
         location=loc,
     )
@@ -423,63 +387,49 @@ def check_witnesses(cert, grid=None):
     )
 
 
-def _weight_from(obj, default_tag="L1"):
+# JSON spells the field ``lam`` as ``lambda``.  A weight's integrability tag
+# defaults to L1 unless listed; only the Lq weight takes the certificate's alpha.
+_JSON_KEYS = {"lam": "lambda"}
+_WEIGHT_TAGS = {"v": "L2", "lam": "Lq"}
+_CONVERTERS = {"float": float, "bool": bool}
+
+
+def _weight_from(obj, name, alpha):
+    tag = _WEIGHT_TAGS.get(name, "L1")
     if isinstance(obj, WeightFn):
         return obj
     if isinstance(obj, dict):
-        return WeightFn.parse(obj["expr"], obj.get("tag", default_tag), obj.get("alpha"))
-    return WeightFn.parse(obj, default_tag)
+        return WeightFn.parse(obj["expr"], obj.get("tag", tag), obj.get("alpha"))
+    return WeightFn.parse(obj, tag, alpha if tag == "Lq" else None)
 
 
 def certificate_from_dict(raw):
-    """Build a certificate from a plain dict, e.g. from a JSON config."""
+    """Build a certificate from a plain dict, e.g. from a JSON config.
+
+    The keys are the kind's field names (``lambda`` for ``lam``); fields
+    with a default may be left out.
+    """
     if "kind" not in raw:
         raise CertificateError("certificate dict needs a 'kind'")
     kind = raw["kind"]
     if kind not in CERTIFICATE_KINDS:
         raise CertificateError(f"unknown certificate kind {kind!r}")
-    body = {k: v for k, v in raw.items() if k != "kind"}
+    cls = CERTIFICATE_KINDS[kind]
     try:
-        if kind == "one_sided_osgood_y":
-            return OneSidedOsgoodY(
-                _weight_from(body["u"]), body["rho"], float(body.get("rho_growth_k", 1.0))
-            )
-        if kind == "continuity_z":
-            return ContinuityZ(
-                _weight_from(body["v"], "L2"), body["phi"], float(body["a"]), float(body["b"])
-            )
-        if kind == "sublinear_diff_z":
-            alpha = float(body["alpha"])
-            lam = body["lambda"]
-            if not isinstance(lam, (WeightFn, dict)):
-                lam = {"expr": lam, "tag": "Lq", "alpha": alpha}
-            return SubLinearDiffZ(_weight_from(lam, "Lq"), alpha, body.get("f"))
-        if kind == "one_sided_super_linear":
-            return OneSidedSuperLinear(_weight_from(body["u"]), body["l"], body["h"])
-        if kind == "quad_growth":
-            return QuadGrowth(_weight_from(body["u_bar"]), body["phi_bar"], body["h_bar"])
-        if kind == "local_lipschitz_z":
-            return LocalLipschitzZ(_weight_from(body["v"], "L2"))
-        if kind == "convexity_z":
-            return ConvexityZ(bool(body.get("convex", True)))
-        if kind == "one_sided_linear":
-            return OneSidedLinear(
-                body["f"],
-                _weight_from(body["u"]),
-                _weight_from(body["v"], "L2"),
-                body.get("side", "sgn"),
-            )
-        alpha = float(body["alpha"])
-        lam = body["lambda"]
-        if not isinstance(lam, (WeightFn, dict)):
-            lam = {"expr": lam, "tag": "Lq", "alpha": alpha}
-        return MixedSubLinear(
-            body["f"],
-            _weight_from(body["u"]),
-            _weight_from(body["v"], "L2"),
-            _weight_from(lam, "Lq"),
-            alpha,
-            body.get("side", "sgn"),
-        )
+        # every key is looked up before any value is converted
+        values = {
+            f.name: raw[_JSON_KEYS.get(f.name, f.name)]
+            for f in fields(cls)
+            if f.default is MISSING or _JSON_KEYS.get(f.name, f.name) in raw
+        }
+        for f in fields(cls):
+            if f.name in values and f.type in _CONVERTERS:
+                values[f.name] = _CONVERTERS[f.type](values[f.name])
+        for f in fields(cls):
+            if f.type == "WeightFn":
+                values[f.name] = _weight_from(values[f.name], f.name, values.get("alpha"))
     except KeyError as exc:
         raise CertificateError(f"certificate kind {kind!r} lacks witness {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CertificateError(f"certificate kind {kind!r}: {exc}") from exc
+    return cls(**values)

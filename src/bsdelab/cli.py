@@ -39,6 +39,7 @@ from .config import (
     ModelConfig,
     RunConfig,
     load_config,
+    number,
     parse_generator,
     parse_terminal,
 )
@@ -184,8 +185,8 @@ def _driver_envelope(generator, section, grid=None):
 
 
 def _check_solver_oracle(cfg, check, tol):
+    expected = number(check.params, "expected", "")
     sol = _solve_with(cfg.model, cfg.generator, cfg.terminal)
-    expected = float(check.params["expected"])
     gap = abs(sol.y0 - expected)
     return VerificationReport.from_violation(
         name=check.params.get("name", "solver-oracle"),
@@ -269,8 +270,8 @@ def _check_transform_residual(cfg, check, tol):
 
 def _check_bounds_oracle(cfg, check, tol):
     section = {**(cfg.bounds or {}), **check.params}
+    expected = number(section, "expected_U0", "")
     env = _bounds_envelope(section, cfg.model, "")
-    expected = float(section["expected_U0"])
     gap = abs(float(env.upper[0]) - expected)
     return VerificationReport.from_violation(
         name=check.params.get("name", "bounds-oracle"),

@@ -19,11 +19,12 @@ from .generators import Generator, TerminalCondition
 
 __all__ = [
     "ConfigError", "ModelConfig", "CheckConfig", "RunConfig", "load_config",
-    "parse_generator", "parse_terminal",
+    "parse_generator", "parse_terminal", "number",
 ]
 
 BACKENDS = ("tree", "mc-regression")
 SCHEMES = ("explicit", "implicit")
+_REQUIRED = object()
 
 
 class ConfigError(ValueError):
@@ -42,6 +43,23 @@ def _need(mapping, key, path, kind=None):
     if kind is not None and not isinstance(value, kind):
         raise ConfigError(f"{path}.{key}", f"expected {kind}, got {type(value).__name__}")
     return value
+
+
+def number(mapping, key, path, kind=float, default=_REQUIRED):
+    """``mapping[key]`` converted by ``kind``; ``default`` when absent or null.
+
+    Without a ``default`` the key is required.  Errors name ``path.key``.
+    """
+    where = ".".join(filter(None, (path, key)))
+    value = mapping.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(where, "missing")
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(where, f"expected {kind.__name__}, got {value!r}") from exc
 
 
 def _section(raw, path):
@@ -67,13 +85,14 @@ def parse_generator(raw, path):
 def parse_terminal(raw, path):
     """Terminal section ``{"expr": ..., "bound": ...}`` found at ``path``."""
     section = _section(raw, path)
+    source = _need(section, "expr", path, str)
+    bound = number(section, "bound", path, default=None)
     try:
-        return TerminalCondition.parse(
-            _need(section, "expr", path, str),
-            bound=(float(section["bound"]) if section.get("bound") is not None else None),
-        )
+        return TerminalCondition.parse(source, bound=bound)
     except (ParseError, ExpressionError) as exc:
         raise ConfigError(f"{path}.expr", str(exc)) from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}.bound", str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -93,15 +112,15 @@ class ModelConfig:
         if not isinstance(raw, dict):
             raise ConfigError(path, "must be an object")
         cfg = cls(
-            horizon=float(raw.get("T", 1.0)),
-            steps=int(raw.get("N", 200)),
+            horizon=number(raw, "T", path, float, 1.0),
+            steps=number(raw, "N", path, int, 200),
             backend=raw.get("backend", "tree"),
             scheme=raw.get("scheme", "explicit"),
-            seed=int(raw.get("seed", 0)),
-            paths=int(raw.get("paths", 20000)),
-            basis_degree=int(raw.get("basis_degree", 3)),
-            threads=int(raw.get("threads", 1)),
-            z_clamp=(float(raw["z_clamp"]) if raw.get("z_clamp") is not None else None),
+            seed=number(raw, "seed", path, int, 0),
+            paths=number(raw, "paths", path, int, 20000),
+            basis_degree=number(raw, "basis_degree", path, int, 3),
+            threads=number(raw, "threads", path, int, 1),
+            z_clamp=number(raw, "z_clamp", path, float, None),
         )
         if cfg.horizon <= 0:
             raise ConfigError(f"{path}.T", "must be > 0")
@@ -131,13 +150,13 @@ class CheckConfig:
         expect = raw.get("expect", "pass")
         if expect not in ("pass", "fail"):
             raise ConfigError(f"{path}.expect", "must be 'pass' or 'fail'")
-        tol = raw.get("tol")
+        tol = number(raw, "tol", path, default=None)
         params = {
             k: v for k, v in raw.items() if k not in ("check", "tol", "expect", "name")
         }
         if "name" in raw:
             params["name"] = raw["name"]
-        return cls(kind=kind, tol=(float(tol) if tol is not None else None), expect=expect, params=params)
+        return cls(kind=kind, tol=tol, expect=expect, params=params)
 
 
 @dataclass(frozen=True)

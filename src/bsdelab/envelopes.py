@@ -252,7 +252,8 @@ class _BaseSupConvolution:
             - self._penalty(t, abs(y - u), np.abs(z - v))
         )
 
-    def _maximize(self, t, y, z):
+    def value_at(self, t, y, z):
+        """Envelope value and the (u, v) that attains it."""
         du, dv = self._box(t, y, z)
         du = min(du, self.grid.radius)
         dv = min(dv, self.grid.radius)
@@ -291,15 +292,6 @@ class _BaseSupConvolution:
     def candidate_value(self, t, y, z, u, v):
         """Penalised objective at one candidate; a lower bound of the value."""
         return float(self.g(t, u, v)) - float(self._penalty(t, abs(y - u), abs(z - v)))
-
-    def value_at(self, t, y, z, candidates=()):
-        """Envelope value; extra (u, v) candidates can only sharpen it."""
-        val, arg = self._maximize(t, y, z)
-        for u, v in candidates:
-            cand = self.candidate_value(t, y, z, u, v)
-            if cand > val:
-                val, arg = cand, (u, v)
-        return val, arg
 
     def __call__(self, t, y, z):
         return self.value_at(float(t), float(y), float(z))[0]

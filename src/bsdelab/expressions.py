@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 GENERATOR_VARIABLES = ("t", "y", "z")
-TERMINAL_VARIABLE = ("w",)
 
 _FUNCTION_ARITY = {
     "abs": 1,

@@ -10,7 +10,9 @@ from bsdelab.certificates import (
     OneSidedLinear,
     OneSidedOsgoodY,
     OneSidedSuperLinear,
+    QuadGrowth,
     SampleGrid,
+    SubLinearDiffZ,
     certificate_from_dict,
     check_certificate,
     check_witnesses,
@@ -36,6 +38,14 @@ class TestSampleGrid:
         t, y, z = grid.product(grid.t_axis(), grid.y_axis(), grid.z_axis())
         assert len(t) == 3 * 4 * 5
 
+    def test_thinning_keeps_every_last_axis_value(self):
+        # 21 * 51^3 points over a cap of 10^6: a stride of 3 would divide 51
+        # and keep only 17 of the 51 z values
+        grid = SampleGrid()
+        t, y1, y2, z = grid.product(grid.t_axis(), grid.y_axis(), grid.y_axis(), grid.z_axis())
+        assert len(t) <= grid.cap
+        assert np.array_equal(np.unique(z), grid.z_axis())
+
 
 class TestOsgoodCertificate:
     def test_identity_driver_equality_case(self):
@@ -54,6 +64,15 @@ class TestOsgoodCertificate:
         g = Generator.parse("y^2")
         lhs = (g(0.0, 10.0, 0.0) - g(0.0, 9.0, 0.0)) * np.sign(10.0 - 9.0)
         assert lhs == 19.0 > 1.0
+
+    def test_thinned_grid_sees_narrow_z_bump(self):
+        # negative control: the driver breaks the bound only near z = -4.8,
+        # where the gap is |y1 - y2| (5 - 2), so 30 at |y1 - y2| = 10
+        g = Generator.parse("-y + 5*y*max(0, 1 - 20*abs(z + 4.8))")
+        report = check_certificate(g, OneSidedOsgoodY(ONE, "x", 1.0))
+        assert not report.passed
+        assert report.violation == pytest.approx(30.0)
+        assert report.location["z"] == pytest.approx(-4.8)
 
     def test_witness_shape_checks(self):
         good = OneSidedOsgoodY(ONE, "x", 1.0)
@@ -218,6 +237,88 @@ class TestFromDict:
     def test_unknown_kind(self):
         with pytest.raises(CertificateError, match="unknown certificate kind"):
             certificate_from_dict({"kind": "wishful"})
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            (
+                {"kind": "one_sided_osgood_y", "u": "1", "rho": "x"},
+                OneSidedOsgoodY(WeightFn.parse("1", "L1"), "x", 1.0),
+            ),
+            (
+                {"kind": "continuity_z", "v": "1", "phi": "x", "a": 1, "b": 0},
+                ContinuityZ(WeightFn.parse("1", "L2"), "x", 1.0, 0.0),
+            ),
+            (
+                {"kind": "sublinear_diff_z", "lambda": "2", "alpha": 0.5, "f": "1"},
+                SubLinearDiffZ(WeightFn.parse("2", "Lq", 0.5), 0.5, "1"),
+            ),
+            (
+                {"kind": "one_sided_super_linear", "u": "1", "l": "1 + abs(y)", "h": "1"},
+                OneSidedSuperLinear(WeightFn.parse("1", "L1"), "1 + abs(y)", "1"),
+            ),
+            (
+                {"kind": "quad_growth", "u_bar": "1", "phi_bar": "1 + y^2", "h_bar": "1"},
+                QuadGrowth(WeightFn.parse("1", "L1"), "1 + y^2", "1"),
+            ),
+            (
+                {"kind": "local_lipschitz_z", "v": {"expr": "1 + t", "tag": "L1&L2"}},
+                LocalLipschitzZ(WeightFn.parse("1 + t", "L1&L2")),
+            ),
+            ({"kind": "convexity_z", "convex": False}, ConvexityZ(False)),
+            (
+                {"kind": "one_sided_linear", "f": "1", "u": "1", "v": "1", "side": "absolute"},
+                OneSidedLinear(
+                    "1", WeightFn.parse("1", "L1"), WeightFn.parse("1", "L2"), "absolute"
+                ),
+            ),
+            (
+                {"kind": "mixed_sublinear", "f": "1", "u": "1", "v": "1", "lambda": "1",
+                 "alpha": 0.25},
+                MixedSubLinear(
+                    "1",
+                    WeightFn.parse("1", "L1"),
+                    WeightFn.parse("1", "L2"),
+                    WeightFn.parse("1", "Lq", 0.25),
+                    0.25,
+                    "sgn",
+                ),
+            ),
+        ],
+        ids=lambda v: v["kind"] if isinstance(v, dict) else type(v).__name__,
+    )
+    def test_every_kind_from_dict(self, raw, expected):
+        assert certificate_from_dict(raw) == expected
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"kind": "one_sided_osgood_y", "rho": "x"}, "u"),
+            # the missing b is reported before the bad a is converted
+            ({"kind": "continuity_z", "v": "1", "phi": "x", "a": "abc"}, "b"),
+            ({"kind": "sublinear_diff_z", "alpha": 0.5}, "lambda"),
+            ({"kind": "one_sided_super_linear", "u": "1", "h": "1"}, "l"),
+            ({"kind": "quad_growth", "u_bar": "1", "phi_bar": "1"}, "h_bar"),
+            ({"kind": "local_lipschitz_z"}, "v"),
+            ({"kind": "one_sided_linear", "u": "1", "v": "1"}, "f"),
+            ({"kind": "mixed_sublinear", "f": "1", "u": "1", "v": "1", "lambda": "1"}, "alpha"),
+        ],
+        ids=lambda v: v["kind"] if isinstance(v, dict) else v,
+    )
+    def test_missing_witness_per_kind(self, raw, key):
+        with pytest.raises(CertificateError, match=f"lacks witness '{key}'"):
+            certificate_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"kind": "continuity_z", "v": "1", "phi": "x", "a": "abc", "b": 0},
+            {"kind": "local_lipschitz_z", "v": {"expr": "1", "tag": "L7"}},
+        ],
+    )
+    def test_bad_value_is_a_certificate_error(self, raw):
+        with pytest.raises(CertificateError, match=raw["kind"]):
+            certificate_from_dict(raw)
 
     def test_wedge_from_dict(self):
         cert = certificate_from_dict(

@@ -58,6 +58,21 @@ class TestConfigErrors:
     def test_config_required(self, tmp_path, capsys):
         assert main(["solve", "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize(
+        "payload, where",
+        [
+            ({"model": {"N": "abc"}}, "model.N"),
+            ({"terminal": {"expr": "w", "bound": "abc"}}, "terminal.bound"),
+            ({"terminal": {"expr": "w", "bound": -1}}, "terminal.bound"),
+        ],
+    )
+    def test_bad_number_reports_path(self, tmp_path, capsys, payload, where):
+        cfg = write_config(
+            tmp_path, {"generator": {"expr": "0"}, "terminal": {"expr": "w"}, **payload}
+        )
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert where in capsys.readouterr().err
+
 
 class TestCheckConfigErrors:
     """Malformed check-level sections exit 2 and name the check and the key."""
@@ -84,6 +99,12 @@ class TestCheckConfigErrors:
                 {"check": "solver_oracle", "expected": 0.0, "generator": {"expr": "1 +"}},
                 "checks[0].generator.expr",
             ),
+            ({"check": "solver_oracle"}, "checks[0].expected: missing"),
+            (
+                {"check": "bounds_oracle", "u": "1", "l": "1 + abs(x)", "xi_bound": 1.0},
+                "checks[0].expected_U0: missing",
+            ),
+            ({"check": "solver_oracle", "expected": 0.0, "tol": "abc"}, "checks[0].tol"),
         ],
     )
     def test_exit_code_and_path(self, tmp_path, capsys, check, where):
