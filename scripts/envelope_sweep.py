@@ -8,6 +8,7 @@ columns visibly squeeze onto the driver as n grows.
 """
 
 import argparse
+import csv
 import sys
 
 import numpy as np
@@ -34,14 +35,12 @@ def main(argv=None):
         n: sup_convolution_generator(g, n, one, one, growth=growth) for n in args.ns
     }
     ys = np.linspace(args.y_range[0], args.y_range[1], args.points)
-    header = ["y", "g"] + [f"envelope_n{n}" for n in args.ns]
-    lines = [",".join(header)]
-    for y in ys:
-        row = [repr(float(y)), repr(float(g(0.0, float(y), 0.0)))]
-        row += [repr(envs[n](0.0, float(y), 0.0)) for n in args.ns]
-        lines.append(",".join(row))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["y", "g"] + [f"envelope_n{n}" for n in args.ns])
+        for y in ys:
+            row = [repr(float(y)), repr(float(g(0.0, float(y), 0.0)))]
+            writer.writerow(row + [repr(envs[n](0.0, float(y), 0.0)) for n in args.ns])
     print(f"wrote {args.out} ({args.points} rows, n in {args.ns})")
     return 0
 

@@ -40,6 +40,7 @@ from .config import (
     RunConfig,
     load_config,
     number,
+    numbers,
     parse_generator,
     parse_terminal,
 )
@@ -133,6 +134,11 @@ def _solve_with(model: ModelConfig, generator, terminal):
     )
 
 
+def _solver(model: ModelConfig):
+    """``solve(g, xi, scheme)`` on the configured backend, as the verify checks take it."""
+    return lambda g, xi, scheme: _solve_with(replace(model, scheme=scheme), g, xi)
+
+
 def _solution_rows(sol):
     tree = TreeModel(sol.grid) if sol.backend == "tree" else None
 
@@ -155,14 +161,15 @@ def _bounds_envelope(section, model, path):
     if needed:
         raise ConfigError(path, f"missing keys {needed}")
     grid = TimeGrid.uniform(
-        float(section.get("T", model.horizon)), int(section.get("N", model.steps))
+        number(section, "T", path, float, model.horizon),
+        number(section, "N", path, int, model.steps),
     )
     return sandwich_envelope(
-        float(section["xi_bound"]), WeightFn.parse(section["u"]), section["l"], grid
+        number(section, "xi_bound", path), WeightFn.parse(section["u"]), section["l"], grid
     )
 
 
-def _driver_envelope(generator, section, grid=None):
+def _driver_envelope(generator, section, path, grid=None):
     """Sup-convolution majorant; without a growth section the driver's certificate sizes it."""
     growth_section = section.get("growth")
     growth = None
@@ -172,7 +179,7 @@ def _driver_envelope(generator, section, grid=None):
         )
     return sup_convolution_generator(
         generator,
-        int(section.get("n", 2)),
+        number(section, "n", path, int, 2),
         WeightFn.parse(section.get("u_w", "1")),
         WeightFn.parse(section.get("v_w", "1")),
         grid,
@@ -223,7 +230,7 @@ def _check_dominance(cfg, check, tol):
     return one_sided_dominance_check(
         cfg.generator,
         g_p,
-        float(check.params.get("level", 0.0)),
+        number(check.params, "level", "", float, 0.0),
         check.params.get("side", "below"),
         tol=tol,
     )
@@ -237,11 +244,11 @@ def _check_sandwich(cfg, check, tol):
         raise ConfigError(
             "generator.certificate", "sandwich needs a one_sided_super_linear certificate"
         )
-    xi_bound = check.params.get("xi_bound", cfg.terminal.bound if cfg.terminal else None)
+    xi_bound = number(check.params, "xi_bound", "", float, cfg.terminal and cfg.terminal.bound)
     if xi_bound is None:
         raise ConfigError("xi_bound", "missing, and the terminal section has no bound")
     grid = TimeGrid.uniform(cfg.model.horizon, cfg.model.steps)
-    env = sandwich_envelope(float(xi_bound), cert.u, cert.l, grid)
+    env = sandwich_envelope(xi_bound, cert.u, cert.l, grid)
     sol = _solve_with(cfg.model, cfg.generator, cfg.terminal)
     return sandwich_check(sol, env, tol)
 
@@ -250,11 +257,12 @@ def _check_monotone_family(cfg, check, tol):
     return monotone_family_check(
         cfg.generator,
         cfg.terminal,
-        [float(n) for n in check.params.get("n_list", [1, 2, 4, 8])],
+        numbers(check.params, "n_list", "", float, [1, 2, 4, 8]),
         cfg.model.steps,
         cfg.model.horizon,
         cfg.model.scheme,
         tol=tol,
+        solve=_solver(cfg.model),
     )
 
 
@@ -263,8 +271,8 @@ def _check_transform_residual(cfg, check, tol):
     return transform_residual_check(
         sol,
         cfg.generator,
-        float(check.params.get("gamma", 1.0)),
-        residual_coefficient=float(check.params.get("coefficient", 0.05)),
+        number(check.params, "gamma", "", float, 1.0),
+        residual_coefficient=number(check.params, "coefficient", "", float, 0.05),
     )
 
 
@@ -283,28 +291,30 @@ def _check_bounds_oracle(cfg, check, tol):
 
 
 def _check_certificate(cfg, check, tol):
+    if cfg.generator is None or cfg.generator.certificate is None:
+        raise ConfigError("generator.certificate", "missing; the certificate check needs one")
     grid_params = check.params.get("grid", {})
     grid = SampleGrid(
-        t_range=(0.0, float(grid_params.get("T", cfg.model.horizon))),
-        t_count=int(grid_params.get("t_count", 21)),
-        y_range=tuple(grid_params.get("y_range", (-5.0, 5.0))),
-        y_count=int(grid_params.get("y_count", 51)),
-        z_range=tuple(grid_params.get("z_range", (-5.0, 5.0))),
-        z_count=int(grid_params.get("z_count", 51)),
+        t_range=(0.0, number(grid_params, "T", "grid", float, cfg.model.horizon)),
+        t_count=number(grid_params, "t_count", "grid", int, 21),
+        y_range=tuple(numbers(grid_params, "y_range", "grid", float, (-5.0, 5.0), 2)),
+        y_count=number(grid_params, "y_count", "grid", int, 51),
+        z_range=tuple(numbers(grid_params, "z_range", "grid", float, (-5.0, 5.0), 2)),
+        z_count=number(grid_params, "z_count", "grid", int, 51),
     )
     return check_certificate(cfg.generator, cfg.generator.certificate, grid)
 
 
 def _check_uniqueness(cfg, check, tol):
     return uniqueness_smoke_check(
-        cfg.generator, cfg.terminal, cfg.model.steps, cfg.model.horizon, tol=tol
+        cfg.generator, cfg.terminal, cfg.model.steps, cfg.model.horizon, tol, _solver(cfg.model)
     )
 
 
 def _check_envelope_domination(cfg, check, tol):
-    env = _driver_envelope(cfg.generator, check.params)
+    env = _driver_envelope(cfg.generator, check.params, "")
     rng = np.random.default_rng(cfg.model.seed)
-    pts = rng.uniform(-3, 3, size=(int(check.params.get("points", 25)), 3))
+    pts = rng.uniform(-3, 3, size=(number(check.params, "points", "", int, 25), 3))
     pts[:, 0] = np.abs(pts[:, 0]) / 3.0 * cfg.model.horizon
     worst = -np.inf
     where = {}
@@ -431,18 +441,19 @@ def _cmd_envelope(cfg, out_dir, quiet):
     env = _driver_envelope(
         cfg.generator,
         section,
+        "envelope",
         EnvelopeGrid(
-            radius=float(section.get("radius", 100.0)),
-            nodes=int(section.get("nodes", 2001)),
-            passes=int(section.get("passes", 3)),
+            radius=number(section, "radius", "envelope", float, 100.0),
+            nodes=number(section, "nodes", "envelope", int, 2001),
+            passes=number(section, "passes", "envelope", int, 3),
         ),
     )
-    t0 = float(section.get("t", 0.0))
-    z0 = float(section.get("z", 0.0))
+    t0 = number(section, "t", "envelope", float, 0.0)
+    z0 = number(section, "z", "envelope", float, 0.0)
     ys = np.linspace(
-        float(section.get("y_min", -3.0)),
-        float(section.get("y_max", 3.0)),
-        int(section.get("points", 61)),
+        number(section, "y_min", "envelope", float, -3.0),
+        number(section, "y_max", "envelope", float, 3.0),
+        number(section, "points", "envelope", int, 61),
     )
     rows = [
         (float(y), float(cfg.generator(t0, y, z0)), env(t0, float(y), z0)) for y in ys

@@ -19,7 +19,7 @@ from .generators import Generator, TerminalCondition
 
 __all__ = [
     "ConfigError", "ModelConfig", "CheckConfig", "RunConfig", "load_config",
-    "parse_generator", "parse_terminal", "number",
+    "parse_generator", "parse_terminal", "number", "numbers",
 ]
 
 BACKENDS = ("tree", "mc-regression")
@@ -60,6 +60,15 @@ def number(mapping, key, path, kind=float, default=_REQUIRED):
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(where, f"expected {kind.__name__}, got {value!r}") from exc
+
+
+def numbers(mapping, key, path, kind=float, default=_REQUIRED, length=None):
+    """List ``mapping[key]``, each item converted by ``kind``; errors name ``path.key[i]``."""
+    values = mapping.get(key, None if default is _REQUIRED else default)
+    if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
+        what = "a list" if length is None else f"a list of {length}"
+        raise ConfigError(".".join(filter(None, (path, key))), f"expected {what}, got {values!r}")
+    return [number({f"{key}[{i}]": v}, f"{key}[{i}]", path, kind) for i, v in enumerate(values)]
 
 
 def _section(raw, path):

@@ -15,42 +15,34 @@ is 0.  Raising a negative base to a non-integer power, ``ln`` of a
 non-positive value, ``sqrt`` of a negative value and division by zero are
 domain errors and are reported with the offending sub-expression; evaluation
 never silently returns a non-finite value.
+
+Evaluation runs one generated function per expression, compiled on the first
+call: a single numpy expression in which only ``/``, ``^``, ``exp``, ``ln``
+and ``sqrt`` call a checking helper, variable-free sub-expressions are folded
+to literals, and ``x^k`` for a constant integer ``0 <= k <= 4`` is the
+product ``x * ... * x`` (it can differ from ``np.power`` in the last bit).
+A quotient evaluates and checks its denominator before its numerator.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ExpressionError",
-    "ParseError",
-    "EvalDomainError",
-    "Expression",
-    "parse_expression",
-    "parse_univariate",
-    "Num",
-    "Var",
-    "Neg",
-    "Bin",
-    "Func",
+    "ExpressionError", "ParseError", "EvalDomainError", "Expression", "parse_expression",
+    "parse_univariate", "Num", "Var", "Neg", "Bin", "Func",
 ]
 
 GENERATOR_VARIABLES = ("t", "y", "z")
 
 _FUNCTION_ARITY = {
-    "abs": 1,
-    "sign": 1,
-    "sin": 1,
-    "cos": 1,
-    "exp": 1,
-    "ln": 1,
-    "sqrt": 1,
-    "min": 2,
-    "max": 2,
-    "clamp": 3,
+    **dict.fromkeys(("abs", "sign", "sin", "cos", "exp", "ln", "sqrt"), 1),
+    "min": 2, "max": 2, "clamp": 3,
 }
 
 
@@ -288,123 +280,123 @@ def _to_source(node, min_prec=0):
 
 
 # ---------------------------------------------------------------------------
-# Compiler: AST -> closure over a tuple of variable values (scalars or arrays)
+# Code generator: AST -> ``lambda v0, v1, ...:`` one nested numpy expression
+# (not one statement per node, so numpy can reuse its temporaries)
+
+_MAX_CHAIN = 4
+_DOMAIN = {"ln": (operator.le, "ln of a non-positive value"), "/": (operator.eq, "division by zero"),
+           "sqrt": (operator.lt, "sqrt of a negative value")}
 
 
-def _check_finite(value, subexpr, what):
-    if not np.all(np.isfinite(value)):
-        raise EvalDomainError(f"{what} produced a non-finite value", subexpr)
+def _any(mask):  # a comparison of two Python floats is a plain bool
+    return mask if mask.__class__ is bool else mask.any()
+
+
+def _finite(value, message, subexpr):
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+        raise EvalDomainError(message, subexpr)
     return value
 
 
-def _compile(node, variables):
-    if isinstance(node, Num):
-        c = node.value
-        return lambda vals: c
-    if isinstance(node, Var):
-        idx = variables.index(node.name)
-        return lambda vals: vals[idx]
-    if isinstance(node, Neg):
-        f = _compile(node.operand, variables)
-        return lambda vals: -f(vals)
-    if isinstance(node, Func):
-        return _compile_func(node, variables)
-    if isinstance(node, Bin):
-        return _compile_bin(node, variables)
-    raise TypeError(f"not an AST node: {node!r}")
+def _domain(value, kind, subexpr):
+    outside, message = _DOMAIN[kind]
+    if _any(outside(value, 0.0)):
+        raise EvalDomainError(message, subexpr)
+    return value
 
 
-def _compile_bin(node, variables):
-    lf = _compile(node.lhs, variables)
-    rf = _compile(node.rhs, variables)
-    src = _to_source(node)
-    op = node.op
-    if op == "+":
-        return lambda vals: lf(vals) + rf(vals)
-    if op == "-":
-        return lambda vals: lf(vals) - rf(vals)
-    if op == "*":
-        return lambda vals: lf(vals) * rf(vals)
-    if op == "/":
-
-        def divide(vals):
-            denom = rf(vals)
-            if np.any(denom == 0):
-                raise EvalDomainError("division by zero", src)
-            return lf(vals) / denom
-
-        return divide
-
-    def power(vals):
-        base = np.asarray(lf(vals), dtype=float)
-        expo = np.asarray(rf(vals), dtype=float)
-        frac = expo != np.floor(expo)
-        if np.any((base < 0) & frac):
-            raise EvalDomainError("negative base with non-integer exponent", src)
-        if np.any((base == 0) & (expo < 0)):
-            raise EvalDomainError("zero base with negative exponent", src)
-        with np.errstate(over="ignore"):
-            out = np.power(base, expo)
-        return _check_finite(out, src, "power")
-
-    return power
+def _divide(denominator, numerator):
+    # the denominator comes first: it is evaluated and checked first
+    return numerator / denominator
 
 
-def _compile_func(node, variables):
-    fs = [_compile(a, variables) for a in node.args]
-    src = _to_source(node)
-    name = node.name
-    if name == "abs":
-        f = fs[0]
-        return lambda vals: np.abs(f(vals))
-    if name == "sign":
-        f = fs[0]
-        return lambda vals: np.sign(f(vals))
-    if name == "sin":
-        f = fs[0]
-        return lambda vals: np.sin(f(vals))
-    if name == "cos":
-        f = fs[0]
-        return lambda vals: np.cos(f(vals))
-    if name == "exp":
-        f = fs[0]
+def _chain(base, k, subexpr):
+    out = 1.0 if k == 0 else base
+    for _ in range(k - 1):
+        out = out * base
+    return _finite(out, "power produced a non-finite value", subexpr)
 
-        def fexp(vals):
-            with np.errstate(over="ignore"):
-                out = np.exp(f(vals))
-            return _check_finite(out, src, "exp")
 
-        return fexp
-    if name == "ln":
-        f = fs[0]
+def _power(base, expo, subexpr, negative, zero):
+    if negative and _any((base < 0.0) & (expo != np.floor(expo))):
+        raise EvalDomainError("negative base with non-integer exponent", subexpr)
+    if zero and _any((base == 0.0) & (expo < 0.0)):
+        raise EvalDomainError("zero base with negative exponent", subexpr)
+    return _finite(np.power(base, expo), "power produced a non-finite value", subexpr)
 
-        def fln(vals):
-            x = f(vals)
-            if np.any(np.asarray(x) <= 0):
-                raise EvalDomainError("ln of a non-positive value", src)
-            return np.log(x)
 
-        return fln
-    if name == "sqrt":
-        f = fs[0]
+_NAMESPACE = {
+    "abs": np.abs, "sign": np.sign, "sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log,
+    "sqrt": np.sqrt, "min": np.minimum, "max": np.maximum, "clamp": np.clip, "inf": math.inf,
+    "nan": math.nan, **{f.__name__: f for f in (_finite, _domain, _divide, _chain, _power)},
+}
 
-        def fsqrt(vals):
-            x = f(vals)
-            if np.any(np.asarray(x) < 0):
-                raise EvalDomainError("sqrt of a negative value", src)
-            return np.sqrt(x)
 
-        return fsqrt
-    if name == "min":
-        a, b = fs
-        return lambda vals: np.minimum(a(vals), b(vals))
-    if name == "max":
-        a, b = fs
-        return lambda vals: np.maximum(a(vals), b(vals))
-    if name == "clamp":
-        x, lo, hi = fs
-        return lambda vals: np.clip(x(vals), lo(vals), hi(vals))
-    raise TypeError(f"unknown function {name!r}")
+def _nonnegative(node):
+    return isinstance(node, Func) and node.name in ("abs", "sqrt", "exp")
+
+
+def _generate(root, variables):
+    """Source of ``lambda v0, v1, ...: <root as one numpy expression>``."""
+    names = {name: (f"v{i}", _PREC_ATOM) for i, name in enumerate(variables)}
+
+    def code(x, prec=0):
+        # an operand is (source, precedence) or a float literal, never parenthesised
+        text, own = (repr(x), _PREC_ATOM) if isinstance(x, float) else x
+        return text if own >= prec else f"({text})"
+
+    def step(text, prec, *operands):
+        # fold a node whose operands are all literals by running its own code
+        if all(isinstance(x, float) for x in operands):
+            try:
+                value = float(eval(text, _NAMESPACE))
+            except EvalDomainError:
+                value = math.nan
+            if math.isfinite(value):
+                return value
+        return text, prec
+
+    def visit(node):
+        if isinstance(node, Num):
+            return node.value if math.isfinite(node.value) else (repr(node.value), _PREC_ATOM)
+        if isinstance(node, Var):
+            return names[node.name]
+        if isinstance(node, Neg):
+            a = visit(node.operand)
+            return step(f"-{code(a, _PREC_UNARY)}", _PREC_UNARY, a)
+        src = repr(_to_source(node))
+        if isinstance(node, Func):
+            args = [visit(arg) for arg in node.args]
+            text = ", ".join(map(code, args))
+            if node.name == "exp":
+                text = f"_finite(exp({text}), 'exp produced a non-finite value', {src})"
+            elif node.name == "ln" or (node.name == "sqrt" and not _nonnegative(node.args[0])):
+                text = f"{node.name}(_domain({text}, {node.name!r}, {src}))"
+            else:
+                text = f"{node.name}({text})"
+            return step(text, _PREC_ATOM, *args)
+        if node.op == "/":
+            d = visit(node.rhs)
+            d = step(f"_domain({code(d)}, '/', {src})", _PREC_ATOM, d)
+            n = visit(node.lhs)
+            if isinstance(d, float):
+                return step(f"{code(n, _PREC_MUL)} / {code(d, _PREC_UNARY)}", _PREC_MUL, n, d)
+            return step(f"_divide({code(d)}, {code(n)})", _PREC_ATOM, d, n)
+        a, b = visit(node.lhs), visit(node.rhs)
+        if node.op != "^":
+            prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
+            return step(f"{code(a, prec)} {node.op} {code(b, prec + 1)}", prec, a, b)
+        if isinstance(b, float) and b == math.floor(b) and 0 <= b <= _MAX_CHAIN:
+            return step(f"_chain({code(a)}, {int(b)}, {src})", _PREC_ATOM, a)
+        negative = not isinstance(b, float) or b != math.floor(b) and not _nonnegative(node.lhs)
+        flags = f", {negative}, {not isinstance(b, float) or b < 0}"
+        return step(f"_power({code(a)}, {code(b)}, {src}{flags})", _PREC_ATOM, a, b)
+
+    result = visit(root)
+    text = code(result)
+    if not isinstance(result, float):
+        text = f"_finite({text}, 'non-finite result', {_to_source(root)!r})"
+    return f"lambda {', '.join(n for n, _ in names.values())}: {text}"
 
 
 def _free_variables(node, acc):
@@ -439,37 +431,51 @@ class Expression:
     """Immutable parsed expression over a fixed ordered variable tuple.
 
     Evaluation is pure and re-entrant; instances are safe to share across
-    threads.  Scalars in, float out; numpy arrays in, array out.
+    threads.  Scalars in, float out; numpy arrays in, array out.  The
+    generated function is compiled on the first call.
     """
 
     __slots__ = ("root", "variables", "_fn", "_source")
 
     def __init__(self, root, variables):
+        missing = _free_variables(root, set()) - set(variables)
+        if missing:
+            raise ExpressionError(f"variables {sorted(missing)} not in {variables}")
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "variables", tuple(variables))
-        object.__setattr__(self, "_fn", _compile(root, self.variables))
+        object.__setattr__(self, "_fn", None)
         object.__setattr__(self, "_source", _to_source(root))
 
     def __setattr__(self, *_):
         raise AttributeError("Expression is immutable")
 
+    def _compile(self):
+        source = _generate(self.root, self.variables)
+        fn = eval(compile(source, f"<expression {self._source}>", "eval"), _NAMESPACE)
+        object.__setattr__(self, "_fn", fn)
+        return fn
+
     def __call__(self, *values):
         if len(values) != len(self.variables):
-            raise TypeError(
-                f"expression over {self.variables} called with {len(values)} value(s)"
-            )
-        out = self._fn(values)
-        if all(np.isscalar(v) or np.ndim(v) == 0 for v in values):
-            out = float(out)
-            if not np.isfinite(out):
-                raise EvalDomainError("non-finite result", self._source)
+            raise TypeError(f"expression over {self.variables} called with {len(values)} value(s)")
+        args = []
+        shape = None  # stays None when every value is a scalar
+        for v in values:
+            if type(v) is not float:
+                v = np.asarray(v, dtype=float)
+                if v.ndim == 0:
+                    v = float(v)
+                elif shape is None or shape == v.shape:
+                    shape = v.shape
+                else:
+                    shape = np.broadcast_shapes(shape, v.shape)
+            args.append(v)
+        out = (self._fn or self._compile())(*args)
+        if shape is None:
+            return float(out)
+        if type(out) is np.ndarray and out.shape == shape:
             return out
-        out = np.asarray(out, dtype=float)
-        if out.shape == () or out.shape != np.broadcast_shapes(*(np.shape(v) for v in values)):
-            out = np.broadcast_to(out, np.broadcast_shapes(*(np.shape(v) for v in values))).copy()
-        if not np.all(np.isfinite(out)):
-            raise EvalDomainError("non-finite result", self._source)
-        return out
+        return np.broadcast_to(out, shape).copy()
 
     def to_source(self):
         return self._source
@@ -483,23 +489,23 @@ class Expression:
 
     def rebind(self, variables):
         """Same AST over a different variable tuple (must cover free vars)."""
-        missing = self.free_variables() - set(variables)
-        if missing:
-            raise ExpressionError(f"variables {sorted(missing)} not in {variables}")
         return Expression(self.root, variables)
 
     def __repr__(self):
         return f"Expression({self._source!r}, variables={self.variables})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Expression)
-            and self.root == other.root
-            and self.variables == other.variables
-        )
+        return isinstance(other, Expression) and (self.root, self.variables) == (
+            other.root, other.variables)
 
     def __hash__(self):
         return hash((self.root, self.variables))
+
+
+def _parse(source, variables):
+    if not isinstance(source, str) or not source.strip():
+        raise ParseError("empty expression", 0, expected={"expression"})
+    return _Parser(_tokenize(source), variables).parse()
 
 
 def parse_expression(source, variables=GENERATOR_VARIABLES):
@@ -508,10 +514,7 @@ def parse_expression(source, variables=GENERATOR_VARIABLES):
     Raises :class:`ParseError` with the offending position and expected-token
     set on malformed input, and rejects identifiers outside ``variables``.
     """
-    if not isinstance(source, str) or not source.strip():
-        raise ParseError("empty expression", 0, expected={"expression"})
-    root = _Parser(_tokenize(source), tuple(variables)).parse()
-    return Expression(root, variables)
+    return Expression(_parse(source, tuple(variables)), variables)
 
 
 def parse_univariate(source, var_hint=None):
@@ -520,13 +523,9 @@ def parse_univariate(source, var_hint=None):
     The variable may have any name; ``var_hint`` only sets the name used when
     the expression is constant.  Returns an Expression of arity one.
     """
-    if not isinstance(source, str) or not source.strip():
-        raise ParseError("empty expression", 0, expected={"expression"})
-    root = _Parser(_tokenize(source), None).parse()
+    root = _parse(source, None)
     free = sorted(_free_variables(root, set()))
     if len(free) > 1:
-        raise ExpressionError(
-            f"expected at most one free variable, found {free} in {source!r}"
-        )
+        raise ExpressionError(f"expected at most one free variable, found {free} in {source!r}")
     name = free[0] if free else (var_hint or "x")
     return Expression(root, (name,))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .certificates import OneSidedSuperLinear, SampleGrid
 from .report import VerificationReport
-from .solver import solve_mc_regression, solve_tree
+from .solver import solve_tree
 from .transforms import exp_transform_generator, exp_transform_solution
 
 __all__ = [
@@ -212,24 +212,24 @@ def sandwich_check(sol, env, tol=1e-3):
     )
 
 
+def _tree_solver(steps, horizon, solver_kw):
+    return lambda g, xi, scheme: solve_tree(g, xi, steps, horizon, scheme, **solver_kw)
+
+
 def solve_capped_family(
-    g, xi, n_list, steps, horizon=1.0, scheme="explicit", backend="tree", **solver_kw
+    g, xi, n_list, steps, horizon=1.0, scheme="explicit", solve=None, **solver_kw
 ):
     """Solve the same instance with the payoff capped at each level of
-    ``n_list``, all on one shared substrate; returns the solutions in order."""
+    ``n_list``, all on one shared substrate; returns the solutions in order.
+
+    ``solve(g, xi, scheme)`` runs one solve; by default it is ``solve_tree``
+    with ``steps``, ``horizon`` and ``solver_kw``.
+    """
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
-    sols = []
-    for n in n_list:
-        capped = xi.truncated_above(n)
-        if backend == "tree":
-            sols.append(solve_tree(g, capped, steps, horizon, scheme, **solver_kw))
-        else:
-            sols.append(
-                solve_mc_regression(g, capped, steps, horizon=horizon, scheme=scheme, **solver_kw)
-            )
-    return sols
+    solve = solve or _tree_solver(steps, horizon, solver_kw)
+    return [solve(g, xi.truncated_above(n), scheme) for n in n_list]
 
 
 def monotone_family_check(
@@ -239,14 +239,14 @@ def monotone_family_check(
     steps,
     horizon=1.0,
     scheme="explicit",
-    backend="tree",
     tol=1e-9,
+    solve=None,
     **solver_kw,
 ):
     """Assert the capped-payoff solutions are nondecreasing in the cap,
-    nodewise on a shared substrate."""
+    nodewise on a shared substrate (``solve`` as in :func:`solve_capped_family`)."""
     n_list = list(n_list)
-    sols = solve_capped_family(g, xi, n_list, steps, horizon, scheme, backend, **solver_kw)
+    sols = solve_capped_family(g, xi, n_list, steps, horizon, scheme, solve, **solver_kw)
     worst = -math.inf
     where = {}
     for (n_lo, lo), (n_hi, hi) in zip(zip(n_list, sols), zip(n_list[1:], sols[1:])):
@@ -322,15 +322,15 @@ def one_step_residual(sol, g):
     return worst
 
 
-def uniqueness_smoke_check(g, xi, steps, horizon=1.0, tol=5e-3, **solver_kw):
+def uniqueness_smoke_check(g, xi, steps, horizon=1.0, tol=5e-3, solve=None, **solver_kw):
     """Bilateral comparison of the explicit and implicit runs on one instance.
 
     Coincidence within tolerance is consistent with (not proof of) a unique
     solution; schemes that disagree flag either non-uniqueness or a scheme
-    problem.
+    problem.  ``solve`` is as in :func:`solve_capped_family`.
     """
-    a = solve_tree(g, xi, steps, horizon, "explicit", **solver_kw)
-    b = solve_tree(g, xi, steps, horizon, "implicit", **solver_kw)
+    solve = solve or _tree_solver(steps, horizon, solver_kw)
+    a, b = solve(g, xi, "explicit"), solve(g, xi, "implicit")
     worst = -math.inf
     where = {}
     for (i, t, ra), (_, _, rb) in zip(_rows(a), _rows(b)):

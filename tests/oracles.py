@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from bsdelab.expressions import Bin, EvalDomainError, Func, Neg, Num, Var, _to_source
+
 
 def dense_scan_max(fn, lo, hi, nodes=100_001, refine=True):
     """Global max of a 1-d function by dense scan plus local golden section."""
@@ -72,3 +74,90 @@ def sqrt_envelope_closed_form(x, slope):
     x = np.asarray(x, dtype=float)
     knee = 1.0 / (4.0 * slope * slope)
     return np.where(x < knee, slope * x + 1.0 / (4.0 * slope), np.sqrt(x))
+
+
+_REFERENCE_FUNCTIONS = {"abs": np.abs, "sign": np.sign, "sin": np.sin, "cos": np.cos,
+                        "min": np.minimum, "max": np.maximum, "clamp": np.clip}
+
+
+def _has_variable(node):
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Func):
+        return any(_has_variable(a) for a in node.args)
+    if isinstance(node, Bin):
+        return _has_variable(node.lhs) or _has_variable(node.rhs)
+    return isinstance(node, Neg) and _has_variable(node.operand)
+
+
+def reference_evaluate(root, variables, values):
+    """Evaluate an expression AST by walking the tree: the semantics of ``Expression``.
+
+    - Nodes are evaluated depth first, left to right, except that a quotient
+      evaluates and checks its denominator before its numerator.
+    - ``x^k`` with a variable-free exponent whose value is an integer ``k`` in
+      [0, 4] is the product ``x * ... * x`` of ``k`` factors (1.0 for ``k = 0``).
+      Every other power is ``np.power``, after rejecting a negative base with a
+      non-integer exponent and a zero base with a negative exponent.
+    - ``/`` by zero, ``ln`` of a value <= 0 and ``sqrt`` of a value < 0 are
+      domain errors; a non-finite power or ``exp`` is one too.
+    - The result must be finite.  Scalars in, float out; arrays in, an array of
+      the broadcast shape out.
+    """
+    env = {name: float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
+           for name, v in zip(variables, values)}
+
+    def finite(value, message, node):
+        if not np.all(np.isfinite(value)):
+            raise EvalDomainError(message, _to_source(node))
+        return value
+
+    def ev(node):
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Var):
+            return env[node.name]
+        if isinstance(node, Neg):
+            return -ev(node.operand)
+        if isinstance(node, Func):
+            args = [ev(a) for a in node.args]
+            if node.name == "exp":
+                return finite(np.exp(args[0]), "exp produced a non-finite value", node)
+            if node.name == "ln":
+                if np.any(args[0] <= 0):
+                    raise EvalDomainError("ln of a non-positive value", _to_source(node))
+                return np.log(args[0])
+            if node.name == "sqrt":
+                if np.any(args[0] < 0):
+                    raise EvalDomainError("sqrt of a negative value", _to_source(node))
+                return np.sqrt(args[0])
+            return _REFERENCE_FUNCTIONS[node.name](*args)
+        if node.op == "/":
+            denominator = ev(node.rhs)
+            if np.any(denominator == 0):
+                raise EvalDomainError("division by zero", _to_source(node))
+            return ev(node.lhs) / denominator
+        a, b = ev(node.lhs), ev(node.rhs)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if not _has_variable(node.rhs) and math.isfinite(b) and b == math.floor(b) and 0 <= b <= 4:
+            out = 1.0
+            for k in range(int(b)):
+                out = a if k == 0 else out * a
+            return finite(out, "power produced a non-finite value", node)
+        if np.any((a < 0) & (b != np.floor(b))):
+            raise EvalDomainError("negative base with non-integer exponent", _to_source(node))
+        if np.any((a == 0) & (b < 0)):
+            raise EvalDomainError("zero base with negative exponent", _to_source(node))
+        return finite(np.power(a, b), "power produced a non-finite value", node)
+
+    out = ev(root)
+    shapes = [np.shape(v) for v in env.values()]
+    if all(s == () for s in shapes):
+        return finite(float(out), "non-finite result", root)
+    out = np.broadcast_to(out, np.broadcast_shapes(*shapes)).copy()
+    return finite(out, "non-finite result", root)

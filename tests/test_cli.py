@@ -73,6 +73,20 @@ class TestConfigErrors:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
         assert where in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, section, key",
+        [("bounds", {"u": "1", "l": "1 + abs(x)", "xi_bound": 1.0}, key)
+         for key in ("T", "N", "xi_bound")]
+        + [("envelope", {"growth": {"f": "0", "u": "1", "v": "0"}}, key)
+           for key in ("n", "radius", "nodes", "passes", "t", "z", "y_min", "y_max", "points")],
+    )
+    def test_bad_section_number_reports_path(self, tmp_path, capsys, command, section, key):
+        cfg = write_config(
+            tmp_path, {"generator": {"expr": "-y^2"}, command: {**section, key: "abc"}}
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert f"{command}.{key}: expected" in capsys.readouterr().err
+
 
 class TestCheckConfigErrors:
     """Malformed check-level sections exit 2 and name the check and the key."""
@@ -105,6 +119,44 @@ class TestCheckConfigErrors:
                 "checks[0].expected_U0: missing",
             ),
             ({"check": "solver_oracle", "expected": 0.0, "tol": "abc"}, "checks[0].tol"),
+            (
+                {"check": "bounds_oracle", "u": "1", "l": "1 + abs(x)", "xi_bound": "abc",
+                 "expected_U0": 4.4},
+                "checks[0].xi_bound",
+            ),
+            (
+                {"check": "bounds_oracle", "u": "1", "l": "1 + abs(x)", "xi_bound": 1.0,
+                 "expected_U0": 4.4, "N": "abc"},
+                "checks[0].N",
+            ),
+            ({"check": "certificate"}, "checks[0].generator.certificate"),
+            (
+                {"check": "certificate", "grid": {"y_count": "abc"}, "generator": {
+                    "expr": "-y", "certificate": {"kind": "convexity_z"}}},
+                "checks[0].grid.y_count",
+            ),
+            (
+                {"check": "certificate", "grid": {"z_range": [1.0]}, "generator": {
+                    "expr": "-y", "certificate": {"kind": "convexity_z"}}},
+                "checks[0].grid.z_range",
+            ),
+            ({"check": "monotone_family", "n_list": [1, "abc"]}, "checks[0].n_list[1]"),
+            ({"check": "transform_residual", "gamma": "abc"}, "checks[0].gamma"),
+            ({"check": "transform_residual", "coefficient": "abc"}, "checks[0].coefficient"),
+            (
+                {"check": "dominance", "generator_prime": {"expr": "0"}, "level": "abc"},
+                "checks[0].level",
+            ),
+            (
+                {"check": "envelope_domination", "growth": {"f": "0", "u": "0", "v": "0"},
+                 "points": "abc"},
+                "checks[0].points",
+            ),
+            (
+                {"check": "envelope_domination", "growth": {"f": "0", "u": "0", "v": "0"},
+                 "n": "abc"},
+                "checks[0].n",
+            ),
         ],
     )
     def test_exit_code_and_path(self, tmp_path, capsys, check, where):
@@ -224,6 +276,39 @@ class TestEnvelopeDominationCheck:
     def test_no_growth_and_no_certificate(self, tmp_path, capsys):
         assert self.run(tmp_path, {"expr": "-y^2"}) == EXIT_RUNTIME_ERROR
         assert "missing growth certificate" in capsys.readouterr().err
+
+
+class TestChecksSolveOnTheConfiguredBackend:
+    def test_monotone_family_and_uniqueness_on_monte_carlo(self, tmp_path, monkeypatch):
+        import bsdelab.cli as cli
+        import bsdelab.verify as verify
+
+        counts = {"tree": 0, "mc-regression": 0}
+        for module in (cli, verify):
+            for name, backend in (("solve_tree", "tree"), ("solve_mc_regression", "mc-regression")):
+                real = getattr(module, name, None)
+                if real is not None:
+                    def counted(*args, _real=real, _backend=backend, **kwargs):
+                        counts[_backend] += 1
+                        return _real(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, counted)
+        cfg = write_config(
+            tmp_path,
+            {
+                "model": {"N": 10, "backend": "mc-regression", "paths": 2000, "basis_degree": 2},
+                "generator": {"expr": "-y"},
+                "terminal": {"expr": "sin(w)", "bound": 1.0},
+                "checks": [
+                    {"check": "monotone_family", "n_list": [0.5, 1.0, 2.0]},
+                    {"check": "uniqueness_smoke", "tol": 0.1},
+                ],
+            },
+        )
+        # regression need not keep the family ordered, so only the solves are counted
+        code = main(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"])
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+        assert counts == {"tree": 0, "mc-regression": 5}
 
 
 class TestVerifyCommand:

@@ -19,6 +19,8 @@ from bsdelab.expressions import (
     parse_univariate,
 )
 
+from tests.oracles import reference_evaluate
+
 
 def g2_ast():
     # -y^3 + abs(z)^1.5 * sin(y), built by hand
@@ -197,6 +199,67 @@ def test_round_trip_reproduces_ast(seed):
     ast = random_ast(rng, rng.randrange(1, 5))
     original = Expression(ast, ("t", "y", "z"))
     assert parse_expression(original.to_source()).root == original.root
+
+
+# ---------------------------------------------------------------------------
+# Generated evaluator against the tree-walking reference
+
+
+def random_signed_ast(rng, depth):
+    """Random AST reaching every check: signed bases and arguments, zeros,
+    integer, non-integer, negative and variable exponents, constant sub-trees."""
+    if depth == 0:
+        number = Num(float(rng.choice([0, 0.5, 1, 2, 3.25])))
+        return rng.choice([number, Var("t"), Var("y"), Var("z")])
+
+    def sub():
+        return random_signed_ast(rng, depth - 1)
+
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Bin(rng.choice("+-*/"), sub(), sub())
+    if kind == 1:
+        exponents = [Num(float(e)) for e in (0, 1, 2, 3, 4, 5, 0.5, 1.5, -1, -2)]
+        exponents += [Neg(Num(0.5)), Bin("-", Num(1.0), Num(3.0)), sub()]
+        return Bin("^", sub(), rng.choice(exponents))
+    if kind == 2:
+        return Neg(sub())
+    if kind == 3:
+        return Func(rng.choice(["abs", "sign", "sin", "cos", "exp", "ln", "sqrt"]), (sub(),))
+    if kind == 4:
+        return Func(rng.choice(["min", "max"]), (sub(), sub()))
+    return Func("clamp", (sub(), sub(), sub()))
+
+
+def _outcome(call):
+    try:
+        out = call()
+    except EvalDomainError as err:
+        return type(err), str(err)
+    return type(out), np.shape(out), np.asarray(out).tobytes()
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_generated_evaluator_matches_reference(seed):
+    # bitwise equal values, or the same domain error with the same message
+    rng = random.Random(seed)
+    ast = random_signed_ast(rng, rng.randrange(1, 5))
+    expr = Expression(ast, ("t", "y", "z"))
+    levels = [-800.0, -2.5, -1.0, -0.5, 0.0, 0.25, 1.0, 2.0, 3.5, 1e160]
+    pts = np.array([[rng.choice(levels) for _ in range(6)] for _ in range(3)])
+    cases = [tuple(pts), (0.5, pts[1], 2.0)] + [tuple(map(float, pts[:, k])) for k in range(4)]
+    with np.errstate(all="ignore"):
+        for args in cases:
+            expected = _outcome(lambda: reference_evaluate(ast, expr.variables, args))
+            assert _outcome(lambda: expr(*args)) == expected, (expr.to_source(), args)
+
+
+def test_small_integer_power_is_a_product():
+    y = np.random.default_rng(4).uniform(-3, 3, 1000)
+    assert np.array_equal(parse_univariate("y^3")(y), y * y * y)
+    assert np.array_equal(parse_univariate("y^(1 + 3)")(y), y * y * y * y)
+    assert np.array_equal(parse_univariate("y^5")(y), np.power(y, 5.0))
 
 
 class TestUnivariate:
