@@ -14,8 +14,13 @@ the exact pairwise average:
     E_i    = (y_{i+1, j+1} + y_{i+1, j}) / 2
     z_{ij} = (y_{i+1, j+1} - y_{i+1, j}) / (2 sqrt(dt))
 
-On Monte Carlo it is one least-squares projection of the two stacked targets
-y_{i+1} and y_{i+1} dB_i / dt onto polynomials in B_{t_i}: one SVD per step.
+On Monte Carlo it is one least-squares projection of the two targets y_{i+1}
+and y_{i+1} dB_i / dt onto the orthonormal probabilists' Hermite polynomials
+He_k(x) / sqrt(k!), k <= degree, of x = B_{t_i} / sqrt(t_i).  Since x ~ N(0, 1)
+the Gram matrix G of the basis is close to the identity, so each step solves
+the (degree + 1)-square normal equations by Cholesky and records the basis
+condition number sqrt(lambda_max / lambda_min) of G.
+
 Both backends are deterministic functions of their inputs and evaluate the
 driver on a single thread; the Monte-Carlo ensemble is generated by a
 counter-based bit stream keyed by the seed.
@@ -32,40 +37,36 @@ import numpy as np
 from .generators import Generator, TerminalCondition
 from .ode_bounds import TimeGrid
 
-__all__ = [
-    "TreeModel",
-    "PathEnsemble",
-    "DiscreteSolution",
-    "SolverError",
-    "PicardDivergenceError",
-    "RankDeficientError",
-    "solve_tree",
-    "solve_mc_regression",
-]
+__all__ = ["TreeModel", "PathEnsemble", "DiscreteSolution", "SolverError", "PicardDivergenceError",
+           "RankDeficientError", "solve_tree", "solve_mc_regression"]
 
 
 class SolverError(RuntimeError):
-    pass
+    """A solve that cannot go on; ``step`` and ``time`` say where, when known."""
+
+    def __init__(self, message, step=None, time=None):
+        super().__init__(message)
+        self.step = step
+        self.time = time
 
 
 class PicardDivergenceError(SolverError):
     def __init__(self, step, time, change, cap):
-        self.step = step
-        self.time = time
         self.change = change
         super().__init__(
             f"implicit fixed point did not converge at step {step} (t = {time:g}): "
-            f"last change {change:.3g} after {cap} iterations"
+            f"last change {change:.3g} after {cap} iterations",
+            step,
+            time,
         )
 
 
 class RankDeficientError(SolverError):
-    def __init__(self, step, cond):
-        self.step = step
+    def __init__(self, step, time, cond):
         self.cond = cond
+        where = "" if step is None else f" at step {step} (t = {time:g})"
         super().__init__(
-            f"regression basis is rank deficient at step {step} "
-            f"(condition number {cond:.3g})"
+            f"regression basis is rank deficient{where} (condition number {cond:.3g})", step, time
         )
 
 
@@ -77,10 +78,6 @@ class TreeModel:
 
     def __post_init__(self):
         self.grid.dt  # raises if non-uniform
-
-    @property
-    def steps(self):
-        return self.grid.steps
 
     @property
     def sqrt_dt(self):
@@ -102,12 +99,23 @@ class TreeModel:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Simulated Brownian increments, reproducible from (seed, paths, grid)."""
+    """Simulated Brownian increments, reproducible from (seed, paths, grid).
+
+    ``levels`` holds B at every node, time-major with shape (steps + 1, paths),
+    so that one time is one contiguous (read-only) row.
+    """
 
     grid: TimeGrid
     paths: int
     seed: int
     increments: np.ndarray  # shape (paths, steps)
+    levels: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        levels = np.zeros((self.grid.steps + 1, self.paths))
+        np.cumsum(self.increments.T, axis=0, out=levels[1:])
+        levels.flags.writeable = False
+        object.__setattr__(self, "levels", levels)
 
     @classmethod
     def generate(cls, grid, paths, seed):
@@ -119,9 +127,8 @@ class PathEnsemble:
         return cls(grid=grid, paths=paths, seed=int(seed), increments=increments)
 
     def brownian_paths(self):
-        out = np.zeros((self.paths, self.grid.steps + 1))
-        np.cumsum(self.increments, axis=1, out=out[:, 1:])
-        return out
+        """B at every node, one row per path: a read-only view of ``levels``."""
+        return self.levels.T
 
     def validate(self):
         """Moment sanity for each increment column (5-sigma style gates)."""
@@ -161,9 +168,7 @@ class DiscreteSolution:
 
     @property
     def y0(self):
-        return float(np.asarray(self.y[0]).ravel()[0]) if self.backend == "tree" else float(
-            np.mean(self.y[0])
-        )
+        return float(np.mean(self.y[0]))  # the tree's one root node, or the paths' average
 
     def substrate_key(self):
         return (self.backend, self.grid.steps, self.grid.horizon, self.seed, self.paths)
@@ -179,20 +184,12 @@ class DiscreteSolution:
         return out
 
 
-def _finite_or_raise(arr, step, what):
+def _finite_or_raise(arr, step, time, what):
     if not np.all(np.isfinite(arr)):
         k = int(np.argmin(np.isfinite(np.asarray(arr).ravel())))
-        raise SolverError(f"non-finite {what} at step {step} (flat index {k})")
+        raise SolverError(f"non-finite {what} at step {step} (t = {time:g}, flat index {k})",
+                          step, time)
     return arr
-
-
-def _terminal(xi, states, steps):
-    """Payoff at the terminal states: bound-checked, finite, one value per state."""
-    xi.check_bound(states)
-    y = _finite_or_raise(np.asarray(xi(states), dtype=float), steps, "terminal payoff")
-    if y.shape != states.shape:
-        y = np.broadcast_to(y, states.shape).copy()
-    return y
 
 
 def _implicit_update(g, i, t, E, z, dt, tol, cap):
@@ -207,20 +204,22 @@ def _implicit_update(g, i, t, E, z, dt, tol, cap):
     raise PicardDivergenceError(step=i, time=float(t), change=change, cap=cap)
 
 
-def _backward_sweep(g, grid, y_terminal, expect, scheme, picard_tol, picard_cap, z_clamp):
+def _backward_sweep(g, xi, grid, states, expect, scheme, picard_tol, picard_cap, z_clamp, **source):
     """The backward recursion shared by both backends; see module docstring.
 
-    ``expect(i, y_next)`` returns the backend's estimates (E_i, z_i) of
-    E_i[y_{i+1}] and E_i[y_{i+1} dB_i] / dt.  Returns the y rows, the z rows
-    and the sweep diagnostics.
+    ``states`` are the terminal values of B.  ``expect(i, y_next)`` returns the
+    backend's estimates (E_i, z_i) of E_i[y_{i+1}] and E_i[y_{i+1} dB_i] / dt.
+    ``source`` names the backend and its substrate (seed and paths).
     """
     if scheme not in ("explicit", "implicit"):
         raise ValueError("scheme must be 'explicit' or 'implicit'")
     steps = grid.steps
     dt = grid.dt
-    y_rows = [None] * (steps + 1)
+    xi.check_bound(states)
+    # a copy: the payoff w returns its input, which may be a read-only ensemble row
+    y_rows = [None] * steps + [np.array(xi(states), dtype=float)]
+    _finite_or_raise(y_rows[steps], steps, grid.horizon, "terminal payoff")
     z_rows = [None] * steps
-    y_rows[steps] = y_terminal
     clamped = False
     picard_max = 0
     for i in range(steps - 1, -1, -1):
@@ -235,23 +234,23 @@ def _backward_sweep(g, grid, y_terminal, expect, scheme, picard_tol, picard_cap,
         else:
             y, used = _implicit_update(g, i, t, E, z, dt, picard_tol, picard_cap)
             picard_max = max(picard_max, used)
-        y_rows[i] = _finite_or_raise(y, i, "value")
+        y_rows[i] = _finite_or_raise(y, i, float(t), "value")
         z_rows[i] = z
-    return tuple(y_rows), tuple(z_rows), {"picard_max_iterations": picard_max, "z_clamped": clamped}
+    return DiscreteSolution(
+        grid=grid,
+        y=tuple(y_rows),
+        z=tuple(z_rows),
+        scheme=scheme,
+        generator=g if isinstance(g, Generator) else None,
+        terminal=xi,
+        diagnostics={"picard_max_iterations": picard_max, "z_clamped": clamped},
+        conforming=not clamped,
+        **source,
+    )
 
 
-def solve_tree(
-    g,
-    xi,
-    steps,
-    horizon=1.0,
-    scheme="explicit",
-    *,
-    picard_tol=1e-12,
-    picard_cap=50,
-    z_clamp=None,
-    threads=1,
-):
+def solve_tree(g, xi, steps, horizon=1.0, scheme="explicit", *,
+               picard_tol=1e-12, picard_cap=50, z_clamp=None, threads=1):
     """Backward recursion on the recombining tree; see module docstring.
 
     The terminal slice equals the payoff at the terminal tree states exactly.
@@ -265,60 +264,66 @@ def solve_tree(
     def expect(i, nxt):
         return 0.5 * (nxt[1:] + nxt[:-1]), (nxt[1:] - nxt[:-1]) / (2.0 * sdt)
 
-    y_terminal = _terminal(xi, tree.brownian_level(steps), steps)
-    y, z, diagnostics = _backward_sweep(
-        g, tree.grid, y_terminal, expect, scheme, picard_tol, picard_cap, z_clamp
+    return _backward_sweep(
+        g, xi, tree.grid, tree.brownian_level(steps), expect, scheme, picard_tol, picard_cap,
+        z_clamp, backend="tree",
     )
-    return DiscreteSolution(
-        backend="tree",
-        grid=tree.grid,
-        y=y,
-        z=z,
-        scheme=scheme,
-        generator=g if isinstance(g, Generator) else None,
-        terminal=xi,
-        diagnostics=diagnostics,
-        conforming=not diagnostics["z_clamped"],
-    )
+
+
+def _hermite_rows(x, out):
+    """Orthonormal probabilists' Hermite polynomials He_k(x) / sqrt(k!) of ``x``,
+    k = 0 .. len(out) - 1, written into the rows of ``out``."""
+    out[0] = 1.0
+    out[1] = x
+    for k in range(1, len(out) - 1):
+        # sqrt(k + 1) h_{k+1} = x h_k - sqrt(k) h_{k-1}
+        np.multiply(x, out[k], out=out[k + 1])
+        out[k + 1] -= math.sqrt(k) * out[k - 1]
+        out[k + 1] /= math.sqrt(k + 1)
+    return out
 
 
 def _regress(basis, target):
-    """Least-squares projection of each target column; returns (fitted values,
-    condition number).  ``target`` is one vector or a matrix of columns."""
-    # economic SVD keeps this deterministic and exposes the conditioning
-    u, s, vt = np.linalg.svd(basis, full_matrices=False)
-    cond = float(s[0] / s[-1]) if s[-1] > 0 else math.inf
-    if s[-1] <= s[0] * 1e-12:
-        raise RankDeficientError(step=None, cond=cond)
-    # targets as contiguous rows: u.T @ columns sums several times less
-    # accurately (checked against a long-double reference)
-    proj = (np.ascontiguousarray(target.T) @ u) / s
-    return basis @ (proj @ vt).T, cond
+    """Least-squares projection of each target column onto the columns of
+    ``basis``; returns (fitted values shaped like ``target``, condition number).
+
+    Solves the normal equations by Cholesky, with one refinement step on the
+    residual when the condition number exceeds 10.  The condition number of
+    ``basis`` is sqrt(lambda_max / lambda_min) of the Gram matrix; the Gram
+    matrix squares it, so it cannot resolve the ratio 1e-24 at which an SVD
+    would call ``basis`` rank deficient, and the gate is lambda_min <= 1e-12
+    lambda_max instead.  Pass ``basis`` as the transpose of a row-major
+    (columns, P) array so that each basis function is one contiguous row.
+    """
+    phi = basis.T
+    gram = phi @ basis
+    lam = np.linalg.eigvalsh(gram)
+    if not lam[0] > 1e-12 * lam[-1]:
+        raise RankDeficientError(step=None, time=None, cond=math.inf)
+    cond = math.sqrt(lam[-1] / lam[0])
+    chol = np.linalg.cholesky(gram)
+
+    def project(rhs):
+        return np.linalg.solve(chol.T, np.linalg.solve(chol, phi @ rhs))
+
+    coef = project(target)
+    if cond > 10.0:
+        # the normal equations lose about cond^2 eps; one refinement step on
+        # the residual wins back the cond eps of an orthogonal solve
+        coef += project(target - (coef.T @ phi).T)
+    return (coef.T @ phi).T, cond
 
 
-def solve_mc_regression(
-    g,
-    xi,
-    steps,
-    paths,
-    degree,
-    seed,
-    horizon=1.0,
-    scheme="explicit",
-    *,
-    picard_tol=1e-12,
-    picard_cap=50,
-    z_clamp=None,
-    threads=1,
-):
+def solve_mc_regression(g, xi, steps, paths, degree, seed, horizon=1.0, scheme="explicit", *,
+                        picard_tol=1e-12, picard_cap=50, z_clamp=None, threads=1):
     """Least-squares Monte-Carlo backward sweep over a simulated ensemble.
 
     Conditional expectations of y_{i+1} and y_{i+1} dB_i / dt are estimated
-    by one projection onto polynomials in the current Brownian value of degree
-    <= ``degree`` (scaled by sqrt(t) for conditioning; at t = 0 the basis
-    degenerates to the constant, i.e. a plain average).  Deterministic for
-    fixed (seed, paths, steps, degree); ``threads`` is accepted for
-    configuration compatibility and does not change the result.
+    by one projection onto the orthonormal Hermite polynomials of degree <=
+    ``degree`` in B_t / sqrt(t) (at t = 0 the basis degenerates to the
+    constant, i.e. a plain average).  Deterministic for fixed (seed, paths,
+    steps, degree); ``threads`` is accepted for configuration compatibility
+    and does not change the result.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -326,38 +331,31 @@ def solve_mc_regression(
         raise ValueError("need at least 10 (degree + 1) paths")
     grid = TimeGrid.uniform(horizon, steps)
     ens = PathEnsemble.generate(grid, paths, seed)
-    B = ens.brownian_paths()
     dt = grid.dt
     conds = []
+    basis = np.empty((degree + 1, paths))
+    targets = np.empty((2, paths))
 
     def expect(i, y_next):
-        target_z = y_next * ens.increments[:, i] / dt
+        targets[0] = y_next
+        np.multiply(y_next, ens.increments[:, i], out=targets[1])
+        targets[1] /= dt
         if i == 0:
             conds.append(1.0)
-            return np.full(paths, float(np.mean(y_next))), np.full(paths, float(np.mean(target_z)))
-        basis = np.vander(B[:, i] / math.sqrt(grid.nodes[i]), degree + 1, increasing=True)
+            return (np.full(paths, float(np.mean(y_next))),
+                    np.full(paths, float(np.mean(targets[1]))))
+        _hermite_rows(ens.levels[i] / math.sqrt(grid.nodes[i]), basis)
         try:
-            fitted, cond = _regress(basis, np.column_stack((y_next, target_z)))
+            fitted, cond = _regress(basis.T, targets.T)
         except RankDeficientError as exc:
-            raise RankDeficientError(step=i, cond=exc.cond) from None
+            raise RankDeficientError(step=i, time=float(grid.nodes[i]), cond=exc.cond) from None
         conds.append(cond)
-        # z is stored per step: copy it out so it does not hold on to E's column
-        return fitted[:, 0], np.ascontiguousarray(fitted[:, 1])
+        # z is stored per step: copy it out so it does not hold on to E's row
+        return fitted[:, 0], fitted[:, 1].copy()
 
-    y_terminal = _terminal(xi, B[:, -1], steps)
-    y, z, diagnostics = _backward_sweep(
-        g, grid, y_terminal, expect, scheme, picard_tol, picard_cap, z_clamp
+    sol = _backward_sweep(
+        g, xi, grid, ens.levels[-1], expect, scheme, picard_tol, picard_cap, z_clamp,
+        backend="mc-regression", seed=int(seed), paths=int(paths),
     )
-    return DiscreteSolution(
-        backend="mc-regression",
-        grid=grid,
-        y=y,
-        z=z,
-        scheme=scheme,
-        generator=g if isinstance(g, Generator) else None,
-        terminal=xi,
-        diagnostics={**diagnostics, "regression_condition_numbers": tuple(reversed(conds))},
-        seed=int(seed),
-        paths=int(paths),
-        conforming=not diagnostics["z_clamped"],
-    )
+    sol.diagnostics["regression_condition_numbers"] = tuple(reversed(conds))
+    return sol

@@ -161,3 +161,28 @@ def reference_evaluate(root, variables, values):
         return finite(float(out), "non-finite result", root)
     out = np.broadcast_to(out, np.broadcast_shapes(*shapes)).copy()
     return finite(out, "non-finite result", root)
+
+
+def lstsq_reference(basis, target):
+    """Least-squares fitted values of each target column on the columns of
+    ``basis``, by Householder QR carried out in long double.
+
+    Independent of the normal equations the solver uses: the residual is
+    rotated away column by column and R is back-substituted, all at about
+    1e-19 precision.  Returns long-double values shaped like ``target``.
+    """
+    a = np.array(basis, dtype=np.longdouble)
+    qtb = np.array(target, dtype=np.longdouble).reshape(len(a), -1)
+    rows, cols = a.shape
+    for j in range(cols):
+        v = a[j:, j].copy()
+        norm = np.sqrt(v @ v)
+        v[0] += norm if v[0] >= 0 else -norm
+        scale = 2 / (v @ v)
+        a[j:, j:] -= np.outer(v, scale * (v @ a[j:, j:]))
+        qtb[j:] -= np.outer(v, scale * (v @ qtb[j:]))
+    coef = np.zeros((cols, qtb.shape[1]), dtype=np.longdouble)
+    for j in range(cols - 1, -1, -1):
+        coef[j] = (qtb[j] - a[j, j + 1:] @ coef[j + 1:]) / a[j, j]
+    fitted = np.array(basis, dtype=np.longdouble) @ coef
+    return fitted.reshape(np.shape(target))

@@ -305,10 +305,13 @@ class TestChecksSolveOnTheConfiguredBackend:
                 ],
             },
         )
-        # regression need not keep the family ordered, so only the solves are counted
         code = main(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"])
         assert code in (EXIT_OK, EXIT_CHECK_FAILED)
         assert counts == {"tree": 0, "mc-regression": 5}
+        # regression need not keep the family ordered: no verdict either way
+        family = read_csv(tmp_path / "reports.csv")[0]
+        assert family["status"] == "inconclusive"
+        assert "does not preserve order" in family["notes"]
 
 
 class TestVerifyCommand:

@@ -9,12 +9,15 @@ from bsdelab.solver import (
     PathEnsemble,
     PicardDivergenceError,
     RankDeficientError,
+    SolverError,
     TreeModel,
+    _hermite_rows,
     _regress,
     solve_mc_regression,
     solve_tree,
 )
 from bsdelab.verify import one_step_residual
+from tests.oracles import lstsq_reference
 
 ZERO = Generator.parse("0")
 B_T = TerminalCondition.parse("w")
@@ -88,6 +91,13 @@ class TestSolveTree:
         with pytest.raises(Exception):
             solve_tree(g, TerminalCondition.parse("0"), 4)
 
+    def test_non_finite_value_names_step_and_time(self):
+        # dt = 1: y_1 = 8e307 + 1.7e308 dt overflows at the first backward step
+        with pytest.raises(SolverError) as err, np.errstate(over="ignore"):
+            solve_tree(Generator.parse("1.7e308"), TerminalCondition.parse("8e307"), 2, horizon=2.0)
+        assert (err.value.step, err.value.time) == (1, 1.0)
+        assert "non-finite value at step 1 (t = 1, flat index 0)" in str(err.value)
+
     def test_declared_bound_enforced(self):
         lying = TerminalCondition.parse("sin(w)", bound=0.1)
         with pytest.raises(ValueError, match="declared bound"):
@@ -126,6 +136,13 @@ class TestPathEnsemble:
     def test_moment_gates(self):
         ens = PathEnsemble.generate(TimeGrid.uniform(1.0, 20), 4000, seed=5)
         assert ens.validate()
+
+    def test_levels_are_the_running_sums(self):
+        ens = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=9)
+        paths = np.zeros((100, 11))
+        np.cumsum(ens.increments, axis=1, out=paths[:, 1:])
+        assert np.array_equal(ens.brownian_paths(), paths)
+        assert ens.levels.flags.c_contiguous and not ens.levels.flags.writeable
 
     def test_reproducible(self):
         a = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=9)
@@ -167,6 +184,75 @@ class TestSolveMcRegression:
         conds = sol.diagnostics["regression_condition_numbers"]
         assert len(conds) == 10
         assert all(c >= 1.0 for c in conds)
+        # the payoff w returns its input: the terminal row must still be a copy
+        assert sol.y[-1].flags.writeable
+
+    def test_hermite_rows_are_orthonormal_under_the_gaussian(self):
+        # 20-node Gauss-Hermite quadrature for exp(-x^2/2) is exact up to degree 39
+        nodes, weights = np.polynomial.hermite_e.hermegauss(20)
+        rows = _hermite_rows(nodes, np.empty((9, 20)))
+        gram = (rows * weights) @ rows.T / math.sqrt(2.0 * math.pi)
+        assert np.max(np.abs(gram - np.eye(9))) <= 1e-13
+
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_regression_matches_long_double_reference(self, degree):
+        # the smallest ensembles allowed give the worst-conditioned bases: draw several
+        rng = np.random.default_rng(100 + degree)
+        for rows in [10 * (degree + 1)] * 20 + [100_000]:
+            x = rng.standard_normal(rows)
+            basis = _hermite_rows(x, np.empty((degree + 1, rows))).T
+            targets = np.array(
+                (np.sin(3 * x) + rng.standard_normal(rows), np.exp(x) * rng.standard_normal(rows))
+            )
+            fitted, _ = _regress(basis, targets.T)  # laid out as the solver passes them
+            want = lstsq_reference(basis, targets.T)
+            assert np.max(np.abs(fitted - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_reference_reproduces_a_target_in_the_span(self):
+        x = np.random.default_rng(6).standard_normal(200)
+        basis = np.vander(x, 5, increasing=True)
+        target = basis @ np.array([1.0, -2.0, 0.5, 0.25, -0.125])
+        assert np.max(np.abs(lstsq_reference(basis, target) - target)) <= 1e-13
+
+    @pytest.mark.parametrize("gap, deficient", [(1e-13, True), (1e-6, True), (1e-4, False)])
+    def test_rank_gate_at_least_as_strict_as_an_svd_gate(self, gap, deficient):
+        # columns x and x + gap * noise: singular-value ratio about gap / 2, so an
+        # SVD gate at 1e-12 fires only for the first; the Gram gate, at an
+        # eigenvalue ratio of 1e-12, for the first two
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(1000)
+        basis = np.column_stack((np.ones(1000), x, x + gap * rng.standard_normal(1000)))
+        if deficient:
+            with pytest.raises(RankDeficientError) as err:
+                _regress(basis, x)
+            assert err.value.cond == math.inf
+        else:
+            _, cond = _regress(basis, x)
+            assert 1e3 < cond < 1e6
+
+    def test_rank_deficiency_names_step_and_time(self, monkeypatch):
+        # every path stays at 0, so the basis is constant across paths
+        def flat(cls, grid, paths, seed):
+            return cls(grid=grid, paths=paths, seed=seed, increments=np.zeros((paths, grid.steps)))
+
+        monkeypatch.setattr(PathEnsemble, "generate", classmethod(flat))
+        with pytest.raises(RankDeficientError) as err:
+            solve_mc_regression(ZERO, B_T, 10, 200, 2, seed=0)
+        assert err.value.step == 9
+        assert err.value.time == pytest.approx(0.9)
+        assert "rank deficient at step 9 (t = 0.9)" in str(err.value)
+
+    def test_high_degree_basis_stays_well_conditioned(self):
+        # monomials of degree 8 in N(0, 1) samples have condition numbers near 1e4
+        g = Generator.parse("-y^3 + abs(z)^1.5 * sin(y)")
+        xi = TerminalCondition.parse("sin(w)", bound=1.0)
+        one = solve_mc_regression(g, xi, 20, 2000, 8, seed=5, threads=1)
+        conds = one.diagnostics["regression_condition_numbers"]
+        assert len(conds) == 20 and max(conds) < 100
+        for again in (solve_mc_regression(g, xi, 20, 2000, 8, seed=5, threads=1),
+                      solve_mc_regression(g, xi, 20, 2000, 8, seed=5, threads=2)):
+            assert all(np.array_equal(a, b) for a, b in zip(one.y + one.z, again.y + again.z))
+            assert again.diagnostics == one.diagnostics
 
     def test_rank_deficient_regression_raises(self):
         basis = np.ones((50, 3))  # duplicated columns: rank 1

@@ -6,7 +6,7 @@ import pytest
 from bsdelab.certificates import OneSidedSuperLinear
 from bsdelab.generators import Generator, TerminalCondition, WeightFn
 from bsdelab.ode_bounds import sandwich_envelope
-from bsdelab.solver import solve_tree
+from bsdelab.solver import solve_mc_regression, solve_tree
 from bsdelab.verify import (
     SubstrateMismatchError,
     comparison_check,
@@ -191,6 +191,17 @@ class TestMonotoneFamily:
                 lambda x, n=n: np.minimum(x * x, n), 1.0, nodes=200_001
             )
             assert abs(sol.y0 - want) <= 2e-2
+
+    def test_regression_family_is_inconclusive(self):
+        # least squares need not keep the capped solutions ordered
+        def solve(g, xi, scheme):
+            return solve_mc_regression(g, xi, 10, 2000, 2, seed=0, scheme=scheme)
+
+        xi = TerminalCondition.parse("sin(w)", bound=1.0)
+        report = monotone_family_check(Generator.parse("-y"), xi, [0.5, 1, 2], 10, solve=solve)
+        assert report.status == "inconclusive"
+        assert report.notes[0].startswith("mc-regression: least-squares regression does not")
+        assert set(report.location) == {"t", "n", "n_next"}
 
     def test_n_list_must_increase(self):
         with pytest.raises(ValueError):
