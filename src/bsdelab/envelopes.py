@@ -91,21 +91,39 @@ def _golden_argmax(f, lo, hi, iters=64):
     """Vectorised golden-section maximisation of f on [lo, hi] per element.
 
     Both probe points go through f in one stacked call per iteration, which
-    matters when f is an interpreted expression with per-call overhead.
+    matters when f is an interpreted expression with per-call overhead.  The
+    probes share one buffer and the brackets shrink in place, so a step
+    allocates nothing but f's own result.
     """
-    a = np.asarray(lo, dtype=float).copy()
-    b = np.asarray(hi, dtype=float).copy()
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
     m = a.size
+    probes = np.empty(2 * m)
+    c, d = probes[:m], probes[m:]
+    span = np.empty(m)
+    keep_left = np.empty(m, dtype=bool)
     for _ in range(iters):
-        span = b - a
-        c = b - _GOLDEN * span
-        d = a + _GOLDEN * span
-        vals = np.asarray(f(np.concatenate([c, d])))
-        keep_left = vals[:m] > vals[m:]
-        b = np.where(keep_left, d, b)
-        a = np.where(keep_left, a, c)
+        np.multiply(np.subtract(b, a, out=span), _GOLDEN, out=span)
+        np.subtract(b, span, out=c)
+        np.add(a, span, out=d)
+        vals = np.asarray(f(probes))
+        np.greater(vals[:m], vals[m:], out=keep_left)
+        np.copyto(b, d, where=keep_left)
+        np.copyto(a, c, where=~keep_left)
     mid = 0.5 * (a + b)
     return mid, np.asarray(f(mid))
+
+
+def _prefix_argmax(values, ties):
+    """Per row and column i, the index of the maximum of values[:, :i + 1]:
+    the first index among equal maxima if ``ties`` is "first", else the last."""
+    run = np.maximum.accumulate(values, axis=1)
+    cols = np.arange(values.shape[1])
+    if ties == "last":
+        return np.maximum.accumulate(np.where(values == run, cols, 0), axis=1)
+    rises = np.ones(values.shape, dtype=bool)
+    np.greater(values[:, 1:], run[:, :-1], out=rises[:, 1:])
+    return np.maximum.accumulate(np.where(rises, cols, 0), axis=1)
 
 
 class LipschitzEnvelope:
@@ -115,49 +133,81 @@ class LipschitzEnvelope:
     certified growth bound psi(y) <= k (1 + y) forces the objective below
     psi(x), so truncation never cuts a maximiser.  The candidate y = x is
     always included, hence the result dominates psi pointwise.
+
+    ``slope`` is a number, or a 1-d array with one slope per row of a 2-d
+    ``x``; each row then gets its own search interval and grid.
     """
 
     def __init__(self, psi, slope, growth_k, grid=None):
         self.psi = _as_univariate(psi)
-        self.slope = float(slope)
+        self.slope = float(slope) if np.ndim(slope) == 0 else np.asarray(slope, dtype=float)
         self.growth_k = float(growth_k)
         self.grid = grid or EnvelopeGrid()
         if self.growth_k < 0:
             raise EnvelopeError("growth slope must be >= 0")
-        if self.slope <= self.growth_k:
+        if np.ndim(self.slope) > 1 or np.size(self.slope) == 0:
+            raise EnvelopeError("slope must be a number or a 1-d array of row slopes")
+        if np.any(self.slope <= self.growth_k):
             raise EnvelopeError(
-                f"penalty slope {self.slope} must exceed the certified growth "
+                f"penalty slope {np.min(self.slope)} must exceed the certified growth "
                 f"slope {self.growth_k}; the supremum is infinite otherwise"
             )
 
     def _radius(self, xmax):
         analytic = (self.growth_k + self.slope * xmax + 1.0) / (self.slope - self.growth_k)
-        return max(self.grid.radius, analytic, xmax + 1.0)
+        return np.maximum(np.maximum(self.grid.radius, analytic), xmax + 1.0)
 
     def batch(self, x):
+        """Envelope values at every x >= 0, shaped like x.
+
+        Per point, the best grid node y_k comes from two max-plus sweeps: the
+        running maximum of psi(y) + K y from the left serves the nodes at or
+        below x, that of psi(y) - K y from the right the nodes at or above
+        it (Felzenszwalb & Huttenlocher 2012).  Golden section then refines
+        inside [y_{k-1}, y_{k+1}].
+        """
         x = np.asarray(x, dtype=float)
         if np.any(x < 0):
             raise EnvelopeError("the envelope is defined on x >= 0")
-        flat = x.ravel()
-        if flat.size == 0:
+        if x.size == 0:
             return np.zeros_like(x)
-        R = self._radius(float(np.max(flat)))
-        ygrid = np.linspace(0.0, R, self.grid.nodes)
+        if np.ndim(self.slope) == 1:
+            if x.ndim != 2 or len(x) != len(self.slope):
+                raise EnvelopeError(
+                    f"{len(self.slope)} row slopes need x with as many rows, got shape {x.shape}"
+                )
+            rows, slope = x, self.slope[:, None]
+        else:
+            rows, slope = x.reshape(1, -1), self.slope
+        ygrid = np.linspace(0.0, self._radius(np.max(rows, axis=1)), self.grid.nodes, axis=1)
         psi_grid = np.asarray(self.psi(ygrid), dtype=float)
-        obj = psi_grid[None, :] - self.slope * np.abs(flat[:, None] - ygrid[None, :])
-        best = np.argmax(obj, axis=1)
-        lo = ygrid[np.maximum(best - 1, 0)]
-        hi = ygrid[np.minimum(best + 1, len(ygrid) - 1)]
+        last = self.grid.nodes - 1
+        # first maximiser among the nodes <= x, and among the nodes >= x
+        below = _prefix_argmax(psi_grid + slope * ygrid, "first")
+        above = last - _prefix_argmax((psi_grid - slope * ygrid)[:, ::-1], "last")[:, ::-1]
+        left = np.take_along_axis(below, np.stack(
+            [np.searchsorted(g, r, side="right") for g, r in zip(ygrid, rows)]) - 1, axis=1)
+        right = np.take_along_axis(above, np.stack(
+            [np.searchsorted(g, r, side="left") for g, r in zip(ygrid, rows)]), axis=1)
+
+        def node_value(k):
+            return (np.take_along_axis(psi_grid, k, axis=1)
+                    - slope * np.abs(rows - np.take_along_axis(ygrid, k, axis=1)))
+
+        left_val, right_val = node_value(left), node_value(right)
+        # equal values go to the lower index, as a dense argmax would
+        best = np.where(right_val > left_val, right, left)
+        scan = np.maximum(left_val, right_val)
+        lo = np.take_along_axis(ygrid, np.maximum(best - 1, 0), axis=1)
+        hi = np.take_along_axis(ygrid, np.minimum(best + 1, last), axis=1)
 
         def f(yv):
-            # golden section stacks probe points, so realign with the x batch
-            xs = np.tile(flat, yv.size // flat.size) if yv.size != flat.size else flat
-            return np.asarray(self.psi(yv), dtype=float) - self.slope * np.abs(xs - yv)
+            y = yv.reshape(-1, *rows.shape)
+            return (np.asarray(self.psi(y), dtype=float) - slope * np.abs(rows - y)).ravel()
 
-        _, refined = _golden_argmax(f, lo, hi)
-        scan = obj[np.arange(flat.size), best]
-        at_x = np.asarray(self.psi(flat), dtype=float)
-        out = np.maximum(np.maximum(scan, refined), at_x)
+        _, refined = _golden_argmax(f, lo.ravel(), hi.ravel())
+        at_x = np.asarray(self.psi(rows), dtype=float)
+        out = np.maximum(np.maximum(scan, refined.reshape(rows.shape)), at_x)
         return out.reshape(x.shape)
 
     def __call__(self, x):
@@ -238,18 +288,19 @@ class _BaseSupConvolution:
         self.grid = grid or EnvelopeGrid()
         self.margin = 1.0
 
-    # subclasses define _penalty(t, dy_abs, dz_abs) and _box(t, y, z, g0)
+    # subclasses define _penalty_weights(t), the time-dependent factors of
+    # the penalty, _penalty(weights, dy_abs, dz_abs) and _box(t, y, z)
 
-    def _objective_u(self, t, u, v, y, z):
+    def _objective_u(self, w, t, u, v, y, z):
         return (
             np.asarray(self.g(t, u, np.full_like(u, v)), dtype=float)
-            - self._penalty(t, np.abs(y - u), abs(z - v))
+            - self._penalty(w, np.abs(y - u), abs(z - v))
         )
 
-    def _objective_v(self, t, u, v, y, z):
+    def _objective_v(self, w, t, u, v, y, z):
         return (
             np.asarray(self.g(t, np.full_like(v, u), v), dtype=float)
-            - self._penalty(t, abs(y - u), np.abs(z - v))
+            - self._penalty(w, abs(y - u), np.abs(z - v))
         )
 
     def value_at(self, t, y, z):
@@ -258,32 +309,33 @@ class _BaseSupConvolution:
         du = min(du, self.grid.radius)
         dv = min(dv, self.grid.radius)
         m = self.grid.nodes
+        w = self._penalty_weights(t)
         u0, v0 = float(y), float(z)
         best_val = float(self.g(t, y, z))
         best_arg = (u0, v0)
         for _ in range(max(1, self.grid.passes)):
             ugrid = np.linspace(y - du, y + du, m)
-            vals = self._objective_u(t, ugrid, v0, y, z)
+            vals = self._objective_u(w, t, ugrid, v0, y, z)
             k = int(np.argmax(vals))
             lo, hi = ugrid[max(k - 1, 0)], ugrid[min(k + 1, m - 1)]
             uu, fu = _golden_argmax(
-                lambda q: self._objective_u(t, np.asarray(q, dtype=float), v0, y, z),
+                lambda q: self._objective_u(w, t, np.asarray(q, dtype=float), v0, y, z),
                 np.asarray([lo]),
                 np.asarray([hi]),
             )
             u0 = float(uu[0]) if fu[0] > vals[k] else float(ugrid[k])
 
             vgrid = np.linspace(z - dv, z + dv, m)
-            vals = self._objective_v(t, u0, vgrid, y, z)
+            vals = self._objective_v(w, t, u0, vgrid, y, z)
             k = int(np.argmax(vals))
             lo, hi = vgrid[max(k - 1, 0)], vgrid[min(k + 1, m - 1)]
             vv, fv = _golden_argmax(
-                lambda q: self._objective_v(t, u0, np.asarray(q, dtype=float), y, z),
+                lambda q: self._objective_v(w, t, u0, np.asarray(q, dtype=float), y, z),
                 np.asarray([lo]),
                 np.asarray([hi]),
             )
             v0 = float(vv[0]) if fv[0] > vals[k] else float(vgrid[k])
-            cur = float(self._objective_v(t, u0, np.asarray([v0]), y, z)[0])
+            cur = float(self._objective_v(w, t, u0, np.asarray([v0]), y, z)[0])
             if cur > best_val:
                 best_val = cur
                 best_arg = (u0, v0)
@@ -291,7 +343,8 @@ class _BaseSupConvolution:
 
     def candidate_value(self, t, y, z, u, v):
         """Penalised objective at one candidate; a lower bound of the value."""
-        return float(self.g(t, u, v)) - float(self._penalty(t, abs(y - u), abs(z - v)))
+        penalty = self._penalty(self._penalty_weights(t), abs(y - u), abs(z - v))
+        return float(self.g(t, u, v)) - float(penalty)
 
     def __call__(self, t, y, z):
         return self.value_at(float(t), float(y), float(z))[0]
@@ -321,8 +374,11 @@ class SupConvolutionEnvelope(_BaseSupConvolution):
             )
         return uw, vw, sy, sz
 
-    def _penalty(self, t, dy_abs, dz_abs):
-        return self.n * float(self.u_w(t)) * dy_abs + self.n * float(self.v_w(t)) * dz_abs
+    def _penalty_weights(self, t):
+        return self.n * float(self.u_w(t)), self.n * float(self.v_w(t))
+
+    def _penalty(self, w, dy_abs, dz_abs):
+        return w[0] * dy_abs + w[1] * dz_abs
 
     def _box(self, t, y, z):
         uw, vw, sy, sz = self._weights(t)
@@ -342,11 +398,12 @@ class WedgeSupConvolutionEnvelope(_BaseSupConvolution):
         self.alpha = float(alpha)
         self.growth = growth
 
-    def _penalty(self, t, dy_abs, dz_abs):
-        vw = float(self.v_w(t))
-        lw = float(self.lam_w(t))
-        wedge = np.minimum(vw * dz_abs, lw * dz_abs**self.alpha)
-        return self.n * float(self.u_w(t)) * dy_abs + self.n * wedge
+    def _penalty_weights(self, t):
+        return self.n * float(self.u_w(t)), float(self.v_w(t)), float(self.lam_w(t))
+
+    def _penalty(self, w, dy_abs, dz_abs):
+        wedge = np.minimum(w[1] * dz_abs, w[2] * dz_abs**self.alpha)
+        return w[0] * dy_abs + self.n * wedge
 
     def _box(self, t, y, z):
         uw = float(self.u_w(t))

@@ -214,10 +214,11 @@ def _trapezoid(values, nodes):
 
 
 def _reverse_cumtrapz(values, nodes):
-    """I[i] = integral from nodes[i] to nodes[-1] by the trapezoid rule."""
-    seg = 0.5 * (values[1:] + values[:-1]) * np.diff(nodes)
-    out = np.zeros(len(nodes))
-    out[:-1] = np.cumsum(seg[::-1])[::-1]
+    """I[..., i] = integral from nodes[i] to nodes[-1] by the trapezoid rule,
+    along the last axis of values."""
+    seg = 0.5 * (values[..., 1:] + values[..., :-1]) * np.diff(nodes)
+    out = np.zeros(np.shape(values))
+    out[..., :-1] = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
     return out
 
 
@@ -321,28 +322,31 @@ def bihari_sequence(
     beta_vals = np.asarray(beta(nodes), dtype=float)
     egrid = envelope_grid or EnvelopeGrid(radius=max(2.0 * cap + 1.0, 10.0))
 
-    all_v = np.empty((len(n_values), len(nodes)))
-    iterations, converged, last_changes = [], [], []
+    # the rows are independent fixed-point iterations: step every row that
+    # has not converged in one stacked envelope call, and freeze the others
+    slopes = np.asarray(n_values, dtype=float) + 2.0 * k
+    b_col = np.asarray(b_seq)[:, None]
+    all_v = np.full((len(n_values), len(nodes)), cap)
+    iterations = np.full(len(n_values), j_max)
+    converged = np.zeros(len(n_values), dtype=bool)
+    last_changes = np.full(len(n_values), math.inf)
     transient_excess = 0.0
-    for row, (n, b_n) in enumerate(zip(n_values, b_seq)):
-        psi_n = LipschitzEnvelope(psi, n + 2.0 * k, k, egrid)
-        v = np.full(len(nodes), cap)
-        used = j_max
-        ok = False
-        change = math.inf
-        for j in range(1, j_max + 1):
-            integrand = beta_vals * psi_n.batch(np.maximum(v, 0.0))
-            v_next = b_n + _reverse_cumtrapz(integrand, nodes)
-            change = float(np.max(np.abs(v_next - v)))
-            transient_excess = max(transient_excess, float(np.max(v_next - cap)))
-            v = v_next
-            if change < tol:
-                used, ok = j, True
-                break
-        all_v[row] = v
-        iterations.append(used)
-        converged.append(ok)
-        last_changes.append(change)
+    active = np.arange(len(n_values))
+    for j in range(1, j_max + 1):
+        if active.size == 0:
+            break
+        v = all_v[active]
+        psi_n = LipschitzEnvelope(psi, slopes[active], k, egrid)
+        integrand = beta_vals * psi_n.batch(np.maximum(v, 0.0))
+        v_next = b_col[active] + _reverse_cumtrapz(integrand, nodes)
+        change = np.max(np.abs(v_next - v), axis=1)
+        transient_excess = max(transient_excess, float(np.max(v_next - cap)))
+        all_v[active] = v_next
+        last_changes[active] = change
+        done = change < tol
+        iterations[active[done]] = j
+        converged[active[done]] = True
+        active = active[~done]
 
     mono_gap = float(np.max(all_v[1:] - all_v[:-1])) if len(n_values) > 1 else 0.0
     limit = np.asarray([_limit_estimate(all_v[:, i]) for i in range(len(nodes))])
@@ -352,9 +356,9 @@ def bihari_sequence(
         grid=grid,
         cap=cap,
         iterates=all_v,
-        iterations=tuple(iterations),
-        converged=tuple(converged),
-        last_changes=tuple(last_changes),
+        iterations=tuple(iterations.tolist()),
+        converged=tuple(converged.tolist()),
+        last_changes=tuple(last_changes.tolist()),
         monotone_in_n=mono_gap <= 1e-9,
         monotone_violation=mono_gap,
         cap_excess_converged=float(np.max(all_v - cap)),

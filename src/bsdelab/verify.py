@@ -64,8 +64,26 @@ def _conforming_notes(*sols):
     return ("non-conforming input: a z-clamped run is being checked",)
 
 
+def _order_not_kept(sol, name, claim, worst, where):
+    """Report for a nodewise order claim on a backend that need not keep order.
+
+    Only the tree's exact averages preserve order.  A least-squares regression
+    need not, so its largest gap is recorded in the note and is no verdict.
+    """
+    return VerificationReport.inconclusive(
+        name,
+        claim,
+        f"{sol.backend}: least-squares regression does not preserve order, so the "
+        f"largest gap {worst:.3g} is no verdict",
+        where,
+    )
+
+
 def comparison_check(sol, sol_prime, tol=1e-6, name="comparison"):
-    """Assert y <= y' + tol at every node/path/time on a shared substrate."""
+    """Assert y <= y' + tol at every node/path/time on a shared substrate.
+
+    Inconclusive on any backend but the tree (see :func:`_order_not_kept`).
+    """
     _require_same_substrate(sol, sol_prime)
     worst = -math.inf
     where = {}
@@ -75,9 +93,12 @@ def comparison_check(sol, sol_prime, tol=1e-6, name="comparison"):
         if gap[k] > worst:
             worst = float(gap[k])
             where = {"t": t, "index": k}
+    claim = "ordered data produce ordered solutions: y <= y'"
+    if sol.backend != "tree":
+        return _order_not_kept(sol, name, claim, worst, where)
     return VerificationReport.from_violation(
         name=name,
-        claim="ordered data produce ordered solutions: y <= y'",
+        claim=claim,
         violation=worst,
         location=where,
         tolerance=tol,
@@ -97,7 +118,10 @@ def indicator_premise_check(sol, sol_prime, g, g_prime, which="along_prime", tol
     'along_prime' evaluates both drivers along the primed trajectory,
     'along_unprimed' along the unprimed one; points where y <= y' contribute
     nothing (the indicator vanishes), so a pair whose trajectories never
-    cross passes vacuously.
+    cross passes vacuously.  The event is read off the solutions, so the
+    check is inconclusive on any backend but the tree (see
+    :func:`_order_not_kept`); a largest gap of -inf there means the indicator
+    never fired.
     """
     if which not in ("along_prime", "along_unprimed"):
         raise ValueError("which must be 'along_prime' or 'along_unprimed'")
@@ -123,6 +147,8 @@ def indicator_premise_check(sol, sol_prime, g, g_prime, which="along_prime", tol
         if gap[k] > worst:
             worst = float(gap[k])
             where = {"t": t, "index": int(np.nonzero(mask)[0][k])}
+    if sol.backend != "tree":
+        return _order_not_kept(sol, f"premise:{which}", "driver dominance on {y > y'}", worst, where)
     if vacuous:
         return VerificationReport.from_violation(
             name=f"premise:{which}",
@@ -246,9 +272,7 @@ def monotone_family_check(
     """Assert the capped-payoff solutions are nondecreasing in the cap,
     nodewise on a shared substrate (``solve`` as in :func:`solve_capped_family`).
 
-    Only the tree's exact averages preserve order.  A least-squares regression
-    need not, so on any other backend the report is inconclusive and its note
-    gives the largest gap seen.
+    Inconclusive on any backend but the tree (see :func:`_order_not_kept`).
     """
     n_list = list(n_list)
     sols = solve_capped_family(g, xi, n_list, steps, horizon, scheme, solve, **solver_kw)
@@ -262,13 +286,7 @@ def monotone_family_check(
                 where = {"t": t, "n": n_lo, "n_next": n_hi}
     claim = "solutions are nondecreasing in the terminal cap"
     if sols[0].backend != "tree":
-        return VerificationReport.inconclusive(
-            "monotone-family",
-            claim,
-            f"{sols[0].backend}: least-squares regression does not preserve order, so the "
-            f"largest gap {worst:.3g} is no verdict",
-            where,
-        )
+        return _order_not_kept(sols[0], "monotone-family", claim, worst, where)
     return VerificationReport.from_violation(
         name="monotone-family",
         claim=claim,

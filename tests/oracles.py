@@ -186,3 +186,42 @@ def lstsq_reference(basis, target):
         coef[j] = (qtb[j] - a[j, j + 1:] @ coef[j + 1:]) / a[j, j]
     fitted = np.array(basis, dtype=np.longdouble) @ coef
     return fitted.reshape(np.shape(target))
+
+
+def lipschitz_envelope_reference(psi, slope, growth_k, x, radius=100.0, nodes=2001):
+    """sup_{y >= 0} psi(y) - slope |x - y| by a dense (points, nodes) scan.
+
+    The scan runs over np.linspace(0, R, nodes) with the same analytic radius
+    R as ``LipschitzEnvelope``, then refines every point's best node by 64
+    golden-section steps inside its two neighbours, and finally takes the
+    larger of the scan, the refinement and psi(x).  No running maxima: every
+    node is scored against every point.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    xmax = float(np.max(flat))
+    analytic = (growth_k + slope * xmax + 1.0) / (slope - growth_k)
+    ygrid = np.linspace(0.0, max(radius, analytic, xmax + 1.0), nodes)
+    obj = np.asarray(psi(ygrid), dtype=float)[None, :] - slope * np.abs(flat[:, None] - ygrid[None, :])
+    best = np.argmax(obj, axis=1)
+    a = ygrid[np.maximum(best - 1, 0)]
+    b = ygrid[np.minimum(best + 1, nodes - 1)]
+
+    def f(yv):
+        xs = np.tile(flat, yv.size // flat.size)
+        return np.asarray(psi(yv), dtype=float) - slope * np.abs(xs - yv)
+
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    m = flat.size
+    for _ in range(64):
+        span = b - a
+        c = b - gr * span
+        d = a + gr * span
+        vals = f(np.concatenate([c, d]))
+        keep_left = vals[:m] > vals[m:]
+        b = np.where(keep_left, d, b)
+        a = np.where(keep_left, a, c)
+    refined = f(0.5 * (a + b))
+    scan = obj[np.arange(m), best]
+    out = np.maximum(np.maximum(scan, refined), np.asarray(psi(flat), dtype=float))
+    return out.reshape(x.shape)

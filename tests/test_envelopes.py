@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from bsdelab.envelopes import (
     EnvelopeError,
     EnvelopeGrid,
     LinearGrowthBound,
+    LipschitzEnvelope,
     WedgeGrowthBound,
     envelope_family_values,
     linearize_phi,
@@ -15,6 +18,7 @@ from bsdelab.envelopes import (
 )
 from bsdelab.generators import Generator, WeightFn
 from tests.oracles import (
+    lipschitz_envelope_reference,
     separable_supconv_oracle,
     sqrt_envelope_closed_form,
     wedge_supconv_oracle,
@@ -120,6 +124,80 @@ class TestLipschitzEnvelope:
         batch = env.batch(xs)
         for k, x in enumerate(xs):
             assert batch[k] == pytest.approx(env(float(x)), abs=1e-12)
+
+
+class TestLipschitzScan:
+    """The two-sweep scan against the dense (points, nodes) reference."""
+
+    WAVY = "2*sin(3*x) + 0.3*x"  # non-monotone, below 2 (1 + x)
+
+    def assert_reference(self, psi, slope, growth_k, x, grid=None):
+        grid = grid or EnvelopeGrid()
+        got = LipschitzEnvelope(psi, slope, growth_k, grid).batch(x)
+        want = lipschitz_envelope_reference(
+            LipschitzEnvelope(psi, slope, growth_k).psi, slope, growth_k, x, grid.radius, grid.nodes)
+        assert got.tobytes() == want.tobytes()
+
+    def test_random_non_monotone_moduli(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            x = rng.uniform(0.0, rng.uniform(0.5, 40.0), size=int(rng.integers(1, 80)))
+            self.assert_reference(self.WAVY, 2.0 + rng.uniform(0.01, 6.0), 2.0, x)
+
+    def test_origin_and_grid_nodes(self):
+        slope, k = 3.5, 2.0
+        radius = max(100.0, (k + slope * 7.0 + 1.0) / (slope - k), 8.0)
+        nodes = np.linspace(0.0, radius, 2001)
+        x = np.concatenate([[0.0], nodes[[1, 2, 17, 30, 140]], [7.0]])
+        assert np.max(x) == 7.0  # so the grid above is the one batch builds
+        self.assert_reference(self.WAVY, slope, k, x)
+        self.assert_reference(self.WAVY, slope, k, np.zeros(3))
+
+    def test_beyond_the_base_radius(self):
+        grid = EnvelopeGrid(radius=5.0, nodes=201)
+        self.assert_reference(self.WAVY, 2.5, 2.0, np.asarray([0.0, 4.0, 5.0, 60.0, 250.0]), grid)
+        env = LipschitzEnvelope("sqrt(x)", 1.0, 0.5, grid)
+        assert env(300.0) == pytest.approx(np.sqrt(300.0), abs=1e-12)
+
+    def test_flat_modulus_ties_everywhere(self):
+        x = np.asarray([0.0, 0.5, 1.0, 33.3, 99.0])
+        self.assert_reference("1", 1.5, 1.0, x)
+        assert np.all(LipschitzEnvelope("1", 1.5, 1.0).batch(x) == 1.0)
+
+    def test_row_slopes_match_row_by_row_calls(self):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(0.0, 12.0, size=(5, 23))
+        x[2] *= 4.0  # rows with different search radii
+        slopes = np.asarray([2.1, 2.5, 3.0, 5.0, 9.0])
+        stacked = LipschitzEnvelope(self.WAVY, slopes, 2.0).batch(x)
+        for row, slope, got in zip(x, slopes, stacked):
+            assert got.tobytes() == LipschitzEnvelope(self.WAVY, slope, 2.0).batch(row).tobytes()
+
+    def test_row_slopes_need_matching_rows(self):
+        env = LipschitzEnvelope("x", [2.0, 3.0], 1.0)
+        with pytest.raises(EnvelopeError, match="row slopes"):
+            env.batch(np.ones(2))
+        with pytest.raises(EnvelopeError, match="must exceed"):
+            LipschitzEnvelope("x", [2.0, 1.0], 1.0)
+
+    def test_bare_variable_modulus(self):
+        # "x" hands its (probe) input back; "1*x" computes a new array
+        x = np.random.default_rng(10).uniform(0.0, 9.0, size=(3, 31))
+        for slope in (2.0, np.asarray([1.5, 2.0, 7.0])):
+            values = [LipschitzEnvelope(psi, slope, 1.0).batch(x) for psi in ("x", "1*x")]
+            assert values[0].tobytes() == values[1].tobytes()
+
+    def test_no_points_by_nodes_array(self):
+        # the dense scan would hold 2000 x 2001 doubles (32 MB)
+        x = np.linspace(0.0, 10.0, 2000)
+        env = LipschitzEnvelope(self.WAVY, 3.0, 2.0)
+        tracemalloc.start()
+        try:
+            env.batch(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestSupConvolution:
@@ -262,7 +340,7 @@ class TestWedgeEnvelope:
         env = sup_convolution_generator_alpha(
             g, 3, ONE, ONE, ONE, 0.5, growth=self.wedge_growth()
         )
-        assert float(env._penalty(0.0, 0.0, np.asarray(1.0))) == 3.0
+        assert float(env._penalty(env._penalty_weights(0.0), 0.0, np.asarray(1.0))) == 3.0
 
     def test_quadratic_z_driver_frozen_oracle(self):
         g = Generator.parse("-abs(z)^2")

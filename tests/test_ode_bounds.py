@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bsdelab.generators import WeightFn
+from bsdelab.generators import WeightFn, _as_univariate
 from bsdelab.ode_bounds import (
     BlowUpError,
     BoundEnvelope,
@@ -15,6 +15,7 @@ from bsdelab.ode_bounds import (
     sandwich_envelope,
     solve_growth_ode,
 )
+from tests.oracles import lipschitz_envelope_reference
 
 ONE = WeightFn.parse("1")
 TWO_E_MINUS_1 = 2.0 * math.e - 1.0
@@ -182,6 +183,77 @@ class TestBihariSequence:
             bihari_sequence("x", 1.0, ONE, [2, 1], [0.2, 0.1], self.grid())
         with pytest.raises(ValueError, match="psi"):
             bihari_sequence("x + 1", 1.0, ONE, [1], [0.1], self.grid())
+
+
+def sequential_bihari(psi, k, beta, n_values, b_seq, grid, j_max):
+    """The iteration of ``bihari_sequence`` one n at a time, each psi_n step
+    by the dense envelope oracle: (iterates, iterations, converged,
+    last_changes, worst transient excess over the cap)."""
+    psi = _as_univariate(psi)
+    nodes = grid.nodes
+    cap = gronwall_cap(b_seq[0], k, beta, grid)
+    beta_vals = np.asarray(beta(nodes), dtype=float)
+    radius = max(2.0 * cap + 1.0, 10.0)
+    rows, iterations, converged, changes = [], [], [], []
+    transient = 0.0
+    for n, b_n in zip(n_values, b_seq):
+        v = np.full(len(nodes), cap)
+        used, ok, change = j_max, False, math.inf
+        for j in range(1, j_max + 1):
+            values = beta_vals * lipschitz_envelope_reference(
+                psi, n + 2.0 * k, k, np.maximum(v, 0.0), radius=radius)
+            seg = 0.5 * (values[1:] + values[:-1]) * np.diff(nodes)
+            v_next = np.full(len(nodes), b_n)
+            v_next[:-1] += np.cumsum(seg[::-1])[::-1]
+            change = float(np.max(np.abs(v_next - v)))
+            transient = max(transient, float(np.max(v_next - cap)))
+            v = v_next
+            if change < 1e-9:
+                used, ok = j, True
+                break
+        rows.append(v)
+        iterations.append(used)
+        converged.append(ok)
+        changes.append(change)
+    return np.asarray(rows), tuple(iterations), tuple(converged), tuple(changes), transient
+
+
+class TestStackedBihariRows:
+    """All n rows step together; each must match its own sequential run bit for bit."""
+
+    @pytest.mark.parametrize(
+        "psi, k, ns, bs, grid, j_max, iterations",
+        [
+            # rows converge at different iterations
+            ("min(x, 0.3) + 0.2*x", 1.0, [1, 2, 4, 50], [0.5, 0.4, 0.2, 0.01],
+             TimeGrid.uniform(1.5, 40), 500, (10, 10, 12, 17)),
+            # the last row runs into j_max
+            ("min(x, 0.3) + 0.2*x", 1.0, [1, 2, 4, 50], [0.5, 0.4, 0.2, 0.01],
+             TimeGrid.uniform(1.5, 40), 15, (10, 10, 12, 15)),
+            # the first row converges exactly at j_max, the others do not
+            ("sqrt(x)*min(1, sqrt(x)) + 0.5*x", 1.5, [1, 2, 3, 5, 8, 13],
+             [0.5, 0.4, 0.3, 0.2, 0.1, 0.05], TimeGrid.uniform(1.0, 32), 15, (15,) * 6),
+        ],
+        ids=["rows-converge-apart", "last-row-hits-j-max", "first-row-converges-at-j-max"],
+    )
+    def test_matches_sequential_rows(self, psi, k, ns, bs, grid, j_max, iterations):
+        res = bihari_sequence(psi, k, ONE, ns, bs, grid, j_max=j_max)
+        rows, its, conv, changes, transient = sequential_bihari(psi, k, ONE, ns, bs, grid, j_max)
+        assert res.iterations == its == iterations
+        assert res.converged == conv
+        assert res.iterates.tobytes() == rows.tobytes()
+        assert np.asarray(res.last_changes).tobytes() == np.asarray(changes).tobytes()
+        assert res.cap_excess_transient == transient
+        assert res.cap_excess_converged == float(np.max(rows - res.cap))
+
+    def test_bare_variable_modulus(self):
+        # the bare variable "x" hands its input back; "1*x" computes a new array
+        ns = [1, 2, 4]
+        runs = [bihari_sequence(psi, 1.0, ONE, ns, [1.0 / n for n in ns], TimeGrid.uniform(1.0, 32))
+                for psi in ("x", "1*x")]
+        assert runs[0].iterations == runs[1].iterations
+        assert runs[0].iterates.tobytes() == runs[1].iterates.tobytes()
+        assert runs[0].last_changes == runs[1].last_changes
 
 
 class TestOsgoodDiagnostic:

@@ -73,6 +73,19 @@ class TestComparisonCheck:
         with pytest.raises(SubstrateMismatchError):
             comparison_check(a, b)
 
+    def test_regression_pair_is_inconclusive(self):
+        # ordered data: the tree keeps y <= y', least squares need not
+        g = Generator.parse("-y")
+        xi, xi_hi = TerminalCondition.parse("sin(w)"), TerminalCondition.parse("max(sin(w), 0.5)")
+        assert comparison_check(solve_tree(g, xi, 10), solve_tree(g, xi_hi, 10)).passed
+        for seed in (0, 1):
+            lo = solve_mc_regression(g, xi, 10, 2000, 2, seed=seed)
+            hi = solve_mc_regression(g, xi_hi, 10, 2000, 2, seed=seed)
+            report = comparison_check(lo, hi, tol=1e-6)
+            assert report.status == "inconclusive"
+            assert report.notes[0].startswith("mc-regression: least-squares regression does not")
+            assert set(report.location) == {"t", "index"}
+
     def test_clamped_runs_labelled(self):
         lo = solve_tree(ZERO, TerminalCondition.parse("w"), 32, z_clamp=0.25)
         hi = solve_tree(ZERO, TerminalCondition.parse("w + 1"), 32, z_clamp=0.25)
@@ -111,6 +124,21 @@ class TestIndicatorPremise:
         assert float(max(np.max(r) for r in lo.y)) <= 0.0 + 1e-12
         report = indicator_premise_check(lo, hi, g, g_hi, "along_prime")
         assert report.passed
+
+    def test_regression_pair_is_inconclusive(self):
+        # y' >= y + 0.09 on the tree, so the indicator never fires there even
+        # though g > g'; regressed rows cross and would report a failure
+        g, g_hi = Generator.parse("-y"), Generator.parse("-y - 0.01")
+        xi = TerminalCondition.parse("sin(w)")
+        xi_hi = TerminalCondition.parse("max(sin(w), 0.5) + 0.1")
+        tree = indicator_premise_check(solve_tree(g, xi, 10), solve_tree(g_hi, xi_hi, 10), g, g_hi)
+        assert tree.passed and any("indicator" in note for note in tree.notes)
+        lo = solve_mc_regression(g, xi, 10, 2000, 2, seed=0)
+        hi = solve_mc_regression(g_hi, xi_hi, 10, 2000, 2, seed=0)
+        for which in ("along_prime", "along_unprimed"):
+            report = indicator_premise_check(lo, hi, g, g_hi, which)
+            assert report.status == "inconclusive"
+            assert "largest gap 0.01 is no verdict" in report.notes[0]
 
     def test_dominance_negative_control(self):
         report = one_sided_dominance_check(ZERO, Generator.parse("-1"), 0.0, "below")
