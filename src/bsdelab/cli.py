@@ -28,24 +28,24 @@ import tempfile
 from dataclasses import replace
 from functools import partial
 from importlib import resources
+from typing import Literal
 
 import numpy as np
 
 from . import __version__
-from .certificates import SampleGrid, check_certificate
+from .certificates import OneSidedSuperLinear, SampleGrid, check_certificate
 from .config import (
     CheckConfig,
     ConfigError,
     ModelConfig,
     RunConfig,
+    bind,
     load_config,
-    number,
-    numbers,
     parse_generator,
     parse_terminal,
 )
 from .envelopes import EnvelopeGrid, LinearGrowthBound, sup_convolution_generator
-from .generators import WeightFn
+from .generators import Generator, TerminalCondition, WeightFn
 from .ode_bounds import BlowUpError, TimeGrid, sandwich_envelope
 from .report import VerificationReport
 from .solver import TreeModel, solve_mc_regression, solve_tree
@@ -155,345 +155,294 @@ def _solution_rows(sol):
     return rows
 
 
-def _bounds_envelope(section, model, path):
-    """Backward-ODE sandwich from a section with u, l, xi_bound and optional T, N."""
-    needed = [k for k in ("u", "l", "xi_bound") if k not in section]
-    if needed:
-        raise ConfigError(path, f"missing keys {needed}")
-    grid = TimeGrid.uniform(
-        number(section, "T", path, float, model.horizon),
-        number(section, "N", path, int, model.steps),
-    )
-    return sandwich_envelope(
-        number(section, "xi_bound", path), WeightFn.parse(section["u"]), section["l"], grid
-    )
+def _bounds_envelope(model, path, *, u: str = None, l: str = None, xi_bound: float = None,
+                     T: float = None, N: int = None):
+    """The keys of a bounds section; returns a function that builds the ODE sandwich."""
+    missing = [k for k, v in (("u", u), ("l", l), ("xi_bound", xi_bound)) if v is None]
+    if missing:
+        raise ConfigError(path, f"missing keys {missing}")
+    grid = TimeGrid.uniform(model.horizon if T is None else T, model.steps if N is None else N)
+    return partial(sandwich_envelope, xi_bound, WeightFn.parse(u), l, grid)
 
 
-def _driver_envelope(generator, section, path, grid=None):
+def _driver_envelope(generator, grid=None, *, growth: dict = None, n: int = 2, u_w: str = "1",
+                     v_w: str = "1"):
     """Sup-convolution majorant; without a growth section the driver's certificate sizes it."""
-    growth_section = section.get("growth")
-    growth = None
-    if growth_section:
+    if growth:
         growth = LinearGrowthBound.from_parts(
-            growth_section.get("f", "0"), growth_section.get("u", "1"), growth_section.get("v", "1")
+            growth.get("f", "0"), growth.get("u", "1"), growth.get("v", "1")
         )
     return sup_convolution_generator(
-        generator,
-        number(section, "n", path, int, 2),
-        WeightFn.parse(section.get("u_w", "1")),
-        WeightFn.parse(section.get("v_w", "1")),
-        grid,
-        growth=growth,
+        generator, n, WeightFn.parse(u_w), WeightFn.parse(v_w), grid, growth=growth or None
     )
+
+
+def _envelope_rows(g, *, radius: float = 100.0, nodes: int = 2001, passes: int = 3,
+                   t: float = 0.0, z: float = 0.0, y_min: float = -3.0, y_max: float = 3.0,
+                   points: int = 61, **driver: _driver_envelope):
+    """The keys of an envelope section; returns the sweep's rows (y, g, envelope)."""
+    env = _driver_envelope(g, EnvelopeGrid(radius, nodes, passes), **driver)
+    return [(float(y), float(g(t, y, z)), env(t, float(y), z))
+            for y in np.linspace(y_min, y_max, points)]
 
 
 # ---------------------------------------------------------------------------
-# Check registry
+# Check kinds
+#
+# Each kind is one function: its keyword-only parameters are the check's keys,
+# with their types and defaults, and ``tol``'s default is the kind's default
+# tolerance.  Called with the effective config, it rejects what that config
+# cannot run and returns the check, which solves only when it is called.
 
 
-def _check_solver_oracle(cfg, check, tol):
-    expected = number(check.params, "expected", "")
-    sol = _solve_with(cfg.model, cfg.generator, cfg.terminal)
-    gap = abs(sol.y0 - expected)
+def _solve(run):
+    return _solve_with(run.model, run.generator, run.terminal)
+
+
+def _closed_form(name, symbol, value, expected, tol):
     return VerificationReport.from_violation(
-        name=check.params.get("name", "solver-oracle"),
-        claim=f"y_0 matches the closed-form value {expected}",
-        violation=gap - tol,
-        location={"y0": sol.y0},
+        name=name,
+        claim=f"{symbol} matches the closed-form value {expected}",
+        violation=abs(value - expected) - tol,
+        location={symbol.replace("_", ""): value},
         tolerance=0.0,
     )
 
 
-def _check_comparison(cfg, check, tol):
-    sol = _solve_with(cfg.model, cfg.generator, cfg.terminal)
-    sol_p = _solve_with(
-        cfg.model,
-        parse_generator(check.params.get("generator_prime"), "generator_prime"),
-        parse_terminal(check.params.get("terminal_prime"), "terminal_prime"),
-    )
-    return comparison_check(sol, sol_p, tol, name=check.params.get("name", "comparison"))
+def _check_solver_oracle(run, *, expected: float, tol: float = 1e-2):
+    return lambda: _closed_form("solver-oracle", "y_0", _solve(run).y0, expected, tol)
 
 
-def _check_premise(cfg, check, tol):
-    g_p = parse_generator(check.params.get("generator_prime"), "generator_prime")
-    sol = _solve_with(cfg.model, cfg.generator, cfg.terminal)
-    sol_p = _solve_with(
-        cfg.model, g_p, parse_terminal(check.params.get("terminal_prime"), "terminal_prime")
-    )
-    return indicator_premise_check(
-        sol, sol_p, cfg.generator, g_p, check.params.get("which", "along_prime"), tol
+def _check_comparison(run, *, generator_prime: Generator, terminal_prime: TerminalCondition,
+                      tol: float = 1e-6):
+    return lambda: comparison_check(
+        _solve(run), _solve_with(run.model, generator_prime, terminal_prime), tol
     )
 
 
-def _check_dominance(cfg, check, tol):
-    g_p = parse_generator(check.params.get("generator_prime"), "generator_prime")
-    return one_sided_dominance_check(
-        cfg.generator,
-        g_p,
-        number(check.params, "level", "", float, 0.0),
-        check.params.get("side", "below"),
-        tol=tol,
+def _check_premise(run, *, generator_prime: Generator, terminal_prime: TerminalCondition,
+                   which: Literal["along_prime", "along_unprimed"] = "along_prime",
+                   tol: float = 0.0):
+    return lambda: indicator_premise_check(
+        _solve(run), _solve_with(run.model, generator_prime, terminal_prime),
+        run.generator, generator_prime, which, tol,
     )
 
 
-def _check_sandwich(cfg, check, tol):
-    from .certificates import OneSidedSuperLinear
+def _check_dominance(run, *, generator_prime: Generator, level: float = 0.0,
+                     side: Literal["below", "above"] = "below", tol: float = 0.0):
+    return lambda: one_sided_dominance_check(run.generator, generator_prime, level, side, tol=tol)
 
-    cert = cfg.generator.certificate if cfg.generator is not None else None
+
+def _check_sandwich(run, *, xi_bound: float = None, tol: float = 1e-3):
+    cert = run.generator.certificate if run.generator is not None else None
     if not isinstance(cert, OneSidedSuperLinear):
         raise ConfigError(
             "generator.certificate", "sandwich needs a one_sided_super_linear certificate"
         )
-    xi_bound = number(check.params, "xi_bound", "", float, cfg.terminal and cfg.terminal.bound)
+    if xi_bound is None:
+        xi_bound = run.terminal and run.terminal.bound
     if xi_bound is None:
         raise ConfigError("xi_bound", "missing, and the terminal section has no bound")
-    grid = TimeGrid.uniform(cfg.model.horizon, cfg.model.steps)
-    env = sandwich_envelope(xi_bound, cert.u, cert.l, grid)
-    sol = _solve_with(cfg.model, cfg.generator, cfg.terminal)
-    return sandwich_check(sol, env, tol)
-
-
-def _check_monotone_family(cfg, check, tol):
-    return monotone_family_check(
-        cfg.generator,
-        cfg.terminal,
-        numbers(check.params, "n_list", "", float, [1, 2, 4, 8]),
-        cfg.model.steps,
-        cfg.model.horizon,
-        cfg.model.scheme,
-        tol=tol,
-        solve=_solver(cfg.model),
+    grid = TimeGrid.uniform(run.model.horizon, run.model.steps)
+    return lambda: sandwich_check(
+        _solve(run), sandwich_envelope(xi_bound, cert.u, cert.l, grid), tol
     )
 
 
-def _check_transform_residual(cfg, check, tol):
-    sol = _solve_with(cfg.model, cfg.generator, cfg.terminal)
-    return transform_residual_check(
-        sol,
-        cfg.generator,
-        number(check.params, "gamma", "", float, 1.0),
-        residual_coefficient=number(check.params, "coefficient", "", float, 0.05),
+def _check_monotone_family(run, *, n_list: list[float] = (1, 2, 4, 8), tol: float = 1e-9):
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError("n_list", "must be strictly increasing")
+    m = run.model
+    return lambda: monotone_family_check(
+        run.generator, run.terminal, n_list, m.steps, m.horizon, m.scheme, tol, _solver(m)
     )
 
 
-def _check_bounds_oracle(cfg, check, tol):
-    section = {**(cfg.bounds or {}), **check.params}
-    expected = number(section, "expected_U0", "")
-    env = _bounds_envelope(section, cfg.model, "")
-    gap = abs(float(env.upper[0]) - expected)
-    return VerificationReport.from_violation(
-        name=check.params.get("name", "bounds-oracle"),
-        claim=f"U_0 matches the closed-form value {expected}",
-        violation=gap - tol,
-        location={"U0": float(env.upper[0])},
-        tolerance=0.0,
-    )
+def _check_transform_residual(run, *, gamma: float = 1.0, coefficient: float = 0.05):
+    if run.model.backend != "tree":
+        raise ConfigError("model.backend", "transform_residual runs on tree solutions only")
+    return lambda: transform_residual_check(_solve(run), run.generator, gamma, coefficient)
 
 
-def _check_certificate(cfg, check, tol):
-    if cfg.generator is None or cfg.generator.certificate is None:
+def _check_bounds_oracle(run, *, expected_U0: float, tol: float = 1e-5,
+                         **bounds: _bounds_envelope):
+    build = _bounds_envelope(run.model, "", **bounds)
+    return lambda: _closed_form("bounds-oracle", "U_0", float(build().upper[0]), expected_U0, tol)
+
+
+def _sample_grid(horizon, *, T: float = None, t_count: int = 21,
+                 y_range: tuple[float, float] = (-5.0, 5.0), y_count: int = 51,
+                 z_range: tuple[float, float] = (-5.0, 5.0), z_count: int = 51):
+    t_range = (0.0, horizon if T is None else T)
+    return SampleGrid(t_range, t_count, y_range, y_count, z_range, z_count)
+
+
+def _check_certificate(run, *, grid: dict = None):
+    if run.generator is None or run.generator.certificate is None:
         raise ConfigError("generator.certificate", "missing; the certificate check needs one")
-    grid_params = check.params.get("grid", {})
-    grid = SampleGrid(
-        t_range=(0.0, number(grid_params, "T", "grid", float, cfg.model.horizon)),
-        t_count=number(grid_params, "t_count", "grid", int, 21),
-        y_range=tuple(numbers(grid_params, "y_range", "grid", float, (-5.0, 5.0), 2)),
-        y_count=number(grid_params, "y_count", "grid", int, 51),
-        z_range=tuple(numbers(grid_params, "z_range", "grid", float, (-5.0, 5.0), 2)),
-        z_count=number(grid_params, "z_count", "grid", int, 51),
-    )
-    return check_certificate(cfg.generator, cfg.generator.certificate, grid)
+    sample = _sample_grid(run.model.horizon, **bind(_sample_grid, grid or {}, "grid"))
+    return lambda: check_certificate(run.generator, run.generator.certificate, sample)
 
 
-def _check_uniqueness(cfg, check, tol):
-    return uniqueness_smoke_check(
-        cfg.generator, cfg.terminal, cfg.model.steps, cfg.model.horizon, tol, _solver(cfg.model)
+def _check_uniqueness_smoke(run, *, tol: float = 5e-3):
+    m = run.model
+    return lambda: uniqueness_smoke_check(
+        run.generator, run.terminal, m.steps, m.horizon, tol, _solver(m)
     )
 
 
-def _check_envelope_domination(cfg, check, tol):
-    env = _driver_envelope(cfg.generator, check.params, "")
-    rng = np.random.default_rng(cfg.model.seed)
-    pts = rng.uniform(-3, 3, size=(number(check.params, "points", "", int, 25), 3))
-    pts[:, 0] = np.abs(pts[:, 0]) / 3.0 * cfg.model.horizon
-    worst = -np.inf
-    where = {}
-    for t, y, z in pts:
-        gap = float(cfg.generator(t, y, z)) - env(t, y, z)
-        if gap > worst:
-            worst = gap
-            where = {"t": float(t), "y": float(y), "z": float(z)}
-    return VerificationReport.from_violation(
-        name="envelope-domination",
-        claim="the regularised driver dominates the driver pointwise",
-        violation=worst,
-        location=where,
-        tolerance=tol,
-    )
+def _check_envelope_domination(run, *, points: int = 25, tol: float = 0.0,
+                               **driver: _driver_envelope):
+    def check():
+        env = _driver_envelope(run.generator, **driver)
+        rng = np.random.default_rng(run.model.seed)
+        pts = rng.uniform(-3, 3, size=(points, 3))
+        pts[:, 0] = np.abs(pts[:, 0]) / 3.0 * run.model.horizon
+        worst = -np.inf
+        where = {}
+        for t, y, z in pts:
+            gap = float(run.generator(t, y, z)) - env(t, y, z)
+            if gap > worst:
+                worst = gap
+                where = {"t": float(t), "y": float(y), "z": float(z)}
+        return VerificationReport.from_violation(
+            name="envelope-domination",
+            claim="the regularised driver dominates the driver pointwise",
+            violation=worst,
+            location=where,
+            tolerance=tol,
+        )
+
+    return check
 
 
 CHECKS = {
-    "solver_oracle": (_check_solver_oracle, 1e-2),
-    "comparison": (_check_comparison, 1e-6),
-    "premise": (_check_premise, 0.0),
-    "dominance": (_check_dominance, 0.0),
-    "sandwich": (_check_sandwich, 1e-3),
-    "monotone_family": (_check_monotone_family, 1e-9),
-    "transform_residual": (_check_transform_residual, 0.0),
-    "bounds_oracle": (_check_bounds_oracle, 1e-5),
-    "certificate": (_check_certificate, 0.0),
-    "uniqueness_smoke": (_check_uniqueness, 5e-3),
-    "envelope_domination": (_check_envelope_domination, 0.0),
+    "solver_oracle": _check_solver_oracle,
+    "comparison": _check_comparison,
+    "premise": _check_premise,
+    "dominance": _check_dominance,
+    "sandwich": _check_sandwich,
+    "monotone_family": _check_monotone_family,
+    "transform_residual": _check_transform_residual,
+    "bounds_oracle": _check_bounds_oracle,
+    "certificate": _check_certificate,
+    "uniqueness_smoke": _check_uniqueness_smoke,
+    "envelope_domination": _check_envelope_domination,
 }
+
+# keys every check takes besides its own: a report name and the override sections
+_COMMON_KEYS = ("name", "generator", "terminal", "model")
 
 
 def _effective_config(cfg: RunConfig, check: CheckConfig) -> RunConfig:
     """Per-check generator/terminal/model sections override the top level."""
     p = check.params
-    if not any(k in p for k in ("generator", "terminal", "model")):
-        return cfg
-    raw = dict(cfg.raw)
-    if "generator" in p:
-        raw["generator"] = p["generator"]
-    if "terminal" in p:
-        raw["terminal"] = p["terminal"]
+    model = cfg.model
     if "model" in p:
-        raw["model"] = {**cfg.raw.get("model", {}), **p["model"]}
-    eff = RunConfig.from_dict(raw)
-    # keep CLI-applied seed/threads authoritative unless the check pins them
-    pinned = p.get("model", {})
-    kept = {k: getattr(cfg.model, k) for k in ("seed", "threads") if k not in pinned}
-    return replace(eff, model=replace(eff.model, **kept), checks=(), raw=cfg.raw)
+        model = ModelConfig.from_dict(p["model"], base=cfg.raw.get("model"))
+        # keep CLI-applied seed/threads authoritative unless the check pins them
+        kept = {k: getattr(cfg.model, k) for k in ("seed", "threads") if k not in p["model"]}
+        model = replace(model, **kept)
+    parsers = {"generator": parse_generator, "terminal": parse_terminal}
+    sections = {key: parse(p[key], key) for key, parse in parsers.items() if key in p}
+    return replace(cfg, model=model, **sections)
 
 
-def _report_row(check, report):
-    matched = report.status == check.expect
-    return (
-        check.params.get("name", report.name),
-        check.kind,
-        report.claim,
-        report.status,
-        check.expect,
-        "ok" if matched else "MISMATCH",
-        report.violation,
-        report.tolerance,
-        json.dumps(report.location, sort_keys=True),
-        "; ".join(report.notes),
-    )
+def _parse_check(cfg, check, tol):
+    """The check ready to run: its keys parsed, its sections applied; ``tol`` overrides."""
+    if check.kind not in CHECKS:
+        raise ConfigError("check", f"unknown kind; know {sorted(CHECKS)}")
+    fn = CHECKS[check.kind]
+    params = check.params
+    if check.kind == "bounds_oracle":  # keys it lacks come from the top-level bounds section
+        params = {**(cfg.bounds or {}), **params}
+    kwargs = bind(fn, params, "", _COMMON_KEYS)
+    if tol is not None and "tol" in kwargs:
+        kwargs["tol"] = tol
+    return fn(_effective_config(cfg, check), **kwargs)
 
 
 _REPORT_HEADER = (
-    "name",
-    "kind",
-    "claim",
-    "status",
-    "expect",
-    "outcome",
-    "violation",
-    "tolerance",
-    "location",
+    "name", "kind", "claim", "status", "expect", "outcome", "violation", "tolerance", "location",
     "notes",
 )
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    model = cfg.model
-    if args.seed is not None:
-        model = replace(model, seed=int(args.seed))
-    if args.threads is not None:
-        model = replace(model, threads=int(args.threads))
-    checks = cfg.checks
-    if args.tol is not None:
-        checks = tuple(replace(c, tol=float(args.tol)) for c in checks)
-    return replace(cfg, model=model, checks=checks)
+    given = {k: getattr(args, k) for k in ("seed", "threads") if getattr(args, k) is not None}
+    return replace(cfg, model=replace(cfg.model, **given))
 
 
-def _cmd_solve(cfg, out_dir, quiet):
+def _cmd_solve(cfg, out_dir, args):
     if cfg.generator is None or cfg.terminal is None:
         raise ConfigError("generator/terminal", "solve needs both sections")
-    sol = _solve_with(cfg.model, cfg.generator, cfg.terminal)
+    sol = _solve(cfg)
     path = os.path.join(out_dir, "solution.csv")
     _write_csv(path, ("t", "y_mean", "y_min", "y_max", "z_mean"), _solution_rows(sol))
-    if not quiet:
+    if not args.quiet:
         print(f"y0 = {sol.y0!r}")
         print(f"wrote {path}")
     return EXIT_OK, ["solution.csv"]
 
 
-def _cmd_bounds(cfg, out_dir, quiet):
-    env = _bounds_envelope(cfg.bounds or {}, cfg.model, "bounds")
+def _cmd_bounds(cfg, out_dir, args):
+    # a bounds oracle may keep its expected value in this section
+    keys = bind(_bounds_envelope, cfg.bounds or {}, "bounds", ("expected_U0",))
+    env = _bounds_envelope(cfg.model, "bounds", **keys)()
     rows = [
         (float(t), float(L), float(U))
         for t, L, U in zip(env.grid.nodes, env.lower, env.upper)
     ]
     path = os.path.join(out_dir, "bounds.csv")
     _write_csv(path, ("t", "L", "U"), rows)
-    if not quiet:
+    if not args.quiet:
         print(f"U0 = {env.upper[0]!r}, L0 = {env.lower[0]!r}")
         print(f"wrote {path}")
     return EXIT_OK, ["bounds.csv"]
 
 
-def _cmd_envelope(cfg, out_dir, quiet):
-    section = cfg.envelope or {}
+def _cmd_envelope(cfg, out_dir, args):
     if cfg.generator is None:
         raise ConfigError("generator", "envelope needs a generator section")
-    env = _driver_envelope(
-        cfg.generator,
-        section,
-        "envelope",
-        EnvelopeGrid(
-            radius=number(section, "radius", "envelope", float, 100.0),
-            nodes=number(section, "nodes", "envelope", int, 2001),
-            passes=number(section, "passes", "envelope", int, 3),
-        ),
-    )
-    t0 = number(section, "t", "envelope", float, 0.0)
-    z0 = number(section, "z", "envelope", float, 0.0)
-    ys = np.linspace(
-        number(section, "y_min", "envelope", float, -3.0),
-        number(section, "y_max", "envelope", float, 3.0),
-        number(section, "points", "envelope", int, 61),
-    )
-    rows = [
-        (float(y), float(cfg.generator(t0, y, z0)), env(t0, float(y), z0)) for y in ys
-    ]
+    rows = _envelope_rows(cfg.generator, **bind(_envelope_rows, cfg.envelope or {}, "envelope"))
     path = os.path.join(out_dir, "envelope.csv")
     _write_csv(path, ("y", "g", "envelope"), rows)
-    if not quiet:
+    if not args.quiet:
         print(f"wrote {path}")
     return EXIT_OK, ["envelope.csv"]
 
 
-def _cmd_verify(cfg, out_dir, quiet, per_check_files=False):
+def _cmd_verify(cfg, out_dir, args, per_check_files=False):
     if not cfg.checks:
         raise ConfigError("checks", "verify needs a non-empty checks list")
-    rows = []
-    outputs = []
-    all_matched = True
+    runs = []  # every check is parsed before the first one runs
     for idx, check in enumerate(cfg.checks):
-        if check.kind not in CHECKS:
-            raise ConfigError(f"checks[{idx}].check", f"unknown kind; know {sorted(CHECKS)}")
-        fn, default_tol = CHECKS[check.kind]
-        tol = check.tol if check.tol is not None else default_tol
         try:
-            report = fn(_effective_config(cfg, check), check, tol)
+            runs.append(_parse_check(cfg, check, args.tol))
         except ConfigError as exc:
             path = ".".join(filter(None, (f"checks[{idx}]", exc.path)))
             raise ConfigError(path, exc.message) from exc
-        row = _report_row(check, report)
-        rows.append(row)
+    rows = []
+    outputs = []
+    all_matched = True
+    for idx, (check, run) in enumerate(zip(cfg.checks, runs)):
+        report = run()
+        name = check.params.get("name", report.name)
         matched = report.status == check.expect
         all_matched = all_matched and matched
+        row = (name, check.kind, report.claim, report.status, check.expect,
+               "ok" if matched else "MISMATCH", report.violation, report.tolerance,
+               json.dumps(report.location, sort_keys=True), "; ".join(report.notes))
+        rows.append(row)
         if per_check_files:
-            label = check.params.get("name", report.name)
-            stem = f"check_{idx:02d}_{label.replace(':', '_').replace('/', '_')}.csv"
+            stem = f"check_{idx:02d}_{name.replace(':', '_').replace('/', '_')}.csv"
             _write_csv(os.path.join(out_dir, stem), _REPORT_HEADER, [row])
             outputs.append(stem)
-        if not quiet:
+        if not args.quiet:
             mark = "ok " if matched else "FAIL"
             print(
-                f"[{mark}] {check.params.get('name', report.name)}: status={report.status} "
+                f"[{mark}] {name}: status={report.status} "
                 f"expected={check.expect} violation={report.violation:.3g}"
             )
     _write_csv(os.path.join(out_dir, "reports.csv"), _REPORT_HEADER, rows)
@@ -547,7 +496,7 @@ def main(argv=None):
         return EXIT_CONFIG_ERROR
     os.makedirs(out_dir, exist_ok=True)
     try:
-        code, outputs = SUBCOMMANDS[args.subcommand](cfg, out_dir, args.quiet)
+        code, outputs = SUBCOMMANDS[args.subcommand](cfg, out_dir, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -9,9 +9,11 @@ Expressions appear verbatim in the file in the grammar of
 
 from __future__ import annotations
 
+import inspect
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+import typing
+from dataclasses import dataclass
+from typing import Literal, Optional
 
 from .certificates import CertificateError, certificate_from_dict
 from .expressions import ExpressionError, ParseError
@@ -19,12 +21,10 @@ from .generators import Generator, TerminalCondition
 
 __all__ = [
     "ConfigError", "ModelConfig", "CheckConfig", "RunConfig", "load_config",
-    "parse_generator", "parse_terminal", "number", "numbers",
+    "parse_generator", "parse_terminal", "number", "numbers", "bind",
 ]
 
-BACKENDS = ("tree", "mc-regression")
-SCHEMES = ("explicit", "implicit")
-_REQUIRED = object()
+_REQUIRED = inspect.Parameter.empty  # what a parameter without a default holds
 
 
 class ConfigError(ValueError):
@@ -34,6 +34,10 @@ class ConfigError(ValueError):
         self.path = path
         self.message = message
         super().__init__(f"{path}: {message}")
+
+
+def _at(path, key):
+    return ".".join(filter(None, (path, key)))
 
 
 def _need(mapping, key, path, kind=None):
@@ -50,7 +54,7 @@ def number(mapping, key, path, kind=float, default=_REQUIRED):
 
     Without a ``default`` the key is required.  Errors name ``path.key``.
     """
-    where = ".".join(filter(None, (path, key)))
+    where = _at(path, key)
     value = mapping.get(key)
     if value is None:
         if default is _REQUIRED:
@@ -67,7 +71,7 @@ def numbers(mapping, key, path, kind=float, default=_REQUIRED, length=None):
     values = mapping.get(key, None if default is _REQUIRED else default)
     if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
         what = "a list" if length is None else f"a list of {length}"
-        raise ConfigError(".".join(filter(None, (path, key))), f"expected {what}, got {values!r}")
+        raise ConfigError(_at(path, key), f"expected {what}, got {values!r}")
     return [number({f"{key}[{i}]": v}, f"{key}[{i}]", path, kind) for i, v in enumerate(values)]
 
 
@@ -104,52 +108,104 @@ def parse_terminal(raw, path):
         raise ConfigError(f"{path}.bound", str(exc)) from exc
 
 
+def bind(fn, mapping, path, common=()):
+    """Keyword arguments for ``fn``, read from ``mapping`` by its keyword-only parameters.
+
+    A parameter's annotation picks the parser: ``float`` or ``int``
+    (:func:`number`), ``list[float]`` or ``tuple[float, float]``
+    (:func:`numbers`), ``Generator`` or ``TerminalCondition`` (their section
+    parsers), ``Literal[...]`` (one of its values), ``dict`` (an object); any
+    other value is taken as it is.  A parameter without a default is a
+    required key, and ``**rest: f`` adds the keys of function ``f``.  A key
+    that names no parameter, nor one of ``common``, is an error.  Errors name
+    ``path.key``.
+    """
+    params = list(_keywords(fn))
+    names = [p.name for p in params]
+    unknown = [key for key in mapping if key not in names and key not in common]
+    if unknown:
+        raise ConfigError(_at(path, unknown[0]), f"unknown key; expected one of {names}")
+    return {p.name: _read(p.annotation, mapping, p.name, path, p.default) for p in params}
+
+
+def _keywords(fn):
+    for p in inspect.signature(fn, eval_str=True).parameters.values():
+        if p.kind is p.KEYWORD_ONLY:
+            yield p
+        elif p.kind is p.VAR_KEYWORD and p.annotation is not p.empty:
+            yield from _keywords(p.annotation)
+
+
+def _read(kind, mapping, key, path, default):
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if kind in (float, int):
+        return number(mapping, key, path, kind, default)
+    if origin is list:
+        return numbers(mapping, key, path, args[0], default)
+    if origin is tuple:
+        return tuple(numbers(mapping, key, path, args[0], default, len(args)))
+    if kind in (Generator, TerminalCondition):
+        parse = parse_generator if kind is Generator else parse_terminal
+        return parse(mapping.get(key), _at(path, key))
+    value = mapping.get(key, default)
+    if value is _REQUIRED:
+        raise ConfigError(_at(path, key), "missing")
+    if origin is Literal and value not in args:
+        raise ConfigError(_at(path, key), f"must be one of {args}")
+    if kind is dict and not isinstance(value, (dict, type(None))):
+        raise ConfigError(_at(path, key), "must be an object")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    horizon: float = 1.0
-    steps: int = 200
-    backend: str = "tree"
-    scheme: str = "explicit"
-    seed: int = 0
-    paths: int = 20000
-    basis_degree: int = 3
-    threads: int = 1
-    z_clamp: Optional[float] = None
+    horizon: float
+    steps: int
+    backend: str
+    scheme: str
+    seed: int
+    paths: int
+    basis_degree: int
+    threads: int
+    z_clamp: Optional[float]
 
     @classmethod
-    def from_dict(cls, raw, path="model"):
-        if not isinstance(raw, dict):
-            raise ConfigError(path, "must be an object")
-        cfg = cls(
-            horizon=number(raw, "T", path, float, 1.0),
-            steps=number(raw, "N", path, int, 200),
-            backend=raw.get("backend", "tree"),
-            scheme=raw.get("scheme", "explicit"),
-            seed=number(raw, "seed", path, int, 0),
-            paths=number(raw, "paths", path, int, 20000),
-            basis_degree=number(raw, "basis_degree", path, int, 3),
-            threads=number(raw, "threads", path, int, 1),
-            z_clamp=number(raw, "z_clamp", path, float, None),
-        )
-        if cfg.horizon <= 0:
-            raise ConfigError(f"{path}.T", "must be > 0")
-        if cfg.steps < 1:
-            raise ConfigError(f"{path}.N", "must be >= 1")
-        if cfg.backend not in BACKENDS:
-            raise ConfigError(f"{path}.backend", f"must be one of {BACKENDS}")
-        if cfg.scheme not in SCHEMES:
-            raise ConfigError(f"{path}.scheme", f"must be one of {SCHEMES}")
-        if cfg.threads < 1:
-            raise ConfigError(f"{path}.threads", "must be >= 1")
+    def from_dict(cls, raw, path="model", base=None):
+        """The model section at ``path``, its keys laid over those of ``base``."""
+
+        def keys(
+            *, T: float = 1.0, N: int = 200, backend: Literal["tree", "mc-regression"] = "tree",
+            scheme: Literal["explicit", "implicit"] = "explicit", seed: int = 0,
+            paths: int = 20000, basis_degree: int = 3, threads: int = 1, z_clamp: float = None,
+        ):
+            return cls(T, N, backend, scheme, seed, paths, basis_degree, threads, z_clamp)
+
+        cfg = keys(**bind(keys, {**(base or {}), **_section(raw, path)}, path))
+        rules = [
+            ("T", cfg.horizon > 0, "must be > 0"),
+            ("N", cfg.steps >= 1, "must be >= 1"),
+            ("threads", cfg.threads >= 1, "must be >= 1"),
+            ("z_clamp", cfg.z_clamp is None or cfg.z_clamp > 0, "must be > 0"),
+        ]
+        if cfg.backend == "mc-regression":
+            rules += [
+                ("basis_degree", cfg.basis_degree >= 1, "must be >= 1 under mc-regression"),
+                ("paths", cfg.paths >= 10 * (cfg.basis_degree + 1),
+                 "must be at least 10 (basis_degree + 1) under mc-regression"),
+            ]
+        for key, ok, message in rules:
+            if not ok:
+                raise ConfigError(f"{path}.{key}", message)
         return cfg
 
 
 @dataclass(frozen=True)
 class CheckConfig:
+    """One check: its kind, the expected outcome, and every other key as given."""
+
     kind: str
-    tol: Optional[float]
     expect: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
     @classmethod
     def from_dict(cls, raw, path):
@@ -159,14 +215,8 @@ class CheckConfig:
         expect = raw.get("expect", "pass")
         if expect not in ("pass", "fail"):
             raise ConfigError(f"{path}.expect", "must be 'pass' or 'fail'")
-        tol = number(raw, "tol", path, default=None)
-        params = {
-            k: v for k, v in raw.items() if k not in ("check", "tol", "expect", "name")
-        }
-        if "name" in raw:
-            params["name"] = raw["name"]
-        return cls(kind=kind, tol=tol, expect=expect, params=params)
-
+        params = {k: v for k, v in raw.items() if k not in ("check", "expect")}
+        return cls(kind=kind, expect=expect, params=params)
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -182,31 +232,25 @@ class RunConfig:
     def from_dict(cls, raw):
         if not isinstance(raw, dict):
             raise ConfigError("<root>", "config must be a JSON object")
-        model = ModelConfig.from_dict(raw.get("model", {}))
-        generator = parse_generator(raw["generator"], "generator") if "generator" in raw else None
-        terminal = parse_terminal(raw["terminal"], "terminal") if "terminal" in raw else None
-        checks = []
         raw_checks = raw.get("checks", [])
         if not isinstance(raw_checks, list):
             raise ConfigError("checks", "must be a list")
-        for i, item in enumerate(raw_checks):
-            checks.append(CheckConfig.from_dict(item, f"checks[{i}]"))
-        bounds = raw.get("bounds")
-        if bounds is not None and not isinstance(bounds, dict):
-            raise ConfigError("bounds", "must be an object")
-        envelope = raw.get("envelope")
-        if envelope is not None and not isinstance(envelope, dict):
-            raise ConfigError("envelope", "must be an object")
+        for key in ("bounds", "envelope"):
+            if raw.get(key) is not None and not isinstance(raw[key], dict):
+                raise ConfigError(key, "must be an object")
+        model = ModelConfig.from_dict(raw.get("model", {}))
+        generator = parse_generator(raw["generator"], "generator") if "generator" in raw else None
+        terminal = parse_terminal(raw["terminal"], "terminal") if "terminal" in raw else None
+        checks = tuple(CheckConfig.from_dict(c, f"checks[{i}]") for i, c in enumerate(raw_checks))
         return cls(
             model=model,
             generator=generator,
             terminal=terminal,
-            checks=tuple(checks),
-            bounds=bounds,
-            envelope=envelope,
+            checks=checks,
+            bounds=raw.get("bounds"),
+            envelope=raw.get("envelope"),
             raw=raw,
         )
-
 
 def load_config(path):
     try:

@@ -356,6 +356,10 @@ def _generate(root, variables):
                 return value
         return text, prec
 
+    def fresh(x):
+        # a bare variable is the caller's own array; ``+v`` evaluates to a new one
+        return (f"+{x[0]}", _PREC_UNARY) if x in names.values() else x
+
     def visit(node):
         if isinstance(node, Num):
             return node.value if math.isfinite(node.value) else (repr(node.value), _PREC_ATOM)
@@ -387,12 +391,13 @@ def _generate(root, variables):
             prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
             return step(f"{code(a, prec)} {node.op} {code(b, prec + 1)}", prec, a, b)
         if isinstance(b, float) and b == math.floor(b) and 0 <= b <= _MAX_CHAIN:
-            return step(f"_chain({code(a)}, {int(b)}, {src})", _PREC_ATOM, a)
+            base = fresh(a) if b == 1 else a  # x^1 is x itself
+            return step(f"_chain({code(base)}, {int(b)}, {src})", _PREC_ATOM, a)
         negative = not isinstance(b, float) or b != math.floor(b) and not _nonnegative(node.lhs)
         flags = f", {negative}, {not isinstance(b, float) or b < 0}"
         return step(f"_power({code(a)}, {code(b)}, {src}{flags})", _PREC_ATOM, a, b)
 
-    result = visit(root)
+    result = fresh(visit(root))
     text = code(result)
     if not isinstance(result, float):
         text = f"_finite({text}, 'non-finite result', {_to_source(root)!r})"

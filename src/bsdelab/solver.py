@@ -213,11 +213,12 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, picard_tol, picard_cap,
     """
     if scheme not in ("explicit", "implicit"):
         raise ValueError("scheme must be 'explicit' or 'implicit'")
+    if z_clamp is not None and not z_clamp > 0:
+        raise ValueError(f"z_clamp must be > 0, got {z_clamp!r}")
     steps = grid.steps
     dt = grid.dt
     xi.check_bound(states)
-    # a copy: the payoff w returns its input, which may be a read-only ensemble row
-    y_rows = [None] * steps + [np.array(xi(states), dtype=float)]
+    y_rows = [None] * steps + [np.asarray(xi(states), dtype=float)]
     _finite_or_raise(y_rows[steps], steps, grid.horizon, "terminal payoff")
     z_rows = [None] * steps
     clamped = False

@@ -297,6 +297,19 @@ def monotone_family_check(
     )
 
 
+def _one_step_residuals(sol, g, rows=None):
+    """Per tree level: t_i and |y_i - E_i - g(t_i, y_i, z_i) dt| (implicit form), E_i the
+    tree average of y_{i+1}; ``rows`` yields (y_i, z_i, y_{i+1}), by default the solution's."""
+    if sol.backend != "tree":
+        raise ValueError("one-step residuals are defined on tree solutions")
+    dt = sol.grid.dt
+    rows = zip(sol.y, sol.z, sol.y[1:]) if rows is None else rows
+    for t, (y, z, nxt) in zip(map(float, sol.grid.nodes), rows):
+        y, nxt = np.asarray(y), np.asarray(nxt)
+        E = 0.5 * (nxt[1:] + nxt[:-1])
+        yield t, np.abs(y - E - np.asarray(g(t, y, np.asarray(z))) * dt)
+
+
 def transform_residual_check(sol, g, gamma, residual_coefficient=0.05):
     """One-step residual of the exponentially transformed pair.
 
@@ -305,28 +318,25 @@ def transform_residual_check(sol, g, gamma, residual_coefficient=0.05):
     calibrated on the exactly-cancelling quadratic driver instance (observed
     ratio <= 0.0094 for 100 <= steps <= 800) with a 5x safety factor.
     """
-    if sol.backend != "tree":
-        raise ValueError("the residual check runs on tree solutions")
-    G = exp_transform_generator(g, gamma)
-    dt = sol.grid.dt
+
+    def transformed():
+        for y, z, nxt in zip(sol.y, sol.z, sol.y[1:]):
+            Y, Z = exp_transform_solution(y, z, gamma)
+            if np.any(Y <= 0):
+                raise RuntimeError(
+                    "transformed value hit Y <= 0, which positive exponentials "
+                    "cannot do; this indicates a solver defect"
+                )
+            yield Y, Z, np.exp(gamma * np.asarray(nxt))
+
     worst = 0.0
     where = {}
-    for i in range(sol.grid.steps):
-        t = float(sol.grid.nodes[i])
-        Y_here, Z_here = exp_transform_solution(np.asarray(sol.y[i]), np.asarray(sol.z[i]), gamma)
-        if np.any(Y_here <= 0):
-            raise RuntimeError(
-                "transformed value hit Y <= 0, which positive exponentials "
-                "cannot do; this indicates a solver defect"
-            )
-        Y_next = np.exp(gamma * np.asarray(sol.y[i + 1]))
-        E = 0.5 * (Y_next[1:] + Y_next[:-1])
-        resid = np.abs(Y_here - E - np.asarray(G(t, Y_here, Z_here)) * dt)
+    for t, resid in _one_step_residuals(sol, exp_transform_generator(g, gamma), transformed()):
         k = int(np.argmax(resid))
         if resid[k] > worst:
             worst = float(resid[k])
             where = {"t": t, "index": k}
-    tol = residual_coefficient * dt**1.5
+    tol = residual_coefficient * sol.grid.dt**1.5
     return VerificationReport.from_violation(
         name="transform-residual",
         claim="the transformed pair satisfies the one-step recursion for the "
@@ -339,19 +349,7 @@ def transform_residual_check(sol, g, gamma, residual_coefficient=0.05):
 
 def one_step_residual(sol, g):
     """Worst |y_i - E_i - g(t_i, y_i, z_i) dt| over the tree (implicit form)."""
-    if sol.backend != "tree":
-        raise ValueError("one-step residuals are defined on tree solutions")
-    dt = sol.grid.dt
-    worst = 0.0
-    for i in range(sol.grid.steps):
-        t = float(sol.grid.nodes[i])
-        nxt = np.asarray(sol.y[i + 1])
-        E = 0.5 * (nxt[1:] + nxt[:-1])
-        row = np.asarray(sol.y[i])
-        z = np.asarray(sol.z[i])
-        resid = np.abs(row - E - np.asarray(g(t, row, z)) * dt)
-        worst = max(worst, float(np.max(resid)))
-    return worst
+    return max([0.0] + [float(np.max(resid)) for _, resid in _one_step_residuals(sol, g)])
 
 
 def uniqueness_smoke_check(g, xi, steps, horizon=1.0, tol=5e-3, solve=None, **solver_kw):

@@ -174,6 +174,149 @@ class TestCheckConfigErrors:
         assert "config error" in err and where in err, err
 
 
+
+@pytest.fixture
+def solve_counts(monkeypatch):
+    """Solves run through either backend, counted wherever ``cli`` or ``verify`` call them."""
+    import bsdelab.cli as cli
+    import bsdelab.verify as verify
+
+    counts = {"tree": 0, "mc-regression": 0}
+    for module in (cli, verify):
+        for name, backend in (("solve_tree", "tree"), ("solve_mc_regression", "mc-regression")):
+            real = getattr(module, name, None)
+            if real is not None:
+                def counted(*args, _real=real, _backend=backend, **kwargs):
+                    counts[_backend] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def run_checks(tmp_path, checks, model=None, *flags):
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": model or {"N": 20, "scheme": "implicit"},
+            "generator": {"expr": "-1"},
+            "terminal": {"expr": "w"},
+            "checks": checks,
+        },
+    )
+    return main(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet", *flags])
+
+
+class TestCheckKeys:
+    """Each kind's keys are declared once; anything else is a config error before any solve."""
+
+    ORACLE = {"check": "solver_oracle", "expected": 0.0, "tol": 10.0}
+
+    def test_typo_in_last_check_stops_before_the_first_solve(
+        self, tmp_path, capsys, solve_counts
+    ):
+        checks = [self.ORACLE, {"check": "uniqueness_smoke"}, {"check": "comparison",
+                  "generator_prime": {"expr": "0"}, "terminal_prime": {"expr": "w"}},
+                  {"check": "monotone_family", "n_lsit": [1, 2]}]
+        assert run_checks(tmp_path, checks) == EXIT_CONFIG_ERROR
+        assert "config error: checks[3].n_lsit: unknown key" in capsys.readouterr().err
+        assert solve_counts == {"tree": 0, "mc-regression": 0}
+        assert not (tmp_path / "reports.csv").exists()
+
+    @pytest.mark.parametrize(
+        "check, where",
+        [
+            ({"check": "solver_oracle", "expected": 0.0, "tolerance": 1}, "checks[1].tolerance"),
+            ({"check": "premise", "generator_prime": {"expr": "0"},
+              "terminal_prime": {"expr": "w"}, "which": "along_primed"}, "checks[1].which"),
+            ({"check": "dominance", "generator_prime": {"expr": "0"}, "side": "left"},
+             "checks[1].side"),
+            ({"check": "certificate", "grid": [1, 2], "generator": {
+                "expr": "-y", "certificate": {"kind": "convexity_z"}}}, "checks[1].grid"),
+            ({"check": "certificate", "grid": {"y_cuont": 3}, "generator": {
+                "expr": "-y", "certificate": {"kind": "convexity_z"}}}, "checks[1].grid.y_cuont"),
+            ({"check": "envelope_domination", "growth": "linear"}, "checks[1].growth"),
+            ({"check": "certificate", "tol": 0.1, "generator": {
+                "expr": "-y", "certificate": {"kind": "convexity_z"}}}, "checks[1].tol"),
+            ({"check": "uniqueness_smoke", "model": {"step": 10}}, "checks[1].model.step"),
+            ({"check": "uniqueness_smoke", "model": 10}, "checks[1].model: must be an object"),
+            ({"check": "bounds_oracle", "expected_U0": 4.4, "u": "1", "l": "1 + abs(x)",
+              "xi_bound": 1.0, "n": 64}, "checks[1].n"),
+            ({"check": "checkerboard"}, "checks[1].check: unknown kind"),
+            ({"check": "monotone_family", "n_list": [2, 1]}, "checks[1].n_list"),
+        ],
+    )
+    def test_bad_key_names_its_path(self, tmp_path, capsys, solve_counts, check, where):
+        assert run_checks(tmp_path, [self.ORACLE, check]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert f"config error: {where}" in err, err
+        assert solve_counts == {"tree": 0, "mc-regression": 0}
+
+    def test_transform_residual_needs_the_tree(self, tmp_path, capsys, solve_counts):
+        checks = [self.ORACLE, {"check": "transform_residual"}]
+        model = {"N": 10, "backend": "mc-regression", "paths": 2000, "basis_degree": 2}
+        assert run_checks(tmp_path, checks, model) == EXIT_CONFIG_ERROR
+        assert "config error: checks[1].model.backend" in capsys.readouterr().err
+        assert solve_counts == {"tree": 0, "mc-regression": 0}
+
+    def test_tol_override_skips_kinds_without_a_tolerance(self, tmp_path):
+        checks = [self.ORACLE, {"check": "certificate", "generator": {
+            "expr": "-y", "certificate": {"kind": "convexity_z"}}}]
+        assert run_checks(tmp_path, checks, None, "--tol", "1e-12") == EXIT_CHECK_FAILED
+        rows = read_csv(tmp_path / "reports.csv")
+        assert [r["status"] for r in rows] == ["fail", "pass"]
+
+    def test_bounds_oracle_reads_the_bounds_section(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "model": {"T": 1.0, "N": 64},
+            "bounds": {"u": "1", "l": "1 + abs(x)", "xi_bound": 1.0, "expected_U0": 2 * math.e - 1},
+            "checks": [{"check": "bounds_oracle"}],
+        })
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+
+
+class TestModelKeys:
+    @pytest.mark.parametrize(
+        "model, where",
+        [
+            ({"step": 100}, "model.step"),
+            ({"z_clamp": 0}, "model.z_clamp"),
+            ({"z_clamp": -1.0}, "model.z_clamp"),
+            ({"scheme": "crank-nicolson"}, "model.scheme"),
+            ({"backend": "mc-regression", "paths": 5}, "model.paths"),
+            ({"backend": "mc-regression", "basis_degree": 2, "paths": 29}, "model.paths"),
+            ({"backend": "mc-regression", "basis_degree": 0}, "model.basis_degree"),
+        ],
+    )
+    def test_top_level_and_per_check(self, tmp_path, capsys, model, where):
+        cfg = write_config(
+            tmp_path, {"model": model, "generator": {"expr": "0"}, "terminal": {"expr": "w"}}
+        )
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert f"config error: {where}" in capsys.readouterr().err
+        check = {"check": "uniqueness_smoke", "model": model}
+        assert run_checks(tmp_path, [check]) == EXIT_CONFIG_ERROR
+        assert f"config error: checks[0].{where}" in capsys.readouterr().err
+
+    def test_threads_stays_a_known_key(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "model": {"N": 10, "threads": 4}, "generator": {"expr": "0"}, "terminal": {"expr": "w"}
+        })
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+
+
+class TestSectionKeys:
+    @pytest.mark.parametrize(
+        "command, section, key",
+        [("bounds", {"u": "1", "l": "1 + abs(x)", "xi_bound": 1.0}, "xi_bonud"),
+         ("envelope", {"growth": {"f": "0", "u": "1", "v": "0"}}, "ponits")],
+    )
+    def test_unknown_key(self, tmp_path, capsys, command, section, key):
+        cfg = write_config(tmp_path, {"generator": {"expr": "-y^2"}, command: {**section, key: 1}})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert f"config error: {command}.{key}: unknown key" in capsys.readouterr().err
+
 class TestSolveCommand:
     def test_zero_driver_martingale(self, tmp_path):
         cfg = write_config(

@@ -262,6 +262,19 @@ def test_small_integer_power_is_a_product():
     assert np.array_equal(parse_univariate("y^5")(y), np.power(y, 5.0))
 
 
+
+@pytest.mark.parametrize("source", ["w", "w^1", "(w^1)^1"])
+def test_result_is_never_the_argument(source):
+    # a caller that writes into the result must not write into its input
+    a = np.array([1.0, -2.0, -0.0])
+    before = a.copy()
+    out = parse_expression(source, variables=("w",))(a)
+    assert out is not a and not np.shares_memory(out, a)
+    assert np.array_equal(out, before) and math.copysign(1.0, out[2]) == -1.0
+    out[:] = 7.0
+    assert np.array_equal(a, before)
+    assert np.array_equal(parse_expression(source, variables=("w",))(a[::-1]), before[::-1])
+
 class TestUnivariate:
     def test_any_single_variable_name(self):
         for source in ("x", "1 + abs(y)", "1 + abs(x)"):

@@ -294,6 +294,16 @@ class TestBackwardSweep:
         assert unclamped.conforming
         assert not unclamped.diagnostics["z_clamped"]
 
+    @pytest.mark.parametrize("z_clamp", [0.0, -1.0, math.nan])
+    def test_z_clamp_must_be_positive(self, z_clamp):
+        # np.clip(z, 1, -1) would set every z to -1: y0 = -1 where the answer is 1
+        for solve in (
+            lambda: solve_tree(Generator.parse("z"), B_T, 50, z_clamp=z_clamp),
+            lambda: solve_mc_regression(ZERO, B_T, 16, 2000, 2, seed=0, z_clamp=z_clamp),
+        ):
+            with pytest.raises(ValueError, match="z_clamp must be > 0"):
+                solve()
+
 
 class TestDiscreteSolution:
     def test_all_values_finite(self):
