@@ -38,9 +38,8 @@ def main(argv=None):
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["y", "g"] + [f"envelope_n{n}" for n in args.ns])
-        for y in ys:
-            row = [repr(float(y)), repr(float(g(0.0, float(y), 0.0)))]
-            writer.writerow(row + [repr(envs[n](0.0, float(y), 0.0)) for n in args.ns])
+        columns = [ys, g(0.0, ys, 0.0)] + [envs[n](0.0, ys, 0.0) for n in args.ns]
+        writer.writerows([repr(v) for v in row] for row in zip(*(c.tolist() for c in columns)))
     print(f"wrote {args.out} ({args.points} rows, n in {args.ns})")
     return 0
 

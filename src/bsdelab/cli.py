@@ -45,6 +45,7 @@ from .config import (
     parse_terminal,
 )
 from .envelopes import EnvelopeGrid, LinearGrowthBound, sup_convolution_generator
+from .expressions import Expression
 from .generators import Generator, TerminalCondition, WeightFn
 from .ode_bounds import BlowUpError, TimeGrid, sandwich_envelope
 from .report import VerificationReport
@@ -155,8 +156,8 @@ def _solution_rows(sol):
     return rows
 
 
-def _bounds_envelope(model, path, *, u: str = None, l: str = None, xi_bound: float = None,
-                     T: float = None, N: int = None):
+def _bounds_envelope(model, path, *, u: Expression = None, l: Expression = None,
+                     xi_bound: float = None, T: float = None, N: int = None):
     """The keys of a bounds section; returns a function that builds the ODE sandwich."""
     missing = [k for k, v in (("u", u), ("l", l), ("xi_bound", xi_bound)) if v is None]
     if missing:
@@ -165,15 +166,16 @@ def _bounds_envelope(model, path, *, u: str = None, l: str = None, xi_bound: flo
     return partial(sandwich_envelope, xi_bound, WeightFn.parse(u), l, grid)
 
 
-def _driver_envelope(generator, grid=None, *, growth: dict = None, n: int = 2, u_w: str = "1",
-                     v_w: str = "1"):
+def _growth_bound(*, f: Expression = "0", u: Expression = "1", v: Expression = "1"):
+    """The keys of a growth section: the driver is at most f(t) + u(t)|y| + v(t)|z|."""
+    return LinearGrowthBound.from_parts(f, u, v)
+
+
+def _driver_envelope(generator, grid=None, *, growth: _growth_bound = None, n: int = 2,
+                     u_w: Expression = "1", v_w: Expression = "1"):
     """Sup-convolution majorant; without a growth section the driver's certificate sizes it."""
-    if growth:
-        growth = LinearGrowthBound.from_parts(
-            growth.get("f", "0"), growth.get("u", "1"), growth.get("v", "1")
-        )
     return sup_convolution_generator(
-        generator, n, WeightFn.parse(u_w), WeightFn.parse(v_w), grid, growth=growth or None
+        generator, n, WeightFn.parse(u_w), WeightFn.parse(v_w), grid, growth=growth
     )
 
 
@@ -182,8 +184,8 @@ def _envelope_rows(g, *, radius: float = 100.0, nodes: int = 2001, passes: int =
                    points: int = 61, **driver: _driver_envelope):
     """The keys of an envelope section; returns the sweep's rows (y, g, envelope)."""
     env = _driver_envelope(g, EnvelopeGrid(radius, nodes, passes), **driver)
-    return [(float(y), float(g(t, y, z)), env(t, float(y), z))
-            for y in np.linspace(y_min, y_max, points)]
+    ys = np.linspace(y_min, y_max, points)
+    return list(zip(ys.tolist(), g(t, ys, z).tolist(), env(t, ys, z).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +296,21 @@ def _check_uniqueness_smoke(run, *, tol: float = 5e-3):
 
 def _check_envelope_domination(run, *, points: int = 25, tol: float = 0.0,
                                **driver: _driver_envelope):
+    if points < 1:
+        raise ConfigError("points", "must be >= 1")
+    env = _driver_envelope(run.generator, **driver)
+
     def check():
-        env = _driver_envelope(run.generator, **driver)
         rng = np.random.default_rng(run.model.seed)
-        pts = rng.uniform(-3, 3, size=(points, 3))
-        pts[:, 0] = np.abs(pts[:, 0]) / 3.0 * run.model.horizon
-        worst = -np.inf
-        where = {}
-        for t, y, z in pts:
-            gap = float(run.generator(t, y, z)) - env(t, y, z)
-            if gap > worst:
-                worst = gap
-                where = {"t": float(t), "y": float(y), "z": float(z)}
+        t, y, z = rng.uniform(-3, 3, size=(points, 3)).T
+        t = np.abs(t) / 3.0 * run.model.horizon
+        gaps = run.generator(t, y, z) - env(t, y, z)
+        worst = int(np.argmax(gaps))
         return VerificationReport.from_violation(
             name="envelope-domination",
             claim="the regularised driver dominates the driver pointwise",
-            violation=worst,
-            location=where,
+            violation=float(gaps[worst]),
+            location={"t": float(t[worst]), "y": float(y[worst]), "z": float(z[worst])},
             tolerance=tol,
         )
 

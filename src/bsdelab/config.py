@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Literal, Optional
 
 from .certificates import CertificateError, certificate_from_dict
-from .expressions import ExpressionError, ParseError
-from .generators import Generator, TerminalCondition
+from .expressions import Expression, ExpressionError
+from .generators import Generator, TerminalCondition, _as_univariate
 
 __all__ = [
     "ConfigError", "ModelConfig", "CheckConfig", "RunConfig", "load_config",
@@ -88,7 +88,7 @@ def parse_generator(raw, path):
         generator = Generator.parse(_need(section, "expr", path, str))
         if section.get("certificate") is not None:
             generator = generator.with_certificate(certificate_from_dict(section["certificate"]))
-    except (ParseError, ExpressionError) as exc:
+    except ExpressionError as exc:
         raise ConfigError(f"{path}.expr", str(exc)) from exc
     except CertificateError as exc:
         raise ConfigError(f"{path}.certificate", str(exc)) from exc
@@ -102,7 +102,7 @@ def parse_terminal(raw, path):
     bound = number(section, "bound", path, default=None)
     try:
         return TerminalCondition.parse(source, bound=bound)
-    except (ParseError, ExpressionError) as exc:
+    except ExpressionError as exc:
         raise ConfigError(f"{path}.expr", str(exc)) from exc
     except ValueError as exc:
         raise ConfigError(f"{path}.bound", str(exc)) from exc
@@ -114,11 +114,12 @@ def bind(fn, mapping, path, common=()):
     A parameter's annotation picks the parser: ``float`` or ``int``
     (:func:`number`), ``list[float]`` or ``tuple[float, float]``
     (:func:`numbers`), ``Generator`` or ``TerminalCondition`` (their section
-    parsers), ``Literal[...]`` (one of its values), ``dict`` (an object); any
-    other value is taken as it is.  A parameter without a default is a
-    required key, and ``**rest: f`` adds the keys of function ``f``.  A key
-    that names no parameter, nor one of ``common``, is an error.  Errors name
-    ``path.key``.
+    parsers), ``Expression`` (a one-variable expression, or a number),
+    ``Literal[...]`` (one of its values), ``dict`` (an object), a function
+    (an object whose keys are the function's, passed to it); any other value
+    is taken as it is.  A parameter without a default is a required key, and
+    ``**rest: f`` adds the keys of function ``f``.  A key that names no
+    parameter, nor one of ``common``, is an error.  Errors name ``path.key``.
     """
     params = list(_keywords(fn))
     names = [p.name for p in params]
@@ -150,6 +151,13 @@ def _read(kind, mapping, key, path, default):
     value = mapping.get(key, default)
     if value is _REQUIRED:
         raise ConfigError(_at(path, key), "missing")
+    if kind is Expression and value is not None:
+        try:
+            return _as_univariate(value, "t")
+        except (ExpressionError, TypeError) as exc:
+            raise ConfigError(_at(path, key), str(exc)) from exc
+    if inspect.isfunction(kind) and value is not None:
+        return kind(**bind(kind, _section(value, _at(path, key)), _at(path, key)))
     if origin is Literal and value not in args:
         raise ConfigError(_at(path, key), f"must be one of {args}")
     if kind is dict and not isinstance(value, (dict, type(None))):
@@ -215,6 +223,8 @@ class CheckConfig:
         expect = raw.get("expect", "pass")
         if expect not in ("pass", "fail"):
             raise ConfigError(f"{path}.expect", "must be 'pass' or 'fail'")
+        if not isinstance(raw.get("name", ""), str):
+            raise ConfigError(f"{path}.name", "must be a string")
         params = {k: v for k, v in raw.items() if k not in ("check", "expect")}
         return cls(kind=kind, expect=expect, params=params)
 

@@ -90,24 +90,26 @@ def linearize_phi(phi, a, b, n, x):
 def _golden_argmax(f, lo, hi, iters=64):
     """Vectorised golden-section maximisation of f on [lo, hi] per element.
 
-    Both probe points go through f in one stacked call per iteration, which
-    matters when f is an interpreted expression with per-call overhead.  The
-    probes share one buffer and the brackets shrink in place, so a step
-    allocates nothing but f's own result.
+    Both probe points go through f in one stacked call per iteration, as a
+    ``(2, m)`` array whose rows are the lower and the upper probes, which
+    matters when f is an interpreted expression with per-call overhead; f may
+    return its values in any shape of 2m elements.  The probes share one
+    buffer and the brackets shrink in place, so a step allocates nothing but
+    f's own result.
     """
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
     m = a.size
-    probes = np.empty(2 * m)
-    c, d = probes[:m], probes[m:]
+    probes = np.empty((2, m))
+    c, d = probes
     span = np.empty(m)
     keep_left = np.empty(m, dtype=bool)
     for _ in range(iters):
         np.multiply(np.subtract(b, a, out=span), _GOLDEN, out=span)
         np.subtract(b, span, out=c)
         np.add(a, span, out=d)
-        vals = np.asarray(f(probes))
-        np.greater(vals[:m], vals[m:], out=keep_left)
+        vals = np.asarray(f(probes)).reshape(2, m)
+        np.greater(vals[0], vals[1], out=keep_left)
         np.copyto(b, d, where=keep_left)
         np.copyto(a, c, where=~keep_left)
     mid = 0.5 * (a + b)
@@ -275,6 +277,69 @@ def _growth_from_certificate(g, kind):
     )
 
 
+# Points per block of a batched descent.  At the default 2001 nodes a point
+# holds about 65 kB of node arrays while its block runs.
+_BLOCK = 64
+
+
+_PY_POW = np.frompyfunc(pow, 2, 1)
+
+
+def _libm_power(base, exponent):
+    """base ** exponent per element by the C library's pow, as a Python float
+    computes it; numpy's vectorised power may differ from it in the last bit."""
+    return np.asarray(_PY_POW(base, exponent), dtype=float)
+
+
+def _node_grid(lo, hi, nodes):
+    """Column i is np.linspace(lo[i], hi[i], nodes), bit for bit.
+
+    np.linspace given arrays takes its ``step == 0`` branch for every column
+    as soon as one column needs it, so it is not used here.
+    """
+    step = (hi - lo) / (nodes - 1)
+    k = np.arange(nodes, dtype=float)[:, None]
+    grid = k * step
+    flat = step == 0
+    if flat.any():
+        grid[:, flat] = k / (nodes - 1) * (hi - lo)[flat]
+    grid += lo
+    grid[-1] = hi
+    return grid
+
+
+def _line_search(f, centre, half, nodes):
+    """Per point, the maximiser of f over centre +- half: the best of ``nodes``
+    nodes, or the golden-section refinement between its neighbours where that
+    is strictly better."""
+    grid = _node_grid(centre - half, centre + half, nodes)
+    vals = f(grid)
+    k = np.argmax(vals, axis=0)
+    cols = np.arange(grid.shape[1])
+    lo, hi = grid[np.maximum(k - 1, 0), cols], grid[np.minimum(k + 1, nodes - 1), cols]
+    arg, refined = _golden_argmax(f, lo, hi)
+    return np.where(refined > vals[k, cols], arg, grid[k, cols])
+
+
+def _refuse(*rules):
+    """Raise EnvelopeError at the first point that breaks a rule.
+
+    A rule is ``(broken, message)``: a mask over the points and a function of
+    the point's index; a point's rules are tried in the order given.
+    """
+    broken = np.logical_or.reduce([mask for mask, _ in rules])
+    if broken.any():
+        i = int(np.argmax(broken))
+        raise EnvelopeError(next(message(i) for mask, message in rules if mask[i]))
+
+
+def _y_slope_rule(t, penalty, certified):
+    return penalty <= certified, lambda i: (
+        f"penalty slope n*u_w(t)={penalty[i]:.6g} does not exceed the certified "
+        f"y-slope {certified[i]:.6g} at t={t[i]:.6g}; the envelope is infinite"
+    )
+
+
 class _BaseSupConvolution:
     """Shared machinery: truncation box, coordinate-descent maximisation."""
 
@@ -289,65 +354,72 @@ class _BaseSupConvolution:
         self.margin = 1.0
 
     # subclasses define _penalty_weights(t), the time-dependent factors of
-    # the penalty, _penalty(weights, dy_abs, dz_abs) and _box(t, y, z)
+    # the penalty, _z_penalty(weights, dz_abs, power) and _box(t, y, z), which
+    # returns the box's half-widths in u and v and g(t, y, z)
 
-    def _objective_u(self, w, t, u, v, y, z):
-        return (
-            np.asarray(self.g(t, u, np.full_like(u, v)), dtype=float)
-            - self._penalty(w, np.abs(y - u), abs(z - v))
-        )
-
-    def _objective_v(self, w, t, u, v, y, z):
-        return (
-            np.asarray(self.g(t, np.full_like(v, u), v), dtype=float)
-            - self._penalty(w, abs(y - u), np.abs(z - v))
-        )
+    def _penalty(self, w, dy_abs, dz_abs, power=np.power):
+        return w[0] * dy_abs + self._z_penalty(w, dz_abs, power)
 
     def value_at(self, t, y, z):
-        """Envelope value and the (u, v) that attains it."""
-        du, dv = self._box(t, y, z)
-        du = min(du, self.grid.radius)
-        dv = min(dv, self.grid.radius)
-        m = self.grid.nodes
-        w = self._penalty_weights(t)
-        u0, v0 = float(y), float(z)
-        best_val = float(self.g(t, y, z))
-        best_arg = (u0, v0)
-        for _ in range(max(1, self.grid.passes)):
-            ugrid = np.linspace(y - du, y + du, m)
-            vals = self._objective_u(w, t, ugrid, v0, y, z)
-            k = int(np.argmax(vals))
-            lo, hi = ugrid[max(k - 1, 0)], ugrid[min(k + 1, m - 1)]
-            uu, fu = _golden_argmax(
-                lambda q: self._objective_u(w, t, np.asarray(q, dtype=float), v0, y, z),
-                np.asarray([lo]),
-                np.asarray([hi]),
-            )
-            u0 = float(uu[0]) if fu[0] > vals[k] else float(ugrid[k])
+        """Envelope values and the (u, v) that attain them, as ``(values, (u, v))``.
 
-            vgrid = np.linspace(z - dv, z + dv, m)
-            vals = self._objective_v(w, t, u0, vgrid, y, z)
-            k = int(np.argmax(vals))
-            lo, hi = vgrid[max(k - 1, 0)], vgrid[min(k + 1, m - 1)]
-            vv, fv = _golden_argmax(
-                lambda q: self._objective_v(w, t, u0, np.asarray(q, dtype=float), y, z),
-                np.asarray([lo]),
-                np.asarray([hi]),
-            )
-            v0 = float(vv[0]) if fv[0] > vals[k] else float(vgrid[k])
-            cur = float(self._objective_v(w, t, u0, np.asarray([v0]), y, z)[0])
-            if cur > best_val:
-                best_val = cur
-                best_arg = (u0, v0)
-        return best_val, best_arg
+        ``t``, ``y`` and ``z`` are numbers or 1-d arrays, broadcast together;
+        each result has one entry per point.  The points run in blocks of
+        ``_BLOCK``, one coordinate descent per block, and every step of it acts
+        point by point: a point's result does not depend on the others.
+        """
+        t, y, z = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float))
+                                        for a in (t, y, z)))
+        if t.ndim != 1:
+            raise EnvelopeError(f"value_at takes numbers or 1-d arrays, got shape {t.shape}")
+        out = np.empty((3, t.size))
+        for start in range(0, t.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            out[:, block] = self._descend(t[block], y[block], z[block])
+        return out[0], (out[1], out[2])
+
+    def _descend(self, t, y, z):
+        # The held coordinate's penalty is one number per point and goes
+        # through the C library's pow, the node and probe arrays through
+        # numpy's; every value then equals, bit for bit, that of the per-point
+        # descent in tests/oracles.py.
+        du, dv, best = self._box(t, y, z)
+        du = np.minimum(du, self.grid.radius)
+        dv = np.minimum(dv, self.grid.radius)
+        w = self._penalty_weights(t)
+        u, v = best_u, best_v = y, z
+        for _ in range(max(1, self.grid.passes)):
+            z_pen = self._z_penalty(w, np.abs(z - v), _libm_power)
+
+            def along_u(q):
+                penalty = w[0] * np.abs(y - q) + z_pen
+                return np.asarray(self.g(t, q, v), dtype=float) - penalty
+
+            u = _line_search(along_u, y, du, self.grid.nodes)
+            y_pen = w[0] * np.abs(y - u)
+
+            def along_v(q):
+                penalty = y_pen + self._z_penalty(w, np.abs(z - q))
+                return np.asarray(self.g(t, u, q), dtype=float) - penalty
+
+            v = _line_search(along_v, z, dv, self.grid.nodes)
+            cur = along_v(v)
+            better = cur > best
+            best = np.where(better, cur, best)
+            best_u = np.where(better, u, best_u)
+            best_v = np.where(better, v, best_v)
+        return best, best_u, best_v
 
     def candidate_value(self, t, y, z, u, v):
-        """Penalised objective at one candidate; a lower bound of the value."""
-        penalty = self._penalty(self._penalty_weights(t), abs(y - u), abs(z - v))
-        return float(self.g(t, u, v)) - float(penalty)
+        """Penalised objective at candidates (u, v); a lower bound of the value."""
+        w = self._penalty_weights(t)
+        return (np.asarray(self.g(t, u, v), dtype=float)
+                - self._penalty(w, np.abs(y - u), np.abs(z - v), _libm_power))
 
     def __call__(self, t, y, z):
-        return self.value_at(float(t), float(y), float(z))[0]
+        """Envelope values at the points; a number when t, y and z all are."""
+        values = self.value_at(t, y, z)[0]
+        return float(values[0]) if np.ndim(t) == np.ndim(y) == np.ndim(z) == 0 else values
 
 
 class SupConvolutionEnvelope(_BaseSupConvolution):
@@ -357,34 +429,21 @@ class SupConvolutionEnvelope(_BaseSupConvolution):
         super().__init__(g, n, u_w, v_w, grid)
         self.growth = growth
 
-    def _weights(self, t):
-        uw = float(self.u_w(t))
-        vw = float(self.v_w(t))
-        sy = float(self.growth.y_slope(t))
-        sz = float(self.growth.z_slope(t))
-        if self.n * uw <= sy:
-            raise EnvelopeError(
-                f"penalty slope n*u_w(t)={self.n * uw:.6g} does not exceed the "
-                f"certified y-slope {sy:.6g} at t={t:.6g}; the envelope is infinite"
-            )
-        if self.n * vw <= sz:
-            raise EnvelopeError(
-                f"penalty slope n*v_w(t)={self.n * vw:.6g} does not exceed the "
-                f"certified z-slope {sz:.6g} at t={t:.6g}; the envelope is infinite"
-            )
-        return uw, vw, sy, sz
-
     def _penalty_weights(self, t):
-        return self.n * float(self.u_w(t)), self.n * float(self.v_w(t))
+        return self.n * self.u_w(t), self.n * self.v_w(t)
 
-    def _penalty(self, w, dy_abs, dz_abs):
-        return w[0] * dy_abs + w[1] * dz_abs
+    def _z_penalty(self, w, dz_abs, power=None):  # no power in this penalty
+        return w[1] * dz_abs
 
     def _box(self, t, y, z):
-        uw, vw, sy, sz = self._weights(t)
-        g0 = float(self.g(t, y, z))
-        numer = float(self.growth.f(t)) + sy * abs(y) + sz * abs(z) - g0 + self.margin
-        return numer / (self.n * uw - sy), numer / (self.n * vw - sz)
+        uw, vw = self.u_w(t), self.v_w(t)
+        sy, sz = self.growth.y_slope(t), self.growth.z_slope(t)
+        _refuse(_y_slope_rule(t, self.n * uw, sy), (self.n * vw <= sz, lambda i: (
+            f"penalty slope n*v_w(t)={self.n * vw[i]:.6g} does not exceed the certified "
+            f"z-slope {sz[i]:.6g} at t={t[i]:.6g}; the envelope is infinite")))
+        g0 = np.asarray(self.g(t, y, z), dtype=float)
+        numer = self.growth.f(t) + sy * np.abs(y) + sz * np.abs(z) - g0 + self.margin
+        return numer / (self.n * uw - sy), numer / (self.n * vw - sz), g0
 
 
 class WedgeSupConvolutionEnvelope(_BaseSupConvolution):
@@ -399,35 +458,25 @@ class WedgeSupConvolutionEnvelope(_BaseSupConvolution):
         self.growth = growth
 
     def _penalty_weights(self, t):
-        return self.n * float(self.u_w(t)), float(self.v_w(t)), float(self.lam_w(t))
+        return self.n * self.u_w(t), self.v_w(t), self.lam_w(t)
 
-    def _penalty(self, w, dy_abs, dz_abs):
-        wedge = np.minimum(w[1] * dz_abs, w[2] * dz_abs**self.alpha)
-        return w[0] * dy_abs + self.n * wedge
+    def _z_penalty(self, w, dz_abs, power=np.power):
+        return self.n * np.minimum(w[1] * dz_abs, w[2] * power(dz_abs, self.alpha))
 
     def _box(self, t, y, z):
-        uw = float(self.u_w(t))
-        vw = float(self.v_w(t))
-        lw = float(self.lam_w(t))
-        sy = float(self.growth.y_slope(t))
-        lc = float(self.growth.lam(t))
-        if self.n * uw <= sy:
-            raise EnvelopeError(
-                f"penalty slope n*u_w(t)={self.n * uw:.6g} does not exceed the "
-                f"certified y-slope {sy:.6g} at t={t:.6g}; the envelope is infinite"
-            )
-        arm = self.n * min(vw, lw)
-        if arm <= lc:
-            raise EnvelopeError(
-                f"wedge penalty arm n*min(v_w,lam_w)(t)={arm:.6g} does not exceed "
-                f"the certified z-growth {lc:.6g} at t={t:.6g}"
-            )
-        g0 = float(self.g(t, y, z))
-        zpart = min(vw * abs(z), lw * abs(z) ** self.alpha)
-        numer = float(self.growth.f(t)) + sy * abs(y) + lc * abs(z) ** self.alpha + zpart - g0 + self.margin
-        dy = numer / (self.n * uw - sy)
-        dz = max(1.0, (numer / (arm - lc)) ** (1.0 / self.alpha))
-        return dy, dz
+        uw, vw, lw = self.u_w(t), self.v_w(t), self.lam_w(t)
+        sy, lc = self.growth.y_slope(t), self.growth.lam(t)
+        arm = self.n * np.minimum(vw, lw)
+        _refuse(_y_slope_rule(t, self.n * uw, sy), (arm <= lc, lambda i: (
+            f"wedge penalty arm n*min(v_w,lam_w)(t)={arm[i]:.6g} does not exceed "
+            f"the certified z-growth {lc[i]:.6g} at t={t[i]:.6g}")))
+        g0 = np.asarray(self.g(t, y, z), dtype=float)
+        az = np.abs(z)
+        az_alpha = _libm_power(az, self.alpha)
+        zpart = np.minimum(vw * az, lw * az_alpha)
+        numer = self.growth.f(t) + sy * np.abs(y) + lc * az_alpha + zpart - g0 + self.margin
+        dz = _libm_power(numer / (arm - lc), 1.0 / self.alpha)
+        return numer / (self.n * uw - sy), np.maximum(dz, 1.0), g0
 
 
 def sup_convolution_generator(g, n, u_w, v_w, grid=None, growth=None):
@@ -457,12 +506,14 @@ def envelope_family_values(envelopes, points):
 
     Returns an array of shape (len(envelopes), len(points)).
     """
-    out = np.empty((len(envelopes), len(points)))
-    for j, (t, y, z) in enumerate(points):
-        descents = [env.value_at(t, y, z) for env in envelopes]
-        args = [arg for _, arg in descents]
-        for i, env in enumerate(envelopes):
-            out[i, j] = max(
-                descents[i][0], max(env.candidate_value(t, y, z, u, v) for u, v in args)
-            )
+    t, y, z = np.asarray(points, dtype=float).reshape(-1, 3).T
+    descents = [env.value_at(t, y, z) for env in envelopes]
+    out = np.empty((len(envelopes), len(t)))
+    for i, env in enumerate(envelopes):
+        best = descents[i][0]
+        shared = None
+        for _, (u, v) in descents:
+            cand = env.candidate_value(t, y, z, u, v)
+            shared = cand if shared is None else np.where(cand > shared, cand, shared)
+        out[i] = np.where(shared > best, shared, best)
     return out

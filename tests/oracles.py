@@ -225,3 +225,89 @@ def lipschitz_envelope_reference(psi, slope, growth_k, x, radius=100.0, nodes=20
     scan = obj[np.arange(m), best]
     out = np.maximum(np.maximum(scan, refined), np.asarray(psi(flat), dtype=float))
     return out.reshape(x.shape)
+
+
+def _supconv_penalty(env, t):
+    """The driver envelope's penalty at time t, a function of (|y - u|, |z - v|)."""
+    n, uw, vw = env.n, float(env.u_w(t)), float(env.v_w(t))
+    if hasattr(env, "alpha"):
+        lw, alpha = float(env.lam_w(t)), env.alpha
+        return lambda dy, dz: n * uw * dy + n * np.minimum(vw * dz, lw * dz**alpha)
+    return lambda dy, dz: n * uw * dy + n * vw * dz
+
+
+def supconv_descent_reference(env, t, y, z):
+    """One point of a driver envelope by the per-point coordinate descent.
+
+    This is the descent as it ran before points were batched, in Python
+    floats: the truncation box, then per pass a 2001-node scan and 64 golden
+    steps in u, then the same in v.  It reads the envelope's driver, weights,
+    growth bound and grid, and none of its methods.  Returns the value and
+    the (u, v) that attains it.
+    """
+    t, y, z = float(t), float(y), float(z)
+    n, g, penalty = env.n, env.g, _supconv_penalty(env, t)
+    uw, vw, sy = float(env.u_w(t)), float(env.v_w(t)), float(env.growth.y_slope(t))
+    g0 = float(g(t, y, z))
+    if hasattr(env, "alpha"):
+        lw, lc, alpha = float(env.lam_w(t)), float(env.growth.lam(t)), env.alpha
+        zpart = min(vw * abs(z), lw * abs(z) ** alpha)
+        numer = (float(env.growth.f(t)) + sy * abs(y) + lc * abs(z) ** alpha + zpart - g0
+                 + env.margin)
+        du = numer / (n * uw - sy)
+        dv = max(1.0, (numer / (n * min(vw, lw) - lc)) ** (1.0 / alpha))
+    else:
+        sz = float(env.growth.z_slope(t))
+        numer = float(env.growth.f(t)) + sy * abs(y) + sz * abs(z) - g0 + env.margin
+        du, dv = numer / (n * uw - sy), numer / (n * vw - sz)
+
+    def along_u(u, v):
+        values = np.asarray(g(t, u, np.full_like(u, v)), dtype=float)
+        return values - penalty(np.abs(y - u), abs(z - v))
+
+    def along_v(u, v):
+        values = np.asarray(g(t, np.full_like(v, u), v), dtype=float)
+        return values - penalty(abs(y - u), np.abs(z - v))
+
+    du, dv, m = min(du, env.grid.radius), min(dv, env.grid.radius), env.grid.nodes
+    u0, v0, best, arg = y, z, g0, (y, z)
+    for _ in range(max(1, env.grid.passes)):
+        u0 = _coordinate_max(lambda q: along_u(q, v0), y, du, m)
+        v0 = _coordinate_max(lambda q: along_v(u0, q), z, dv, m)
+        cur = float(along_v(u0, np.asarray([v0]))[0])
+        if cur > best:
+            best, arg = cur, (u0, v0)
+    return best, arg
+
+
+def _coordinate_max(f, centre, half, nodes):
+    grid = np.linspace(centre - half, centre + half, nodes)
+    vals = f(grid)
+    k = int(np.argmax(vals))
+    a, b = np.asarray([grid[max(k - 1, 0)]]), np.asarray([grid[min(k + 1, nodes - 1)]])
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(64):
+        span = (b - a) * gr
+        c, d = b - span, a + span
+        probes = f(np.concatenate([c, d]))
+        if probes[0] > probes[1]:
+            b = d
+        else:
+            a = c
+    mid = 0.5 * (a + b)
+    return float(mid[0]) if f(mid)[0] > vals[k] else float(grid[k])
+
+
+def envelope_family_reference(envelopes, points):
+    """envelope_family_values point by point: each envelope's descent value,
+    raised to its best penalised objective at every envelope's maximiser."""
+    out = np.empty((len(envelopes), len(points)))
+    for j, point in enumerate(points):
+        t, y, z = map(float, point)
+        args = [supconv_descent_reference(env, t, y, z) for env in envelopes]
+        for i, env in enumerate(envelopes):
+            penalty = _supconv_penalty(env, t)
+            shared = max(float(env.g(t, u, v)) - float(penalty(abs(y - u), abs(z - v)))
+                         for _, (u, v) in args)
+            out[i, j] = max(args[i][0], shared)
+    return out

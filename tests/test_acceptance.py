@@ -197,13 +197,12 @@ def test_criterion_06_envelope_properties():
     monotone = bool(np.all(values[1:] <= values[:-1] + 1e-12))
 
     ys = np.linspace(-2.0, 2.0, 81)
-    grid_vals = np.asarray([envs[0](0.0, float(y), 0.0) for y in ys])
+    grid_vals = envs[0](0.0, ys, 0.0)
     dy = ys[1] - ys[0]
     lipschitz_ok = float(np.max(np.abs(np.diff(grid_vals)))) <= 2.0 * dy + 1e-9
 
     worst_rel = 0.0
-    for t, y, z in pts:
-        got = envs[0](t, y, z)
+    for (t, y, z), got in zip(pts, envs[0](*np.asarray(pts).T)):
         want = separable_supconv_oracle(
             lambda u: -(u**2), lambda v: -(v**4) / 4.0, 2, 1.0, 1.0, y, z
         )

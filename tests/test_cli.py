@@ -207,6 +207,9 @@ def run_checks(tmp_path, checks, model=None, *flags):
     return main(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet", *flags])
 
 
+GROWTH = {"f": "0", "u": "1", "v": "0"}
+
+
 class TestCheckKeys:
     """Each kind's keys are declared once; anything else is a config error before any solve."""
 
@@ -244,6 +247,21 @@ class TestCheckKeys:
               "xi_bound": 1.0, "n": 64}, "checks[1].n"),
             ({"check": "checkerboard"}, "checks[1].check: unknown kind"),
             ({"check": "monotone_family", "n_list": [2, 1]}, "checks[1].n_list"),
+            ({"check": "envelope_domination", "growth": GROWTH, "points": 0},
+             "checks[1].points: must be >= 1"),
+            ({"check": "uniqueness_smoke", "name": 5}, "checks[1].name: must be a string"),
+            ({"check": "envelope_domination", "growth": GROWTH, "u_w": "1 +"}, "checks[1].u_w"),
+            ({"check": "envelope_domination", "growth": GROWTH, "v_w": ""}, "checks[1].v_w"),
+            ({"check": "envelope_domination", "growth": {**GROWTH, "f": "1 +"}},
+             "checks[1].growth.f"),
+            ({"check": "envelope_domination", "growth": {**GROWTH, "v": "y + t"}},
+             "checks[1].growth.v"),
+            ({"check": "envelope_domination", "growth": {**GROWTH, "w": "1"}},
+             "checks[1].growth.w: unknown key"),
+            ({"check": "bounds_oracle", "expected_U0": 4.4, "u": "abs(", "l": "1 + abs(x)",
+              "xi_bound": 1.0}, "checks[1].u"),
+            ({"check": "bounds_oracle", "expected_U0": 4.4, "u": "1", "l": "1 +",
+              "xi_bound": 1.0}, "checks[1].l"),
         ],
     )
     def test_bad_key_names_its_path(self, tmp_path, capsys, solve_counts, check, where):
@@ -316,6 +334,19 @@ class TestSectionKeys:
         cfg = write_config(tmp_path, {"generator": {"expr": "-y^2"}, command: {**section, key: 1}})
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
         assert f"config error: {command}.{key}: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, section, where",
+        [("bounds", {"u": "1", "l": "1 +", "xi_bound": 1.0}, "bounds.l"),
+         ("bounds", {"u": "(1", "l": "1 + abs(x)", "xi_bound": 1.0}, "bounds.u"),
+         ("envelope", {"growth": GROWTH, "u_w": "1 +"}, "envelope.u_w"),
+         ("envelope", {"growth": {**GROWTH, "u": "1 +"}}, "envelope.growth.u"),
+         ("envelope", {"growth": "linear"}, "envelope.growth: must be an object")],
+    )
+    def test_bad_expression(self, tmp_path, capsys, command, section, where):
+        cfg = write_config(tmp_path, {"generator": {"expr": "-y^2"}, command: section})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert f"config error: {where}" in capsys.readouterr().err
 
 class TestSolveCommand:
     def test_zero_driver_martingale(self, tmp_path):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bsdelab import envelopes
 from bsdelab.certificates import MixedSubLinear, OneSidedLinear
 from bsdelab.envelopes import (
     EnvelopeError,
@@ -18,9 +19,11 @@ from bsdelab.envelopes import (
 )
 from bsdelab.generators import Generator, WeightFn
 from tests.oracles import (
+    envelope_family_reference,
     lipschitz_envelope_reference,
     separable_supconv_oracle,
     sqrt_envelope_closed_form,
+    supconv_descent_reference,
     wedge_supconv_oracle,
 )
 
@@ -246,6 +249,130 @@ class TestSupConvolution:
             env(0.0, 1.0, 0.0)
 
 
+def descent_reference(env, points):
+    """values, u and v of the per-point descent at every row of ``points``."""
+    out = [supconv_descent_reference(env, *p) for p in points]
+    return [np.asarray(col) for col in ([v for v, _ in out], [a[0] for _, a in out],
+                                        [a[1] for _, a in out])]
+
+
+def same_bits(got, want):
+    """Bitwise equality, so 0.0 and -0.0 differ."""
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+class TestBatchedDescent:
+    """The batched descent against the per-point loop it replaced, bit for bit."""
+
+    DRIVERS = ("-y^2 - z^4 / 4", "2*sin(3*y*z) - 0.1*y^2", "-y^3 + abs(z)^1.5*sin(y)")
+    # signed zeros first: reports.csv would print a -0.0 location; y >= -1
+    # keeps -y^3 under the growth bounds below
+    POINTS = np.concatenate([
+        [[0.0, -0.0, 0.0], [0.0, 0.0, -0.0], [-0.0, -0.0, -0.0]],
+        np.random.default_rng(12).uniform([0.0, -1.0, -2.5], [1.0, 2.5, 2.5], size=(9, 3)),
+    ])
+
+    @staticmethod
+    def envelope(source, penalty, u_w, n=3):
+        g = Generator.parse(source)
+        if penalty == "wedge":
+            # alpha = 0.5 would hide a change of pow: |dz|^0.5 and r^2 are exact
+            bound = WedgeGrowthBound(WeightFn.parse("1"), ONE, ONE, ONE, 0.37)
+            return sup_convolution_generator_alpha(g, n, u_w, ONE, ONE, 0.37, growth=bound)
+        return sup_convolution_generator(g, n, u_w, ONE, growth=growth("2", "1", "1"))
+
+    @pytest.mark.parametrize("source", DRIVERS)
+    @pytest.mark.parametrize("penalty", ["absolute", "wedge"])
+    @pytest.mark.parametrize("u_w", ["1", "1 + t"])
+    def test_matches_per_point_loop(self, source, penalty, u_w):
+        env = self.envelope(source, penalty, WeightFn.parse(u_w))
+        values, (u, v) = env.value_at(*self.POINTS.T)
+        for got, want in zip((values, u, v), descent_reference(env, self.POINTS)):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("penalty", ["absolute", "wedge"])
+    def test_family_matches_per_point_loop(self, penalty):
+        envs = [self.envelope(self.DRIVERS[2], penalty, WeightFn.parse("1 + t"), n)
+                for n in (2, 4, 8)]
+        got = envelope_family_values(envs, self.POINTS[3:9])
+        assert same_bits(got, envelope_family_reference(envs, self.POINTS[3:9]))
+
+    def test_signed_zero_argmax_is_kept(self):
+        # g = y is its own envelope: the descent never moves off (-0.0, -0.0)
+        env = sup_convolution_generator(Generator.parse("y"), 2, ONE, ONE,
+                                        growth=growth("0", "1", "0"))
+        values, (u, v) = env.value_at(0.0, -0.0, -0.0)
+        assert np.signbit([values[0], u[0], v[0]]).all()
+        assert same_bits(values, descent_reference(env, [(0.0, -0.0, -0.0)])[0])
+
+    def test_a_scalar_call_is_a_batch_of_one(self):
+        env = self.envelope(self.DRIVERS[1], "absolute", ONE)
+        t, y, z = self.POINTS[4]
+        values, (u, v) = env.value_at(t, y, z)
+        assert values.shape == u.shape == v.shape == (1,)
+        want = descent_reference(env, [(t, y, z)])
+        assert all(same_bits(got, w) for got, w in zip((values, u, v), want))
+        assert isinstance(env(t, y, z), float) and same_bits(env(t, y, z), want[0])
+        assert same_bits(env([t], y, z), want[0])
+
+    def test_points_across_block_boundaries(self, monkeypatch):
+        env = self.envelope(self.DRIVERS[2], "wedge", WeightFn.parse("1 + t"))
+        whole, (u, v) = env.value_at(*self.POINTS.T)
+        monkeypatch.setattr(envelopes, "_BLOCK", 5)  # blocks of 5, 5 and 2 points
+        blocked, (bu, bv) = env.value_at(*self.POINTS.T)
+        assert same_bits(blocked, whole) and same_bits(bu, u) and same_bits(bv, v)
+
+    def test_a_flat_node_grid_leaves_the_other_points_alone(self):
+        # at y = 1e17 the u-grid y +- 2/3 rounds to one value, a zero step;
+        # np.linspace given all four rows at once would then build every
+        # row's grid by its zero-step formula and move the other three values
+        env = sup_convolution_generator(Generator.parse("cos(3*y) - abs(z)"), 3,
+                                        WeightFn.parse("1 + t"), WeightFn.parse("1.7"),
+                                        growth=growth("1", "0", "0"))
+        pts = [(0.0, 1e17, 0.0), (0.25100799948196517, -0.06022269209084774, -1.73938321051957),
+               (0.01719887012003518, 1.3934121653738845, -0.33314068469231595),
+               (0.19576350958645783, -0.24507355406829134, 0.6464656838661114)]
+        values, (u, v) = env.value_at(*np.asarray(pts).T)
+        for got, want in zip((values, u, v), descent_reference(env, pts)):
+            assert same_bits(got, want)
+
+    def test_broadcasts_numbers_against_arrays(self):
+        env = self.envelope(self.DRIVERS[0], "absolute", ONE)
+        ys = self.POINTS[:, 1]
+        full = np.ones_like(ys)
+        assert same_bits(env(0.5, ys, 1.0), env(0.5 * full, ys, full))
+        assert env.value_at([], [], [])[0].shape == (0,)
+        with pytest.raises(EnvelopeError, match="1-d"):
+            env.value_at(np.zeros((2, 2)), 0.0, 0.0)
+
+    def test_error_names_the_first_failing_point(self):
+        def env(u_w, v_w):
+            return sup_convolution_generator(Generator.parse("y"), 2, WeightFn.parse(u_w),
+                                             WeightFn.parse(v_w), growth=growth("0", "1", "0.5"))
+
+        # n u_w(t) = 2 t exceeds the y-slope 1 only for t > 0.5
+        with pytest.raises(EnvelopeError, match=r"y-slope 1 at t=0\.3;"):
+            env("t", "1").value_at([0.9, 1.0, 0.3, 0.1], 0.0, 0.0)
+        # the z-rule breaks at t = 0.2, a point before the y-rule breaks at t = 1.6
+        with pytest.raises(EnvelopeError, match=r"z-slope 0\.5 at t=0\.2;"):
+            env("2 - t", "t").value_at([0.9, 0.2, 1.6], 0.0, 0.0)
+        # where both break at one point, the y-rule is named
+        with pytest.raises(EnvelopeError, match=r"y-slope 1 at t=0\.1;"):
+            env("t", "t").value_at([0.9, 0.1], 0.0, 0.0)
+
+    def test_memory_is_bounded_by_the_block(self):
+        # a 64-point block peaks near 4.2 MB; all 256 points at once near 16.5 MB
+        env = self.envelope(self.DRIVERS[0], "absolute", ONE)
+        pts = np.random.default_rng(13).uniform(-2.0, 2.0, size=(256, 3))
+        tracemalloc.start()
+        try:
+            env.value_at(*pts.T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
 class TestEnvelopeFamilyProperties:
     def setup_method(self):
         self.g = Generator.parse("-y^2 - z^4 / 4")
@@ -262,8 +389,8 @@ class TestEnvelopeFamilyProperties:
 
     def test_domination_exact(self):
         env = self._envelopes([2])[0]
-        for t, y, z in self.points:
-            assert env(t, y, z) >= float(self.g(t, y, z))
+        t, y, z = np.asarray(self.points).T
+        assert np.all(env(t, y, z) >= self.g(t, y, z))
 
     def test_monotone_in_n(self):
         ns = [2, 3, 4, 8]
@@ -274,7 +401,7 @@ class TestEnvelopeFamilyProperties:
         n = 2
         env = self._envelopes([n])[0]
         ys = np.linspace(-2.0, 2.0, 81)
-        vals = np.asarray([env(0.0, float(y), 0.5) for y in ys])
+        vals = env(0.0, ys, 0.5)
         dy = ys[1] - ys[0]
         assert np.max(np.abs(np.diff(vals))) <= n * 1.0 * dy + 1e-9
 
@@ -298,8 +425,7 @@ class TestEnvelopeFamilyProperties:
 
     def test_matches_dense_scan_oracle(self):
         env = self._envelopes([2])[0]
-        for t, y, z in self.points[:100]:
-            got = env(t, y, z)
+        for (t, y, z), got in zip(self.points, env(*np.asarray(self.points).T)):
             want = separable_supconv_oracle(
                 lambda u: -(u**2), lambda v: -(v**4) / 4.0, 2, 1.0, 1.0, y, z
             )
