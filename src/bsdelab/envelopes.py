@@ -18,6 +18,7 @@ contains every maximiser.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -154,10 +155,45 @@ class LipschitzEnvelope:
                 f"penalty slope {np.min(self.slope)} must exceed the certified growth "
                 f"slope {self.growth_k}; the supremum is infinite otherwise"
             )
+        # slope -> (radius, node tables) of the last search grid built for it
+        self._tables = {}
+
+    def rows(self, index):
+        """The envelope of the rows ``index`` of a row-slope envelope.  It
+        shares this envelope's node tables, so a grid built by either serves
+        both."""
+        sub = copy.copy(self)
+        sub.slope = self.slope[index]
+        return sub
 
     def _radius(self, xmax):
         analytic = (self.growth_k + self.slope * xmax + 1.0) / (self.slope - self.growth_k)
         return np.maximum(np.maximum(self.grid.radius, analytic), xmax + 1.0)
+
+    def _node_tables(self, slopes, radii):
+        """Per row, the search grid over [0, radius], psi on it and the two
+        running argmax tables; each is stacked over the rows.
+
+        The tables depend on a row's slope and radius only, so a row whose
+        radius is that of the last grid built for its slope reuses that grid.
+        """
+        tables = []
+        for slope, radius in zip(slopes.tolist(), radii.tolist()):
+            kept = self._tables.get(slope)
+            tables.append(kept[1] if kept is not None and kept[0] == radius else None)
+        fresh = [i for i, got in enumerate(tables) if got is None]
+        if fresh:
+            last = self.grid.nodes - 1
+            slope = slopes[fresh, None]
+            ygrid = np.linspace(0.0, radii[fresh], self.grid.nodes, axis=1)
+            psi_grid = np.asarray(self.psi(ygrid), dtype=float)
+            # first maximiser among the nodes <= x, and among the nodes >= x
+            below = _prefix_argmax(psi_grid + slope * ygrid, "first")
+            above = last - _prefix_argmax((psi_grid - slope * ygrid)[:, ::-1], "last")[:, ::-1]
+            for row, i in enumerate(fresh):
+                tables[i] = ygrid[row], psi_grid[row], below[row], above[row]
+                self._tables[float(slopes[i])] = float(radii[i]), tables[i]
+        return [np.stack(parts) for parts in zip(*tables)]
 
     def batch(self, x):
         """Envelope values at every x >= 0, shaped like x.
@@ -181,12 +217,10 @@ class LipschitzEnvelope:
             rows, slope = x, self.slope[:, None]
         else:
             rows, slope = x.reshape(1, -1), self.slope
-        ygrid = np.linspace(0.0, self._radius(np.max(rows, axis=1)), self.grid.nodes, axis=1)
-        psi_grid = np.asarray(self.psi(ygrid), dtype=float)
+        radii = self._radius(np.max(rows, axis=1))
+        ygrid, psi_grid, below, above = self._node_tables(
+            np.broadcast_to(self.slope, radii.shape), radii)
         last = self.grid.nodes - 1
-        # first maximiser among the nodes <= x, and among the nodes >= x
-        below = _prefix_argmax(psi_grid + slope * ygrid, "first")
-        above = last - _prefix_argmax((psi_grid - slope * ygrid)[:, ::-1], "last")[:, ::-1]
         left = np.take_along_axis(below, np.stack(
             [np.searchsorted(g, r, side="right") for g, r in zip(ygrid, rows)]) - 1, axis=1)
         right = np.take_along_axis(above, np.stack(
@@ -333,6 +367,16 @@ def _refuse(*rules):
         raise EnvelopeError(next(message(i) for mask, message in rules if mask[i]))
 
 
+def _growth_rule(t, y, z, g0, numer, bound):
+    """A negative box numerator: g(t, y, z) exceeds its certified growth
+    bound by more than the margin, and the box would be empty."""
+    return numer < 0.0, lambda i: (
+        f"driver value {g0[i]:.6g} exceeds its certified growth bound {bound(i):.6g} "
+        f"at (t, y, z) = ({t[i]:.6g}, {y[i]:.6g}, {z[i]:.6g}); the growth certificate "
+        "does not hold there"
+    )
+
+
 def _y_slope_rule(t, penalty, certified):
     return penalty <= certified, lambda i: (
         f"penalty slope n*u_w(t)={penalty[i]:.6g} does not exceed the certified "
@@ -442,7 +486,9 @@ class SupConvolutionEnvelope(_BaseSupConvolution):
             f"penalty slope n*v_w(t)={self.n * vw[i]:.6g} does not exceed the certified "
             f"z-slope {sz[i]:.6g} at t={t[i]:.6g}; the envelope is infinite")))
         g0 = np.asarray(self.g(t, y, z), dtype=float)
-        numer = self.growth.f(t) + sy * np.abs(y) + sz * np.abs(z) - g0 + self.margin
+        bound = self.growth.f(t) + sy * np.abs(y) + sz * np.abs(z)
+        numer = bound - g0 + self.margin
+        _refuse(_growth_rule(t, y, z, g0, numer, bound.__getitem__))
         return numer / (self.n * uw - sy), numer / (self.n * vw - sz), g0
 
 
@@ -475,6 +521,12 @@ class WedgeSupConvolutionEnvelope(_BaseSupConvolution):
         az_alpha = _libm_power(az, self.alpha)
         zpart = np.minimum(vw * az, lw * az_alpha)
         numer = self.growth.f(t) + sy * np.abs(y) + lc * az_alpha + zpart - g0 + self.margin
+
+        def bound(i):
+            return (float(self.growth.f(t[i])) + sy[i] * abs(y[i])
+                    + min(float(self.growth.v(t[i])) * az[i], lc[i] * az_alpha[i]))
+
+        _refuse(_growth_rule(t, y, z, g0, numer, bound))
         dz = _libm_power(numer / (arm - lc), 1.0 / self.alpha)
         return numer / (self.n * uw - sy), np.maximum(dz, 1.0), g0
 

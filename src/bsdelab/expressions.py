@@ -9,7 +9,9 @@ normalised while tokenising)::
     power   := atom ('^' unary)?          # right-associative, binds above unary minus
     atom    := NUMBER | IDENT | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
 
-so ``-y^3`` parses as ``-(y^3)`` and ``2^3^2`` as ``2^(3^2)``.  Known
+so ``-y^3`` parses as ``-(y^3)`` and ``2^3^2`` as ``2^(3^2)``.  Each
+parenthesised group, function argument list, unary minus and exponent opens
+one nesting level; more than ``MAX_NESTING`` levels is a parse error.  Known
 functions: abs, sign, sin, cos, exp, ln, sqrt, min, max, clamp.  ``sign(0)``
 is 0.  Raising a negative base to a non-integer power, ``ln`` of a
 non-positive value, ``sqrt`` of a negative value and division by zero are
@@ -142,11 +144,29 @@ def _tokenize(source):
     return tokens
 
 
+# Parenthesised groups, function arguments, unary minus and exponents nest at
+# most this deep.  One level generates up to four nested calls, as in
+# ``_divide(_domain(sqrt(_domain(`` for ``x/sqrt(...)``, and Python compiles
+# at most 200 nested parentheses.
+MAX_NESTING = 32
+
+
 class _Parser:
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.k = 0
         self.variables = variables
+        self.depth = 0
+
+    def nested(self, parse, pos):
+        """``parse()`` one nesting level down, opened at ``pos``."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"nesting depth {MAX_NESTING + 1} exceeds the limit of {MAX_NESTING}", pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self):
         return self.tokens[self.k]
@@ -190,38 +210,41 @@ class _Parser:
                 return node
 
     def unary(self):
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary, pos))
         return self.power()
 
     def power(self):
         node = self.atom()
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.advance()
-            node = Bin("^", node, self.unary())
+            node = Bin("^", node, self.nested(self.unary, pos))
         return node
+
+    def arguments(self):
+        args = [self.expr()]
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val == ",":
+                self.advance()
+                args.append(self.expr())
+            else:
+                return args
 
     def atom(self):
         kind, val, pos = self.advance()
         if kind == "num":
             return Num(val)
         if kind == "ident":
-            nkind, nval, _ = self.peek()
+            nkind, nval, npos = self.peek()
             if nkind == "op" and nval == "(":
                 if val not in _FUNCTION_ARITY:
                     raise ParseError(f"unknown function '{val}'", pos, found=val)
                 self.advance()
-                args = [self.expr()]
-                while True:
-                    k2, v2, p2 = self.peek()
-                    if k2 == "op" and v2 == ",":
-                        self.advance()
-                        args.append(self.expr())
-                    else:
-                        break
+                args = self.nested(self.arguments, npos)
                 self.expect_op(")")
                 if len(args) != _FUNCTION_ARITY[val]:
                     raise ParseError(
@@ -235,7 +258,7 @@ class _Parser:
                 raise ParseError(f"unknown identifier '{val}'", pos, found=val)
             return Var(val)
         if kind == "op" and val == "(":
-            node = self.expr()
+            node = self.nested(self.expr, pos)
             self.expect_op(")")
             return node
         raise ParseError(

@@ -10,16 +10,25 @@ backwards from the horizon; for l in the divergent-integral class both stay
 finite on [0, T] and sandwich every bounded solution of the corresponding
 terminal-value problem.  Non-membership shows up as finite-time blow-up,
 which is detected and reported rather than silently propagated.
+
+Each RK4 sweep tabulates u at its stage times in one vector call (t_j,
+t_j + h/2 and t_j + h, formed exactly as the sweep forms them), so the loop
+calls only l, four times per substep; errors in u still surface at the
+stage that meets them.  The iterated modulus bound builds each row's
+Lipschitz-envelope search grid, psi on it and its running-argmax tables
+once, and builds them again only when the row's search radius moves.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .envelopes import EnvelopeGrid, LipschitzEnvelope
+from .expressions import EvalDomainError
 from .generators import _as_univariate
 
 __all__ = [
@@ -136,21 +145,66 @@ class BoundEnvelope:
         object.__setattr__(self, "upper", U)
 
 
-def _rk4_backward(rhs, terminal, grid_nodes, substeps, side):
-    """Classical 4th-order sweep from t = T down to 0, storing node values."""
+# Stage times tabulated per u_w call: a sweep of up to this many stages is one
+# call, a longer one runs in blocks of whole intervals so the table stays small.
+_STAGE_BLOCK = 1 << 16
+
+
+def _stage_weights(u_w, sign, nodes, substeps):
+    """sign * u_w(s) at every stage time s of a backward RK4 sweep, in the
+    order the sweep asks for them, one block of intervals at a time.
+
+    Per interval, from the top: t_0 = t_hi, m_0, t_1, m_1, ..., t_S, with
+    t_{j+1} = t_j + h and m_j = t_j + 0.5*h formed as the sweep forms them,
+    so every time is bit-identical to the one the sweep would pass.  The
+    sweep evaluates u_w at t_j + h both for k4 and for the next k1, and at
+    m_j for both k2 and k3; one value serves both.  When the vector call
+    raises :class:`EvalDomainError`, that block is evaluated stage by stage
+    as the sweep consumes it, so the error surfaces at the stage that causes
+    it, after the stages before it.
+    """
+    h = (nodes[:-1] - nodes[1:]) / substeps
+    width = 2 * substeps + 1
+    per_block = max(1, _STAGE_BLOCK // width)
+    for stop in range(len(h), 0, -per_block):
+        rows = slice(max(0, stop - per_block), stop)
+        ticks = np.empty((stop - rows.start, substeps + 1))
+        ticks[:, 0] = nodes[1:][rows]
+        ticks[:, 1:] = h[rows, None]
+        np.add.accumulate(ticks, axis=1, out=ticks)
+        times = np.empty((len(ticks), width))
+        times[:, ::2] = ticks
+        times[:, 1::2] = ticks[:, :-1] + 0.5 * h[rows, None]
+        times = times[::-1].ravel()
+        try:
+            values = np.broadcast_to(np.asarray(u_w(times), dtype=float), times.shape)
+        except EvalDomainError:
+            yield (sign * float(u_w(t)) for t in times)
+        else:
+            yield (sign * values).tolist()
+
+
+def _rk4_backward(weights, l, terminal, grid_nodes, substeps, side):
+    """Classical 4th-order sweep of x' = w(t) l(x) from t = T down to 0,
+    storing node values; ``weights`` iterates over w at the stage times as
+    :func:`_stage_weights` orders them."""
     values = np.empty(len(grid_nodes))
     values[-1] = terminal
     x = float(terminal)
-    for i in range(len(grid_nodes) - 1, 0, -1):
-        t_hi = grid_nodes[i]
-        t_lo = grid_nodes[i - 1]
+    nodes = grid_nodes.tolist()
+    for i in range(len(nodes) - 1, 0, -1):
+        t_hi = nodes[i]
+        t_lo = nodes[i - 1]
         h = (t_lo - t_hi) / substeps  # negative
         t = t_hi
+        w_t = next(weights)
         for _ in range(substeps):
-            k1 = rhs(t, x)
-            k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
-            k4 = rhs(t + h, x + h * k3)
+            k1 = w_t * l(x)
+            w_mid = next(weights)
+            k2 = w_mid * l(x + 0.5 * h * k1)
+            k3 = w_mid * l(x + 0.5 * h * k2)
+            w_t = next(weights)
+            k4 = w_t * l(x + h * k3)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t = t + h
             if not math.isfinite(x) or abs(x) > BLOWUP_THRESHOLD:
@@ -164,6 +218,8 @@ def solve_growth_ode(side, terminal, u_w, l, grid, *, tol=1e-8, max_refinements=
 
     Integrates backward from t = T with classical RK4, halving the internal
     step until two successive refinements agree within ``tol`` in sup norm.
+    Each sweep tabulates u_w at its stage times in one vector call, so
+    ``u_w`` must accept an array of times.
     Raises :class:`BlowUpError` when the curve escapes, and
     :class:`NonPositiveError` when l is not strictly positive on the
     traversed range.
@@ -183,14 +239,11 @@ def solve_growth_ode(side, terminal, u_w, l, grid, *, tol=1e-8, max_refinements=
         return val
 
     sign = -1.0 if side == "upper" else 1.0
-
-    def rhs(t, x):
-        return sign * float(u_w(t)) * l_checked(x)
-
     prev = None
     substeps = 1
     for _ in range(max_refinements + 1):
-        vals = _rk4_backward(rhs, float(terminal), grid.nodes, substeps, side)
+        weights = itertools.chain.from_iterable(_stage_weights(u_w, sign, grid.nodes, substeps))
+        vals = _rk4_backward(weights, l_checked, float(terminal), grid.nodes, substeps, side)
         if prev is not None and float(np.max(np.abs(vals - prev))) < tol:
             return vals
         prev = vals
@@ -323,8 +376,10 @@ def bihari_sequence(
     egrid = envelope_grid or EnvelopeGrid(radius=max(2.0 * cap + 1.0, 10.0))
 
     # the rows are independent fixed-point iterations: step every row that
-    # has not converged in one stacked envelope call, and freeze the others
-    slopes = np.asarray(n_values, dtype=float) + 2.0 * k
+    # has not converged in one stacked envelope call, and freeze the others;
+    # every step's envelope shares psi_all's node tables, so a row's search
+    # grid is built again only when its radius changes
+    psi_all = LipschitzEnvelope(psi, np.asarray(n_values, dtype=float) + 2.0 * k, k, egrid)
     b_col = np.asarray(b_seq)[:, None]
     all_v = np.full((len(n_values), len(nodes)), cap)
     iterations = np.full(len(n_values), j_max)
@@ -336,8 +391,7 @@ def bihari_sequence(
         if active.size == 0:
             break
         v = all_v[active]
-        psi_n = LipschitzEnvelope(psi, slopes[active], k, egrid)
-        integrand = beta_vals * psi_n.batch(np.maximum(v, 0.0))
+        integrand = beta_vals * psi_all.rows(active).batch(np.maximum(v, 0.0))
         v_next = b_col[active] + _reverse_cumtrapz(integrand, nodes)
         change = np.max(np.abs(v_next - v), axis=1)
         transient_excess = max(transient_excess, float(np.max(v_next - cap)))

@@ -11,6 +11,8 @@ import math
 import numpy as np
 
 from bsdelab.expressions import Bin, EvalDomainError, Func, Neg, Num, Var, _to_source
+from bsdelab.generators import _as_univariate
+from bsdelab.ode_bounds import BLOWUP_THRESHOLD, BlowUpError, NonPositiveError
 
 
 def dense_scan_max(fn, lo, hi, nodes=100_001, refine=True):
@@ -311,3 +313,60 @@ def envelope_family_reference(envelopes, points):
                          for _, (u, v) in args)
             out[i, j] = max(args[i][0], shared)
     return out
+
+
+def rk4_backward_reference(rhs, terminal, grid_nodes, substeps, side):
+    """Classical 4th-order sweep from t = T down to 0, storing node values.
+
+    The sweep as it ran before the stage weights were tabulated: ``rhs(t, x)``
+    at every stage, so u is evaluated four times per substep, one scalar
+    call at a time.
+    """
+    values = np.empty(len(grid_nodes))
+    values[-1] = terminal
+    x = float(terminal)
+    for i in range(len(grid_nodes) - 1, 0, -1):
+        t_hi = grid_nodes[i]
+        t_lo = grid_nodes[i - 1]
+        h = (t_lo - t_hi) / substeps  # negative
+        t = t_hi
+        for _ in range(substeps):
+            k1 = rhs(t, x)
+            k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
+            k4 = rhs(t + h, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t = t + h
+            if not math.isfinite(x) or abs(x) > BLOWUP_THRESHOLD:
+                raise BlowUpError(side, t, x)
+        values[i - 1] = x
+    return values
+
+
+def growth_ode_reference(side, terminal, u_w, l, grid, tol=1e-8, max_refinements=14):
+    """``solve_growth_ode`` by :func:`rk4_backward_reference`: the same step
+    halving, with the right-hand side sign * u_w(t) * l(x) one stage at a time."""
+    l = _as_univariate(l)
+
+    def l_checked(x):
+        val = float(l(x))
+        if val <= 0.0:
+            raise NonPositiveError(f"growth function is not strictly positive at {x:.6g}")
+        return val
+
+    sign = -1.0 if side == "upper" else 1.0
+
+    def rhs(t, x):
+        return sign * float(u_w(t)) * l_checked(x)
+
+    prev = None
+    substeps = 1
+    for _ in range(max_refinements + 1):
+        vals = rk4_backward_reference(rhs, float(terminal), grid.nodes, substeps, side)
+        if prev is not None and float(np.max(np.abs(vals - prev))) < tol:
+            return vals
+        prev = vals
+        substeps *= 2
+    raise RuntimeError(
+        f"backward integration did not stabilise within {max_refinements} refinements"
+    )

@@ -360,6 +360,21 @@ class TestBatchedDescent:
         with pytest.raises(EnvelopeError, match=r"y-slope 1 at t=0\.1;"):
             env("t", "t").value_at([0.9, 0.1], 0.0, 0.0)
 
+    @pytest.mark.parametrize("penalty, bound", [("absolute", "6"), ("wedge", "5.29235")])
+    def test_driver_above_its_growth_bound_is_an_error(self, penalty, bound):
+        # -y^3 = 27 at y = -3 exceeds 1 + |y| + |z| and 1 + |y| + min(|z|, |z|^0.37);
+        # the negative box numerator used to give a finite, meaningless value
+        g = Generator.parse("-y^3")
+        if penalty == "wedge":
+            bounds = WedgeGrowthBound(WeightFn.parse("1"), ONE, ONE, ONE, 0.37)
+            env = sup_convolution_generator_alpha(g, 3, ONE, ONE, ONE, 0.37, growth=bounds)
+        else:
+            env = sup_convolution_generator(g, 2, ONE, ONE, growth=growth("1", "1", "1"))
+        with pytest.raises(EnvelopeError, match=(
+                rf"driver value 27 exceeds its certified growth bound {bound} "
+                r"at \(t, y, z\) = \(0\.5, -3, 2\);")):
+            env.value_at([0.0, 0.5, 0.2], [-1.0, -3.0, -4.0], 2.0)
+
     def test_memory_is_bounded_by_the_block(self):
         # a 64-point block peaks near 4.2 MB; all 256 points at once near 16.5 MB
         env = self.envelope(self.DRIVERS[0], "absolute", ONE)

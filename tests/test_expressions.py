@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsdelab.expressions import (
+    MAX_NESTING,
     Bin,
     EvalDomainError,
     Expression,
@@ -94,6 +95,40 @@ class TestParsing:
         assert e(3.0) == 4.0
         with pytest.raises(ParseError):
             parse_expression("y", variables=("w",))
+
+
+def nest(kind, depth):
+    """A source nested ``depth`` levels deep, and where its last level opens."""
+    open_, close = {"group": ("(", ")"), "divide-sqrt": ("x/sqrt(", ")"),
+                    "divide-exp": ("x/exp(", ")"), "sin": ("sin(", ")"),
+                    "minus": ("-", ""), "power": ("0.5^", "")}[kind]
+    source = open_ * depth + "x" + close * depth
+    return source, len(open_) * depth - 1
+
+
+class TestNestingLimit:
+    KINDS = ["group", "divide-sqrt", "divide-exp", "sin", "minus", "power"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_deepest_nesting_evaluates(self, kind):
+        # x/sqrt( opens four nested calls per level in the generated code
+        source, _ = nest(kind, MAX_NESTING)
+        expr = parse_univariate(source)
+        for x in (0.7, np.asarray([0.3, 1.9])):
+            got = np.asarray(expr(x))
+            want = np.asarray(reference_evaluate(expr.root, expr.variables, (x,)))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_level_deeper_is_a_parse_error(self, kind):
+        source, position = nest(kind, MAX_NESTING + 1)
+        with pytest.raises(ParseError, match=rf"nesting depth {MAX_NESTING + 1} exceeds the "
+                                             rf"limit of {MAX_NESTING} at position") as err:
+            parse_univariate(source)
+        assert err.value.position == position
+
+    def test_sums_do_not_nest(self):
+        assert parse_univariate(" + ".join(["x"] * (4 * MAX_NESTING)))(1.0) == 4 * MAX_NESTING
 
 
 class TestEvaluation:

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from bsdelab import envelopes, ode_bounds
+from bsdelab.envelopes import EnvelopeGrid
+from bsdelab.expressions import EvalDomainError
 from bsdelab.generators import WeightFn, _as_univariate
 from bsdelab.ode_bounds import (
     BlowUpError,
@@ -15,7 +18,7 @@ from bsdelab.ode_bounds import (
     sandwich_envelope,
     solve_growth_ode,
 )
-from tests.oracles import lipschitz_envelope_reference
+from tests.oracles import growth_ode_reference, lipschitz_envelope_reference
 
 ONE = WeightFn.parse("1")
 TWO_E_MINUS_1 = 2.0 * math.e - 1.0
@@ -85,6 +88,65 @@ class TestGrowthOde:
         grid = TimeGrid.uniform(1.0, 8)
         with pytest.raises(NonPositiveError):
             solve_growth_ode("upper", 1.0, ONE, "1 - x", grid)
+
+
+def outcome(fn):
+    """The node values as bytes, or the raised error's type, message, side
+    and time reached."""
+    try:
+        return fn().tobytes()
+    except (BlowUpError, NonPositiveError, EvalDomainError) as exc:
+        return type(exc), str(exc), getattr(exc, "side", None), getattr(exc, "time_reached", None)
+
+
+NON_UNIFORM = TimeGrid(np.asarray([0.0, 0.05, 0.3, 0.31, 0.7, 1.0]))
+
+
+class TestTabulatedSweep:
+    """The sweep tabulates u at its stage times; values and errors must be
+    those of the scalar sweep in ``tests/oracles.py``, bit for bit."""
+
+    @pytest.mark.parametrize("u", ["1", "2*t + sin(t)", "exp(-t)"])
+    @pytest.mark.parametrize("l", ["1 + abs(x)", "1 + x^2/10 + exp(-x^2)"])
+    @pytest.mark.parametrize("grid", [TimeGrid.uniform(1.0, 1), TimeGrid.uniform(1.0, 7),
+                                      TimeGrid.uniform(1.0, 64), NON_UNIFORM],
+                             ids=["n1", "n7", "n64", "non-uniform"])
+    def test_matches_scalar_sweep(self, u, l, grid):
+        w = WeightFn.parse(u)
+        env = sandwich_envelope(0.7, w, l, grid)
+        assert env.upper.tobytes() == growth_ode_reference("upper", 0.7, w, l, grid).tobytes()
+        assert env.lower.tobytes() == growth_ode_reference("lower", -0.7, w, l, grid).tobytes()
+
+    def test_stage_blocks(self, monkeypatch):
+        # a sweep longer than one block tabulates u one block of intervals at a time
+        monkeypatch.setattr(ode_bounds, "_STAGE_BLOCK", 5)
+        w = WeightFn.parse("2*t + sin(t)")
+        got = solve_growth_ode("upper", 0.7, w, "1 + abs(x)", TimeGrid.uniform(1.0, 7))
+        want = growth_ode_reference("upper", 0.7, w, "1 + abs(x)", TimeGrid.uniform(1.0, 7))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("u, l, xi, grid, error", [
+        # u(0) is outside the domain, but the curve blows up at t = 1.374 first
+        ("1/t", "1 + x^2", 1.0, TimeGrid.uniform(math.pi, 64), BlowUpError),
+        # the sweep reaches u(0) and stops there
+        ("1/t", "1 + abs(x)", 1.0, TimeGrid.uniform(1.0, 8), EvalDomainError),
+        # l turns non-positive at k2 of the first step, before the k4 stage at t = 0.5
+        ("4/(t - 0.5)", "1.54 - abs(x)", 1.5, TimeGrid.uniform(1.0, 2), NonPositiveError),
+        ("1", "1 - abs(x)", 1.0, TimeGrid.uniform(1.0, 8), NonPositiveError),
+    ], ids=["blow-up-before-u-fails", "u-fails", "l-fails-before-u", "l-fails"])
+    @pytest.mark.parametrize("block", [ode_bounds._STAGE_BLOCK, 5], ids=["one-block", "blocks"])
+    def test_errors_surface_in_sweep_order(self, monkeypatch, u, l, xi, grid, error, block):
+        monkeypatch.setattr(ode_bounds, "_STAGE_BLOCK", block)
+        w = WeightFn.parse(u)
+        for side, terminal in (("upper", xi), ("lower", -xi)):
+            got = outcome(lambda: solve_growth_ode(side, terminal, w, l, grid))
+            assert got == outcome(lambda: growth_ode_reference(side, terminal, w, l, grid))
+            assert got[0] is error
+        with pytest.raises(error) as err:
+            sandwich_envelope(xi, w, l, grid)
+        if error is BlowUpError:
+            assert err.value.side == "upper"
+            assert err.value.time_reached == pytest.approx(1.374, abs=1e-3)
 
 
 class TestSandwichEnvelope:
@@ -185,15 +247,15 @@ class TestBihariSequence:
             bihari_sequence("x + 1", 1.0, ONE, [1], [0.1], self.grid())
 
 
-def sequential_bihari(psi, k, beta, n_values, b_seq, grid, j_max):
+def sequential_bihari(psi, k, beta, n_values, b_seq, grid, j_max, envelope_grid=None):
     """The iteration of ``bihari_sequence`` one n at a time, each psi_n step
-    by the dense envelope oracle: (iterates, iterations, converged,
-    last_changes, worst transient excess over the cap)."""
+    by the dense envelope oracle on a grid of its own: (iterates, iterations,
+    converged, last_changes, worst transient excess over the cap)."""
     psi = _as_univariate(psi)
     nodes = grid.nodes
     cap = gronwall_cap(b_seq[0], k, beta, grid)
     beta_vals = np.asarray(beta(nodes), dtype=float)
-    radius = max(2.0 * cap + 1.0, 10.0)
+    egrid = envelope_grid or EnvelopeGrid(radius=max(2.0 * cap + 1.0, 10.0))
     rows, iterations, converged, changes = [], [], [], []
     transient = 0.0
     for n, b_n in zip(n_values, b_seq):
@@ -201,7 +263,7 @@ def sequential_bihari(psi, k, beta, n_values, b_seq, grid, j_max):
         used, ok, change = j_max, False, math.inf
         for j in range(1, j_max + 1):
             values = beta_vals * lipschitz_envelope_reference(
-                psi, n + 2.0 * k, k, np.maximum(v, 0.0), radius=radius)
+                psi, n + 2.0 * k, k, np.maximum(v, 0.0), egrid.radius, egrid.nodes)
             seg = 0.5 * (values[1:] + values[:-1]) * np.diff(nodes)
             v_next = np.full(len(nodes), b_n)
             v_next[:-1] += np.cumsum(seg[::-1])[::-1]
@@ -218,33 +280,60 @@ def sequential_bihari(psi, k, beta, n_values, b_seq, grid, j_max):
     return np.asarray(rows), tuple(iterations), tuple(converged), tuple(changes), transient
 
 
+KINKED = "min(10*x, 0.3) + 0.2*x"
+
+
 class TestStackedBihariRows:
     """All n rows step together; each must match its own sequential run bit for bit."""
 
     @pytest.mark.parametrize(
-        "psi, k, ns, bs, grid, j_max, iterations",
+        "psi, k, ns, bs, grid, j_max, iterations, egrid",
         [
             # rows converge at different iterations
             ("min(x, 0.3) + 0.2*x", 1.0, [1, 2, 4, 50], [0.5, 0.4, 0.2, 0.01],
-             TimeGrid.uniform(1.5, 40), 500, (10, 10, 12, 17)),
+             TimeGrid.uniform(1.5, 40), 500, (10, 10, 12, 17), None),
             # the last row runs into j_max
             ("min(x, 0.3) + 0.2*x", 1.0, [1, 2, 4, 50], [0.5, 0.4, 0.2, 0.01],
-             TimeGrid.uniform(1.5, 40), 15, (10, 10, 12, 15)),
+             TimeGrid.uniform(1.5, 40), 15, (10, 10, 12, 15), None),
             # the first row converges exactly at j_max, the others do not
             ("sqrt(x)*min(1, sqrt(x)) + 0.5*x", 1.5, [1, 2, 3, 5, 8, 13],
-             [0.5, 0.4, 0.3, 0.2, 0.1, 0.05], TimeGrid.uniform(1.0, 32), 15, (15,) * 6),
+             [0.5, 0.4, 0.3, 0.2, 0.1, 0.05], TimeGrid.uniform(1.0, 32), 15, (15,) * 6, None),
+            # psi is steeper than the slopes below its kink, so the envelope's
+            # value there depends on the search grid; with small base radii the
+            # grid follows v, and reused and rebuilt node tables mix, or every
+            # step rebuilds them
+            (KINKED, 0.3, [1, 2, 4, 8], [0.02, 0.01, 0.005, 0.001], TimeGrid.uniform(0.5, 40),
+             500, (7, 8, 10, 16), EnvelopeGrid(1.15, 101)),
+            (KINKED, 0.3, [1, 2, 4, 8], [0.02, 0.01, 0.005, 0.001], TimeGrid.uniform(0.5, 40),
+             500, (7, 8, 10, 16), EnvelopeGrid(0.05, 101)),
         ],
-        ids=["rows-converge-apart", "last-row-hits-j-max", "first-row-converges-at-j-max"],
+        ids=["rows-converge-apart", "last-row-hits-j-max", "first-row-converges-at-j-max",
+             "some-radii-move", "every-radius-moves"],
     )
-    def test_matches_sequential_rows(self, psi, k, ns, bs, grid, j_max, iterations):
-        res = bihari_sequence(psi, k, ONE, ns, bs, grid, j_max=j_max)
-        rows, its, conv, changes, transient = sequential_bihari(psi, k, ONE, ns, bs, grid, j_max)
+    def test_matches_sequential_rows(self, psi, k, ns, bs, grid, j_max, iterations, egrid):
+        res = bihari_sequence(psi, k, ONE, ns, bs, grid, j_max=j_max, envelope_grid=egrid)
+        rows, its, conv, changes, transient = sequential_bihari(
+            psi, k, ONE, ns, bs, grid, j_max, egrid)
         assert res.iterations == its == iterations
         assert res.converged == conv
         assert res.iterates.tobytes() == rows.tobytes()
         assert np.asarray(res.last_changes).tobytes() == np.asarray(changes).tobytes()
         assert res.cap_excess_transient == transient
         assert res.cap_excess_converged == float(np.max(rows - res.cap))
+
+    @pytest.mark.parametrize("radius, builds", [(None, 4), (1.15, 28), (0.05, 41)],
+                             ids=["default-radius", "some-radii-move", "every-radius-moves"])
+    def test_tables_are_rebuilt_only_when_the_radius_moves(self, monkeypatch, radius, builds):
+        # 41 row steps in all; each row table built runs two running-argmax scans
+        built = []
+        scan = envelopes._prefix_argmax
+        monkeypatch.setattr(envelopes, "_prefix_argmax",
+                            lambda values, ties: built.append(len(values)) or scan(values, ties))
+        res = bihari_sequence(KINKED, 0.3, ONE, [1, 2, 4, 8], [0.02, 0.01, 0.005, 0.001],
+                              TimeGrid.uniform(0.5, 40),
+                              envelope_grid=radius and EnvelopeGrid(radius, 101))
+        assert sum(res.iterations) == 41
+        assert sum(built) == 2 * builds
 
     def test_bare_variable_modulus(self):
         # the bare variable "x" hands its input back; "1*x" computes a new array
