@@ -11,7 +11,8 @@ normalised while tokenising)::
 
 so ``-y^3`` parses as ``-(y^3)`` and ``2^3^2`` as ``2^(3^2)``.  Each
 parenthesised group, function argument list, unary minus and exponent opens
-one nesting level; more than ``MAX_NESTING`` levels is a parse error.  Known
+one nesting level; more than ``MAX_NESTING`` levels, or more than
+``MAX_TERMS`` terms and factors joined by ``+ - * /``, is a parse error.  Known
 functions: abs, sign, sin, cos, exp, ln, sqrt, min, max, clamp.  ``sign(0)``
 is 0.  Raising a negative base to a non-integer power, ``ln`` of a
 non-positive value, ``sqrt`` of a negative value and division by zero are
@@ -24,6 +25,9 @@ and ``sqrt`` call a checking helper, variable-free sub-expressions are folded
 to literals, and ``x^k`` for a constant integer ``0 <= k <= 4`` is the
 product ``x * ... * x`` (it can differ from ``np.power`` in the last bit).
 A quotient evaluates and checks its denominator before its numerator.
+``Expression.split(var)`` compiles the same code in two stages: the largest
+sub-expressions free of ``var``, then the rest given their values.  The AST
+walks run on an explicit stack, so a long flat sum recurses nowhere.
 """
 
 from __future__ import annotations
@@ -150,6 +154,12 @@ def _tokenize(source):
 # at most 200 nested parentheses.
 MAX_NESTING = 32
 
+# At most this many terms and factors, joined by + - * /, in one expression.
+# A flat sum of n terms is a chain n nodes deep, in the AST and in the
+# generated code, and CPython 3.11 fails to compile about 3,000 (fewer when
+# it is called from deep in the stack).
+MAX_TERMS = 1024
+
 
 class _Parser:
     def __init__(self, tokens, variables):
@@ -157,6 +167,7 @@ class _Parser:
         self.k = 0
         self.variables = variables
         self.depth = 0
+        self.terms = 1
 
     def nested(self, parse, pos):
         """``parse()`` one nesting level down, opened at ``pos``."""
@@ -167,6 +178,12 @@ class _Parser:
         node = parse()
         self.depth -= 1
         return node
+
+    def joined(self, pos):
+        """Count the operand that the + - * / at ``pos`` joins on."""
+        if self.terms == MAX_TERMS:
+            raise ParseError(f"{MAX_TERMS + 1} terms exceed the limit of {MAX_TERMS}", pos)
+        self.terms += 1
 
     def peek(self):
         return self.tokens[self.k]
@@ -192,9 +209,10 @@ class _Parser:
     def expr(self):
         node = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
+                self.joined(pos)
                 node = Bin(val, node, self.term())
             else:
                 return node
@@ -202,9 +220,10 @@ class _Parser:
     def term(self):
         node = self.unary()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
+                self.joined(pos)
                 node = Bin(val, node, self.unary())
             else:
                 return node
@@ -275,31 +294,61 @@ class _Parser:
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
-def _to_source(node, min_prec=0):
+def _children(node):
+    if isinstance(node, Bin):
+        return (node.lhs, node.rhs)
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, Func):
+        return node.args
+    if isinstance(node, (Num, Var)):
+        return ()
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def _fold(root, combine):
+    """``combine(node, results of its children)`` for every node, children
+    first, without recursion: a flat sum of n terms is a chain n nodes deep."""
+    order, stack = [], [root]
+    while stack:  # parents before children, children right to left
+        node = stack.pop()
+        kids = _children(node)
+        order.append((node, len(kids)))
+        stack.extend(kids)
+    results = []
+    for node, n in reversed(order):
+        kids = results[-n:] if n else ()
+        del results[len(results) - n:]
+        results.append(combine(node, kids))
+    return results[0]
+
+
+def _code(x, prec=0):
+    # an operand is (source, precedence) or a float literal, never parenthesised
+    text, own = (repr(x), _PREC_ATOM) if isinstance(x, float) else x
+    return text if own >= prec else f"({text})"
+
+
+def _source_step(node, kids):
+    """(text, precedence) of ``node`` from those of its children."""
     if isinstance(node, Num):
         text = repr(node.value)
-        return f"({text})" if node.value < 0 else text
+        return (f"({text})" if node.value < 0 else text), _PREC_ATOM
     if isinstance(node, Var):
-        return node.name
+        return node.name, _PREC_ATOM
     if isinstance(node, Neg):
-        inner = _to_source(node.operand, _PREC_UNARY)
-        text = f"-{inner}"
-        return f"({text})" if min_prec > _PREC_UNARY else text
+        return f"-{_code(kids[0], _PREC_UNARY)}", _PREC_UNARY
     if isinstance(node, Func):
-        args = ", ".join(_to_source(a, 0) for a in node.args)
-        return f"{node.name}({args})"
-    if isinstance(node, Bin):
-        if node.op in "+-":
-            prec = _PREC_ADD
-            text = f"{_to_source(node.lhs, prec)} {node.op} {_to_source(node.rhs, prec + 1)}"
-        elif node.op in "*/":
-            prec = _PREC_MUL
-            text = f"{_to_source(node.lhs, prec)} {node.op} {_to_source(node.rhs, prec + 1)}"
-        else:  # ^ is right-associative with an atom-level left operand
-            prec = _PREC_POW
-            text = f"{_to_source(node.lhs, _PREC_ATOM)}^{_to_source(node.rhs, _PREC_UNARY)}"
-        return f"({text})" if min_prec > prec else text
-    raise TypeError(f"not an AST node: {node!r}")
+        return f"{node.name}({', '.join(text for text, _ in kids)})", _PREC_ATOM
+    lhs, rhs = kids
+    if node.op == "^":  # right-associative with an atom-level left operand
+        return f"{_code(lhs, _PREC_ATOM)}^{_code(rhs, _PREC_UNARY)}", _PREC_POW
+    prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
+    return f"{_code(lhs, prec)} {node.op} {_code(rhs, prec + 1)}", prec
+
+
+def _to_source(node):
+    return _fold(node, _source_step)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -359,100 +408,155 @@ def _nonnegative(node):
     return isinstance(node, Func) and node.name in ("abs", "sqrt", "exp")
 
 
-def _generate(root, variables):
-    """Source of ``lambda v0, v1, ...: <root as one numpy expression>``."""
-    names = {name: (f"v{i}", _PREC_ATOM) for i, name in enumerate(variables)}
+def _step(text, prec, *operands):
+    # fold a node whose operands are all literals by running its own code
+    if all(isinstance(x, float) for x in operands):
+        try:
+            value = float(eval(text, _NAMESPACE))
+        except EvalDomainError:
+            value = math.nan
+        if math.isfinite(value):
+            return value
+    return text, prec
 
-    def code(x, prec=0):
-        # an operand is (source, precedence) or a float literal, never parenthesised
-        text, own = (repr(x), _PREC_ATOM) if isinstance(x, float) else x
-        return text if own >= prec else f"({text})"
 
-    def step(text, prec, *operands):
-        # fold a node whose operands are all literals by running its own code
-        if all(isinstance(x, float) for x in operands):
-            try:
-                value = float(eval(text, _NAMESPACE))
-            except EvalDomainError:
-                value = math.nan
-            if math.isfinite(value):
-                return value
-        return text, prec
+def _emit(root, names, hoisted):
+    """(operand, source) of ``root`` as one numpy expression.
+
+    ``names`` maps each variable to its operand; a sub-tree whose id is a key
+    of ``hoisted`` is read from the operand it maps to instead.
+    """
+    bare = set(names.values()) | set(hoisted.values())
 
     def fresh(x):
         # a bare variable is the caller's own array; ``+v`` evaluates to a new one
-        return (f"+{x[0]}", _PREC_UNARY) if x in names.values() else x
+        return (f"+{x[0]}", _PREC_UNARY) if x in bare else x
 
-    def visit(node):
+    def combine(node, kids):
+        source = _source_step(node, [s for _, s in kids])
+        if id(node) in hoisted:
+            return hoisted[id(node)], source
+        ops = [x for x, _ in kids]
+        src = repr(source[0])
         if isinstance(node, Num):
-            return node.value if math.isfinite(node.value) else (repr(node.value), _PREC_ATOM)
-        if isinstance(node, Var):
-            return names[node.name]
-        if isinstance(node, Neg):
-            a = visit(node.operand)
-            return step(f"-{code(a, _PREC_UNARY)}", _PREC_UNARY, a)
-        src = repr(_to_source(node))
-        if isinstance(node, Func):
-            args = [visit(arg) for arg in node.args]
-            text = ", ".join(map(code, args))
+            value = node.value if math.isfinite(node.value) else (repr(node.value), _PREC_ATOM)
+        elif isinstance(node, Var):
+            value = names[node.name]
+        elif isinstance(node, Neg):
+            value = _step(f"-{_code(ops[0], _PREC_UNARY)}", _PREC_UNARY, *ops)
+        elif isinstance(node, Func):
+            text = ", ".join(map(_code, ops))
             if node.name == "exp":
                 text = f"_finite(exp({text}), 'exp produced a non-finite value', {src})"
             elif node.name == "ln" or (node.name == "sqrt" and not _nonnegative(node.args[0])):
                 text = f"{node.name}(_domain({text}, {node.name!r}, {src}))"
             else:
                 text = f"{node.name}({text})"
-            return step(text, _PREC_ATOM, *args)
-        if node.op == "/":
-            d = visit(node.rhs)
-            d = step(f"_domain({code(d)}, '/', {src})", _PREC_ATOM, d)
-            n = visit(node.lhs)
+            value = _step(text, _PREC_ATOM, *ops)
+        elif node.op == "/":
+            n, d = ops
+            d = _step(f"_domain({_code(d)}, '/', {src})", _PREC_ATOM, d)
             if isinstance(d, float):
-                return step(f"{code(n, _PREC_MUL)} / {code(d, _PREC_UNARY)}", _PREC_MUL, n, d)
-            return step(f"_divide({code(d)}, {code(n)})", _PREC_ATOM, d, n)
-        a, b = visit(node.lhs), visit(node.rhs)
-        if node.op != "^":
+                value = _step(f"{_code(n, _PREC_MUL)} / {_code(d, _PREC_UNARY)}", _PREC_MUL, n, d)
+            else:
+                value = _step(f"_divide({_code(d)}, {_code(n)})", _PREC_ATOM, d, n)
+        elif node.op != "^":
+            a, b = ops
             prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
-            return step(f"{code(a, prec)} {node.op} {code(b, prec + 1)}", prec, a, b)
-        if isinstance(b, float) and b == math.floor(b) and 0 <= b <= _MAX_CHAIN:
-            base = fresh(a) if b == 1 else a  # x^1 is x itself
-            return step(f"_chain({code(base)}, {int(b)}, {src})", _PREC_ATOM, a)
-        negative = not isinstance(b, float) or b != math.floor(b) and not _nonnegative(node.lhs)
-        flags = f", {negative}, {not isinstance(b, float) or b < 0}"
-        return step(f"_power({code(a)}, {code(b)}, {src}{flags})", _PREC_ATOM, a, b)
+            value = _step(f"{_code(a, prec)} {node.op} {_code(b, prec + 1)}", prec, a, b)
+        else:
+            a, b = ops
+            if isinstance(b, float) and b == math.floor(b) and 0 <= b <= _MAX_CHAIN:
+                base = fresh(a) if b == 1 else a  # x^1 is x itself
+                value = _step(f"_chain({_code(base)}, {int(b)}, {src})", _PREC_ATOM, a)
+            else:
+                negative = (not isinstance(b, float)
+                            or b != math.floor(b) and not _nonnegative(node.lhs))
+                flags = f", {negative}, {not isinstance(b, float) or b < 0}"
+                value = _step(f"_power({_code(a)}, {_code(b)}, {src}{flags})", _PREC_ATOM, a, b)
+        return value, source
 
-    result = fresh(visit(root))
-    text = code(result)
+    result, (source, _) = _fold(root, combine)
+    return fresh(result), source
+
+
+def _names(variables):
+    return {name: (f"v{i}", _PREC_ATOM) for i, name in enumerate(variables)}
+
+
+def _generate(root, variables, parts=()):
+    """Source of ``lambda v0, v1, ..., c0, c1, ...: <root as one numpy expression>``
+    in which the sub-tree ``parts[k]`` is read from the parameter ``c<k>``."""
+    names = _names(variables)
+    hoisted = {id(part): (f"c{k}", _PREC_ATOM) for k, part in enumerate(parts)}
+    result, source = _emit(root, names, hoisted)
+    text = _code(result)
     if not isinstance(result, float):
-        text = f"_finite({text}, 'non-finite result', {_to_source(root)!r})"
-    return f"lambda {', '.join(n for n, _ in names.values())}: {text}"
+        text = f"_finite({text}, 'non-finite result', {source!r})"
+    params = [n for n, _ in names.values()] + [n for n, _ in hoisted.values()]
+    return f"lambda {', '.join(params)}: {text}"
 
 
-def _free_variables(node, acc):
-    if isinstance(node, Var):
-        acc.add(node.name)
-    elif isinstance(node, Neg):
-        _free_variables(node.operand, acc)
-    elif isinstance(node, Bin):
-        _free_variables(node.lhs, acc)
-        _free_variables(node.rhs, acc)
-    elif isinstance(node, Func):
-        for a in node.args:
-            _free_variables(a, acc)
-    return acc
+def _generate_parts(parts, variables):
+    """Source of ``lambda v0, v1, ...: (<parts[0]>, <parts[1]>, ...)``.
+
+    No part is a bare variable or a constant, so each value is a new one, and
+    none is checked as a whole: the expression it came from checks it.
+    """
+    names = _names(variables)
+    codes = "".join(f"{_code(_emit(part, names, {})[0])}, " for part in parts)
+    return f"lambda {', '.join(n for n, _ in names.values())}: ({codes})"
 
 
-def _substitute(node, mapping):
-    if isinstance(node, Var):
-        return mapping.get(node.name, node)
-    if isinstance(node, Num):
+def _hoistable(root, var):
+    """The largest sub-trees of ``root`` that do not contain the variable
+    ``var`` but contain another one, other than bare variables; left to right,
+    each node once."""
+    mentions = {}  # id(node) -> (contains var, contains another variable)
+
+    def combine(node, kids):
+        if isinstance(node, Var):
+            flags = (node.name == var, node.name != var)
+        else:
+            flags = (any(a for a, _ in kids), any(b for _, b in kids))
+        mentions[id(node)] = flags
+        return flags
+
+    _fold(root, combine)
+    parts, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        has_var, has_other = mentions[id(node)]
+        if has_var:
+            stack.extend(reversed(_children(node)))
+        elif has_other and not isinstance(node, Var):
+            parts.setdefault(id(node), node)
+    return list(parts.values())
+
+
+def _free_variables(root):
+    names, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            names.add(node.name)
+        stack.extend(_children(node))
+    return names
+
+
+def _substitute(root, mapping):
+    def rebuild(node, kids):
+        if isinstance(node, Var):
+            return mapping.get(node.name, node)
+        if isinstance(node, Neg):
+            return Neg(kids[0])
+        if isinstance(node, Bin):
+            return Bin(node.op, *kids)
+        if isinstance(node, Func):
+            return Func(node.name, tuple(kids))
         return node
-    if isinstance(node, Neg):
-        return Neg(_substitute(node.operand, mapping))
-    if isinstance(node, Bin):
-        return Bin(node.op, _substitute(node.lhs, mapping), _substitute(node.rhs, mapping))
-    if isinstance(node, Func):
-        return Func(node.name, tuple(_substitute(a, mapping) for a in node.args))
-    raise TypeError(f"not an AST node: {node!r}")
+
+    return _fold(root, rebuild)
 
 
 class Expression:
@@ -460,26 +564,30 @@ class Expression:
 
     Evaluation is pure and re-entrant; instances are safe to share across
     threads.  Scalars in, float out; numpy arrays in, array out.  The
-    generated function is compiled on the first call.
+    generated function is compiled on the first call, and the source text is
+    printed on first use.
     """
 
-    __slots__ = ("root", "variables", "_fn", "_source")
+    __slots__ = ("root", "variables", "_fn", "_staged", "_source")
 
     def __init__(self, root, variables):
-        missing = _free_variables(root, set()) - set(variables)
+        missing = _free_variables(root) - set(variables)
         if missing:
             raise ExpressionError(f"variables {sorted(missing)} not in {variables}")
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "variables", tuple(variables))
         object.__setattr__(self, "_fn", None)
-        object.__setattr__(self, "_source", _to_source(root))
+        object.__setattr__(self, "_staged", None)
+        object.__setattr__(self, "_source", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Expression is immutable")
 
+    def _eval(self, source, label):
+        return eval(compile(source, f"<expression {label}>", "eval"), _NAMESPACE)
+
     def _compile(self):
-        source = _generate(self.root, self.variables)
-        fn = eval(compile(source, f"<expression {self._source}>", "eval"), _NAMESPACE)
+        fn = self._eval(_generate(self.root, self.variables), self.to_source())
         object.__setattr__(self, "_fn", fn)
         return fn
 
@@ -498,18 +606,52 @@ class Expression:
                 else:
                     shape = np.broadcast_shapes(shape, v.shape)
             args.append(v)
-        out = (self._fn or self._compile())(*args)
+        fn = self._fn or self._compile()
+        try:
+            out = fn(*args)
+        except RuntimeWarning:
+            # numpy's warnings are errors (``python -W error``): evaluate again
+            # without them, so that an overflow raises the domain error it causes
+            with np.errstate(all="ignore"):
+                out = fn(*args)
         if shape is None:
             return float(out)
         if type(out) is np.ndarray and out.shape == shape:
             return out
         return np.broadcast_to(out, shape).copy()
 
+    def split(self, var):
+        """The expression staged at the variable ``var``: ``(pre, body)``.
+
+        ``pre`` takes the values of the other variables, in order, and returns
+        the tuple of the largest sub-expressions that do not involve ``var``
+        (bare variables and constants excepted).  ``body`` takes the values of
+        all the variables followed by that tuple, and returns the expression's
+        value from the same numpy operations, bit for bit.  Both are the bare
+        generated functions: pass values as ``__call__`` does (Python floats
+        or float arrays); a result is not broadcast to the arguments' shape.
+        A domain error raised by ``pre`` can differ from the one ``__call__``
+        reports first.  Built on first use and kept for the last ``var``.
+        """
+        staged = self._staged
+        if staged is None or staged[0] != var:
+            parts = _hoistable(self.root, var)
+            others = tuple(v for v in self.variables if v != var)
+            source = self.to_source()
+            pre = self._eval(_generate_parts(parts, others), f"{source} before {var}")
+            body = self._eval(_generate(self.root, self.variables, parts),
+                              f"{source} given its parts without {var}")
+            staged = (var, pre, body)
+            object.__setattr__(self, "_staged", staged)
+        return staged[1:]
+
     def to_source(self):
+        if self._source is None:  # printed on first use
+            object.__setattr__(self, "_source", _to_source(self.root))
         return self._source
 
     def free_variables(self):
-        return frozenset(_free_variables(self.root, set()))
+        return frozenset(_free_variables(self.root))
 
     def substitute(self, mapping):
         """Return a new Expression with variables rewritten to AST nodes."""
@@ -520,7 +662,7 @@ class Expression:
         return Expression(self.root, variables)
 
     def __repr__(self):
-        return f"Expression({self._source!r}, variables={self.variables})"
+        return f"Expression({self.to_source()!r}, variables={self.variables})"
 
     def __eq__(self, other):
         return isinstance(other, Expression) and (self.root, self.variables) == (
@@ -552,7 +694,7 @@ def parse_univariate(source, var_hint=None):
     the expression is constant.  Returns an Expression of arity one.
     """
     root = _parse(source, None)
-    free = sorted(_free_variables(root, set()))
+    free = sorted(_free_variables(root))
     if len(free) > 1:
         raise ExpressionError(f"expected at most one free variable, found {free} in {source!r}")
     name = free[0] if free else (var_hint or "x")

@@ -304,29 +304,26 @@ class BihariResult:
         return all(self.converged)
 
 
-def _aitken_once(seq):
-    out = []
-    for a0, a1, a2 in zip(seq[:-2], seq[1:-1], seq[2:]):
-        denom = a2 - 2.0 * a1 + a0
-        if abs(denom) < 1e-300:
-            out.append(a2)
-        else:
-            out.append(a0 - (a1 - a0) ** 2 / denom)
-    return out
-
-
 def _limit_estimate(values):
-    """Geometric-sequence extrapolation (iterated delta-squared), clamped at 0.
+    """Geometric-sequence extrapolation (iterated delta-squared) of each
+    column of ``values``, whose rows are the terms, clamped at 0.
 
     Up to three passes: data decaying like sums of geometric modes keep one
-    fewer mode per pass.
+    fewer mode per pass.  Where a second difference is below 1e-300 in size
+    the pass keeps the last of its three terms.
     """
-    seq = list(values)
+    seq = np.asarray(values, dtype=float)
     for _ in range(3):
         if len(seq) < 3:
             break
-        seq = _aitken_once(seq)
-    return max(0.0, seq[-1])
+        a0, a1, a2 = seq[:-2], seq[1:-1], seq[2:]
+        denom = a2 - 2.0 * a1 + a0
+        flat = np.abs(denom) < 1e-300
+        # float_power is libm pow, as a scalar ``** 2`` is; ``** 2`` on an array is a product
+        step = np.float_power(a1 - a0, 2.0)
+        np.divide(step, denom, out=step, where=~flat)
+        seq = np.where(flat, a2, a0 - step)
+    return np.where(seq[-1] > 0.0, seq[-1], 0.0)
 
 
 def bihari_sequence(
@@ -403,7 +400,7 @@ def bihari_sequence(
         active = active[~done]
 
     mono_gap = float(np.max(all_v[1:] - all_v[:-1])) if len(n_values) > 1 else 0.0
-    limit = np.asarray([_limit_estimate(all_v[:, i]) for i in range(len(nodes))])
+    limit = _limit_estimate(all_v)
     return BihariResult(
         n_values=n_values,
         b_values=b_seq,

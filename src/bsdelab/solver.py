@@ -7,6 +7,17 @@ Both backends run one backward sweep, ``_backward_sweep``:
     y_i = E_i + g(t_i, E_i, z_i) dt                 (explicit)
     y_i solves y = E_i + g(t_i, y, z_i) dt          (implicit, Picard iteration)
 
+The driver runs staged at y (``Expression.split``): once per level, its
+largest sub-expressions free of y, such as ``abs(z)^1.5`` in
+``-y^3 + abs(z)^1.5*sin(y)``, are evaluated from (t_i, z_i); each update then
+evaluates only the rest, from the same numpy operations, so every value is the
+whole driver's, bit for bit.  A driver without y gets one update in either
+scheme, since its second Picard iterate would repeat the first.  Where the
+y-free part raises a domain error, the whole driver is evaluated at
+(t_i, E_i, z_i) to report the error it reports first.  Each sweep runs under
+one ``np.errstate(all="ignore")``: an overflow surfaces as the domain or
+solver error it leads to, with no warning before it.
+
 They differ only in the conditional-expectation operator ``expect``.  On the
 recombining binomial tree (increments +-sqrt(dt) with probability 1/2) it is
 the exact pairwise average:
@@ -34,6 +45,7 @@ from typing import Optional
 
 import numpy as np
 
+from .expressions import EvalDomainError
 from .generators import Generator, TerminalCondition
 from .ode_bounds import TimeGrid
 
@@ -192,16 +204,19 @@ def _finite_or_raise(arr, step, time, what):
     return arr
 
 
-def _implicit_update(g, i, t, E, z, dt, tol, cap):
-    y = E.copy()
+def _implicit_update(body, parts, i, t, E, z, dt, tol, cap):
+    """Picard iteration y <- E + g(t, y, z) dt from y = E, with g's body and
+    its y-free parts; the change is measured in one reused buffer."""
+    y = E
+    gap = np.empty_like(E)
     change = math.inf
     for it in range(1, cap + 1):
-        y_next = E + np.asarray(g(t, y, z), dtype=float) * dt
-        change = float(np.max(np.abs(y_next - y))) if y.size else 0.0
+        y_next = E + body(t, y, z, *parts) * dt
+        change = float(np.abs(np.subtract(y_next, y, out=gap), out=gap).max()) if y.size else 0.0
         y = y_next
         if change < tol:
             return y, it
-    raise PicardDivergenceError(step=i, time=float(t), change=change, cap=cap)
+    raise PicardDivergenceError(step=i, time=t, change=change, cap=cap)
 
 
 def _backward_sweep(g, xi, grid, states, expect, scheme, picard_tol, picard_cap, z_clamp, **source):
@@ -217,32 +232,44 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, picard_tol, picard_cap,
         raise ValueError(f"z_clamp must be > 0, got {z_clamp!r}")
     steps = grid.steps
     dt = grid.dt
-    xi.check_bound(states)
-    y_rows = [None] * steps + [np.asarray(xi(states), dtype=float)]
-    _finite_or_raise(y_rows[steps], steps, grid.horizon, "terminal payoff")
+    pre, body = g.expr.split("y")
+    # without y the second Picard iterate repeats the first, bit for bit
+    single = scheme == "explicit" or "y" not in g.expr.free_variables()
     z_rows = [None] * steps
     clamped = False
     picard_max = 0
-    for i in range(steps - 1, -1, -1):
-        t = grid.nodes[i]
-        E, z = expect(i, y_rows[i + 1])
-        if z_clamp is not None:
-            before = z
-            z = np.clip(z, -z_clamp, z_clamp)
-            clamped = clamped or bool(np.any(before != z))
-        if scheme == "explicit":
-            y = E + np.asarray(g(t, E, z), dtype=float) * dt
-        else:
-            y, used = _implicit_update(g, i, t, E, z, dt, picard_tol, picard_cap)
-            picard_max = max(picard_max, used)
-        y_rows[i] = _finite_or_raise(y, i, float(t), "value")
-        z_rows[i] = z
+    # every overflow ends in a domain or solver error that names it
+    with np.errstate(all="ignore"):
+        xi.check_bound(states)
+        y_rows = [None] * steps + [np.asarray(xi(states), dtype=float)]
+        _finite_or_raise(y_rows[steps], steps, grid.horizon, "terminal payoff")
+        for i in range(steps - 1, -1, -1):
+            t = float(grid.nodes[i])
+            E, z = expect(i, y_rows[i + 1])
+            if z_clamp is not None:
+                before = z
+                z = np.clip(z, -z_clamp, z_clamp)
+                clamped = clamped or bool(np.any(before != z))
+            try:
+                parts = pre(t, z)
+            except EvalDomainError:
+                g(t, E, z)  # the error g reports first, which may lie in its y part
+                raise
+            if single:
+                y = E + body(t, E, z, *parts) * dt
+                used = 1
+            else:
+                y, used = _implicit_update(body, parts, i, t, E, z, dt, picard_tol, picard_cap)
+            if scheme == "implicit":
+                picard_max = max(picard_max, used)
+            y_rows[i] = _finite_or_raise(y, i, t, "value")
+            z_rows[i] = z
     return DiscreteSolution(
         grid=grid,
         y=tuple(y_rows),
         z=tuple(z_rows),
         scheme=scheme,
-        generator=g if isinstance(g, Generator) else None,
+        generator=g,
         terminal=xi,
         diagnostics={"picard_max_iterations": picard_max, "z_clamped": clamped},
         conforming=not clamped,

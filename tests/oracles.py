@@ -11,8 +11,9 @@ import math
 import numpy as np
 
 from bsdelab.expressions import Bin, EvalDomainError, Func, Neg, Num, Var, _to_source
-from bsdelab.generators import _as_univariate
+from bsdelab.generators import Generator, _as_univariate
 from bsdelab.ode_bounds import BLOWUP_THRESHOLD, BlowUpError, NonPositiveError
+from bsdelab.solver import DiscreteSolution, PicardDivergenceError, _finite_or_raise
 
 
 def dense_scan_max(fn, lo, hi, nodes=100_001, refine=True):
@@ -369,4 +370,84 @@ def growth_ode_reference(side, terminal, u_w, l, grid, tol=1e-8, max_refinements
         substeps *= 2
     raise RuntimeError(
         f"backward integration did not stabilise within {max_refinements} refinements"
+    )
+
+
+def limit_estimate_reference(values):
+    """Iterated Aitken delta-squared extrapolation of one node's n sequence,
+    one Python step at a time, clamped at 0: up to three passes, each keeping
+    one fewer geometric mode."""
+
+    def aitken_once(seq):
+        out = []
+        for a0, a1, a2 in zip(seq[:-2], seq[1:-1], seq[2:]):
+            denom = a2 - 2.0 * a1 + a0
+            if abs(denom) < 1e-300:
+                out.append(a2)
+            else:
+                out.append(a0 - (a1 - a0) ** 2 / denom)
+        return out
+
+    seq = list(values)
+    for _ in range(3):
+        if len(seq) < 3:
+            break
+        seq = aitken_once(seq)
+    return max(0.0, seq[-1])
+
+
+def _picard_update_reference(g, i, t, E, z, dt, tol, cap):
+    y = E.copy()
+    change = math.inf
+    for it in range(1, cap + 1):
+        y_next = E + np.asarray(g(t, y, z), dtype=float) * dt
+        change = float(np.max(np.abs(y_next - y))) if y.size else 0.0
+        y = y_next
+        if change < tol:
+            return y, it
+    raise PicardDivergenceError(step=i, time=float(t), change=change, cap=cap)
+
+
+def picard_sweep_reference(g, xi, grid, states, expect, scheme, picard_tol, picard_cap, z_clamp,
+                           **source):
+    """The backward sweep as it ran before the driver was staged at y: the
+    whole driver through ``Expression.__call__`` at every explicit step and
+    every Picard iteration, from y = E until the change drops below the
+    tolerance.  Same signature as ``solver._backward_sweep``."""
+    if scheme not in ("explicit", "implicit"):
+        raise ValueError("scheme must be 'explicit' or 'implicit'")
+    if z_clamp is not None and not z_clamp > 0:
+        raise ValueError(f"z_clamp must be > 0, got {z_clamp!r}")
+    steps = grid.steps
+    dt = grid.dt
+    xi.check_bound(states)
+    y_rows = [None] * steps + [np.asarray(xi(states), dtype=float)]
+    _finite_or_raise(y_rows[steps], steps, grid.horizon, "terminal payoff")
+    z_rows = [None] * steps
+    clamped = False
+    picard_max = 0
+    for i in range(steps - 1, -1, -1):
+        t = grid.nodes[i]
+        E, z = expect(i, y_rows[i + 1])
+        if z_clamp is not None:
+            before = z
+            z = np.clip(z, -z_clamp, z_clamp)
+            clamped = clamped or bool(np.any(before != z))
+        if scheme == "explicit":
+            y = E + np.asarray(g(t, E, z), dtype=float) * dt
+        else:
+            y, used = _picard_update_reference(g, i, t, E, z, dt, picard_tol, picard_cap)
+            picard_max = max(picard_max, used)
+        y_rows[i] = _finite_or_raise(y, i, float(t), "value")
+        z_rows[i] = z
+    return DiscreteSolution(
+        grid=grid,
+        y=tuple(y_rows),
+        z=tuple(z_rows),
+        scheme=scheme,
+        generator=g if isinstance(g, Generator) else None,
+        terminal=xi,
+        diagnostics={"picard_max_iterations": picard_max, "z_clamped": clamped},
+        conforming=not clamped,
+        **source,
     )

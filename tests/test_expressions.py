@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from bsdelab.expressions import (
     MAX_NESTING,
+    MAX_TERMS,
     Bin,
     EvalDomainError,
     Expression,
@@ -288,6 +290,108 @@ def test_generated_evaluator_matches_reference(seed):
         for args in cases:
             expected = _outcome(lambda: reference_evaluate(ast, expr.variables, args))
             assert _outcome(lambda: expr(*args)) == expected, (expr.to_source(), args)
+
+
+def staged(expr, var, values):
+    """``expr`` at ``values`` through its split at ``var``."""
+    pre, body = expr.split(var)
+    others = [v for name, v in zip(expr.variables, values) if name != var]
+    return body(*values, *pre(*others))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["t", "y", "z"]))
+def test_split_evaluation_is_bit_identical(seed, var):
+    rng = random.Random(seed)
+    expr = Expression(random_ast(rng, rng.randrange(1, 6)), ("t", "y", "z"))
+    pts = np.random.default_rng(seed % 1000).uniform(-5, 5, size=(3, 50))
+    with np.errstate(all="ignore"):
+        for args in (tuple(pts), (0.5, pts[1], pts[2]), tuple(map(float, pts[:, 0]))):
+            expected = np.asarray(expr(*args))
+            out = np.broadcast_to(staged(expr, var, args), expected.shape)
+            assert out.tobytes() == expected.tobytes(), (expr.to_source(), var)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_split_evaluation_fails_where_the_expression_fails(seed):
+    # the same bits, or a domain error, though not always the same one first
+    rng = random.Random(seed)
+    expr = Expression(random_signed_ast(rng, rng.randrange(1, 5)), ("t", "y", "z"))
+    levels = [-800.0, -2.5, -1.0, 0.0, 0.25, 1.0, 3.5, 1e160]
+    pts = np.array([[rng.choice(levels) for _ in range(6)] for _ in range(3)])
+    args = (float(pts[0, 0]), pts[1], pts[2])
+    with np.errstate(all="ignore"):
+        try:
+            expected = expr(*args)
+        except EvalDomainError:
+            with pytest.raises(EvalDomainError):
+                staged(expr, "y", args)
+        else:
+            out = np.broadcast_to(staged(expr, "y", args), expected.shape)
+            assert out.tobytes() == expected.tobytes(), expr.to_source()
+
+
+def test_split_hoists_the_largest_y_free_parts():
+    expr = parse_expression("-y^3 + abs(z)^1.5*sin(y) + t*y + sin(t)*z^2 + 2^3")
+    pre, body = expr.split("y")
+    assert [float(v) for v in pre(0.5, 2.0)] == [2.0**1.5, math.sin(0.5) * 4.0]
+    assert expr.split("y") == (pre, body)  # built once
+    assert body(0.5, 1.0, 2.0, *pre(0.5, 2.0)) == expr(0.5, 1.0, 2.0)
+    assert parse_expression("y*t + z").split("y")[0](1.0, 2.0) == ()  # bare variables stay
+    # a driver without y is one part, and the body hands back a new array
+    pre, body = parse_expression("z^2/2").split("y")
+    z = np.array([1.0, -3.0])
+    (part,) = pre(1.0, z)
+    out = body(1.0, z, z, part)
+    assert np.array_equal(out, [0.5, 4.5]) and out is not part
+
+
+def test_warnings_as_errors_still_give_the_domain_error():
+    # python -W error: numpy's overflow warning is raised inside the evaluation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalDomainError, match=r"exp produced a non-finite value"):
+            parse_univariate("exp(x)")(1000.0)
+        with pytest.raises(EvalDomainError, match=r"non-finite value in sub-expression 'x\^2.0'"):
+            parse_univariate("x^2")(np.array([1.0, 1e200]))
+        assert parse_univariate("min(x*x, 1)")(1e200) == 1.0
+
+
+def deep_stack(depth, fn):
+    return fn() if depth == 0 else deep_stack(depth - 1, fn)
+
+
+class TestLongFlatExpressions:
+    """A flat sum of n terms is a chain n nodes deep; no walk may recurse on it."""
+
+    def test_thousand_terms(self):
+        expr = parse_univariate(" + ".join(["x"] * 1000))
+        assert expr(1.0) == 1000.0
+        assert expr.substitute({"x": Num(2.0)})(0.0) == 2000.0
+        assert len(expr.to_source()) == 4 * 1000 - 3
+
+    @pytest.mark.parametrize("op", ["+", "-", "*"])
+    def test_at_the_limit(self, op):
+        # compiled from 300 frames down, as from inside a caller's stack
+        expr = parse_univariate(f" {op} ".join(["x"] * MAX_TERMS))
+        expected = {"+": MAX_TERMS, "-": 2 - MAX_TERMS, "*": 1.0}[op]
+        assert deep_stack(300, lambda: expr(np.array([1.0])))[0] == expected
+
+    def test_limit_counts_every_operator_in_every_group(self):
+        terms = ["(x*x + x)"] * (MAX_TERMS // 3) + ["x"] * (MAX_TERMS % 3)
+        expr = parse_expression(" - ".join(terms), variables=("x",))
+        assert expr(1.0) == 2.0 - (MAX_TERMS // 3 - 1) * 2.0 - MAX_TERMS % 3
+        with pytest.raises(ParseError, match=f"{MAX_TERMS + 1} terms exceed the limit of {MAX_TERMS}"):
+            parse_expression(" - ".join(terms + ["x"]), variables=("x",))
+
+    @pytest.mark.parametrize("terms", [MAX_TERMS + 1, 5000, 100_000])
+    def test_past_the_limit_is_a_parse_error(self, terms):
+        source = " + ".join(["x"] * terms)
+        with pytest.raises(ParseError) as err:
+            parse_univariate(source)
+        assert f"{MAX_TERMS + 1} terms exceed the limit of {MAX_TERMS}" in str(err.value)
+        assert err.value.position == source.index("+") + 4 * (MAX_TERMS - 1)
 
 
 def test_small_integer_power_is_a_product():

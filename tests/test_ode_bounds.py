@@ -18,7 +18,11 @@ from bsdelab.ode_bounds import (
     sandwich_envelope,
     solve_growth_ode,
 )
-from tests.oracles import growth_ode_reference, lipschitz_envelope_reference
+from tests.oracles import (
+    growth_ode_reference,
+    limit_estimate_reference,
+    lipschitz_envelope_reference,
+)
 
 ONE = WeightFn.parse("1")
 TWO_E_MINUS_1 = 2.0 * math.e - 1.0
@@ -334,6 +338,27 @@ class TestStackedBihariRows:
                               envelope_grid=radius and EnvelopeGrid(radius, 101))
         assert sum(res.iterations) == 41
         assert sum(built) == 2 * builds
+
+    @pytest.mark.parametrize("ns", [[1], [1, 2], [1, 2, 4], [1, 2, 4, 8, 16, 32, 64]])
+    def test_limit_estimate_matches_the_per_node_loop(self, ns):
+        res = bihari_sequence("min(x, 0.3) + 0.2*x", 1.0, ONE, ns, [0.5 / n for n in ns],
+                              TimeGrid.uniform(1.5, 40))
+        expected = [limit_estimate_reference(res.iterates[:, i]) for i in range(41)]
+        assert res.limit_estimate.tobytes() == np.asarray(expected).tobytes()
+
+    def test_limit_estimate_flat_and_negative_columns(self):
+        # a flat second difference keeps the last term and a negative limit is
+        # clamped to 0; near-geometric columns whose limit cancels to about 0
+        # show where libm's pow(d, 2) and the product d * d differ
+        rng = np.random.default_rng(12)
+        c = rng.uniform(1.0, 2.0, 20_000) * 10.0 ** rng.integers(-60, 60, 20_000)
+        values = c * rng.uniform(0.1, 0.9, 20_000) ** np.arange(3)[:, None]
+        values += rng.standard_normal(values.shape) * c * 1e-3
+        values[:, 0] = [1.0, 2.0, 3.0]
+        values[:, 1] = [-1.0, -1.5, -1.75]
+        expected = [limit_estimate_reference(values[:, i]) for i in range(values.shape[1])]
+        assert expected[:2] == [3.0, 0.0]
+        assert ode_bounds._limit_estimate(values).tobytes() == np.asarray(expected).tobytes()
 
     def test_bare_variable_modulus(self):
         # the bare variable "x" hands its input back; "1*x" computes a new array

@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from bsdelab import solver
+from bsdelab.expressions import EvalDomainError
 from bsdelab.generators import Generator, TerminalCondition
 from bsdelab.ode_bounds import TimeGrid
 from bsdelab.solver import (
@@ -17,7 +20,7 @@ from bsdelab.solver import (
     solve_tree,
 )
 from bsdelab.verify import one_step_residual
-from tests.oracles import lstsq_reference
+from tests.oracles import lstsq_reference, picard_sweep_reference
 
 ZERO = Generator.parse("0")
 B_T = TerminalCondition.parse("w")
@@ -323,3 +326,111 @@ class TestDiscreteSolution:
         a = solve_tree(ZERO, B_T, 8)
         b = solve_tree(ZERO, B_T, 16)
         assert a.substrate_key() != b.substrate_key()
+
+
+STAGED_DRIVERS = ["-y^3 + abs(z)^1.5*sin(y)", "-y", "z^2/2", "-1", "0", "t*y + sin(t)*z^2",
+                  "min(y, abs(z))"]
+SUBSTRATES = {
+    "tree-10": lambda g, xi, **kw: solve_tree(g, xi, 10, **kw),
+    "tree-200": lambda g, xi, **kw: solve_tree(g, xi, 200, **kw),
+    "mc-2000x10": lambda g, xi, **kw: solve_mc_regression(g, xi, 10, 2000, 3, seed=4, **kw),
+}
+
+
+def whole_driver_solve(monkeypatch, solve):
+    """``solve()`` with the sweep that calls the whole driver at every update."""
+    with monkeypatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(solver, "_backward_sweep", picard_sweep_reference)
+        return solve()
+
+
+def raised(solve):
+    with pytest.raises(Exception) as err:
+        solve()
+    return err.value
+
+
+class TestStagedSweep:
+    """The sweep evaluates the driver's y-free parts once per level; every
+    value and every error is the one the whole driver gives."""
+
+    @pytest.mark.parametrize("z_clamp", [None, 0.5])
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    @pytest.mark.parametrize("substrate", sorted(SUBSTRATES))
+    @pytest.mark.parametrize("driver", STAGED_DRIVERS)
+    def test_bit_identical_to_the_whole_driver(self, monkeypatch, driver, substrate, scheme,
+                                               z_clamp):
+        g, xi = Generator.parse(driver), TerminalCondition.parse("sin(w)")
+
+        def solve():
+            return SUBSTRATES[substrate](g, xi, scheme=scheme, z_clamp=z_clamp)
+
+        sol, ref = solve(), whole_driver_solve(monkeypatch, solve)
+        assert len(sol.y) == len(ref.y) and len(sol.z) == len(ref.z)
+        for ours, theirs in zip(sol.y + sol.z, ref.y + ref.z):
+            assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+        expected = dict(ref.diagnostics)
+        if scheme == "implicit" and "y" not in g.expr.free_variables():
+            # one update: the second Picard iterate would repeat the first
+            assert expected["picard_max_iterations"] in (1, 2)
+            expected["picard_max_iterations"] = 1
+        assert sol.diagnostics == expected
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    @pytest.mark.parametrize("driver, terminal, subexpr", [
+        ("ln(y) + ln(z)", "-1", "ln(y)"),  # the y-free ln(z) fails first in the split form
+        ("ln(z) + ln(y)", "-1", "ln(z)"),
+        ("y + ln(z)", "-1", "ln(z)"),
+        ("ln(y) + 1e308*z*10", "w - 5", "ln(y)"),  # an infinite y-free part is no error
+        ("abs(y) + 1e308*z*10", "w - 5", "abs(y) + 1e+308 * z * 10.0"),
+    ])
+    def test_domain_error_is_the_whole_drivers(self, monkeypatch, driver, terminal, subexpr,
+                                               scheme):
+        g, xi = Generator.parse(driver), TerminalCondition.parse(terminal)
+
+        def solve():
+            return solve_tree(g, xi, 4, scheme=scheme)
+
+        err, ref = raised(solve), raised(lambda: whole_driver_solve(monkeypatch, solve))
+        assert type(err) is type(ref) is EvalDomainError
+        assert str(err) == str(ref) and err.subexpr == subexpr
+
+    def test_cubic_divergence_is_unchanged(self, monkeypatch):
+        # the known defect of Picard iteration on -y^3 with 3 cos(w) at N = 10
+        g, xi = Generator.parse("-y^3"), TerminalCondition.parse("3*cos(w)")
+
+        def solve():
+            return solve_tree(g, xi, 10, scheme="implicit")
+
+        err, ref = raised(solve), raised(lambda: whole_driver_solve(monkeypatch, solve))
+        assert type(err) is type(ref) is PicardDivergenceError
+        assert (err.step, err.time, err.change) == (ref.step, ref.time, ref.change)
+        assert str(err) == str(ref) == ("implicit fixed point did not converge at step 9 "
+                                        "(t = 0.9): last change 1.85 after 50 iterations")
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_monte_carlo_overflow_is_a_domain_error_not_a_warning(self, scheme):
+        # z^2/2 overflows on Monte Carlo at 2,000 paths; the multiply's overflow
+        # warning no longer comes first
+        g, xi = Generator.parse("z^2 / 2"), TerminalCondition.parse("min(w^2, 4)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvalDomainError, match=r"non-finite value in sub-expression 'z\^2.0'"):
+                solve_mc_regression(g, xi, 50, 2000, 3, seed=1, scheme=scheme)
+
+    def test_driver_is_staged_once(self, monkeypatch):
+        # the sweep calls the staged functions directly, never Expression.__call__
+        g, xi = Generator.parse("-y^3 + abs(z)^1.5*sin(y)"), TerminalCondition.parse("sin(w)")
+        solve_tree(g, xi, 8, scheme="implicit")
+        staged = g.expr.split("y")
+        calls = []
+        whole = type(g.expr).__call__
+
+        def counted(expr, *values):
+            calls.append(expr)
+            return whole(expr, *values)
+
+        monkeypatch.setattr(type(g.expr), "__call__", counted)
+        sol = solve_tree(g, xi, 8, scheme="implicit")
+        assert g.expr.split("y") == staged and sol.generator is g
+        assert calls and not any(expr is g.expr for expr in calls)
