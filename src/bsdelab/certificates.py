@@ -18,7 +18,7 @@ import numpy as np
 
 from .expressions import Expression
 from .generators import Generator, WeightFn, _as_univariate
-from .report import VerificationReport
+from .report import VerificationReport, at_samples, worst_gap
 
 __all__ = [
     "SampleGrid",
@@ -101,9 +101,7 @@ class _Certificate:
     def violation(self, g, grid):
         axes = tuple(inspect.signature(self.gap).parameters)[1:]
         coords = grid.product(*(getattr(grid, f"{name[0]}_axis")() for name in axes))
-        gap = self.gap(g, *coords)
-        k = int(np.argmax(gap))
-        return float(gap[k]), {n: float(c[k]) for n, c in zip(axes, coords)}
+        return worst_gap([(self.gap(g, *coords), at_samples(**dict(zip(axes, coords))))])
 
     def witness_violation(self, grid):
         return {}
@@ -378,12 +376,10 @@ def check_witnesses(cert, grid=None):
         return VerificationReport.from_violation(
             name="witnesses", claim="no witness shape constraints", violation=0.0
         )
-    worst_name = max(gaps, key=lambda k: gaps[k])
+    names = list(gaps)
+    worst, where = worst_gap([(list(gaps.values()), lambda k: {"constraint": names[k]})])
     return VerificationReport.from_violation(
-        name="witnesses",
-        claim="; ".join(gaps),
-        violation=gaps[worst_name],
-        location={"constraint": worst_name},
+        name="witnesses", claim="; ".join(gaps), violation=worst, location=where
     )
 
 
@@ -391,7 +387,6 @@ def check_witnesses(cert, grid=None):
 # defaults to L1 unless listed; only the Lq weight takes the certificate's alpha.
 _JSON_KEYS = {"lam": "lambda"}
 _WEIGHT_TAGS = {"v": "L2", "lam": "Lq"}
-_CONVERTERS = {"float": float, "bool": bool}
 
 
 def _weight_from(obj, name, alpha):
@@ -407,7 +402,8 @@ def certificate_from_dict(raw):
     """Build a certificate from a plain dict, e.g. from a JSON config.
 
     The keys are the kind's field names (``lambda`` for ``lam``); fields
-    with a default may be left out.
+    with a default may be left out.  An unknown key, or a flag that is not a
+    JSON boolean, is a :class:`CertificateError` naming the key.
     """
     if "kind" not in raw:
         raise CertificateError("certificate dict needs a 'kind'")
@@ -415,17 +411,19 @@ def certificate_from_dict(raw):
     if kind not in CERTIFICATE_KINDS:
         raise CertificateError(f"unknown certificate kind {kind!r}")
     cls = CERTIFICATE_KINDS[kind]
+    keys = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    unknown = sorted(set(raw) - set(keys) - {"kind"})
+    if unknown:
+        raise CertificateError(f"certificate kind {kind!r} has unknown key {unknown[0]!r}")
     try:
         # every key is looked up before any value is converted
-        values = {
-            f.name: raw[_JSON_KEYS.get(f.name, f.name)]
-            for f in fields(cls)
-            if f.default is MISSING or _JSON_KEYS.get(f.name, f.name) in raw
-        }
-        for f in fields(cls):
-            if f.name in values and f.type in _CONVERTERS:
-                values[f.name] = _CONVERTERS[f.type](values[f.name])
-        for f in fields(cls):
+        values = {f.name: raw[key] for key, f in keys.items() if f.default is MISSING or key in raw}
+        for key, f in keys.items():
+            if f.name in values and f.type == "float":
+                values[f.name] = float(values[f.name])
+            if f.name in values and f.type == "bool" and not isinstance(values[f.name], bool):
+                raise TypeError(f"{key!r} must be true or false, got {values[f.name]!r}")
+        for f in keys.values():
             if f.type == "WeightFn":
                 values[f.name] = _weight_from(values[f.name], f.name, values.get("alpha"))
     except KeyError as exc:

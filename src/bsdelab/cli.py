@@ -21,6 +21,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -48,7 +49,7 @@ from .envelopes import EnvelopeGrid, LinearGrowthBound, sup_convolution_generato
 from .expressions import Expression
 from .generators import Generator, TerminalCondition, WeightFn
 from .ode_bounds import BlowUpError, TimeGrid, sandwich_envelope
-from .report import VerificationReport
+from .report import VerificationReport, at_samples, worst_gap
 from .solver import TreeModel, solve_mc_regression, solve_tree
 from .verify import (
     comparison_check,
@@ -141,18 +142,16 @@ def _solver(model: ModelConfig):
 
 
 def _solution_rows(sol):
-    tree = TreeModel(sol.grid) if sol.backend == "tree" else None
+    tree = sol.backend == "tree"
+    weights = TreeModel(sol.grid).level_weights() if tree else itertools.repeat(None)
 
-    def mean(i, values):
-        if tree is None:
-            return float(np.mean(values))
-        return float(np.sum(tree.level_probabilities(i) * np.asarray(values)))
+    def mean(w, values):
+        return float(np.sum(w * np.asarray(values)) if tree else np.mean(values))
 
     rows = []
-    for i, t in enumerate(sol.grid.nodes):
-        row = np.asarray(sol.y[i])
-        z_mean = mean(i, sol.z[i]) if i < sol.grid.steps else None
-        rows.append((float(t), mean(i, row), float(np.min(row)), float(np.max(row)), z_mean))
+    for t, row, z, w in zip(sol.grid.nodes, map(np.asarray, sol.y), sol.z + (None,), weights):
+        z_mean = None if z is None else mean(w, z)
+        rows.append((float(t), mean(w, row), float(np.min(row)), float(np.max(row)), z_mean))
     return rows
 
 
@@ -304,13 +303,13 @@ def _check_envelope_domination(run, *, points: int = 25, tol: float = 0.0,
         rng = np.random.default_rng(run.model.seed)
         t, y, z = rng.uniform(-3, 3, size=(points, 3)).T
         t = np.abs(t) / 3.0 * run.model.horizon
-        gaps = run.generator(t, y, z) - env(t, y, z)
-        worst = int(np.argmax(gaps))
+        worst, where = worst_gap([(run.generator(t, y, z) - env(t, y, z),
+                                   at_samples(t=t, y=y, z=z))])
         return VerificationReport.from_violation(
             name="envelope-domination",
             claim="the regularised driver dominates the driver pointwise",
-            violation=float(gaps[worst]),
-            location={"t": float(t[worst]), "y": float(y[worst]), "z": float(z[worst])},
+            violation=worst,
+            location=where,
             tolerance=tol,
         )
 

@@ -24,7 +24,9 @@ call: a single numpy expression in which only ``/``, ``^``, ``exp``, ``ln``
 and ``sqrt`` call a checking helper, variable-free sub-expressions are folded
 to literals, and ``x^k`` for a constant integer ``0 <= k <= 4`` is the
 product ``x * ... * x`` (it can differ from ``np.power`` in the last bit).
-A quotient evaluates and checks its denominator before its numerator.
+A quotient evaluates and checks its denominator before its numerator; a
+chain of ``*`` and ``/`` that contains one compiles to one flat call, so it
+nests no deeper however long it is.
 ``Expression.split(var)`` compiles the same code in two stages: the largest
 sub-expressions free of ``var``, then the rest given their values.  The AST
 walks run on an explicit stack, so a long flat sum recurses nowhere.
@@ -150,8 +152,9 @@ def _tokenize(source):
 
 # Parenthesised groups, function arguments, unary minus and exponents nest at
 # most this deep.  One level generates up to four nested calls, as in
-# ``_divide(_domain(sqrt(_domain(`` for ``x/sqrt(...)``, and Python compiles
-# at most 200 nested parentheses.
+# ``_quotient('/', _domain(sqrt(_domain(`` for ``x/sqrt(...)``, and Python
+# compiles at most 200 nested parentheses.  A chain of * and / joined to a
+# quotient is one flat call, however long.
 MAX_NESTING = 32
 
 # At most this many terms and factors, joined by + - * /, in one expression.
@@ -377,9 +380,16 @@ def _domain(value, kind, subexpr):
     return value
 
 
-def _divide(denominator, numerator):
-    # the denominator comes first: it is evaluated and checked first
-    return numerator / denominator
+def _quotient(ops, *operands):
+    # a chain of * and / with k divisions (ops, left to right): its k divisors,
+    # outermost first so that each is evaluated and checked before its
+    # numerator, then the chain's head, then its factors in order
+    k = ops.count("/")
+    divisors, factors = list(operands[:k]), iter(operands[k + 1:])
+    out = operands[k]
+    for op in ops:
+        out = out / divisors.pop() if op == "/" else out * next(factors)
+    return out
 
 
 def _chain(base, k, subexpr):
@@ -400,7 +410,7 @@ def _power(base, expo, subexpr, negative, zero):
 _NAMESPACE = {
     "abs": np.abs, "sign": np.sign, "sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log,
     "sqrt": np.sqrt, "min": np.minimum, "max": np.maximum, "clamp": np.clip, "inf": math.inf,
-    "nan": math.nan, **{f.__name__: f for f in (_finite, _domain, _divide, _chain, _power)},
+    "nan": math.nan, **{f.__name__: f for f in (_finite, _domain, _quotient, _chain, _power)},
 }
 
 
@@ -427,6 +437,9 @@ def _emit(root, names, hoisted):
     of ``hoisted`` is read from the operand it maps to instead.
     """
     bare = set(names.values()) | set(hoisted.values())
+    # a quotient, and a * or / whose left operand is one, is one flat
+    # ``_quotient`` call: id(node) -> (ops, divisors, head and factors)
+    chains = {}
 
     def fresh(x):
         # a bare variable is the caller's own array; ``+v`` evaluates to a new one
@@ -453,13 +466,22 @@ def _emit(root, names, hoisted):
             else:
                 text = f"{node.name}({text})"
             value = _step(text, _PREC_ATOM, *ops)
-        elif node.op == "/":
+        elif node.op == "/" or node.op == "*" and id(node.lhs) in chains:
             n, d = ops
-            d = _step(f"_domain({_code(d)}, '/', {src})", _PREC_ATOM, d)
-            if isinstance(d, float):
+            if node.op == "/":
+                d = _step(f"_domain({_code(d)}, '/', {src})", _PREC_ATOM, d)
+            chain = chains.get(id(node.lhs))
+            if chain is None and isinstance(d, float):
                 value = _step(f"{_code(n, _PREC_MUL)} / {_code(d, _PREC_UNARY)}", _PREC_MUL, n, d)
             else:
-                value = _step(f"_divide({_code(d)}, {_code(n)})", _PREC_ATOM, d, n)
+                chain_ops, divisors, rest = chain or ("", (), (n,))
+                if node.op == "/":
+                    divisors = (d,) + divisors
+                else:
+                    rest += (d,)
+                chains[id(node)] = chain_ops + node.op, divisors, rest
+                args = ", ".join(map(_code, divisors + rest))
+                value = f"_quotient({chain_ops + node.op!r}, {args})", _PREC_ATOM
         elif node.op != "^":
             a, b = ops
             prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
@@ -542,6 +564,19 @@ def _free_variables(root):
             names.add(node.name)
         stack.extend(_children(node))
     return names
+
+
+def _key(root):
+    """The AST as one flat pre-order tuple of each node's class, own field and
+    arity, built without recursion: equal keys mean equal trees."""
+    key, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        kids = _children(node)
+        own = getattr(node, "op", getattr(node, "name", getattr(node, "value", None)))
+        key += (type(node), own, len(kids))
+        stack.extend(reversed(kids))
+    return tuple(key)
 
 
 def _substitute(root, mapping):
@@ -665,11 +700,11 @@ class Expression:
         return f"Expression({self.to_source()!r}, variables={self.variables})"
 
     def __eq__(self, other):
-        return isinstance(other, Expression) and (self.root, self.variables) == (
-            other.root, other.variables)
+        return isinstance(other, Expression) and (_key(self.root), self.variables) == (
+            _key(other.root), other.variables)
 
     def __hash__(self):
-        return hash((self.root, self.variables))
+        return hash((_key(self.root), self.variables))
 
 
 def _parse(source, variables):

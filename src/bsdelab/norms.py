@@ -94,9 +94,7 @@ def estimate_norms(sol, p_list, *, sample_paths=32768, seed=0):
     times = sol.grid.nodes
     table = np.empty((len(times), len(DYADIC_LADDER)))
     if sol.backend == "tree":
-        tree = TreeModel(sol.grid)
-        for i, row in enumerate(sol.y):
-            w = tree.level_probabilities(i)
+        for i, (row, w) in enumerate(zip(sol.y, TreeModel(sol.grid).level_weights())):
             absy = np.abs(row)
             for k, c in enumerate(DYADIC_LADDER):
                 table[i, k] = float(np.sum(w * absy * (absy > c)))

@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 BLOWUP_THRESHOLD = 1e12
+# solve_growth_ode halves its RK4 step until two sweeps agree within
+# GROWTH_ODE_TOL in sup norm, at most MAX_REFINEMENTS times
+GROWTH_ODE_TOL = 1e-8
+MAX_REFINEMENTS = 14
 
 
 @dataclass(frozen=True)
@@ -213,11 +217,11 @@ def _rk4_backward(weights, l, terminal, grid_nodes, substeps, side):
     return values
 
 
-def solve_growth_ode(side, terminal, u_w, l, grid, *, tol=1e-8, max_refinements=14):
+def solve_growth_ode(side, terminal, u_w, l, grid):
     """Node values of the upper or lower growth bound on the given grid.
 
     Integrates backward from t = T with classical RK4, halving the internal
-    step until two successive refinements agree within ``tol`` in sup norm.
+    step until two successive refinements agree (see ``GROWTH_ODE_TOL``).
     Each sweep tabulates u_w at its stage times in one vector call, so
     ``u_w`` must accept an array of times.
     Raises :class:`BlowUpError` when the curve escapes, and
@@ -241,24 +245,24 @@ def solve_growth_ode(side, terminal, u_w, l, grid, *, tol=1e-8, max_refinements=
     sign = -1.0 if side == "upper" else 1.0
     prev = None
     substeps = 1
-    for _ in range(max_refinements + 1):
+    for _ in range(MAX_REFINEMENTS + 1):
         weights = itertools.chain.from_iterable(_stage_weights(u_w, sign, grid.nodes, substeps))
         vals = _rk4_backward(weights, l_checked, float(terminal), grid.nodes, substeps, side)
-        if prev is not None and float(np.max(np.abs(vals - prev))) < tol:
+        if prev is not None and float(np.max(np.abs(vals - prev))) < GROWTH_ODE_TOL:
             return vals
         prev = vals
         substeps *= 2
     raise RuntimeError(
-        f"backward integration did not stabilise within {max_refinements} refinements"
+        f"backward integration did not stabilise within {MAX_REFINEMENTS} refinements"
     )
 
 
-def sandwich_envelope(xi_bound, u_w, l, grid, **kw):
+def sandwich_envelope(xi_bound, u_w, l, grid):
     """Two-sided deterministic envelope for terminal data bounded by xi_bound."""
     if not (np.isfinite(xi_bound) and xi_bound >= 0):
         raise ValueError("xi_bound must be finite and nonnegative")
-    upper = solve_growth_ode("upper", xi_bound, u_w, l, grid, **kw)
-    lower = solve_growth_ode("lower", -xi_bound, u_w, l, grid, **kw)
+    upper = solve_growth_ode("upper", xi_bound, u_w, l, grid)
+    lower = solve_growth_ode("lower", -xi_bound, u_w, l, grid)
     return BoundEnvelope(grid, lower, upper, (-xi_bound, xi_bound))
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = ["VerificationReport", "PASS", "FAIL", "INCONCLUSIVE"]
 
@@ -53,3 +56,25 @@ class VerificationReport:
     @classmethod
     def inconclusive(cls, name, claim, reason, location=None):
         return cls(name, claim, INCONCLUSIVE, float("nan"), location or {}, 0.0, (reason,))
+
+
+def worst_gap(pairs):
+    """The largest sampled gap over ``(gap, locate)`` pairs, taken in order.
+
+    Returns ``gap[k]`` and ``locate(k)`` for the first sample ``k`` of the
+    first gap array that holds the maximum, or ``-inf`` and ``{}`` when every
+    gap array is empty.
+    """
+    worst, where = -math.inf, None
+    for gap, locate in pairs:
+        gap = np.asarray(gap)
+        if gap.size:
+            k = int(np.argmax(gap))
+            if where is None or gap[k] > worst:
+                worst, where = float(gap[k]), locate(k)
+    return worst, where or {}
+
+
+def at_samples(**coords):
+    """``locate`` for :func:`worst_gap`: the named coordinate arrays at sample ``k``."""
+    return lambda k: {name: float(c[k]) for name, c in coords.items()}

@@ -53,6 +53,12 @@ __all__ = ["TreeModel", "PathEnsemble", "DiscreteSolution", "SolverError", "Pica
            "RankDeficientError", "solve_tree", "solve_mc_regression"]
 
 
+# The implicit step's Picard iteration stops once successive iterates differ
+# by less than PICARD_TOL in sup norm, and fails after PICARD_CAP iterations.
+PICARD_TOL = 1e-12
+PICARD_CAP = 50
+
+
 class SolverError(RuntimeError):
     """A solve that cannot go on; ``step`` and ``time`` say where, when known."""
 
@@ -99,10 +105,13 @@ class TreeModel:
         """Node values (2j - i) sqrt(dt) for j = 0..i."""
         return (2.0 * np.arange(i + 1) - i) * self.sqrt_dt
 
-    def level_probabilities(self, i):
-        """Exact binomial weights C(i, j) / 2^i."""
-        denom = 2**i
-        return np.asarray([math.comb(i, j) / denom for j in range(i + 1)])
+    def level_weights(self):
+        """Binomial weights C(i, j) / 2^i of the levels i = 0 .. steps, in order,
+        by the tree's own pairwise recursion w_{i+1, j} = (w_{i, j-1} + w_{i, j}) / 2."""
+        w = np.ones(1)
+        for _ in range(self.grid.steps + 1):
+            yield w
+            w = 0.5 * (np.append(w, 0.0) + np.append(0.0, w))
 
     @classmethod
     def uniform(cls, horizon, steps):
@@ -204,22 +213,22 @@ def _finite_or_raise(arr, step, time, what):
     return arr
 
 
-def _implicit_update(body, parts, i, t, E, z, dt, tol, cap):
+def _implicit_update(body, parts, i, t, E, z, dt):
     """Picard iteration y <- E + g(t, y, z) dt from y = E, with g's body and
     its y-free parts; the change is measured in one reused buffer."""
     y = E
     gap = np.empty_like(E)
     change = math.inf
-    for it in range(1, cap + 1):
+    for it in range(1, PICARD_CAP + 1):
         y_next = E + body(t, y, z, *parts) * dt
         change = float(np.abs(np.subtract(y_next, y, out=gap), out=gap).max()) if y.size else 0.0
         y = y_next
-        if change < tol:
+        if change < PICARD_TOL:
             return y, it
-    raise PicardDivergenceError(step=i, time=t, change=change, cap=cap)
+    raise PicardDivergenceError(step=i, time=t, change=change, cap=PICARD_CAP)
 
 
-def _backward_sweep(g, xi, grid, states, expect, scheme, picard_tol, picard_cap, z_clamp, **source):
+def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
     """The backward recursion shared by both backends; see module docstring.
 
     ``states`` are the terminal values of B.  ``expect(i, y_next)`` returns the
@@ -259,7 +268,7 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, picard_tol, picard_cap,
                 y = E + body(t, E, z, *parts) * dt
                 used = 1
             else:
-                y, used = _implicit_update(body, parts, i, t, E, z, dt, picard_tol, picard_cap)
+                y, used = _implicit_update(body, parts, i, t, E, z, dt)
             if scheme == "implicit":
                 picard_max = max(picard_max, used)
             y_rows[i] = _finite_or_raise(y, i, t, "value")
@@ -277,8 +286,7 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, picard_tol, picard_cap,
     )
 
 
-def solve_tree(g, xi, steps, horizon=1.0, scheme="explicit", *,
-               picard_tol=1e-12, picard_cap=50, z_clamp=None, threads=1):
+def solve_tree(g, xi, steps, horizon=1.0, scheme="explicit", *, z_clamp=None, threads=1):
     """Backward recursion on the recombining tree; see module docstring.
 
     The terminal slice equals the payoff at the terminal tree states exactly.
@@ -293,8 +301,7 @@ def solve_tree(g, xi, steps, horizon=1.0, scheme="explicit", *,
         return 0.5 * (nxt[1:] + nxt[:-1]), (nxt[1:] - nxt[:-1]) / (2.0 * sdt)
 
     return _backward_sweep(
-        g, xi, tree.grid, tree.brownian_level(steps), expect, scheme, picard_tol, picard_cap,
-        z_clamp, backend="tree",
+        g, xi, tree.grid, tree.brownian_level(steps), expect, scheme, z_clamp, backend="tree"
     )
 
 
@@ -343,7 +350,7 @@ def _regress(basis, target):
 
 
 def solve_mc_regression(g, xi, steps, paths, degree, seed, horizon=1.0, scheme="explicit", *,
-                        picard_tol=1e-12, picard_cap=50, z_clamp=None, threads=1):
+                        z_clamp=None, threads=1):
     """Least-squares Monte-Carlo backward sweep over a simulated ensemble.
 
     Conditional expectations of y_{i+1} and y_{i+1} dB_i / dt are estimated
@@ -382,7 +389,7 @@ def solve_mc_regression(g, xi, steps, paths, degree, seed, horizon=1.0, scheme="
         return fitted[:, 0], fitted[:, 1].copy()
 
     sol = _backward_sweep(
-        g, xi, grid, ens.levels[-1], expect, scheme, picard_tol, picard_cap, z_clamp,
+        g, xi, grid, ens.levels[-1], expect, scheme, z_clamp,
         backend="mc-regression", seed=int(seed), paths=int(paths),
     )
     sol.diagnostics["regression_condition_numbers"] = tuple(reversed(conds))

@@ -13,12 +13,10 @@ explicit note to that effect.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .certificates import OneSidedSuperLinear, SampleGrid
-from .report import VerificationReport
+from .report import VerificationReport, at_samples, worst_gap
 from .solver import solve_tree
 from .transforms import exp_transform_generator, exp_transform_solution
 
@@ -54,8 +52,7 @@ def _require_same_substrate(sol, sol_prime):
 
 
 def _rows(sol):
-    for i, row in enumerate(sol.y):
-        yield i, float(sol.grid.nodes[i]), np.asarray(row)
+    return zip(map(float, sol.grid.nodes), map(np.asarray, sol.y))
 
 
 def _conforming_notes(*sols):
@@ -64,52 +61,36 @@ def _conforming_notes(*sols):
     return ("non-conforming input: a z-clamped run is being checked",)
 
 
-def _order_not_kept(sol, name, claim, worst, where):
-    """Report for a nodewise order claim on a backend that need not keep order.
+def _order_verdict(sol, name, claim, worst, where, tol, notes=()):
+    """Verdict on a nodewise order claim, given its largest gap; inconclusive
+    on any backend but the tree.
 
     Only the tree's exact averages preserve order.  A least-squares regression
     need not, so its largest gap is recorded in the note and is no verdict.
     """
-    return VerificationReport.inconclusive(
-        name,
-        claim,
-        f"{sol.backend}: least-squares regression does not preserve order, so the "
-        f"largest gap {worst:.3g} is no verdict",
-        where,
-    )
+    if sol.backend != "tree":
+        return VerificationReport.inconclusive(
+            name,
+            claim,
+            f"{sol.backend}: least-squares regression does not preserve order, so the "
+            f"largest gap {worst:.3g} is no verdict",
+            where,
+        )
+    return VerificationReport.from_violation(name, claim, worst, where, tol, notes)
 
 
 def comparison_check(sol, sol_prime, tol=1e-6, name="comparison"):
     """Assert y <= y' + tol at every node/path/time on a shared substrate.
 
-    Inconclusive on any backend but the tree (see :func:`_order_not_kept`).
+    Inconclusive on any backend but the tree (see :func:`_order_verdict`).
     """
     _require_same_substrate(sol, sol_prime)
-    worst = -math.inf
-    where = {}
-    for (i, t, row), (_, _, row_p) in zip(_rows(sol), _rows(sol_prime)):
-        gap = row - row_p
-        k = int(np.argmax(gap))
-        if gap[k] > worst:
-            worst = float(gap[k])
-            where = {"t": t, "index": k}
-    claim = "ordered data produce ordered solutions: y <= y'"
-    if sol.backend != "tree":
-        return _order_not_kept(sol, name, claim, worst, where)
-    return VerificationReport.from_violation(
-        name=name,
-        claim=claim,
-        violation=worst,
-        location=where,
-        tolerance=tol,
-        notes=_conforming_notes(sol, sol_prime),
+    worst, where = worst_gap(
+        (row - row_p, lambda k, t=t: {"t": t, "index": k})
+        for (t, row), (_, row_p) in zip(_rows(sol), _rows(sol_prime))
     )
-
-
-def _premise_terms(which, g, g_prime, t, y_sol, z_sol, y_ref, z_ref):
-    if which == "along_prime":
-        return g(t, y_ref, z_ref) - g_prime(t, y_ref, z_ref)
-    return g(t, y_sol, z_sol) - g_prime(t, y_sol, z_sol)
+    claim = "ordered data produce ordered solutions: y <= y'"
+    return _order_verdict(sol, name, claim, worst, where, tol, _conforming_notes(sol, sol_prime))
 
 
 def indicator_premise_check(sol, sol_prime, g, g_prime, which="along_prime", tol=0.0):
@@ -120,50 +101,28 @@ def indicator_premise_check(sol, sol_prime, g, g_prime, which="along_prime", tol
     nothing (the indicator vanishes), so a pair whose trajectories never
     cross passes vacuously.  The event is read off the solutions, so the
     check is inconclusive on any backend but the tree (see
-    :func:`_order_not_kept`); a largest gap of -inf there means the indicator
+    :func:`_order_verdict`); a largest gap of -inf there means the indicator
     never fired.
     """
     if which not in ("along_prime", "along_unprimed"):
         raise ValueError("which must be 'along_prime' or 'along_unprimed'")
     _require_same_substrate(sol, sol_prime)
-    worst = -math.inf
-    where = {}
-    vacuous = True
-    for i in range(sol.grid.steps):
-        t = float(sol.grid.nodes[i])
-        y_row = np.asarray(sol.y[i])
-        yp_row = np.asarray(sol_prime.y[i])
-        mask = y_row > yp_row
-        if not np.any(mask):
-            continue
-        vacuous = False
-        z_row = np.asarray(sol.z[i])
-        zp_row = np.asarray(sol_prime.z[i])
-        diff = _premise_terms(
-            which, g, g_prime, t, y_row[mask], z_row[mask], yp_row[mask], zp_row[mask]
-        )
-        gap = np.asarray(diff, dtype=float)
-        k = int(np.argmax(gap))
-        if gap[k] > worst:
-            worst = float(gap[k])
-            where = {"t": t, "index": int(np.nonzero(mask)[0][k])}
-    if sol.backend != "tree":
-        return _order_not_kept(sol, f"premise:{which}", "driver dominance on {y > y'}", worst, where)
-    if vacuous:
-        return VerificationReport.from_violation(
-            name=f"premise:{which}",
-            claim="driver dominance on {y > y'} (vacuous: indicator never fires)",
-            violation=-math.inf,
-            tolerance=tol,
-            notes=("indicator vanished on the whole substrate",),
-        )
-    return VerificationReport.from_violation(
-        name=f"premise:{which}",
-        claim="driver dominance on {y > y'}",
-        violation=worst,
-        location=where,
-        tolerance=tol,
-    )
+    along = sol_prime if which == "along_prime" else sol
+
+    def gaps():
+        for i, t in enumerate(map(float, sol.grid.nodes[:-1])):
+            (index,) = np.nonzero(np.asarray(sol.y[i]) > np.asarray(sol_prime.y[i]))
+            if index.size:
+                y, z = np.asarray(along.y[i])[index], np.asarray(along.z[i])[index]
+                yield g(t, y, z) - g_prime(t, y, z), lambda k, t=t, index=index: {
+                    "t": t, "index": int(index[k])}
+
+    worst, where = worst_gap(gaps())
+    vacuous = not where
+    claim = "driver dominance on {y > y'}" + (
+        " (vacuous: indicator never fires)" if vacuous else "")
+    notes = ("indicator vanished on the whole substrate",) if vacuous else ()
+    return _order_verdict(sol, f"premise:{which}", claim, worst, where, tol, notes)
 
 
 def one_sided_dominance_check(g, g_prime, level, side, grid=None, tol=0.0):
@@ -183,15 +142,10 @@ def one_sided_dominance_check(g, g_prime, level, side, grid=None, tol=0.0):
         return VerificationReport.inconclusive(
             "dominance", "g <= g' on the half-line", "no sample points on the half-line"
         )
-    gap = np.asarray(g(t[mask], y[mask], z[mask]) - g_prime(t[mask], y[mask], z[mask]))
-    k = int(np.argmax(gap))
-    return VerificationReport.from_violation(
-        name="dominance",
-        claim=f"g <= g' for y {'<' if side == 'below' else '>'} {level}",
-        violation=float(gap[k]),
-        location={"t": float(t[mask][k]), "y": float(y[mask][k]), "z": float(z[mask][k])},
-        tolerance=tol,
-    )
+    t, y, z = t[mask], y[mask], z[mask]
+    worst, where = worst_gap([(g(t, y, z) - g_prime(t, y, z), at_samples(t=t, y=y, z=z))])
+    claim = f"g <= g' for y {'<' if side == 'below' else '>'} {level}"
+    return VerificationReport.from_violation("dominance", claim, worst, where, tol)
 
 
 def sandwich_check(sol, env, tol=1e-3):
@@ -201,33 +155,25 @@ def sandwich_check(sol, env, tol=1e-3):
     certificate (whose witnesses produced the envelope) and a declared
     terminal bound; reports 'inconclusive' otherwise.
     """
-    if sol.generator is None or not isinstance(
-        getattr(sol.generator, "certificate", None), OneSidedSuperLinear
-    ):
+    claim = "deterministic two-sided bounds contain the solution"
+    if not isinstance(getattr(sol.generator, "certificate", None), OneSidedSuperLinear):
         return VerificationReport.inconclusive(
-            "sandwich",
-            "deterministic two-sided bounds contain the solution",
-            "missing one-sided super-linear growth certificate on the driver",
+            "sandwich", claim, "missing one-sided super-linear growth certificate on the driver"
         )
     if sol.terminal.bound is None:
         return VerificationReport.inconclusive(
-            "sandwich",
-            "deterministic two-sided bounds contain the solution",
-            "terminal payoff has no declared bound",
-        )
+            "sandwich", claim, "terminal payoff has no declared bound")
     if len(env.grid.nodes) != len(sol.grid.nodes) or not np.allclose(
         env.grid.nodes, sol.grid.nodes, rtol=0, atol=1e-12
     ):
         raise ValueError("envelope and solution must share the time grid")
-    worst = -math.inf
-    where = {}
-    for i, t, row in _rows(sol):
-        above = float(np.max(row - env.upper[i]))
-        below = float(np.max(env.lower[i] - row))
-        gap = max(above, below)
-        if gap > worst:
-            worst = gap
-            where = {"t": t, "side": "upper" if above >= below else "lower"}
+    # per node the upper side first, so that a tie reports it
+    worst, where = worst_gap(
+        pair
+        for (t, row), upper, lower in zip(_rows(sol), env.upper, env.lower)
+        for pair in ((row - upper, lambda k, t=t: {"t": t, "side": "upper"}),
+                     (lower - row, lambda k, t=t: {"t": t, "side": "lower"}))
+    )
     return VerificationReport.from_violation(
         name="sandwich",
         claim="L_t <= y_t <= U_t for the deterministic bound envelope",
@@ -272,29 +218,17 @@ def monotone_family_check(
     """Assert the capped-payoff solutions are nondecreasing in the cap,
     nodewise on a shared substrate (``solve`` as in :func:`solve_capped_family`).
 
-    Inconclusive on any backend but the tree (see :func:`_order_not_kept`).
+    Inconclusive on any backend but the tree (see :func:`_order_verdict`).
     """
     n_list = list(n_list)
     sols = solve_capped_family(g, xi, n_list, steps, horizon, scheme, solve, **solver_kw)
-    worst = -math.inf
-    where = {}
-    for (n_lo, lo), (n_hi, hi) in zip(zip(n_list, sols), zip(n_list[1:], sols[1:])):
-        for (i, t, row_lo), (_, _, row_hi) in zip(_rows(lo), _rows(hi)):
-            gap = float(np.max(row_lo - row_hi))
-            if gap > worst:
-                worst = gap
-                where = {"t": t, "n": n_lo, "n_next": n_hi}
-    claim = "solutions are nondecreasing in the terminal cap"
-    if sols[0].backend != "tree":
-        return _order_not_kept(sols[0], "monotone-family", claim, worst, where)
-    return VerificationReport.from_violation(
-        name="monotone-family",
-        claim=claim,
-        violation=worst,
-        location=where,
-        tolerance=tol,
-        notes=(EXTREMAL_NOTE,),
+    worst, where = worst_gap(
+        (row_lo - row_hi, lambda k, t=t, n_lo=n_lo, n_hi=n_hi: {"t": t, "n": n_lo, "n_next": n_hi})
+        for (n_lo, lo), (n_hi, hi) in zip(zip(n_list, sols), zip(n_list[1:], sols[1:]))
+        for (t, row_lo), (_, row_hi) in zip(_rows(lo), _rows(hi))
     )
+    claim = "solutions are nondecreasing in the terminal cap"
+    return _order_verdict(sols[0], "monotone-family", claim, worst, where, tol, (EXTREMAL_NOTE,))
 
 
 def _one_step_residuals(sol, g, rows=None):
@@ -329,13 +263,12 @@ def transform_residual_check(sol, g, gamma, residual_coefficient=0.05):
                 )
             yield Y, Z, np.exp(gamma * np.asarray(nxt))
 
-    worst = 0.0
-    where = {}
-    for t, resid in _one_step_residuals(sol, exp_transform_generator(g, gamma), transformed()):
-        k = int(np.argmax(resid))
-        if resid[k] > worst:
-            worst = float(resid[k])
-            where = {"t": t, "index": k}
+    worst, where = worst_gap(
+        (resid, lambda k, t=t: {"t": t, "index": k})
+        for t, resid in _one_step_residuals(sol, exp_transform_generator(g, gamma), transformed())
+    )
+    if worst <= 0.0:  # no residual is positive
+        worst, where = 0.0, {}
     tol = residual_coefficient * sol.grid.dt**1.5
     return VerificationReport.from_violation(
         name="transform-residual",
@@ -361,13 +294,9 @@ def uniqueness_smoke_check(g, xi, steps, horizon=1.0, tol=5e-3, solve=None, **so
     """
     solve = solve or _tree_solver(steps, horizon, solver_kw)
     a, b = solve(g, xi, "explicit"), solve(g, xi, "implicit")
-    worst = -math.inf
-    where = {}
-    for (i, t, ra), (_, _, rb) in zip(_rows(a), _rows(b)):
-        gap = float(np.max(np.abs(ra - rb)))
-        if gap > worst:
-            worst = gap
-            where = {"t": t}
+    worst, where = worst_gap(
+        (np.abs(ra - rb), lambda k, t=t: {"t": t}) for (t, ra), (_, rb) in zip(_rows(a), _rows(b))
+    )
     return VerificationReport.from_violation(
         name="uniqueness-smoke",
         claim="explicit and implicit runs coincide within tolerance",

@@ -166,6 +166,12 @@ def reference_evaluate(root, variables, values):
     return finite(out, "non-finite result", root)
 
 
+def binomial_weights_reference(i):
+    """Level ``i``'s tree weights C(i, j) / 2^i, each the correctly rounded
+    quotient of two exact integers."""
+    return np.asarray([math.comb(i, j) / 2**i for j in range(i + 1)])
+
+
 def lstsq_reference(basis, target):
     """Least-squares fitted values of each target column on the columns of
     ``basis``, by Householder QR carried out in long double.
@@ -408,8 +414,8 @@ def _picard_update_reference(g, i, t, E, z, dt, tol, cap):
     raise PicardDivergenceError(step=i, time=float(t), change=change, cap=cap)
 
 
-def picard_sweep_reference(g, xi, grid, states, expect, scheme, picard_tol, picard_cap, z_clamp,
-                           **source):
+def picard_sweep_reference(g, xi, grid, states, expect, scheme, z_clamp, picard_tol=1e-12,
+                           picard_cap=50, **source):
     """The backward sweep as it ran before the driver was staged at y: the
     whole driver through ``Expression.__call__`` at every explicit step and
     every Picard iteration, from y = E until the change drops below the

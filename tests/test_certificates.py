@@ -320,6 +320,16 @@ class TestFromDict:
         with pytest.raises(CertificateError, match=raw["kind"]):
             certificate_from_dict(raw)
 
+    def test_unknown_key_is_named(self):
+        raw = {"kind": "one_sided_linear", "f": "0", "u": "1", "v": "1", "sdie": "absolute"}
+        with pytest.raises(CertificateError, match="unknown key 'sdie'"):
+            certificate_from_dict(raw)
+
+    @pytest.mark.parametrize("flag", ["false", 0, 1, None])
+    def test_flag_must_be_a_boolean(self, flag):
+        with pytest.raises(CertificateError, match="'convex' must be true or false"):
+            certificate_from_dict({"kind": "convexity_z", "convex": flag})
+
     def test_wedge_from_dict(self):
         cert = certificate_from_dict(
             {"kind": "mixed_sublinear", "f": "1", "u": "1", "v": "1", "lambda": "1", "alpha": 0.5}

@@ -140,6 +140,19 @@ class TestCheckConfigErrors:
                     "expr": "-y", "certificate": {"kind": "convexity_z"}}},
                 "checks[0].grid.z_range",
             ),
+            (
+                {"check": "certificate", "generator": {"expr": "-y", "certificate": {
+                    "kind": "one_sided_linear", "f": "0", "u": "1", "v": "1",
+                    "sdie": "absolute"}}},
+                "checks[0].generator.certificate: certificate kind 'one_sided_linear' has "
+                "unknown key 'sdie'",
+            ),
+            (
+                {"check": "certificate", "generator": {"expr": "-y", "certificate": {
+                    "kind": "convexity_z", "convex": "false"}}},
+                "checks[0].generator.certificate: certificate kind 'convexity_z': 'convex' "
+                "must be true or false",
+            ),
             ({"check": "monotone_family", "n_list": [1, "abc"]}, "checks[0].n_list[1]"),
             ({"check": "transform_residual", "gamma": "abc"}, "checks[0].gamma"),
             ({"check": "transform_residual", "coefficient": "abc"}, "checks[0].coefficient"),

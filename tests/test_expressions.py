@@ -385,6 +385,30 @@ class TestLongFlatExpressions:
         with pytest.raises(ParseError, match=f"{MAX_TERMS + 1} terms exceed the limit of {MAX_TERMS}"):
             parse_expression(" - ".join(terms + ["x"]), variables=("x",))
 
+    def test_division_chain(self):
+        # each quotient would nest its numerator one call deeper
+        expr = parse_univariate("/".join(["x"] * 250))
+        x = np.array([1.1, -1.0, 0.9])
+        assert np.array_equal(expr(x), reference_evaluate(expr.root, ("x",), (x,)))
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            expr(np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("joiner", ["/", "/x*"])
+    def test_quotient_chain_at_the_limit(self, joiner):
+        # compiled from 300 frames down, as from inside a caller's stack
+        expr = parse_univariate(joiner.join(["x"] * (MAX_TERMS // len(joiner))))
+        want = {"/": 1.25 ** (2 - MAX_TERMS), "/x*": 1.25}[joiner]
+        got = deep_stack(300, lambda: expr(np.array([1.25])))[0]
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_long_sum_hashes_and_compares(self):
+        source = " + ".join(["x"] * MAX_TERMS)
+        expr = parse_univariate(source)
+        assert hash(expr) == hash(parse_univariate(source))
+        assert expr == parse_univariate(source)
+        assert expr != parse_univariate(source[:-1] + "2")
+        assert expr != parse_univariate(source.replace("x", "y"))
+
     @pytest.mark.parametrize("terms", [MAX_TERMS + 1, 5000, 100_000])
     def test_past_the_limit_is_a_parse_error(self, terms):
         source = " + ".join(["x"] * terms)

@@ -20,7 +20,7 @@ from bsdelab.solver import (
     solve_tree,
 )
 from bsdelab.verify import one_step_residual
-from tests.oracles import lstsq_reference, picard_sweep_reference
+from tests.oracles import binomial_weights_reference, lstsq_reference, picard_sweep_reference
 
 ZERO = Generator.parse("0")
 B_T = TerminalCondition.parse("w")
@@ -29,10 +29,21 @@ B_T = TerminalCondition.parse("w")
 class TestTreeModel:
     def test_level_shapes_and_probabilities(self):
         tree = TreeModel.uniform(1.0, 8)
+        weights = list(tree.level_weights())
+        assert len(weights) == 9
         for i in (0, 3, 8):
             assert len(tree.brownian_level(i)) == i + 1
-            probs = tree.level_probabilities(i)
-            assert probs.sum() == pytest.approx(1.0, rel=1e-15)
+            assert weights[i].sum() == pytest.approx(1.0, rel=1e-15)
+
+    def test_level_weights_match_the_binomial_formula(self):
+        # pinned where the reference is a normal number; the recursion's
+        # subnormal tail at i = 2000 has no relative accuracy to pin
+        weights = list(TreeModel.uniform(1.0, 2000).level_weights())
+        for i in (0, 1, 2, 7, 64, 500, 1999, 2000):
+            ref = binomial_weights_reference(i)
+            normal = ref > 1e-300
+            assert len(weights[i]) == i + 1
+            np.testing.assert_allclose(weights[i][normal], ref[normal], rtol=1e-13, atol=0)
 
     def test_increment_variance_exact(self):
         tree = TreeModel.uniform(2.0, 10)
