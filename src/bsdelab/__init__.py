@@ -87,7 +87,6 @@ from .verify import (
     one_sided_dominance_check,
     one_step_residual,
     sandwich_check,
-    solve_capped_family,
     transform_residual_check,
     uniqueness_smoke_check,
 )

@@ -93,10 +93,40 @@ class SampleGrid:
 # Certificate kinds
 
 
+# JSON spells the field ``lam`` as ``lambda``.  A weight's integrability tag
+# defaults to L1 unless listed; only the Lq weight takes the certificate's alpha.
+_JSON_KEYS = {"lam": "lambda"}
+_WEIGHT_TAGS = {"v": "L2", "lam": "Lq"}
+
+
+def _weight_from(obj, name, alpha):
+    tag = _WEIGHT_TAGS.get(name, "L1")
+    if isinstance(obj, WeightFn):
+        return obj
+    if isinstance(obj, dict):
+        return WeightFn.parse(obj["expr"], obj.get("tag", tag), obj.get("alpha"))
+    return WeightFn.parse(obj, tag, alpha if tag == "Lq" else None)
+
+
 class _Certificate:
     """Grid check shared by all kinds: each states ``gap(g, ...)``, its left- minus
     right-hand side at sampled points.  The parameters after ``g`` name the sample
-    axes, each starting with the grid axis it is drawn from (``y1`` from y)."""
+    axes, each starting with the grid axis it is drawn from (``y1`` from y).  Fields
+    are coerced from their declared types (an ``Expression`` of ``t`` for ``f``, else
+    of ``x``; a ``WeightFn`` by :func:`_weight_from`); subclasses add range checks."""
+
+    def __post_init__(self):
+        for f in sorted(fields(self), key=lambda f: f.type == "WeightFn"):  # weights read alpha
+            value = getattr(self, f.name)
+            if f.type == "WeightFn":
+                value = _weight_from(value, f.name, getattr(self, "alpha", None))
+            elif f.type in ("Expression", "Optional[Expression]") and value is not None:
+                value = _as_univariate(value, hint="t" if f.name == "f" else "x")
+            elif f.type == "float":
+                value = float(value)
+            elif f.type == "bool" and not isinstance(value, bool):
+                raise TypeError(f"{f.name!r} must be true or false, got {value!r}")
+            object.__setattr__(self, f.name, value)
 
     def violation(self, g, grid):
         axes = tuple(inspect.signature(self.gap).parameters)[1:]
@@ -129,7 +159,7 @@ class OneSidedOsgoodY(_Certificate):
     rho_growth_k: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", _as_univariate(self.rho))
+        super().__post_init__()
         if self.rho_growth_k < 0:
             raise CertificateError("rho growth constant must be >= 0")
 
@@ -152,7 +182,7 @@ class ContinuityZ(_Certificate):
     b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", _as_univariate(self.phi))
+        super().__post_init__()
         if self.a < 0 or self.b < 0:
             raise CertificateError("phi envelope slopes a, b must be >= 0")
 
@@ -173,10 +203,9 @@ class SubLinearDiffZ(_Certificate):
     f: Optional[Expression] = None
 
     def __post_init__(self):
+        super().__post_init__()
         if not (0.0 < self.alpha < 1.0):
             raise CertificateError("alpha must lie in (0, 1)")
-        if self.f is not None:
-            object.__setattr__(self, "f", _as_univariate(self.f, hint="t"))
 
     def gap(self, g, t, y, z):
         base = np.abs(z) if self.f is None else self.f(t) + np.abs(y) + np.abs(z)
@@ -196,10 +225,6 @@ class OneSidedSuperLinear(_Certificate):
     u: WeightFn
     l: Expression
     h: Expression
-
-    def __post_init__(self):
-        object.__setattr__(self, "l", _as_univariate(self.l))
-        object.__setattr__(self, "h", _as_univariate(self.h))
 
     def gap(self, g, t, y, z):
         return _side_lhs("sgn", g(t, y, z), y) - (self.u(t) * self.l(y) + self.h(y) * z * z)
@@ -221,10 +246,6 @@ class QuadGrowth(_Certificate):
     u_bar: WeightFn
     phi_bar: Expression
     h_bar: Expression
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi_bar", _as_univariate(self.phi_bar))
-        object.__setattr__(self, "h_bar", _as_univariate(self.h_bar))
 
     def gap(self, g, t, y, z):
         return np.abs(g(t, y, z)) - (self.u_bar(t) * self.phi_bar(y) + self.h_bar(y) * z * z)
@@ -276,7 +297,7 @@ class _SideRestricted(_Certificate):
     """Growth bound ``_rhs(t, y, z)`` on the side of the y axis named by the field ``side``."""
 
     def __post_init__(self):
-        object.__setattr__(self, "f", _as_univariate(self.f, hint="t"))
+        super().__post_init__()
         if self.side not in SIDES:
             raise CertificateError(f"side must be one of {SIDES}, got {self.side!r}")
 
@@ -383,21 +404,6 @@ def check_witnesses(cert, grid=None):
     )
 
 
-# JSON spells the field ``lam`` as ``lambda``.  A weight's integrability tag
-# defaults to L1 unless listed; only the Lq weight takes the certificate's alpha.
-_JSON_KEYS = {"lam": "lambda"}
-_WEIGHT_TAGS = {"v": "L2", "lam": "Lq"}
-
-
-def _weight_from(obj, name, alpha):
-    tag = _WEIGHT_TAGS.get(name, "L1")
-    if isinstance(obj, WeightFn):
-        return obj
-    if isinstance(obj, dict):
-        return WeightFn.parse(obj["expr"], obj.get("tag", tag), obj.get("alpha"))
-    return WeightFn.parse(obj, tag, alpha if tag == "Lq" else None)
-
-
 def certificate_from_dict(raw):
     """Build a certificate from a plain dict, e.g. from a JSON config.
 
@@ -418,16 +424,8 @@ def certificate_from_dict(raw):
     try:
         # every key is looked up before any value is converted
         values = {f.name: raw[key] for key, f in keys.items() if f.default is MISSING or key in raw}
-        for key, f in keys.items():
-            if f.name in values and f.type == "float":
-                values[f.name] = float(values[f.name])
-            if f.name in values and f.type == "bool" and not isinstance(values[f.name], bool):
-                raise TypeError(f"{key!r} must be true or false, got {values[f.name]!r}")
-        for f in keys.values():
-            if f.type == "WeightFn":
-                values[f.name] = _weight_from(values[f.name], f.name, values.get("alpha"))
+        return cls(**values)
     except KeyError as exc:
         raise CertificateError(f"certificate kind {kind!r} lacks witness {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CertificateError(f"certificate kind {kind!r}: {exc}") from exc
-    return cls(**values)

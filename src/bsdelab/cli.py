@@ -44,6 +44,7 @@ from .config import (
     load_config,
     parse_generator,
     parse_terminal,
+    require,
 )
 from .envelopes import EnvelopeGrid, LinearGrowthBound, sup_convolution_generator
 from .expressions import Expression
@@ -136,11 +137,6 @@ def _solve_with(model: ModelConfig, generator, terminal):
     )
 
 
-def _solver(model: ModelConfig):
-    """``solve(g, xi, scheme)`` on the configured backend, as the verify checks take it."""
-    return lambda g, xi, scheme: _solve_with(replace(model, scheme=scheme), g, xi)
-
-
 def _solution_rows(sol):
     tree = sol.backend == "tree"
     weights = TreeModel(sol.grid).level_weights() if tree else itertools.repeat(None)
@@ -161,8 +157,10 @@ def _bounds_envelope(model, path, *, u: Expression = None, l: Expression = None,
     missing = [k for k, v in (("u", u), ("l", l), ("xi_bound", xi_bound)) if v is None]
     if missing:
         raise ConfigError(path, f"missing keys {missing}")
-    grid = TimeGrid.uniform(model.horizon if T is None else T, model.steps if N is None else N)
-    return partial(sandwich_envelope, xi_bound, WeightFn.parse(u), l, grid)
+    T, N = model.horizon if T is None else T, model.steps if N is None else N
+    require(path, ("xi_bound", np.isfinite(xi_bound) and xi_bound >= 0, "must be finite and >= 0"),
+            ("T", T > 0, "must be > 0"), ("N", N >= 1, "must be >= 1"))
+    return partial(sandwich_envelope, xi_bound, WeightFn.parse(u), l, TimeGrid.uniform(T, N))
 
 
 def _growth_bound(*, f: Expression = "0", u: Expression = "1", v: Expression = "1"):
@@ -170,19 +168,23 @@ def _growth_bound(*, f: Expression = "0", u: Expression = "1", v: Expression = "
     return LinearGrowthBound.from_parts(f, u, v)
 
 
-def _driver_envelope(generator, grid=None, *, growth: _growth_bound = None, n: int = 2,
+def _driver_envelope(generator, path, grid=None, *, growth: _growth_bound = None, n: int = 2,
                      u_w: Expression = "1", v_w: Expression = "1"):
     """Sup-convolution majorant; without a growth section the driver's certificate sizes it."""
+    require(path, ("n", n >= 1, "must be >= 1"))
     return sup_convolution_generator(
         generator, n, WeightFn.parse(u_w), WeightFn.parse(v_w), grid, growth=growth
     )
 
 
-def _envelope_rows(g, *, radius: float = 100.0, nodes: int = 2001, passes: int = 3,
+def _envelope_rows(g, path, *, radius: float = 100.0, nodes: int = 2001, passes: int = 3,
                    t: float = 0.0, z: float = 0.0, y_min: float = -3.0, y_max: float = 3.0,
                    points: int = 61, **driver: _driver_envelope):
     """The keys of an envelope section; returns the sweep's rows (y, g, envelope)."""
-    env = _driver_envelope(g, EnvelopeGrid(radius, nodes, passes), **driver)
+    require(path, ("radius", 0 < radius < np.inf, "must be positive and finite"),
+            ("nodes", nodes >= 3 and nodes % 2 == 1, "must be odd and >= 3"),
+            ("passes", passes >= 0, "must be >= 0"), ("points", points >= 1, "must be >= 1"))
+    env = _driver_envelope(g, path, EnvelopeGrid(radius, nodes, passes), **driver)
     ys = np.linspace(y_min, y_max, points)
     return list(zip(ys.tolist(), g(t, ys, z).tolist(), env(t, ys, z).tolist()))
 
@@ -245,6 +247,7 @@ def _check_sandwich(run, *, xi_bound: float = None, tol: float = 1e-3):
         xi_bound = run.terminal and run.terminal.bound
     if xi_bound is None:
         raise ConfigError("xi_bound", "missing, and the terminal section has no bound")
+    require("", ("xi_bound", np.isfinite(xi_bound) and xi_bound >= 0, "must be finite and >= 0"))
     grid = TimeGrid.uniform(run.model.horizon, run.model.steps)
     return lambda: sandwich_check(
         _solve(run), sandwich_envelope(xi_bound, cert.u, cert.l, grid), tol
@@ -252,11 +255,11 @@ def _check_sandwich(run, *, xi_bound: float = None, tol: float = 1e-3):
 
 
 def _check_monotone_family(run, *, n_list: list[float] = (1, 2, 4, 8), tol: float = 1e-9):
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ConfigError("n_list", "must be strictly increasing")
-    m = run.model
+    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError("n_list", "must be nonempty and strictly increasing")
     return lambda: monotone_family_check(
-        run.generator, run.terminal, n_list, m.steps, m.horizon, m.scheme, tol, _solver(m)
+        [_solve_with(run.model, run.generator, run.terminal.truncated_above(n)) for n in n_list],
+        n_list, tol,
     )
 
 
@@ -272,9 +275,11 @@ def _check_bounds_oracle(run, *, expected_U0: float, tol: float = 1e-5,
     return lambda: _closed_form("bounds-oracle", "U_0", float(build().upper[0]), expected_U0, tol)
 
 
-def _sample_grid(horizon, *, T: float = None, t_count: int = 21,
+def _sample_grid(horizon, path, *, T: float = None, t_count: int = 21,
                  y_range: tuple[float, float] = (-5.0, 5.0), y_count: int = 51,
                  z_range: tuple[float, float] = (-5.0, 5.0), z_count: int = 51):
+    counts = {"t_count": t_count, "y_count": y_count, "z_count": z_count}
+    require(path, *((key, count >= 1, "must be >= 1") for key, count in counts.items()))
     t_range = (0.0, horizon if T is None else T)
     return SampleGrid(t_range, t_count, y_range, y_count, z_range, z_count)
 
@@ -282,22 +287,20 @@ def _sample_grid(horizon, *, T: float = None, t_count: int = 21,
 def _check_certificate(run, *, grid: dict = None):
     if run.generator is None or run.generator.certificate is None:
         raise ConfigError("generator.certificate", "missing; the certificate check needs one")
-    sample = _sample_grid(run.model.horizon, **bind(_sample_grid, grid or {}, "grid"))
+    sample = _sample_grid(run.model.horizon, "grid", **bind(_sample_grid, grid or {}, "grid"))
     return lambda: check_certificate(run.generator, run.generator.certificate, sample)
 
 
 def _check_uniqueness_smoke(run, *, tol: float = 5e-3):
-    m = run.model
+    models = [replace(run.model, scheme=s) for s in ("explicit", "implicit")]
     return lambda: uniqueness_smoke_check(
-        run.generator, run.terminal, m.steps, m.horizon, tol, _solver(m)
-    )
+        *(_solve_with(m, run.generator, run.terminal) for m in models), tol)
 
 
 def _check_envelope_domination(run, *, points: int = 25, tol: float = 0.0,
                                **driver: _driver_envelope):
-    if points < 1:
-        raise ConfigError("points", "must be >= 1")
-    env = _driver_envelope(run.generator, **driver)
+    require("", ("points", points >= 1, "must be >= 1"))
+    env = _driver_envelope(run.generator, "", **driver)
 
     def check():
         rng = np.random.default_rng(run.model.seed)
@@ -404,7 +407,8 @@ def _cmd_bounds(cfg, out_dir, args):
 def _cmd_envelope(cfg, out_dir, args):
     if cfg.generator is None:
         raise ConfigError("generator", "envelope needs a generator section")
-    rows = _envelope_rows(cfg.generator, **bind(_envelope_rows, cfg.envelope or {}, "envelope"))
+    keys = bind(_envelope_rows, cfg.envelope or {}, "envelope")
+    rows = _envelope_rows(cfg.generator, "envelope", **keys)
     path = os.path.join(out_dir, "envelope.csv")
     _write_csv(path, ("y", "g", "envelope"), rows)
     if not args.quiet:

@@ -21,7 +21,7 @@ from .generators import Generator, TerminalCondition, _as_univariate
 
 __all__ = [
     "ConfigError", "ModelConfig", "CheckConfig", "RunConfig", "load_config",
-    "parse_generator", "parse_terminal", "number", "numbers", "bind",
+    "parse_generator", "parse_terminal", "number", "numbers", "bind", "require",
 ]
 
 _REQUIRED = inspect.Parameter.empty  # what a parameter without a default holds
@@ -73,6 +73,13 @@ def numbers(mapping, key, path, kind=float, default=_REQUIRED, length=None):
         what = "a list" if length is None else f"a list of {length}"
         raise ConfigError(_at(path, key), f"expected {what}, got {values!r}")
     return [number({f"{key}[{i}]": v}, f"{key}[{i}]", path, kind) for i, v in enumerate(values)]
+
+
+def require(path, *rules):
+    """Raise a :class:`ConfigError` at ``path.key`` for the first failing ``(key, ok, message)``."""
+    for key, ok, message in rules:
+        if not ok:
+            raise ConfigError(_at(path, key), message)
 
 
 def _section(raw, path):
@@ -201,9 +208,7 @@ class ModelConfig:
                 ("paths", cfg.paths >= 10 * (cfg.basis_degree + 1),
                  "must be at least 10 (basis_degree + 1) under mc-regression"),
             ]
-        for key, ok, message in rules:
-            if not ok:
-                raise ConfigError(f"{path}.{key}", message)
+        require(path, *rules)
         return cfg
 
 

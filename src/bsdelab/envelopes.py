@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section steps per argmax refinement; each shrinks the bracket by _GOLDEN
+GOLDEN_ITERS = 64
 
 
 class EnvelopeError(ValueError):
@@ -88,8 +90,8 @@ def linearize_phi(phi, a, b, n, x):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def _golden_argmax(f, lo, hi, iters=64):
-    """Vectorised golden-section maximisation of f on [lo, hi] per element.
+def _golden_argmax(f, lo, hi):
+    """Vectorised golden-section maximisation of f on [lo, hi] per element, GOLDEN_ITERS steps.
 
     Both probe points go through f in one stacked call per iteration, as a
     ``(2, m)`` array whose rows are the lower and the upper probes, which
@@ -105,7 +107,7 @@ def _golden_argmax(f, lo, hi, iters=64):
     c, d = probes
     span = np.empty(m)
     keep_left = np.empty(m, dtype=bool)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         np.multiply(np.subtract(b, a, out=span), _GOLDEN, out=span)
         np.subtract(b, span, out=c)
         np.add(a, span, out=d)

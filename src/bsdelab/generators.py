@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 WEIGHT_TAGS = ("L1", "L2", "L1&L2", "Lq")
+# WeightFn.validate samples [0, horizon] at this many points (odd, for Simpson's rule)
+WEIGHT_SAMPLES = 2049
 
 
 class WeightValidationError(ValueError):
@@ -87,17 +89,17 @@ class WeightFn:
             return (1.0, 2.0)
         return (2.0 / (2.0 - self.alpha),)
 
-    def validate(self, horizon, samples=2049):
+    def validate(self, horizon):
         """Check nonnegativity on [0, horizon] and the declared integrability.
 
         The integral of the tagged power is evaluated by composite Simpson
-        quadrature at two resolutions; it must be finite and stable within 1%
-        under refinement.  Sampling evidence only, not a proof.
+        quadrature on ``WEIGHT_SAMPLES`` points and on every other one; it
+        must be finite and stable within 1% under refinement.  Sampling
+        evidence only, not a proof.
         """
         if horizon <= 0:
             raise WeightValidationError("horizon must be positive")
-        n = samples if samples % 2 == 1 else samples + 1
-        t = np.linspace(0.0, horizon, n)
+        t = np.linspace(0.0, horizon, WEIGHT_SAMPLES)
         vals = np.asarray(self.expr(t), dtype=float)
         if np.any(vals < 0):
             k = int(np.argmin(vals))

@@ -26,6 +26,8 @@ from .solver import TreeModel
 __all__ = ["NormReport", "estimate_norms", "DYADIC_LADDER"]
 
 DYADIC_LADDER = tuple(2.0**k for k in range(-3, 11))
+# paths resampled through the tree for the pathwise norms
+SAMPLE_PATHS = 32768
 
 
 @dataclass(frozen=True)
@@ -66,15 +68,15 @@ def _powers(base, p):
     return base**p if p != 1.0 else base
 
 
-def estimate_norms(sol, p_list, *, sample_paths=32768, seed=0):
-    """Norm estimates and integrability diagnostics for a solved pair."""
+def estimate_norms(sol, p_list, *, seed=0):
+    """Norm estimates and integrability diagnostics for a solved pair (tree: SAMPLE_PATHS paths)."""
     p_list = tuple(float(p) for p in p_list)
     if any(p <= 0 for p in p_list):
         raise ValueError("norm exponents must be positive")
     dt = sol.grid.dt
     if sol.backend == "tree":
-        ypath, zpath = _tree_path_samples(sol, sample_paths, seed)
-        n_samples = sample_paths
+        ypath, zpath = _tree_path_samples(sol, SAMPLE_PATHS, seed)
+        n_samples = SAMPLE_PATHS
     else:
         ypath = np.asarray(sol.y)
         zpath = np.asarray(sol.z)

@@ -50,6 +50,11 @@ BLOWUP_THRESHOLD = 1e12
 # GROWTH_ODE_TOL in sup norm, at most MAX_REFINEMENTS times
 GROWTH_ODE_TOL = 1e-8
 MAX_REFINEMENTS = 14
+# bihari_sequence stops a row once it moves by less than BIHARI_TOL in sup norm;
+# osgood_diagnostic integrates 1/l from each OSGOOD_EPS on LOG_QUADRATURE_NODES nodes
+BIHARI_TOL = 1e-9
+OSGOOD_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
+LOG_QUADRATURE_NODES = 4001
 
 
 @dataclass(frozen=True)
@@ -339,7 +344,6 @@ def bihari_sequence(
     grid,
     *,
     j_max=500,
-    tol=1e-9,
     envelope_grid=None,
 ):
     """Iterated modulus bounds v_n and their extrapolated limit.
@@ -349,7 +353,7 @@ def bihari_sequence(
 
         v^{j+1}(t) = b_n + int_t^T beta(s) psi_n(v^j(s)) ds
 
-    until the sup change drops below ``tol`` (or j_max, reported as
+    until the sup change drops below ``BIHARI_TOL`` (or j_max, reported as
     non-converged).  The result records whether the converged v_n are
     non-increasing in n, their worst excess over the cap, and a per-node
     limit estimate extrapolated from the n sequence.
@@ -398,7 +402,7 @@ def bihari_sequence(
         transient_excess = max(transient_excess, float(np.max(v_next - cap)))
         all_v[active] = v_next
         last_changes[active] = change
-        done = change < tol
+        done = change < BIHARI_TOL
         iterations[active[done]] = j
         converged[active[done]] = True
         active = active[~done]
@@ -432,9 +436,9 @@ class OsgoodDiagnostic:
     likely_osgood: bool
 
 
-def _log_quadrature(l, lo, hi, nodes=4001):
+def _log_quadrature(l, lo, hi):
     """int_lo^hi dx / l(x) via the substitution x = e^s (lo > 0)."""
-    s = np.linspace(math.log(lo), math.log(hi), nodes)
+    s = np.linspace(math.log(lo), math.log(hi), LOG_QUADRATURE_NODES)
     x = np.exp(s)
     lx = np.asarray(l(x), dtype=float)
     if np.any(lx <= 0):
@@ -442,8 +446,8 @@ def _log_quadrature(l, lo, hi, nodes=4001):
     return _trapezoid(x / lx, s)
 
 
-def osgood_diagnostic(l, upper, eps_seq=(1e-1, 1e-2, 1e-3, 1e-4)):
-    """Tabulated integrals of 1/l toward 0 and toward infinity.
+def osgood_diagnostic(l, upper):
+    """Tabulated integrals of 1/l from each of ``OSGOOD_EPS`` and toward infinity.
 
     The verdict is 'likely divergent' iff the outer integrals keep growing:
     the last decade's increment is at least half the previous one.  Labelled
@@ -453,7 +457,7 @@ def osgood_diagnostic(l, upper, eps_seq=(1e-1, 1e-2, 1e-3, 1e-4)):
     if upper <= 0:
         raise ValueError("upper must be positive")
     inner = {}
-    for eps in eps_seq:
+    for eps in OSGOOD_EPS:
         if not (0 < eps < upper):
             raise ValueError("eps values must lie in (0, upper)")
         inner[eps] = _log_quadrature(l, eps, upper)

@@ -26,6 +26,9 @@ __all__ = [
     "gamma_for_band",
 ]
 
+# gamma_for_band takes the max of h over this many equispaced points of [-K, K]
+GAMMA_BAND_SAMPLES = 2001
+
 
 def exp_transform_solution(y, z, gamma):
     """(Y, Z) = (exp(gamma y), gamma Y z); accepts scalars or arrays."""
@@ -97,10 +100,10 @@ def qs_bounds(alpha_b, beta_b, u_w, grid):
     return Q, S
 
 
-def gamma_for_band(h, band, samples=2001):
+def gamma_for_band(h, band):
     """2 (max of h over [-K, K] + 1): the transform exponent for a y-band."""
     if band <= 0:
         raise ValueError("band must be positive")
     h = _as_univariate(h)
-    x = np.linspace(-band, band, samples)
+    x = np.linspace(-band, band, GAMMA_BAND_SAMPLES)
     return 2.0 * (float(np.max(np.asarray(h(x), dtype=float))) + 1.0)

@@ -1,10 +1,11 @@
 """Executable checks of ordering and bounding conclusions on solved instances.
 
 Every check is a pure function of its inputs and returns a
-:class:`~bsdelab.report.VerificationReport`.  Conclusions are asserted on the
-discrete substrate, so each tolerance should be read against the scheme's
-convergence order; negative controls exist for every check so the harness
-demonstrably detects violations rather than merely confirming passes.
+:class:`~bsdelab.report.VerificationReport`; none solves, callers pass the
+solutions in.  Conclusions are asserted on the discrete substrate, so each
+tolerance should be read against the scheme's convergence order; negative
+controls exist for every check so the harness demonstrably detects
+violations rather than merely confirming passes.
 
 Checks that would ideally single out the maximal or minimal solution can only
 see whichever solution the scheme converges to; their reports carry an
@@ -17,7 +18,8 @@ import numpy as np
 
 from .certificates import OneSidedSuperLinear, SampleGrid
 from .report import VerificationReport, at_samples, worst_gap
-from .solver import solve_tree
+# perfbench's test_unpatch_restores_every_callable reads verify.solve_tree (ROADMAP Direction 5)
+from .solver import solve_tree  # noqa: F401
 from .transforms import exp_transform_generator, exp_transform_solution
 
 __all__ = [
@@ -27,7 +29,6 @@ __all__ = [
     "one_sided_dominance_check",
     "sandwich_check",
     "monotone_family_check",
-    "solve_capped_family",
     "transform_residual_check",
     "one_step_residual",
     "uniqueness_smoke_check",
@@ -184,44 +185,20 @@ def sandwich_check(sol, env, tol=1e-3):
     )
 
 
-def _tree_solver(steps, horizon, solver_kw):
-    return lambda g, xi, scheme: solve_tree(g, xi, steps, horizon, scheme, **solver_kw)
+def monotone_family_check(sols, n_list, tol=1e-9):
+    """Assert the capped-payoff solutions are nondecreasing in the cap, nodewise.
 
-
-def solve_capped_family(
-    g, xi, n_list, steps, horizon=1.0, scheme="explicit", solve=None, **solver_kw
-):
-    """Solve the same instance with the payoff capped at each level of
-    ``n_list``, all on one shared substrate; returns the solutions in order.
-
-    ``solve(g, xi, scheme)`` runs one solve; by default it is ``solve_tree``
-    with ``steps``, ``horizon`` and ``solver_kw``.
+    ``sols[k]`` solves the instance with the payoff capped at ``n_list[k]``
+    (:meth:`~bsdelab.generators.TerminalCondition.truncated_above`), all on one
+    substrate.  Inconclusive on any backend but the tree (see :func:`_order_verdict`).
     """
-    n_list = list(n_list)
+    sols, n_list = list(sols), list(n_list)
+    if not n_list or len(sols) != len(n_list):
+        raise ValueError(f"need one solution per cap, got {len(sols)} for {len(n_list)} caps")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
-    solve = solve or _tree_solver(steps, horizon, solver_kw)
-    return [solve(g, xi.truncated_above(n), scheme) for n in n_list]
-
-
-def monotone_family_check(
-    g,
-    xi,
-    n_list,
-    steps,
-    horizon=1.0,
-    scheme="explicit",
-    tol=1e-9,
-    solve=None,
-    **solver_kw,
-):
-    """Assert the capped-payoff solutions are nondecreasing in the cap,
-    nodewise on a shared substrate (``solve`` as in :func:`solve_capped_family`).
-
-    Inconclusive on any backend but the tree (see :func:`_order_verdict`).
-    """
-    n_list = list(n_list)
-    sols = solve_capped_family(g, xi, n_list, steps, horizon, scheme, solve, **solver_kw)
+    for sol in sols[1:]:
+        _require_same_substrate(sols[0], sol)
     worst, where = worst_gap(
         (row_lo - row_hi, lambda k, t=t, n_lo=n_lo, n_hi=n_hi: {"t": t, "n": n_lo, "n_next": n_hi})
         for (n_lo, lo), (n_hi, hi) in zip(zip(n_list, sols), zip(n_list[1:], sols[1:]))
@@ -285,17 +262,17 @@ def one_step_residual(sol, g):
     return max([0.0] + [float(np.max(resid)) for _, resid in _one_step_residuals(sol, g)])
 
 
-def uniqueness_smoke_check(g, xi, steps, horizon=1.0, tol=5e-3, solve=None, **solver_kw):
-    """Bilateral comparison of the explicit and implicit runs on one instance.
+def uniqueness_smoke_check(explicit, implicit, tol=5e-3):
+    """Bilateral comparison of the explicit and implicit runs of one instance.
 
     Coincidence within tolerance is consistent with (not proof of) a unique
     solution; schemes that disagree flag either non-uniqueness or a scheme
-    problem.  ``solve`` is as in :func:`solve_capped_family`.
+    problem.
     """
-    solve = solve or _tree_solver(steps, horizon, solver_kw)
-    a, b = solve(g, xi, "explicit"), solve(g, xi, "implicit")
+    _require_same_substrate(explicit, implicit)
     worst, where = worst_gap(
-        (np.abs(ra - rb), lambda k, t=t: {"t": t}) for (t, ra), (_, rb) in zip(_rows(a), _rows(b))
+        (np.abs(ra - rb), lambda k, t=t: {"t": t})
+        for (t, ra), (_, rb) in zip(_rows(explicit), _rows(implicit))
     )
     return VerificationReport.from_violation(
         name="uniqueness-smoke",

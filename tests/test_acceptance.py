@@ -29,7 +29,6 @@ from bsdelab.verify import (
     comparison_check,
     monotone_family_check,
     sandwich_check,
-    solve_capped_family,
 )
 from tests.oracles import (
     normal_expectation,
@@ -264,8 +263,9 @@ def test_criterion_07_comparison_suite():
 
 def test_criterion_08_monotone_terminal_caps():
     caps = [1, 2, 4, 8]
-    rep = monotone_family_check(ZERO_G, TerminalCondition.parse("w^2"), caps, steps=200)
-    sols = solve_capped_family(ZERO_G, TerminalCondition.parse("w^2"), caps, steps=200)
+    xi = TerminalCondition.parse("w^2")
+    sols = [solve_tree(ZERO_G, xi.truncated_above(n), 200) for n in caps]
+    rep = monotone_family_check(sols, caps)
     values = [s.y0 for s in sols]
     oracle = [
         normal_expectation(lambda x, n=n: np.minimum(x * x, float(n)), 1.0, nodes=400_001)

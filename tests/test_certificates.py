@@ -221,6 +221,40 @@ class TestOtherFamilies:
         ).passed
 
 
+L2 = WeightFn.parse("1 + t", "L2")
+
+
+class TestStringWeights:
+    """Weights given as expressions are coerced at construction, tagged as from a dict."""
+
+    @pytest.mark.parametrize(
+        "cls, strings, weights",
+        [
+            (OneSidedOsgoodY, ("1 + t", "x"), (WeightFn.parse("1 + t"), "x")),
+            (ContinuityZ, ("1 + t", "x", 1, 0), (L2, "x", 1.0, 0.0)),
+            (SubLinearDiffZ, ("1 + t", 0.5), (WeightFn.parse("1 + t", "Lq", 0.5), 0.5)),
+            (OneSidedSuperLinear, ("1 + t", "1 + abs(y)", "1"),
+             (WeightFn.parse("1 + t"), "1 + abs(y)", "1")),
+            (QuadGrowth, ("1 + t", "1 + y^2", "1"), (WeightFn.parse("1 + t"), "1 + y^2", "1")),
+            (LocalLipschitzZ, ("1 + t",), (L2,)),
+            (OneSidedLinear, ("0", "1 + t", "1 + t", "absolute"),
+             ("0", WeightFn.parse("1 + t"), L2, "absolute")),
+            (MixedSubLinear, ("1", "1 + t", "1 + t", "1 + t", 0.25),
+             ("1", WeightFn.parse("1 + t"), L2, WeightFn.parse("1 + t", "Lq", 0.25), 0.25)),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else None,
+    )
+    def test_same_report_as_weight_functions(self, cls, strings, weights):
+        g = Generator.parse("-y + sin(z) * t")
+        from_strings, from_weights = cls(*strings), cls(*weights)
+        assert from_strings == from_weights
+        assert check_certificate(g, from_strings, SMALL) == check_certificate(g, from_weights, SMALL)
+
+    def test_flag_must_be_a_boolean(self):
+        with pytest.raises(TypeError, match="'convex' must be true or false"):
+            ConvexityZ(convex="false")
+
+
 class TestFromDict:
     def test_round_trip(self):
         cert = certificate_from_dict(

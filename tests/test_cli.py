@@ -275,6 +275,19 @@ class TestCheckKeys:
               "xi_bound": 1.0}, "checks[1].u"),
             ({"check": "bounds_oracle", "expected_U0": 4.4, "u": "1", "l": "1 +",
               "xi_bound": 1.0}, "checks[1].l"),
+            ({"check": "certificate", "grid": {"t_count": 0}, "generator": {
+                "expr": "-y", "certificate": {"kind": "convexity_z"}}},
+             "checks[1].grid.t_count: must be >= 1"),
+            ({"check": "bounds_oracle", "expected_U0": 4.4, "u": "1", "l": "1 + abs(x)",
+              "xi_bound": 1.0, "N": 0}, "checks[1].N: must be >= 1"),
+            ({"check": "bounds_oracle", "expected_U0": 4.4, "u": "1", "l": "1 + abs(x)",
+              "xi_bound": -1}, "checks[1].xi_bound: must be finite and >= 0"),
+            ({"check": "sandwich", "xi_bound": -1, "generator": {"expr": "-y^3", "certificate": {
+                "kind": "one_sided_super_linear", "u": "1", "l": "1 + abs(y)", "h": "1"}}},
+             "checks[1].xi_bound: must be finite and >= 0"),
+            ({"check": "envelope_domination", "growth": GROWTH, "n": 0},
+             "checks[1].n: must be >= 1"),
+            ({"check": "monotone_family", "n_list": []}, "checks[1].n_list: must be nonempty"),
         ],
     )
     def test_bad_key_names_its_path(self, tmp_path, capsys, solve_counts, check, where):
@@ -354,7 +367,13 @@ class TestSectionKeys:
          ("bounds", {"u": "(1", "l": "1 + abs(x)", "xi_bound": 1.0}, "bounds.u"),
          ("envelope", {"growth": GROWTH, "u_w": "1 +"}, "envelope.u_w"),
          ("envelope", {"growth": {**GROWTH, "u": "1 +"}}, "envelope.growth.u"),
-         ("envelope", {"growth": "linear"}, "envelope.growth: must be an object")],
+         ("envelope", {"growth": "linear"}, "envelope.growth: must be an object")]
+        + [("envelope", {"growth": GROWTH, key: value}, f"envelope.{key}: must be")
+           for key, value in (("points", -1), ("points", 0), ("nodes", 4), ("nodes", 1),
+                              ("radius", -1), ("passes", -1), ("n", 0))]
+        + [("bounds", {"u": "1", "l": "1 + abs(x)", "xi_bound": 1.0, key: value},
+            f"bounds.{key}: must be")
+           for key, value in (("xi_bound", -1), ("N", 0), ("T", -1))],
     )
     def test_bad_expression(self, tmp_path, capsys, command, section, where):
         cfg = write_config(tmp_path, {"generator": {"expr": "-y^2"}, command: section})

@@ -1,3 +1,6 @@
+import functools
+import importlib
+import inspect
 import math
 
 import numpy as np
@@ -392,3 +395,28 @@ class TestOsgoodDiagnostic:
     def test_non_positive_rejected(self):
         with pytest.raises(NonPositiveError):
             osgood_diagnostic("x - 5", upper=1.0)
+
+
+
+class TestFixedOptions:
+    """Options no caller set are module constants holding the former defaults."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("ode_bounds", "BIHARI_TOL", 1e-9, "bihari_sequence", "tol"),
+            ("ode_bounds", "OSGOOD_EPS", (1e-1, 1e-2, 1e-3, 1e-4), "osgood_diagnostic", "eps_seq"),
+            ("ode_bounds", "LOG_QUADRATURE_NODES", 4001, "_log_quadrature", "nodes"),
+            ("envelopes", "GOLDEN_ITERS", 64, "_golden_argmax", "iters"),
+            ("transforms", "GAMMA_BAND_SAMPLES", 2001, "gamma_for_band", "samples"),
+            ("generators", "WEIGHT_SAMPLES", 2049, "WeightFn.validate", "samples"),
+            ("norms", "SAMPLE_PATHS", 32768, "estimate_norms", "sample_paths"),
+        ],
+        ids=lambda case: case[1],
+    )
+    def test_constant_replaces_option(self, case):
+        module, constant, value, function, option = case
+        mod = importlib.import_module(f"bsdelab.{module}")
+        assert getattr(mod, constant) == value
+        fn = functools.reduce(getattr, function.split("."), mod)
+        assert option not in inspect.signature(fn).parameters

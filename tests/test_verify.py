@@ -15,7 +15,6 @@ from bsdelab.verify import (
     one_sided_dominance_check,
     one_step_residual,
     sandwich_check,
-    solve_capped_family,
     transform_residual_check,
     uniqueness_smoke_check,
 )
@@ -23,6 +22,11 @@ from tests.oracles import normal_expectation
 
 ZERO = Generator.parse("0")
 ONE_W = WeightFn.parse("1")
+
+
+def capped_family(g, xi, n_list, steps, scheme="explicit"):
+    """Tree solutions of the instance with the payoff capped at each level of ``n_list``."""
+    return [solve_tree(g, xi.truncated_above(n), steps, scheme=scheme) for n in n_list]
 
 
 class TestReportInvariant:
@@ -187,9 +191,9 @@ class TestSandwichCheck:
 class TestMonotoneFamily:
     def test_squared_terminal_quadrature_oracle(self):
         xi = TerminalCondition.parse("w^2")
-        report = monotone_family_check(ZERO, xi, [1, 2, 4, 8], steps=200)
+        sols = capped_family(ZERO, xi, [1, 2, 4, 8], steps=200)
+        report = monotone_family_check(sols, [1, 2, 4, 8])
         assert report.passed
-        sols = solve_capped_family(ZERO, xi, [1, 2, 4, 8], steps=200)
         values = [s.y0 for s in sols]
         oracle = [
             normal_expectation(lambda x, n=n: np.minimum(x * x, n), 1.0, nodes=200_001)
@@ -201,18 +205,19 @@ class TestMonotoneFamily:
 
     def test_inactive_caps_coincide(self):
         xi = TerminalCondition.parse("sin(w)", bound=1.0)
-        report = monotone_family_check(ZERO, xi, [1, 2, 4], steps=50)
+        sols = capped_family(ZERO, xi, [1, 2, 4], steps=50)
+        report = monotone_family_check(sols, [1, 2, 4])
         assert report.passed
-        sols = solve_capped_family(ZERO, xi, [1, 2, 4], steps=50)
         assert sols[0].y0 == sols[1].y0 == sols[2].y0
 
     def test_discounted_squared_terminal(self):
         xi = TerminalCondition.parse("w^2")
         g = Generator.parse("-y")
-        assert monotone_family_check(ZERO.with_certificate(None), xi, [1, 4], steps=100).passed
-        report2 = monotone_family_check(g, xi, [1, 2, 4, 8], steps=200, scheme="implicit")
+        sols = capped_family(ZERO.with_certificate(None), xi, [1, 4], steps=100)
+        assert monotone_family_check(sols, [1, 4]).passed
+        sols2 = capped_family(g, xi, [1, 2, 4, 8], steps=200, scheme="implicit")
+        report2 = monotone_family_check(sols2, [1, 2, 4, 8])
         assert report2.passed
-        sols2 = solve_capped_family(g, xi, [1, 2, 4, 8], steps=200, scheme="implicit")
         # cross-check against the discounted truncated moment e^{-T} E[B_T^2 ^ n]
         for sol, n in zip(sols2, (1, 2, 4, 8)):
             want = math.exp(-1.0) * normal_expectation(
@@ -222,18 +227,31 @@ class TestMonotoneFamily:
 
     def test_regression_family_is_inconclusive(self):
         # least squares need not keep the capped solutions ordered
-        def solve(g, xi, scheme):
-            return solve_mc_regression(g, xi, 10, 2000, 2, seed=0, scheme=scheme)
-
         xi = TerminalCondition.parse("sin(w)", bound=1.0)
-        report = monotone_family_check(Generator.parse("-y"), xi, [0.5, 1, 2], 10, solve=solve)
+        sols = [solve_mc_regression(Generator.parse("-y"), xi.truncated_above(n), 10, 2000, 2,
+                                    seed=0) for n in (0.5, 1, 2)]
+        report = monotone_family_check(sols, [0.5, 1, 2])
         assert report.status == "inconclusive"
         assert report.notes[0].startswith("mc-regression: least-squares regression does not")
         assert set(report.location) == {"t", "n", "n_next"}
 
     def test_n_list_must_increase(self):
+        sols = capped_family(ZERO, TerminalCondition.parse("w^2"), [2, 2], steps=10)
         with pytest.raises(ValueError):
-            monotone_family_check(ZERO, TerminalCondition.parse("w^2"), [2, 2], steps=10)
+            monotone_family_check(sols, [2, 2])
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_one_solution_per_cap(self, count):
+        sols = capped_family(ZERO, TerminalCondition.parse("w^2"), [1, 2, 4][:count], steps=10)
+        with pytest.raises(ValueError, match="one solution per cap"):
+            monotone_family_check(sols, [] if count == 0 else [1, 2])
+
+    def test_family_must_share_a_substrate(self):
+        xi = TerminalCondition.parse("w^2")
+        sols = [solve_tree(ZERO, xi.truncated_above(1), 10),
+                solve_tree(ZERO, xi.truncated_above(2), 20)]
+        with pytest.raises(SubstrateMismatchError):
+            monotone_family_check(sols, [1, 2])
 
 
 class TestTransformResidual:
@@ -272,8 +290,15 @@ class TestUniquenessSmoke:
     def test_two_schemes_coincide(self):
         g = Generator.parse("-y + cos(z) / 2")
         xi = TerminalCondition.parse("sin(w)", bound=1.0)
-        report = uniqueness_smoke_check(g, xi, 100)
+        explicit, implicit = (solve_tree(g, xi, 100, scheme=s) for s in ("explicit", "implicit"))
+        report = uniqueness_smoke_check(explicit, implicit)
         assert report.passed
+
+    def test_runs_must_share_a_substrate(self):
+        xi = TerminalCondition.parse("sin(w)", bound=1.0)
+        with pytest.raises(SubstrateMismatchError):
+            uniqueness_smoke_check(solve_tree(ZERO, xi, 10),
+                                   solve_tree(ZERO, xi, 20, scheme="implicit"))
 
 
 class TestComparisonSweep:
