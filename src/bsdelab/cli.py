@@ -8,6 +8,9 @@ Subcommands::
     bsdelab verify   --config cfg.json --out DIR    run the config's checks, reports.csv
     bsdelab suite    [--config cfg.json] --out DIR  run a check suite (default: shipped), one CSV per check
 
+Within ``verify`` and ``suite`` a check reuses the solves that it, or the
+check before it, made for an equal (model, generator, terminal).
+
 Every run writes a ``run_manifest.json`` embedding the full config, its
 SHA-256, the effective seed and library versions; re-running the manifest's
 config with the same seed reproduces all CSV artifacts byte for byte.  Exit
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -137,6 +141,26 @@ def _solve_with(model: ModelConfig, generator, terminal):
     )
 
 
+class _RecentSolves:
+    """Solves keyed by (model, generator, terminal), kept for the running check
+    and the one after it, so that neighbouring checks posing the same problem
+    solve it once.  A check whose function takes ``solve`` gets this solver."""
+
+    def __init__(self):
+        self._previous, self._current = {}, {}
+
+    def next_check(self):
+        self._previous, self._current = self._current, {}
+
+    def __call__(self, model, generator, terminal):
+        key = (model, generator, terminal)
+        sol = self._current.get(key, self._previous.get(key))
+        if sol is None:
+            sol = _solve_with(model, generator, terminal)
+        self._current[key] = sol
+        return sol
+
+
 def _solution_rows(sol):
     tree = sol.backend == "tree"
     weights = TreeModel(sol.grid).level_weights() if tree else itertools.repeat(None)
@@ -194,12 +218,9 @@ def _envelope_rows(g, path, *, radius: float = 100.0, nodes: int = 2001, passes:
 #
 # Each kind is one function: its keyword-only parameters are the check's keys,
 # with their types and defaults, and ``tol``'s default is the kind's default
-# tolerance.  Called with the effective config, it rejects what that config
-# cannot run and returns the check, which solves only when it is called.
-
-
-def _solve(run):
-    return _solve_with(run.model, run.generator, run.terminal)
+# tolerance.  Called with the effective config (and, if it takes one, the
+# ``solve`` function), it rejects what that config cannot run and returns the
+# check, which solves only when it is called.
 
 
 def _closed_form(name, symbol, value, expected, tol):
@@ -212,22 +233,26 @@ def _closed_form(name, symbol, value, expected, tol):
     )
 
 
-def _check_solver_oracle(run, *, expected: float, tol: float = 1e-2):
-    return lambda: _closed_form("solver-oracle", "y_0", _solve(run).y0, expected, tol)
-
-
-def _check_comparison(run, *, generator_prime: Generator, terminal_prime: TerminalCondition,
-                      tol: float = 1e-6):
-    return lambda: comparison_check(
-        _solve(run), _solve_with(run.model, generator_prime, terminal_prime), tol
+def _check_solver_oracle(run, solve, *, expected: float, tol: float = 1e-2):
+    return lambda: _closed_form(
+        "solver-oracle", "y_0", solve(run.model, run.generator, run.terminal).y0, expected, tol
     )
 
 
-def _check_premise(run, *, generator_prime: Generator, terminal_prime: TerminalCondition,
+def _check_comparison(run, solve, *, generator_prime: Generator,
+                      terminal_prime: TerminalCondition, tol: float = 1e-6):
+    return lambda: comparison_check(
+        solve(run.model, run.generator, run.terminal),
+        solve(run.model, generator_prime, terminal_prime), tol,
+    )
+
+
+def _check_premise(run, solve, *, generator_prime: Generator, terminal_prime: TerminalCondition,
                    which: Literal["along_prime", "along_unprimed"] = "along_prime",
                    tol: float = 0.0):
     return lambda: indicator_premise_check(
-        _solve(run), _solve_with(run.model, generator_prime, terminal_prime),
+        solve(run.model, run.generator, run.terminal),
+        solve(run.model, generator_prime, terminal_prime),
         run.generator, generator_prime, which, tol,
     )
 
@@ -237,8 +262,8 @@ def _check_dominance(run, *, generator_prime: Generator, level: float = 0.0,
     return lambda: one_sided_dominance_check(run.generator, generator_prime, level, side, tol=tol)
 
 
-def _check_sandwich(run, *, xi_bound: float = None, tol: float = 1e-3):
-    cert = run.generator.certificate if run.generator is not None else None
+def _check_sandwich(run, solve, *, xi_bound: float = None, tol: float = 1e-3):
+    cert = run.generator.certificate
     if not isinstance(cert, OneSidedSuperLinear):
         raise ConfigError(
             "generator.certificate", "sandwich needs a one_sided_super_linear certificate"
@@ -250,23 +275,26 @@ def _check_sandwich(run, *, xi_bound: float = None, tol: float = 1e-3):
     require("", ("xi_bound", np.isfinite(xi_bound) and xi_bound >= 0, "must be finite and >= 0"))
     grid = TimeGrid.uniform(run.model.horizon, run.model.steps)
     return lambda: sandwich_check(
-        _solve(run), sandwich_envelope(xi_bound, cert.u, cert.l, grid), tol
+        solve(run.model, run.generator, run.terminal),
+        sandwich_envelope(xi_bound, cert.u, cert.l, grid), tol,
     )
 
 
-def _check_monotone_family(run, *, n_list: list[float] = (1, 2, 4, 8), tol: float = 1e-9):
+def _check_monotone_family(run, solve, *, n_list: list[float] = (1, 2, 4, 8), tol: float = 1e-9):
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("n_list", "must be nonempty and strictly increasing")
     return lambda: monotone_family_check(
-        [_solve_with(run.model, run.generator, run.terminal.truncated_above(n)) for n in n_list],
+        [solve(run.model, run.generator, run.terminal.truncated_above(n)) for n in n_list],
         n_list, tol,
     )
 
 
-def _check_transform_residual(run, *, gamma: float = 1.0, coefficient: float = 0.05):
+def _check_transform_residual(run, solve, *, gamma: float = 1.0, coefficient: float = 0.05):
     if run.model.backend != "tree":
         raise ConfigError("model.backend", "transform_residual runs on tree solutions only")
-    return lambda: transform_residual_check(_solve(run), run.generator, gamma, coefficient)
+    return lambda: transform_residual_check(
+        solve(run.model, run.generator, run.terminal), run.generator, gamma, coefficient
+    )
 
 
 def _check_bounds_oracle(run, *, expected_U0: float, tol: float = 1e-5,
@@ -291,10 +319,10 @@ def _check_certificate(run, *, grid: dict = None):
     return lambda: check_certificate(run.generator, run.generator.certificate, sample)
 
 
-def _check_uniqueness_smoke(run, *, tol: float = 5e-3):
+def _check_uniqueness_smoke(run, solve, *, tol: float = 5e-3):
     models = [replace(run.model, scheme=s) for s in ("explicit", "implicit")]
     return lambda: uniqueness_smoke_check(
-        *(_solve_with(m, run.generator, run.terminal) for m in models), tol)
+        *(solve(m, run.generator, run.terminal) for m in models), tol)
 
 
 def _check_envelope_domination(run, *, points: int = 25, tol: float = 0.0,
@@ -351,8 +379,12 @@ def _effective_config(cfg: RunConfig, check: CheckConfig) -> RunConfig:
     return replace(cfg, model=model, **sections)
 
 
-def _parse_check(cfg, check, tol):
-    """The check ready to run: its keys parsed, its sections applied; ``tol`` overrides."""
+def _parse_check(cfg, check, tol, solve):
+    """The check ready to run: its keys parsed, its sections applied; ``tol`` overrides.
+
+    A check that solves (its function takes ``solve``) gets ``solve``, and
+    needs an effective generator and terminal.
+    """
     if check.kind not in CHECKS:
         raise ConfigError("check", f"unknown kind; know {sorted(CHECKS)}")
     fn = CHECKS[check.kind]
@@ -362,7 +394,13 @@ def _parse_check(cfg, check, tol):
     kwargs = bind(fn, params, "", _COMMON_KEYS)
     if tol is not None and "tol" in kwargs:
         kwargs["tol"] = tol
-    return fn(_effective_config(cfg, check), **kwargs)
+    run = _effective_config(cfg, check)
+    if "solve" not in inspect.signature(fn).parameters:
+        return fn(run, **kwargs)
+    for key in ("generator", "terminal"):
+        if getattr(run, key) is None:
+            raise ConfigError(key, f"missing; the {check.kind} check solves and needs one")
+    return fn(run, solve, **kwargs)
 
 
 _REPORT_HEADER = (
@@ -379,7 +417,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 def _cmd_solve(cfg, out_dir, args):
     if cfg.generator is None or cfg.terminal is None:
         raise ConfigError("generator/terminal", "solve needs both sections")
-    sol = _solve(cfg)
+    sol = _solve_with(cfg.model, cfg.generator, cfg.terminal)
     path = os.path.join(out_dir, "solution.csv")
     _write_csv(path, ("t", "y_mean", "y_min", "y_max", "z_mean"), _solution_rows(sol))
     if not args.quiet:
@@ -419,10 +457,11 @@ def _cmd_envelope(cfg, out_dir, args):
 def _cmd_verify(cfg, out_dir, args, per_check_files=False):
     if not cfg.checks:
         raise ConfigError("checks", "verify needs a non-empty checks list")
+    solve = _RecentSolves()
     runs = []  # every check is parsed before the first one runs
     for idx, check in enumerate(cfg.checks):
         try:
-            runs.append(_parse_check(cfg, check, args.tol))
+            runs.append(_parse_check(cfg, check, args.tol, solve))
         except ConfigError as exc:
             path = ".".join(filter(None, (f"checks[{idx}]", exc.path)))
             raise ConfigError(path, exc.message) from exc
@@ -430,6 +469,7 @@ def _cmd_verify(cfg, out_dir, args, per_check_files=False):
     outputs = []
     all_matched = True
     for idx, (check, run) in enumerate(zip(cfg.checks, runs)):
+        solve.next_check()
         report = run()
         name = check.params.get("name", report.name)
         matched = report.status == check.expect

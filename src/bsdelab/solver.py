@@ -34,7 +34,11 @@ condition number sqrt(lambda_max / lambda_min) of G.
 
 Both backends are deterministic functions of their inputs and evaluate the
 driver on a single thread; the Monte-Carlo ensemble is generated by a
-counter-based bit stream keyed by the seed.
+counter-based bit stream keyed by the seed.  ``PathEnsemble.generate`` keeps
+the last ensemble it drew, keyed by (steps, horizon, paths, seed), so
+consecutive solves on one substrate draw it once.  Since ensembles and
+solutions may be shared, their arrays are read-only: the increments, the
+levels, and every row of a solution's y and z.
 """
 
 from __future__ import annotations
@@ -118,6 +122,9 @@ class TreeModel:
         return cls(TimeGrid.uniform(horizon, steps))
 
 
+_last_ensemble = None  # (key, PathEnsemble) of the last draw
+
+
 @dataclass(frozen=True)
 class PathEnsemble:
     """Simulated Brownian increments, reproducible from (seed, paths, grid).
@@ -140,12 +147,26 @@ class PathEnsemble:
 
     @classmethod
     def generate(cls, grid, paths, seed):
+        """The ensemble of ``paths`` paths on ``grid`` drawn from ``seed``.
+
+        The last ensemble drawn is kept, so that consecutive solves on one
+        substrate draw it once; its arrays are read-only.
+        """
+        global _last_ensemble
         if paths < 1:
             raise ValueError("need at least one path")
-        dt = grid.dt
+        sqrt_dt = math.sqrt(grid.dt)  # raises on a grid that is not uniform
+        key = (grid.steps, grid.horizon, paths, int(seed))
+        if _last_ensemble is not None and _last_ensemble[0] == key:
+            return _last_ensemble[1]
+        _last_ensemble = None  # let the kept ensemble go before the next is drawn
         gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        increments = gen.standard_normal((paths, grid.steps)) * math.sqrt(dt)
-        return cls(grid=grid, paths=paths, seed=int(seed), increments=increments)
+        increments = gen.standard_normal((paths, grid.steps))
+        increments *= sqrt_dt
+        increments.flags.writeable = False
+        ens = cls(grid=grid, paths=paths, seed=int(seed), increments=increments)
+        _last_ensemble = (key, ens)
+        return ens
 
     def brownian_paths(self):
         """B at every node, one row per path: a read-only view of ``levels``."""
@@ -252,6 +273,7 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
         xi.check_bound(states)
         y_rows = [None] * steps + [np.asarray(xi(states), dtype=float)]
         _finite_or_raise(y_rows[steps], steps, grid.horizon, "terminal payoff")
+        y_rows[steps].flags.writeable = False
         for i in range(steps - 1, -1, -1):
             t = float(grid.nodes[i])
             E, z = expect(i, y_rows[i + 1])
@@ -273,6 +295,7 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
                 picard_max = max(picard_max, used)
             y_rows[i] = _finite_or_raise(y, i, t, "value")
             z_rows[i] = z
+            y.flags.writeable = z.flags.writeable = False  # solutions may be shared
     return DiscreteSolution(
         grid=grid,
         y=tuple(y_rows),
@@ -305,15 +328,16 @@ def solve_tree(g, xi, steps, horizon=1.0, scheme="explicit", *, z_clamp=None, th
     )
 
 
-def _hermite_rows(x, out):
-    """Orthonormal probabilists' Hermite polynomials He_k(x) / sqrt(k!) of ``x``,
-    k = 0 .. len(out) - 1, written into the rows of ``out``."""
+def _hermite_rows(level, scale, out, scratch):
+    """Orthonormal probabilists' Hermite polynomials He_k(x) / sqrt(k!) of
+    x = ``level / scale``, k = 0 .. len(out) - 1, written into the rows of
+    ``out``; ``scratch`` is one row of workspace."""
     out[0] = 1.0
-    out[1] = x
+    x = np.divide(level, scale, out=out[1])
     for k in range(1, len(out) - 1):
         # sqrt(k + 1) h_{k+1} = x h_k - sqrt(k) h_{k-1}
         np.multiply(x, out[k], out=out[k + 1])
-        out[k + 1] -= math.sqrt(k) * out[k - 1]
+        out[k + 1] -= np.multiply(out[k - 1], math.sqrt(k), out=scratch)
         out[k + 1] /= math.sqrt(k + 1)
     return out
 
@@ -369,6 +393,7 @@ def solve_mc_regression(g, xi, steps, paths, degree, seed, horizon=1.0, scheme="
     dt = grid.dt
     conds = []
     basis = np.empty((degree + 1, paths))
+    scratch = np.empty(paths)
     targets = np.empty((2, paths))
 
     def expect(i, y_next):
@@ -379,7 +404,7 @@ def solve_mc_regression(g, xi, steps, paths, degree, seed, horizon=1.0, scheme="
             conds.append(1.0)
             return (np.full(paths, float(np.mean(y_next))),
                     np.full(paths, float(np.mean(targets[1]))))
-        _hermite_rows(ens.levels[i] / math.sqrt(grid.nodes[i]), basis)
+        _hermite_rows(ens.levels[i], math.sqrt(grid.nodes[i]), basis, scratch)
         try:
             fitted, cond = _regress(basis.T, targets.T)
         except RankDeficientError as exc:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bsdelab.cli import (
@@ -296,6 +297,36 @@ class TestCheckKeys:
         assert f"config error: {where}" in err, err
         assert solve_counts == {"tree": 0, "mc-regression": 0}
 
+    @pytest.mark.parametrize("missing", ["generator", "terminal"])
+    @pytest.mark.parametrize(
+        "check",
+        [
+            {"check": "solver_oracle", "expected": 0.0},
+            {"check": "comparison", "generator_prime": {"expr": "0"},
+             "terminal_prime": {"expr": "w"}},
+            {"check": "premise", "generator_prime": {"expr": "0"},
+             "terminal_prime": {"expr": "w"}},
+            {"check": "sandwich", "xi_bound": 1.0},
+            {"check": "monotone_family"},
+            {"check": "transform_residual"},
+            {"check": "uniqueness_smoke"},
+        ],
+        ids=lambda c: c["check"],
+    )
+    def test_check_that_solves_needs_both_sections(
+        self, tmp_path, capsys, solve_counts, check, missing
+    ):
+        sections = {"generator": {"expr": "-y"}, "terminal": {"expr": "w", "bound": 1.0}}
+        del sections[missing]
+        cfg = write_config(tmp_path, {"model": {"N": 20}, "checks": [
+            {**self.ORACLE, "generator": {"expr": "0"}, "terminal": {"expr": "w"}},
+            {**check, **sections},
+        ]})
+        code = main(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"])
+        assert code == EXIT_CONFIG_ERROR
+        assert f"config error: checks[1].{missing}: missing" in capsys.readouterr().err
+        assert solve_counts == {"tree": 0, "mc-regression": 0}
+
     def test_transform_residual_needs_the_tree(self, tmp_path, capsys, solve_counts):
         checks = [self.ORACLE, {"check": "transform_residual"}]
         model = {"N": 10, "backend": "mc-regression", "paths": 2000, "basis_degree": 2}
@@ -518,6 +549,62 @@ class TestChecksSolveOnTheConfiguredBackend:
         family = read_csv(tmp_path / "reports.csv")[0]
         assert family["status"] == "inconclusive"
         assert "does not preserve order" in family["notes"]
+
+
+SANDWICH = {
+    "check": "sandwich",
+    "generator": {"expr": "-y^3 + abs(z)^1.5 * sin(y)", "certificate": {
+        "kind": "one_sided_super_linear", "u": "1", "l": "1 + abs(y)", "h": "1"}},
+    "terminal": {"expr": "sin(w)", "bound": 1.0},
+    "model": {"N": 50, "scheme": "implicit"},
+}
+MC_VERIFY = Path(__file__).resolve().parent / "data" / "mc_verify.json"
+
+
+class TestSolveReuse:
+    """A check solves each problem once, and reuses the previous check's solves."""
+
+    def test_sandwich_pair_solves_once(self, tmp_path, solve_counts):
+        control = {**SANDWICH, "xi_bound": 0.1, "expect": "fail"}
+        assert run_checks(tmp_path, [SANDWICH, control]) == EXIT_OK
+        assert solve_counts == {"tree": 1, "mc-regression": 0}
+
+    @pytest.mark.parametrize("model", [{"N": 50, "scheme": "explicit"}, {"N": 60},
+                                       {"N": 50, "scheme": "implicit", "T": 0.5}])
+    def test_another_model_solves_anew(self, tmp_path, solve_counts, model):
+        other = {**SANDWICH, "model": model}
+        assert run_checks(tmp_path, [SANDWICH, other]) in (EXIT_OK, EXIT_CHECK_FAILED)
+        assert solve_counts == {"tree": 2, "mc-regression": 0}
+
+    def test_only_the_previous_check_is_kept(self, tmp_path, solve_counts):
+        between = {"check": "dominance", "generator_prime": {"expr": "0"}}
+        assert run_checks(tmp_path, [SANDWICH, between, SANDWICH]) == EXIT_OK
+        assert solve_counts == {"tree": 2, "mc-regression": 0}
+
+    def test_each_command_solves_afresh(self, tmp_path, solve_counts):
+        for _ in range(2):
+            assert run_checks(tmp_path, [SANDWICH]) == EXIT_OK
+        assert solve_counts == {"tree": 2, "mc-regression": 0}
+
+    def test_shipped_suite_solves_its_sandwich_pair_once(self, tmp_path, solve_counts):
+        assert main(["suite", "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        assert solve_counts == {"tree": 17, "mc-regression": 0}
+
+    def test_monte_carlo_checks_draw_their_ensemble_once(self, tmp_path, monkeypatch,
+                                                          solve_counts):
+        from bsdelab.ode_bounds import TimeGrid
+        from bsdelab.solver import PathEnsemble
+
+        PathEnsemble.generate(TimeGrid.uniform(1.0, 1), 1, seed=0)  # replaces any kept draw
+        draws = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda **kw: draws.append(kw) or philox(**kw))
+        code = main(["verify", "--config", str(MC_VERIFY), "--out", str(tmp_path), "--quiet"])
+        assert code == EXIT_CHECK_FAILED  # comparisons on Monte Carlo are inconclusive
+        assert solve_counts == {"tree": 0, "mc-regression": 5}
+        assert len(draws) == 1
+        assert [r["status"] for r in read_csv(tmp_path / "reports.csv")] == [
+            "inconclusive", "inconclusive"]
 
 
 class TestVerifyCommand:

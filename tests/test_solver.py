@@ -20,7 +20,12 @@ from bsdelab.solver import (
     solve_tree,
 )
 from bsdelab.verify import one_step_residual
-from tests.oracles import binomial_weights_reference, lstsq_reference, picard_sweep_reference
+from tests.oracles import (
+    binomial_weights_reference,
+    hermite_rows_reference,
+    lstsq_reference,
+    picard_sweep_reference,
+)
 
 ZERO = Generator.parse("0")
 B_T = TerminalCondition.parse("w")
@@ -158,12 +163,38 @@ class TestPathEnsemble:
         assert np.array_equal(ens.brownian_paths(), paths)
         assert ens.levels.flags.c_contiguous and not ens.levels.flags.writeable
 
-    def test_reproducible(self):
+    def test_matches_an_independent_philox_draw(self):
+        for seed in (9, 10):
+            ens = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=seed)
+            draw = np.random.Generator(np.random.Philox(key=seed)).standard_normal((100, 10))
+            assert ens.increments.tobytes() == (draw * math.sqrt(1.0 / 10)).tobytes()
+
+    def test_last_draw_is_kept(self):
         a = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=9)
-        b = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=9)
-        assert np.array_equal(a.increments, b.increments)
-        c = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=10)
-        assert not np.array_equal(a.increments, c.increments)
+        assert PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=9) is a
+        for other in ((TimeGrid.uniform(1.0, 10), 100, 10), (TimeGrid.uniform(1.0, 10), 101, 9),
+                      (TimeGrid.uniform(1.0, 11), 100, 9), (TimeGrid.uniform(2.0, 10), 100, 9)):
+            assert PathEnsemble.generate(*other) is not a
+        again = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=9)
+        assert again is not a and again.increments.tobytes() == a.increments.tobytes()
+
+    def test_arrays_are_read_only(self):
+        ens = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=9)
+        for array in (ens.increments, ens.levels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+
+    def test_consecutive_solves_on_one_substrate_draw_once(self, monkeypatch):
+        PathEnsemble.generate(TimeGrid.uniform(1.0, 1), 1, seed=0)  # replaces any kept draw
+        draws = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda **kw: draws.append(kw) or philox(**kw))
+        one = solve_mc_regression(ZERO, B_T, 10, 200, 2, seed=4)
+        two = solve_mc_regression(Generator.parse("-y"), B_T, 10, 200, 2, seed=4, scheme="implicit")
+        assert len(draws) == 1
+        solve_mc_regression(ZERO, B_T, 10, 200, 2, seed=5)
+        assert len(draws) == 2
+        assert one.y0 != two.y0
 
 
 class TestSolveMcRegression:
@@ -199,12 +230,20 @@ class TestSolveMcRegression:
         assert len(conds) == 10
         assert all(c >= 1.0 for c in conds)
         # the payoff w returns its input: the terminal row must still be a copy
-        assert sol.y[-1].flags.writeable
+        ens = PathEnsemble.generate(sol.grid, sol.paths, sol.seed)
+        assert not np.shares_memory(sol.y[-1], ens.levels)
+
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_hermite_rows_match_the_allocating_reference(self, degree):
+        level = np.random.default_rng(degree).standard_normal(1000) * 0.6
+        scale = math.sqrt(0.37)
+        rows = _hermite_rows(level, scale, np.empty((degree + 1, 1000)), np.empty(1000))
+        assert rows.tobytes() == hermite_rows_reference(level / scale, degree).tobytes()
 
     def test_hermite_rows_are_orthonormal_under_the_gaussian(self):
         # 20-node Gauss-Hermite quadrature for exp(-x^2/2) is exact up to degree 39
         nodes, weights = np.polynomial.hermite_e.hermegauss(20)
-        rows = _hermite_rows(nodes, np.empty((9, 20)))
+        rows = _hermite_rows(nodes, 1.0, np.empty((9, 20)), np.empty(20))
         gram = (rows * weights) @ rows.T / math.sqrt(2.0 * math.pi)
         assert np.max(np.abs(gram - np.eye(9))) <= 1e-13
 
@@ -214,7 +253,7 @@ class TestSolveMcRegression:
         rng = np.random.default_rng(100 + degree)
         for rows in [10 * (degree + 1)] * 20 + [100_000]:
             x = rng.standard_normal(rows)
-            basis = _hermite_rows(x, np.empty((degree + 1, rows))).T
+            basis = _hermite_rows(x, 1.0, np.empty((degree + 1, rows)), np.empty(rows)).T
             targets = np.array(
                 (np.sin(3 * x) + rng.standard_normal(rows), np.exp(x) * rng.standard_normal(rows))
             )
@@ -307,6 +346,17 @@ class TestBackwardSweep:
         unclamped = solve(z_clamp=100.0)
         assert unclamped.conforming
         assert not unclamped.diagnostics["z_clamped"]
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    @pytest.mark.parametrize("z_clamp", [None, 0.5])
+    def test_solution_rows_are_read_only(self, scheme, z_clamp):
+        g = Generator.parse("-y + z / 2")
+        for sol in (solve_tree(g, B_T, 8, scheme=scheme, z_clamp=z_clamp),
+                    solve_mc_regression(g, B_T, 8, 200, 2, seed=0, scheme=scheme,
+                                        z_clamp=z_clamp)):
+            for row in sol.y + sol.z:
+                with pytest.raises(ValueError, match="read-only"):
+                    row[0] = 0.0
 
     @pytest.mark.parametrize("z_clamp", [0.0, -1.0, math.nan])
     def test_z_clamp_must_be_positive(self, z_clamp):
