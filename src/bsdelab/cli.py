@@ -8,8 +8,8 @@ Subcommands::
     bsdelab verify   --config cfg.json --out DIR    run the config's checks, reports.csv
     bsdelab suite    [--config cfg.json] --out DIR  run a check suite (default: shipped), one CSV per check
 
-Within ``verify`` and ``suite`` a check reuses the solves that it, or the
-check before it, made for an equal (model, generator, terminal).
+Within one ``verify`` or ``suite`` command a check reuses any tree solve that
+an earlier check, or itself, made for an equal (model, generator, terminal).
 
 Every run writes a ``run_manifest.json`` embedding the full config, its
 SHA-256, the effective seed and library versions; re-running the manifest's
@@ -141,24 +141,22 @@ def _solve_with(model: ModelConfig, generator, terminal):
     )
 
 
-class _RecentSolves:
-    """Solves keyed by (model, generator, terminal), kept for the running check
-    and the one after it, so that neighbouring checks posing the same problem
-    solve it once.  A check whose function takes ``solve`` gets this solver."""
+def _command_solver():
+    """The ``solve`` of one command's checks.  Tree solutions are kept, keyed by
+    (model, generator, terminal), so that a problem posed by several checks is
+    solved once.  Monte-Carlo solutions, two (paths,) rows per step, are too
+    large to keep and are solved each time they are asked for."""
+    kept = {}
 
-    def __init__(self):
-        self._previous, self._current = {}, {}
-
-    def next_check(self):
-        self._previous, self._current = self._current, {}
-
-    def __call__(self, model, generator, terminal):
+    def solve(model, generator, terminal):
+        if model.backend != "tree":
+            return _solve_with(model, generator, terminal)
         key = (model, generator, terminal)
-        sol = self._current.get(key, self._previous.get(key))
-        if sol is None:
-            sol = _solve_with(model, generator, terminal)
-        self._current[key] = sol
-        return sol
+        if key not in kept:
+            kept[key] = _solve_with(*key)
+        return kept[key]
+
+    return solve
 
 
 def _solution_rows(sol):
@@ -457,7 +455,7 @@ def _cmd_envelope(cfg, out_dir, args):
 def _cmd_verify(cfg, out_dir, args, per_check_files=False):
     if not cfg.checks:
         raise ConfigError("checks", "verify needs a non-empty checks list")
-    solve = _RecentSolves()
+    solve = _command_solver()
     runs = []  # every check is parsed before the first one runs
     for idx, check in enumerate(cfg.checks):
         try:
@@ -469,7 +467,6 @@ def _cmd_verify(cfg, out_dir, args, per_check_files=False):
     outputs = []
     all_matched = True
     for idx, (check, run) in enumerate(zip(cfg.checks, runs)):
-        solve.next_check()
         report = run()
         name = check.params.get("name", report.name)
         matched = report.status == check.expect

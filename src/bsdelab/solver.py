@@ -34,11 +34,8 @@ condition number sqrt(lambda_max / lambda_min) of G.
 
 Both backends are deterministic functions of their inputs and evaluate the
 driver on a single thread; the Monte-Carlo ensemble is generated by a
-counter-based bit stream keyed by the seed.  ``PathEnsemble.generate`` keeps
-the last ensemble it drew, keyed by (steps, horizon, paths, seed), so
-consecutive solves on one substrate draw it once.  Since ensembles and
-solutions may be shared, their arrays are read-only: the increments, the
-levels, and every row of a solution's y and z.
+counter-based bit stream keyed by the seed.  Every row of a solution's y and
+z is read-only, so that one solution can be shared by several callers.
 """
 
 from __future__ import annotations
@@ -122,9 +119,6 @@ class TreeModel:
         return cls(TimeGrid.uniform(horizon, steps))
 
 
-_last_ensemble = None  # (key, PathEnsemble) of the last draw
-
-
 @dataclass(frozen=True)
 class PathEnsemble:
     """Simulated Brownian increments, reproducible from (seed, paths, grid).
@@ -147,26 +141,12 @@ class PathEnsemble:
 
     @classmethod
     def generate(cls, grid, paths, seed):
-        """The ensemble of ``paths`` paths on ``grid`` drawn from ``seed``.
-
-        The last ensemble drawn is kept, so that consecutive solves on one
-        substrate draw it once; its arrays are read-only.
-        """
-        global _last_ensemble
         if paths < 1:
             raise ValueError("need at least one path")
-        sqrt_dt = math.sqrt(grid.dt)  # raises on a grid that is not uniform
-        key = (grid.steps, grid.horizon, paths, int(seed))
-        if _last_ensemble is not None and _last_ensemble[0] == key:
-            return _last_ensemble[1]
-        _last_ensemble = None  # let the kept ensemble go before the next is drawn
+        dt = grid.dt
         gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        increments = gen.standard_normal((paths, grid.steps))
-        increments *= sqrt_dt
-        increments.flags.writeable = False
-        ens = cls(grid=grid, paths=paths, seed=int(seed), increments=increments)
-        _last_ensemble = (key, ens)
-        return ens
+        increments = gen.standard_normal((paths, grid.steps)) * math.sqrt(dt)
+        return cls(grid=grid, paths=paths, seed=int(seed), increments=increments)
 
     def brownian_paths(self):
         """B at every node, one row per path: a read-only view of ``levels``."""
@@ -328,16 +308,15 @@ def solve_tree(g, xi, steps, horizon=1.0, scheme="explicit", *, z_clamp=None, th
     )
 
 
-def _hermite_rows(level, scale, out, scratch):
-    """Orthonormal probabilists' Hermite polynomials He_k(x) / sqrt(k!) of
-    x = ``level / scale``, k = 0 .. len(out) - 1, written into the rows of
-    ``out``; ``scratch`` is one row of workspace."""
+def _hermite_rows(x, out):
+    """Orthonormal probabilists' Hermite polynomials He_k(x) / sqrt(k!) of ``x``,
+    k = 0 .. len(out) - 1, written into the rows of ``out``."""
     out[0] = 1.0
-    x = np.divide(level, scale, out=out[1])
+    out[1] = x
     for k in range(1, len(out) - 1):
         # sqrt(k + 1) h_{k+1} = x h_k - sqrt(k) h_{k-1}
         np.multiply(x, out[k], out=out[k + 1])
-        out[k + 1] -= np.multiply(out[k - 1], math.sqrt(k), out=scratch)
+        out[k + 1] -= math.sqrt(k) * out[k - 1]
         out[k + 1] /= math.sqrt(k + 1)
     return out
 
@@ -393,7 +372,6 @@ def solve_mc_regression(g, xi, steps, paths, degree, seed, horizon=1.0, scheme="
     dt = grid.dt
     conds = []
     basis = np.empty((degree + 1, paths))
-    scratch = np.empty(paths)
     targets = np.empty((2, paths))
 
     def expect(i, y_next):
@@ -404,7 +382,7 @@ def solve_mc_regression(g, xi, steps, paths, degree, seed, horizon=1.0, scheme="
             conds.append(1.0)
             return (np.full(paths, float(np.mean(y_next))),
                     np.full(paths, float(np.mean(targets[1]))))
-        _hermite_rows(ens.levels[i], math.sqrt(grid.nodes[i]), basis, scratch)
+        _hermite_rows(ens.levels[i] / math.sqrt(grid.nodes[i]), basis)
         try:
             fitted, cond = _regress(basis.T, targets.T)
         except RankDeficientError as exc:

@@ -172,20 +172,6 @@ def binomial_weights_reference(i):
     return np.asarray([math.comb(i, j) / 2**i for j in range(i + 1)])
 
 
-def hermite_rows_reference(x, degree):
-    """Rows He_k(x) / sqrt(k!), k = 0 .. degree, by the three-term recurrence
-    with a new array for each product, as the solver computed them before it
-    worked in place."""
-    out = np.empty((degree + 1, len(x)))
-    out[0] = 1.0
-    out[1] = x
-    for k in range(1, degree):
-        np.multiply(x, out[k], out=out[k + 1])
-        out[k + 1] -= math.sqrt(k) * out[k - 1]
-        out[k + 1] /= math.sqrt(k + 1)
-    return out
-
-
 def lstsq_reference(basis, target):
     """Least-squares fitted values of each target column on the columns of
     ``basis``, by Householder QR carried out in long double.

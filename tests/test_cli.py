@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from bsdelab.cli import (
@@ -562,7 +561,7 @@ MC_VERIFY = Path(__file__).resolve().parent / "data" / "mc_verify.json"
 
 
 class TestSolveReuse:
-    """A check solves each problem once, and reuses the previous check's solves."""
+    """A command solves each tree problem once; Monte-Carlo solves are not kept."""
 
     def test_sandwich_pair_solves_once(self, tmp_path, solve_counts):
         control = {**SANDWICH, "xi_bound": 0.1, "expect": "fail"}
@@ -576,35 +575,28 @@ class TestSolveReuse:
         assert run_checks(tmp_path, [SANDWICH, other]) in (EXIT_OK, EXIT_CHECK_FAILED)
         assert solve_counts == {"tree": 2, "mc-regression": 0}
 
-    def test_only_the_previous_check_is_kept(self, tmp_path, solve_counts):
+    def test_a_tree_solve_is_kept_for_the_whole_command(self, tmp_path, solve_counts):
         between = {"check": "dominance", "generator_prime": {"expr": "0"}}
         assert run_checks(tmp_path, [SANDWICH, between, SANDWICH]) == EXIT_OK
-        assert solve_counts == {"tree": 2, "mc-regression": 0}
+        assert solve_counts == {"tree": 1, "mc-regression": 0}
 
     def test_each_command_solves_afresh(self, tmp_path, solve_counts):
         for _ in range(2):
             assert run_checks(tmp_path, [SANDWICH]) == EXIT_OK
         assert solve_counts == {"tree": 2, "mc-regression": 0}
 
-    def test_shipped_suite_solves_its_sandwich_pair_once(self, tmp_path, solve_counts):
+    def test_shipped_suite_solves_each_problem_once(self, tmp_path, solve_counts):
         assert main(["suite", "--out", str(tmp_path), "--quiet"]) == EXIT_OK
-        assert solve_counts == {"tree": 17, "mc-regression": 0}
+        assert solve_counts == {"tree": 15, "mc-regression": 0}
 
-    def test_monte_carlo_checks_draw_their_ensemble_once(self, tmp_path, monkeypatch,
-                                                          solve_counts):
-        from bsdelab.ode_bounds import TimeGrid
-        from bsdelab.solver import PathEnsemble
-
-        PathEnsemble.generate(TimeGrid.uniform(1.0, 1), 1, seed=0)  # replaces any kept draw
-        draws = []
-        philox = np.random.Philox
-        monkeypatch.setattr(np.random, "Philox", lambda **kw: draws.append(kw) or philox(**kw))
-        code = main(["verify", "--config", str(MC_VERIFY), "--out", str(tmp_path), "--quiet"])
+    def test_monte_carlo_solves_are_not_kept(self, tmp_path, solve_counts):
+        cfg = json.loads(MC_VERIFY.read_text())
+        cfg["checks"].append(cfg["checks"][0])  # the same comparison pair again
+        path = write_config(tmp_path, cfg)
+        code = main(["verify", "--config", path, "--out", str(tmp_path), "--quiet"])
         assert code == EXIT_CHECK_FAILED  # comparisons on Monte Carlo are inconclusive
-        assert solve_counts == {"tree": 0, "mc-regression": 5}
-        assert len(draws) == 1
-        assert [r["status"] for r in read_csv(tmp_path / "reports.csv")] == [
-            "inconclusive", "inconclusive"]
+        assert solve_counts == {"tree": 0, "mc-regression": 7}
+        assert [r["status"] for r in read_csv(tmp_path / "reports.csv")] == ["inconclusive"] * 3
 
 
 class TestVerifyCommand:

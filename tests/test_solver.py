@@ -20,12 +20,7 @@ from bsdelab.solver import (
     solve_tree,
 )
 from bsdelab.verify import one_step_residual
-from tests.oracles import (
-    binomial_weights_reference,
-    hermite_rows_reference,
-    lstsq_reference,
-    picard_sweep_reference,
-)
+from tests.oracles import binomial_weights_reference, lstsq_reference, picard_sweep_reference
 
 ZERO = Generator.parse("0")
 B_T = TerminalCondition.parse("w")
@@ -163,38 +158,18 @@ class TestPathEnsemble:
         assert np.array_equal(ens.brownian_paths(), paths)
         assert ens.levels.flags.c_contiguous and not ens.levels.flags.writeable
 
+    def test_reproducible(self):
+        a = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=9)
+        b = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=9)
+        assert np.array_equal(a.increments, b.increments)
+        c = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=10)
+        assert not np.array_equal(a.increments, c.increments)
+
     def test_matches_an_independent_philox_draw(self):
         for seed in (9, 10):
             ens = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=seed)
             draw = np.random.Generator(np.random.Philox(key=seed)).standard_normal((100, 10))
             assert ens.increments.tobytes() == (draw * math.sqrt(1.0 / 10)).tobytes()
-
-    def test_last_draw_is_kept(self):
-        a = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=9)
-        assert PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=9) is a
-        for other in ((TimeGrid.uniform(1.0, 10), 100, 10), (TimeGrid.uniform(1.0, 10), 101, 9),
-                      (TimeGrid.uniform(1.0, 11), 100, 9), (TimeGrid.uniform(2.0, 10), 100, 9)):
-            assert PathEnsemble.generate(*other) is not a
-        again = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=9)
-        assert again is not a and again.increments.tobytes() == a.increments.tobytes()
-
-    def test_arrays_are_read_only(self):
-        ens = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=9)
-        for array in (ens.increments, ens.levels):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 0.0
-
-    def test_consecutive_solves_on_one_substrate_draw_once(self, monkeypatch):
-        PathEnsemble.generate(TimeGrid.uniform(1.0, 1), 1, seed=0)  # replaces any kept draw
-        draws = []
-        philox = np.random.Philox
-        monkeypatch.setattr(np.random, "Philox", lambda **kw: draws.append(kw) or philox(**kw))
-        one = solve_mc_regression(ZERO, B_T, 10, 200, 2, seed=4)
-        two = solve_mc_regression(Generator.parse("-y"), B_T, 10, 200, 2, seed=4, scheme="implicit")
-        assert len(draws) == 1
-        solve_mc_regression(ZERO, B_T, 10, 200, 2, seed=5)
-        assert len(draws) == 2
-        assert one.y0 != two.y0
 
 
 class TestSolveMcRegression:
@@ -224,26 +199,23 @@ class TestSolveMcRegression:
         with pytest.raises(ValueError, match="10"):
             solve_mc_regression(ZERO, B_T, 10, 25, 2, seed=0)
 
-    def test_condition_numbers_recorded(self):
+    def test_condition_numbers_recorded(self, monkeypatch):
+        drawn = []
+        generate = PathEnsemble.generate
+        monkeypatch.setattr(
+            PathEnsemble, "generate", lambda *args: drawn.append(generate(*args)) or drawn[-1]
+        )
         sol = solve_mc_regression(ZERO, B_T, 10, 2000, 3, seed=1)
         conds = sol.diagnostics["regression_condition_numbers"]
         assert len(conds) == 10
         assert all(c >= 1.0 for c in conds)
         # the payoff w returns its input: the terminal row must still be a copy
-        ens = PathEnsemble.generate(sol.grid, sol.paths, sol.seed)
-        assert not np.shares_memory(sol.y[-1], ens.levels)
-
-    @pytest.mark.parametrize("degree", range(1, 9))
-    def test_hermite_rows_match_the_allocating_reference(self, degree):
-        level = np.random.default_rng(degree).standard_normal(1000) * 0.6
-        scale = math.sqrt(0.37)
-        rows = _hermite_rows(level, scale, np.empty((degree + 1, 1000)), np.empty(1000))
-        assert rows.tobytes() == hermite_rows_reference(level / scale, degree).tobytes()
+        assert not np.shares_memory(sol.y[-1], drawn[0].levels)
 
     def test_hermite_rows_are_orthonormal_under_the_gaussian(self):
         # 20-node Gauss-Hermite quadrature for exp(-x^2/2) is exact up to degree 39
         nodes, weights = np.polynomial.hermite_e.hermegauss(20)
-        rows = _hermite_rows(nodes, 1.0, np.empty((9, 20)), np.empty(20))
+        rows = _hermite_rows(nodes, np.empty((9, 20)))
         gram = (rows * weights) @ rows.T / math.sqrt(2.0 * math.pi)
         assert np.max(np.abs(gram - np.eye(9))) <= 1e-13
 
@@ -253,7 +225,7 @@ class TestSolveMcRegression:
         rng = np.random.default_rng(100 + degree)
         for rows in [10 * (degree + 1)] * 20 + [100_000]:
             x = rng.standard_normal(rows)
-            basis = _hermite_rows(x, 1.0, np.empty((degree + 1, rows)), np.empty(rows)).T
+            basis = _hermite_rows(x, np.empty((degree + 1, rows))).T
             targets = np.array(
                 (np.sin(3 * x) + rng.standard_normal(rows), np.exp(x) * rng.standard_normal(rows))
             )
