@@ -16,7 +16,9 @@ scheme, since its second Picard iterate would repeat the first.  Where the
 y-free part raises a domain error, the whole driver is evaluated at
 (t_i, E_i, z_i) to report the error it reports first.  Each sweep runs under
 one ``np.errstate(all="ignore")``: an overflow surfaces as the domain or
-solver error it leads to, with no warning before it.
+solver error it leads to, with no warning before it.  Errors name the step,
+the node and the point: (t, E, z) of a non-finite value, (t, y, z) of Picard's
+largest last change.  An expression never returns a non-finite payoff.
 
 They differ only in the conditional-expectation operator ``expect``.  On the
 recombining binomial tree (increments +-sqrt(dt) with probability 1/2) it is
@@ -46,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expressions import EvalDomainError
+from .expressions import EvalDomainError, all_finite
 from .generators import Generator, TerminalCondition
 from .ode_bounds import TimeGrid
 
@@ -70,11 +72,13 @@ class SolverError(RuntimeError):
 
 
 class PicardDivergenceError(SolverError):
-    def __init__(self, step, time, change, cap):
+    def __init__(self, step, time, change, cap, node, y, z):
         self.change = change
+        self.node = node
         super().__init__(
             f"implicit fixed point did not converge at step {step} (t = {time:g}): "
-            f"last change {change:.3g} after {cap} iterations",
+            f"last change {change:.3g} after {cap} iterations, largest at node {node}: "
+            f"(t, y, z) = ({time:g}, {y:g}, {z:g})",
             step,
             time,
         )
@@ -148,24 +152,6 @@ class PathEnsemble:
         increments = gen.standard_normal((paths, grid.steps)) * math.sqrt(dt)
         return cls(grid=grid, paths=paths, seed=int(seed), increments=increments)
 
-    def brownian_paths(self):
-        """B at every node, one row per path: a read-only view of ``levels``."""
-        return self.levels.T
-
-    def validate(self):
-        """Moment sanity for each increment column (5-sigma style gates)."""
-        P = self.paths
-        dt = self.grid.dt
-        mean_gate = 5.0 / math.sqrt(P)
-        var_gate = 5.0 * math.sqrt(2.0 / P)
-        means = np.abs(self.increments.mean(axis=0))
-        if float(np.max(means)) > mean_gate:
-            raise ValueError(f"increment mean {np.max(means):.3g} exceeds {mean_gate:.3g}")
-        variances = np.abs(self.increments.var(axis=0) - dt)
-        if float(np.max(variances)) > var_gate:
-            raise ValueError(f"increment variance off dt by {np.max(variances):.3g}")
-        return True
-
 
 @dataclass(frozen=True)
 class DiscreteSolution:
@@ -195,23 +181,13 @@ class DiscreteSolution:
     def substrate_key(self):
         return (self.backend, self.grid.steps, self.grid.horizon, self.seed, self.paths)
 
-    def y_matrix(self):
-        """Per-time rows as a dense matrix; tree rows are left-aligned with NaN padding."""
-        if self.backend != "tree":
-            return np.asarray(self.y)
-        n = self.grid.steps
-        out = np.full((n + 1, n + 1), np.nan)
-        for i, row in enumerate(self.y):
-            out[i, : i + 1] = row
-        return out
 
-
-def _finite_or_raise(arr, step, time, what):
-    if not np.all(np.isfinite(arr)):
-        k = int(np.argmin(np.isfinite(np.asarray(arr).ravel())))
-        raise SolverError(f"non-finite {what} at step {step} (t = {time:g}, flat index {k})",
-                          step, time)
-    return arr
+def _finite_or_raise(y, step, t, E, z):
+    if not all_finite(y):
+        k = int(np.argmin(np.isfinite(y)))
+        raise SolverError(f"non-finite value at step {step} (t = {t:g}, node {k}): "
+                          f"(t, E, z) = ({t:g}, {E[k]:g}, {z[k]:g})", step, t)
+    return y
 
 
 def _implicit_update(body, parts, i, t, E, z, dt):
@@ -219,14 +195,15 @@ def _implicit_update(body, parts, i, t, E, z, dt):
     its y-free parts; the change is measured in one reused buffer."""
     y = E
     gap = np.empty_like(E)
-    change = math.inf
     for it in range(1, PICARD_CAP + 1):
         y_next = E + body(t, y, z, *parts) * dt
-        change = float(np.abs(np.subtract(y_next, y, out=gap), out=gap).max()) if y.size else 0.0
+        np.abs(np.subtract(y_next, y, out=gap), out=gap)
+        change = float(np.maximum.reduce(gap)) if y.size else 0.0
         y = y_next
         if change < PICARD_TOL:
             return y, it
-    raise PicardDivergenceError(step=i, time=t, change=change, cap=PICARD_CAP)
+    k = int(np.argmax(gap))
+    raise PicardDivergenceError(i, t, change, PICARD_CAP, k, float(y[k]), float(z[k]))
 
 
 def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
@@ -242,6 +219,7 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
         raise ValueError(f"z_clamp must be > 0, got {z_clamp!r}")
     steps = grid.steps
     dt = grid.dt
+    nodes = grid.nodes.tolist()
     pre, body = g.expr.split("y")
     # without y the second Picard iterate repeats the first, bit for bit
     single = scheme == "explicit" or "y" not in g.expr.free_variables()
@@ -252,10 +230,9 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
     with np.errstate(all="ignore"):
         xi.check_bound(states)
         y_rows = [None] * steps + [np.asarray(xi(states), dtype=float)]
-        _finite_or_raise(y_rows[steps], steps, grid.horizon, "terminal payoff")
         y_rows[steps].flags.writeable = False
         for i in range(steps - 1, -1, -1):
-            t = float(grid.nodes[i])
+            t = nodes[i]
             E, z = expect(i, y_rows[i + 1])
             if z_clamp is not None:
                 before = z
@@ -273,7 +250,7 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
                 y, used = _implicit_update(body, parts, i, t, E, z, dt)
             if scheme == "implicit":
                 picard_max = max(picard_max, used)
-            y_rows[i] = _finite_or_raise(y, i, t, "value")
+            y_rows[i] = _finite_or_raise(y, i, t, E, z)
             z_rows[i] = z
             y.flags.writeable = z.flags.writeable = False  # solutions may be shared
     return DiscreteSolution(

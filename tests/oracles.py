@@ -407,11 +407,13 @@ def _picard_update_reference(g, i, t, E, z, dt, tol, cap):
     change = math.inf
     for it in range(1, cap + 1):
         y_next = E + np.asarray(g(t, y, z), dtype=float) * dt
-        change = float(np.max(np.abs(y_next - y))) if y.size else 0.0
+        gap = np.abs(y_next - y)
+        change = float(np.max(gap)) if y.size else 0.0
         y = y_next
         if change < tol:
             return y, it
-    raise PicardDivergenceError(step=i, time=float(t), change=change, cap=cap)
+    k = int(np.argmax(gap))
+    raise PicardDivergenceError(i, float(t), change, cap, k, float(y[k]), float(z[k]))
 
 
 def picard_sweep_reference(g, xi, grid, states, expect, scheme, z_clamp, picard_tol=1e-12,
@@ -428,7 +430,6 @@ def picard_sweep_reference(g, xi, grid, states, expect, scheme, z_clamp, picard_
     dt = grid.dt
     xi.check_bound(states)
     y_rows = [None] * steps + [np.asarray(xi(states), dtype=float)]
-    _finite_or_raise(y_rows[steps], steps, grid.horizon, "terminal payoff")
     z_rows = [None] * steps
     clamped = False
     picard_max = 0
@@ -444,7 +445,7 @@ def picard_sweep_reference(g, xi, grid, states, expect, scheme, z_clamp, picard_
         else:
             y, used = _picard_update_reference(g, i, t, E, z, dt, picard_tol, picard_cap)
             picard_max = max(picard_max, used)
-        y_rows[i] = _finite_or_raise(y, i, float(t), "value")
+        y_rows[i] = _finite_or_raise(y, i, float(t), E, z)
         z_rows[i] = z
     return DiscreteSolution(
         grid=grid,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bsdelab.expressions import (
     MAX_NESTING,
@@ -18,6 +19,8 @@ from bsdelab.expressions import (
     Num,
     ParseError,
     Var,
+    _DOT_MAX,
+    all_finite,
     parse_expression,
     parse_univariate,
 )
@@ -178,8 +181,25 @@ class TestEvaluation:
             parse_expression("1 / y")(0.0, 0.0, 0.0)
 
     def test_overflow_reported_not_inf(self):
-        with pytest.raises(EvalDomainError):
+        # a scalar call prints numpy's warning before the domain error
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(EvalDomainError):
             parse_expression("exp(y)")(0.0, 1e6, 0.0)
+
+    def test_array_overflow_raises_without_a_warning(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(EvalDomainError, match="exp produced a non-finite value"):
+                parse_expression("exp(y)")(0.0, np.array([0.0, 1e6]), 0.0)
+        assert caught == []
+
+    def test_array_near_overflow_is_finite_and_silent(self):
+        # 1e200 is finite, though its square, the finiteness check's sum, is not
+        y = np.array([1e100, -1e100])
+        for action in ("always", "error"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                out = parse_expression("y^2")(0.0, y, 0.0)
+            assert out.tolist() == [1e200, 1e200] and caught == []
 
 
 # ---------------------------------------------------------------------------
@@ -450,3 +470,36 @@ class TestUnivariate:
     def test_two_variables_rejected(self):
         with pytest.raises(Exception, match="one free variable"):
             parse_univariate("x + y")
+
+
+# ---------------------------------------------------------------------------
+# The finiteness check: a sum of squares, exact where the sum overflows
+
+FINITENESS_EDGES = [math.nan, math.inf, -math.inf, 1e200, -1e200, 1.3e154, 5e-324, -5e-324,
+                    0.0, -0.0, 1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=9),
+                  elements=st.sampled_from(FINITENESS_EDGES) | st.floats()))
+def test_all_finite_is_the_elementwise_verdict(arr):
+    views = [arr]
+    if arr.ndim:
+        views += [arr[::2], arr[::-1], arr.T]
+    if arr.ndim == 2:
+        views.append(arr[:, 1::2])
+    with np.errstate(all="ignore"):
+        for view in views:
+            assert all_finite(view) is bool(np.isfinite(view).all()), view
+        if arr.size:
+            first = arr.reshape(-1)[0]
+            assert all_finite(float(first)) == all_finite(first) == math.isfinite(first)
+
+
+@pytest.mark.parametrize("size", [_DOT_MAX, _DOT_MAX + 1])
+def test_all_finite_on_either_side_of_the_dot_limit(size):
+    for last, expected in ((1e200, True), (math.inf, False), (-math.inf, False), (math.nan, False)):
+        arr = np.ones(size)
+        arr[-1] = last
+        with np.errstate(all="ignore"):
+            assert all_finite(arr) is all_finite(arr[::-1].reshape(1, -1)) is expected

@@ -107,10 +107,43 @@ class TestSolveTree:
 
     def test_non_finite_value_names_step_and_time(self):
         # dt = 1: y_1 = 8e307 + 1.7e308 dt overflows at the first backward step
-        with pytest.raises(SolverError) as err, np.errstate(over="ignore"):
+        with pytest.raises(SolverError) as err:
             solve_tree(Generator.parse("1.7e308"), TerminalCondition.parse("8e307"), 2, horizon=2.0)
         assert (err.value.step, err.value.time) == (1, 1.0)
-        assert "non-finite value at step 1 (t = 1, flat index 0)" in str(err.value)
+        assert str(err.value) == ("non-finite value at step 1 (t = 1, node 0): "
+                                  "(t, E, z) = (1, 8e+307, 0)")
+
+    def test_non_finite_value_names_the_node_and_point(self):
+        # dt = 2: the constant driver's body * dt overflows on its own; the
+        # payoff is finite at every node, so the first node is named
+        with pytest.raises(SolverError) as err:
+            solve_tree(Generator.parse("1e308"), TerminalCondition.parse("sin(w)"), 2, horizon=4.0)
+        assert (err.value.step, err.value.time) == (1, 2.0)
+        # node 0 of step 1 averages the terminal nodes at w = -2 sqrt(2) and 0
+        sdt = math.sqrt(2.0)
+        E, z = (0.0 + math.sin(-2 * sdt)) / 2, (0.0 - math.sin(-2 * sdt)) / (2 * sdt)
+        assert str(err.value) == ("non-finite value at step 1 (t = 2, node 0): "
+                                  f"(t, E, z) = (2, {E:g}, {z:g})")
+
+    def test_picard_divergence_names_the_node_and_point(self):
+        # the known defect of Picard iteration on -y^3 with 3 cos(w) at N = 10,
+        # against its 50 iterations at step 9 by hand
+        with pytest.raises(PicardDivergenceError) as err:
+            solve_tree(Generator.parse("-y^3"), TerminalCondition.parse("3*cos(w)"), 10,
+                       scheme="implicit")
+        sdt = math.sqrt(0.1)
+        terminal = 3.0 * np.cos((2.0 * np.arange(11) - 10) * sdt)
+        E = 0.5 * (terminal[1:] + terminal[:-1])
+        z = (terminal[1:] - terminal[:-1]) / (2.0 * sdt)
+        y = E
+        for _ in range(50):
+            y, last = E + -(y * y * y) * 0.1, y
+        k = int(np.argmax(np.abs(y - last)))
+        assert (err.value.step, err.value.node) == (9, k)
+        assert str(err.value) == (
+            "implicit fixed point did not converge at step 9 (t = 0.9): last change "
+            f"{abs(y[k] - last[k]):.3g} after 50 iterations, largest at node {k}: "
+            f"(t, y, z) = (0.9, {y[k]:g}, {z[k]:g})")
 
     def test_declared_bound_enforced(self):
         lying = TerminalCondition.parse("sin(w)", bound=0.1)
@@ -148,14 +181,17 @@ class TestSolveTree:
 
 class TestPathEnsemble:
     def test_moment_gates(self):
+        # each step's increments: mean 0 and variance dt, within 5 standard errors
         ens = PathEnsemble.generate(TimeGrid.uniform(1.0, 20), 4000, seed=5)
-        assert ens.validate()
+        dt = 1.0 / 20
+        assert np.max(np.abs(ens.increments.mean(axis=0))) <= 5.0 * math.sqrt(dt / 4000)
+        assert np.max(np.abs(ens.increments.var(axis=0) - dt)) <= 5.0 * dt * math.sqrt(2.0 / 4000)
 
     def test_levels_are_the_running_sums(self):
         ens = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=9)
         paths = np.zeros((100, 11))
         np.cumsum(ens.increments, axis=1, out=paths[:, 1:])
-        assert np.array_equal(ens.brownian_paths(), paths)
+        assert np.array_equal(ens.levels.T, paths)
         assert ens.levels.flags.c_contiguous and not ens.levels.flags.writeable
 
     def test_reproducible(self):
@@ -177,7 +213,7 @@ class TestSolveMcRegression:
         xi = TerminalCondition.parse("w^2")
         sol = solve_mc_regression(ZERO, xi, 50, 100_000, 2, seed=123)
         ens = PathEnsemble.generate(sol.grid, sol.paths, sol.seed)
-        stderr = float(np.std(xi(ens.brownian_paths()[:, -1]))) / math.sqrt(sol.paths)
+        stderr = float(np.std(xi(ens.levels[-1]))) / math.sqrt(sol.paths)
         assert abs(sol.y0 - 1.0) <= 3.0 * stderr
 
     def test_discounted_constant(self):
@@ -349,11 +385,10 @@ class TestDiscreteSolution:
         for row in sol.z:
             assert np.all(np.isfinite(row))
 
-    def test_y_matrix_padding(self):
+    def test_tree_rows_are_ragged(self):
         sol = solve_tree(ZERO, B_T, 4)
-        mat = sol.y_matrix()
-        assert mat.shape == (5, 5)
-        assert np.isnan(mat[0, 1])
+        assert [row.shape for row in sol.y] == [(i + 1,) for i in range(5)]
+        assert [row.shape for row in sol.z] == [(i + 1,) for i in range(4)]
 
     def test_substrate_key_distinguishes(self):
         a = solve_tree(ZERO, B_T, 8)
@@ -437,9 +472,11 @@ class TestStagedSweep:
 
         err, ref = raised(solve), raised(lambda: whole_driver_solve(monkeypatch, solve))
         assert type(err) is type(ref) is PicardDivergenceError
-        assert (err.step, err.time, err.change) == (ref.step, ref.time, ref.change)
-        assert str(err) == str(ref) == ("implicit fixed point did not converge at step 9 "
-                                        "(t = 0.9): last change 1.85 after 50 iterations")
+        assert (err.step, err.time, err.change, err.node) == (ref.step, ref.time, ref.change,
+                                                              ref.node)
+        assert str(err) == str(ref) == (
+            "implicit fixed point did not converge at step 9 (t = 0.9): last change 1.85 after "
+            "50 iterations, largest at node 0: (t, y, z) = (0.9, -2.67289, 0.859287)")
 
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     def test_monte_carlo_overflow_is_a_domain_error_not_a_warning(self, scheme):
