@@ -25,7 +25,6 @@ import csv
 import hashlib
 import inspect
 import io
-import itertools
 import json
 import os
 import sys
@@ -55,7 +54,7 @@ from .expressions import Expression
 from .generators import Generator, TerminalCondition, WeightFn
 from .ode_bounds import BlowUpError, TimeGrid, sandwich_envelope
 from .report import VerificationReport, at_samples, worst_gap
-from .solver import TreeModel, solve_mc_regression, solve_tree
+from .solver import solve_mc_regression, solve_tree
 from .verify import (
     comparison_check,
     indicator_premise_check,
@@ -160,17 +159,10 @@ def _command_solver():
 
 
 def _solution_rows(sol):
-    tree = sol.backend == "tree"
-    weights = TreeModel(sol.grid).level_weights() if tree else itertools.repeat(None)
-
-    def mean(w, values):
-        return float(np.sum(w * np.asarray(values)) if tree else np.mean(values))
-
-    rows = []
-    for t, row, z, w in zip(sol.grid.nodes, map(np.asarray, sol.y), sol.z + (None,), weights):
-        z_mean = None if z is None else mean(w, z)
-        rows.append((float(t), mean(w, row), float(np.min(row)), float(np.max(row)), z_mean))
-    return rows
+    y_means = sol.level_means(sol.y)
+    z_means = [float(m) for m in sol.level_means(sol.z)] + [None]
+    return [(float(t), float(y_mean), float(np.min(row)), float(np.max(row)), z_mean)
+            for t, row, y_mean, z_mean in zip(sol.grid.nodes, sol.y, y_means, z_means)]
 
 
 def _bounds_envelope(model, path, *, u: Expression = None, l: Expression = None,

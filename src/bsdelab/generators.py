@@ -123,10 +123,6 @@ class WeightFn:
     def parse(cls, source, tag="L1", alpha=None):
         return cls(_as_univariate(source, hint="t"), tag, alpha)
 
-    @classmethod
-    def constant(cls, value, tag="L1&L2", alpha=None):
-        return cls(Expression(Num(float(value)), ("t",)), tag, alpha)
-
 
 @dataclass(frozen=True)
 class Generator:
@@ -195,8 +191,7 @@ class TerminalCondition:
     def truncated_above(self, level):
         """Payoff min(phi(w), level), used by monotone-approximation runs."""
         root = Func("min", (self.expr.root, Num(float(level))))
-        bound = self.bound if self.bound is not None else None
-        return TerminalCondition(Expression(root, ("w",)), bound)
+        return TerminalCondition(Expression(root, ("w",)), self.bound)
 
     @classmethod
     def parse(cls, source, bound=None):

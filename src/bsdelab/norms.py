@@ -92,19 +92,10 @@ def estimate_norms(sol, p_list, *, seed=0):
         m_norms[p] = float(np.mean(_powers(np.sqrt(qv), p)) ** expo)
     sup_process = float(np.mean(run_max))
 
-    # tail table E[|y_t| 1_{|y_t| > c}]: exact on the tree via node weights
-    times = sol.grid.nodes
-    table = np.empty((len(times), len(DYADIC_LADDER)))
-    if sol.backend == "tree":
-        for i, (row, w) in enumerate(zip(sol.y, TreeModel(sol.grid).level_weights())):
-            absy = np.abs(row)
-            for k, c in enumerate(DYADIC_LADDER):
-                table[i, k] = float(np.sum(w * absy * (absy > c)))
-    else:
-        for i in range(ypath.shape[0]):
-            absy = np.abs(ypath[i])
-            for k, c in enumerate(DYADIC_LADDER):
-                table[i, k] = float(np.mean(absy * (absy > c)))
+    # tail table E[|y_t| 1_{|y_t| > c}], one level's cut-offs stacked in one
+    # row: exact on the tree via node weights
+    ladder = np.array(DYADIC_LADDER)[:, None]
+    table = np.array(sol.level_means(a * (a > ladder) for a in map(np.abs, sol.y)))
 
     # conditional remaining quadratic variation: exact backward recursion on
     # the tree; unconditional tails on the ensemble
@@ -113,7 +104,7 @@ def estimate_norms(sol, p_list, *, seed=0):
         rem = np.zeros(steps + 1)
         bmo = 0.0
         for i in range(steps - 1, -1, -1):
-            rem = sol.z[i] * sol.z[i] * dt + 0.5 * (rem[1:] + rem[:-1])
+            rem = sol.z[i] * sol.z[i] * dt + TreeModel.pairwise_average(rem)
             bmo = max(bmo, float(np.max(rem)))
     else:
         tail = np.cumsum((zpath * zpath * dt)[::-1], axis=0)[::-1]
@@ -123,7 +114,7 @@ def estimate_norms(sol, p_list, *, seed=0):
         sup_process=sup_process,
         s_norms=s_norms,
         m_norms=m_norms,
-        class_d_times=times,
+        class_d_times=sol.grid.nodes,
         class_d_ladder=DYADIC_LADDER,
         class_d_table=table,
         bmo_diagnostic=bmo,

@@ -22,10 +22,14 @@ largest last change.  An expression never returns a non-finite payoff.
 
 They differ only in the conditional-expectation operator ``expect``.  On the
 recombining binomial tree (increments +-sqrt(dt) with probability 1/2) it is
-the exact pairwise average:
+the exact pairwise average, ``TreeModel.pairwise_average``:
 
-    E_i    = (y_{i+1, j+1} + y_{i+1, j}) / 2
+    E_i    = y_{i+1, j+1} / 2 + y_{i+1, j} / 2
     z_{ij} = (y_{i+1, j+1} - y_{i+1, j}) / (2 sqrt(dt))
+
+The level is halved before it is summed, so that neighbours near the largest
+double average to a finite value; wherever their sum is finite and normal
+this gives the same bits as (a + b) / 2.
 
 On Monte Carlo it is one least-squares projection of the two targets y_{i+1}
 and y_{i+1} dB_i / dt onto the orthonormal probabilists' Hermite polynomials
@@ -110,6 +114,12 @@ class TreeModel:
         """Node values (2j - i) sqrt(dt) for j = 0..i."""
         return (2.0 * np.arange(i + 1) - i) * self.sqrt_dt
 
+    @staticmethod
+    def pairwise_average(level):
+        """(level[j + 1] + level[j]) / 2 for j = 0 .. len(level) - 2, halved first."""
+        half = 0.5 * level
+        return half[1:] + half[:-1]
+
     def level_weights(self):
         """Binomial weights C(i, j) / 2^i of the levels i = 0 .. steps, in order,
         by the tree's own pairwise recursion w_{i+1, j} = (w_{i, j-1} + w_{i, j}) / 2."""
@@ -157,9 +167,9 @@ class PathEnsemble:
 class DiscreteSolution:
     """Backward-solved pair on a substrate, with provenance for later checks.
 
-    ``y`` has one row per time node (ragged list for the tree, (N+1, P)
-    array for Monte Carlo); ``z`` has one row per step (the last row is the
-    central difference through the terminal payoff values).
+    ``y`` holds one read-only 1-d row per time node (i + 1 nodes at level i on
+    the tree, one value per path on Monte Carlo); ``z`` holds one per step
+    (the last row is the central difference through the terminal payoff values).
     """
 
     backend: str  # 'tree' | 'mc-regression'
@@ -177,6 +187,15 @@ class DiscreteSolution:
     @property
     def y0(self):
         return float(np.mean(self.y[0]))  # the tree's one root node, or the paths' average
+
+    def level_means(self, rows):
+        """The mean of each row under the substrate's law, level by level from
+        t_0: binomial weights on the tree, the path average on Monte Carlo.  A
+        row may stack several functions of one level along leading axes."""
+        if self.backend == "tree":
+            weights = TreeModel(self.grid).level_weights()
+            return [np.sum(w * row, axis=-1) for row, w in zip(rows, weights)]
+        return [np.mean(row, axis=-1) for row in rows]
 
     def substrate_key(self):
         return (self.backend, self.grid.steps, self.grid.horizon, self.seed, self.paths)
@@ -278,7 +297,7 @@ def solve_tree(g, xi, steps, horizon=1.0, scheme="explicit", *, z_clamp=None, th
     sdt = tree.sqrt_dt
 
     def expect(i, nxt):
-        return 0.5 * (nxt[1:] + nxt[:-1]), (nxt[1:] - nxt[:-1]) / (2.0 * sdt)
+        return tree.pairwise_average(nxt), (nxt[1:] - nxt[:-1]) / (2.0 * sdt)
 
     return _backward_sweep(
         g, xi, tree.grid, tree.brownian_level(steps), expect, scheme, z_clamp, backend="tree"

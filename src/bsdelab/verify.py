@@ -19,7 +19,7 @@ import numpy as np
 from .certificates import OneSidedSuperLinear, SampleGrid
 from .report import VerificationReport, at_samples, worst_gap
 # perfbench's test_unpatch_restores_every_callable reads verify.solve_tree (ROADMAP Direction 5)
-from .solver import solve_tree  # noqa: F401
+from .solver import TreeModel, solve_tree  # noqa: F401
 from .transforms import exp_transform_generator, exp_transform_solution
 
 __all__ = [
@@ -80,7 +80,7 @@ def _order_verdict(sol, name, claim, worst, where, tol, notes=()):
     return VerificationReport.from_violation(name, claim, worst, where, tol, notes)
 
 
-def comparison_check(sol, sol_prime, tol=1e-6, name="comparison"):
+def comparison_check(sol, sol_prime, tol=1e-6):
     """Assert y <= y' + tol at every node/path/time on a shared substrate.
 
     Inconclusive on any backend but the tree (see :func:`_order_verdict`).
@@ -91,7 +91,8 @@ def comparison_check(sol, sol_prime, tol=1e-6, name="comparison"):
         for (t, row), (_, row_p) in zip(_rows(sol), _rows(sol_prime))
     )
     claim = "ordered data produce ordered solutions: y <= y'"
-    return _order_verdict(sol, name, claim, worst, where, tol, _conforming_notes(sol, sol_prime))
+    notes = _conforming_notes(sol, sol_prime)
+    return _order_verdict(sol, "comparison", claim, worst, where, tol, notes)
 
 
 def indicator_premise_check(sol, sol_prime, g, g_prime, which="along_prime", tol=0.0):
@@ -216,9 +217,8 @@ def _one_step_residuals(sol, g, rows=None):
     dt = sol.grid.dt
     rows = zip(sol.y, sol.z, sol.y[1:]) if rows is None else rows
     for t, (y, z, nxt) in zip(map(float, sol.grid.nodes), rows):
-        y, nxt = np.asarray(y), np.asarray(nxt)
-        E = 0.5 * (nxt[1:] + nxt[:-1])
-        yield t, np.abs(y - E - np.asarray(g(t, y, np.asarray(z))) * dt)
+        E = TreeModel.pairwise_average(nxt)
+        yield t, np.abs(y - E - np.asarray(g(t, y, z)) * dt)
 
 
 def transform_residual_check(sol, g, gamma, residual_coefficient=0.05):

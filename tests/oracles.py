@@ -6,6 +6,7 @@ the normal density instead of tree expectations, closed forms instead of
 backward recursions.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from bsdelab.expressions import Bin, EvalDomainError, Func, Neg, Num, Var, _to_source
 from bsdelab.generators import Generator, _as_univariate
 from bsdelab.ode_bounds import BLOWUP_THRESHOLD, BlowUpError, NonPositiveError
-from bsdelab.solver import DiscreteSolution, PicardDivergenceError, _finite_or_raise
+from bsdelab.solver import DiscreteSolution, PicardDivergenceError, TreeModel, _finite_or_raise
 
 
 def dense_scan_max(fn, lo, hi, nodes=100_001, refine=True):
@@ -458,3 +459,49 @@ def picard_sweep_reference(g, xi, grid, states, expect, scheme, z_clamp, picard_
         conforming=not clamped,
         **source,
     )
+
+
+def _level_weights_or_none(sol):
+    if sol.backend == "tree":
+        return TreeModel(sol.grid).level_weights()
+    return itertools.repeat(None)
+
+
+def _mean_reference(w, values):
+    """sum(w * values) over a tree level's weights, the plain mean over paths."""
+    return float(np.mean(values) if w is None else np.sum(w * values))
+
+
+def solution_rows_reference(sol):
+    """The ``solve`` CSV rows (t, y_mean, y_min, y_max, z_mean), one formula
+    per backend and level."""
+    rows = []
+    for t, y, z, w in zip(sol.grid.nodes, sol.y, sol.z + (None,), _level_weights_or_none(sol)):
+        z_mean = None if z is None else _mean_reference(w, z)
+        rows.append((float(t), _mean_reference(w, y), float(np.min(y)), float(np.max(y)), z_mean))
+    return rows
+
+
+def tail_table_reference(sol, ladder):
+    """E[|y_t| 1_{|y_t| > c}] level by level, one cut-off at a time."""
+    table = np.empty((len(sol.y), len(ladder)))
+    for i, (row, w) in enumerate(zip(sol.y, _level_weights_or_none(sol))):
+        absy = np.abs(row)
+        for k, c in enumerate(ladder):
+            if w is None:
+                table[i, k] = np.mean(absy * (absy > c))
+            else:
+                table[i, k] = np.sum(w * absy * (absy > c))
+    return table
+
+
+def remaining_variation_reference(sol):
+    """The largest conditional remaining quadratic variation on the tree, by
+    the summed-then-halved pairwise average."""
+    dt = sol.grid.dt
+    rem = np.zeros(sol.grid.steps + 1)
+    bmo = 0.0
+    for i in range(sol.grid.steps - 1, -1, -1):
+        rem = sol.z[i] * sol.z[i] * dt + 0.5 * (rem[1:] + rem[:-1])
+        bmo = max(bmo, float(np.max(rem)))
+    return bmo

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -13,8 +14,12 @@ from bsdelab.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_RUNTIME_ERROR,
+    _solve_with,
+    default_suite_path,
     main,
 )
+from bsdelab.config import load_config
+from tests.oracles import solution_rows_reference
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -429,6 +434,27 @@ class TestSolveCommand:
         assert float(first["y_mean"]) == 0.0
         # terminal row has no z column value
         assert rows[-1]["z_mean"] == ""
+
+    @pytest.mark.parametrize("config", ["shipped-suite", "mc-verify", "super-linear"])
+    def test_solution_means_match_the_reference(self, tmp_path, config):
+        # binomial level weights on the tree, the path average on Monte Carlo, bit for bit
+        path = {
+            "shipped-suite": str(default_suite_path()),
+            "mc-verify": str(MC_VERIFY),
+            "super-linear": write_config(tmp_path, {
+                "model": {"N": 50, "scheme": "implicit"},
+                "generator": {"expr": "-y^3 + abs(z)^1.5 * sin(y)"},
+                "terminal": {"expr": "sin(w)"},
+            }),
+        }[config]
+        cfg = load_config(path)
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows(
+            [("t", "y_mean", "y_min", "y_max", "z_mean")]
+            + solution_rows_reference(_solve_with(cfg.model, cfg.generator, cfg.terminal)))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out), "--quiet"]) == EXIT_OK
+        assert (out / "solution.csv").read_text() == want.getvalue()
 
     def test_manifest_written(self, tmp_path):
         cfg = write_config(

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from bsdelab.generators import Generator, TerminalCondition
-from bsdelab.norms import estimate_norms
+from bsdelab.norms import DYADIC_LADDER, estimate_norms
 from bsdelab.solver import solve_mc_regression, solve_tree
+from tests.oracles import remaining_variation_reference, tail_table_reference
 
 ZERO = Generator.parse("0")
 
@@ -80,3 +81,19 @@ class TestGeneralProperties:
             want = math.sqrt(2.0 / math.pi) * math.exp(-c * c / 2.0)
             got = report.class_d_table[t_idx, k]
             assert abs(got - want) <= 3e-2, (c, got, want)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: solve_tree(ZERO, TerminalCondition.parse("w"), 200),  # the shipped suite's model
+    lambda: solve_tree(Generator.parse("-y^3 + abs(z)^1.5 * sin(y)"),
+                       TerminalCondition.parse("sin(w)"), 50, scheme="implicit"),
+    lambda: solve_mc_regression(Generator.parse("-y"), TerminalCondition.parse("sin(w)"),
+                                10, 2000, 2, seed=3),  # tests/data/mc_verify.json
+], ids=["tree-brownian", "tree-super-linear", "mc-discount"])
+def test_level_means_match_the_reference(solve):
+    sol = solve()
+    report = estimate_norms(sol, [1.0])
+    want = tail_table_reference(sol, DYADIC_LADDER)
+    assert np.array_equal(report.class_d_table.view(np.int64), want.view(np.int64))
+    if sol.backend == "tree":
+        assert report.bmo_diagnostic == remaining_variation_reference(sol)

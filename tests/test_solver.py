@@ -45,6 +45,23 @@ class TestTreeModel:
             assert len(weights[i]) == i + 1
             np.testing.assert_allclose(weights[i][normal], ref[normal], rtol=1e-13, atol=0)
 
+    def test_pairwise_average_is_the_summed_form_where_the_sum_is_normal(self):
+        rng = np.random.default_rng(17)
+        size = 100_000
+        # blocks of four neighbours within a factor 100, blocks anywhere in 1e-300 .. 1e300
+        exponent = np.repeat(rng.uniform(-300.0, 298.0, size // 4), 4) + rng.uniform(0.0, 2.0, size)
+        level = rng.choice([-1.0, 1.0], size) * rng.uniform(1.0, 10.0, size) * 10.0**exponent
+        total = level[1:] + level[:-1]
+        normal = np.isfinite(total) & (np.abs(total) >= np.finfo(float).tiny)
+        assert normal.mean() > 0.99
+        summed = (0.5 * total)[normal]
+        average = TreeModel.pairwise_average(level)[normal]
+        assert np.array_equal(average.view(np.int64), summed.view(np.int64))
+
+    def test_pairwise_average_of_neighbours_whose_sum_overflows(self):
+        level = np.array([1.5e308, 1.7e308, -1.7e308])
+        assert TreeModel.pairwise_average(level).tolist() == [1.6e308, 0.0]
+
     def test_increment_variance_exact(self):
         tree = TreeModel.uniform(2.0, 10)
         # one step: values +-sqrt(dt) with weight 1/2 -> variance dt exactly
@@ -85,6 +102,12 @@ class TestSolveTree:
             errors.append(abs(sol.y0 - math.exp(-1.0)))
         for coarse, fine in zip(errors, errors[1:]):
             assert 0.375 <= fine / coarse <= 0.625
+
+    def test_bounded_solution_near_the_largest_double(self):
+        # neighbours of 1.5e308 sum to 3e308, which overflows; their average does not
+        sol = solve_tree(ZERO, TerminalCondition.parse("1.5e308"), 4)
+        assert all(np.all(row == 1.5e308) for row in sol.y)
+        assert one_step_residual(sol, ZERO) == 0.0
 
     def test_implicit_one_step_residual(self):
         g = Generator.parse("-y^3 + abs(z)^1.5 * sin(y)")
