@@ -173,7 +173,8 @@ def _bounds_envelope(model, path, *, u: Expression = None, l: Expression = None,
         raise ConfigError(path, f"missing keys {missing}")
     T, N = model.horizon if T is None else T, model.steps if N is None else N
     require(path, ("xi_bound", np.isfinite(xi_bound) and xi_bound >= 0, "must be finite and >= 0"),
-            ("T", T > 0, "must be > 0"), ("N", N >= 1, "must be >= 1"))
+            ("T", np.isfinite(T) and T > 0, "must be finite and > 0"),
+            ("N", N >= 1, "must be >= 1"))
     return partial(sandwich_envelope, xi_bound, WeightFn.parse(u), l, TimeGrid.uniform(T, N))
 
 
@@ -297,7 +298,8 @@ def _sample_grid(horizon, path, *, T: float = None, t_count: int = 21,
                  y_range: tuple[float, float] = (-5.0, 5.0), y_count: int = 51,
                  z_range: tuple[float, float] = (-5.0, 5.0), z_count: int = 51):
     counts = {"t_count": t_count, "y_count": y_count, "z_count": z_count}
-    require(path, *((key, count >= 1, "must be >= 1") for key, count in counts.items()))
+    require(path, *((key, count >= 1, "must be >= 1") for key, count in counts.items()),
+            ("T", T is None or np.isfinite(T) and T > 0, "must be finite and > 0"))
     t_range = (0.0, horizon if T is None else T)
     return SampleGrid(t_range, t_count, y_range, y_count, z_range, z_count)
 
@@ -401,7 +403,9 @@ _REPORT_HEADER = (
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     given = {k: getattr(args, k) for k in ("seed", "threads") if getattr(args, k) is not None}
-    return replace(cfg, model=replace(cfg.model, **given))
+    model = replace(cfg.model, **given)
+    require("", *((f"--{key}", ok, message) for key, ok, message in model.rules() if key in given))
+    return replace(cfg, model=model)
 
 
 def _cmd_solve(cfg, out_dir, args):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import typing
 from dataclasses import dataclass
 from typing import Literal, Optional
@@ -196,20 +197,25 @@ class ModelConfig:
             return cls(T, N, backend, scheme, seed, paths, basis_degree, threads, z_clamp)
 
         cfg = keys(**bind(keys, {**(base or {}), **_section(raw, path)}, path))
+        require(path, *cfg.rules())
+        return cfg
+
+    def rules(self):
+        """``(key, ok, message)`` for each rule of a model, as :func:`require` takes them."""
         rules = [
-            ("T", cfg.horizon > 0, "must be > 0"),
-            ("N", cfg.steps >= 1, "must be >= 1"),
-            ("threads", cfg.threads >= 1, "must be >= 1"),
-            ("z_clamp", cfg.z_clamp is None or cfg.z_clamp > 0, "must be > 0"),
+            ("T", math.isfinite(self.horizon) and self.horizon > 0, "must be finite and > 0"),
+            ("N", self.steps >= 1, "must be >= 1"),
+            ("seed", 0 <= self.seed < 2**64, "must be an integer in [0, 2^64)"),
+            ("threads", self.threads >= 1, "must be >= 1"),
+            ("z_clamp", self.z_clamp is None or self.z_clamp > 0, "must be > 0"),
         ]
-        if cfg.backend == "mc-regression":
+        if self.backend == "mc-regression":
             rules += [
-                ("basis_degree", cfg.basis_degree >= 1, "must be >= 1 under mc-regression"),
-                ("paths", cfg.paths >= 10 * (cfg.basis_degree + 1),
+                ("basis_degree", self.basis_degree >= 1, "must be >= 1 under mc-regression"),
+                ("paths", self.paths >= 10 * (self.basis_degree + 1),
                  "must be at least 10 (basis_degree + 1) under mc-regression"),
             ]
-        require(path, *rules)
-        return cfg
+        return rules
 
 
 @dataclass(frozen=True)

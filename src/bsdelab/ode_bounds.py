@@ -94,6 +94,8 @@ class TimeGrid:
     def uniform(cls, horizon, steps):
         if steps < 1:
             raise ValueError("need at least one step")
+        if not math.isfinite(horizon):
+            raise ValueError(f"the horizon must be finite, got {horizon!r}")
         return cls(np.linspace(0.0, float(horizon), steps + 1))
 
     def refined(self, factor=2):

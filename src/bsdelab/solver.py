@@ -14,15 +14,37 @@ evaluates only the rest, from the same numpy operations, so every value is the
 whole driver's, bit for bit.  A driver without y gets one update in either
 scheme, since its second Picard iterate would repeat the first.  Where the
 y-free part raises a domain error, the whole driver is evaluated at
-(t_i, E_i, z_i) to report the error it reports first.  Each sweep runs under
-one ``np.errstate(all="ignore")``: an overflow surfaces as the domain or
-solver error it leads to, with no warning before it.  Errors name the step,
+(t_i, E_i, z_i) to report the error it reports first.  Errors name the step,
 the node and the point: (t, E, z) of a non-finite value, (t, y, z) of Picard's
 largest last change.  An expression never returns a non-finite payoff.
 
-They differ only in the conditional-expectation operator ``expect``.  On the
-recombining binomial tree (increments +-sqrt(dt) with probability 1/2) it is
-the exact pairwise average, ``TreeModel.pairwise_average``:
+Trap, then replay.  Each level first runs ``expect``, the clamp and the
+driver's unchecked form (``Expression.split(..., checked=False)``), with no
+finiteness or domain test, under one ``np.errstate`` that raises on overflow,
+invalid and divide (underflow is no error), entered once per sweep.  From
+finite inputs, IEEE arithmetic cannot reach inf or NaN without raising one
+of those flags, so a level that finishes has every value the checked code
+gives, and would have passed each of its tests.  A level that raises
+``FloatingPointError`` or a ``SolverError`` is re-run under
+``np.errstate(all="ignore")`` through the checked form, as before, which
+gives its values, or its error with the step, node and point.
+``diagnostics["replayed_levels"]`` counts the levels re-run.  Four rules
+keep the premise:
+
+- the unchecked form exists only when every variable-free sub-expression of
+  the driver folds to a finite literal, since Python computes ``1e308*10``
+  as inf with no flag; otherwise every level runs checked;
+- t enters it as a numpy float64, for the same reason: ``t*1e308*10`` then
+  raises, and so does ``1/(t - 0.5)`` at t = 0.5;
+- ``body * dt`` is ``np.multiply``, since a constant driver's body returns a
+  Python float;
+- a regression coefficient that ``np.linalg`` leaves non-finite (it
+  computes with its flags ignored) raises the invalid flag.
+
+The two backends differ only in the conditional-expectation operator
+``expect``.  On the recombining binomial tree (increments +-sqrt(dt) with
+probability 1/2) it is the exact pairwise average,
+``TreeModel.pairwise_average``:
 
     E_i    = y_{i+1, j+1} / 2 + y_{i+1, j} / 2
     z_{ij} = (y_{i+1, j+1} - y_{i+1, j}) / (2 sqrt(dt))
@@ -157,6 +179,8 @@ class PathEnsemble:
     def generate(cls, grid, paths, seed):
         if paths < 1:
             raise ValueError("need at least one path")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
         dt = grid.dt
         gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
         increments = gen.standard_normal((paths, grid.steps)) * math.sqrt(dt)
@@ -215,7 +239,7 @@ def _implicit_update(body, parts, i, t, E, z, dt):
     y = E
     gap = np.empty_like(E)
     for it in range(1, PICARD_CAP + 1):
-        y_next = E + body(t, y, z, *parts) * dt
+        y_next = E + np.multiply(body(t, y, z, *parts), dt)
         np.abs(np.subtract(y_next, y, out=gap), out=gap)
         change = float(np.maximum.reduce(gap)) if y.size else 0.0
         y = y_next
@@ -225,12 +249,17 @@ def _implicit_update(body, parts, i, t, E, z, dt):
     raise PicardDivergenceError(i, t, change, PICARD_CAP, k, float(y[k]), float(z[k]))
 
 
+# the trap under which a level runs unchecked; underflow is no error
+_TRAP = {"over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"}
+
+
 def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
     """The backward recursion shared by both backends; see module docstring.
 
     ``states`` are the terminal values of B.  ``expect(i, y_next)`` returns the
-    backend's estimates (E_i, z_i) of E_i[y_{i+1}] and E_i[y_{i+1} dB_i] / dt.
-    ``source`` names the backend and its substrate (seed and paths).
+    backend's estimates (E_i, z_i) of E_i[y_{i+1}] and E_i[y_{i+1} dB_i] / dt;
+    it may run twice for one level.  ``source`` names the backend and its
+    substrate (seed and paths).
     """
     if scheme not in ("explicit", "implicit"):
         raise ValueError("scheme must be 'explicit' or 'implicit'")
@@ -239,37 +268,55 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
     steps = grid.steps
     dt = grid.dt
     nodes = grid.nodes.tolist()
-    pre, body = g.expr.split("y")
+    checked = g.expr.split("y")
+    unchecked = g.expr.split("y", checked=False)
     # without y the second Picard iterate repeats the first, bit for bit
     single = scheme == "explicit" or "y" not in g.expr.free_variables()
     z_rows = [None] * steps
     clamped = False
     picard_max = 0
-    # every overflow ends in a domain or solver error that names it
+    replayed = 0
     with np.errstate(all="ignore"):
         xi.check_bound(states)
         y_rows = [None] * steps + [np.asarray(xi(states), dtype=float)]
-        y_rows[steps].flags.writeable = False
+    y_rows[steps].flags.writeable = False
+
+    def level(i, t, staged):
+        """(y_i, z_i, Picard iterations) at time ``t`` from the staged driver."""
+        nonlocal clamped
+        pre, body = staged
+        E, z = expect(i, y_rows[i + 1])
+        if z_clamp is not None:
+            before = z
+            z = np.clip(z, -z_clamp, z_clamp)
+            clamped = clamped or bool(np.any(before != z))
+        try:
+            parts = pre(t, z)
+        except EvalDomainError:
+            g(t, E, z)  # the error g reports first, which may lie in its y part
+            raise
+        if single:
+            y, used = E + np.multiply(body(t, E, z, *parts), dt), 1
+        else:
+            y, used = _implicit_update(body, parts, i, t, E, z, dt)
+        if staged is checked:
+            _finite_or_raise(y, i, t, E, z)
+        return y, z, used
+
+    with np.errstate(**_TRAP):
         for i in range(steps - 1, -1, -1):
-            t = nodes[i]
-            E, z = expect(i, y_rows[i + 1])
-            if z_clamp is not None:
-                before = z
-                z = np.clip(z, -z_clamp, z_clamp)
-                clamped = clamped or bool(np.any(before != z))
-            try:
-                parts = pre(t, z)
-            except EvalDomainError:
-                g(t, E, z)  # the error g reports first, which may lie in its y part
-                raise
-            if single:
-                y = E + body(t, E, z, *parts) * dt
-                used = 1
-            else:
-                y, used = _implicit_update(body, parts, i, t, E, z, dt)
+            y = None
+            if unchecked is not None:
+                try:  # t as a numpy float, so that its arithmetic raises flags too
+                    y, z, used = level(i, grid.nodes[i], unchecked)
+                except (FloatingPointError, SolverError):
+                    replayed += 1
+            if y is None:  # today's checked code gives the values, or the error
+                with np.errstate(all="ignore"):
+                    y, z, used = level(i, nodes[i], checked)
             if scheme == "implicit":
                 picard_max = max(picard_max, used)
-            y_rows[i] = _finite_or_raise(y, i, t, E, z)
+            y_rows[i] = y
             z_rows[i] = z
             y.flags.writeable = z.flags.writeable = False  # solutions may be shared
     return DiscreteSolution(
@@ -279,7 +326,8 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
         scheme=scheme,
         generator=g,
         terminal=xi,
-        diagnostics={"picard_max_iterations": picard_max, "z_clamped": clamped},
+        diagnostics={"picard_max_iterations": picard_max, "z_clamped": clamped,
+                     "replayed_levels": replayed},
         conforming=not clamped,
         **source,
     )
@@ -345,6 +393,10 @@ def _regress(basis, target):
         # the normal equations lose about cond^2 eps; one refinement step on
         # the residual wins back the cond eps of an orthogonal solve
         coef += project(target - (coef.T @ phi).T)
+    if not np.isfinite(coef).all():
+        # np.linalg solves with its flags ignored: report the overflow as any
+        # other numpy operation does, under the caller's np.errstate
+        np.multiply(math.inf, 0.0)
     return (coef.T @ phi).T, cond
 
 
@@ -366,7 +418,7 @@ def solve_mc_regression(g, xi, steps, paths, degree, seed, horizon=1.0, scheme="
     grid = TimeGrid.uniform(horizon, steps)
     ens = PathEnsemble.generate(grid, paths, seed)
     dt = grid.dt
-    conds = []
+    conds = [None] * steps
     basis = np.empty((degree + 1, paths))
     targets = np.empty((2, paths))
 
@@ -375,7 +427,7 @@ def solve_mc_regression(g, xi, steps, paths, degree, seed, horizon=1.0, scheme="
         np.multiply(y_next, ens.increments[:, i], out=targets[1])
         targets[1] /= dt
         if i == 0:
-            conds.append(1.0)
+            conds[0] = 1.0
             return (np.full(paths, float(np.mean(y_next))),
                     np.full(paths, float(np.mean(targets[1]))))
         _hermite_rows(ens.levels[i] / math.sqrt(grid.nodes[i]), basis)
@@ -383,7 +435,7 @@ def solve_mc_regression(g, xi, steps, paths, degree, seed, horizon=1.0, scheme="
             fitted, cond = _regress(basis.T, targets.T)
         except RankDeficientError as exc:
             raise RankDeficientError(step=i, time=float(grid.nodes[i]), cond=exc.cond) from None
-        conds.append(cond)
+        conds[i] = cond
         # z is stored per step: copy it out so it does not hold on to E's row
         return fitted[:, 0], fitted[:, 1].copy()
 
@@ -391,5 +443,5 @@ def solve_mc_regression(g, xi, steps, paths, degree, seed, horizon=1.0, scheme="
         g, xi, grid, ens.levels[-1], expect, scheme, z_clamp,
         backend="mc-regression", seed=int(seed), paths=int(paths),
     )
-    sol.diagnostics["regression_condition_numbers"] = tuple(reversed(conds))
+    sol.diagnostics["regression_condition_numbers"] = tuple(conds)
     return sol

@@ -283,6 +283,11 @@ class TestCheckKeys:
             ({"check": "certificate", "grid": {"t_count": 0}, "generator": {
                 "expr": "-y", "certificate": {"kind": "convexity_z"}}},
              "checks[1].grid.t_count: must be >= 1"),
+            ({"check": "certificate", "grid": {"T": math.inf}, "generator": {
+                "expr": "-y", "certificate": {"kind": "convexity_z"}}},
+             "checks[1].grid.T: must be finite and > 0"),
+            ({"check": "bounds_oracle", "expected_U0": 4.4, "u": "1", "l": "1 + abs(x)",
+              "xi_bound": 1.0, "T": math.inf}, "checks[1].T: must be finite and > 0"),
             ({"check": "bounds_oracle", "expected_U0": 4.4, "u": "1", "l": "1 + abs(x)",
               "xi_bound": 1.0, "N": 0}, "checks[1].N: must be >= 1"),
             ({"check": "bounds_oracle", "expected_U0": 4.4, "u": "1", "l": "1 + abs(x)",
@@ -366,6 +371,11 @@ class TestModelKeys:
             ({"backend": "mc-regression", "paths": 5}, "model.paths"),
             ({"backend": "mc-regression", "basis_degree": 2, "paths": 29}, "model.paths"),
             ({"backend": "mc-regression", "basis_degree": 0}, "model.basis_degree"),
+            ({"T": math.inf}, "model.T: must be finite and > 0"),
+            ({"T": 0}, "model.T: must be finite and > 0"),
+            ({"seed": -3}, "model.seed: must be an integer in [0, 2^64)"),
+            ({"backend": "mc-regression", "seed": -3}, "model.seed"),
+            ({"seed": 2**64}, "model.seed"),
         ],
     )
     def test_top_level_and_per_check(self, tmp_path, capsys, model, where):
@@ -377,6 +387,17 @@ class TestModelKeys:
         check = {"check": "uniqueness_smoke", "model": model}
         assert run_checks(tmp_path, [check]) == EXIT_CONFIG_ERROR
         assert f"config error: checks[0].{where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-5", "must be an integer in [0, 2^64)"),
+        ("--seed", str(2**64), "must be an integer in [0, 2^64)"),
+        ("--threads", "0", "must be >= 1"),
+    ])
+    def test_command_line_override_is_checked(self, tmp_path, capsys, flag, value, message):
+        # a negative seed used to fail in numpy, after the checks before it had run
+        assert main(["suite", flag, value, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert f"config error: {flag}: {message}" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
     def test_threads_stays_a_known_key(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -408,7 +429,7 @@ class TestSectionKeys:
                               ("radius", -1), ("passes", -1), ("n", 0))]
         + [("bounds", {"u": "1", "l": "1 + abs(x)", "xi_bound": 1.0, key: value},
             f"bounds.{key}: must be")
-           for key, value in (("xi_bound", -1), ("N", 0), ("T", -1))],
+           for key, value in (("xi_bound", -1), ("N", 0), ("T", -1), ("T", math.inf))],
     )
     def test_bad_expression(self, tmp_path, capsys, command, section, where):
         cfg = write_config(tmp_path, {"generator": {"expr": "-y^2"}, command: section})

@@ -24,6 +24,7 @@ from bsdelab.expressions import (
     parse_expression,
     parse_univariate,
 )
+from bsdelab.solver import _TRAP
 
 from tests.oracles import reference_evaluate
 
@@ -262,15 +263,15 @@ def test_round_trip_reproduces_ast(seed):
 # Generated evaluator against the tree-walking reference
 
 
-def random_signed_ast(rng, depth):
+def random_signed_ast(rng, depth, literals=(0, 0.5, 1, 2, 3.25)):
     """Random AST reaching every check: signed bases and arguments, zeros,
     integer, non-integer, negative and variable exponents, constant sub-trees."""
     if depth == 0:
-        number = Num(float(rng.choice([0, 0.5, 1, 2, 3.25])))
+        number = Num(float(rng.choice(literals)))
         return rng.choice([number, Var("t"), Var("y"), Var("z")])
 
     def sub():
-        return random_signed_ast(rng, depth - 1)
+        return random_signed_ast(rng, depth - 1, literals)
 
     kind = rng.randrange(6)
     if kind == 0:
@@ -352,6 +353,40 @@ def test_split_evaluation_fails_where_the_expression_fails(seed):
             assert out.tobytes() == expected.tobytes(), expr.to_source()
 
 
+@settings(max_examples=600, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_unchecked_split_traps_or_gives_the_checked_bits(seed):
+    # from finite numpy values under the trap, the unchecked stages raise
+    # FloatingPointError, or return the checked stages' bits where those
+    # raise nothing; they never return where the checked stages fail
+    rng = random.Random(seed)
+    literals = (0, 0.5, 1, 2, 3.25, 1e-300, 1e154, 1e300, 1e308)
+    expr = Expression(random_signed_ast(rng, rng.randrange(1, 5), literals), ("t", "y", "z"))
+    unchecked = expr.split("y", checked=False)
+    if unchecked is None:  # a variable-free sub-expression is not a finite literal
+        return
+    levels = [-1e300, -2.5, -1.0, -1e-300, 0.0, 1e-300, 0.25, 1.0, 3.5, 1e300]
+    y, z = (np.array([rng.choice(levels) for _ in range(6)]) for _ in range(2))
+    t = rng.choice(levels)
+    pre, body = unchecked
+    for args in ((t, y, z), (t, np.float64(y[0]), np.float64(z[0]))):
+        with np.errstate(all="ignore"):
+            try:
+                expected = staged(expr, "y", args)
+            except EvalDomainError:
+                expected = None
+        # t as the sweep passes it: a numpy float, whose arithmetic raises flags
+        at, ay, az = np.float64(args[0]), args[1], args[2]
+        with np.errstate(**_TRAP):  # the sweep's
+            try:
+                out = body(at, ay, az, *pre(at, az))
+            except FloatingPointError:
+                continue
+        assert expected is not None, expr.to_source()
+        assert np.shape(out) == np.shape(expected), expr.to_source()
+        assert np.asarray(out).tobytes() == np.asarray(expected).tobytes(), expr.to_source()
+
+
 def test_split_hoists_the_largest_y_free_parts():
     expr = parse_expression("-y^3 + abs(z)^1.5*sin(y) + t*y + sin(t)*z^2 + 2^3")
     pre, body = expr.split("y")
@@ -376,6 +411,9 @@ def test_warnings_as_errors_still_give_the_domain_error():
         with pytest.raises(EvalDomainError, match=r"non-finite value in sub-expression 'x\^2.0'"):
             parse_univariate("x^2")(np.array([1.0, 1e200]))
         assert parse_univariate("min(x*x, 1)")(1e200) == 1.0
+        # folding a constant that overflows, while compiling, warns of nothing
+        with pytest.raises(EvalDomainError, match=r"exp produced a non-finite value"):
+            parse_univariate("x + exp(1000)")(np.array([1.0, 2.0]))
 
 
 def deep_stack(depth, fn):

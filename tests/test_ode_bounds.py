@@ -2,6 +2,7 @@ import functools
 import importlib
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,14 @@ class TestTimeGrid:
     def test_finite_horizon(self):
         with pytest.raises(ValueError):
             TimeGrid(np.asarray([0.0, math.inf]))
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_uniform_names_a_non_finite_horizon(self, horizon):
+        # np.linspace would warn, then fail with "time grid must start at 0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"the horizon must be finite, got (inf|nan)"):
+                TimeGrid.uniform(horizon, 4)
 
     def test_refined_keeps_nodes(self):
         grid = TimeGrid.uniform(1.0, 4)

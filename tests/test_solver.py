@@ -224,6 +224,13 @@ class TestPathEnsemble:
         c = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=10)
         assert not np.array_equal(a.increments, c.increments)
 
+    @pytest.mark.parametrize("seed", [-3, 2**64])
+    def test_seed_out_of_range_is_named(self, seed):
+        # numpy would raise OverflowError or "expected non-negative integer"
+        message = rf"seed must be an integer in \[0, 2\^64\), got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed)
+
     def test_matches_an_independent_philox_draw(self):
         for seed in (9, 10):
             ens = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=seed)
@@ -465,7 +472,9 @@ class TestStagedSweep:
             # one update: the second Picard iterate would repeat the first
             assert expected["picard_max_iterations"] in (1, 2)
             expected["picard_max_iterations"] = 1
-        assert sol.diagnostics == expected
+        diagnostics = dict(sol.diagnostics)
+        assert diagnostics.pop("replayed_levels") == 0  # no level of these drivers traps
+        assert diagnostics == expected
 
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     @pytest.mark.parametrize("driver, terminal, subexpr", [
@@ -527,3 +536,91 @@ class TestStagedSweep:
         sol = solve_tree(g, xi, 8, scheme="implicit")
         assert g.expr.split("y") == staged and sol.generator is g
         assert calls and not any(expr is g.expr for expr in calls)
+
+
+# Drivers whose levels trap, or whose constants are not finite.  The two
+# min(...1e308*10...) drivers need the finite-constant rule, and the last two
+# need t as a numpy float: Python computes t*1e308*10 as inf with no flag, and
+# 1/(t - 0.5) at t = 0.5 as a ZeroDivisionError.
+EDGE_DRIVERS = [
+    "y + 1e308*10", "min(y*1e300*1e10, 1)", "t*1e308*10 + y*0", "1e308",
+    "min(exp(1e308*10 + 0*y), 1)", "min((y + 1e308*10)^1.5, 1)", "min(y^1.5 * 1e400, 1)",
+    "y + 1e400", "min(y + 1e400, 1) + sqrt(y - 2)", "ln(y) + 1e308*z*10",
+    "min(t^3 * 1e306 * 1e5, 1) + y", "y/(z - z)", "min(exp(t*1e308*10), 1) + y",
+    "min(1/(t - 0.5), 1) + y",
+]
+
+
+def outcome(solve):
+    """The bits of every row and the diagnostics but the replay count, or the
+    error's type and message."""
+    try:
+        sol = solve()
+    except Exception as err:  # noqa: BLE001 - the error is the outcome
+        return type(err), str(err)
+    diagnostics = {k: v for k, v in sol.diagnostics.items() if k != "replayed_levels"}
+    return [row.tobytes() for row in sol.y + sol.z], diagnostics
+
+
+class TestTrappedSweep:
+    """A level runs unchecked with floating-point exceptions trapped, and is
+    re-run through the checked code when one fires: every value and every
+    error stays the whole driver's."""
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    @pytest.mark.parametrize("horizon", [1.0, 4.0])
+    @pytest.mark.parametrize("terminal", ["2 + sin(w)", "w - 5"])
+    @pytest.mark.parametrize("driver", EDGE_DRIVERS)
+    def test_edge_driver_is_the_references(self, monkeypatch, driver, terminal, horizon, scheme):
+        g, xi = Generator.parse(driver), TerminalCondition.parse(terminal)
+
+        def solve(scheme=scheme):
+            return solve_tree(g, xi, 2, horizon, scheme)
+
+        # a driver without y gets one update, the explicit step, in either scheme
+        one_update = "y" not in g.expr.free_variables()
+        expected = outcome(lambda: whole_driver_solve(
+            monkeypatch, lambda: solve("explicit" if one_update else scheme)))
+        if one_update and scheme == "implicit" and isinstance(expected[1], dict):
+            expected[1]["picard_max_iterations"] = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(solve) == expected
+
+    def test_monte_carlo_overflow_is_the_references(self, monkeypatch):
+        g, xi = Generator.parse("z^2 / 2"), TerminalCondition.parse("min(w^2, 4)")
+
+        def solve():
+            return solve_mc_regression(g, xi, 50, 2000, 3, seed=1)
+
+        expected = outcome(lambda: whole_driver_solve(monkeypatch, solve))
+        assert expected[0] is EvalDomainError and outcome(solve) == expected
+
+    def test_replayed_levels_counts_the_levels_that_trap(self, monkeypatch):
+        # y * 1e300 * 1e10 overflows at every level, and min(inf, 1) is 1
+        g, xi = Generator.parse("min(y*1e300*1e10, 1)"), TerminalCondition.parse("2 + sin(w)")
+        for scheme in ("explicit", "implicit"):
+            def solve():
+                return solve_tree(g, xi, 10, scheme=scheme)
+
+            sol = solve()
+            assert sol.diagnostics["replayed_levels"] == 10
+            assert outcome(lambda: sol) == outcome(lambda: whole_driver_solve(monkeypatch, solve))
+        # a driver with a constant that is not finite has no unchecked form:
+        # every level runs checked, and none is re-run
+        capped = Generator.parse("min(y, 1e400)")
+        assert capped.expr.split("y", checked=False) is None
+        assert solve_tree(capped, xi, 10).diagnostics["replayed_levels"] == 0
+
+    def test_regression_overflow_inside_np_linalg_is_trapped(self):
+        # np.linalg computes with its flags ignored: at y ~ 1e303 on a nearly
+        # collinear basis the coefficients come back NaN with no flag raised
+        x = np.random.default_rng(0).standard_normal(50)
+        basis = np.stack([np.ones(50), 1.0 + 1e-5 * x]).T
+        target = np.stack([1e303 * x, 1e303 * x]).T
+        with np.errstate(all="ignore"):
+            fitted, _ = _regress(basis, target)
+        assert np.isnan(fitted).all()
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            with pytest.raises(FloatingPointError):
+                _regress(basis, target)
