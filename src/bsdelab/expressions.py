@@ -31,10 +31,9 @@ nests no deeper however long it is.
 sub-expressions free of ``var``, then the rest given their values.  When
 every variable-free sub-expression folds to a finite literal, it also builds
 both stages unchecked, for a caller that traps floating-point exceptions:
-the same numpy operations with no helper and no final check, ``x^k`` as the
-inline product, other powers as ``power(a, b)``, and ``exp``, ``ln``,
-``sqrt`` and ``/`` bare.  The AST walks run on an explicit stack, so a long
-flat sum recurses nowhere.
+the same code run against helpers that test nothing, where ``x^0`` is a
+numpy 1.0, so that its arithmetic raises flags as the rest does.  The AST
+walks run on an explicit stack, so a long flat sum recurses nowhere.
 
 An array of at most ``_DOT_MAX`` elements is checked finite by one BLAS call,
 its sum of squares; a longer one, or one whose sum overflows, elementwise.  A
@@ -44,7 +43,6 @@ scalars prints numpy's ``RuntimeWarning`` before an overflow's domain error.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
@@ -437,10 +435,32 @@ def _power(base, expo, subexpr, negative, zero):
 
 _NAMESPACE = {
     "abs": np.abs, "sign": np.sign, "sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log,
-    "sqrt": np.sqrt, "power": np.power, "min": np.minimum, "max": np.maximum, "clamp": np.clip,
-    "inf": math.inf, "nan": math.nan,
-    **{f.__name__: f for f in (_finite, _domain, _quotient, _chain, _power)},
+    "sqrt": np.sqrt, "min": np.minimum, "max": np.maximum, "clamp": np.clip, "inf": math.inf,
+    "nan": math.nan, **{f.__name__: f for f in (_finite, _domain, _quotient, _chain, _power)},
 }
+
+
+def _unchecked(value, *_):
+    return value
+
+
+def _unchecked_chain(base, k, *_):
+    # ``_chain`` with no test; x^0 is a numpy 1.0, since Python float
+    # arithmetic after it would raise no flag
+    out = np.float64(1.0) if k == 0 else base
+    for _ in range(k - 1):
+        out = out * base
+    return out
+
+
+def _unchecked_power(base, expo, *_):
+    return np.power(base, expo)
+
+
+# the checked code's numpy operations with no test, for a caller that traps
+# floating-point exceptions
+_UNCHECKED = {**_NAMESPACE, "_finite": _unchecked, "_domain": _unchecked,
+              "_chain": _unchecked_chain, "_power": _unchecked_power}
 
 
 def _nonnegative(node):
@@ -461,28 +481,28 @@ def _step(text, prec, *operands):
 
 
 def _emit(root, names, hoisted):
-    """(operand, unchecked operand, source) of ``root`` as one numpy expression.
+    """(operand, source, folded) of ``root`` as one numpy expression.
 
     ``names`` maps each variable to its operand; a sub-tree whose id is a key
-    of ``hoisted`` is read from the operand it maps to instead.  The
-    unchecked operand runs the same numpy operations with no check; it is
-    None unless every variable-free sub-tree folds to a finite literal.
+    of ``hoisted`` is read from the operand it maps to instead.  ``folded``
+    tells whether every variable-free sub-tree folds to a finite literal.
     """
     bare = set(names.values()) | set(hoisted.values())
     # a quotient, and a * or / whose left operand is one, is one flat
     # ``_quotient`` call: id(node) -> (ops, divisors, head and factors)
     chains = {}
-    temps = itertools.count()
+    folded = True
 
     def fresh(x):
         # a bare variable is the caller's own array; ``+v`` evaluates to a new one
         return (f"+{x[0]}", _PREC_UNARY) if x in bare else x
 
     def combine(node, kids):
-        source = _source_step(node, [s for _, _, s in kids])
+        nonlocal folded
+        source = _source_step(node, [s for _, s in kids])
         if id(node) in hoisted:
-            return hoisted[id(node)], hoisted[id(node)], source
-        ops = [x for x, _, _ in kids]
+            return hoisted[id(node)], source
+        ops = [x for x, _ in kids]
         src = repr(source[0])
         if isinstance(node, Num):
             value = node.value if math.isfinite(node.value) else (repr(node.value), _PREC_ATOM)
@@ -529,39 +549,13 @@ def _emit(root, names, hoisted):
                             or b != math.floor(b) and not _nonnegative(node.lhs))
                 flags = f", {negative}, {not isinstance(b, float) or b < 0}"
                 value = _step(f"_power({_code(a)}, {_code(b)}, {src}{flags})", _PREC_ATOM, a, b)
-        plain = [u for _, u, _ in kids]
-        if isinstance(value, float) or isinstance(node, Var):
-            unchecked = value
-        elif None in plain or all(isinstance(x, float) for x in plain):
-            unchecked = None  # a variable-free sub-tree that is not a finite literal
-        else:
-            unchecked = emit_unchecked(node, plain)
-        return value, unchecked, source
+        constant = not isinstance(node, Var) and all(isinstance(x, float) for x in ops)
+        if constant and not isinstance(value, float):
+            folded = False  # a variable-free sub-tree that does not fold to a finite literal
+        return value, source
 
-    def emit_unchecked(node, ops):
-        # the numpy operations of ``combine`` without a check or a helper
-        if isinstance(node, Neg):
-            return f"-{_code(ops[0], _PREC_UNARY)}", _PREC_UNARY
-        if isinstance(node, Func):
-            return f"{node.name}({', '.join(map(_code, ops))})", _PREC_ATOM
-        a, b = ops
-        if node.op != "^":
-            prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
-            return f"{_code(a, prec)} {node.op} {_code(b, prec + 1)}", prec
-        if not (isinstance(b, float) and b == math.floor(b) and 0 <= b <= _MAX_CHAIN):
-            return f"power({_code(a)}, {_code(b)})", _PREC_ATOM
-        if b == 0:  # the base is still evaluated, for its traps
-            return f"({_code(a)}, 1.0)[1]", _PREC_ATOM
-        if b == 1:
-            return fresh(a)
-        first = rest = _code(a)
-        if a not in bare:  # evaluated once, as ``_chain`` evaluates it
-            rest = f"_t{next(temps)}"
-            first = f"({rest} := {first})"
-        return " * ".join([first] + [rest] * (int(b) - 1)), _PREC_MUL
-
-    result, unchecked, (source, _) = _fold(root, combine)
-    return fresh(result), None if unchecked is None else fresh(unchecked), source
+    result, (source, _) = _fold(root, combine)
+    return fresh(result), source, folded
 
 
 def _names(variables):
@@ -569,36 +563,32 @@ def _names(variables):
 
 
 def _generate(root, variables, parts=()):
-    """Sources of ``lambda v0, v1, ..., c0, c1, ...: <root as one numpy expression>``
-    in which the sub-tree ``parts[k]`` is read from the parameter ``c<k>``:
-    checked, and unchecked (None where ``_emit`` builds none)."""
+    """(source, folded): the source of ``lambda v0, v1, ..., c0, c1, ...: <root
+    as one numpy expression>`` in which the sub-tree ``parts[k]`` is read from
+    the parameter ``c<k>``, and ``_emit``'s ``folded`` for the whole of ``root``."""
     names = _names(variables)
     hoisted = {id(part): (f"c{k}", _PREC_ATOM) for k, part in enumerate(parts)}
-    result, unchecked, source = _emit(root, names, hoisted)
+    result, source, folded = _emit(root, names, hoisted)
     text = _code(result)
     if not isinstance(result, float):
         text = f"_finite({text}, 'non-finite result', {source!r})"
     params = [n for n, _ in names.values()] + [n for n, _ in hoisted.values()]
-    head = f"lambda {', '.join(params)}: "
-    return head + text, None if unchecked is None else head + _code(unchecked)
+    return f"lambda {', '.join(params)}: {text}", folded
 
 
 def _generate_parts(parts, variables):
-    """Sources of ``lambda v0, v1, ...: (<parts[0]>, <parts[1]>, ...)``, checked
-    and unchecked (None where ``_emit`` builds none for a part).
+    """Source of ``lambda v0, v1, ...: (<parts[0]>, <parts[1]>, ...)``.
 
     No part is a bare variable or a constant, so each value is a new one, and
     none is checked as a whole: the expression it came from checks it.
     """
     names = _names(variables)
-    head = f"lambda {', '.join(n for n, _ in names.values())}: "
-    emitted = [_emit(part, names, {}) for part in parts]
-    checked, unchecked = [x for x, _, _ in emitted], [u for _, u, _ in emitted]
+    codes = "".join(f"{_code(_emit(part, names, {})[0])}, " for part in parts)
+    return f"lambda {', '.join(n for n, _ in names.values())}: ({codes})"
 
-    def source(operands):
-        return head + "({})".format("".join(f"{_code(x)}, " for x in operands))
 
-    return source(checked), None if None in unchecked else source(unchecked)
+def _compiled(source, label):
+    return compile(source, f"<expression {label}>", "eval")
 
 
 def _hoistable(root, var):
@@ -689,11 +679,8 @@ class Expression:
     def __setattr__(self, *_):
         raise AttributeError("Expression is immutable")
 
-    def _eval(self, source, label):
-        return eval(compile(source, f"<expression {label}>", "eval"), _NAMESPACE)
-
     def _compile(self):
-        fn = self._eval(_generate(self.root, self.variables)[0], self.to_source())
+        fn = eval(_compiled(_generate(self.root, self.variables)[0], self.to_source()), _NAMESPACE)
         object.__setattr__(self, "_fn", fn)
         return fn
 
@@ -740,27 +727,26 @@ class Expression:
         A domain error raised by ``pre`` can differ from the one ``__call__``
         reports first.
 
-        With ``checked=False`` the pair runs the same numpy operations with no
-        check and no helper, or is None where a variable-free sub-expression
-        does not fold to a finite literal.  Under ``np.errstate`` raising on
-        overflow, invalid and divide, and given finite values that are all
-        numpy arrays or numpy scalars (Python float arithmetic raises no
-        flag), it either raises ``FloatingPointError`` or returns the checked
-        pair's bits where the checked pair raises nothing.  Both pairs are
-        built on first use and kept for the last ``var``.
+        With ``checked=False`` the pair is the same code run against helpers
+        that test nothing, or None where a variable-free sub-expression does
+        not fold to a finite literal (Python computes ``1e308*10`` as inf and
+        raises no flag).  ``x^0`` is a numpy 1.0 in it, for the same reason.
+        Under ``np.errstate`` raising on overflow, invalid and divide, and
+        given finite values that are all numpy arrays or numpy scalars, it
+        either raises ``FloatingPointError`` or returns the checked pair's
+        bits where the checked pair raises nothing.  Both pairs are built on
+        first use and kept for the last ``var``.
         """
         staged = self._staged
         if staged is None or staged[0] != var:
             parts = _hoistable(self.root, var)
             others = tuple(v for v in self.variables if v != var)
             source = self.to_source()
-            codes = (_generate_parts(parts, others), _generate(self.root, self.variables, parts))
-            labels = (f"{source} before {var}", f"{source} given its parts without {var}")
-            pair = tuple(self._eval(code[0], label) for code, label in zip(codes, labels))
-            unchecked = None
-            if codes[0][1] is not None and codes[1][1] is not None:
-                unchecked = tuple(self._eval(code[1], f"{label}, unchecked")
-                                  for code, label in zip(codes, labels))
+            body, folded = _generate(self.root, self.variables, parts)
+            codes = (_compiled(_generate_parts(parts, others), f"{source} before {var}"),
+                     _compiled(body, f"{source} given its parts without {var}"))
+            pair = tuple(eval(code, _NAMESPACE) for code in codes)
+            unchecked = tuple(eval(code, _UNCHECKED) for code in codes) if folded else None
             staged = (var, pair, unchecked)
             object.__setattr__(self, "_staged", staged)
         return staged[1] if checked else staged[2]

@@ -19,21 +19,23 @@ the node and the point: (t, E, z) of a non-finite value, (t, y, z) of Picard's
 largest last change.  An expression never returns a non-finite payoff.
 
 Trap, then replay.  Each level first runs ``expect``, the clamp and the
-driver's unchecked form (``Expression.split(..., checked=False)``), with no
-finiteness or domain test, under one ``np.errstate`` that raises on overflow,
-invalid and divide (underflow is no error), entered once per sweep.  From
-finite inputs, IEEE arithmetic cannot reach inf or NaN without raising one
-of those flags, so a level that finishes has every value the checked code
-gives, and would have passed each of its tests.  A level that raises
+driver's unchecked form (``Expression.split(..., checked=False)``, the same
+code with helpers that test nothing) under one ``np.errstate`` that raises on
+overflow, invalid and divide (underflow is no error), entered once per sweep.
+From finite inputs, IEEE arithmetic cannot reach inf or NaN without raising
+one of those flags, so a level that finishes has every value the checked
+code gives, and would have passed each of its tests.  A level that raises
 ``FloatingPointError`` or a ``SolverError`` is re-run under
 ``np.errstate(all="ignore")`` through the checked form, as before, which
 gives its values, or its error with the step, node and point.
-``diagnostics["replayed_levels"]`` counts the levels re-run.  Four rules
+``diagnostics["replayed_levels"]`` counts the levels re-run.  Five rules
 keep the premise:
 
 - the unchecked form exists only when every variable-free sub-expression of
   the driver folds to a finite literal, since Python computes ``1e308*10``
   as inf with no flag; otherwise every level runs checked;
+- ``x^0`` is a numpy 1.0 in it, for the same reason: ``y^0*1e308*10`` then
+  raises, and so does ``y^0/0``;
 - t enters it as a numpy float64, for the same reason: ``t*1e308*10`` then
   raises, and so does ``1/(t - 0.5)`` at t = 0.5;
 - ``body * dt`` is ``np.multiply``, since a constant driver's body returns a

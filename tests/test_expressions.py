@@ -387,6 +387,19 @@ def test_unchecked_split_traps_or_gives_the_checked_bits(seed):
         assert np.asarray(out).tobytes() == np.asarray(expected).tobytes(), expr.to_source()
 
 
+@pytest.mark.parametrize("source", ["y^0*1e308*10", "min(exp(z^0*1e308*10), 1) + y", "y^0/0"])
+def test_unchecked_zeroth_power_raises_flags(source):
+    # x^0 is a numpy 1.0 in the unchecked stages: Python float arithmetic on
+    # it would overflow to inf, or divide by zero, without a flag
+    expr = parse_expression(source)
+    (pre, body), (upre, ubody) = expr.split("y"), expr.split("y", checked=False)
+    t, y, z = np.float64(0.5), np.array([1.0, 2.0]), np.array([3.0, -1.0])
+    with np.errstate(all="ignore"), pytest.raises(EvalDomainError):
+        body(t, y, z, *pre(t, z))
+    with np.errstate(**_TRAP), pytest.raises(FloatingPointError):
+        ubody(t, y, z, *upre(t, z))
+
+
 def test_split_hoists_the_largest_y_free_parts():
     expr = parse_expression("-y^3 + abs(z)^1.5*sin(y) + t*y + sin(t)*z^2 + 2^3")
     pre, body = expr.split("y")

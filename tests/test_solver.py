@@ -539,15 +539,16 @@ class TestStagedSweep:
 
 
 # Drivers whose levels trap, or whose constants are not finite.  The two
-# min(...1e308*10...) drivers need the finite-constant rule, and the last two
-# need t as a numpy float: Python computes t*1e308*10 as inf with no flag, and
+# min(...1e308*10...) drivers need the finite-constant rule, the two with
+# t*1e308*10 and 1/(t - 0.5) need t as a numpy float, and the last three need
+# x^0 as a numpy 1.0: Python computes t*1e308*10 as inf with no flag, and
 # 1/(t - 0.5) at t = 0.5 as a ZeroDivisionError.
 EDGE_DRIVERS = [
     "y + 1e308*10", "min(y*1e300*1e10, 1)", "t*1e308*10 + y*0", "1e308",
     "min(exp(1e308*10 + 0*y), 1)", "min((y + 1e308*10)^1.5, 1)", "min(y^1.5 * 1e400, 1)",
     "y + 1e400", "min(y + 1e400, 1) + sqrt(y - 2)", "ln(y) + 1e308*z*10",
     "min(t^3 * 1e306 * 1e5, 1) + y", "y/(z - z)", "min(exp(t*1e308*10), 1) + y",
-    "min(1/(t - 0.5), 1) + y",
+    "min(1/(t - 0.5), 1) + y", "y^0*1e308*10", "min(exp(z^0*1e308*10), 1) + y", "y^0/0",
 ]
 
 
