@@ -35,10 +35,21 @@ the same code run against helpers that test nothing, where ``x^0`` is a
 numpy 1.0, so that its arithmetic raises flags as the rest does.  The AST
 walks run on an explicit stack, so a long flat sum recurses nowhere.
 
+A call with scalars only runs the scalar build, ``Expression.scalar()``: the
+same code on Python floats, with float arithmetic (``+ - * /``, negation,
+``x^k`` products), ``abs``, ``math.sqrt`` and ``math.isfinite``, whose bits
+IEEE fixes (``1 + abs(x)``: 0.11 us, against 0.70 us on numpy scalars, 2-core
+x86-64).  The rest stays numpy's, made a Python float: ``min(0.0, -0.0)`` is
+0.0, not -0.0, and ``math.exp``, ``math.log`` and ``x**1.5`` miss numpy's
+last bit on 9,092, 1 and 10,999 of 200,000 sampled arguments.  ``clamp``
+with a bound that is not a literal is ``np.minimum(np.maximum(x, lo), hi)``,
+since ``np.clip`` breaks a tie of signed zeros by whether its bounds are arrays.
+
 An array of at most ``_DOT_MAX`` elements is checked finite by one BLAS call,
 its sum of squares; a longer one, or one whose sum overflows, elementwise.  A
-call with an array runs under ``np.errstate(all="ignore")``; only a call with
-scalars prints numpy's ``RuntimeWarning`` before an overflow's domain error.
+call with an array runs under ``np.errstate(all="ignore")``; a call with
+scalars prints numpy's ``RuntimeWarning`` before the domain error only when
+a numpy operation (``exp``, a power) overflows.
 """
 
 from __future__ import annotations
@@ -394,7 +405,7 @@ def all_finite(value):
 
 
 def _finite(value, message, subexpr):
-    if not all_finite(value):
+    if not (math.isfinite(value) if value.__class__ is float else all_finite(value)):
         raise EvalDomainError(message, subexpr)
     return value
 
@@ -437,6 +448,9 @@ _NAMESPACE = {
     "abs": np.abs, "sign": np.sign, "sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log,
     "sqrt": np.sqrt, "min": np.minimum, "max": np.maximum, "clamp": np.clip, "inf": math.inf,
     "nan": math.nan, **{f.__name__: f for f in (_finite, _domain, _quotient, _chain, _power)},
+    # ``clamp`` with a bound that is not a literal: np.clip gives this to array
+    # bounds, but keeps x at a tie of signed zeros with scalar ones
+    "_clamp": lambda x, lo, hi: np.minimum(np.maximum(x, lo), hi),
 }
 
 
@@ -461,6 +475,17 @@ def _unchecked_power(base, expo, *_):
 # floating-point exceptions
 _UNCHECKED = {**_NAMESPACE, "_finite": _unchecked, "_domain": _unchecked,
               "_chain": _unchecked_chain, "_power": _unchecked_power}
+
+
+def _floated(fn):
+    return lambda *args: float(fn(*args))
+
+
+# the checked code for Python floats: float arithmetic, ``abs`` and ``sqrt``,
+# whose bits IEEE fixes, and numpy's operations for the rest, made Python floats
+_SCALAR = {**_NAMESPACE, "abs": abs, "sqrt": math.sqrt,
+           **{name: _floated(_NAMESPACE[name]) for name in
+              ("sign", "sin", "cos", "exp", "ln", "min", "max", "clamp", "_clamp", "_power")}}
 
 
 def _nonnegative(node):
@@ -516,6 +541,8 @@ def _emit(root, names, hoisted):
                 text = f"_finite(exp({text}), 'exp produced a non-finite value', {src})"
             elif node.name == "ln" or (node.name == "sqrt" and not _nonnegative(node.args[0])):
                 text = f"{node.name}(_domain({text}, {node.name!r}, {src}))"
+            elif node.name == "clamp" and not all(isinstance(x, float) for x in ops[1:]):
+                text = f"_clamp({text})"
             else:
                 text = f"{node.name}({text})"
             value = _step(text, _PREC_ATOM, *ops)
@@ -664,7 +691,7 @@ class Expression:
     printed on first use.
     """
 
-    __slots__ = ("root", "variables", "_fn", "_staged", "_source")
+    __slots__ = ("root", "variables", "_code", "_fn", "_scalar", "_staged", "_source")
 
     def __init__(self, root, variables):
         missing = _free_variables(root) - set(variables)
@@ -672,17 +699,22 @@ class Expression:
             raise ExpressionError(f"variables {sorted(missing)} not in {variables}")
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "variables", tuple(variables))
-        object.__setattr__(self, "_fn", None)
-        object.__setattr__(self, "_staged", None)
-        object.__setattr__(self, "_source", None)
+        for slot in ("_code", "_fn", "_scalar", "_staged", "_source"):
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, *_):
         raise AttributeError("Expression is immutable")
 
-    def _compile(self):
-        fn = eval(_compiled(_generate(self.root, self.variables)[0], self.to_source()), _NAMESPACE)
-        object.__setattr__(self, "_fn", fn)
-        return fn
+    def _compile(self, slot, namespace):
+        code = self._code or _compiled(_generate(self.root, self.variables)[0], self.to_source())
+        object.__setattr__(self, "_code", code)
+        object.__setattr__(self, slot, eval(code, namespace))
+        return getattr(self, slot)
+
+    def scalar(self):
+        """The scalar build: the checked code for Python floats, returning a
+        Python float with the array build's bits or error; built once, kept."""
+        return self._scalar or self._compile("_scalar", _SCALAR)
 
     def __call__(self, *values):
         if len(values) != len(self.variables):
@@ -699,15 +731,16 @@ class Expression:
                 else:
                     shape = np.broadcast_shapes(shape, v.shape)
             args.append(v)
-        fn = self._fn or self._compile()
         if shape is None:
+            fn = self._scalar or self._compile("_scalar", _SCALAR)
             try:
-                return float(fn(*args))
+                return fn(*args)
             except RuntimeWarning:
                 # numpy's warnings are errors (``python -W error``): evaluate again
                 # without them, so that an overflow raises the domain error it causes
                 with np.errstate(all="ignore"):
-                    return float(fn(*args))
+                    return fn(*args)
+        fn = self._fn or self._compile("_fn", _NAMESPACE)
         with np.errstate(all="ignore"):
             out = fn(*args)
         if type(out) is np.ndarray and out.shape == shape:

@@ -105,6 +105,8 @@ def reference_evaluate(root, variables, values):
       non-integer exponent and a zero base with a negative exponent.
     - ``/`` by zero, ``ln`` of a value <= 0 and ``sqrt`` of a value < 0 are
       domain errors; a non-finite power or ``exp`` is one too.
+    - ``clamp`` with a bound that has a variable is ``min(max(x, lo), hi)``,
+      otherwise ``np.clip``; they differ only in the sign of a zero at a tie.
     - The result must be finite.  Scalars in, float out; arrays in, an array of
       the broadcast shape out.
     """
@@ -135,6 +137,9 @@ def reference_evaluate(root, variables, values):
                 if np.any(args[0] < 0):
                     raise EvalDomainError("sqrt of a negative value", _to_source(node))
                 return np.sqrt(args[0])
+            if node.name == "clamp" and any(_has_variable(a) for a in node.args[1:]):
+                # np.clip keeps x at a tie of signed zeros only with scalar bounds
+                return np.minimum(np.maximum(args[0], args[1]), args[2])
             return _REFERENCE_FUNCTIONS[node.name](*args)
         if node.op == "/":
             denominator = ev(node.rhs)
@@ -353,11 +358,13 @@ def rk4_backward_reference(rhs, terminal, grid_nodes, substeps, side):
 
 def growth_ode_reference(side, terminal, u_w, l, grid, tol=1e-8, max_refinements=14):
     """``solve_growth_ode`` by :func:`rk4_backward_reference`: the same step
-    halving, with the right-hand side sign * u_w(t) * l(x) one stage at a time."""
+    halving, with the right-hand side sign * u_w(t) * l(x) one stage at a time.
+    l runs as its array build on a one-element array, since the sweep under
+    test calls l's scalar build."""
     l = _as_univariate(l)
 
     def l_checked(x):
-        val = float(l(x))
+        val = float(l(np.array([x]))[0])
         if val <= 0.0:
             raise NonPositiveError(f"growth function is not strictly positive at {x:.6g}")
         return val

@@ -69,14 +69,33 @@ class TestConfigErrors:
             ({"model": {"N": "abc"}}, "model.N"),
             ({"terminal": {"expr": "w", "bound": "abc"}}, "terminal.bound"),
             ({"terminal": {"expr": "w", "bound": -1}}, "terminal.bound"),
+            # an integer key takes no fraction and no boolean; a float key no boolean
+            ({"model": {"N": 2.7}}, "model.N: expected int, got 2.7"),
+            ({"model": {"N": True}}, "model.N: expected int, got True"),
+            ({"model": {"seed": 3.9}}, "model.seed: expected int, got 3.9"),
+            ({"model": {"backend": "mc-regression", "paths": 20000.5}},
+             "model.paths: expected int, got 20000.5"),
+            ({"model": {"backend": "mc-regression", "basis_degree": 3.7}},
+             "model.basis_degree: expected int, got 3.7"),
+            ({"model": {"T": False}}, "model.T: expected float, got False"),
+            ({"model": {"N": math.inf}}, "model.N: expected int, got inf"),
+            ({"checks": [{"check": "monotone_family", "n_list": [1, True]}]},
+             "checks[0].n_list[1]: expected float, got True"),
         ],
     )
     def test_bad_number_reports_path(self, tmp_path, capsys, payload, where):
         cfg = write_config(
             tmp_path, {"generator": {"expr": "0"}, "terminal": {"expr": "w"}, **payload}
         )
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        command = "verify" if "checks" in payload else "solve"  # solve reads no checks
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
         assert where in capsys.readouterr().err
+
+    def test_integral_floats_still_load(self, tmp_path):
+        cfg = write_config(tmp_path, {"model": {"N": 1e1, "paths": 1e5, "seed": 3.0}})
+        model = load_config(cfg).model
+        assert (model.steps, model.paths, model.seed) == (10, 100000, 3)
+        assert all(type(v) is int for v in (model.steps, model.paths, model.seed))
 
     @pytest.mark.parametrize(
         "command, section, key",

@@ -203,6 +203,45 @@ class TestEvaluation:
             assert out.tolist() == [1e200, 1e200] and caught == []
 
 
+class TestScalarBuild:
+    """A call with scalars runs the scalar build: Python float arithmetic,
+    ``abs`` and ``math.sqrt``, and numpy's other functions made Python floats."""
+
+    @pytest.mark.parametrize("source", ["min(x, -x)", "max(-x, x)", "clamp(x, -x, 1)", "sign(-x)"])
+    @pytest.mark.parametrize("x", [0.0, -0.0], ids=["+0", "-0"])
+    def test_signed_zeros_are_the_array_builds(self, source, x):
+        # min(0.0, -0.0) is 0.0, but np.minimum(0.0, -0.0) is -0.0
+        expr = parse_univariate(source)
+        want = expr(np.array([x])).tobytes()
+        for out in (expr(x), expr.scalar()(x)):
+            assert type(out) is float and np.array([out]).tobytes() == want, source
+
+    def test_clamp_is_the_same_in_every_call_shape(self):
+        # np.clip breaks a tie of signed zeros by whether its bounds are arrays
+        expr = parse_expression("clamp(y, -t, 1)")
+        zero = np.array([0.0])
+        for out in (expr(0.0, 0.0, 0.0), expr(0.0, zero, 0.0), expr(zero, zero, zero)):
+            assert np.reshape(out, -1).tobytes() == np.array([-0.0]).tobytes()
+
+    def test_built_once_and_kept(self):
+        expr = parse_univariate("1 + abs(x)")
+        assert expr.scalar() is expr.scalar()
+        assert expr.scalar()(-2.5) == 3.5
+
+    @pytest.mark.parametrize("action", ["always", "error"])
+    @pytest.mark.parametrize("source, message", [
+        ("x*x", "non-finite result"),
+        ("abs(x)*abs(x) + 1", "non-finite result"),
+        ("x^2", "power produced a non-finite value"),
+    ])
+    def test_plain_arithmetic_overflow_raises_without_a_warning(self, action, source, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            with pytest.raises(EvalDomainError, match=message):
+                parse_univariate(source)(1e200)
+        assert caught == []
+
+
 # ---------------------------------------------------------------------------
 # Round-trip: print then reparse evaluates identically
 

@@ -123,7 +123,9 @@ class TestTabulatedSweep:
     those of the scalar sweep in ``tests/oracles.py``, bit for bit."""
 
     @pytest.mark.parametrize("u", ["1", "2*t + sin(t)", "exp(-t)"])
-    @pytest.mark.parametrize("l", ["1 + abs(x)", "1 + x^2/10 + exp(-x^2)"])
+    @pytest.mark.parametrize("l", ["1 + abs(x)", "1 + x^2/10 + exp(-x^2)", "2 + sin(x)",
+                                   "exp(abs(x)/10)", "1 + abs(x)^1.5", "max(1, abs(x))",
+                                   "1 + sqrt(abs(x))"])
     @pytest.mark.parametrize("grid", [TimeGrid.uniform(1.0, 1), TimeGrid.uniform(1.0, 7),
                                       TimeGrid.uniform(1.0, 64), NON_UNIFORM],
                              ids=["n1", "n7", "n64", "non-uniform"])
