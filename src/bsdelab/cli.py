@@ -404,7 +404,8 @@ _REPORT_HEADER = (
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     given = {k: getattr(args, k) for k in ("seed", "threads") if getattr(args, k) is not None}
     model = replace(cfg.model, **given)
-    require("", *((f"--{key}", ok, message) for key, ok, message in model.rules() if key in given))
+    require("", *((f"--{key}", ok, message) for key, ok, message in model.rules() if key in given),
+            ("--tol", args.tol is None or args.tol == args.tol, "must not be NaN"))
     return replace(cfg, model=model)
 
 

@@ -53,8 +53,8 @@ def _need(mapping, key, path, kind=None):
 def number(mapping, key, path, kind=float, default=_REQUIRED):
     """``mapping[key]`` converted by ``kind``; ``default`` when absent or null.
 
-    Without a ``default`` the key is required.  A boolean, or a fractional
-    value for an ``int``, is an error; errors name ``path.key``.
+    Without a ``default`` the key is required.  A boolean, a NaN, or a
+    fractional value for an ``int``, is an error; errors name ``path.key``.
     """
     where = _at(path, key)
     value = mapping.get(key)
@@ -66,9 +66,12 @@ def number(mapping, key, path, kind=float, default=_REQUIRED):
         fractional = kind is int and isinstance(value, float) and not value.is_integer()
         if isinstance(value, bool) or fractional:
             raise TypeError(value)
-        return kind(value)
+        value = kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(where, f"expected {kind.__name__}, got {value!r}") from exc
+    if value != value:  # NaN compares false with every bound, and would pass every check
+        raise ConfigError(where, "must not be NaN")
+    return value
 
 
 def numbers(mapping, key, path, kind=float, default=_REQUIRED, length=None):

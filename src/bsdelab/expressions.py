@@ -27,13 +27,14 @@ product ``x * ... * x`` (it can differ from ``np.power`` in the last bit).
 A quotient evaluates and checks its denominator before its numerator; a
 chain of ``*`` and ``/`` that contains one compiles to one flat call, so it
 nests no deeper however long it is.
-``Expression.split(var)`` compiles the same code in two stages: the largest
-sub-expressions free of ``var``, then the rest given their values.  When
-every variable-free sub-expression folds to a finite literal, it also builds
-both stages unchecked, for a caller that traps floating-point exceptions:
-the same code run against helpers that test nothing, where ``x^0`` is a
-numpy 1.0, so that its arithmetic raises flags as the rest does.  The AST
-walks run on an explicit stack, so a long flat sum recurses nowhere.
+``Expression.split(var)`` is one staged build, for a caller that traps
+floating-point exceptions: the same code in two stages (the largest
+sub-expressions free of ``var``, then the rest given their values), run
+against helpers that test nothing, where ``x^0`` is a numpy 1.0, so that its
+arithmetic raises flags as the rest does.  It exists only when every
+variable-free sub-expression folds to a finite literal; a caller replays a
+trapped evaluation through the whole checked expression.  The AST walks run
+on an explicit stack, so a long flat sum recurses nowhere.
 
 A call with scalars only runs the scalar build, ``Expression.scalar()``: the
 same code on Python floats, with float arithmetic (``+ - * /``, negation,
@@ -747,28 +748,23 @@ class Expression:
             return out
         return np.broadcast_to(out, shape).copy()
 
-    def split(self, var, checked=True):
-        """The expression staged at the variable ``var``: ``(pre, body)``.
+    def split(self, var):
+        """The expression staged at the variable ``var`` for a caller that
+        traps floating-point exceptions: ``(pre, body)``, or None.
 
         ``pre`` takes the values of the other variables, in order, and returns
         the tuple of the largest sub-expressions that do not involve ``var``
         (bare variables and constants excepted).  ``body`` takes the values of
         all the variables followed by that tuple, and returns the expression's
-        value from the same numpy operations, bit for bit.  Both are the bare
-        generated functions: pass values as ``__call__`` does (Python floats
-        or float arrays); a result is not broadcast to the arguments' shape.
-        A domain error raised by ``pre`` can differ from the one ``__call__``
-        reports first.
-
-        With ``checked=False`` the pair is the same code run against helpers
-        that test nothing, or None where a variable-free sub-expression does
-        not fold to a finite literal (Python computes ``1e308*10`` as inf and
-        raises no flag).  ``x^0`` is a numpy 1.0 in it, for the same reason.
-        Under ``np.errstate`` raising on overflow, invalid and divide, and
-        given finite values that are all numpy arrays or numpy scalars, it
-        either raises ``FloatingPointError`` or returns the checked pair's
-        bits where the checked pair raises nothing.  Both pairs are built on
-        first use and kept for the last ``var``.
+        value.  Both run the checked code's numpy operations against helpers
+        that test nothing, with ``x^0`` a numpy 1.0.  Under ``np.errstate``
+        raising on overflow, invalid and divide, and given finite values that
+        are all numpy arrays or numpy scalars, the pair either raises
+        ``FloatingPointError`` or returns ``__call__``'s bits where
+        ``__call__`` raises nothing; a result is not broadcast to the
+        arguments' shape.  None where a variable-free sub-expression does not
+        fold to a finite literal, since Python computes ``1e308*10`` as inf
+        and raises no flag.  Built on first use and kept for the last ``var``.
         """
         staged = self._staged
         if staged is None or staged[0] != var:
@@ -778,11 +774,9 @@ class Expression:
             body, folded = _generate(self.root, self.variables, parts)
             codes = (_compiled(_generate_parts(parts, others), f"{source} before {var}"),
                      _compiled(body, f"{source} given its parts without {var}"))
-            pair = tuple(eval(code, _NAMESPACE) for code in codes)
-            unchecked = tuple(eval(code, _UNCHECKED) for code in codes) if folded else None
-            staged = (var, pair, unchecked)
+            staged = (var, tuple(eval(code, _UNCHECKED) for code in codes) if folded else None)
             object.__setattr__(self, "_staged", staged)
-        return staged[1] if checked else staged[2]
+        return staged[1]
 
     def to_source(self):
         if self._source is None:  # printed on first use

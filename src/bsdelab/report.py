@@ -20,7 +20,7 @@ class VerificationReport:
 
     ``violation`` is the worst signed margin (positive means the checked
     inequality failed somewhere); ``location`` pins the worst point.  A
-    report is a failure exactly when ``violation > tolerance``;
+    report passes exactly when ``violation <= tolerance``, so a NaN fails;
     ``inconclusive`` is reserved for checks whose own preconditions (a
     certificate, a premise) failed first.
     """
@@ -37,7 +37,7 @@ class VerificationReport:
         if self.status not in (PASS, FAIL, INCONCLUSIVE):
             raise ValueError(f"bad status {self.status!r}")
         if self.status != INCONCLUSIVE:
-            expected = FAIL if self.violation > self.tolerance else PASS
+            expected = PASS if self.violation <= self.tolerance else FAIL
             if self.status != expected:
                 raise ValueError(
                     f"status {self.status!r} inconsistent with violation "
@@ -50,7 +50,7 @@ class VerificationReport:
 
     @classmethod
     def from_violation(cls, name, claim, violation, location=None, tolerance=0.0, notes=()):
-        status = FAIL if violation > tolerance else PASS
+        status = PASS if violation <= tolerance else FAIL
         return cls(name, claim, status, float(violation), location or {}, tolerance, tuple(notes))
 
     @classmethod

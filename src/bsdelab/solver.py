@@ -12,28 +12,26 @@ largest sub-expressions free of y, such as ``abs(z)^1.5`` in
 ``-y^3 + abs(z)^1.5*sin(y)``, are evaluated from (t_i, z_i); each update then
 evaluates only the rest, from the same numpy operations, so every value is the
 whole driver's, bit for bit.  A driver without y gets one update in either
-scheme, since its second Picard iterate would repeat the first.  Where the
-y-free part raises a domain error, the whole driver is evaluated at
-(t_i, E_i, z_i) to report the error it reports first.  Errors name the step,
-the node and the point: (t, E, z) of a non-finite value, (t, y, z) of Picard's
-largest last change.  An expression never returns a non-finite payoff.
+scheme, since its second Picard iterate would repeat the first.  Errors name
+the step, the node and the point: (t, E, z) of a non-finite value, (t, y, z)
+of Picard's largest last change.  An expression never returns a non-finite
+payoff.
 
 Trap, then replay.  Each level first runs ``expect``, the clamp and the
-driver's unchecked form (``Expression.split(..., checked=False)``, the same
-code with helpers that test nothing) under one ``np.errstate`` that raises on
-overflow, invalid and divide (underflow is no error), entered once per sweep.
-From finite inputs, IEEE arithmetic cannot reach inf or NaN without raising
-one of those flags, so a level that finishes has every value the checked
-code gives, and would have passed each of its tests.  A level that raises
-``FloatingPointError`` or a ``SolverError`` is re-run under
-``np.errstate(all="ignore")`` through the checked form, as before, which
-gives its values, or its error with the step, node and point.
-``diagnostics["replayed_levels"]`` counts the levels re-run.  Five rules
-keep the premise:
+staged driver (the checked code with helpers that test nothing) under one
+``np.errstate`` that raises on overflow, invalid and divide (underflow is no
+error), entered once per sweep.  From finite inputs, IEEE arithmetic cannot
+reach inf or NaN without raising one of those flags, so a level that
+finishes has every value the checked code gives, and would have passed each
+of its tests.  A level that raises ``FloatingPointError`` or a
+``SolverError`` is re-run under ``np.errstate(all="ignore")`` through the
+whole checked driver, unstaged, which gives its values, or its error with
+the step, node and point.  ``diagnostics["replayed_levels"]`` counts the
+levels re-run.  Five rules keep the premise:
 
-- the unchecked form exists only when every variable-free sub-expression of
+- the staged driver exists only when every variable-free sub-expression of
   the driver folds to a finite literal, since Python computes ``1e308*10``
-  as inf with no flag; otherwise every level runs checked;
+  as inf with no flag; otherwise every level runs the whole checked driver;
 - ``x^0`` is a numpy 1.0 in it, for the same reason: ``y^0*1e308*10`` then
   raises, and so does ``y^0/0``;
 - t enters it as a numpy float64, for the same reason: ``t*1e308*10`` then
@@ -76,7 +74,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expressions import EvalDomainError, all_finite
+from .expressions import all_finite
 from .generators import Generator, TerminalCondition
 from .ode_bounds import TimeGrid
 
@@ -270,8 +268,8 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
     steps = grid.steps
     dt = grid.dt
     nodes = grid.nodes.tolist()
-    checked = g.expr.split("y")
-    unchecked = g.expr.split("y", checked=False)
+    trapped = g.expr.split("y")
+    whole = (lambda t, z: (), g)  # the whole checked driver, unstaged
     # without y the second Picard iterate repeats the first, bit for bit
     single = scheme == "explicit" or "y" not in g.expr.free_variables()
     z_rows = [None] * steps
@@ -284,7 +282,7 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
     y_rows[steps].flags.writeable = False
 
     def level(i, t, staged):
-        """(y_i, z_i, Picard iterations) at time ``t`` from the staged driver."""
+        """(y_i, z_i, Picard iterations) at time ``t`` from the driver as ``(pre, body)``."""
         nonlocal clamped
         pre, body = staged
         E, z = expect(i, y_rows[i + 1])
@@ -292,30 +290,26 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
             before = z
             z = np.clip(z, -z_clamp, z_clamp)
             clamped = clamped or bool(np.any(before != z))
-        try:
-            parts = pre(t, z)
-        except EvalDomainError:
-            g(t, E, z)  # the error g reports first, which may lie in its y part
-            raise
+        parts = pre(t, z)
         if single:
             y, used = E + np.multiply(body(t, E, z, *parts), dt), 1
         else:
             y, used = _implicit_update(body, parts, i, t, E, z, dt)
-        if staged is checked:
+        if staged is whole:
             _finite_or_raise(y, i, t, E, z)
         return y, z, used
 
     with np.errstate(**_TRAP):
         for i in range(steps - 1, -1, -1):
             y = None
-            if unchecked is not None:
+            if trapped is not None:
                 try:  # t as a numpy float, so that its arithmetic raises flags too
-                    y, z, used = level(i, grid.nodes[i], unchecked)
+                    y, z, used = level(i, grid.nodes[i], trapped)
                 except (FloatingPointError, SolverError):
                     replayed += 1
-            if y is None:  # today's checked code gives the values, or the error
+            if y is None:  # the whole checked driver gives the values, or the error
                 with np.errstate(all="ignore"):
-                    y, z, used = level(i, nodes[i], checked)
+                    y, z, used = level(i, nodes[i], whole)
             if scheme == "implicit":
                 picard_max = max(picard_max, used)
             y_rows[i] = y

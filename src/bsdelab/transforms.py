@@ -67,7 +67,7 @@ def exp_transform_generator(g, gamma):
     def transformed(t, Y, Z):
         Yarr = np.asarray(Y, dtype=float)
         Zarr = np.asarray(Z, dtype=float)
-        scalar = np.isscalar(Y) and np.ndim(Y) == 0 and np.isscalar(Z)
+        scalar = np.isscalar(Y) and np.isscalar(Z)
         Yb, Zb = np.broadcast_arrays(Yarr, Zarr)
         out = np.zeros(Yb.shape)
         pos = Yb > 0
@@ -76,7 +76,7 @@ def exp_transform_generator(g, gamma):
             Zp = Zb[pos]
             inner = g(t, np.log(Yp) / gamma, Zp / (gamma * Yp))
             out[pos] = gamma * Yp * np.asarray(inner) - Zp * Zp / (2.0 * Yp)
-        return float(out) if scalar and out.shape == () else (float(out[()]) if scalar else out)
+        return float(out) if scalar else out
 
     return transformed
 

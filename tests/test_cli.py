@@ -81,6 +81,15 @@ class TestConfigErrors:
             ({"model": {"N": math.inf}}, "model.N: expected int, got inf"),
             ({"checks": [{"check": "monotone_family", "n_list": [1, True]}]},
              "checks[0].n_list[1]: expected float, got True"),
+            # a NaN compares false with every bound, so it would pass every check
+            ({"checks": [{"check": "solver_oracle", "expected": 5.0, "tol": math.nan}]},
+             "checks[0].tol: must not be NaN"),
+            ({"checks": [{"check": "solver_oracle", "expected": math.nan}]},
+             "checks[0].expected: must not be NaN"),
+            ({"checks": [{"check": "monotone_family", "n_list": [1, math.nan]}]},
+             "checks[0].n_list[1]: must not be NaN"),
+            ({"model": {"T": math.nan}}, "model.T: must not be NaN"),
+            ({"model": {"N": math.nan}}, "model.N: expected int, got nan"),
         ],
     )
     def test_bad_number_reports_path(self, tmp_path, capsys, payload, where):
@@ -411,6 +420,7 @@ class TestModelKeys:
         ("--seed", "-5", "must be an integer in [0, 2^64)"),
         ("--seed", str(2**64), "must be an integer in [0, 2^64)"),
         ("--threads", "0", "must be >= 1"),
+        ("--tol", "nan", "must not be NaN"),
     ])
     def test_command_line_override_is_checked(self, tmp_path, capsys, flag, value, message):
         # a negative seed used to fail in numpy, after the checks before it had run

@@ -372,46 +372,26 @@ def test_split_evaluation_is_bit_identical(seed, var):
             assert out.tobytes() == expected.tobytes(), (expr.to_source(), var)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_split_evaluation_fails_where_the_expression_fails(seed):
-    # the same bits, or a domain error, though not always the same one first
-    rng = random.Random(seed)
-    expr = Expression(random_signed_ast(rng, rng.randrange(1, 5)), ("t", "y", "z"))
-    levels = [-800.0, -2.5, -1.0, 0.0, 0.25, 1.0, 3.5, 1e160]
-    pts = np.array([[rng.choice(levels) for _ in range(6)] for _ in range(3)])
-    args = (float(pts[0, 0]), pts[1], pts[2])
-    with np.errstate(all="ignore"):
-        try:
-            expected = expr(*args)
-        except EvalDomainError:
-            with pytest.raises(EvalDomainError):
-                staged(expr, "y", args)
-        else:
-            out = np.broadcast_to(staged(expr, "y", args), expected.shape)
-            assert out.tobytes() == expected.tobytes(), expr.to_source()
-
-
 @settings(max_examples=600, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_unchecked_split_traps_or_gives_the_checked_bits(seed):
-    # from finite numpy values under the trap, the unchecked stages raise
-    # FloatingPointError, or return the checked stages' bits where those
-    # raise nothing; they never return where the checked stages fail
+    # from finite numpy values under the trap, the split raises
+    # FloatingPointError, or returns the whole checked expression's bits where
+    # that raises nothing; it never returns where the expression fails
     rng = random.Random(seed)
     literals = (0, 0.5, 1, 2, 3.25, 1e-300, 1e154, 1e300, 1e308)
     expr = Expression(random_signed_ast(rng, rng.randrange(1, 5), literals), ("t", "y", "z"))
-    unchecked = expr.split("y", checked=False)
-    if unchecked is None:  # a variable-free sub-expression is not a finite literal
+    split = expr.split("y")
+    if split is None:  # a variable-free sub-expression is not a finite literal
         return
     levels = [-1e300, -2.5, -1.0, -1e-300, 0.0, 1e-300, 0.25, 1.0, 3.5, 1e300]
     y, z = (np.array([rng.choice(levels) for _ in range(6)]) for _ in range(2))
     t = rng.choice(levels)
-    pre, body = unchecked
+    pre, body = split
     for args in ((t, y, z), (t, np.float64(y[0]), np.float64(z[0]))):
         with np.errstate(all="ignore"):
             try:
-                expected = staged(expr, "y", args)
+                expected = np.asarray(expr(*args))
             except EvalDomainError:
                 expected = None
         # t as the sweep passes it: a numpy float, whose arithmetic raises flags
@@ -422,21 +402,21 @@ def test_unchecked_split_traps_or_gives_the_checked_bits(seed):
             except FloatingPointError:
                 continue
         assert expected is not None, expr.to_source()
-        assert np.shape(out) == np.shape(expected), expr.to_source()
-        assert np.asarray(out).tobytes() == np.asarray(expected).tobytes(), expr.to_source()
+        out = np.broadcast_to(out, expected.shape)
+        assert out.tobytes() == expected.tobytes(), expr.to_source()
 
 
 @pytest.mark.parametrize("source", ["y^0*1e308*10", "min(exp(z^0*1e308*10), 1) + y", "y^0/0"])
 def test_unchecked_zeroth_power_raises_flags(source):
-    # x^0 is a numpy 1.0 in the unchecked stages: Python float arithmetic on
-    # it would overflow to inf, or divide by zero, without a flag
+    # x^0 is a numpy 1.0 in the split: Python float arithmetic on it would
+    # overflow to inf, or divide by zero, without a flag
     expr = parse_expression(source)
-    (pre, body), (upre, ubody) = expr.split("y"), expr.split("y", checked=False)
+    pre, body = expr.split("y")
     t, y, z = np.float64(0.5), np.array([1.0, 2.0]), np.array([3.0, -1.0])
-    with np.errstate(all="ignore"), pytest.raises(EvalDomainError):
-        body(t, y, z, *pre(t, z))
+    with pytest.raises(EvalDomainError):
+        expr(t, y, z)
     with np.errstate(**_TRAP), pytest.raises(FloatingPointError):
-        ubody(t, y, z, *upre(t, z))
+        body(t, y, z, *pre(t, z))
 
 
 def test_split_hoists_the_largest_y_free_parts():

@@ -426,8 +426,9 @@ class TestDiscreteSolution:
         assert a.substrate_key() != b.substrate_key()
 
 
+# the last has no staged build: every level runs the whole checked driver
 STAGED_DRIVERS = ["-y^3 + abs(z)^1.5*sin(y)", "-y", "z^2/2", "-1", "0", "t*y + sin(t)*z^2",
-                  "min(y, abs(z))"]
+                  "min(y, abs(z))", "min(y, 1e400) - y^3"]
 SUBSTRATES = {
     "tree-10": lambda g, xi, **kw: solve_tree(g, xi, 10, **kw),
     "tree-200": lambda g, xi, **kw: solve_tree(g, xi, 200, **kw),
@@ -607,10 +608,10 @@ class TestTrappedSweep:
             sol = solve()
             assert sol.diagnostics["replayed_levels"] == 10
             assert outcome(lambda: sol) == outcome(lambda: whole_driver_solve(monkeypatch, solve))
-        # a driver with a constant that is not finite has no unchecked form:
-        # every level runs checked, and none is re-run
+        # a driver with a constant that is not finite has no staged form:
+        # every level runs the whole checked driver, and none is re-run
         capped = Generator.parse("min(y, 1e400)")
-        assert capped.expr.split("y", checked=False) is None
+        assert capped.expr.split("y") is None
         assert solve_tree(capped, xi, 10).diagnostics["replayed_levels"] == 0
 
     def test_regression_overflow_inside_np_linalg_is_trapped(self):

@@ -41,6 +41,17 @@ class TestReportInvariant:
             "inconclusive"
         )
 
+    @pytest.mark.parametrize("violation, tolerance", [
+        (math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan), (-math.inf, math.nan)])
+    def test_nan_fails_closed(self, violation, tolerance):
+        # a NaN compares false with everything: it must not read as a pass
+        from bsdelab.report import VerificationReport
+
+        report = VerificationReport.from_violation("x", "claim", violation, tolerance=tolerance)
+        assert report.status == "fail"
+        with pytest.raises(ValueError, match="inconsistent"):
+            VerificationReport("x", "claim", "pass", violation, tolerance=tolerance)
+
     def test_which_validated(self):
         lo = solve_tree(ZERO, TerminalCondition.parse("0"), 8)
         hi = solve_tree(ZERO, TerminalCondition.parse("1"), 8)
