@@ -8,8 +8,9 @@ The two-sided bounds integrate
 
 backwards from the horizon; for l in the divergent-integral class both stay
 finite on [0, T] and sandwich every bounded solution of the corresponding
-terminal-value problem.  Non-membership shows up as finite-time blow-up,
-which is detected and reported rather than silently propagated.
+terminal-value problem.  A curve that leaves [-1e12, 1e12] raises
+BlowUpError, which decides nothing about the class: a finite-time blow-up
+and a finite bound past 1e12 (0.7 e^100 for l = max(1, 100|x|)) both do.
 
 Each RK4 sweep tabulates u at its stage times in one vector call (t_j,
 t_j + h/2 and t_j + h, formed exactly as the sweep forms them), so the loop
@@ -118,9 +119,8 @@ class BlowUpError(RuntimeError):
         self.time_reached = float(time_reached)
         self.value = float(value)
         super().__init__(
-            f"{side} bound blew up at t={time_reached:.6g} (value {value:.3g}); "
-            "the growth function is outside the divergent-integral class on "
-            "the traversed range for this terminal datum"
+            f"{side} bound left [-1e12, 1e12] at t = {time_reached:.6g} (value {value:.3g}): "
+            "a finite-time blow-up and a finite bound past the threshold both do this"
         )
 
 

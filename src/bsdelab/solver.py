@@ -62,8 +62,10 @@ condition number sqrt(lambda_max / lambda_min) of G.
 
 Both backends are deterministic functions of their inputs and evaluate the
 driver on a single thread; the Monte-Carlo ensemble is generated by a
-counter-based bit stream keyed by the seed.  Every row of a solution's y and
-z is read-only, so that one solution can be shared by several callers.
+counter-based bit stream keyed by the seed, one row per node, and the sweep
+releases each row it has passed, so that a solve peaks at about its own rows.
+Every row of a solution's y and z is read-only, so that one solution can be
+shared by several callers.
 """
 
 from __future__ import annotations
@@ -159,21 +161,27 @@ class TreeModel:
 class PathEnsemble:
     """Simulated Brownian increments, reproducible from (seed, paths, grid).
 
-    ``levels`` holds B at every node, time-major with shape (steps + 1, paths),
-    so that one time is one contiguous (read-only) row.
+    Time-major, one read-only 1-d row per node: ``increments[i]`` is dB_i and
+    ``levels[i]`` is B at node i.  ``generate`` allocates each row apart, so a
+    sweep can release the rows it has passed (views of one array free nothing).
     """
 
     grid: TimeGrid
     paths: int
     seed: int
-    increments: np.ndarray  # shape (paths, steps)
-    levels: np.ndarray = field(init=False, repr=False, compare=False)
+    increments: tuple  # steps rows of paths values
+    levels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        levels = np.zeros((self.grid.steps + 1, self.paths))
-        np.cumsum(self.increments.T, axis=0, out=levels[1:])
-        levels.flags.writeable = False
-        object.__setattr__(self, "levels", levels)
+        increments = tuple(self.increments)
+        # np.cumsum's adds, from a copy of dB_0: 0.0 + dB_0 would turn -0.0 into +0.0
+        levels = [np.zeros(self.paths), increments[0].copy()]
+        for row in increments[1:]:
+            levels.append(levels[-1] + row)
+        for row in increments + tuple(levels):
+            row.flags.writeable = False
+        object.__setattr__(self, "increments", increments)
+        object.__setattr__(self, "levels", tuple(levels))
 
     @classmethod
     def generate(cls, grid, paths, seed):
@@ -181,9 +189,11 @@ class PathEnsemble:
             raise ValueError("need at least one path")
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-        dt = grid.dt
         gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        increments = gen.standard_normal((paths, grid.steps)) * math.sqrt(dt)
+        draw = gen.standard_normal((paths, grid.steps))  # the stream is path-major
+        draw *= math.sqrt(grid.dt)
+        increments = [column.copy() for column in draw.T]
+        del draw  # release the draw before the levels are summed
         return cls(grid=grid, paths=paths, seed=int(seed), increments=increments)
 
 
@@ -413,20 +423,24 @@ def solve_mc_regression(g, xi, steps, paths, degree, seed, horizon=1.0, scheme="
         raise ValueError("need at least 10 (degree + 1) paths")
     grid = TimeGrid.uniform(horizon, steps)
     ens = PathEnsemble.generate(grid, paths, seed)
+    increments, levels = list(ens.increments), list(ens.levels)  # released as the sweep passes
+    del ens
     dt = grid.dt
     conds = [None] * steps
     basis = np.empty((degree + 1, paths))
     targets = np.empty((2, paths))
 
     def expect(i, y_next):
+        # on entry, not on exit: a level replayed after a trap runs expect twice
+        del increments[i + 1:], levels[i + 1:]
         targets[0] = y_next
-        np.multiply(y_next, ens.increments[:, i], out=targets[1])
+        np.multiply(y_next, increments[i], out=targets[1])
         targets[1] /= dt
         if i == 0:
             conds[0] = 1.0
             return (np.full(paths, float(np.mean(y_next))),
                     np.full(paths, float(np.mean(targets[1]))))
-        _hermite_rows(ens.levels[i] / math.sqrt(grid.nodes[i]), basis)
+        _hermite_rows(levels[i] / math.sqrt(grid.nodes[i]), basis)
         try:
             fitted, cond = _regress(basis.T, targets.T)
         except RankDeficientError as exc:
@@ -436,7 +450,7 @@ def solve_mc_regression(g, xi, steps, paths, degree, seed, horizon=1.0, scheme="
         return fitted[:, 0], fitted[:, 1].copy()
 
     sol = _backward_sweep(
-        g, xi, grid, ens.levels[-1], expect, scheme, z_clamp,
+        g, xi, grid, levels[-1], expect, scheme, z_clamp,
         backend="mc-regression", seed=int(seed), paths=int(paths),
     )
     sol.diagnostics["regression_condition_numbers"] = tuple(conds)

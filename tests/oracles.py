@@ -14,7 +14,14 @@ import numpy as np
 from bsdelab.expressions import Bin, EvalDomainError, Func, Neg, Num, Var, _to_source
 from bsdelab.generators import Generator, _as_univariate
 from bsdelab.ode_bounds import BLOWUP_THRESHOLD, BlowUpError, NonPositiveError
-from bsdelab.solver import DiscreteSolution, PicardDivergenceError, TreeModel, _finite_or_raise
+from bsdelab.solver import (
+    DiscreteSolution,
+    PicardDivergenceError,
+    TreeModel,
+    _finite_or_raise,
+    _hermite_rows,
+    _regress,
+)
 
 
 def dense_scan_max(fn, lo, hi, nodes=100_001, refine=True):
@@ -466,6 +473,35 @@ def picard_sweep_reference(g, xi, grid, states, expect, scheme, z_clamp, picard_
         conforming=not clamped,
         **source,
     )
+
+
+def mc_expect_reference(grid, paths, degree, seed):
+    """The Monte-Carlo conditional expectation on a path-major ensemble: one
+    (paths, steps) Philox draw, its running sums along each path, and each
+    step's increments and levels read by column through the solver's
+    ``_hermite_rows`` and ``_regress``.
+
+    Returns (terminal levels, ``expect``, condition numbers) for
+    ``solver._backward_sweep``; ``expect`` fills in the condition numbers.
+    """
+    dt = grid.dt
+    increments = np.random.Generator(np.random.Philox(key=seed)).standard_normal(
+        (paths, grid.steps)) * math.sqrt(dt)
+    walk = np.cumsum(increments, axis=1)  # column i - 1 is B at node i
+    conds = [None] * grid.steps
+
+    def expect(i, y_next):
+        targets = np.array((y_next, y_next * increments[:, i] / dt))
+        if i == 0:
+            conds[0] = 1.0
+            return (np.full(paths, float(np.mean(y_next))),
+                    np.full(paths, float(np.mean(targets[1]))))
+        basis = _hermite_rows(walk[:, i - 1] / math.sqrt(grid.nodes[i]),
+                              np.empty((degree + 1, paths)))
+        fitted, conds[i] = _regress(basis.T, targets.T)
+        return fitted[:, 0], fitted[:, 1].copy()
+
+    return walk[:, -1], expect, conds
 
 
 def _level_weights_or_none(sol):

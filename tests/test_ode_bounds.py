@@ -92,6 +92,17 @@ class TestGrowthOde:
         # the exact pole sits at T - pi/4
         assert 0.0 < err.value.time_reached < math.pi
         assert err.value.time_reached == pytest.approx(math.pi - math.pi / 4.0, abs=0.2)
+        assert str(err.value).startswith("upper bound left [-1e12, 1e12] at t = ")
+
+    @pytest.mark.parametrize("growth", ["max(1, 100*abs(x))", "1 + 100*max(0, abs(x) - 0.8)"])
+    def test_threshold_crossing_claims_no_blow_up(self, growth):
+        # int dx / l diverges, so U stays finite (0.7 e^100 at t = 0 for the
+        # first), but it passes 1e12 on the way: the error says only that
+        with pytest.raises(BlowUpError) as err:
+            sandwich_envelope(0.7, ONE, growth, TimeGrid.uniform(1.0, 7))
+        assert str(err.value).startswith("upper bound left [-1e12, 1e12] at t = ")
+        assert "outside" not in str(err.value)
+        assert err.value.value > 1e12 and 0.0 < err.value.time_reached < 1.0
 
     def test_terminal_sign_preconditions(self):
         grid = TimeGrid.uniform(1.0, 8)
@@ -194,6 +205,19 @@ class TestSandwichEnvelope:
         assert np.all(env.lower <= a + 1e-12)
         assert np.all(b - 1e-12 <= env.upper)
         assert np.all(env.upper <= env.upper[0] + 1e-12)
+
+    @pytest.mark.parametrize("steps", [
+        pytest.param(7, marks=pytest.mark.xfail(
+            strict=True, reason="the barrier is computed from samples of l: at N = 7 "
+                                "both sweeps of the halving test step over the bump")),
+        64,
+    ])
+    def test_barrier_sees_a_narrow_bump(self, steps):
+        # l is 1 but for a bump of height 50 on [1.499, 1.501], which U crosses
+        # in time ln(51)/25000: from U(1) = 0.7, U(0) = 1.702 - ln(51)/25000
+        bump = "1 + 50*max(0, 1 - 1000*abs(x - 1.5))"
+        env = sandwich_envelope(0.7, ONE, bump, TimeGrid.uniform(1.0, steps))
+        assert env.upper[0] == pytest.approx(1.702 - math.log(51.0) / 25000.0, abs=1e-8)
 
     def test_envelope_validation(self):
         grid = TimeGrid.uniform(1.0, 4)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,12 @@ from bsdelab.solver import (
     solve_tree,
 )
 from bsdelab.verify import one_step_residual
-from tests.oracles import binomial_weights_reference, lstsq_reference, picard_sweep_reference
+from tests.oracles import (
+    binomial_weights_reference,
+    lstsq_reference,
+    mc_expect_reference,
+    picard_sweep_reference,
+)
 
 ZERO = Generator.parse("0")
 B_T = TerminalCondition.parse("w")
@@ -207,22 +213,35 @@ class TestPathEnsemble:
         # each step's increments: mean 0 and variance dt, within 5 standard errors
         ens = PathEnsemble.generate(TimeGrid.uniform(1.0, 20), 4000, seed=5)
         dt = 1.0 / 20
-        assert np.max(np.abs(ens.increments.mean(axis=0))) <= 5.0 * math.sqrt(dt / 4000)
-        assert np.max(np.abs(ens.increments.var(axis=0) - dt)) <= 5.0 * dt * math.sqrt(2.0 / 4000)
+        assert len(ens.increments) == 20
+        for row in ens.increments:
+            assert abs(row.mean()) <= 5.0 * math.sqrt(dt / 4000)
+            assert abs(row.var() - dt) <= 5.0 * dt * math.sqrt(2.0 / 4000)
 
     def test_levels_are_the_running_sums(self):
         ens = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=9)
-        paths = np.zeros((100, 11))
-        np.cumsum(ens.increments, axis=1, out=paths[:, 1:])
-        assert np.array_equal(ens.levels.T, paths)
-        assert ens.levels.flags.c_contiguous and not ens.levels.flags.writeable
+        walk = np.zeros((11, 100))
+        np.cumsum(np.stack(ens.increments), axis=0, out=walk[1:])
+        assert np.stack(ens.levels).tobytes() == walk.tobytes()
+        # one read-only row per node, each allocated apart so that it can be released
+        for row in ens.increments + ens.levels:
+            assert row.shape == (100,) and row.flags.owndata and not row.flags.writeable
+
+    def test_levels_keep_a_negative_zero_first_increment(self):
+        # the first level is the first increment itself, as in np.cumsum: 0.0 + -0.0 is +0.0
+        rows = np.array([[-0.0, 1.0], [-0.0, -1.0]])
+        ens = PathEnsemble(grid=TimeGrid.uniform(1.0, 2), paths=2, seed=0, increments=rows)
+        walk = np.zeros((3, 2))
+        np.cumsum(rows, axis=0, out=walk[1:])
+        assert np.stack(ens.levels).tobytes() == walk.tobytes()
+        assert np.signbit(ens.levels[1][0]) and np.signbit(ens.levels[2][0])
 
     def test_reproducible(self):
         a = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=9)
         b = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=9)
-        assert np.array_equal(a.increments, b.increments)
+        assert np.array_equal(np.stack(a.increments), np.stack(b.increments))
         c = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=10)
-        assert not np.array_equal(a.increments, c.increments)
+        assert not np.array_equal(np.stack(a.increments), np.stack(c.increments))
 
     @pytest.mark.parametrize("seed", [-3, 2**64])
     def test_seed_out_of_range_is_named(self, seed):
@@ -235,7 +254,8 @@ class TestPathEnsemble:
         for seed in (9, 10):
             ens = PathEnsemble.generate(TimeGrid.uniform(1.0, 10), 100, seed=seed)
             draw = np.random.Generator(np.random.Philox(key=seed)).standard_normal((100, 10))
-            assert ens.increments.tobytes() == (draw * math.sqrt(1.0 / 10)).tobytes()
+            stacked = np.stack(ens.increments, axis=1)  # path-major, as drawn
+            assert stacked.tobytes() == (draw * math.sqrt(1.0 / 10)).tobytes()
 
 
 class TestSolveMcRegression:
@@ -276,7 +296,40 @@ class TestSolveMcRegression:
         assert len(conds) == 10
         assert all(c >= 1.0 for c in conds)
         # the payoff w returns its input: the terminal row must still be a copy
-        assert not np.shares_memory(sol.y[-1], drawn[0].levels)
+        assert not np.shares_memory(sol.y[-1], drawn[0].levels[-1])
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_peak_memory_is_about_the_solutions_own_rows(self, scheme):
+        # the sweep releases each ensemble row once it has passed it, so live
+        # ensemble rows fall about as fast as solution rows are written
+        g, xi = Generator.parse("-y + z / 2"), TerminalCondition.parse("sin(w)")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            sol = solve_mc_regression(g, xi, 50, 20_000, 3, seed=2, scheme=scheme)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * sum(row.nbytes for row in sol.y + sol.z)
+
+    @pytest.mark.parametrize("driver, terminal, scheme, replayed", [
+        ("-y^3 + abs(z)^1.5 * sin(y)", "sin(w)", "explicit", 0),
+        ("-y + z / 2", "w^2", "implicit", 0),
+        # y*1e300*1e10 overflows at every level, which is then replayed
+        ("min(y*1e300*1e10, 1)", "2 + sin(w)", "explicit", 20),
+        ("min(y*1e300*1e10, 1)", "2 + sin(w)", "implicit", 20),
+    ])
+    def test_rows_are_the_path_major_references(self, driver, terminal, scheme, replayed):
+        g, xi = Generator.parse(driver), TerminalCondition.parse(terminal)
+        sol = solve_mc_regression(g, xi, 20, 2000, 3, seed=4, scheme=scheme)
+        grid = TimeGrid.uniform(1.0, 20)
+        states, expect, conds = mc_expect_reference(grid, 2000, 3, seed=4)
+        ref = solver._backward_sweep(g, xi, grid, states, expect, scheme, None,
+                                     backend="mc-regression", seed=4, paths=2000)
+        assert [row.tobytes() for row in sol.y + sol.z] == [row.tobytes() for row in ref.y + ref.z]
+        assert sol.diagnostics["regression_condition_numbers"] == tuple(conds)
+        assert sol.diagnostics["replayed_levels"] == ref.diagnostics["replayed_levels"] == replayed
 
     def test_hermite_rows_are_orthonormal_under_the_gaussian(self):
         # 20-node Gauss-Hermite quadrature for exp(-x^2/2) is exact up to degree 39
@@ -324,7 +377,7 @@ class TestSolveMcRegression:
     def test_rank_deficiency_names_step_and_time(self, monkeypatch):
         # every path stays at 0, so the basis is constant across paths
         def flat(cls, grid, paths, seed):
-            return cls(grid=grid, paths=paths, seed=seed, increments=np.zeros((paths, grid.steps)))
+            return cls(grid=grid, paths=paths, seed=seed, increments=np.zeros((grid.steps, paths)))
 
         monkeypatch.setattr(PathEnsemble, "generate", classmethod(flat))
         with pytest.raises(RankDeficientError) as err:
