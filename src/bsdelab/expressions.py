@@ -36,21 +36,14 @@ variable-free sub-expression folds to a finite literal; a caller replays a
 trapped evaluation through the whole checked expression.  The AST walks run
 on an explicit stack, so a long flat sum recurses nowhere.
 
-A call with scalars only runs the scalar build, ``Expression.scalar()``: the
-same code on Python floats, with float arithmetic (``+ - * /``, negation,
-``x^k`` products), ``abs``, ``math.sqrt`` and ``math.isfinite``, whose bits
-IEEE fixes (``1 + abs(x)``: 0.11 us, against 0.70 us on numpy scalars, 2-core
-x86-64).  The rest stays numpy's, made a Python float: ``min(0.0, -0.0)`` is
-0.0, not -0.0, and ``math.exp``, ``math.log`` and ``x**1.5`` miss numpy's
-last bit on 9,092, 1 and 10,999 of 200,000 sampled arguments.  ``clamp``
-with a bound that is not a literal is ``np.minimum(np.maximum(x, lo), hi)``,
-since ``np.clip`` breaks a tie of signed zeros by whether its bounds are arrays.
+``clamp`` with a bound that is not a literal is ``np.minimum(np.maximum(x,
+lo), hi)``, since ``np.clip`` breaks a tie of signed zeros by whether its
+bounds are arrays.
 
 An array of at most ``_DOT_MAX`` elements is checked finite by one BLAS call,
-its sum of squares; a longer one, or one whose sum overflows, elementwise.  A
-call with an array runs under ``np.errstate(all="ignore")``; a call with
-scalars prints numpy's ``RuntimeWarning`` before the domain error only when
-a numpy operation (``exp``, a power) overflows.
+its sum of squares; a longer one, or one whose sum overflows, elementwise.
+Every call runs under ``np.errstate(all="ignore")``, so an overflow raises its
+domain error without a warning; a call with scalars only returns a float.
 """
 
 from __future__ import annotations
@@ -406,7 +399,7 @@ def all_finite(value):
 
 
 def _finite(value, message, subexpr):
-    if not (math.isfinite(value) if value.__class__ is float else all_finite(value)):
+    if not all_finite(value):
         raise EvalDomainError(message, subexpr)
     return value
 
@@ -476,17 +469,6 @@ def _unchecked_power(base, expo, *_):
 # floating-point exceptions
 _UNCHECKED = {**_NAMESPACE, "_finite": _unchecked, "_domain": _unchecked,
               "_chain": _unchecked_chain, "_power": _unchecked_power}
-
-
-def _floated(fn):
-    return lambda *args: float(fn(*args))
-
-
-# the checked code for Python floats: float arithmetic, ``abs`` and ``sqrt``,
-# whose bits IEEE fixes, and numpy's operations for the rest, made Python floats
-_SCALAR = {**_NAMESPACE, "abs": abs, "sqrt": math.sqrt,
-           **{name: _floated(_NAMESPACE[name]) for name in
-              ("sign", "sin", "cos", "exp", "ln", "min", "max", "clamp", "_clamp", "_power")}}
 
 
 def _nonnegative(node):
@@ -692,7 +674,7 @@ class Expression:
     printed on first use.
     """
 
-    __slots__ = ("root", "variables", "_code", "_fn", "_scalar", "_staged", "_source")
+    __slots__ = ("root", "variables", "_fn", "_staged", "_source")
 
     def __init__(self, root, variables):
         missing = _free_variables(root) - set(variables)
@@ -700,22 +682,16 @@ class Expression:
             raise ExpressionError(f"variables {sorted(missing)} not in {variables}")
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "variables", tuple(variables))
-        for slot in ("_code", "_fn", "_scalar", "_staged", "_source"):
+        for slot in ("_fn", "_staged", "_source"):
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, *_):
         raise AttributeError("Expression is immutable")
 
-    def _compile(self, slot, namespace):
-        code = self._code or _compiled(_generate(self.root, self.variables)[0], self.to_source())
-        object.__setattr__(self, "_code", code)
-        object.__setattr__(self, slot, eval(code, namespace))
-        return getattr(self, slot)
-
-    def scalar(self):
-        """The scalar build: the checked code for Python floats, returning a
-        Python float with the array build's bits or error; built once, kept."""
-        return self._scalar or self._compile("_scalar", _SCALAR)
+    def _compile(self):
+        fn = eval(_compiled(_generate(self.root, self.variables)[0], self.to_source()), _NAMESPACE)
+        object.__setattr__(self, "_fn", fn)
+        return fn
 
     def __call__(self, *values):
         if len(values) != len(self.variables):
@@ -732,18 +708,11 @@ class Expression:
                 else:
                     shape = np.broadcast_shapes(shape, v.shape)
             args.append(v)
-        if shape is None:
-            fn = self._scalar or self._compile("_scalar", _SCALAR)
-            try:
-                return fn(*args)
-            except RuntimeWarning:
-                # numpy's warnings are errors (``python -W error``): evaluate again
-                # without them, so that an overflow raises the domain error it causes
-                with np.errstate(all="ignore"):
-                    return fn(*args)
-        fn = self._fn or self._compile("_fn", _NAMESPACE)
+        fn = self._fn or self._compile()
         with np.errstate(all="ignore"):
             out = fn(*args)
+        if shape is None:
+            return float(out)
         if type(out) is np.ndarray and out.shape == shape:
             return out
         return np.broadcast_to(out, shape).copy()

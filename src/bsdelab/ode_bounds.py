@@ -12,29 +12,24 @@ terminal-value problem.  A curve that leaves [-1e12, 1e12] raises
 BlowUpError, which decides nothing about the class: a finite-time blow-up
 and a finite bound past 1e12 (0.7 e^100 for l = max(1, 100|x|)) both do.
 
-Each RK4 sweep tabulates u at its stage times in one vector call (t_j,
-t_j + h/2 and t_j + h, formed exactly as the sweep forms them), so the loop
-calls only l, four times per substep; errors in u still surface at the
-stage that meets them.  RK4 fixes those calls (32,325 of the 33,357
-evaluator calls in a ``bounds`` benchmark pass), so only their cost can
-fall: the sweep takes l's scalar build (``Expression.scalar``) once, calls
-it on Python floats, tests each value positive inline, and runs under one
-``np.errstate(all="ignore")``, since the build raises on every non-finite
-value.  The iterated modulus bound builds each row's
+The barriers come from the time change F(U(t)) = S(t), with
+F(x) = int_b^x ds / l(s) and S(t) = int_t^T u: ``_integrate`` (adaptive
+7-point Gauss-Legendre panels, one array call per level, ``QUAD_TOL`` and
+``QUAD_DEPTH``) gives S at the nodes before l is called, and Newton's method
+with a bracket inverts F at all nodes at once.  ``osgood_diagnostic`` uses the
+same quadrature.  The iterated modulus bound builds each row's
 Lipschitz-envelope search grid, psi on it and its running-argmax tables
 once, and builds them again only when the row's search radius moves.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .envelopes import EnvelopeGrid, LipschitzEnvelope
-from .expressions import EvalDomainError
 from .generators import _as_univariate
 
 __all__ = [
@@ -52,15 +47,16 @@ __all__ = [
 ]
 
 BLOWUP_THRESHOLD = 1e12
-# solve_growth_ode halves its RK4 step until two sweeps agree within
-# GROWTH_ODE_TOL in sup norm, at most MAX_REFINEMENTS times
-GROWTH_ODE_TOL = 1e-8
-MAX_REFINEMENTS = 14
+# _integrate bisects a panel until it and its halves agree within QUAD_TOL times
+# the integral of |f| over the panel's interval, at most QUAD_DEPTH times
+QUAD_TOL = 1e-13
+QUAD_DEPTH = 60
+# solve_growth_ode's cap on Newton steps: bisection alone takes [b, 1e12] to an ulp in ~100
+_NEWTON_STEPS = 200
 # bihari_sequence stops a row once it moves by less than BIHARI_TOL in sup norm;
-# osgood_diagnostic integrates 1/l from each OSGOOD_EPS on LOG_QUADRATURE_NODES nodes
+# osgood_diagnostic integrates 1/l from each OSGOOD_EPS
 BIHARI_TOL = 1e-9
 OSGOOD_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
-LOG_QUADRATURE_NODES = 4001
 
 
 @dataclass(frozen=True)
@@ -104,12 +100,6 @@ class TimeGrid:
             raise ValueError(f"the horizon must be finite, got {horizon!r}")
         return cls(np.linspace(0.0, float(horizon), steps + 1))
 
-    def refined(self, factor=2):
-        nodes = [self.nodes[0]]
-        for a, b in zip(self.nodes[:-1], self.nodes[1:]):
-            nodes.extend(np.linspace(a, b, factor + 1)[1:])
-        return TimeGrid(np.asarray(nodes))
-
 
 class BlowUpError(RuntimeError):
     """The backward integral curve left [-1e12, 1e12] before reaching t = 0."""
@@ -125,7 +115,11 @@ class BlowUpError(RuntimeError):
 
 
 class NonPositiveError(ValueError):
-    pass
+    """The growth function is not strictly positive at ``x``."""
+
+    def __init__(self, x):
+        self.x = float(x)
+        super().__init__(f"growth function is not strictly positive at {x:.6g}")
 
 
 @dataclass(frozen=True)
@@ -161,110 +155,150 @@ class BoundEnvelope:
         object.__setattr__(self, "upper", U)
 
 
-# Stage times tabulated per u_w call: a sweep of up to this many stages is one
-# call, a longer one runs in blocks of whole intervals so the table stays small.
-_STAGE_BLOCK = 1 << 16
+# 7-point Gauss-Legendre nodes (row 0) and weights (row 1), from [-1, 1] to [0, 1]
+_GAUSS = 0.5 * np.array([
+    [-0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+     0.4058451513773972, 0.7415311855993945, 0.9491079123427586],
+    [0.12948496616886973, 0.27970539148927687, 0.3818300505051187, 0.4179591836734693,
+     0.3818300505051187, 0.27970539148927687, 0.12948496616886973]]) + [[0.5], [0.0]]
 
 
-def _stage_weights(u_w, sign, nodes, substeps):
-    """sign * u_w(s) at every stage time s of a backward RK4 sweep, in the
-    order the sweep asks for them, one block of intervals at a time.
-
-    Per interval, from the top: t_0 = t_hi, m_0, t_1, m_1, ..., t_S, with
-    t_{j+1} = t_j + h and m_j = t_j + 0.5*h formed as the sweep forms them,
-    so every time is bit-identical to the one the sweep would pass.  The
-    sweep evaluates u_w at t_j + h both for k4 and for the next k1, and at
-    m_j for both k2 and k3; one value serves both.  When the vector call
-    raises :class:`EvalDomainError`, that block is evaluated stage by stage
-    as the sweep consumes it, so the error surfaces at the stage that causes
-    it, after the stages before it.
-    """
-    h = (nodes[:-1] - nodes[1:]) / substeps
-    width = 2 * substeps + 1
-    per_block = max(1, _STAGE_BLOCK // width)
-    for stop in range(len(h), 0, -per_block):
-        rows = slice(max(0, stop - per_block), stop)
-        ticks = np.empty((stop - rows.start, substeps + 1))
-        ticks[:, 0] = nodes[1:][rows]
-        ticks[:, 1:] = h[rows, None]
-        np.add.accumulate(ticks, axis=1, out=ticks)
-        times = np.empty((len(ticks), width))
-        times[:, ::2] = ticks
-        times[:, 1::2] = ticks[:, :-1] + 0.5 * h[rows, None]
-        times = times[::-1].ravel()
-        try:
-            values = np.broadcast_to(np.asarray(u_w(times), dtype=float), times.shape)
-        except EvalDomainError:
-            yield (sign * float(u_w(t)) for t in times)
-        else:
-            yield (sign * values).tolist()
+def _panels(f, lo, hi):
+    """Gauss-Legendre estimates of the integrals of f and of |f| over each [lo, hi]."""
+    width = hi - lo
+    x = lo[:, None] + width[:, None] * _GAUSS[0]
+    values = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+    weights = _GAUSS[1]  # einsum: a BLAS product would run long ones on several threads
+    return (np.einsum("ij,j->i", values, weights) * width,
+            np.einsum("ij,j->i", np.abs(values), weights) * width)
 
 
-def _not_positive(x):
-    raise NonPositiveError(f"growth function is not strictly positive at {x:.6g}")
+def _integrate(f, a, b, name):
+    """Integrals of f over each [a_i, b_i] (1-d arrays), by Gauss-Legendre
+    panels bisected wherever a panel and its two halves disagree by more than
+    ``QUAD_TOL`` times the integral of |f| over the panel's interval; one call
+    of f on an array per level.  A panel still unsettled after ``QUAD_DEPTH``
+    bisections raises ValueError naming ``name`` and its interval."""
+    n = len(a)
+    lo, hi, owner = a, b, np.arange(n)
+    total, total_mag = np.zeros(n), np.zeros(n)
+    for _ in range(QUAD_DEPTH):
+        mid = 0.5 * (lo + hi)
+        est, mag = _panels(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+        k = len(lo)
+        pair, mag = est[k:2 * k] + est[2 * k:], mag[k:2 * k] + mag[2 * k:]
+        done = np.abs(pair - est[:k]) <= QUAD_TOL * (total_mag + np.bincount(owner, mag, n))[owner]
+        total += np.bincount(owner[done], pair[done], n)
+        total_mag += np.bincount(owner[done], mag[done], n)
+        if done.all():
+            return total
+        keep = ~done
+        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
+        owner = np.tile(owner[keep], 2)
+    i = owner.min()
+    raise ValueError(f"the integral of {name} over [{a[i]:.6g}, {b[i]:.6g}] does not settle "
+                     f"in {QUAD_DEPTH} bisections")
 
 
-def _rk4_backward(weights, l, terminal, grid_nodes, substeps, side):
-    """Classical 4th-order sweep of x' = w(t) l(x) from t = T down to 0,
-    storing node values; ``weights`` iterates over w at the stage times as
-    :func:`_stage_weights` orders them; ``l`` is a scalar build."""
-    values = np.empty(len(grid_nodes))
-    values[-1] = terminal
-    x = float(terminal)
-    nodes = grid_nodes.tolist()
-    for i in range(len(nodes) - 1, 0, -1):
-        t_hi = nodes[i]
-        t_lo = nodes[i - 1]
-        h = (t_lo - t_hi) / substeps  # negative
-        t = t_hi
-        w_t = next(weights)
-        for _ in range(substeps):
-            k1 = w_t * (l1 if (l1 := l(x)) > 0.0 else _not_positive(x))
-            w_mid = next(weights)
-            k2 = w_mid * (l2 if (l2 := l(x2 := x + 0.5 * h * k1)) > 0.0 else _not_positive(x2))
-            k3 = w_mid * (l3 if (l3 := l(x3 := x + 0.5 * h * k2)) > 0.0 else _not_positive(x3))
-            w_t = next(weights)
-            k4 = w_t * (l4 if (l4 := l(x4 := x + h * k3)) > 0.0 else _not_positive(x4))
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t = t + h
-            if not math.isfinite(x) or abs(x) > BLOWUP_THRESHOLD:
-                raise BlowUpError(side, t, x)
-        values[i - 1] = x
-    return values
+def _reciprocal(l, sign=1.0):
+    """x -> 1 / l(sign * x); a sample where l <= 0 raises NonPositiveError at
+    the least such x."""
+    def reciprocal(x):
+        lx = np.asarray(l(sign * x), dtype=float)
+        if not (lx > 0.0).all():
+            raise NonPositiveError(sign * float(x[lx <= 0.0].min()))
+        return 1.0 / lx
+    return reciprocal
 
 
 def solve_growth_ode(side, terminal, u_w, l, grid):
     """Node values of the upper or lower growth bound on the given grid.
 
-    Integrates backward from t = T with classical RK4, halving the internal
-    step until two successive refinements agree (see ``GROWTH_ODE_TOL``).
-    Each sweep tabulates u_w at its stage times in one vector call, so
-    ``u_w`` must accept an array of times.
-    Raises :class:`BlowUpError` when the curve escapes, and
-    :class:`NonPositiveError` when l is not strictly positive on the
-    traversed range.
+    U = F^-1(S), with F(x) = int_b^x ds / l(s) and S(t) = int_t^T u_w: S at
+    the nodes by ``_integrate``, before l is called, then Newton's method
+    (F' = 1/l) on all nodes at once, F summed over the panels between
+    successive iterates, bisecting a node's bracket wherever a step would
+    leave it.  The lower bound is the upper one of x -> l(-x) from -terminal,
+    negated.  ``u_w`` must accept an array of times.  Raises
+    :class:`BlowUpError` at the t with S(t) = F(+-1e12), and
+    :class:`NonPositiveError` at the first x from the terminal value where a
+    sample of l is not positive.
     """
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
+    if not math.isfinite(terminal):
+        raise ValueError(f"the terminal value must be finite, got {terminal!r}")
     if side == "lower" and terminal > 0:
         raise ValueError("lower bound needs a terminal value <= 0")
     if side == "upper" and terminal < 0:
         raise ValueError("upper bound needs a terminal value >= 0")
-    l = _as_univariate(l).scalar()
-    sign = -1.0 if side == "upper" else 1.0
-    prev = None
-    substeps = 1
-    for _ in range(MAX_REFINEMENTS + 1):
-        weights = itertools.chain.from_iterable(_stage_weights(u_w, sign, grid.nodes, substeps))
-        with np.errstate(all="ignore"):  # l raises on every non-finite value
-            vals = _rk4_backward(weights, l, float(terminal), grid.nodes, substeps, side)
-        if prev is not None and float(np.max(np.abs(vals - prev))) < GROWTH_ODE_TOL:
-            return vals
-        prev = vals
-        substeps *= 2
-    raise RuntimeError(
-        f"backward integration did not stabilise within {MAX_REFINEMENTS} refinements"
-    )
+    nodes = grid.nodes
+    u_name = f"u = {u_w.expr.to_source() if hasattr(u_w, 'expr') else repr(u_w)}"
+    S = np.append(np.cumsum(_integrate(u_w, nodes[:-1], nodes[1:], u_name)[::-1])[::-1], 0.0)
+    if S.min() < 0.0:
+        raise ValueError(f"the integral of {u_name} from t = {nodes[S.argmin()]:.6g} to T is < 0")
+    l = _as_univariate(l)
+    sign = 1.0 if side == "upper" else -1.0
+    inverse = _reciprocal(l, sign)
+    b = sign * float(terminal)
+    l_b = 1.0 / inverse(np.array([b]))[0]
+    # start where F^-1 would be if l were its secant between b and Euler's
+    # step to the largest S: exact for an affine l (e^50 is past any bracket)
+    top = min(b + S.max() * l_b, BLOWUP_THRESHOLD)
+    l_top = l(sign * top)
+    z = np.minimum(S * ((l_top - l_b) / (top - b) if top > b and l_top > 0.0 else 0.0), 50.0)
+    x = b + l_b * S * np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
+    x = np.minimum(x, BLOWUP_THRESHOLD)
+    lo, hi = np.full(len(S), b), np.full(len(S), BLOWUP_THRESHOLD)
+    done = S == 0.0
+    l_name = f"1/l with l(x) = {l.to_source()}"
+    for _ in range(_NEWTON_STEPS):
+        if done.all():
+            return sign * x
+        try:
+            inv_x = inverse(x)
+            order = np.argsort(x)
+            F = np.empty(len(x))
+            F[order] = np.cumsum(_integrate(inverse, np.append(b, x[order][:-1]), x[order], l_name))
+        except NonPositiveError as exc:
+            # l is not positive at bad, so no root lies past it: reopen the nodes beyond
+            bad = sign * exc.x
+            past = x >= bad
+            if np.any(lo[past] >= bad):
+                raise
+            hi[past], done[past] = bad, False
+            x = np.where(past, 0.5 * (lo + hi), x)
+            continue
+        r = S - F
+        if np.any(blown := (x == BLOWUP_THRESHOLD) & (r > 0.0)):
+            _raise_blow_up(side, sign, u_w, u_name, nodes, S, F[np.argmax(blown)])
+        below = r > 0.0
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        newton = x + r / inv_x
+        # a step past the threshold tries the threshold; one leaving the bracket bisects it
+        up = (newton >= hi) & (hi == BLOWUP_THRESHOLD)
+        step = np.where((lo < newton) & (newton < hi), newton,
+                        np.where(up, BLOWUP_THRESHOLD, 0.5 * (lo + hi)))
+        settled = np.abs(r) <= QUAD_TOL * S
+        collapsed = ~settled & ~done & (hi - lo <= 2.0**-50 * hi)
+        if collapsed.any():  # a bracket closed on a point where l is not positive raises there
+            inverse(hi[collapsed])
+        x = np.where(done | collapsed, x, np.where(settled, newton, step))
+        done |= settled | collapsed
+    raise RuntimeError(f"Newton's method did not settle within {_NEWTON_STEPS} steps")
+
+
+def _raise_blow_up(side, sign, u_w, u_name, nodes, S, F_top):
+    """BlowUpError at the t with S(t) = F_top, by bisection to 1e-10 (1 + t)."""
+    i = int(np.flatnonzero(S > F_top)[-1])
+    t_lo, t_hi = nodes[i], nodes[i + 1]
+    while t_hi - t_lo > 1e-10 * (1.0 + t_hi):
+        mid = 0.5 * (t_lo + t_hi)
+        if S[i + 1] + _integrate(u_w, np.array([mid]), nodes[i + 1:i + 2], u_name)[0] > F_top:
+            t_lo = mid
+        else:
+            t_hi = mid
+    raise BlowUpError(side, 0.5 * (t_lo + t_hi), sign * BLOWUP_THRESHOLD)
 
 
 def sandwich_envelope(xi_bound, u_w, l, grid):
@@ -276,10 +310,6 @@ def sandwich_envelope(xi_bound, u_w, l, grid):
     return BoundEnvelope(grid, lower, upper, (-xi_bound, xi_bound))
 
 
-def _trapezoid(values, nodes):
-    return float(np.trapezoid(values, nodes))
-
-
 def _reverse_cumtrapz(values, nodes):
     """I[..., i] = integral from nodes[i] to nodes[-1] by the trapezoid rule,
     along the last axis of values."""
@@ -289,11 +319,16 @@ def _reverse_cumtrapz(values, nodes):
     return out
 
 
+def _check_datum(name, value):
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def gronwall_cap(b1, k, beta, grid):
     """(b1 + k int_0^T beta) exp(k int_0^T beta) with trapezoid quadrature."""
-    if b1 < 0 or k < 0:
-        raise ValueError("b1 and k must be >= 0")
-    integral = _trapezoid(np.asarray(beta(grid.nodes), dtype=float), grid.nodes)
+    _check_datum("b1", b1)
+    _check_datum("k", k)
+    integral = float(np.trapezoid(np.asarray(beta(grid.nodes), dtype=float), grid.nodes))
     return (b1 + k * integral) * math.exp(k * integral)
 
 
@@ -370,7 +405,10 @@ def bihari_sequence(
         raise ValueError("n_values and b_seq must have equal length")
     if any(n < 1 for n in n_values) or any(np.diff(n_values) <= 0):
         raise ValueError("n_values must be increasing positive integers")
-    if any(b < 0 for b in b_seq) or any(np.diff(b_seq) > 0):
+    _check_datum("k", k)
+    for i, b in enumerate(b_seq):
+        _check_datum(f"b_seq[{i}]", b)
+    if any(np.diff(b_seq) > 0):
         raise ValueError("b_seq must be nonnegative and non-increasing")
     if abs(float(psi(0.0))) > 1e-12:
         raise ValueError("psi(0) must be 0")
@@ -441,38 +479,30 @@ class OsgoodDiagnostic:
     likely_osgood: bool
 
 
-def _log_quadrature(l, lo, hi):
-    """int_lo^hi dx / l(x) via the substitution x = e^s (lo > 0)."""
-    s = np.linspace(math.log(lo), math.log(hi), LOG_QUADRATURE_NODES)
-    x = np.exp(s)
-    lx = np.asarray(l(x), dtype=float)
-    if np.any(lx <= 0):
-        raise NonPositiveError("growth function must be strictly positive on the range")
-    return _trapezoid(x / lx, s)
-
-
 def osgood_diagnostic(l, upper):
     """Tabulated integrals of 1/l from each of ``OSGOOD_EPS`` and toward infinity.
 
-    The verdict is 'likely divergent' iff the outer integrals keep growing:
-    the last decade's increment is at least half the previous one.  Labelled
-    heuristic: sampling can never decide membership.
+    Each integral is ``_integrate``'s of x / l(x) in s = ln x.  The verdict is
+    'likely divergent' iff the outer integrals keep growing: the last decade's
+    increment is at least half the previous one.  Labelled heuristic: sampling
+    can never decide membership.
     """
     l = _as_univariate(l)
     if upper <= 0:
         raise ValueError("upper must be positive")
-    inner = {}
-    for eps in OSGOOD_EPS:
-        if not (0 < eps < upper):
-            raise ValueError("eps values must lie in (0, upper)")
-        inner[eps] = _log_quadrature(l, eps, upper)
+    if not all(0 < eps < upper for eps in OSGOOD_EPS):
+        raise ValueError("eps values must lie in (0, upper)")
     tops = [m for m in (10.0, 100.0, 1000.0, 10000.0) if m > upper]
     if len(tops) < 3:
         raise ValueError("upper is too large for the decade table (needs upper < 100)")
-    outer = {}
-    for top in tops:
-        outer[top] = _log_quadrature(l, upper, top)
-    series = [outer[m] for m in tops]
+    inverse = _reciprocal(l)
+    values = _integrate(lambda s: np.exp(s) * inverse(np.exp(s)),
+                        np.log([*OSGOOD_EPS, *[upper] * len(tops)]),
+                        np.log([upper] * len(OSGOOD_EPS) + tops),
+                        f"x/l(x) in s = ln x, with l(x) = {l.to_source()}")
+    inner = dict(zip(OSGOOD_EPS, values.tolist()))
+    series = values[len(OSGOOD_EPS):].tolist()
+    outer = dict(zip(tops, series))
     increments = tuple(b - a for a, b in zip([0.0] + series[:-1], series))
     likely = increments[-1] >= 0.5 * increments[-2]
     return OsgoodDiagnostic(inner=inner, outer=outer, increments=increments, likely_osgood=likely)

@@ -12,8 +12,7 @@ import math
 import numpy as np
 
 from bsdelab.expressions import Bin, EvalDomainError, Func, Neg, Num, Var, _to_source
-from bsdelab.generators import Generator, _as_univariate
-from bsdelab.ode_bounds import BLOWUP_THRESHOLD, BlowUpError, NonPositiveError
+from bsdelab.generators import Generator
 from bsdelab.solver import (
     DiscreteSolution,
     PicardDivergenceError,
@@ -78,6 +77,17 @@ def normal_expectation(fn, variance, half_width=40.0, nodes=2_000_001):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float(np.sum(f * w) * h / 3.0)
+
+
+def simpson_integrals(fn, a, b, nodes=4001):
+    """int_a^b fn for each pair of a and b (1-d arrays) by composite Simpson
+    quadrature on equally spaced nodes."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    x = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, nodes)
+    w = np.ones(nodes)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return (np.asarray(fn(x), dtype=float) * w).sum(axis=1) * (b - a) / (3.0 * (nodes - 1))
 
 
 def sqrt_envelope_closed_form(x, slope):
@@ -333,65 +343,6 @@ def envelope_family_reference(envelopes, points):
                          for _, (u, v) in args)
             out[i, j] = max(args[i][0], shared)
     return out
-
-
-def rk4_backward_reference(rhs, terminal, grid_nodes, substeps, side):
-    """Classical 4th-order sweep from t = T down to 0, storing node values.
-
-    The sweep as it ran before the stage weights were tabulated: ``rhs(t, x)``
-    at every stage, so u is evaluated four times per substep, one scalar
-    call at a time.
-    """
-    values = np.empty(len(grid_nodes))
-    values[-1] = terminal
-    x = float(terminal)
-    for i in range(len(grid_nodes) - 1, 0, -1):
-        t_hi = grid_nodes[i]
-        t_lo = grid_nodes[i - 1]
-        h = (t_lo - t_hi) / substeps  # negative
-        t = t_hi
-        for _ in range(substeps):
-            k1 = rhs(t, x)
-            k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
-            k4 = rhs(t + h, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t = t + h
-            if not math.isfinite(x) or abs(x) > BLOWUP_THRESHOLD:
-                raise BlowUpError(side, t, x)
-        values[i - 1] = x
-    return values
-
-
-def growth_ode_reference(side, terminal, u_w, l, grid, tol=1e-8, max_refinements=14):
-    """``solve_growth_ode`` by :func:`rk4_backward_reference`: the same step
-    halving, with the right-hand side sign * u_w(t) * l(x) one stage at a time.
-    l runs as its array build on a one-element array, since the sweep under
-    test calls l's scalar build."""
-    l = _as_univariate(l)
-
-    def l_checked(x):
-        val = float(l(np.array([x]))[0])
-        if val <= 0.0:
-            raise NonPositiveError(f"growth function is not strictly positive at {x:.6g}")
-        return val
-
-    sign = -1.0 if side == "upper" else 1.0
-
-    def rhs(t, x):
-        return sign * float(u_w(t)) * l_checked(x)
-
-    prev = None
-    substeps = 1
-    for _ in range(max_refinements + 1):
-        vals = rk4_backward_reference(rhs, float(terminal), grid.nodes, substeps, side)
-        if prev is not None and float(np.max(np.abs(vals - prev))) < tol:
-            return vals
-        prev = vals
-        substeps *= 2
-    raise RuntimeError(
-        f"backward integration did not stabilise within {max_refinements} refinements"
-    )
 
 
 def limit_estimate_reference(values):
