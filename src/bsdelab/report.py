@@ -61,16 +61,18 @@ class VerificationReport:
 def worst_gap(pairs):
     """The largest sampled gap over ``(gap, locate)`` pairs, taken in order.
 
-    Returns ``gap[k]`` and ``locate(k)`` for the first sample ``k`` of the
-    first gap array that holds the maximum, or ``-inf`` and ``{}`` when every
-    gap array is empty.
+    Returns ``gap[k]`` and ``locate(k)`` for the first sample ``k``, in order,
+    that holds the maximum, or the first NaN wherever it lies, as ``np.argmax``
+    takes them within one array; ``-inf`` and ``{}`` when every gap array is
+    empty.
     """
     worst, where = -math.inf, None
     for gap, locate in pairs:
         gap = np.asarray(gap)
         if gap.size:
             k = int(np.argmax(gap))
-            if where is None or gap[k] > worst:
+            # not <= holds for a larger gap and for a NaN; a NaN found stays
+            if where is None or not (math.isnan(worst) or gap[k] <= worst):
                 worst, where = float(gap[k]), locate(k)
     return worst, where or {}
 

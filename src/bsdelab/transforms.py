@@ -59,7 +59,8 @@ def exp_transform_generator(g, gamma):
     """Driver of the transformed pair as a callable (t, Y, Z) -> value.
 
     Vanishes (by definition, not by error) wherever Y <= 0; the original
-    driver is only evaluated on the Y > 0 part.
+    driver is only evaluated on the Y > 0 part.  ``t`` is a scalar or one
+    time per sample.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -74,7 +75,8 @@ def exp_transform_generator(g, gamma):
         if np.any(pos):
             Yp = Yb[pos]
             Zp = Zb[pos]
-            inner = g(t, np.log(Yp) / gamma, Zp / (gamma * Yp))
+            tp = np.broadcast_to(t, Yb.shape)[pos] if np.ndim(t) else t
+            inner = g(tp, np.log(Yp) / gamma, Zp / (gamma * Yp))
             out[pos] = gamma * Yp * np.asarray(inner) - Zp * Zp / (2.0 * Yp)
         return float(out) if scalar else out
 

@@ -10,6 +10,14 @@ violations rather than merely confirming passes.
 Checks that would ideally single out the maximal or minimal solution can only
 see whichever solution the scheme converges to; their reports carry an
 explicit note to that effect.
+
+Checks read solutions in blocks of whole levels, at most ``_BLOCK_SAMPLES``
+samples joined (a wider level is read in place), one numpy pass per block,
+with the level-by-level bits: gaps are elementwise (``t`` is each node's time
+per sample, where numpy's kernels give an array a scalar's bits), the
+sandwich takes each level's exact max and min (rounding ``a - U`` is monotone
+in ``a``), and tree averages pair nodes within a level only.  The first NaN
+gap wins wherever it lies, so it fails the check (see ``report.worst_gap``).
 """
 
 from __future__ import annotations
@@ -52,8 +60,44 @@ def _require_same_substrate(sol, sol_prime):
         )
 
 
-def _rows(sol):
-    return zip(map(float, sol.grid.nodes), map(np.asarray, sol.y))
+# the limit keeps peak memory flat: on a 2-core x86-64 machine, 8192-sample blocks ran
+# a suite pass as fast with 0.5 MB more peak RSS, 65536-sample ones with 7 MB more
+_BLOCK_SAMPLES = 4096
+
+
+class _Block:
+    """Whole consecutive levels of row sequences, each sequence joined into one
+    flat array: level ``levels.start + j`` lies at time ``nodes[j]`` and, in every
+    sequence as wide as the first, at ``rows[s][offsets[j]:offsets[j + 1]]``."""
+
+    __slots__ = ("levels", "nodes", "offsets", "rows")
+
+    def __init__(self, levels, nodes, offsets, rows):
+        self.levels, self.nodes, self.offsets, self.rows = levels, nodes, offsets, rows
+
+    def t(self):
+        """Each sample's node time."""
+        return np.repeat(self.nodes, np.diff(self.offsets))
+
+    def locate(self, k):
+        """The time and the in-level index of flat sample ``k``."""
+        j = int(np.searchsorted(self.offsets, k, side="right")) - 1
+        return {"t": float(self.nodes[j]), "index": int(k - self.offsets[j])}
+
+
+def _blocks(nodes, *seqs):
+    """The levels of the row sequences ``seqs`` (level i at time ``nodes[i]``) in
+    blocks of as many whole levels as fit in ``_BLOCK_SAMPLES`` samples of the
+    first sequence; a wider level is a block by itself and holds its rows, not copies."""
+    widths = [len(row) for row in seqs[0]]
+    lo = 0
+    while lo < len(widths):
+        hi, size = lo + 1, widths[lo]
+        while hi < len(widths) and size + widths[hi] <= _BLOCK_SAMPLES:
+            size, hi = size + widths[hi], hi + 1
+        rows = [np.asarray(s[lo]) if hi == lo + 1 else np.concatenate(s[lo:hi]) for s in seqs]
+        yield _Block(slice(lo, hi), nodes[lo:hi], np.cumsum([0] + widths[lo:hi]), rows)
+        lo = hi
 
 
 def _conforming_notes(*sols):
@@ -87,9 +131,7 @@ def comparison_check(sol, sol_prime, tol=1e-6):
     """
     _require_same_substrate(sol, sol_prime)
     worst, where = worst_gap(
-        (row - row_p, lambda k, t=t: {"t": t, "index": k})
-        for (t, row), (_, row_p) in zip(_rows(sol), _rows(sol_prime))
-    )
+        (b.rows[0] - b.rows[1], b.locate) for b in _blocks(sol.grid.nodes, sol.y, sol_prime.y))
     claim = "ordered data produce ordered solutions: y <= y'"
     notes = _conforming_notes(sol, sol_prime)
     return _order_verdict(sol, "comparison", claim, worst, where, tol, notes)
@@ -112,12 +154,12 @@ def indicator_premise_check(sol, sol_prime, g, g_prime, which="along_prime", tol
     along = sol_prime if which == "along_prime" else sol
 
     def gaps():
-        for i, t in enumerate(map(float, sol.grid.nodes[:-1])):
-            (index,) = np.nonzero(np.asarray(sol.y[i]) > np.asarray(sol_prime.y[i]))
+        for b in _blocks(sol.grid.nodes, sol.y[:-1], sol_prime.y[:-1], along.y, along.z):
+            y, y_prime, y_along, z_along = b.rows
+            (index,) = np.nonzero(y > y_prime)
             if index.size:
-                y, z = np.asarray(along.y[i])[index], np.asarray(along.z[i])[index]
-                yield g(t, y, z) - g_prime(t, y, z), lambda k, t=t, index=index: {
-                    "t": t, "index": int(index[k])}
+                t, y, z = b.t()[index], y_along[index], z_along[index]
+                yield g(t, y, z) - g_prime(t, y, z), lambda k, b=b, index=index: b.locate(index[k])
 
     worst, where = worst_gap(gaps())
     vacuous = not where
@@ -169,13 +211,18 @@ def sandwich_check(sol, env, tol=1e-3):
         env.grid.nodes, sol.grid.nodes, rtol=0, atol=1e-12
     ):
         raise ValueError("envelope and solution must share the time grid")
-    # per node the upper side first, so that a tie reports it
-    worst, where = worst_gap(
-        pair
-        for (t, row), upper, lower in zip(_rows(sol), env.upper, env.lower)
-        for pair in ((row - upper, lambda k, t=t: {"t": t, "side": "upper"}),
-                     (lower - row, lambda k, t=t: {"t": t, "side": "lower"}))
-    )
+
+    def gaps():
+        # max(y - U) is max(y) - U exactly, since rounding y - U is monotone in y;
+        # per level the upper side first, so that a tie reports it
+        for b in _blocks(sol.grid.nodes, sol.y):
+            (y,), start = b.rows, b.offsets[:-1]
+            upper = np.maximum.reduceat(y, start) - env.upper[b.levels]
+            lower = env.lower[b.levels] - np.minimum.reduceat(y, start)
+            yield np.stack((upper, lower), axis=1).ravel(), lambda k, b=b: {
+                "t": float(b.nodes[k // 2]), "side": ("upper", "lower")[k % 2]}
+
+    worst, where = worst_gap(gaps())
     return VerificationReport.from_violation(
         name="sandwich",
         claim="L_t <= y_t <= U_t for the deterministic bound envelope",
@@ -201,24 +248,33 @@ def monotone_family_check(sols, n_list, tol=1e-9):
     for sol in sols[1:]:
         _require_same_substrate(sols[0], sol)
     worst, where = worst_gap(
-        (row_lo - row_hi, lambda k, t=t, n_lo=n_lo, n_hi=n_hi: {"t": t, "n": n_lo, "n_next": n_hi})
+        (b.rows[0] - b.rows[1],
+         lambda k, b=b, n_lo=n_lo, n_hi=n_hi: {"t": b.locate(k)["t"], "n": n_lo, "n_next": n_hi})
         for (n_lo, lo), (n_hi, hi) in zip(zip(n_list, sols), zip(n_list[1:], sols[1:]))
-        for (t, row_lo), (_, row_hi) in zip(_rows(lo), _rows(hi))
+        for b in _blocks(lo.grid.nodes, lo.y, hi.y)
     )
     claim = "solutions are nondecreasing in the terminal cap"
     return _order_verdict(sols[0], "monotone-family", claim, worst, where, tol, (EXTREMAL_NOTE,))
 
 
-def _one_step_residuals(sol, g, rows=None):
-    """Per tree level: t_i and |y_i - E_i - g(t_i, y_i, z_i) dt| (implicit form), E_i the
-    tree average of y_{i+1}; ``rows`` yields (y_i, z_i, y_{i+1}), by default the solution's."""
+def _worst_one_step_residual(sol, g, transform=None):
+    """The largest |y_i - E_i - g(t_i, y_i, z_i) dt| (implicit form) over the tree,
+    E_i the tree average of y_{i+1}, and where it lies; 0.0 and {} when none is
+    positive.  ``transform`` maps each block's joined (y_i, z_i, y_{i+1}) first."""
     if sol.backend != "tree":
         raise ValueError("one-step residuals are defined on tree solutions")
     dt = sol.grid.dt
-    rows = zip(sol.y, sol.z, sol.y[1:]) if rows is None else rows
-    for t, (y, z, nxt) in zip(map(float, sol.grid.nodes), rows):
-        E = TreeModel.pairwise_average(nxt)
-        yield t, np.abs(y - E - np.asarray(g(t, y, z)) * dt)
+
+    def gaps():
+        for b in _blocks(sol.grid.nodes, sol.y[:-1], sol.z, sol.y[1:]):
+            y, z, nxt = b.rows if transform is None else transform(*b.rows)
+            # y_{i+1} is one node wider than y_i: drop the pairs that straddle two levels
+            straddle = b.offsets[1:-1] + np.arange(len(b.nodes) - 1)
+            E = np.delete(TreeModel.pairwise_average(nxt), straddle)
+            yield np.abs(y - E - np.asarray(g(b.t(), y, z)) * dt), b.locate
+
+    worst, where = worst_gap(gaps())
+    return (0.0, {}) if worst <= 0.0 else (worst, where)
 
 
 def transform_residual_check(sol, g, gamma, residual_coefficient=0.05):
@@ -230,22 +286,16 @@ def transform_residual_check(sol, g, gamma, residual_coefficient=0.05):
     ratio <= 0.0094 for 100 <= steps <= 800) with a 5x safety factor.
     """
 
-    def transformed():
-        for y, z, nxt in zip(sol.y, sol.z, sol.y[1:]):
-            Y, Z = exp_transform_solution(y, z, gamma)
-            if np.any(Y <= 0):
-                raise RuntimeError(
-                    "transformed value hit Y <= 0, which positive exponentials "
-                    "cannot do; this indicates a solver defect"
-                )
-            yield Y, Z, np.exp(gamma * np.asarray(nxt))
+    def transformed(y, z, nxt):
+        Y, Z = exp_transform_solution(y, z, gamma)
+        if np.any(Y <= 0):
+            raise RuntimeError(
+                "transformed value hit Y <= 0, which positive exponentials "
+                "cannot do; this indicates a solver defect"
+            )
+        return Y, Z, np.exp(gamma * nxt)
 
-    worst, where = worst_gap(
-        (resid, lambda k, t=t: {"t": t, "index": k})
-        for t, resid in _one_step_residuals(sol, exp_transform_generator(g, gamma), transformed())
-    )
-    if worst <= 0.0:  # no residual is positive
-        worst, where = 0.0, {}
+    worst, where = _worst_one_step_residual(sol, exp_transform_generator(g, gamma), transformed)
     tol = residual_coefficient * sol.grid.dt**1.5
     return VerificationReport.from_violation(
         name="transform-residual",
@@ -258,8 +308,9 @@ def transform_residual_check(sol, g, gamma, residual_coefficient=0.05):
 
 
 def one_step_residual(sol, g):
-    """Worst |y_i - E_i - g(t_i, y_i, z_i) dt| over the tree (implicit form)."""
-    return max([0.0] + [float(np.max(resid)) for _, resid in _one_step_residuals(sol, g)])
+    """Worst |y_i - E_i - g(t_i, y_i, z_i) dt| over the tree (implicit form); NaN
+    when any residual is NaN."""
+    return _worst_one_step_residual(sol, g)[0]
 
 
 def uniqueness_smoke_check(explicit, implicit, tol=5e-3):
@@ -271,8 +322,8 @@ def uniqueness_smoke_check(explicit, implicit, tol=5e-3):
     """
     _require_same_substrate(explicit, implicit)
     worst, where = worst_gap(
-        (np.abs(ra - rb), lambda k, t=t: {"t": t})
-        for (t, ra), (_, rb) in zip(_rows(explicit), _rows(implicit))
+        (np.abs(b.rows[0] - b.rows[1]), lambda k, b=b: {"t": b.locate(k)["t"]})
+        for b in _blocks(explicit.grid.nodes, explicit.y, implicit.y)
     )
     return VerificationReport.from_violation(
         name="uniqueness-smoke",

@@ -21,6 +21,7 @@ from bsdelab.solver import (
     _hermite_rows,
     _regress,
 )
+from bsdelab.transforms import exp_transform_generator, exp_transform_solution
 
 
 def dense_scan_max(fn, lo, hi, nodes=100_001, refine=True):
@@ -499,3 +500,97 @@ def remaining_variation_reference(sol):
         rem = sol.z[i] * sol.z[i] * dt + 0.5 * (rem[1:] + rem[:-1])
         bmo = max(bmo, float(np.max(rem)))
     return bmo
+
+
+def first_worst_reference(pairs):
+    """The largest gap over per-level ``(gap, locate)`` pairs taken in order: the
+    first NaN wherever it lies, else the first sample that holds the maximum;
+    ``-inf`` and ``{}`` when there is no sample."""
+    worst, where = -math.inf, None
+    for gap, locate in pairs:
+        gap = np.asarray(gap, dtype=float)
+        if not gap.size or (where is not None and math.isnan(worst)):
+            continue
+        nan = np.flatnonzero(np.isnan(gap))
+        k = int(nan[0]) if nan.size else int(np.flatnonzero(gap == gap.max())[0])
+        if where is None or math.isnan(gap[k]) or gap[k] > worst:
+            worst, where = float(gap[k]), locate(k)
+    return worst, where or {}
+
+
+def _level_rows(sol):
+    return zip(map(float, sol.grid.nodes), map(np.asarray, sol.y))
+
+
+def comparison_reference(sol, sol_prime):
+    """Largest y - y' and where, level by level."""
+    return first_worst_reference(
+        (row - row_p, lambda k, t=t: {"t": t, "index": k})
+        for (t, row), (_, row_p) in zip(_level_rows(sol), _level_rows(sol_prime)))
+
+
+def premise_reference(sol, sol_prime, g, g_prime, which):
+    """Largest g - g' along one trajectory on {y > y'} and where, level by level
+    with a scalar t."""
+    along = sol_prime if which == "along_prime" else sol
+
+    def gaps():
+        for i, t in enumerate(map(float, sol.grid.nodes[:-1])):
+            (index,) = np.nonzero(np.asarray(sol.y[i]) > np.asarray(sol_prime.y[i]))
+            if index.size:
+                y, z = np.asarray(along.y[i])[index], np.asarray(along.z[i])[index]
+                yield g(t, y, z) - g_prime(t, y, z), lambda k, t=t, index=index: {
+                    "t": t, "index": int(index[k])}
+
+    return first_worst_reference(gaps())
+
+
+def sandwich_reference(sol, env):
+    """Largest y - U and L - y and where, node by node, the upper side first."""
+    return first_worst_reference(
+        pair
+        for (t, row), upper, lower in zip(_level_rows(sol), env.upper, env.lower)
+        for pair in ((row - upper, lambda k, t=t: {"t": t, "side": "upper"}),
+                     (lower - row, lambda k, t=t: {"t": t, "side": "lower"})))
+
+
+def monotone_reference(sols, n_list):
+    """Largest y_n - y_{n_next} over consecutive caps and where, level by level."""
+    return first_worst_reference(
+        (row_lo - row_hi, lambda k, t=t, a=a, b=b: {"t": t, "n": a, "n_next": b})
+        for (a, lo), (b, hi) in zip(zip(n_list, sols), zip(n_list[1:], sols[1:]))
+        for (t, row_lo), (_, row_hi) in zip(_level_rows(lo), _level_rows(hi)))
+
+
+def uniqueness_reference(explicit, implicit):
+    """Largest |y_explicit - y_implicit| and its time, level by level."""
+    return first_worst_reference(
+        (np.abs(ra - rb), lambda k, t=t: {"t": t})
+        for (t, ra), (_, rb) in zip(_level_rows(explicit), _level_rows(implicit)))
+
+
+def _one_step_reference(sol, g, rows):
+    dt = sol.grid.dt
+    return first_worst_reference(
+        (np.abs(y - (0.5 * nxt[1:] + 0.5 * nxt[:-1]) - np.asarray(g(t, y, z)) * dt),
+         lambda k, t=t: {"t": t, "index": k})
+        for t, (y, z, nxt) in zip(map(float, sol.grid.nodes), rows))
+
+
+def one_step_residual_reference(sol, g):
+    """Largest |y_i - E_i - g(t_i, y_i, z_i) dt| over the tree, level by level with
+    a scalar t: 0.0 when none is positive, NaN when any is NaN."""
+    worst, _ = _one_step_reference(sol, g, zip(sol.y, sol.z, sol.y[1:]))
+    return worst if not worst <= 0.0 else 0.0
+
+
+def transform_residual_reference(sol, g, gamma, coefficient=0.05):
+    """(violation, location) of the transformed one-step residual against the
+    budget ``coefficient dt^1.5``, level by level with a scalar t."""
+    rows = ((*exp_transform_solution(y, z, gamma), np.exp(gamma * np.asarray(nxt)))
+            for y, z, nxt in zip(sol.y, sol.z, sol.y[1:]))
+    worst, where = _one_step_reference(sol, exp_transform_generator(g, gamma), rows)
+    if worst <= 0.0:
+        worst, where = 0.0, {}
+    budget = coefficient * sol.grid.dt**1.5
+    return worst - budget, where | {"residual": worst, "budget": budget}

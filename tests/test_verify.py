@@ -1,11 +1,16 @@
+import dataclasses
+import functools
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from bsdelab import verify
 from bsdelab.certificates import OneSidedSuperLinear
 from bsdelab.generators import Generator, TerminalCondition, WeightFn
 from bsdelab.ode_bounds import sandwich_envelope
+from bsdelab.report import worst_gap
 from bsdelab.solver import solve_mc_regression, solve_tree
 from bsdelab.verify import (
     SubstrateMismatchError,
@@ -18,7 +23,16 @@ from bsdelab.verify import (
     transform_residual_check,
     uniqueness_smoke_check,
 )
-from tests.oracles import normal_expectation
+from tests.oracles import (
+    comparison_reference,
+    monotone_reference,
+    normal_expectation,
+    one_step_residual_reference,
+    premise_reference,
+    sandwich_reference,
+    transform_residual_reference,
+    uniqueness_reference,
+)
 
 ZERO = Generator.parse("0")
 ONE_W = WeightFn.parse("1")
@@ -27,6 +41,14 @@ ONE_W = WeightFn.parse("1")
 def capped_family(g, xi, n_list, steps, scheme="explicit"):
     """Tree solutions of the instance with the payoff capped at each level of ``n_list``."""
     return [solve_tree(g, xi.truncated_above(n), steps, scheme=scheme) for n in n_list]
+
+
+def poisoned(sol, level, index):
+    """``sol`` with y at (level, index) replaced by NaN."""
+    y = list(sol.y)
+    y[level] = y[level].copy()
+    y[level][index] = math.nan
+    return dataclasses.replace(sol, y=tuple(y))
 
 
 class TestReportInvariant:
@@ -334,3 +356,145 @@ class TestComparisonSweep:
             if not report.passed:
                 failures.append((k, report.violation))
         assert failures == []
+
+
+class TestNanGaps:
+    def test_first_nan_wins_wherever_it_lies(self):
+        pairs = [([-1.0, 0.5], lambda k: {"a": k}), ([2.0, math.nan], lambda k: {"b": k}),
+                 ([math.nan], lambda k: {"c": k}), ([9.0], lambda k: {"d": k})]
+        worst, where = worst_gap(pairs)
+        assert math.isnan(worst) and where == {"b": 1}
+        worst, where = worst_gap([([math.nan], lambda k: "first"), ([5.0], lambda k: "later")])
+        assert math.isnan(worst) and where == "first"
+        assert worst_gap([([1.0, 3.0, 3.0], lambda k: k), ([3.0], lambda k: -1)]) == (3.0, 1)
+
+    def test_nan_after_the_first_level_fails_comparison(self):
+        lo = solve_tree(ZERO, TerminalCondition.parse("0"), 8)
+        hi = poisoned(solve_tree(ZERO, TerminalCondition.parse("1"), 8), 2, 1)
+        report = comparison_check(lo, hi)
+        assert report.status == "fail" and math.isnan(report.violation)
+        assert report.location == {"t": float(lo.grid.nodes[2]), "index": 1}
+
+    def test_one_step_residual_reports_nan(self):
+        g = Generator.parse("-y")
+        sol = solve_tree(g, TerminalCondition.parse("sin(w)"), 6, scheme="implicit")
+        assert 0.0 <= one_step_residual(sol, g) < 1e-12
+        assert math.isnan(one_step_residual(poisoned(sol, 6, 3), g))
+
+
+def same_bits(a, b):
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+BLOCK_DRIVERS = ("0.3*exp(t)*y + sin(t)*z", "-0.4*y*ln(1 + t) + sqrt(t)*cos(z)",
+                 "0.2*t^1.5*sin(y) - z*exp(-t)/2", "z^2/2 + 0.1*sin(t)*y")
+GROWTH = OneSidedSuperLinear(ONE_W, "1 + abs(y)", "1")
+XI = TerminalCondition.parse("sin(w)", bound=1.0)
+XI_PRIME = TerminalCondition.parse("max(sin(w), 0.5*cos(w))", bound=1.0)
+CAPS = (0.5, 1.0, 2.0)
+
+
+@functools.lru_cache(maxsize=4)
+def block_instance(driver, steps, scheme, backend="tree"):
+    """Solutions for every block-read check: (g, g', y, y', the capped family, the
+    other scheme's y, the envelopes)."""
+    g = Generator.parse(driver).with_certificate(GROWTH)
+    g_prime = Generator.parse(f"{driver} + 0.1*sqrt(t)*y")
+    if backend == "tree":
+        def solve(g, xi, scheme=scheme):
+            return solve_tree(g, xi, steps, scheme=scheme)
+    else:
+        def solve(g, xi, scheme=scheme):
+            return solve_mc_regression(g, xi, steps, 2000, 2, scheme=scheme, seed=3)
+    sol, sol_prime = solve(g, XI), solve(g_prime, XI_PRIME)
+    family = [solve(g, TerminalCondition.parse("w^2").truncated_above(n)) for n in CAPS]
+    other = solve(g, XI, scheme="implicit" if scheme == "explicit" else "explicit")
+    envs = [sandwich_envelope(b, ONE_W, "1 + abs(y)", sol.grid) for b in (1.0, 0.3)]
+    return g, g_prime, sol, sol_prime, family, other, envs
+
+
+BLOCK_CASES = [(d, n, s, b) for d in BLOCK_DRIVERS for n in (1, 7, 64, 400)
+               for s in ("explicit", "implicit") for b in (1, 7, 8192)]
+
+
+class TestBlockReading:
+    """Every check that reads solutions in blocks of levels gives the status,
+    the violation bits and the location of the level-by-level reference."""
+
+    def assert_matches(self, report, worst, where, inconclusive=False):
+        if inconclusive:
+            assert report.status == "inconclusive"
+            assert f"largest gap {worst:.3g} is no verdict" in report.notes[0]
+        else:
+            assert report.status == ("pass" if worst <= report.tolerance else "fail")
+            assert same_bits(report.violation, worst), (report.violation, worst)
+        assert report.location == where
+
+    def check_all(self, instance, mc=False):
+        g, g_prime, sol, sol_prime, family, other, envs = instance
+        self.assert_matches(comparison_check(sol, sol_prime),
+                            *comparison_reference(sol, sol_prime), mc)
+        for which in ("along_prime", "along_unprimed"):
+            self.assert_matches(indicator_premise_check(sol, sol_prime, g, g_prime, which),
+                                *premise_reference(sol, sol_prime, g, g_prime, which), mc)
+        for env in envs:
+            self.assert_matches(sandwich_check(sol, env), *sandwich_reference(sol, env))
+        self.assert_matches(monotone_family_check(family, CAPS),
+                            *monotone_reference(family, CAPS), mc)
+        self.assert_matches(uniqueness_smoke_check(sol, other), *uniqueness_reference(sol, other))
+
+    @pytest.mark.parametrize("driver, steps, scheme, block", BLOCK_CASES)
+    def test_tree_checks_match_the_levelwise_reference(self, monkeypatch, driver, steps, scheme,
+                                                       block):
+        monkeypatch.setattr(verify, "_BLOCK_SAMPLES", block)
+        instance = block_instance(driver, steps, scheme)
+        self.check_all(instance)
+        g, sol = instance[0], instance[2]
+        assert same_bits(one_step_residual(sol, g), one_step_residual_reference(sol, g))
+        report = transform_residual_check(sol, g, 0.5)
+        violation, location = transform_residual_reference(sol, g, 0.5)
+        assert report.status == ("pass" if violation <= 0.0 else "fail")
+        assert same_bits(report.violation, violation) and report.location == location
+
+    @pytest.mark.parametrize("block", [1, 7, 8192])
+    def test_monte_carlo_checks_match_the_levelwise_reference(self, monkeypatch, block):
+        monkeypatch.setattr(verify, "_BLOCK_SAMPLES", block)
+        self.check_all(block_instance(BLOCK_DRIVERS[0], 10, "explicit", "mc-regression"), mc=True)
+
+    def test_a_wide_level_is_read_in_place(self, monkeypatch):
+        monkeypatch.setattr(verify, "_BLOCK_SAMPLES", 7)
+        sol = block_instance(BLOCK_DRIVERS[0], 10, "explicit", "mc-regression")[2]
+        blocks = list(verify._blocks(sol.grid.nodes, sol.y))
+        assert len(blocks) == len(sol.y)
+        assert all(b.rows[0] is row for b, row in zip(blocks, sol.y))
+
+    @pytest.mark.parametrize("block", [7, 8192])
+    @pytest.mark.parametrize("level", [0, 3])
+    def test_no_pair_straddles_two_levels(self, monkeypatch, block, level):
+        # negative control: the first node of y_{i+2} follows y_{i+1}, the rows that
+        # level i averages, in the joined next rows; poisoning it must leave the
+        # residual at the last node of level i as it was and reach level i + 1
+        monkeypatch.setattr(verify, "_BLOCK_SAMPLES", block)
+        g = Generator.parse(BLOCK_DRIVERS[3])
+        sol = solve_tree(g, XI, 7, scheme="implicit")
+        seen = []
+
+        def residuals(s):
+            seen.clear()
+            report = transform_residual_check(s, g, 0.5)
+            return report, {tuple(locate(k).values()): float(gap[k])
+                            for gap, locate in seen for k in range(len(gap))}
+
+        def recording(pairs):
+            pairs = list(pairs)
+            seen.extend(pairs)
+            return worst_gap(pairs)
+
+        monkeypatch.setattr(verify, "worst_gap", recording)
+        t = sol.grid.nodes
+        _, clean = residuals(sol)
+        report, dirty = residuals(poisoned(sol, level + 2, 0))
+        last = (float(t[level]), level)
+        assert math.isfinite(clean[last]) and same_bits(dirty[last], clean[last])
+        assert math.isnan(dirty[(float(t[level + 1]), 0)])
+        assert report.status == "fail" and math.isnan(report.violation)
