@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from bsdelab import Generator, LinearGrowthBound, WeightFn, sup_convolution_generator
+from bsdelab import Generator, OneSidedLinear, WeightFn, sup_convolution_generator
 
 
 def main(argv=None):
@@ -29,7 +29,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     g = Generator.parse(args.driver)
-    growth = LinearGrowthBound.from_parts(args.growth_f, args.growth_u, args.growth_v)
+    growth = OneSidedLinear(args.growth_f, args.growth_u, args.growth_v, side="absolute")
     one = WeightFn.parse("1")
     envs = {
         n: sup_convolution_generator(g, n, one, one, growth=growth) for n in args.ns

@@ -25,11 +25,9 @@ from .certificates import (
 from .envelopes import (
     EnvelopeError,
     EnvelopeGrid,
-    LinearGrowthBound,
-    WedgeGrowthBound,
+    LipschitzEnvelope,
     envelope_family_values,
     linearize_phi,
-    lipschitz_envelope,
     sup_convolution_generator,
     sup_convolution_generator_alpha,
 )

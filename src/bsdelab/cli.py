@@ -8,8 +8,12 @@ Subcommands::
     bsdelab verify   --config cfg.json --out DIR    run the config's checks, reports.csv
     bsdelab suite    [--config cfg.json] --out DIR  run a check suite (default: shipped), one CSV per check
 
-Within one ``verify`` or ``suite`` command a check reuses any tree solve that
-an earlier check, or itself, made for an equal (model, generator, terminal).
+``verify`` and ``suite`` parse every check before the first one runs, so a
+config error (exit code 2, naming its path, such as ``checks[3].n_lsit``)
+costs no solve.  Within one command a check reuses any tree solve that an
+earlier check, or itself, made for an equal (model, generator, terminal).
+Every CSV is written by the ``csv`` module, so cells holding commas or quotes
+are quoted as any CSV reader expects.
 
 Every run writes a ``run_manifest.json`` embedding the full config, its
 SHA-256, the effective seed and library versions; re-running the manifest's
@@ -37,7 +41,7 @@ from typing import Literal
 import numpy as np
 
 from . import __version__
-from .certificates import OneSidedSuperLinear, SampleGrid, check_certificate
+from .certificates import OneSidedLinear, OneSidedSuperLinear, SampleGrid, check_certificate
 from .config import (
     CheckConfig,
     ConfigError,
@@ -49,7 +53,7 @@ from .config import (
     parse_terminal,
     require,
 )
-from .envelopes import EnvelopeGrid, LinearGrowthBound, sup_convolution_generator
+from .envelopes import EnvelopeGrid, sup_convolution_generator
 from .expressions import Expression
 from .generators import Generator, TerminalCondition, WeightFn
 from .ode_bounds import BlowUpError, TimeGrid, sandwich_envelope
@@ -117,27 +121,10 @@ def _write_manifest(out_dir, cfg_raw, seed, outputs, command):
 
 def _solve_with(model: ModelConfig, generator, terminal):
     if model.backend == "tree":
-        return solve_tree(
-            generator,
-            terminal,
-            model.steps,
-            model.horizon,
-            model.scheme,
-            z_clamp=model.z_clamp,
-            threads=model.threads,
-        )
-    return solve_mc_regression(
-        generator,
-        terminal,
-        model.steps,
-        model.paths,
-        model.basis_degree,
-        model.seed,
-        model.horizon,
-        model.scheme,
-        z_clamp=model.z_clamp,
-        threads=model.threads,
-    )
+        return solve_tree(generator, terminal, model.steps, model.horizon, model.scheme,
+                          z_clamp=model.z_clamp)
+    return solve_mc_regression(generator, terminal, model.steps, model.paths, model.basis_degree,
+                               model.seed, model.horizon, model.scheme, z_clamp=model.z_clamp)
 
 
 def _command_solver():
@@ -180,7 +167,7 @@ def _bounds_envelope(model, path, *, u: Expression = None, l: Expression = None,
 
 def _growth_bound(*, f: Expression = "0", u: Expression = "1", v: Expression = "1"):
     """The keys of a growth section: the driver is at most f(t) + u(t)|y| + v(t)|z|."""
-    return LinearGrowthBound.from_parts(f, u, v)
+    return OneSidedLinear(f, u, v, side="absolute")
 
 
 def _driver_envelope(generator, path, grid=None, *, growth: _growth_bound = None, n: int = 2,

@@ -13,7 +13,12 @@ driver form penalises jointly in (y, z),
 with an optional wedge penalty min(v_w|dz|, lam_w|dz|^alpha) in z.  Both are
 computed by a coarse scan followed by golden-section refinement inside a
 truncation box sized from the certified growth bound so that the box provably
-contains every maximiser.
+contains every maximiser.  The driver form's box leaves a margin of 1 over
+that bound; a point where the driver exceeds its bound by more is an
+``EnvelopeError`` naming the point, since the box would be empty there.  Its
+search is a coordinate descent (in u, then in v, ``grid.passes`` times), so it
+returns a coordinate-wise maximum, which need not be the 2-d supremum of a
+non-concave driver.
 """
 
 from __future__ import annotations
@@ -21,20 +26,16 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .certificates import MixedSubLinear, OneSidedLinear
-from .generators import WeightFn, _as_univariate
+from .certificates import _KIND_NAMES, MixedSubLinear, OneSidedLinear
+from .generators import _as_univariate
 
 __all__ = [
     "EnvelopeGrid",
     "EnvelopeError",
-    "LinearGrowthBound",
-    "WedgeGrowthBound",
     "linearize_phi",
-    "lipschitz_envelope",
     "LipschitzEnvelope",
     "sup_convolution_generator",
     "sup_convolution_generator_alpha",
@@ -254,61 +255,32 @@ class LipschitzEnvelope:
         return self.batch(x)
 
 
-def lipschitz_envelope(psi, slope, growth_k, grid=None):
-    """Build the K-Lipschitz majorant of ``psi``; K must exceed ``growth_k``."""
-    return LipschitzEnvelope(psi, slope, growth_k, grid)
-
-
 # ---------------------------------------------------------------------------
 # Driver regularisation
 
 
-@dataclass(frozen=True)
 class LinearGrowthBound:
-    """Certified bound g(t,y,z) <= f(t) + y_slope(t)|y| + z_slope(t)|z|."""
+    """Deprecated spelling of ``OneSidedLinear(f, u, v, side="absolute")``, kept
+    because ``perfbench/micro.py`` builds its ``envelope_point`` bound by it."""
 
-    f: Callable
-    y_slope: Callable
-    z_slope: Callable
-
-    @classmethod
-    def from_parts(cls, f, y_slope, z_slope):
-        return cls(
-            _as_univariate(f, hint="t"),
-            y_slope if isinstance(y_slope, WeightFn) else WeightFn.parse(y_slope),
-            z_slope if isinstance(z_slope, WeightFn) else WeightFn.parse(z_slope, "L2"),
-        )
+    @staticmethod
+    def from_parts(f, u, v):
+        return OneSidedLinear(f, u, v, side="absolute")
 
 
-@dataclass(frozen=True)
-class WedgeGrowthBound:
-    """g(t,y,z) <= f(t) + y_slope(t)|y| + min(v(t)|z|, lam(t)|z|^alpha)."""
-
-    f: Callable
-    y_slope: Callable
-    v: Callable
-    lam: Callable
-    alpha: float
-
-
-def _growth_from_certificate(g, kind):
-    cert = getattr(g, "certificate", None)
+def _absolute_growth(g, growth, kind):
+    """The absolute-side certificate that sizes the truncation box: ``growth``
+    when given, else the driver's; ``kind`` is its certificate class."""
+    cert = growth if growth is not None else getattr(g, "certificate", None)
     if cert is None:
         raise EnvelopeError(
             "missing growth certificate: the driver needs a certified upper "
             "bound to size the truncation box"
         )
-    if kind == "linear":
-        if isinstance(cert, OneSidedLinear) and cert.side == "absolute":
-            return LinearGrowthBound(cert.f, cert.u, cert.v)
-        raise EnvelopeError(
-            "missing growth certificate: need a one_sided_linear certificate "
-            "with side='absolute' (or pass growth= explicitly)"
-        )
-    if isinstance(cert, MixedSubLinear) and cert.side == "absolute":
-        return WedgeGrowthBound(cert.f, cert.u, cert.v, cert.lam, cert.alpha)
+    if isinstance(cert, kind) and cert.side == "absolute":
+        return cert
     raise EnvelopeError(
-        "missing growth certificate: need a mixed_sublinear certificate "
+        f"missing growth certificate: need a {_KIND_NAMES[kind]} certificate "
         "with side='absolute' (or pass growth= explicitly)"
     )
 
@@ -483,7 +455,7 @@ class SupConvolutionEnvelope(_BaseSupConvolution):
 
     def _box(self, t, y, z):
         uw, vw = self.u_w(t), self.v_w(t)
-        sy, sz = self.growth.y_slope(t), self.growth.z_slope(t)
+        sy, sz = self.growth.u(t), self.growth.v(t)
         _refuse(_y_slope_rule(t, self.n * uw, sy), (self.n * vw <= sz, lambda i: (
             f"penalty slope n*v_w(t)={self.n * vw[i]:.6g} does not exceed the certified "
             f"z-slope {sz[i]:.6g} at t={t[i]:.6g}; the envelope is infinite")))
@@ -513,7 +485,7 @@ class WedgeSupConvolutionEnvelope(_BaseSupConvolution):
 
     def _box(self, t, y, z):
         uw, vw, lw = self.u_w(t), self.v_w(t), self.lam_w(t)
-        sy, lc = self.growth.y_slope(t), self.growth.lam(t)
+        sy, lc = self.growth.u(t), self.growth.lam(t)
         arm = self.n * np.minimum(vw, lw)
         _refuse(_y_slope_rule(t, self.n * uw, sy), (arm <= lc, lambda i: (
             f"wedge penalty arm n*min(v_w,lam_w)(t)={arm[i]:.6g} does not exceed "
@@ -536,17 +508,18 @@ class WedgeSupConvolutionEnvelope(_BaseSupConvolution):
 def sup_convolution_generator(g, n, u_w, v_w, grid=None, growth=None):
     """Penalised-supremum majorant of a driver; see module docstring.
 
-    ``growth`` may be passed explicitly as a :class:`LinearGrowthBound`;
-    otherwise it is taken from the driver's absolute-side linear-growth
-    certificate, and its absence is an error.
+    The truncation box is sized by ``growth``, an absolute-side
+    :class:`~bsdelab.certificates.OneSidedLinear`, or else by the driver's
+    certificate, which must be one.
     """
-    growth = growth or _growth_from_certificate(g, "linear")
+    growth = _absolute_growth(g, growth, OneSidedLinear)
     return SupConvolutionEnvelope(g, n, u_w, v_w, growth, grid)
 
 
 def sup_convolution_generator_alpha(g, n, u_w, v_w, lam_w, alpha, grid=None, growth=None):
-    """Wedge-penalty variant; the returned family is non-increasing in n."""
-    growth = growth or _growth_from_certificate(g, "wedge")
+    """Wedge-penalty variant, sized by an absolute-side
+    :class:`~bsdelab.certificates.MixedSubLinear`; non-increasing in n."""
+    growth = _absolute_growth(g, growth, MixedSubLinear)
     return WedgeSupConvolutionEnvelope(g, n, u_w, v_w, lam_w, alpha, growth, grid)
 
 

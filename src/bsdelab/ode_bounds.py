@@ -16,10 +16,13 @@ The barriers come from the time change F(U(t)) = S(t), with
 F(x) = int_b^x ds / l(s) and S(t) = int_t^T u: ``_integrate`` (adaptive
 7-point Gauss-Legendre panels, one array call per level, ``QUAD_TOL`` and
 ``QUAD_DEPTH``) gives S at the nodes before l is called, and Newton's method
-with a bracket inverts F at all nodes at once.  ``osgood_diagnostic`` uses the
-same quadrature.  The iterated modulus bound builds each row's
-Lipschitz-envelope search grid, psi on it and its running-argmax tables
-once, and builds them again only when the row's search radius moves.
+with a bracket inverts F at all nodes at once.  The barriers come from samples
+of l, so, like a grid-checked certificate, they are evidence, not proof: a
+feature of l narrower than the panels between the nodes' values can be
+missed.  ``osgood_diagnostic`` uses the same quadrature.  The iterated
+modulus bound builds each row's Lipschitz-envelope search grid, psi on it and
+its running-argmax tables once, and builds them again only when the row's
+search radius moves.
 """
 
 from __future__ import annotations

@@ -339,13 +339,12 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
     )
 
 
-def solve_tree(g, xi, steps, horizon=1.0, scheme="explicit", *, z_clamp=None, threads=1):
+def solve_tree(g, xi, steps, horizon=1.0, scheme="explicit", *, z_clamp=None):
     """Backward recursion on the recombining tree; see module docstring.
 
     The terminal slice equals the payoff at the terminal tree states exactly.
     With ``z_clamp`` set, extracted z values are clipped to [-z_clamp, z_clamp]
-    and the solution is labelled non-conforming.  ``threads`` is accepted for
-    configuration compatibility; evaluation is single-threaded.
+    and the solution is labelled non-conforming.
     """
     tree = TreeModel.uniform(horizon, steps)
     sdt = tree.sqrt_dt
@@ -414,8 +413,7 @@ def solve_mc_regression(g, xi, steps, paths, degree, seed, horizon=1.0, scheme="
     by one projection onto the orthonormal Hermite polynomials of degree <=
     ``degree`` in B_t / sqrt(t) (at t = 0 the basis degenerates to the
     constant, i.e. a plain average).  Deterministic for fixed (seed, paths,
-    steps, degree); ``threads`` is accepted for configuration compatibility
-    and does not change the result.
+    steps, degree); ``threads`` is ignored, and kept for the callers that pass it.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")

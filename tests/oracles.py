@@ -280,7 +280,7 @@ def supconv_descent_reference(env, t, y, z):
     """
     t, y, z = float(t), float(y), float(z)
     n, g, penalty = env.n, env.g, _supconv_penalty(env, t)
-    uw, vw, sy = float(env.u_w(t)), float(env.v_w(t)), float(env.growth.y_slope(t))
+    uw, vw, sy = float(env.u_w(t)), float(env.v_w(t)), float(env.growth.u(t))
     g0 = float(g(t, y, z))
     if hasattr(env, "alpha"):
         lw, lc, alpha = float(env.lam_w(t)), float(env.growth.lam(t)), env.alpha
@@ -290,7 +290,7 @@ def supconv_descent_reference(env, t, y, z):
         du = numer / (n * uw - sy)
         dv = max(1.0, (numer / (n * min(vw, lw) - lc)) ** (1.0 / alpha))
     else:
-        sz = float(env.growth.z_slope(t))
+        sz = float(env.growth.v(t))
         numer = float(env.growth.f(t)) + sy * abs(y) + sz * abs(z) - g0 + env.margin
         du, dv = numer / (n * uw - sy), numer / (n * vw - sz)
 

@@ -12,13 +12,12 @@ import time
 
 import numpy as np
 
-from bsdelab.certificates import OneSidedSuperLinear
+from bsdelab.certificates import OneSidedLinear, OneSidedSuperLinear
 from bsdelab.cli import EXIT_OK, main as cli_main
 from bsdelab.envelopes import (
-    LinearGrowthBound,
+    LipschitzEnvelope,
     envelope_family_values,
     linearize_phi,
-    lipschitz_envelope,
     sup_convolution_generator,
 )
 from bsdelab.generators import Generator, TerminalCondition, WeightFn, _as_univariate
@@ -183,7 +182,7 @@ def test_criterion_05_iterated_modulus_bounds():
 
 def test_criterion_06_envelope_properties():
     g = Generator.parse("-y^2 - z^4 / 4")
-    growth = LinearGrowthBound.from_parts("0", "0", "0")
+    growth = OneSidedLinear("0", "0", "0", side="absolute")
     ns = [2, 3, 4]
     envs = [sup_convolution_generator(g, n, ONE, ONE, growth=growth) for n in ns]
     pts = [
@@ -207,7 +206,7 @@ def test_criterion_06_envelope_properties():
         )
         worst_rel = max(worst_rel, abs(got - want) / max(abs(want), 1e-9))
 
-    env_sqrt = lipschitz_envelope("sqrt(x)", 1.0, 0.5)
+    env_sqrt = LipschitzEnvelope("sqrt(x)", 1.0, 0.5)
     xs = np.linspace(0.0, 4.0, 101)
     sqrt_gap = float(np.max(np.abs(env_sqrt.batch(xs) - sqrt_envelope_closed_form(xs, 1.0))))
 

@@ -8,12 +8,9 @@ from bsdelab.certificates import MixedSubLinear, OneSidedLinear
 from bsdelab.envelopes import (
     EnvelopeError,
     EnvelopeGrid,
-    LinearGrowthBound,
     LipschitzEnvelope,
-    WedgeGrowthBound,
     envelope_family_values,
     linearize_phi,
-    lipschitz_envelope,
     sup_convolution_generator,
     sup_convolution_generator_alpha,
 )
@@ -35,7 +32,7 @@ WEDGE_VALUE_AT_3 = -6.554377592712286
 
 
 def growth(f, u, v):
-    return LinearGrowthBound.from_parts(f, u, v)
+    return OneSidedLinear(f, u, v, side="absolute")
 
 
 class TestLinearizePhi:
@@ -80,33 +77,33 @@ class TestLinearizePhi:
 
 class TestLipschitzEnvelope:
     def test_already_lipschitz_is_identity(self):
-        env = lipschitz_envelope("x", slope=3.0, growth_k=1.0)
+        env = LipschitzEnvelope("x", slope=3.0, growth_k=1.0)
         xs = np.linspace(0.0, 20.0, 41)
         assert np.allclose(env.batch(xs), xs, rtol=0, atol=1e-12)
 
     def test_sqrt_below_knee(self):
-        env = lipschitz_envelope("sqrt(x)", slope=1.0, growth_k=0.5)
+        env = LipschitzEnvelope("sqrt(x)", slope=1.0, growth_k=0.5)
         assert env(0.0) == pytest.approx(0.25, abs=1e-9)
 
     def test_sqrt_above_knee(self):
-        env = lipschitz_envelope("sqrt(x)", slope=1.0, growth_k=0.5)
+        env = LipschitzEnvelope("sqrt(x)", slope=1.0, growth_k=0.5)
         assert env(1.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_sqrt_closed_form_everywhere(self):
-        env = lipschitz_envelope("sqrt(x)", slope=1.0, growth_k=0.5)
+        env = LipschitzEnvelope("sqrt(x)", slope=1.0, growth_k=0.5)
         xs = np.concatenate([np.linspace(0, 0.25, 40), np.linspace(0.25, 9, 60)])
         got = env.batch(xs)
         want = sqrt_envelope_closed_form(xs, 1.0)
         assert np.max(np.abs(got - want)) < 1e-6
 
     def test_dominates_pointwise(self):
-        env = lipschitz_envelope("sqrt(x)", slope=1.0, growth_k=0.5)
+        env = LipschitzEnvelope("sqrt(x)", slope=1.0, growth_k=0.5)
         xs = np.random.default_rng(0).uniform(0, 30, size=100)
         assert np.all(env.batch(xs) >= np.sqrt(xs))
 
     def test_lipschitz_across_adjacent_nodes(self):
         slope = 2.0
-        env = lipschitz_envelope("sqrt(x)", slope=slope, growth_k=0.5)
+        env = LipschitzEnvelope("sqrt(x)", slope=slope, growth_k=0.5)
         xs = np.linspace(0.0, 5.0, 201)
         vals = env.batch(xs)
         dx = xs[1] - xs[0]
@@ -114,15 +111,15 @@ class TestLipschitzEnvelope:
 
     def test_slope_must_exceed_growth(self):
         with pytest.raises(EnvelopeError, match="must exceed"):
-            lipschitz_envelope("x", slope=1.0, growth_k=1.0)
+            LipschitzEnvelope("x", slope=1.0, growth_k=1.0)
 
     def test_negative_x_rejected(self):
-        env = lipschitz_envelope("x", slope=2.0, growth_k=1.0)
+        env = LipschitzEnvelope("x", slope=2.0, growth_k=1.0)
         with pytest.raises(EnvelopeError):
             env(-1.0)
 
     def test_batch_matches_scalar(self):
-        env = lipschitz_envelope("sqrt(x)", slope=1.0, growth_k=0.5)
+        env = LipschitzEnvelope("sqrt(x)", slope=1.0, growth_k=0.5)
         xs = np.random.default_rng(3).uniform(0, 4, size=17)
         batch = env.batch(xs)
         for k, x in enumerate(xs):
@@ -236,6 +233,14 @@ class TestSupConvolution:
         with pytest.raises(EnvelopeError, match="absolute"):
             sup_convolution_generator(g, 2, ONE, ONE)
 
+    def test_explicit_growth_is_checked_as_the_certificate_is(self):
+        g = Generator.parse("-y^2")
+        sgn = OneSidedLinear("0", ONE, ZERO, side="sgn")
+        with pytest.raises(EnvelopeError, match="one_sided_linear certificate with side='absolute'"):
+            sup_convolution_generator(g, 2, ONE, ONE, growth=sgn)
+        with pytest.raises(EnvelopeError, match="mixed_sublinear certificate with side='absolute'"):
+            sup_convolution_generator_alpha(g, 2, ONE, ONE, ONE, 0.5, growth=growth("0", "0", "0"))
+
     def test_insufficient_penalty_slope(self):
         g = Generator.parse("y")
         env = sup_convolution_generator(g, 1, ONE, ONE, growth=growth("0", "1", "0"))
@@ -277,7 +282,7 @@ class TestBatchedDescent:
         g = Generator.parse(source)
         if penalty == "wedge":
             # alpha = 0.5 would hide a change of pow: |dz|^0.5 and r^2 are exact
-            bound = WedgeGrowthBound(WeightFn.parse("1"), ONE, ONE, ONE, 0.37)
+            bound = MixedSubLinear("1", ONE, ONE, ONE, 0.37, side="absolute")
             return sup_convolution_generator_alpha(g, n, u_w, ONE, ONE, 0.37, growth=bound)
         return sup_convolution_generator(g, n, u_w, ONE, growth=growth("2", "1", "1"))
 
@@ -366,7 +371,7 @@ class TestBatchedDescent:
         # the negative box numerator used to give a finite, meaningless value
         g = Generator.parse("-y^3")
         if penalty == "wedge":
-            bounds = WedgeGrowthBound(WeightFn.parse("1"), ONE, ONE, ONE, 0.37)
+            bounds = MixedSubLinear("1", ONE, ONE, ONE, 0.37, side="absolute")
             env = sup_convolution_generator_alpha(g, 3, ONE, ONE, ONE, 0.37, growth=bounds)
         else:
             env = sup_convolution_generator(g, 2, ONE, ONE, growth=growth("1", "1", "1"))
@@ -449,22 +454,10 @@ class TestEnvelopeFamilyProperties:
 
 class TestWedgeEnvelope:
     def wedge_growth(self):
-        return WedgeGrowthBound(
-            f=WeightFn.parse("0"),
-            y_slope=WeightFn.parse("0"),
-            v=ONE,
-            lam=ONE,
-            alpha=0.5,
-        )
+        return MixedSubLinear("0", ZERO, ONE, ONE, 0.5, side="absolute")
 
     def zero_growth(self):
-        return WedgeGrowthBound(
-            f=WeightFn.parse("0"),
-            y_slope=WeightFn.parse("0"),
-            v=ZERO,
-            lam=ZERO,
-            alpha=0.5,
-        )
+        return MixedSubLinear("0", ZERO, ZERO, ZERO, 0.5, side="absolute")
 
     def test_zero_driver_fixed_point(self):
         g = Generator.parse("0")
