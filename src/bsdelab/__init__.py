@@ -62,6 +62,7 @@ from .ode_bounds import (
 from .report import VerificationReport
 from .solver import (
     DiscreteSolution,
+    ImplicitStepError,
     PathEnsemble,
     PicardDivergenceError,
     RankDeficientError,

@@ -33,8 +33,12 @@ sub-expressions free of ``var``, then the rest given their values), run
 against helpers that test nothing, where ``x^0`` is a numpy 1.0, so that its
 arithmetic raises flags as the rest does.  It exists only when every
 variable-free sub-expression folds to a finite literal; a caller replays a
-trapped evaluation through the whole checked expression.  The AST walks run
-on an explicit stack, so a long flat sum recurses nowhere.
+trapped evaluation through the whole checked expression; ``split(var,
+*others)`` stages other expressions over the same parts, such as the
+derivative.  ``Expression.derivative(var)`` is an AST rewrite that the same
+generator compiles; it keeps each sub-tree that folds nothing as the same
+node, so a split reads the driver's parts in its derivative too.  The AST
+walks run on an explicit stack, so a long flat sum recurses nowhere.
 
 ``clamp`` with a bound that is not a literal is ``np.minimum(np.maximum(x,
 lo), hi)``, since ``np.clip`` breaks a tie of signed zeros by whether its
@@ -650,19 +654,141 @@ def _key(root):
     return tuple(key)
 
 
+def _rebuild(node, kids):
+    """``node`` with the children ``kids``."""
+    if isinstance(node, Neg):
+        return Neg(kids[0])
+    if isinstance(node, Bin):
+        return Bin(node.op, *kids)
+    if isinstance(node, Func):
+        return Func(node.name, tuple(kids))
+    return node
+
+
 def _substitute(root, mapping):
     def rebuild(node, kids):
-        if isinstance(node, Var):
-            return mapping.get(node.name, node)
-        if isinstance(node, Neg):
-            return Neg(kids[0])
-        if isinstance(node, Bin):
-            return Bin(node.op, *kids)
-        if isinstance(node, Func):
-            return Func(node.name, tuple(kids))
-        return node
+        return mapping.get(node.name, node) if isinstance(node, Var) else _rebuild(node, kids)
 
     return _fold(root, rebuild)
+
+
+# ---------------------------------------------------------------------------
+# Symbolic derivative: an AST rewrite whose builders fold literals and drop
+# the factors 1 and the terms 0
+
+_ZERO, _ONE = Num(0.0), Num(1.0)
+
+
+def _is(node, value):
+    return isinstance(node, Num) and node.value == value
+
+
+def _literal(node):
+    """``node``, or its value where its operands are literals and it folds to
+    a finite one as the generated code folds it."""
+    if not isinstance(node, Num) and all(isinstance(k, Num) for k in _children(node)):
+        value = _emit(node, {}, {})[0]
+        if isinstance(value, float):
+            return Num(value)
+    return node
+
+
+def _neg(a):
+    return a.operand if isinstance(a, Neg) else _literal(Neg(a))
+
+
+def _add(a, b, op="+"):
+    if _is(b, 0.0):
+        return a
+    if _is(a, 0.0):
+        return b if op == "+" else _neg(b)
+    return _literal(Bin(op, a, b))
+
+
+def _mul(a, b):
+    if _is(a, 0.0) or _is(b, 0.0):
+        return _ZERO
+    for one, other in ((a, b), (b, a)):
+        if isinstance(one, Num) and abs(one.value) == 1.0:
+            return other if one.value == 1.0 else _neg(other)
+    return _literal(Bin("*", a, b))
+
+
+def _div(a, b):
+    if _is(a, 0.0) or _is(b, 1.0):
+        return a
+    return _literal(Bin("/", a, b))
+
+
+def _pow(a, b):
+    if _is(b, 0.0) or _is(b, 1.0):
+        return _ONE if _is(b, 0.0) else a
+    return _literal(Bin("^", a, b))
+
+
+def _call(name, *args):
+    return _literal(Func(name, args))
+
+
+def _selected(gap, d_active, d_other):
+    """``d_active`` where ``gap >= 0``, else ``d_other``."""
+    active = _call("min", _add(_call("sign", gap), _ONE), _ONE)
+    return _add(_mul(d_active, active), _mul(d_other, _add(_ONE, active, "-")))
+
+
+def _derivative_step(node, kids, var):
+    """(``node`` with literals folded, its derivative in ``var``) from those of
+    its children; a sub-tree that folds nothing stays the same object."""
+    if isinstance(node, (Num, Var)):
+        return node, _ONE if node == Var(var) else _ZERO
+    folded = [k for k, _ in kids]
+    if any(k is not old for k, old in zip(folded, _children(node))):
+        node = _rebuild(node, folded)
+    node = _literal(node)
+    d = [dk for _, dk in kids]
+    if all(_is(dk, 0.0) for dk in d):
+        return node, _ZERO
+    if isinstance(node, Neg):
+        return node, _neg(d[0])
+    if isinstance(node, Func):
+        u = node.args[0]
+        if node.name == "abs":
+            return node, _mul(_call("sign", u), d[0])
+        if node.name == "sin":
+            return node, _mul(_call("cos", u), d[0])
+        if node.name == "cos":
+            return node, _neg(_mul(_call("sin", u), d[0]))
+        if node.name == "exp":
+            return node, _mul(node, d[0])
+        if node.name == "ln":
+            return node, _div(d[0], u)
+        if node.name == "sqrt":
+            return node, _div(d[0], _mul(Num(2.0), node))
+        # min and max take their first argument's derivative at a tie
+        if node.name == "min":
+            return node, _selected(_add(node.args[1], u, "-"), *d)
+        if node.name == "max":
+            return node, _selected(_add(u, node.args[1], "-"), *d)
+        if node.name == "clamp":  # min(max(x, lo), hi)
+            lo, hi = node.args[1:]
+            inner = _selected(_add(u, lo, "-"), d[0], d[1])
+            return node, _selected(_add(hi, _call("max", u, lo), "-"), inner, d[2])
+        return node, _ZERO  # sign
+    (u, v), (du, dv) = (node.lhs, node.rhs), d
+    if node.op in "+-":
+        return node, _add(du, dv, node.op)
+    if node.op == "*":
+        return node, _add(_mul(du, v), _mul(u, dv))
+    if node.op == "/":
+        return node, _div(_add(du, _mul(_div(u, v), dv), "-"), v)
+    if _is(dv, 0.0):  # u^c: c u^(c - 1) u'
+        return node, _mul(_mul(v, _pow(u, _add(v, _ONE, "-"))), du)
+    # u^v (v' ln(u) + v u' / u)
+    return node, _mul(node, _add(_mul(dv, _call("ln", u)), _div(_mul(v, du), u)))
+
+
+def _derivative(root, var):
+    return _fold(root, lambda node, kids: _derivative_step(node, kids, var))[1]
 
 
 class Expression:
@@ -674,7 +800,7 @@ class Expression:
     printed on first use.
     """
 
-    __slots__ = ("root", "variables", "_fn", "_staged", "_source")
+    __slots__ = ("root", "variables", "_fn", "_staged", "_source", "_derived")
 
     def __init__(self, root, variables):
         missing = _free_variables(root) - set(variables)
@@ -682,7 +808,7 @@ class Expression:
             raise ExpressionError(f"variables {sorted(missing)} not in {variables}")
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "variables", tuple(variables))
-        for slot in ("_fn", "_staged", "_source"):
+        for slot in ("_fn", "_staged", "_source", "_derived"):
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, *_):
@@ -717,35 +843,56 @@ class Expression:
             return out
         return np.broadcast_to(out, shape).copy()
 
-    def split(self, var):
+    def split(self, var, *others):
         """The expression staged at the variable ``var`` for a caller that
-        traps floating-point exceptions: ``(pre, body)``, or None.
+        traps floating-point exceptions: ``(pre, body, *bodies)``, or None.
 
         ``pre`` takes the values of the other variables, in order, and returns
         the tuple of the largest sub-expressions that do not involve ``var``
         (bare variables and constants excepted).  ``body`` takes the values of
         all the variables followed by that tuple, and returns the expression's
-        value.  Both run the checked code's numpy operations against helpers
-        that test nothing, with ``x^0`` a numpy 1.0.  Under ``np.errstate``
-        raising on overflow, invalid and divide, and given finite values that
-        are all numpy arrays or numpy scalars, the pair either raises
-        ``FloatingPointError`` or returns ``__call__``'s bits where
-        ``__call__`` raises nothing; a result is not broadcast to the
-        arguments' shape.  None where a variable-free sub-expression does not
-        fold to a finite literal, since Python computes ``1e308*10`` as inf
-        and raises no flag.  Built on first use and kept for the last ``var``.
+        value.  Each of the Expressions ``others``, over the same variables,
+        has a body in ``bodies`` that takes the same arguments (a sub-tree it
+        shares with this one, the same node, is read from the tuple), or None
+        where one of its variable-free sub-expressions does not fold.  All run
+        the checked code's numpy operations against helpers that test nothing,
+        with ``x^0`` a numpy 1.0.  Under ``np.errstate`` raising on overflow,
+        invalid and divide, and given finite values that are all numpy arrays
+        or numpy scalars, each either raises ``FloatingPointError`` or returns
+        ``__call__``'s bits where ``__call__`` raises nothing; a result is not
+        broadcast to the arguments' shape.  None where a variable-free
+        sub-expression does not fold to a finite literal, since Python computes
+        ``1e308*10`` as inf and raises no flag.  Built on first use and kept
+        for the last ``var`` and ``others``.
         """
         staged = self._staged
-        if staged is None or staged[0] != var:
+        if staged is None or staged[0] != (var, others):
             parts = _hoistable(self.root, var)
-            others = tuple(v for v in self.variables if v != var)
+            rest = tuple(v for v in self.variables if v != var)
             source = self.to_source()
-            body, folded = _generate(self.root, self.variables, parts)
-            codes = (_compiled(_generate_parts(parts, others), f"{source} before {var}"),
-                     _compiled(body, f"{source} given its parts without {var}"))
-            staged = (var, tuple(eval(code, _UNCHECKED) for code in codes) if folded else None)
+            fns = [eval(_compiled(_generate_parts(parts, rest), f"{source} before {var}"),
+                        _UNCHECKED)]
+            for expr in (self, *others):
+                body, folded = _generate(expr.root, self.variables, parts)
+                label = f"{expr.to_source()} given the parts of {source} without {var}"
+                fns.append(eval(_compiled(body, label), _UNCHECKED) if folded else None)
+            staged = ((var, others), None if fns[1] is None else tuple(fns))
             object.__setattr__(self, "_staged", staged)
         return staged[1]
+
+    def derivative(self, var):
+        """The partial derivative in the variable ``var``, as an Expression
+        over the same variables: sum, product, quotient and chain rules, with
+        literals folded and the factors 1 and the terms 0 dropped.  ``abs(u)``
+        gives ``sign(u) u'`` and ``sign`` gives 0; ``min``, ``max`` and
+        ``clamp`` (as ``min(max(x, lo), hi)``) take their active argument's
+        derivative, and at a tie their first argument's, a one-sided value.
+        Built on first use and kept for the last ``var``."""
+        derived = self._derived
+        if derived is None or derived[0] != var:
+            derived = (var, Expression(_derivative(self.root, var), self.variables))
+            object.__setattr__(self, "_derived", derived)
+        return derived[1]
 
     def to_source(self):
         if self._source is None:  # printed on first use

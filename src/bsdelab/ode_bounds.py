@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelopes import EnvelopeGrid, LipschitzEnvelope
+from .expressions import EvalDomainError
 from .generators import _as_univariate
 
 __all__ = [
@@ -203,11 +204,33 @@ def _integrate(f, a, b, name):
                      f"in {QUAD_DEPTH} bisections")
 
 
+def _overflowed(l, x, error):
+    """l at the array ``x`` where the checked l raised ``error``: its staged
+    form with overflow allowed, so that a sample past the largest double is
+    +inf (1/l = 0, and the integral of 1/l beyond it is below 1e12 / 1.8e308).
+    Any other failure, or a NaN or -inf sample, re-raises ``error``."""
+    staged = l.split(l.variables[0])
+    if staged is None:
+        raise error
+    pre, body = staged
+    try:
+        with np.errstate(over="ignore", invalid="raise", divide="raise", under="ignore"):
+            lx = np.asarray(body(x, *pre()), dtype=float)
+    except FloatingPointError:
+        raise error from None
+    if np.isnan(lx).any() or (lx == -math.inf).any():
+        raise error
+    return np.broadcast_to(lx, np.shape(x))
+
+
 def _reciprocal(l, sign=1.0):
     """x -> 1 / l(sign * x); a sample where l <= 0 raises NonPositiveError at
-    the least such x."""
+    the least such x, and one that overflows to +inf gives 0."""
     def reciprocal(x):
-        lx = np.asarray(l(sign * x), dtype=float)
+        try:
+            lx = np.asarray(l(sign * x), dtype=float)
+        except EvalDomainError as exc:
+            lx = _overflowed(l, sign * x, exc)
         if not (lx > 0.0).all():
             raise NonPositiveError(sign * float(x[lx <= 0.0].min()))
         return 1.0 / lx
@@ -277,7 +300,9 @@ def solve_growth_ode(side, terminal, u_w, l, grid):
             _raise_blow_up(side, sign, u_w, u_name, nodes, S, F[np.argmax(blown)])
         below = r > 0.0
         lo, hi = np.where(below, x, lo), np.where(below, hi, x)
-        newton = x + r / inv_x
+        # where l overflowed, 1/l = 0 and the step is +-inf: it tries the threshold or bisects
+        newton = x + np.divide(r, inv_x, out=np.where(r == 0.0, 0.0, np.copysign(np.inf, r)),
+                               where=inv_x != 0.0)
         # a step past the threshold tries the threshold; one leaving the bracket bisects it
         up = (newton >= hi) & (hi == BLOWUP_THRESHOLD)
         step = np.where((lo < newton) & (newton < hi), newton,

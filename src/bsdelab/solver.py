@@ -5,33 +5,53 @@ Both backends run one backward sweep, ``_backward_sweep``:
 
     (E_i, z_i) = expect(i, y_{i+1})
     y_i = E_i + g(t_i, E_i, z_i) dt                 (explicit)
-    y_i solves y = E_i + g(t_i, y, z_i) dt          (implicit, Picard iteration)
+    y_i solves y = E_i + g(t_i, y, z_i) dt          (implicit, Newton's method)
 
 The driver runs staged at y (``Expression.split``): once per level, its
 largest sub-expressions free of y, such as ``abs(z)^1.5`` in
 ``-y^3 + abs(z)^1.5*sin(y)``, are evaluated from (t_i, z_i); each update then
 evaluates only the rest, from the same numpy operations, so every value is the
 whole driver's, bit for bit.  A driver without y gets one update in either
-scheme, since its second Picard iterate would repeat the first.  Errors name
-the step, the node and the point: (t, E, z) of a non-finite value, (t, y, z)
-of Picard's largest last change.  An expression never returns a non-finite
-payoff.
+scheme.  Errors name the step, the node and the point: (t, E, z) of a
+non-finite value, (t, y, z) of an implicit step without a root.  An
+expression never returns a non-finite payoff.
+
+The implicit step finds the root of h(y) = y - E - g(t, y, z) dt at all nodes
+of a level at once by Newton's method from y = E, with h' = 1 - g_y dt from
+the symbolic derivative ``Expression.derivative("y")``, staged over the
+driver's parts.  The slope is evaluated again only after a step longer than
+``THETA_REFRESH`` times the one before.  It stops when the step, or the
+error theta / (1 - theta) |step| estimated from the observed contraction
+theta (Hairer and Wanner, *Solving ODEs II*, IV.8), is below ``NEWTON_TOL``
+in sup norm, and after one step where g_y is free of y (g is affine in y).
+Under the one-sided condition g_y <= mu with mu dt < 1, h is increasing and
+the root unique.  Where h' <= 0 or is not finite, where a step on a fresh
+slope does not contract after one that was also fresh, or after
+``NEWTON_CAP`` steps, the level goes on bracketed: a bracket grown from E by
+doubling, and Newton's step where it stays inside, bisection elsewhere
+(rtsafe, *Numerical Recipes* 9.4).  It fails only where no sign change is
+found within 2^63 |h(E)| of E on either side.
 
 Trap, then replay.  Each level first runs ``expect``, the clamp and the
-staged driver (the checked code with helpers that test nothing) under one
-``np.errstate`` that raises on overflow, invalid and divide (underflow is no
-error), entered once per sweep.  From finite inputs, IEEE arithmetic cannot
-reach inf or NaN without raising one of those flags, so a level that
-finishes has every value the checked code gives, and would have passed each
-of its tests.  A level that raises ``FloatingPointError`` or a
-``SolverError`` is re-run under ``np.errstate(all="ignore")`` through the
-whole checked driver, unstaged, which gives its values, or its error with
-the step, node and point.  ``diagnostics["replayed_levels"]`` counts the
-levels re-run.  Five rules keep the premise:
+staged driver and derivative (the checked code with helpers that test
+nothing) under one ``np.errstate`` that raises on overflow, invalid and
+divide (underflow is no error), entered once per sweep.  From finite inputs,
+IEEE arithmetic cannot reach inf or NaN without raising one of those flags,
+so a level that finishes has every value the checked code gives, and would
+have passed each of its tests.  A level that raises ``FloatingPointError``
+or a ``SolverError`` is re-run under ``np.errstate(all="ignore")`` by the
+same code with the whole checked driver, unstaged, which gives its values,
+or its error with the step, node and point; the derivative stays the staged
+one, where inf or NaN sends a level to its bracket.
+``diagnostics["replayed_levels"]`` counts the levels re-run, and
+``diagnostics["picard_max_iterations"]`` the most root-finding steps of any
+level, Newton's and bracketed ones.  Five rules keep the premise:
 
 - the staged driver exists only when every variable-free sub-expression of
   the driver folds to a finite literal, since Python computes ``1e308*10``
-  as inf with no flag; otherwise every level runs the whole checked driver;
+  as inf with no flag; otherwise every level runs the whole checked driver,
+  and bisects without a slope; a derivative without that property gives
+  none either;
 - ``x^0`` is a numpy 1.0 in it, for the same reason: ``y^0*1e308*10`` then
   raises, and so does ``y^0/0``;
 - t enters it as a numpy float64, for the same reason: ``t*1e308*10`` then
@@ -76,18 +96,24 @@ from typing import Optional
 
 import numpy as np
 
-from .expressions import all_finite
+from .expressions import EvalDomainError, all_finite
 from .generators import Generator, TerminalCondition
 from .ode_bounds import TimeGrid
 
-__all__ = ["TreeModel", "PathEnsemble", "DiscreteSolution", "SolverError", "PicardDivergenceError",
-           "RankDeficientError", "solve_tree", "solve_mc_regression"]
+__all__ = ["TreeModel", "PathEnsemble", "DiscreteSolution", "SolverError", "ImplicitStepError",
+           "PicardDivergenceError", "RankDeficientError", "solve_tree", "solve_mc_regression"]
 
 
-# The implicit step's Picard iteration stops once successive iterates differ
-# by less than PICARD_TOL in sup norm, and fails after PICARD_CAP iterations.
-PICARD_TOL = 1e-12
-PICARD_CAP = 50
+# The implicit step's Newton iteration stops once its step, or the error
+# theta / (1 - theta) |step| estimated from its observed contraction theta,
+# falls below NEWTON_TOL in sup norm; after NEWTON_CAP steps the level goes on
+# bracketed.  A bracket is grown from E by GROWTH_DOUBLINGS doublings at most
+# on either side, and bisected to NEWTON_TOL within BRACKET_CAP steps.
+NEWTON_TOL = 1e-12
+NEWTON_CAP = 20
+THETA_REFRESH = 0.01
+GROWTH_DOUBLINGS = 64
+BRACKET_CAP = 2200
 
 
 class SolverError(RuntimeError):
@@ -99,17 +125,22 @@ class SolverError(RuntimeError):
         self.time = time
 
 
-class PicardDivergenceError(SolverError):
-    def __init__(self, step, time, change, cap, node, y, z):
-        self.change = change
+class ImplicitStepError(SolverError):
+    """The implicit step's residual y - E - g(t, y, z) dt keeps its sign."""
+
+    def __init__(self, step, time, node, y, z, reach):
         self.node = node
         super().__init__(
-            f"implicit fixed point did not converge at step {step} (t = {time:g}): "
-            f"last change {change:.3g} after {cap} iterations, largest at node {node}: "
-            f"(t, y, z) = ({time:g}, {y:g}, {z:g})",
+            f"implicit step has no root at step {step} (t = {time:g}), node {node}: "
+            f"y - E - g(t, y, z) dt keeps its sign on [E - {reach:.3g}, E + {reach:.3g}] "
+            f"from (t, y, z) = ({time:g}, {y:g}, {z:g})",
             step,
             time,
         )
+
+
+# the name of the error when the implicit step was a Picard iteration
+PicardDivergenceError = ImplicitStepError
 
 
 class RankDeficientError(SolverError):
@@ -243,20 +274,97 @@ def _finite_or_raise(y, step, t, E, z):
     return y
 
 
-def _implicit_update(body, parts, i, t, E, z, dt):
-    """Picard iteration y <- E + g(t, y, z) dt from y = E, with g's body and
-    its y-free parts; the change is measured in one reused buffer."""
-    y = E
-    gap = np.empty_like(E)
-    for it in range(1, PICARD_CAP + 1):
-        y_next = E + np.multiply(body(t, y, z, *parts), dt)
-        np.abs(np.subtract(y_next, y, out=gap), out=gap)
-        change = float(np.maximum.reduce(gap)) if y.size else 0.0
-        y = y_next
-        if change < PICARD_TOL:
-            return y, it
-    k = int(np.argmax(gap))
-    raise PicardDivergenceError(i, t, change, PICARD_CAP, k, float(y[k]), float(z[k]))
+def _implicit_update(h, slope, affine, i, t, E, z):
+    """The root of the level's residual h(y) = y - E - g(t, y, z) dt at every
+    node, and the steps taken.
+
+    Newton's method from y = E, with ``slope(y)`` the residual's derivative
+    1 - g_y dt (None where g_y has no staged form).  The slope is evaluated
+    at E, and again only after a step longer than THETA_REFRESH times the
+    one before (simplified Newton otherwise).  One step where g_y is free
+    of y (``affine``).  Bracketed (``_bracketed``) where h' <= 0 or is not
+    finite, after two steps on fresh slopes of which the second does not
+    contract, after a domain error of the driver, or after NEWTON_CAP steps.
+    """
+    y, r = E, h(E)
+    h_E, last, d, k = r, None, None, 0
+    for k in range(1, NEWTON_CAP + 1 if slope is not None else 1):
+        fresh = d is None
+        if fresh:
+            d = slope(y)
+            if not (np.minimum.reduce(d) > 0.0 and np.maximum.reduce(d) < math.inf):
+                break
+        step = r / d
+        size = float(np.maximum.reduce(np.abs(step)))
+        if not size < math.inf:
+            break
+        y = y - step
+        if size < NEWTON_TOL or affine:
+            return y, k
+        if last is not None:
+            theta = size / last
+            if theta >= 1.0 and fresh and last_fresh:  # Newton's own steps do not contract
+                break
+            if theta < 1.0 and theta * size < (1.0 - theta) * NEWTON_TOL:
+                return y, k
+            if theta > THETA_REFRESH:
+                d = None
+        last, last_fresh = size, fresh
+        try:
+            r = h(y)
+        except EvalDomainError:  # a step left the driver's domain
+            break
+    y, steps = _bracketed(h, slope, i, t, E, z, h_E)
+    return y, k + steps
+
+
+def _bracketed(h, slope, i, t, E, z, h_E):
+    """rtsafe (*Numerical Recipes* 9.4) at every node: a bracket grown from E
+    by doubling, first on the side where h would cross zero if it increased,
+    then Newton's step where it stays in the bracket and halves the last
+    step, else bisection, until every node moves by less than NEWTON_TOL.
+    Raises ImplicitStepError where no sign change is found."""
+    steps = 0
+    # near: the last probe with the sign of h(E); far: the first without it
+    near, far = E, np.where(h_E == 0.0, E, np.nan)
+    for side in (1.0, -1.0):
+        direction = side * np.copysign(1.0, -h_E)
+        near = np.where(np.isnan(far), E, near)
+        reach = np.abs(h_E)
+        for _ in range(GROWTH_DOUBLINGS):
+            todo = np.isnan(far)
+            if not todo.any():
+                break
+            x = np.where(todo, E + direction * reach, near)
+            crossed = todo & (np.sign(h(x)) != np.sign(h_E))
+            steps += 1
+            far = np.where(crossed, x, far)
+            near = np.where(todo & ~crossed, x, near)
+            reach = reach * 2.0
+    if np.isnan(far).any():
+        k = int(np.argmax(np.isnan(far)))
+        raise ImplicitStepError(i, float(t), k, float(E[k]), float(z[k]),
+                                abs(float(h_E[k])) * 2.0 ** (GROWTH_DOUBLINGS - 1))
+    a, b = np.where(h_E < 0.0, near, far), np.where(h_E < 0.0, far, near)  # h(a) <= 0 <= h(b)
+    x = 0.5 * a + 0.5 * b
+    moved = np.abs(b - a)
+    for _ in range(BRACKET_CAP):
+        r = h(x)
+        steps += 1
+        a, b = np.where(r <= 0.0, x, a), np.where(r >= 0.0, x, b)
+        nxt = 0.5 * a + 0.5 * b
+        if slope is not None:
+            d = slope(x)
+            newton = x - np.divide(r, d, out=np.full_like(x, np.inf), where=d != 0.0)
+            inside = ((np.minimum(a, b) < newton) & (newton < np.maximum(a, b))
+                      & (np.abs(2.0 * r) <= np.abs(moved * d)))
+            nxt = np.where(inside, newton, nxt)
+        moved = np.abs(nxt - x)
+        x = nxt
+        if np.maximum.reduce(moved) < NEWTON_TOL:
+            return x, steps
+    raise SolverError(f"implicit step did not settle within {BRACKET_CAP} bracketed steps "
+                      f"at step {i} (t = {t:g})", i, float(t))
 
 
 # the trap under which a level runs unchecked; underflow is no error
@@ -278,50 +386,60 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
     steps = grid.steps
     dt = grid.dt
     nodes = grid.nodes.tolist()
-    trapped = g.expr.split("y")
-    whole = (lambda t, z: (), g)  # the whole checked driver, unstaged
-    # without y the second Picard iterate repeats the first, bit for bit
+    # without y the implicit step is the explicit one
     single = scheme == "explicit" or "y" not in g.expr.free_variables()
+    g_y = None if single else g.expr.derivative("y")
+    affine = not single and "y" not in g_y.free_variables()
+    # (pre, body) of the driver staged at y, and g_y's body over its parts; or None
+    staged = g.expr.split("y", *(() if single else (g_y,)))
     z_rows = [None] * steps
     clamped = False
-    picard_max = 0
+    newton_max = 0
     replayed = 0
     with np.errstate(all="ignore"):
         xi.check_bound(states)
         y_rows = [None] * steps + [np.asarray(xi(states), dtype=float)]
     y_rows[steps].flags.writeable = False
 
-    def level(i, t, staged):
-        """(y_i, z_i, Picard iterations) at time ``t`` from the driver as ``(pre, body)``."""
+    def level(i, trapped):
+        """(y_i, z_i, root-finding steps) from the staged driver if ``trapped``,
+        else from the whole checked driver; g_y is always the staged one."""
         nonlocal clamped
-        pre, body = staged
         E, z = expect(i, y_rows[i + 1])
         if z_clamp is not None:
             before = z
             z = np.clip(z, -z_clamp, z_clamp)
             clamped = clamped or bool(np.any(before != z))
-        parts = pre(t, z)
+        # t as a numpy float, so that its arithmetic raises flags under the trap
+        # and gives inf, not an error, under np.errstate(all="ignore")
+        tn = grid.nodes[i]
+        t = tn if trapped else nodes[i]
+        parts = () if staged is None else staged[0](tn, z)
+        g_at = (lambda y: staged[1](tn, y, z, *parts)) if trapped else (lambda y: g(t, y, z))
         if single:
-            y, used = E + np.multiply(body(t, E, z, *parts), dt), 1
+            y, used = E + np.multiply(g_at(E), dt), 1
         else:
-            y, used = _implicit_update(body, parts, i, t, E, z, dt)
-        if staged is whole:
+            slope = None if staged is None or staged[2] is None else (
+                lambda y: 1.0 - np.multiply(staged[2](tn, y, z, *parts), dt))
+            y, used = _implicit_update(lambda y: (y - E) - np.multiply(g_at(y), dt), slope, affine,
+                                       i, t, E, z)
+        if not trapped:
             _finite_or_raise(y, i, t, E, z)
         return y, z, used
 
     with np.errstate(**_TRAP):
         for i in range(steps - 1, -1, -1):
             y = None
-            if trapped is not None:
-                try:  # t as a numpy float, so that its arithmetic raises flags too
-                    y, z, used = level(i, grid.nodes[i], trapped)
+            if staged is not None:
+                try:
+                    y, z, used = level(i, True)
                 except (FloatingPointError, SolverError):
                     replayed += 1
             if y is None:  # the whole checked driver gives the values, or the error
                 with np.errstate(all="ignore"):
-                    y, z, used = level(i, nodes[i], whole)
+                    y, z, used = level(i, False)
             if scheme == "implicit":
-                picard_max = max(picard_max, used)
+                newton_max = max(newton_max, used)
             y_rows[i] = y
             z_rows[i] = z
             y.flags.writeable = z.flags.writeable = False  # solutions may be shared
@@ -332,7 +450,7 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
         scheme=scheme,
         generator=g,
         terminal=xi,
-        diagnostics={"picard_max_iterations": picard_max, "z_clamped": clamped,
+        diagnostics={"picard_max_iterations": newton_max, "z_clamped": clamped,
                      "replayed_levels": replayed},
         conforming=not clamped,
         **source,

@@ -15,7 +15,6 @@ from bsdelab.expressions import Bin, EvalDomainError, Func, Neg, Num, Var, _to_s
 from bsdelab.generators import Generator
 from bsdelab.solver import (
     DiscreteSolution,
-    PicardDivergenceError,
     TreeModel,
     _finite_or_raise,
     _hermite_rows,
@@ -369,26 +368,45 @@ def limit_estimate_reference(values):
     return max(0.0, seq[-1])
 
 
-def _picard_update_reference(g, i, t, E, z, dt, tol, cap):
-    y = E.copy()
-    change = math.inf
-    for it in range(1, cap + 1):
-        y_next = E + np.asarray(g(t, y, z), dtype=float) * dt
-        gap = np.abs(y_next - y)
-        change = float(np.max(gap)) if y.size else 0.0
-        y = y_next
-        if change < tol:
-            return y, it
-    k = int(np.argmax(gap))
-    raise PicardDivergenceError(i, float(t), change, cap, k, float(y[k]), float(z[k]))
+def _bisection_root_reference(g, t, E, z, dt, tol=1e-15):
+    """Each node's root of the increasing h(y) = y - E - g(t, y, z) dt by
+    bisection to ``tol`` (or to adjacent doubles), from the bracket between E
+    and E -+ 2^k, the first k with a sign change; h is evaluated at E first."""
+    def h(y):
+        return y - E - np.asarray(g(t, y, z), dtype=float) * dt
+
+    h_E = h(E)
+    if not np.all(np.isfinite(h_E)):
+        raise ValueError("the residual is not finite at E")
+    lo, hi = E.copy(), E.copy()
+    below = h_E < 0.0  # the root lies above E
+    found = h_E == 0.0
+    for k in range(64):
+        if found.all():
+            break
+        probe = np.where(found, E, np.where(below, E + 2.0**k, E - 2.0**k))
+        h_probe = h(probe)
+        crossed = ~found & np.where(below, h_probe >= 0.0, h_probe <= 0.0)
+        # a probe past the root closes the bracket; one short of it narrows it
+        lo = np.where(~found & (below != crossed), probe, lo)
+        hi = np.where(~found & (below == crossed), probe, hi)
+        found |= crossed
+    if not found.all():
+        raise ValueError("no sign change within 2^63 of E")
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_ = (hi - lo > tol) & (mid != lo) & (mid != hi)
+        if not open_.any():
+            return mid
+        h_mid = h(mid)
+        lo, hi = np.where(open_ & (h_mid <= 0.0), mid, lo), np.where(open_ & (h_mid > 0.0), mid, hi)
 
 
-def picard_sweep_reference(g, xi, grid, states, expect, scheme, z_clamp, picard_tol=1e-12,
-                           picard_cap=50, **source):
-    """The backward sweep as it ran before the driver was staged at y: the
-    whole driver through ``Expression.__call__`` at every explicit step and
-    every Picard iteration, from y = E until the change drops below the
-    tolerance.  Same signature as ``solver._backward_sweep``."""
+def bisection_sweep_reference(g, xi, grid, states, expect, scheme, z_clamp, **source):
+    """The backward sweep with the whole driver through ``Expression.__call__``
+    at every explicit step, and every implicit node solved by bisection to
+    1e-15 (``_bisection_root_reference``).  Same signature as
+    ``solver._backward_sweep``; the diagnostics hold ``z_clamped`` only."""
     if scheme not in ("explicit", "implicit"):
         raise ValueError("scheme must be 'explicit' or 'implicit'")
     if z_clamp is not None and not z_clamp > 0:
@@ -399,7 +417,6 @@ def picard_sweep_reference(g, xi, grid, states, expect, scheme, z_clamp, picard_
     y_rows = [None] * steps + [np.asarray(xi(states), dtype=float)]
     z_rows = [None] * steps
     clamped = False
-    picard_max = 0
     for i in range(steps - 1, -1, -1):
         t = grid.nodes[i]
         E, z = expect(i, y_rows[i + 1])
@@ -410,8 +427,7 @@ def picard_sweep_reference(g, xi, grid, states, expect, scheme, z_clamp, picard_
         if scheme == "explicit":
             y = E + np.asarray(g(t, E, z), dtype=float) * dt
         else:
-            y, used = _picard_update_reference(g, i, t, E, z, dt, picard_tol, picard_cap)
-            picard_max = max(picard_max, used)
+            y = _bisection_root_reference(g, t, E, z, dt)
         y_rows[i] = _finite_or_raise(y, i, float(t), E, z)
         z_rows[i] = z
     return DiscreteSolution(
@@ -421,7 +437,7 @@ def picard_sweep_reference(g, xi, grid, states, expect, scheme, z_clamp, picard_
         scheme=scheme,
         generator=g if isinstance(g, Generator) else None,
         terminal=xi,
-        diagnostics={"picard_max_iterations": picard_max, "z_clamped": clamped},
+        diagnostics={"z_clamped": clamped},
         conforming=not clamped,
         **source,
     )

@@ -1,6 +1,9 @@
+import json
 import math
 import random
+import re
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from bsdelab.expressions import (
     ParseError,
     Var,
     _DOT_MAX,
+    _generate,
+    _to_source,
     all_finite,
     parse_expression,
     parse_univariate,
@@ -348,24 +353,31 @@ def test_generated_evaluator_matches_reference(seed):
             assert _outcome(lambda: expr(*args)) == expected, (expr.to_source(), args)
 
 
-def staged(expr, var, values):
-    """``expr`` at ``values`` through its split at ``var``."""
-    pre, body = expr.split(var)
-    others = [v for name, v in zip(expr.variables, values) if name != var]
-    return body(*values, *pre(*others))
+def staged(expr, var, values, *others):
+    """``expr``, then each of ``others``, at ``values`` through the split at ``var``."""
+    pre, *bodies = expr.split(var, *others)
+    rest = [v for name, v in zip(expr.variables, values) if name != var]
+    parts = pre(*rest)
+    return [body(*values, *parts) for body in bodies]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["t", "y", "z"]))
 def test_split_evaluation_is_bit_identical(seed, var):
+    # the expression's body, and its derivative's over the same parts
     rng = random.Random(seed)
     expr = Expression(random_ast(rng, rng.randrange(1, 6)), ("t", "y", "z"))
+    slope = expr.derivative(var)
     pts = np.random.default_rng(seed % 1000).uniform(-5, 5, size=(3, 50))
     with np.errstate(all="ignore"):
         for args in (tuple(pts), (0.5, pts[1], pts[2]), tuple(map(float, pts[:, 0]))):
-            expected = np.asarray(expr(*args))
-            out = np.broadcast_to(staged(expr, var, args), expected.shape)
-            assert out.tobytes() == expected.tobytes(), (expr.to_source(), var)
+            for out, whole in zip(staged(expr, var, args, slope), (expr, slope)):
+                try:
+                    expected = np.asarray(whole(*args))
+                except EvalDomainError:  # the derivative of abs(x)^0.5 at x = 0
+                    continue
+                out = np.broadcast_to(out, expected.shape)
+                assert out.tobytes() == expected.tobytes(), (whole.to_source(), var)
 
 
 @settings(max_examples=600, deadline=None)
@@ -377,29 +389,34 @@ def test_unchecked_split_traps_or_gives_the_checked_bits(seed):
     rng = random.Random(seed)
     literals = (0, 0.5, 1, 2, 3.25, 1e-300, 1e154, 1e300, 1e308)
     expr = Expression(random_signed_ast(rng, rng.randrange(1, 5), literals), ("t", "y", "z"))
-    split = expr.split("y")
+    # and so does its derivative in y, staged over the expression's parts
+    slope = expr.derivative("y")
+    split = expr.split("y", slope)
     if split is None:  # a variable-free sub-expression is not a finite literal
         return
     levels = [-1e300, -2.5, -1.0, -1e-300, 0.0, 1e-300, 0.25, 1.0, 3.5, 1e300]
     y, z = (np.array([rng.choice(levels) for _ in range(6)]) for _ in range(2))
     t = rng.choice(levels)
-    pre, body = split
-    for args in ((t, y, z), (t, np.float64(y[0]), np.float64(z[0]))):
-        with np.errstate(all="ignore"):
-            try:
-                expected = np.asarray(expr(*args))
-            except EvalDomainError:
-                expected = None
-        # t as the sweep passes it: a numpy float, whose arithmetic raises flags
-        at, ay, az = np.float64(args[0]), args[1], args[2]
-        with np.errstate(**_TRAP):  # the sweep's
-            try:
-                out = body(at, ay, az, *pre(at, az))
-            except FloatingPointError:
-                continue
-        assert expected is not None, expr.to_source()
-        out = np.broadcast_to(out, expected.shape)
-        assert out.tobytes() == expected.tobytes(), expr.to_source()
+    pre, *bodies = split
+    for whole, body in zip((expr, slope), bodies):
+        if body is None:  # the derivative has a constant that does not fold
+            continue
+        for args in ((t, y, z), (t, np.float64(y[0]), np.float64(z[0]))):
+            with np.errstate(all="ignore"):
+                try:
+                    expected = np.asarray(whole(*args))
+                except EvalDomainError:
+                    expected = None
+            # t as the sweep passes it: a numpy float, whose arithmetic raises flags
+            at, ay, az = np.float64(args[0]), args[1], args[2]
+            with np.errstate(**_TRAP):  # the sweep's
+                try:
+                    out = body(at, ay, az, *pre(at, az))
+                except FloatingPointError:
+                    continue
+            assert expected is not None, whole.to_source()
+            out = np.broadcast_to(out, expected.shape)
+            assert out.tobytes() == expected.tobytes(), whole.to_source()
 
 
 @pytest.mark.parametrize("source", ["y^0*1e308*10", "min(exp(z^0*1e308*10), 1) + y", "y^0/0"])
@@ -420,6 +437,10 @@ def test_split_hoists_the_largest_y_free_parts():
     pre, body = expr.split("y")
     assert [float(v) for v in pre(0.5, 2.0)] == [2.0**1.5, math.sin(0.5) * 4.0]
     assert expr.split("y") == (pre, body)  # built once
+    slope = expr.derivative("y")
+    assert expr.derivative("y") is slope
+    pre, body, slope_body = expr.split("y", slope)  # the same parts
+    assert slope_body(0.5, 1.0, 2.0, *pre(0.5, 2.0)) == slope(0.5, 1.0, 2.0)
     assert body(0.5, 1.0, 2.0, *pre(0.5, 2.0)) == expr(0.5, 1.0, 2.0)
     assert parse_expression("y*t + z").split("y")[0](1.0, 2.0) == ()  # bare variables stay
     # a driver without y is one part, and the body hands back a new array
@@ -428,6 +449,118 @@ def test_split_hoists_the_largest_y_free_parts():
     (part,) = pre(1.0, z)
     out = body(1.0, z, z, part)
     assert np.array_equal(out, [0.5, 4.5]) and out is not part
+
+
+# ---------------------------------------------------------------------------
+# Symbolic derivative against central differences of the reference evaluator
+
+
+def derivative_checks(root, var, points, h=1e-4):
+    """(checked, failures) of ``Expression(root).derivative(var)`` against
+    central differences of ``reference_evaluate`` at steps h and h/2, at each
+    point where both differences agree (no kink or domain edge within h) and
+    the derivative is defined."""
+    variables = ("t", "y", "z")
+    slope = Expression(root, variables).derivative(var)
+    k = variables.index(var)
+    checked, failures = 0, []
+    for point in points:
+        def f(x):
+            values = list(map(float, point))
+            values[k] = x
+            return reference_evaluate(root, variables, values)
+
+        x = float(point[k])
+        try:
+            wide, narrow = ((f(x + s) - f(x - s)) / (2.0 * s) for s in (h, h / 2.0))
+            exact = slope(*map(float, point))
+        except EvalDomainError:
+            continue
+        scale = 1.0 + abs(narrow)
+        if not abs(wide - narrow) <= 1e-6 * scale:
+            continue
+        checked += 1
+        if not abs(exact - narrow) <= 1e-5 * scale:
+            failures.append((tuple(point), exact, narrow))
+    return checked, failures
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["t", "y", "z"]))
+def test_derivative_matches_central_differences(seed, var):
+    rng = random.Random(seed)
+    root = random_ast(rng, rng.randrange(1, 5))
+    points = np.random.default_rng(seed % 1000).uniform(-3, 3, size=(20, 3))
+    _, failures = derivative_checks(root, var, points)
+    assert not failures, (_to_source(root), var, failures[:3])
+
+
+def test_derivative_checks_are_not_vacuous():
+    # the filter skips points near kinks and domain edges, not most points
+    rng = random.Random(20261020)
+    points = np.random.default_rng(5).uniform(-3, 3, size=(10, 3))
+    checked = sum(derivative_checks(random_ast(rng, rng.randrange(1, 5)), "y", points)[0]
+                  for _ in range(200))
+    assert checked >= 0.8 * 200 * 10
+
+
+@pytest.mark.parametrize("source, y, expected", [
+    ("abs(y)", 0.0, 0.0),  # sign(0) = 0
+    ("abs(y - 1)", 1.0, 0.0),
+    ("min(y, 2*y - 1)", 1.0, 1.0),  # a tie takes the first argument's derivative
+    ("min(2*y - 1, y)", 1.0, 2.0),
+    ("max(y, 2*y - 1)", 1.0, 1.0),
+    ("max(2*y - 1, y)", 1.0, 2.0),
+    ("min(y, 2*y - 1)", 2.0, 1.0),
+    ("max(y, 2*y - 1)", 2.0, 2.0),
+    ("clamp(y, -1, 2)", -1.0, 1.0),  # at its bounds, the derivative from inside
+    ("clamp(y, -1, 2)", 2.0, 1.0),
+    ("clamp(y, -1, 2)", -1.5, 0.0),
+    ("clamp(y, -1, 2)", 2.5, 0.0),
+    ("clamp(1, y, 3)", 1.0, 0.0),  # x at a tie with the lower bound
+    ("clamp(1, y, 3)", 2.0, 1.0),
+    ("clamp(3*y, 0, y + 1)", 0.75, 1.0),  # past the upper bound, its derivative
+    ("clamp(3*y, 0, y + 1)", 0.5, 3.0),  # x at a tie with the upper bound
+    ("sign(y)", 0.5, 0.0),
+    ("y^y", 2.0, 4.0 * (math.log(2.0) + 1.0)),  # a y-dependent exponent
+    ("2^y", 3.0, 8.0 * math.log(2.0)),
+    ("y^z", 2.0, 0.75 * 2.0 ** -0.25),
+])
+def test_derivative_at_kinks_and_exponents(source, y, expected):
+    slope = parse_expression(source).derivative("y")
+    assert slope(0.5, y, 0.75) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_derivative_rules_fold_and_drop():
+    cases = {
+        "-y^3 + abs(z)^1.5*sin(y)": "-(3.0 * y^2.0) + abs(z)^1.5 * cos(y)",
+        "-y": "(-1.0)",
+        "z^2/2": "0.0",
+        "sign(y) + t": "0.0",
+        "3*y*y": "3.0 * y + 3.0 * y",
+        "exp(-2*y)": "exp((-2.0) * y) * (-2.0)",
+        "y^(1/2)": "0.5 * y^(-0.5)",
+        "ln(y) - sqrt(y)": "1.0 / y - 1.0 / (2.0 * sqrt(y))",
+        "cos(y)/y": "(-sin(y) - cos(y) / y) / y",
+    }
+    for source, derivative in cases.items():
+        assert parse_expression(source).derivative("y").to_source() == derivative
+
+
+def test_suite_drivers_derivatives_have_no_unit_factors_or_zero_terms():
+    config = json.loads((resources.files("bsdelab") / "configs" / "acceptance_suite.json")
+                        .read_text())
+    sections = [config] + config["checks"]
+    drivers = {section[key]["expr"] for section in sections
+               for key in ("generator", "generator_prime") if key in section}
+    assert "-y^3 + abs(z)^1.5 * sin(y)" in drivers
+    unit_or_zero = re.compile(r"(?<![\w.])(?:1\.0 [*/]|0\.0 [*+-])|[*/] 1\.0(?![\w.])"
+                              r"|[*+-] 0\.0(?![\w.])")
+    for driver in drivers:
+        expr = parse_expression(driver)
+        for var in expr.variables:
+            source = _generate(expr.derivative(var).root, expr.variables)[0]
+            assert not unit_or_zero.search(source), (driver, var, source)
 
 
 def test_warnings_as_errors_still_give_the_domain_error():

@@ -84,15 +84,21 @@ class TestGrowthOde:
         assert err.value.value == 1e12
         assert str(err.value).startswith("upper bound left [-1e12, 1e12] at t = ")
 
-    @pytest.mark.xfail(strict=True, raises=EvalDomainError,
-                       reason="exp(x) overflows before the curve reaches 1e12, and the "
-                              "overflow is reported as a domain error of l")
     def test_growth_that_overflows_below_the_threshold_blows_up(self):
         # F(1e12) = e^-0.5 - e^-1e12 = e^-0.5 < S(0) = 1, so U crosses 1e12
-        # at the t with S(t) = 1 - t = e^-0.5
-        with pytest.raises(BlowUpError) as err:
-            solve_growth_ode("upper", 0.5, ONE, "exp(x)", TimeGrid.uniform(1.0, 8))
+        # at the t with S(t) = 1 - t = e^-0.5; exp(x) overflows on the way,
+        # where 1/l is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as err:
+                solve_growth_ode("upper", 0.5, ONE, "exp(x)", TimeGrid.uniform(1.0, 8))
         assert err.value.time_reached == pytest.approx(1.0 - math.exp(-0.5), abs=1e-9)
+
+    def test_growth_outside_its_domain_is_still_a_domain_error(self):
+        # the negative control: no overflow, so the checked l's error stands
+        with pytest.raises(EvalDomainError) as err:
+            solve_growth_ode("upper", 0.5, ONE, "1 + sqrt(x - 2)", TimeGrid.uniform(1.0, 8))
+        assert err.value.subexpr == "sqrt(x - 2.0)"
 
     @pytest.mark.parametrize("growth, crossing", [
         ("max(1, 100*abs(x))", 1.0 - math.log(1e12 / 0.7) / 100.0),

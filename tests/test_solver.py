@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from bsdelab import solver
-from bsdelab.expressions import EvalDomainError
+from bsdelab.expressions import EvalDomainError, Expression
 from bsdelab.generators import Generator, TerminalCondition
 from bsdelab.ode_bounds import TimeGrid
 from bsdelab.solver import (
+    ImplicitStepError,
     PathEnsemble,
     PicardDivergenceError,
     RankDeficientError,
@@ -23,9 +24,9 @@ from bsdelab.solver import (
 from bsdelab.verify import one_step_residual
 from tests.oracles import (
     binomial_weights_reference,
+    bisection_sweep_reference,
     lstsq_reference,
     mc_expect_reference,
-    picard_sweep_reference,
 )
 
 ZERO = Generator.parse("0")
@@ -121,13 +122,15 @@ class TestSolveTree:
         sol = solve_tree(g, xi, 100, scheme="implicit")
         assert one_step_residual(sol, g) <= 1e-10
 
-    def test_picard_divergence_reported(self):
-        # dt * Lip_y = 10 > 1: the fixed point iteration cannot contract
-        g = Generator.parse("-100 * y")
-        with pytest.raises(PicardDivergenceError) as err:
-            solve_tree(g, TerminalCondition.parse("1"), 10, scheme="implicit")
-        assert err.value.step == 9
-        assert err.value.time == pytest.approx(0.9)
+    def test_steep_affine_driver_is_one_newton_step(self):
+        # dt Lip_y = 10, where Picard iteration could not contract: the driver is
+        # affine, h' = 1 + 100 dt = 11, and one Newton step is the root E / 11
+        sol = solve_tree(Generator.parse("-100 * y"), TerminalCondition.parse("1"), 10,
+                         scheme="implicit")
+        for i in range(10):
+            E = TreeModel.pairwise_average(sol.y[i + 1])
+            np.testing.assert_allclose(sol.y[i], E / 11.0, rtol=1e-14, atol=0)
+        assert sol.diagnostics["picard_max_iterations"] == 1
 
     def test_non_finite_generator_value(self):
         g = Generator.parse("1 / y")
@@ -154,25 +157,59 @@ class TestSolveTree:
         assert str(err.value) == ("non-finite value at step 1 (t = 2, node 0): "
                                   f"(t, E, z) = (2, {E:g}, {z:g})")
 
-    def test_picard_divergence_names_the_node_and_point(self):
-        # the known defect of Picard iteration on -y^3 with 3 cos(w) at N = 10,
-        # against its 50 iterations at step 9 by hand
-        with pytest.raises(PicardDivergenceError) as err:
-            solve_tree(Generator.parse("-y^3"), TerminalCondition.parse("3*cos(w)"), 10,
-                       scheme="implicit")
-        sdt = math.sqrt(0.1)
-        terminal = 3.0 * np.cos((2.0 * np.arange(11) - 10) * sdt)
-        E = 0.5 * (terminal[1:] + terminal[:-1])
-        z = (terminal[1:] - terminal[:-1]) / (2.0 * sdt)
-        y = E
-        for _ in range(50):
-            y, last = E + -(y * y * y) * 0.1, y
-        k = int(np.argmax(np.abs(y - last)))
-        assert (err.value.step, err.value.node) == (9, k)
+    def test_cubic_solves_where_picard_diverged(self, monkeypatch):
+        # Picard iteration on -y^3 with 3 cos(w) at N = 10 stopped after 50
+        # iterations at step 9 (last change 1.85); the root there is unique
+        g, xi = Generator.parse("-y^3"), TerminalCondition.parse("3*cos(w)")
+
+        def solve():
+            return solve_tree(g, xi, 10, scheme="implicit")
+
+        sol, ref = solve(), oracle_solve(monkeypatch, solve)
+        assert one_step_residual(sol, g) <= 1e-10
+        for ours, theirs in zip(sol.y, ref.y):
+            np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12)
+
+    def test_newton_steps_per_level(self):
+        # the benchmark's implicit jobs at N = 2000: the rate estimate stops the
+        # super-linear driver after two steps, and -y is affine: one step
+        for driver, payoff, most in (("-y^3 + abs(z)^1.5*sin(y)", "sin(w)", 2), ("-y", "1", 1)):
+            sol = solve_tree(Generator.parse(driver), TerminalCondition.parse(payoff), 2000,
+                             scheme="implicit")
+            assert sol.diagnostics["picard_max_iterations"] == most
+
+    def test_decreasing_residual_is_bracketed_on_its_other_side(self):
+        # h(y) = y - E - 9 y dt = -1.25 y - E at dt = 0.25: h' < 0, so the level
+        # goes bracketed, finds no sign change above E and brackets the root below
+        sol = solve_tree(Generator.parse("9*y"), TerminalCondition.parse("1 + w^2"), 4,
+                         scheme="implicit")
+        for i in range(4):
+            E = TreeModel.pairwise_average(sol.y[i + 1])
+            np.testing.assert_allclose(sol.y[i], -0.8 * E, rtol=1e-12, atol=0)
+
+    def test_infinite_slope_is_bracketed(self, monkeypatch):
+        # g_y = -1/(2 sqrt(|y|)) is infinite at y = 0, which the odd payoff
+        # reaches: those levels trap, and their replays bracket the root
+        g, xi = Generator.parse("-sqrt(abs(y)) * sign(y)"), TerminalCondition.parse("w")
+
+        def solve():
+            return solve_tree(g, xi, 4, scheme="implicit")
+
+        sol, ref = solve(), oracle_solve(monkeypatch, solve)
+        assert sol.diagnostics["replayed_levels"] > 0
+        assert sol.diagnostics["picard_max_iterations"] > solver.NEWTON_CAP
+        for ours, theirs in zip(sol.y, ref.y):
+            np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12)
+
+    def test_no_root_names_the_step_node_and_point(self):
+        # h(y) = y - 1 - y^2 < 0 for every y: the step has no root
+        with pytest.raises(ImplicitStepError) as err:
+            solve_tree(Generator.parse("y^2"), TerminalCondition.parse("1"), 1, scheme="implicit")
+        assert (err.value.step, err.value.time, err.value.node) == (0, 0.0, 0)
         assert str(err.value) == (
-            "implicit fixed point did not converge at step 9 (t = 0.9): last change "
-            f"{abs(y[k] - last[k]):.3g} after 50 iterations, largest at node {k}: "
-            f"(t, y, z) = (0.9, {y[k]:g}, {z[k]:g})")
+            "implicit step has no root at step 0 (t = 0), node 0: y - E - g(t, y, z) dt keeps "
+            "its sign on [E - 9.22e+18, E + 9.22e+18] from (t, y, z) = (0, 1, 0)")
+        assert PicardDivergenceError is ImplicitStepError  # the name before Newton's method
 
     def test_declared_bound_enforced(self):
         lying = TerminalCondition.parse("sin(w)", bound=0.1)
@@ -398,6 +435,16 @@ class TestSolveMcRegression:
             assert all(np.array_equal(a, b) for a, b in zip(one.y + one.z, again.y + again.z))
             assert again.diagnostics == one.diagnostics
 
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_implicit_super_linear_step_converges(self, seed):
+        # Picard iteration diverged here at t = 0.98, where the regressed E
+        # reaches 3.77; by symmetry (odd payoff, odd driver) y_0 is 0
+        g = Generator.parse("-y^3 + abs(z)^1.5 * sin(y)")
+        sol = solve_mc_regression(g, TerminalCondition.parse("sin(w)"), 50, 20_000, 3, seed,
+                                  scheme="implicit")
+        assert abs(sol.y0) <= 1e-2
+        assert sol.diagnostics["picard_max_iterations"] <= solver.NEWTON_CAP
+
     def test_rank_deficient_regression_raises(self):
         basis = np.ones((50, 3))  # duplicated columns: rank 1
         with pytest.raises(RankDeficientError) as err:
@@ -489,10 +536,31 @@ SUBSTRATES = {
 }
 
 
-def whole_driver_solve(monkeypatch, solve):
-    """``solve()`` with the sweep that calls the whole driver at every update."""
+def oracle_solve(monkeypatch, solve):
+    """``solve()`` with the independent sweep: the whole driver at every
+    explicit update, bisection at every implicit node."""
     with monkeypatch.context() as patch, np.errstate(all="ignore"):
-        patch.setattr(solver, "_backward_sweep", picard_sweep_reference)
+        patch.setattr(solver, "_backward_sweep", bisection_sweep_reference)
+        return solve()
+
+
+def replayed_solve(monkeypatch, solve):
+    """``solve()`` with every level replayed: the staged driver's body raises
+    FloatingPointError, so each level runs the whole checked driver."""
+    split = Expression.split
+
+    def trapping(expr, var, *others):
+        staged = split(expr, var, *others)
+        if staged is None:
+            return None
+
+        def body(*_):
+            raise FloatingPointError("replay")
+
+        return (staged[0], body, *staged[2:])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Expression, "split", trapping)
         return solve()
 
 
@@ -517,18 +585,33 @@ class TestStagedSweep:
         def solve():
             return SUBSTRATES[substrate](g, xi, scheme=scheme, z_clamp=z_clamp)
 
-        sol, ref = solve(), whole_driver_solve(monkeypatch, solve)
+        sol, ref = solve(), replayed_solve(monkeypatch, solve)
         assert len(sol.y) == len(ref.y) and len(sol.z) == len(ref.z)
         for ours, theirs in zip(sol.y + sol.z, ref.y + ref.z):
             assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
-        expected = dict(ref.diagnostics)
-        if scheme == "implicit" and "y" not in g.expr.free_variables():
-            # one update: the second Picard iterate would repeat the first
-            assert expected["picard_max_iterations"] in (1, 2)
-            expected["picard_max_iterations"] = 1
-        diagnostics = dict(sol.diagnostics)
+        diagnostics, expected = dict(sol.diagnostics), dict(ref.diagnostics)
         assert diagnostics.pop("replayed_levels") == 0  # no level of these drivers traps
+        assert expected.pop("replayed_levels") == (0 if g.expr.split("y") is None else len(sol.z))
         assert diagnostics == expected
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    @pytest.mark.parametrize("substrate", sorted(SUBSTRATES))
+    @pytest.mark.parametrize("driver", STAGED_DRIVERS)
+    def test_matches_the_bisection_oracle(self, monkeypatch, driver, substrate, scheme):
+        # explicit: the same bits; implicit: every node within 1e-10 of its root
+        g, xi = Generator.parse(driver), TerminalCondition.parse("sin(w)")
+
+        def solve():
+            return SUBSTRATES[substrate](g, xi, scheme=scheme)
+
+        sol, ref = solve(), oracle_solve(monkeypatch, solve)
+        for ours, theirs in zip(sol.y + sol.z, ref.y + ref.z):
+            if scheme == "explicit":
+                assert ours.tobytes() == theirs.tobytes()
+            else:
+                np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-10)
+        if scheme == "implicit" and g.expr.split("y") is not None:  # else bisection alone
+            assert sol.diagnostics["picard_max_iterations"] <= solver.NEWTON_CAP
 
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     @pytest.mark.parametrize("driver, terminal, subexpr", [
@@ -545,24 +628,22 @@ class TestStagedSweep:
         def solve():
             return solve_tree(g, xi, 4, scheme=scheme)
 
-        err, ref = raised(solve), raised(lambda: whole_driver_solve(monkeypatch, solve))
+        err, ref = raised(solve), raised(lambda: oracle_solve(monkeypatch, solve))
         assert type(err) is type(ref) is EvalDomainError
         assert str(err) == str(ref) and err.subexpr == subexpr
 
-    def test_cubic_divergence_is_unchanged(self, monkeypatch):
-        # the known defect of Picard iteration on -y^3 with 3 cos(w) at N = 10
+    def test_cubic_is_its_replays(self, monkeypatch):
+        # -y^3 with 3 cos(w) at N = 10, where Picard iteration diverged: the
+        # staged Newton steps give the bits of their checked replay
         g, xi = Generator.parse("-y^3"), TerminalCondition.parse("3*cos(w)")
 
         def solve():
             return solve_tree(g, xi, 10, scheme="implicit")
 
-        err, ref = raised(solve), raised(lambda: whole_driver_solve(monkeypatch, solve))
-        assert type(err) is type(ref) is PicardDivergenceError
-        assert (err.step, err.time, err.change, err.node) == (ref.step, ref.time, ref.change,
-                                                              ref.node)
-        assert str(err) == str(ref) == (
-            "implicit fixed point did not converge at step 9 (t = 0.9): last change 1.85 after "
-            "50 iterations, largest at node 0: (t, y, z) = (0.9, -2.67289, 0.859287)")
+        sol, ref = solve(), replayed_solve(monkeypatch, solve)
+        assert [row.tobytes() for row in sol.y] == [row.tobytes() for row in ref.y]
+        assert sol.diagnostics["picard_max_iterations"] == ref.diagnostics["picard_max_iterations"]
+        assert ref.diagnostics["replayed_levels"] == 10
 
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     def test_monte_carlo_overflow_is_a_domain_error_not_a_warning(self, scheme):
@@ -578,7 +659,7 @@ class TestStagedSweep:
         # the sweep calls the staged functions directly, never Expression.__call__
         g, xi = Generator.parse("-y^3 + abs(z)^1.5*sin(y)"), TerminalCondition.parse("sin(w)")
         solve_tree(g, xi, 8, scheme="implicit")
-        staged = g.expr.split("y")
+        staged = g.expr.split("y", g.expr.derivative("y"))
         calls = []
         whole = type(g.expr).__call__
 
@@ -588,7 +669,7 @@ class TestStagedSweep:
 
         monkeypatch.setattr(type(g.expr), "__call__", counted)
         sol = solve_tree(g, xi, 8, scheme="implicit")
-        assert g.expr.split("y") == staged and sol.generator is g
+        assert g.expr.split("y", g.expr.derivative("y")) is staged and sol.generator is g
         assert calls and not any(expr is g.expr for expr in calls)
 
 
@@ -606,14 +687,14 @@ EDGE_DRIVERS = [
 ]
 
 
-def outcome(solve):
-    """The bits of every row and the diagnostics but the replay count, or the
-    error's type and message."""
+def outcome(solve, ignored=("replayed_levels",)):
+    """The bits of every row and the diagnostics but the ``ignored`` ones, or
+    the error's type and message."""
     try:
         sol = solve()
     except Exception as err:  # noqa: BLE001 - the error is the outcome
         return type(err), str(err)
-    diagnostics = {k: v for k, v in sol.diagnostics.items() if k != "replayed_levels"}
+    diagnostics = {k: v for k, v in sol.diagnostics.items() if k not in ignored}
     return [row.tobytes() for row in sol.y + sol.z], diagnostics
 
 
@@ -629,18 +710,17 @@ class TestTrappedSweep:
     def test_edge_driver_is_the_references(self, monkeypatch, driver, terminal, horizon, scheme):
         g, xi = Generator.parse(driver), TerminalCondition.parse(terminal)
 
-        def solve(scheme=scheme):
+        def solve():
             return solve_tree(g, xi, 2, horizon, scheme)
 
-        # a driver without y gets one update, the explicit step, in either scheme
-        one_update = "y" not in g.expr.free_variables()
-        expected = outcome(lambda: whole_driver_solve(
-            monkeypatch, lambda: solve("explicit" if one_update else scheme)))
-        if one_update and scheme == "implicit" and isinstance(expected[1], dict):
-            expected[1]["picard_max_iterations"] = 1
+        expected = outcome(lambda: replayed_solve(monkeypatch, solve))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert outcome(solve) == expected
+        if scheme == "explicit":  # and the independent sweep's, value for value
+            ignored = ("replayed_levels", "picard_max_iterations")
+            assert outcome(solve, ignored) == outcome(
+                lambda: oracle_solve(monkeypatch, solve), ignored)
 
     def test_monte_carlo_overflow_is_the_references(self, monkeypatch):
         g, xi = Generator.parse("z^2 / 2"), TerminalCondition.parse("min(w^2, 4)")
@@ -648,7 +728,7 @@ class TestTrappedSweep:
         def solve():
             return solve_mc_regression(g, xi, 50, 2000, 3, seed=1)
 
-        expected = outcome(lambda: whole_driver_solve(monkeypatch, solve))
+        expected = outcome(lambda: oracle_solve(monkeypatch, solve))
         assert expected[0] is EvalDomainError and outcome(solve) == expected
 
     def test_replayed_levels_counts_the_levels_that_trap(self, monkeypatch):
@@ -660,7 +740,7 @@ class TestTrappedSweep:
 
             sol = solve()
             assert sol.diagnostics["replayed_levels"] == 10
-            assert outcome(lambda: sol) == outcome(lambda: whole_driver_solve(monkeypatch, solve))
+            assert outcome(lambda: sol) == outcome(lambda: replayed_solve(monkeypatch, solve))
         # a driver with a constant that is not finite has no staged form:
         # every level runs the whole checked driver, and none is re-run
         capped = Generator.parse("min(y, 1e400)")
