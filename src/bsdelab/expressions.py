@@ -21,8 +21,8 @@ never silently returns a non-finite value.
 
 Evaluation runs one generated function per expression, compiled on the first
 call: a single numpy expression in which only ``/``, ``^``, ``exp``, ``ln``
-and ``sqrt`` call a checking helper, variable-free sub-expressions are folded
-to literals, and ``x^k`` for a constant integer ``0 <= k <= 4`` is the
+and ``sqrt`` call a checking helper, variable-free sub-expressions fold to
+literals, and ``x^k`` for a constant integer ``0 <= k <= 4`` is the
 product ``x * ... * x`` (it can differ from ``np.power`` in the last bit).
 A quotient evaluates and checks its denominator before its numerator; a
 chain of ``*`` and ``/`` that contains one compiles to one flat call, so it
@@ -31,14 +31,16 @@ nests no deeper however long it is.
 floating-point exceptions: the same code in two stages (the largest
 sub-expressions free of ``var``, then the rest given their values), run
 against helpers that test nothing, where ``x^0`` is a numpy 1.0, so that its
-arithmetic raises flags as the rest does.  It exists only when every
-variable-free sub-expression folds to a finite literal; a caller replays a
-trapped evaluation through the whole checked expression; ``split(var,
-*others)`` stages other expressions over the same parts, such as the
-derivative.  ``Expression.derivative(var)`` is an AST rewrite that the same
-generator compiles; it keeps each sub-tree that folds nothing as the same
-node, so a split reads the driver's parts in its derivative too.  The AST
-walks run on an explicit stack, so a long flat sum recurses nowhere.
+arithmetic raises flags as the rest does; a caller replays a trapped
+evaluation through the whole checked expression.  In both builds a node of
+literals that does not fold to a finite one takes them as numpy floats, and a
+non-finite literal raises the invalid flag: Python computes ``1e308*10`` as
+inf with no flag.  ``split(var, *others)`` stages other expressions over the
+same parts, such as the derivative.  ``Expression.derivative(var)`` is an AST
+rewrite that the same generator compiles; it keeps each sub-tree that folds
+nothing as the same node, so a split reads the driver's parts in its
+derivative too.  The AST walks run on an explicit stack, so a long flat sum
+recurses nowhere.
 
 ``clamp`` with a bound that is not a literal is ``np.minimum(np.maximum(x,
 lo), hi)``, since ``np.clip`` breaks a tie of signed zeros by whether its
@@ -442,10 +444,18 @@ def _power(base, expo, subexpr, negative, zero):
     return _finite(np.power(base, expo), "power produced a non-finite value", subexpr)
 
 
+def _f(value):
+    # a literal of a variable-free node that does not fold: a numpy float, whose
+    # arithmetic raises flags; a non-finite one raises the invalid flag itself
+    if not math.isfinite(value):
+        np.multiply(math.inf, 0.0)
+    return np.float64(value)
+
+
 _NAMESPACE = {
     "abs": np.abs, "sign": np.sign, "sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log,
     "sqrt": np.sqrt, "min": np.minimum, "max": np.maximum, "clamp": np.clip, "inf": math.inf,
-    "nan": math.nan, **{f.__name__: f for f in (_finite, _domain, _quotient, _chain, _power)},
+    "nan": math.nan, **{f.__name__: f for f in (_finite, _domain, _quotient, _chain, _power, _f)},
     # ``clamp`` with a bound that is not a literal: np.clip gives this to array
     # bounds, but keeps x at a tie of signed zeros with scalar ones
     "_clamp": lambda x, lo, hi: np.minimum(np.maximum(x, lo), hi),
@@ -493,31 +503,29 @@ def _step(text, prec, *operands):
 
 
 def _emit(root, names, hoisted):
-    """(operand, source, folded) of ``root`` as one numpy expression.
+    """(operand, source) of ``root`` as one numpy expression.
 
     ``names`` maps each variable to its operand; a sub-tree whose id is a key
-    of ``hoisted`` is read from the operand it maps to instead.  ``folded``
-    tells whether every variable-free sub-tree folds to a finite literal.
+    of ``hoisted`` is read from the operand it maps to instead.  A node of
+    literals that does not fold to a finite one takes them as numpy floats.
     """
     bare = set(names.values()) | set(hoisted.values())
     # a quotient, and a * or / whose left operand is one, is one flat
     # ``_quotient`` call: id(node) -> (ops, divisors, head and factors)
     chains = {}
-    folded = True
 
     def fresh(x):
         # a bare variable is the caller's own array; ``+v`` evaluates to a new one
         return (f"+{x[0]}", _PREC_UNARY) if x in bare else x
 
     def combine(node, kids):
-        nonlocal folded
         source = _source_step(node, [s for _, s in kids])
         if id(node) in hoisted:
             return hoisted[id(node)], source
         ops = [x for x, _ in kids]
         src = repr(source[0])
         if isinstance(node, Num):
-            value = node.value if math.isfinite(node.value) else (repr(node.value), _PREC_ATOM)
+            value = node.value if math.isfinite(node.value) else (f"_f({node.value!r})", _PREC_ATOM)
         elif isinstance(node, Var):
             value = names[node.name]
         elif isinstance(node, Neg):
@@ -563,13 +571,12 @@ def _emit(root, names, hoisted):
                             or b != math.floor(b) and not _nonnegative(node.lhs))
                 flags = f", {negative}, {not isinstance(b, float) or b < 0}"
                 value = _step(f"_power({_code(a)}, {_code(b)}, {src}{flags})", _PREC_ATOM, a, b)
-        constant = not isinstance(node, Var) and all(isinstance(x, float) for x in ops)
-        if constant and not isinstance(value, float):
-            folded = False  # a variable-free sub-tree that does not fold to a finite literal
+        if ops and all(isinstance(x, float) for x in ops) and not isinstance(value, float):
+            return combine(node, [((f"_f({x!r})", _PREC_ATOM), s) for x, s in kids])
         return value, source
 
     result, (source, _) = _fold(root, combine)
-    return fresh(result), source, folded
+    return fresh(result), source
 
 
 def _names(variables):
@@ -577,17 +584,17 @@ def _names(variables):
 
 
 def _generate(root, variables, parts=()):
-    """(source, folded): the source of ``lambda v0, v1, ..., c0, c1, ...: <root
-    as one numpy expression>`` in which the sub-tree ``parts[k]`` is read from
-    the parameter ``c<k>``, and ``_emit``'s ``folded`` for the whole of ``root``."""
+    """Source of ``lambda v0, v1, ..., c0, c1, ...: <root as one numpy
+    expression>`` in which the sub-tree ``parts[k]`` is read from the
+    parameter ``c<k>``."""
     names = _names(variables)
     hoisted = {id(part): (f"c{k}", _PREC_ATOM) for k, part in enumerate(parts)}
-    result, source, folded = _emit(root, names, hoisted)
+    result, source = _emit(root, names, hoisted)
     text = _code(result)
     if not isinstance(result, float):
         text = f"_finite({text}, 'non-finite result', {source!r})"
     params = [n for n, _ in names.values()] + [n for n, _ in hoisted.values()]
-    return f"lambda {', '.join(params)}: {text}", folded
+    return f"lambda {', '.join(params)}: {text}"
 
 
 def _generate_parts(parts, variables):
@@ -737,13 +744,13 @@ def _selected(gap, d_active, d_other):
 
 
 def _derivative_step(node, kids, var):
-    """(``node`` with literals folded, its derivative in ``var``) from those of
+    """(``node`` with literals combined, its derivative in ``var``) from those of
     its children; a sub-tree that folds nothing stays the same object."""
     if isinstance(node, (Num, Var)):
         return node, _ONE if node == Var(var) else _ZERO
-    folded = [k for k, _ in kids]
-    if any(k is not old for k, old in zip(folded, _children(node))):
-        node = _rebuild(node, folded)
+    new = [k for k, _ in kids]
+    if any(k is not old for k, old in zip(new, _children(node))):
+        node = _rebuild(node, new)
     node = _literal(node)
     d = [dk for _, dk in kids]
     if all(_is(dk, 0.0) for dk in d):
@@ -815,7 +822,7 @@ class Expression:
         raise AttributeError("Expression is immutable")
 
     def _compile(self):
-        fn = eval(_compiled(_generate(self.root, self.variables)[0], self.to_source()), _NAMESPACE)
+        fn = eval(_compiled(_generate(self.root, self.variables), self.to_source()), _NAMESPACE)
         object.__setattr__(self, "_fn", fn)
         return fn
 
@@ -845,7 +852,7 @@ class Expression:
 
     def split(self, var, *others):
         """The expression staged at the variable ``var`` for a caller that
-        traps floating-point exceptions: ``(pre, body, *bodies)``, or None.
+        traps floating-point exceptions: ``(pre, body, *bodies)``.
 
         ``pre`` takes the values of the other variables, in order, and returns
         the tuple of the largest sub-expressions that do not involve ``var``
@@ -853,37 +860,34 @@ class Expression:
         all the variables followed by that tuple, and returns the expression's
         value.  Each of the Expressions ``others``, over the same variables,
         has a body in ``bodies`` that takes the same arguments (a sub-tree it
-        shares with this one, the same node, is read from the tuple), or None
-        where one of its variable-free sub-expressions does not fold.  All run
+        shares with this one, the same node, is read from the tuple).  All run
         the checked code's numpy operations against helpers that test nothing,
         with ``x^0`` a numpy 1.0.  Under ``np.errstate`` raising on overflow,
         invalid and divide, and given finite values that are all numpy arrays
         or numpy scalars, each either raises ``FloatingPointError`` or returns
         ``__call__``'s bits where ``__call__`` raises nothing; a result is not
-        broadcast to the arguments' shape.  None where a variable-free
-        sub-expression does not fold to a finite literal, since Python computes
-        ``1e308*10`` as inf and raises no flag.  Built on first use and kept
-        for the last ``var`` and ``others``.
+        broadcast to the arguments' shape.  Built on first use and kept for the
+        last ``var`` and ``others``.
         """
-        staged = self._staged
-        if staged is None or staged[0] != (var, others):
+        cached = self._staged
+        if cached is None or cached[0] != (var, others):
             parts = _hoistable(self.root, var)
             rest = tuple(v for v in self.variables if v != var)
             source = self.to_source()
             fns = [eval(_compiled(_generate_parts(parts, rest), f"{source} before {var}"),
                         _UNCHECKED)]
             for expr in (self, *others):
-                body, folded = _generate(expr.root, self.variables, parts)
+                body = _generate(expr.root, self.variables, parts)
                 label = f"{expr.to_source()} given the parts of {source} without {var}"
-                fns.append(eval(_compiled(body, label), _UNCHECKED) if folded else None)
-            staged = ((var, others), None if fns[1] is None else tuple(fns))
-            object.__setattr__(self, "_staged", staged)
-        return staged[1]
+                fns.append(eval(_compiled(body, label), _UNCHECKED))
+            cached = ((var, others), tuple(fns))
+            object.__setattr__(self, "_staged", cached)
+        return cached[1]
 
     def derivative(self, var):
         """The partial derivative in the variable ``var``, as an Expression
         over the same variables: sum, product, quotient and chain rules, with
-        literals folded and the factors 1 and the terms 0 dropped.  ``abs(u)``
+        literal operations evaluated and the factors 1 and the terms 0 dropped.  ``abs(u)``
         gives ``sign(u) u'`` and ``sign`` gives 0; ``min``, ``max`` and
         ``clamp`` (as ``min(max(x, lo), hi)``) take their active argument's
         derivative, and at a tie their first argument's, a one-sided value.

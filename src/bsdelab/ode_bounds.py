@@ -91,8 +91,9 @@ class TimeGrid:
 
     @property
     def dt(self):
+        # linspace rounds each node to within an ulp of the horizon
         steps = np.diff(self.nodes)
-        if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+        if np.abs(steps - steps[0]).max() > 4.0 * np.spacing(self.nodes[-1]):
             raise ValueError("grid is not uniform")
         return float(steps[0])
 
@@ -209,10 +210,7 @@ def _overflowed(l, x, error):
     form with overflow allowed, so that a sample past the largest double is
     +inf (1/l = 0, and the integral of 1/l beyond it is below 1e12 / 1.8e308).
     Any other failure, or a NaN or -inf sample, re-raises ``error``."""
-    staged = l.split(l.variables[0])
-    if staged is None:
-        raise error
-    pre, body = staged
+    pre, body = l.split(l.variables[0])
     try:
         with np.errstate(over="ignore", invalid="raise", divide="raise", under="ignore"):
             lx = np.asarray(body(x, *pre()), dtype=float)
@@ -267,7 +265,8 @@ def solve_growth_ode(side, terminal, u_w, l, grid):
     sign = 1.0 if side == "upper" else -1.0
     inverse = _reciprocal(l, sign)
     b = sign * float(terminal)
-    l_b = 1.0 / inverse(np.array([b]))[0]
+    with np.errstate(divide="ignore"):  # where l overflowed at b, 1/l is 0 and l_b is inf
+        l_b = 1.0 / inverse(np.array([b]))[0]
     # start where F^-1 would be if l were its secant between b and Euler's
     # step to the largest S: exact for an affine l (e^50 is past any bracket)
     top = min(b + S.max() * l_b, BLOWUP_THRESHOLD)

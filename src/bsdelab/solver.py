@@ -20,10 +20,10 @@ The implicit step finds the root of h(y) = y - E - g(t, y, z) dt at all nodes
 of a level at once by Newton's method from y = E, with h' = 1 - g_y dt from
 the symbolic derivative ``Expression.derivative("y")``, staged over the
 driver's parts.  The slope is evaluated again only after a step longer than
-``THETA_REFRESH`` times the one before.  It stops when the step, or the
-error theta / (1 - theta) |step| estimated from the observed contraction
-theta (Hairer and Wanner, *Solving ODEs II*, IV.8), is below ``NEWTON_TOL``
-in sup norm, and after one step where g_y is free of y (g is affine in y).
+``THETA_REFRESH`` times the one before.  It stops when the step is below
+``NEWTON_TOL`` in sup norm, or the error theta / (1 - theta) |step|
+estimated from the observed contraction theta (Hairer and Wanner, *Solving
+ODEs II*, IV.8) below ``RATE_TOL``, and after one step where g is affine in y.
 Under the one-sided condition g_y <= mu with mu dt < 1, h is increasing and
 the root unique.  Where h' <= 0 or is not finite, where a step on a fresh
 slope does not contract after one that was also fresh, or after
@@ -47,11 +47,11 @@ one, where inf or NaN sends a level to its bracket.
 ``diagnostics["picard_max_iterations"]`` the most root-finding steps of any
 level, Newton's and bracketed ones.  Five rules keep the premise:
 
-- the staged driver exists only when every variable-free sub-expression of
-  the driver folds to a finite literal, since Python computes ``1e308*10``
-  as inf with no flag; otherwise every level runs the whole checked driver,
-  and bisects without a slope; a derivative without that property gives
-  none either;
+- a variable-free sub-expression of the driver or of g_y that does not fold
+  to a finite literal takes its literals as numpy floats, and a non-finite
+  literal raises the invalid flag, since Python computes ``1e308*10`` as inf
+  with no flag: each level of ``min(y, 1e400) - y^3`` traps, and its replay
+  takes Newton's steps on the staged slope;
 - ``x^0`` is a numpy 1.0 in it, for the same reason: ``y^0*1e308*10`` then
   raises, and so does ``y^0/0``;
 - t enters it as a numpy float64, for the same reason: ``t*1e308*10`` then
@@ -104,12 +104,14 @@ __all__ = ["TreeModel", "PathEnsemble", "DiscreteSolution", "SolverError", "Impl
            "PicardDivergenceError", "RankDeficientError", "solve_tree", "solve_mc_regression"]
 
 
-# The implicit step's Newton iteration stops once its step, or the error
-# theta / (1 - theta) |step| estimated from its observed contraction theta,
-# falls below NEWTON_TOL in sup norm; after NEWTON_CAP steps the level goes on
-# bracketed.  A bracket is grown from E by GROWTH_DOUBLINGS doublings at most
-# on either side, and bisected to NEWTON_TOL within BRACKET_CAP steps.
+# The implicit step's Newton iteration stops once its step falls below
+# NEWTON_TOL in sup norm, or the error theta / (1 - theta) |step| estimated
+# from its observed contraction theta below RATE_TOL, which allows for a theta
+# that grows; after NEWTON_CAP steps the level goes on bracketed.  A bracket
+# is grown from E by GROWTH_DOUBLINGS doublings at most on either side, and
+# bisected to NEWTON_TOL within BRACKET_CAP steps.
 NEWTON_TOL = 1e-12
+RATE_TOL = NEWTON_TOL / 100
 NEWTON_CAP = 20
 THETA_REFRESH = 0.01
 GROWTH_DOUBLINGS = 64
@@ -270,7 +272,7 @@ def _finite_or_raise(y, step, t, E, z):
     if not all_finite(y):
         k = int(np.argmin(np.isfinite(y)))
         raise SolverError(f"non-finite value at step {step} (t = {t:g}, node {k}): "
-                          f"(t, E, z) = ({t:g}, {E[k]:g}, {z[k]:g})", step, t)
+                          f"(t, E, z) = ({t:g}, {E[k]:g}, {z[k]:g})", step, float(t))
     return y
 
 
@@ -279,16 +281,16 @@ def _implicit_update(h, slope, affine, i, t, E, z):
     node, and the steps taken.
 
     Newton's method from y = E, with ``slope(y)`` the residual's derivative
-    1 - g_y dt (None where g_y has no staged form).  The slope is evaluated
-    at E, and again only after a step longer than THETA_REFRESH times the
-    one before (simplified Newton otherwise).  One step where g_y is free
-    of y (``affine``).  Bracketed (``_bracketed``) where h' <= 0 or is not
-    finite, after two steps on fresh slopes of which the second does not
-    contract, after a domain error of the driver, or after NEWTON_CAP steps.
+    1 - g_y dt.  The slope is evaluated at E, and again only after a step
+    longer than THETA_REFRESH times the one before (simplified Newton
+    otherwise).  One step where g_y is free of y (``affine``).  Bracketed
+    (``_bracketed``) where h' <= 0 or is not finite, after two steps on fresh
+    slopes of which the second does not contract, after a domain error of the
+    driver, or after NEWTON_CAP steps.
     """
     y, r = E, h(E)
-    h_E, last, d, k = r, None, None, 0
-    for k in range(1, NEWTON_CAP + 1 if slope is not None else 1):
+    h_E, d, k = r, None, 0
+    for k in range(1, NEWTON_CAP + 1):
         fresh = d is None
         if fresh:
             d = slope(y)
@@ -301,11 +303,11 @@ def _implicit_update(h, slope, affine, i, t, E, z):
         y = y - step
         if size < NEWTON_TOL or affine:
             return y, k
-        if last is not None:
+        if k > 1:
             theta = size / last
             if theta >= 1.0 and fresh and last_fresh:  # Newton's own steps do not contract
                 break
-            if theta < 1.0 and theta * size < (1.0 - theta) * NEWTON_TOL:
+            if theta < 1.0 and theta * size < (1.0 - theta) * RATE_TOL:
                 return y, k
             if theta > THETA_REFRESH:
                 d = None
@@ -352,13 +354,11 @@ def _bracketed(h, slope, i, t, E, z, h_E):
         r = h(x)
         steps += 1
         a, b = np.where(r <= 0.0, x, a), np.where(r >= 0.0, x, b)
-        nxt = 0.5 * a + 0.5 * b
-        if slope is not None:
-            d = slope(x)
-            newton = x - np.divide(r, d, out=np.full_like(x, np.inf), where=d != 0.0)
-            inside = ((np.minimum(a, b) < newton) & (newton < np.maximum(a, b))
-                      & (np.abs(2.0 * r) <= np.abs(moved * d)))
-            nxt = np.where(inside, newton, nxt)
+        d = slope(x)
+        newton = x - np.divide(r, d, out=np.full_like(x, np.inf), where=d != 0.0)
+        inside = ((np.minimum(a, b) < newton) & (newton < np.maximum(a, b))
+                  & (np.abs(2.0 * r) <= np.abs(moved * d)))
+        nxt = np.where(inside, newton, 0.5 * a + 0.5 * b)
         moved = np.abs(nxt - x)
         x = nxt
         if np.maximum.reduce(moved) < NEWTON_TOL:
@@ -385,12 +385,11 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
         raise ValueError(f"z_clamp must be > 0, got {z_clamp!r}")
     steps = grid.steps
     dt = grid.dt
-    nodes = grid.nodes.tolist()
     # without y the implicit step is the explicit one
     single = scheme == "explicit" or "y" not in g.expr.free_variables()
     g_y = None if single else g.expr.derivative("y")
     affine = not single and "y" not in g_y.free_variables()
-    # (pre, body) of the driver staged at y, and g_y's body over its parts; or None
+    # (pre, body) of the driver staged at y, and g_y's body over its parts
     staged = g.expr.split("y", *(() if single else (g_y,)))
     z_rows = [None] * steps
     clamped = False
@@ -412,30 +411,27 @@ def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
             clamped = clamped or bool(np.any(before != z))
         # t as a numpy float, so that its arithmetic raises flags under the trap
         # and gives inf, not an error, under np.errstate(all="ignore")
-        tn = grid.nodes[i]
-        t = tn if trapped else nodes[i]
-        parts = () if staged is None else staged[0](tn, z)
-        g_at = (lambda y: staged[1](tn, y, z, *parts)) if trapped else (lambda y: g(t, y, z))
+        t = grid.nodes[i]
+        parts = staged[0](t, z)
+        g_at = (lambda y: staged[1](t, y, z, *parts)) if trapped else (lambda y: g(t, y, z))
         if single:
             y, used = E + np.multiply(g_at(E), dt), 1
         else:
-            slope = None if staged is None or staged[2] is None else (
-                lambda y: 1.0 - np.multiply(staged[2](tn, y, z, *parts), dt))
-            y, used = _implicit_update(lambda y: (y - E) - np.multiply(g_at(y), dt), slope, affine,
-                                       i, t, E, z)
+            y, used = _implicit_update(lambda y: (y - E) - np.multiply(g_at(y), dt),
+                                       lambda y: 1.0 - np.multiply(staged[2](t, y, z, *parts), dt),
+                                       affine, i, t, E, z)
         if not trapped:
             _finite_or_raise(y, i, t, E, z)
         return y, z, used
 
     with np.errstate(**_TRAP):
         for i in range(steps - 1, -1, -1):
-            y = None
-            if staged is not None:
-                try:
-                    y, z, used = level(i, True)
-                except (FloatingPointError, SolverError):
-                    replayed += 1
+            try:
+                y, z, used = level(i, True)
+            except (FloatingPointError, SolverError):
+                y = None
             if y is None:  # the whole checked driver gives the values, or the error
+                replayed += 1
                 with np.errstate(all="ignore"):
                     y, z, used = level(i, False)
             if scheme == "implicit":

@@ -47,6 +47,21 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(np.asarray([0.0, math.inf]))
 
+    def test_uniform_grids_of_many_steps_are_uniform(self):
+        # the steps of linspace(0, T, N + 1) differ by about an ulp of T: a
+        # relative tolerance of 1e-12 on them rejected 7,592 of N = 1 ... 20,000
+        # at T = 1, the first at N = 7,112
+        for horizon in (1e-3, 0.5, 1.0, 2.0, 3.0, math.pi, 10.0, 1e3):
+            for steps in [*range(1, 20_001, 1 if horizon == 1.0 else 29), 7_112, 20_000]:
+                grid = TimeGrid.uniform(horizon, steps)
+                assert grid.dt == grid.nodes[1]
+        # the negative controls: a non-uniform grid, and one node moved by 1e-12
+        nodes = np.linspace(0.0, 1.0, 7_113)
+        nodes[3_000] += 1e-12
+        for grid in (NON_UNIFORM, TimeGrid(nodes)):
+            with pytest.raises(ValueError, match="grid is not uniform"):
+                grid.dt
+
     @pytest.mark.parametrize("horizon", [math.inf, math.nan])
     def test_uniform_names_a_non_finite_horizon(self, horizon):
         # np.linspace would warn, then fail with "time grid must start at 0"
@@ -99,6 +114,15 @@ class TestGrowthOde:
         with pytest.raises(EvalDomainError) as err:
             solve_growth_ode("upper", 0.5, ONE, "1 + sqrt(x - 2)", TimeGrid.uniform(1.0, 8))
         assert err.value.subexpr == "sqrt(x - 2.0)"
+
+    def test_growth_with_an_overflowing_constant_warns_of_nothing(self):
+        # its staged l overflows at the terminal value, where 1/l is then 0,
+        # and the checked l's error at the threshold stands
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvalDomainError) as err:
+                solve_growth_ode("upper", 0.5, ONE, "1e308*10 + abs(x)", TimeGrid.uniform(1.0, 8))
+        assert err.value.subexpr == "1e+308 * 10.0 + abs(x)"
 
     @pytest.mark.parametrize("growth, crossing", [
         ("max(1, 100*abs(x))", 1.0 - math.log(1e12 / 0.7) / 100.0),

@@ -526,9 +526,10 @@ class TestDiscreteSolution:
         assert a.substrate_key() != b.substrate_key()
 
 
-# the last has no staged build: every level runs the whole checked driver
+# every level of the last traps, since its 1e400 is no finite literal, and is
+# replayed through the whole checked driver and the staged slope
 STAGED_DRIVERS = ["-y^3 + abs(z)^1.5*sin(y)", "-y", "z^2/2", "-1", "0", "t*y + sin(t)*z^2",
-                  "min(y, abs(z))", "min(y, 1e400) - y^3"]
+                  "min(y, abs(z))", "sin(y)", "y - y^3", "min(y, 1e400) - y^3"]
 SUBSTRATES = {
     "tree-10": lambda g, xi, **kw: solve_tree(g, xi, 10, **kw),
     "tree-200": lambda g, xi, **kw: solve_tree(g, xi, 200, **kw),
@@ -551,8 +552,6 @@ def replayed_solve(monkeypatch, solve):
 
     def trapping(expr, var, *others):
         staged = split(expr, var, *others)
-        if staged is None:
-            return None
 
         def body(*_):
             raise FloatingPointError("replay")
@@ -590,8 +589,9 @@ class TestStagedSweep:
         for ours, theirs in zip(sol.y + sol.z, ref.y + ref.z):
             assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
         diagnostics, expected = dict(sol.diagnostics), dict(ref.diagnostics)
-        assert diagnostics.pop("replayed_levels") == 0  # no level of these drivers traps
-        assert expected.pop("replayed_levels") == (0 if g.expr.split("y") is None else len(sol.z))
+        replays = len(sol.z) if driver == STAGED_DRIVERS[-1] else 0  # no other driver traps
+        assert diagnostics.pop("replayed_levels") == replays
+        assert expected.pop("replayed_levels") == len(sol.z)
         assert diagnostics == expected
 
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
@@ -610,7 +610,7 @@ class TestStagedSweep:
                 assert ours.tobytes() == theirs.tobytes()
             else:
                 np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-10)
-        if scheme == "implicit" and g.expr.split("y") is not None:  # else bisection alone
+        if scheme == "implicit":
             assert sol.diagnostics["picard_max_iterations"] <= solver.NEWTON_CAP
 
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
@@ -673,11 +673,11 @@ class TestStagedSweep:
         assert calls and not any(expr is g.expr for expr in calls)
 
 
-# Drivers whose levels trap, or whose constants are not finite.  The two
-# min(...1e308*10...) drivers need the finite-constant rule, the two with
-# t*1e308*10 and 1/(t - 0.5) need t as a numpy float, and the last three need
-# x^0 as a numpy 1.0: Python computes t*1e308*10 as inf with no flag, and
-# 1/(t - 0.5) at t = 0.5 as a ZeroDivisionError.
+# Drivers whose levels trap, or whose constants are not finite.  The drivers
+# with 1e308*10 or 1e400 need the numpy literals of a constant that does not
+# fold, the two with t*1e308*10 and 1/(t - 0.5) need t as a numpy float, and
+# the last three need x^0 as a numpy 1.0: Python computes t*1e308*10 as inf
+# with no flag, and 1/(t - 0.5) at t = 0.5 as a ZeroDivisionError.
 EDGE_DRIVERS = [
     "y + 1e308*10", "min(y*1e300*1e10, 1)", "t*1e308*10 + y*0", "1e308",
     "min(exp(1e308*10 + 0*y), 1)", "min((y + 1e308*10)^1.5, 1)", "min(y^1.5 * 1e400, 1)",
@@ -732,20 +732,17 @@ class TestTrappedSweep:
         assert expected[0] is EvalDomainError and outcome(solve) == expected
 
     def test_replayed_levels_counts_the_levels_that_trap(self, monkeypatch):
-        # y * 1e300 * 1e10 overflows at every level, and min(inf, 1) is 1
-        g, xi = Generator.parse("min(y*1e300*1e10, 1)"), TerminalCondition.parse("2 + sin(w)")
-        for scheme in ("explicit", "implicit"):
-            def solve():
-                return solve_tree(g, xi, 10, scheme=scheme)
+        # y * 1e300 * 1e10 overflows at every level, and min(inf, 1) is 1; the
+        # literal inf of min(y, 1e400) raises the invalid flag at every level
+        xi = TerminalCondition.parse("2 + sin(w)")
+        for g in (Generator.parse("min(y*1e300*1e10, 1)"), Generator.parse("min(y, 1e400)")):
+            for scheme in ("explicit", "implicit"):
+                def solve():
+                    return solve_tree(g, xi, 10, scheme=scheme)
 
-            sol = solve()
-            assert sol.diagnostics["replayed_levels"] == 10
-            assert outcome(lambda: sol) == outcome(lambda: replayed_solve(monkeypatch, solve))
-        # a driver with a constant that is not finite has no staged form:
-        # every level runs the whole checked driver, and none is re-run
-        capped = Generator.parse("min(y, 1e400)")
-        assert capped.expr.split("y") is None
-        assert solve_tree(capped, xi, 10).diagnostics["replayed_levels"] == 0
+                sol = solve()
+                assert sol.diagnostics["replayed_levels"] == 10
+                assert outcome(lambda: sol) == outcome(lambda: replayed_solve(monkeypatch, solve))
 
     def test_regression_overflow_inside_np_linalg_is_trapped(self):
         # np.linalg computes with its flags ignored: at y ~ 1e303 on a nearly
