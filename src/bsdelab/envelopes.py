@@ -10,15 +10,18 @@ driver form penalises jointly in (y, z),
 
     g_n(t, y, z) = sup_{u, v} { g(t, u, v) - n u_w(t)|y - u| - n v_w(t)|z - v| },
 
-with an optional wedge penalty min(v_w|dz|, lam_w|dz|^alpha) in z.  Both are
-computed by a coarse scan followed by golden-section refinement inside a
-truncation box sized from the certified growth bound so that the box provably
-contains every maximiser.  The driver form's box leaves a margin of 1 over
-that bound; a point where the driver exceeds its bound by more is an
-``EnvelopeError`` naming the point, since the box would be empty there.  Its
-search is a coordinate descent (in u, then in v, ``grid.passes`` times), so it
-returns a coordinate-wise maximum, which need not be the 2-d supremum of a
-non-concave driver.
+with an optional wedge penalty min(v_w|dz|, lam_w|dz|^alpha) in z.  Both
+scan a grid inside a truncation box sized from the certified growth bound, so
+that the box provably contains every maximiser, and then refine around the
+best node.  The one-dimensional form refines by the sign of the objective's
+slope psi' +- K on either side of the kink y = x: where it goes from + to -,
+rtsafe on psi'' finds the maximiser; elsewhere the maximum is at a node or at
+x.  The driver form refines by golden section.  Its box leaves a margin of 1
+over the growth bound; a point where the driver exceeds its bound by more is
+an ``EnvelopeError`` naming the point, since the box would be empty there.
+Its search is a coordinate descent (in u, then in v, ``grid.passes`` times),
+so it returns a coordinate-wise maximum, which need not be the 2-d supremum of
+a non-concave driver.
 """
 
 from __future__ import annotations
@@ -45,6 +48,12 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section steps per argmax refinement; each shrinks the bracket by _GOLDEN
 GOLDEN_ITERS = 64
+# an interior maximiser of a LipschitzEnvelope is settled once an rtsafe step
+# moves it by at most ROOT_ULPS units in its last place, or once Newton's step
+# leaves it where it is; one still moving after ROOT_CAP steps keeps its last
+# iterate
+ROOT_ULPS = 4
+ROOT_CAP = 100
 
 
 class EnvelopeError(ValueError):
@@ -118,6 +127,50 @@ def _golden_argmax(f, lo, hi):
         np.copyto(a, c, where=~keep_left)
     mid = 0.5 * (a + b)
     return mid, np.asarray(f(mid))
+
+
+def _rtsafe(f, a, b):
+    """rtsafe (*Numerical Recipes* 9.4) per entry, on brackets with f(a) <= 0
+    <= f(b) (a may lie above b): from the midpoint, Newton's step where it
+    stays in the bracket and halves the last move, else bisection.  ``f(x)``
+    returns f and its derivative at x.  Yields, without end, each iterate,
+    how far each entry moved to it, and where Newton's step from the iterate
+    before left that one where it was: the book stops there, but the step is
+    not strictly inside the bracket, so a bisection follows.  The caller
+    stops."""
+    x = 0.5 * a + 0.5 * b
+    moved = np.abs(b - a)
+    while True:
+        r, d = f(x)
+        a, b = np.where(r <= 0.0, x, a), np.where(r >= 0.0, x, b)
+        newton = x - np.divide(r, d, out=np.full_like(x, np.inf), where=d != 0.0)
+        inside = ((np.minimum(a, b) < newton) & (newton < np.maximum(a, b))
+                  & (np.abs(2.0 * r) <= np.abs(moved * d)))
+        nxt = np.where(inside, newton, 0.5 * a + 0.5 * b)
+        moved = np.abs(nxt - x)
+        yield nxt, moved, newton == x
+        x = nxt
+
+
+def _settled(f, a, b):
+    """Per entry, the first rtsafe iterate within ROOT_ULPS units in its last
+    place of the one before, or the iterate that Newton's step leaves where
+    it is; an entry still moving after ROOT_CAP steps keeps its last iterate.
+    An entry's iterates are its own, so its root does not depend on the other
+    entries."""
+    x = 0.5 * a + 0.5 * b
+    root = np.empty_like(x)
+    todo = np.ones(x.shape, dtype=bool)
+    for _, (nxt, moved, landed) in zip(range(ROOT_CAP), _rtsafe(f, a, b)):
+        close = todo & (moved <= ROOT_ULPS * np.spacing(np.abs(nxt)))
+        landed &= todo & ~close
+        root[close], root[landed] = nxt[close], x[landed]
+        todo &= ~(close | landed)
+        if not todo.any():
+            return root
+        x = nxt
+    root[todo] = x[todo]
+    return root
 
 
 def _prefix_argmax(values, ties):
@@ -204,8 +257,10 @@ class LipschitzEnvelope:
         Per point, the best grid node y_k comes from two max-plus sweeps: the
         running maximum of psi(y) + K y from the left serves the nodes at or
         below x, that of psi(y) - K y from the right the nodes at or above
-        it (Felzenszwalb & Huttenlocher 2012).  Golden section then refines
-        inside [y_{k-1}, y_{k+1}].
+        it (Felzenszwalb & Huttenlocher 2012).  Inside [y_{k-1}, y_{k+1}], a
+        maximum off the nodes and off x is a root of the slope, which
+        ``_peaks`` finds where the slope's sign says there is one; the value
+        is the largest of the scan, those roots and psi(x).
         """
         x = np.asarray(x, dtype=float)
         if np.any(x < 0):
@@ -239,15 +294,43 @@ class LipschitzEnvelope:
         scan = np.maximum(left_val, right_val)
         lo = np.take_along_axis(ygrid, np.maximum(best - 1, 0), axis=1)
         hi = np.take_along_axis(ygrid, np.minimum(best + 1, last), axis=1)
-
-        def f(yv):
-            y = yv.reshape(-1, *rows.shape)
-            return (np.asarray(self.psi(y), dtype=float) - slope * np.abs(rows - y)).ravel()
-
-        _, refined = _golden_argmax(f, lo.ravel(), hi.ravel())
         at_x = np.asarray(self.psi(rows), dtype=float)
-        out = np.maximum(np.maximum(scan, refined.reshape(rows.shape)), at_x)
+        out = np.maximum(np.maximum(scan, self._peaks(rows, slope, lo, hi)), at_x)
         return out.reshape(x.shape)
+
+    def _peaks(self, rows, slope, lo, hi):
+        """Per point, the objective's largest value at a root of its slope
+        inside [lo, hi], or -inf where the slope has none.
+
+        The kink y = x splits [lo, hi] into a side below x, where the slope
+        is psi'(y) + K, and a side above it, where it is psi'(y) - K.  A side
+        whose slope goes from + at its lower end to - at its upper end holds
+        a maximum, which rtsafe on psi'' finds; each point stops on its own.
+        psi' and psi'' run staged, so that an infinite slope keeps its sign;
+        a NaN slope holds no root.
+        """
+        var = self.psi.variables[0]
+        d1 = self.psi.derivative(var)
+        pre, _, d1_at, d2_at = self.psi.split(var, d1, d1.derivative(var))
+        K = np.broadcast_to(slope, rows.shape)
+        shift = np.stack([K, -K])
+        # the sides' lower ends (lo, max(lo, x)) and upper ends (min(hi, x), hi)
+        ends = np.stack([lo, np.maximum(lo, rows), np.minimum(hi, rows), hi])
+        with np.errstate(all="ignore"):
+            parts = pre()
+            d = np.broadcast_to(d1_at(ends, *parts), ends.shape) + np.concatenate([shift, shift])
+            lower, upper = ends[:2], ends[2:]
+            inner = (lower < upper) & (d[:2] > 0.0) & (d[2:] < 0.0)
+            if not inner.any():
+                return np.full(rows.shape, -math.inf)
+            shift = shift[inner]
+            y = _settled(lambda y: (np.broadcast_to(d1_at(y, *parts), y.shape) + shift,
+                                    np.broadcast_to(d2_at(y, *parts), y.shape)),
+                         upper[inner], lower[inner])
+        peak = np.full(inner.shape, -math.inf)
+        peak[inner] = (np.asarray(self.psi(y), dtype=float)
+                       - np.abs(shift) * np.abs(np.broadcast_to(rows, inner.shape)[inner] - y))
+        return np.maximum(peak[0], peak[1])
 
     def __call__(self, x):
         if np.isscalar(x) or np.ndim(x) == 0:

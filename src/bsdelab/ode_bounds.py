@@ -205,30 +205,31 @@ def _integrate(f, a, b, name):
                      f"in {QUAD_DEPTH} bisections")
 
 
-def _overflowed(l, x, error):
-    """l at the array ``x`` where the checked l raised ``error``: its staged
-    form with overflow allowed, so that a sample past the largest double is
-    +inf (1/l = 0, and the integral of 1/l beyond it is below 1e12 / 1.8e308).
-    Any other failure, or a NaN or -inf sample, re-raises ``error``."""
-    pre, body = l.split(l.variables[0])
+def _sampled(l, x):
+    """l at the array ``x``.  Where the checked l raises, its staged form runs
+    with overflow allowed, so that a sample past the largest double is +inf
+    (1/l = 0, and the integral of 1/l beyond it is below 1e12 / 1.8e308).
+    Any other failure, or a NaN or -inf sample, re-raises the checked l's
+    error."""
     try:
-        with np.errstate(over="ignore", invalid="raise", divide="raise", under="ignore"):
-            lx = np.asarray(body(x, *pre()), dtype=float)
-    except FloatingPointError:
-        raise error from None
-    if np.isnan(lx).any() or (lx == -math.inf).any():
-        raise error
-    return np.broadcast_to(lx, np.shape(x))
+        return np.asarray(l(x), dtype=float)
+    except EvalDomainError as error:
+        pre, body = l.split(l.variables[0])
+        try:
+            with np.errstate(over="ignore", invalid="raise", divide="raise", under="ignore"):
+                lx = np.asarray(body(x, *pre()), dtype=float)
+        except FloatingPointError:
+            raise error from None
+        if np.isnan(lx).any() or (lx == -math.inf).any():
+            raise error from None
+        return np.broadcast_to(lx, np.shape(x))
 
 
 def _reciprocal(l, sign=1.0):
     """x -> 1 / l(sign * x); a sample where l <= 0 raises NonPositiveError at
     the least such x, and one that overflows to +inf gives 0."""
     def reciprocal(x):
-        try:
-            lx = np.asarray(l(sign * x), dtype=float)
-        except EvalDomainError as exc:
-            lx = _overflowed(l, sign * x, exc)
+        lx = _sampled(l, sign * x)
         if not (lx > 0.0).all():
             raise NonPositiveError(sign * float(x[lx <= 0.0].min()))
         return 1.0 / lx
@@ -267,12 +268,17 @@ def solve_growth_ode(side, terminal, u_w, l, grid):
     b = sign * float(terminal)
     with np.errstate(divide="ignore"):  # where l overflowed at b, 1/l is 0 and l_b is inf
         l_b = 1.0 / inverse(np.array([b]))[0]
-    # start where F^-1 would be if l were its secant between b and Euler's
-    # step to the largest S: exact for an affine l (e^50 is past any bracket)
-    top = min(b + S.max() * l_b, BLOWUP_THRESHOLD)
-    l_top = l(sign * top)
-    z = np.minimum(S * ((l_top - l_b) / (top - b) if top > b and l_top > 0.0 else 0.0), 50.0)
-    x = b + l_b * S * np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
+    if l_b < math.inf:
+        # start where F^-1 would be if l were its secant between b and Euler's
+        # step to the largest S: exact for an affine l (e^50 is past any
+        # bracket); Euler's step where l is not positive or overflows there
+        top = min(b + S.max() * l_b, BLOWUP_THRESHOLD)
+        l_top = _sampled(l, np.array([sign * top]))[0]
+        secant = (l_top - l_b) / (top - b) if top > b and 0.0 < l_top < math.inf else 0.0
+        z = np.minimum(S * secant, 50.0)
+        x = b + l_b * S * np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
+    else:  # 1/l is 0 at b: the nodes with S > 0 start at the threshold
+        x = np.where(S > 0.0, BLOWUP_THRESHOLD, b)
     x = np.minimum(x, BLOWUP_THRESHOLD)
     lo, hi = np.full(len(S), b), np.full(len(S), BLOWUP_THRESHOLD)
     done = S == 0.0

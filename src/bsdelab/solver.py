@@ -96,6 +96,7 @@ from typing import Optional
 
 import numpy as np
 
+from .envelopes import _rtsafe
 from .expressions import EvalDomainError, all_finite
 from .generators import Generator, TerminalCondition
 from .ode_bounds import TimeGrid
@@ -348,19 +349,8 @@ def _bracketed(h, slope, i, t, E, z, h_E):
         raise ImplicitStepError(i, float(t), k, float(E[k]), float(z[k]),
                                 abs(float(h_E[k])) * 2.0 ** (GROWTH_DOUBLINGS - 1))
     a, b = np.where(h_E < 0.0, near, far), np.where(h_E < 0.0, far, near)  # h(a) <= 0 <= h(b)
-    x = 0.5 * a + 0.5 * b
-    moved = np.abs(b - a)
-    for _ in range(BRACKET_CAP):
-        r = h(x)
+    for _, (x, moved, _) in zip(range(BRACKET_CAP), _rtsafe(lambda x: (h(x), slope(x)), a, b)):
         steps += 1
-        a, b = np.where(r <= 0.0, x, a), np.where(r >= 0.0, x, b)
-        d = slope(x)
-        newton = x - np.divide(r, d, out=np.full_like(x, np.inf), where=d != 0.0)
-        inside = ((np.minimum(a, b) < newton) & (newton < np.maximum(a, b))
-                  & (np.abs(2.0 * r) <= np.abs(moved * d)))
-        nxt = np.where(inside, newton, 0.5 * a + 0.5 * b)
-        moved = np.abs(nxt - x)
-        x = nxt
         if np.maximum.reduce(moved) < NEWTON_TOL:
             return x, steps
     raise SolverError(f"implicit step did not settle within {BRACKET_CAP} bracketed steps "

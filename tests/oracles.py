@@ -220,24 +220,98 @@ def lstsq_reference(basis, target):
     return fitted.reshape(np.shape(target))
 
 
-def lipschitz_envelope_reference(psi, slope, growth_k, x, radius=100.0, nodes=2001):
-    """sup_{y >= 0} psi(y) - slope |x - y| by a dense (points, nodes) scan.
-
-    The scan runs over np.linspace(0, R, nodes) with the same analytic radius
-    R as ``LipschitzEnvelope``, then refines every point's best node by 64
-    golden-section steps inside its two neighbours, and finally takes the
-    larger of the scan, the refinement and psi(x).  No running maxima: every
-    node is scored against every point.
-    """
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
+def _dense_lipschitz_scan(psi, slope, growth_k, flat, radius, nodes):
+    """The best of ``nodes`` nodes over [0, R] for every point, the same
+    analytic R as ``LipschitzEnvelope``, by a dense (points, nodes) scan:
+    (scan values, the best node's neighbours)."""
     xmax = float(np.max(flat))
     analytic = (growth_k + slope * xmax + 1.0) / (slope - growth_k)
     ygrid = np.linspace(0.0, max(radius, analytic, xmax + 1.0), nodes)
     obj = np.asarray(psi(ygrid), dtype=float)[None, :] - slope * np.abs(flat[:, None] - ygrid[None, :])
     best = np.argmax(obj, axis=1)
-    a = ygrid[np.maximum(best - 1, 0)]
-    b = ygrid[np.minimum(best + 1, nodes - 1)]
+    lo = ygrid[np.maximum(best - 1, 0)]
+    hi = ygrid[np.minimum(best + 1, nodes - 1)]
+    return obj[np.arange(flat.size), best], lo, hi
+
+
+def _slope_functions(psi):
+    """psi' and psi'' of a one-variable expression at one number, through
+    their staged builds with every floating-point flag ignored, so that an
+    infinite or NaN slope comes back as such."""
+    var = psi.variables[0]
+    d1 = psi.derivative(var)
+    pre, _, d1_at, d2_at = psi.split(var, d1, d1.derivative(var))
+
+    def at(body, y):
+        with np.errstate(all="ignore"):
+            return float(np.broadcast_to(body(np.asarray([y]), *pre()), (1,))[0])
+
+    return lambda y: at(d1_at, y), lambda y: at(d2_at, y)
+
+
+def _rtsafe_root(f, df, a, b):
+    """rtsafe on one bracket with f(a) <= 0 <= f(b), in Python floats: from
+    the midpoint, Newton's step where it lies strictly inside the bracket and
+    is at most half the last move, else bisection.  Stops at an iterate
+    within 4 ulps of the one before, at one that Newton's step leaves where
+    it is, or after 100 steps."""
+    x = 0.5 * a + 0.5 * b
+    moved = abs(b - a)
+    for _ in range(100):
+        r, d = f(x), df(x)
+        if r <= 0.0:
+            a = x
+        if r >= 0.0:
+            b = x
+        newton = x - (r / d if d != 0.0 else math.inf)
+        if min(a, b) < newton < max(a, b) and abs(2.0 * r) <= abs(moved * d):
+            nxt = newton
+        else:
+            nxt = 0.5 * a + 0.5 * b
+        moved = abs(nxt - x)
+        if moved <= 4.0 * math.ulp(nxt):
+            return nxt
+        if newton == x:
+            return x
+        x = nxt
+    return x
+
+
+def lipschitz_envelope_reference(psi, slope, growth_k, x, radius=100.0, nodes=2001):
+    """sup_{y >= 0} psi(y) - slope |x - y| by a dense (points, nodes) scan.
+
+    The scan runs over np.linspace(0, R, nodes) with the same analytic radius
+    R as ``LipschitzEnvelope``.  Then, one point at a time, the kink y = x
+    splits the best node's neighbours [lo, hi] into [lo, min(hi, x)], where
+    the objective's slope is psi' + slope, and [max(lo, x), hi], where it is
+    psi' - slope; on a side whose slope goes from + to -, rtsafe on psi''
+    finds its root.  The result is the largest of the scan, the objective at
+    those roots and psi(x).  No running maxima: every node is scored against
+    every point.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    scan, lo, hi = _dense_lipschitz_scan(psi, slope, growth_k, flat, radius, nodes)
+    d1, d2 = _slope_functions(psi)
+    peak = np.full(flat.size, -math.inf)
+    for i, (xi, a, b) in enumerate(zip(flat.tolist(), lo.tolist(), hi.tolist())):
+        for lower, upper, shift in ((a, min(b, xi), slope), (max(a, xi), b, -slope)):
+            if lower < upper and d1(lower) + shift > 0.0 and d1(upper) + shift < 0.0:
+                y = _rtsafe_root(lambda y: d1(y) + shift, d2, upper, lower)
+                value = float(np.asarray(psi(np.asarray([y])))[0]) - slope * abs(xi - y)
+                peak[i] = np.maximum(peak[i], value)
+    out = np.maximum(np.maximum(scan, peak), np.asarray(psi(flat), dtype=float))
+    return out.reshape(x.shape)
+
+
+def lipschitz_envelope_golden_reference(psi, slope, growth_k, x, radius=100.0, nodes=2001):
+    """``lipschitz_envelope_reference``'s dense scan, with every point's best
+    node refined by 64 golden-section steps inside its two neighbours, not by
+    the slope's sign; the result is the largest of the scan, the refinement
+    and psi(x)."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    scan, a, b = _dense_lipschitz_scan(psi, slope, growth_k, flat, radius, nodes)
 
     def f(yv):
         xs = np.tile(flat, yv.size // flat.size)
@@ -254,7 +328,6 @@ def lipschitz_envelope_reference(psi, slope, growth_k, x, radius=100.0, nodes=20
         b = np.where(keep_left, d, b)
         a = np.where(keep_left, a, c)
     refined = f(0.5 * (a + b))
-    scan = obj[np.arange(m), best]
     out = np.maximum(np.maximum(scan, refined), np.asarray(psi(flat), dtype=float))
     return out.reshape(x.shape)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bsdelab.envelopes import (
 from bsdelab.generators import Generator, WeightFn
 from tests.oracles import (
     envelope_family_reference,
+    lipschitz_envelope_golden_reference,
     lipschitz_envelope_reference,
     separable_supconv_oracle,
     sqrt_envelope_closed_form,
@@ -138,11 +140,26 @@ class TestLipschitzScan:
             LipschitzEnvelope(psi, slope, growth_k).psi, slope, growth_k, x, grid.radius, grid.nodes)
         assert got.tobytes() == want.tobytes()
 
-    def test_random_non_monotone_moduli(self):
+    @staticmethod
+    def random_draws():
+        """40 (points, slope) pairs for moduli below 2 (1 + x)."""
         rng = np.random.default_rng(8)
         for _ in range(40):
             x = rng.uniform(0.0, rng.uniform(0.5, 40.0), size=int(rng.integers(1, 80)))
-            self.assert_reference(self.WAVY, 2.0 + rng.uniform(0.01, 6.0), 2.0, x)
+            yield x, 2.0 + rng.uniform(0.01, 6.0)
+
+    def test_random_non_monotone_moduli(self):
+        for x, slope in self.random_draws():
+            self.assert_reference(self.WAVY, slope, 2.0, x)
+
+    @pytest.mark.parametrize("psi", [WAVY, "sqrt(x)", "min(x, sqrt(x))", "x", "1"])
+    def test_never_below_golden_section(self, psi):
+        # the slope's sign finds every maximum that 64 golden-section steps find
+        for x, slope in self.random_draws():
+            got = LipschitzEnvelope(psi, slope, 2.0).batch(x)
+            golden = lipschitz_envelope_golden_reference(
+                LipschitzEnvelope(psi, slope, 2.0).psi, slope, 2.0, x)
+            assert np.min(got - golden) >= -1e-12
 
     def test_origin_and_grid_nodes(self):
         slope, k = 3.5, 2.0
@@ -198,6 +215,44 @@ class TestLipschitzScan:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+class TestSingularSlopes:
+    """Slopes that are infinite or NaN at an end of a point's bracket."""
+
+    @pytest.mark.parametrize("slope", [0.75, 1.0, 2.0, 5.0, 50.0, 1000.0])
+    def test_sqrt_below_its_knee(self, slope):
+        # the maximiser 1/(4K^2) is interior; from K = 2 on, the bracket of
+        # x = 0 starts at the node 0, where psi' = +inf
+        knee = 1.0 / (4.0 * slope * slope)
+        x = np.append(np.linspace(0.0, knee, 64, endpoint=False), np.nextafter(knee, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = LipschitzEnvelope("sqrt(x)", slope, 0.5).batch(x)
+        np.testing.assert_allclose(got, slope * x + 1.0 / (4.0 * slope), rtol=0, atol=1e-12)
+
+    def test_nan_slope_at_zero(self):
+        # psi' of min(x, sqrt(x)) is NaN at 0, so a bracket from 0 takes no step there
+        psi = LipschitzEnvelope("min(x, sqrt(x))", 3.0, 2.0).psi
+        d1 = psi.derivative("x")
+        pre, _, d1_at = psi.split("x", d1)
+        with np.errstate(all="ignore"):
+            assert np.isnan(d1_at(np.zeros(1), *pre())).all()
+        small = np.asarray([0.0, 5e-324, 1e-300, 1e-12, 1e-6, 0.01, 0.05])
+        for x, slope in TestLipschitzScan.random_draws():
+            x = np.concatenate([small, x])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = LipschitzEnvelope(psi, slope, 2.0).batch(x)
+            assert np.all(got >= lipschitz_envelope_golden_reference(psi, slope, 2.0, x))
+
+    @pytest.mark.xfail(strict=True, reason="psi' of min(x, sqrt(x)) is NaN at 0, so the "
+                       "side of the bracket [0, hi] above x = 0 is not searched")
+    def test_nan_slope_hides_a_corner_in_a_wide_cell(self):
+        # K = 0.51 < psi' = 1 on [0, 1): the maximum for x = 0 is the corner
+        # y = 1, inside the first two cells of a 333-node grid over [0, 405]
+        env = LipschitzEnvelope("min(x, sqrt(x))", 0.51, 0.5, EnvelopeGrid(nodes=333))
+        assert env.batch(np.asarray([0.0, 5.0]))[0] == pytest.approx(0.49, abs=1e-12)
 
 
 class TestSupConvolution:

@@ -116,13 +116,23 @@ class TestGrowthOde:
         assert err.value.subexpr == "sqrt(x - 2.0)"
 
     def test_growth_with_an_overflowing_constant_warns_of_nothing(self):
-        # its staged l overflows at the terminal value, where 1/l is then 0,
-        # and the checked l's error at the threshold stands
+        # its staged l overflows everywhere, so 1/l is 0 and F stays below S:
+        # the bound leaves the threshold at once
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EvalDomainError) as err:
+            with pytest.raises(BlowUpError) as err:
                 solve_growth_ode("upper", 0.5, ONE, "1e308*10 + abs(x)", TimeGrid.uniform(1.0, 8))
-        assert err.value.subexpr == "1e+308 * 10.0 + abs(x)"
+        assert err.value.time_reached == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("terminal", [800.0, 30.0])
+    def test_growth_overflowing_at_the_terminal_value_blows_up(self, terminal):
+        # exp overflows at 800, and at 30 + e^30, the end of Euler's step from
+        # 30; F(inf) = e^-terminal, so U leaves the threshold at t = 1 - e^-terminal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as err:
+                solve_growth_ode("upper", terminal, ONE, "exp(x)", TimeGrid.uniform(1.0, 8))
+        assert err.value.time_reached == pytest.approx(1.0 - math.exp(-terminal), abs=1e-9)
 
     @pytest.mark.parametrize("growth, crossing", [
         ("max(1, 100*abs(x))", 1.0 - math.log(1e12 / 0.7) / 100.0),
