@@ -13,20 +13,22 @@ driver form penalises jointly in (y, z),
 with an optional wedge penalty min(v_w|dz|, lam_w|dz|^alpha) in z.  Both
 scan a grid inside a truncation box sized from the certified growth bound, so
 that the box provably contains every maximiser, and then refine around the
-best node.  The one-dimensional form refines by the sign of the objective's
-slope psi' +- K on either side of the kink y = x: where it goes from + to -,
-rtsafe on psi'' finds the maximiser; elsewhere the maximum is at a node or at
-x.  The driver form refines by golden section.  Its box leaves a margin of 1
-over the growth bound; a point where the driver exceeds its bound by more is
-an ``EnvelopeError`` naming the point, since the box would be empty there.
-Its search is a coordinate descent (in u, then in v, ``grid.passes`` times),
-so it returns a coordinate-wise maximum, which need not be the 2-d supremum of
-a non-concave driver.
+best node by one rule (``_peaks``): the penalty's kink splits the node's
+neighbours into two sides, on each of which the objective's slope is the
+function's own +- the penalty's, and where it goes from + to -, rtsafe on
+the curvature finds the maximiser; elsewhere the maximum is at a node (or at
+x, which the one-dimensional form scores too).  The driver form's box leaves
+a margin of 1 over the growth bound; a point where the driver exceeds its
+bound by more is an ``EnvelopeError`` naming the point, since the box would
+be empty there.  Its search is a coordinate descent (in u, then in v,
+``grid.passes`` times), so it returns a coordinate-wise maximum, which need
+not be the 2-d supremum of a non-concave driver.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,13 +47,9 @@ __all__ = [
     "envelope_family_values",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# golden-section steps per argmax refinement; each shrinks the bracket by _GOLDEN
-GOLDEN_ITERS = 64
-# an interior maximiser of a LipschitzEnvelope is settled once an rtsafe step
-# moves it by at most ROOT_ULPS units in its last place, or once Newton's step
-# leaves it where it is; one still moving after ROOT_CAP steps keeps its last
-# iterate
+# an interior maximiser is settled once an rtsafe step moves it by at most
+# ROOT_ULPS units in its last place, or once Newton's step leaves it where it
+# is; one still moving after ROOT_CAP steps keeps its last iterate
 ROOT_ULPS = 4
 ROOT_CAP = 100
 
@@ -100,35 +98,6 @@ def linearize_phi(phi, a, b, n, x):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def _golden_argmax(f, lo, hi):
-    """Vectorised golden-section maximisation of f on [lo, hi] per element, GOLDEN_ITERS steps.
-
-    Both probe points go through f in one stacked call per iteration, as a
-    ``(2, m)`` array whose rows are the lower and the upper probes, which
-    matters when f is an interpreted expression with per-call overhead; f may
-    return its values in any shape of 2m elements.  The probes share one
-    buffer and the brackets shrink in place, so a step allocates nothing but
-    f's own result.
-    """
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    m = a.size
-    probes = np.empty((2, m))
-    c, d = probes
-    span = np.empty(m)
-    keep_left = np.empty(m, dtype=bool)
-    for _ in range(GOLDEN_ITERS):
-        np.multiply(np.subtract(b, a, out=span), _GOLDEN, out=span)
-        np.subtract(b, span, out=c)
-        np.add(a, span, out=d)
-        vals = np.asarray(f(probes)).reshape(2, m)
-        np.greater(vals[0], vals[1], out=keep_left)
-        np.copyto(b, d, where=keep_left)
-        np.copyto(a, c, where=~keep_left)
-    mid = 0.5 * (a + b)
-    return mid, np.asarray(f(mid))
-
-
 def _rtsafe(f, a, b):
     """rtsafe (*Numerical Recipes* 9.4) per entry, on brackets with f(a) <= 0
     <= f(b) (a may lie above b): from the midpoint, Newton's step where it
@@ -171,6 +140,45 @@ def _settled(f, a, b):
         x = nxt
     root[todo] = x[todo]
     return root
+
+
+def _slopes(expr, var):
+    """``expr`` staged at ``var`` with its first two derivatives in ``var``:
+    the (pre, slope, curvature) functions of ``Expression.split``."""
+    d1 = expr.derivative(var)
+    pre, _, d1_at, d2_at = expr.split(var, d1, d1.derivative(var))
+    return pre, d1_at, d2_at
+
+
+def _peaks(objective, slope, centre, lo, hi, params):
+    """Per point, the objective's largest value at a root of its slope inside
+    [lo, hi], and that root; -inf where the slope has none.
+
+    The kink at ``centre`` splits [lo, hi] into two sides.  ``slope(y, side,
+    *params)`` gives the objective's slope and curvature, ``side`` +1 below
+    the kink and -1 above, and ``objective(y, *params)`` its value, with
+    ``params`` per-point arrays broadcast against ``centre``.  A side whose
+    slope goes from + at its lower end to - at its upper end holds a maximum,
+    which rtsafe on the curvature finds; each point stops on its own.  Slopes
+    run with every floating-point flag ignored: an infinite one keeps its
+    sign, a NaN one holds no root.
+    """
+    side = np.array([1.0, -1.0, 1.0, -1.0]).reshape((4,) + (1,) * np.ndim(centre))
+    # the sides' lower ends (lo, max(lo, centre)) and upper ends (min(hi, centre), hi)
+    ends = np.stack([lo, np.maximum(lo, centre), np.minimum(hi, centre), hi])
+    peak, root = np.full(ends[:2].shape, -math.inf), np.zeros(ends[:2].shape)
+    with np.errstate(all="ignore"):
+        d = slope(ends, side, *params)[0]
+        inner = (ends[:2] < ends[2:]) & (d[:2] > 0.0) & (d[2:] < 0.0)
+        if not inner.any():
+            return peak[0], root[0]
+        params = [np.broadcast_to(p, inner.shape)[inner] for p in params]
+        side = np.broadcast_to(side[:2], inner.shape)[inner]
+        root[inner] = _settled(lambda y: [np.broadcast_to(r, y.shape) for r in slope(
+            y, side, *params)], ends[2:][inner], ends[:2][inner])
+    peak[inner] = objective(root[inner], *params)
+    top = peak[1] > peak[0]
+    return np.where(top, peak[1], peak[0]), np.where(top, root[1], root[0])
 
 
 def _prefix_argmax(values, ties):
@@ -295,42 +303,11 @@ class LipschitzEnvelope:
         lo = np.take_along_axis(ygrid, np.maximum(best - 1, 0), axis=1)
         hi = np.take_along_axis(ygrid, np.minimum(best + 1, last), axis=1)
         at_x = np.asarray(self.psi(rows), dtype=float)
-        out = np.maximum(np.maximum(scan, self._peaks(rows, slope, lo, hi)), at_x)
-        return out.reshape(x.shape)
-
-    def _peaks(self, rows, slope, lo, hi):
-        """Per point, the objective's largest value at a root of its slope
-        inside [lo, hi], or -inf where the slope has none.
-
-        The kink y = x splits [lo, hi] into a side below x, where the slope
-        is psi'(y) + K, and a side above it, where it is psi'(y) - K.  A side
-        whose slope goes from + at its lower end to - at its upper end holds
-        a maximum, which rtsafe on psi'' finds; each point stops on its own.
-        psi' and psi'' run staged, so that an infinite slope keeps its sign;
-        a NaN slope holds no root.
-        """
-        var = self.psi.variables[0]
-        d1 = self.psi.derivative(var)
-        pre, _, d1_at, d2_at = self.psi.split(var, d1, d1.derivative(var))
-        K = np.broadcast_to(slope, rows.shape)
-        shift = np.stack([K, -K])
-        # the sides' lower ends (lo, max(lo, x)) and upper ends (min(hi, x), hi)
-        ends = np.stack([lo, np.maximum(lo, rows), np.minimum(hi, rows), hi])
-        with np.errstate(all="ignore"):
-            parts = pre()
-            d = np.broadcast_to(d1_at(ends, *parts), ends.shape) + np.concatenate([shift, shift])
-            lower, upper = ends[:2], ends[2:]
-            inner = (lower < upper) & (d[:2] > 0.0) & (d[2:] < 0.0)
-            if not inner.any():
-                return np.full(rows.shape, -math.inf)
-            shift = shift[inner]
-            y = _settled(lambda y: (np.broadcast_to(d1_at(y, *parts), y.shape) + shift,
-                                    np.broadcast_to(d2_at(y, *parts), y.shape)),
-                         upper[inner], lower[inner])
-        peak = np.full(inner.shape, -math.inf)
-        peak[inner] = (np.asarray(self.psi(y), dtype=float)
-                       - np.abs(shift) * np.abs(np.broadcast_to(rows, inner.shape)[inner] - y))
-        return np.maximum(peak[0], peak[1])
+        pre, d1_at, d2_at = _slopes(self.psi, self.psi.variables[0])
+        peak, _ = _peaks(lambda y, K, x: np.asarray(self.psi(y), dtype=float) - K * np.abs(x - y),
+                         lambda y, side, K, _: (d1_at(y, *pre()) + side * K, d2_at(y, *pre())),
+                         rows, lo, hi, (slope, rows))
+        return np.maximum(np.maximum(scan, peak), at_x).reshape(x.shape)
 
     def __call__(self, x):
         if np.isscalar(x) or np.ndim(x) == 0:
@@ -399,17 +376,17 @@ def _node_grid(lo, hi, nodes):
     return grid
 
 
-def _line_search(f, centre, half, nodes):
-    """Per point, the maximiser of f over centre +- half: the best of ``nodes``
-    nodes, or the golden-section refinement between its neighbours where that
-    is strictly better."""
+def _line_search(objective, slope, centre, half, nodes, params):
+    """Per point, the maximiser of the objective over centre +- half: the best
+    of ``nodes`` nodes, or the best root of its slope between that node's
+    neighbours (``_peaks``) where that is strictly better."""
     grid = _node_grid(centre - half, centre + half, nodes)
-    vals = f(grid)
+    vals = objective(grid, *params)
     k = np.argmax(vals, axis=0)
     cols = np.arange(grid.shape[1])
     lo, hi = grid[np.maximum(k - 1, 0), cols], grid[np.minimum(k + 1, nodes - 1), cols]
-    arg, refined = _golden_argmax(f, lo, hi)
-    return np.where(refined > vals[k, cols], arg, grid[k, cols])
+    peak, root = _peaks(objective, slope, centre, lo, hi, params)
+    return np.where(peak > vals[k, cols], root, grid[k, cols])
 
 
 def _refuse(*rules):
@@ -454,9 +431,10 @@ class _BaseSupConvolution:
         self.grid = grid or EnvelopeGrid()
         self.margin = 1.0
 
-    # subclasses define _penalty_weights(t), the time-dependent factors of
-    # the penalty, _z_penalty(weights, dz_abs, power) and _box(t, y, z), which
-    # returns the box's half-widths in u and v and g(t, y, z)
+    # subclasses define _penalty_weights(t), the penalty's time-dependent
+    # factors, _z_penalty(weights, dz_abs, power) and its slope and curvature
+    # in dz_abs _z_slope(weights, dz_abs), and _box(t, y, z), which returns
+    # the box's half-widths in u and v and g(t, y, z)
 
     def _penalty(self, w, dy_abs, dz_abs, power=np.power):
         return w[0] * dy_abs + self._z_penalty(w, dz_abs, power)
@@ -479,32 +457,44 @@ class _BaseSupConvolution:
             out[:, block] = self._descend(t[block], y[block], z[block])
         return out[0], (out[1], out[2])
 
+    @functools.cached_property
+    def _driver_slopes(self):
+        """``_slopes`` of the driver in y and in z, staged on copies of its
+        expression, so that the expression's own caches keep the solver's."""
+        return [_slopes(self.g.expr.rebind(self.g.expr.variables), var) for var in "yz"]
+
     def _descend(self, t, y, z):
-        # The held coordinate's penalty is one number per point and goes
-        # through the C library's pow, the node and probe arrays through
-        # numpy's; every value then equals, bit for bit, that of the per-point
-        # descent in tests/oracles.py.
+        # The held coordinate's penalty is one number per point and goes through
+        # the C library's pow, all else through numpy's; every value then equals,
+        # bit for bit, that of the per-point descent in tests/oracles.py.
         du, dv, best = self._box(t, y, z)
-        du = np.minimum(du, self.grid.radius)
-        dv = np.minimum(dv, self.grid.radius)
+        du, dv = np.minimum(du, self.grid.radius), np.minimum(dv, self.grid.radius)
         w = self._penalty_weights(t)
+        (pre_y, g_y, g_yy), (pre_z, g_z, g_zz) = self._driver_slopes
+
+        def along_u(q, t, y, v, z_pen, w0):
+            return np.asarray(self.g(t, q, v), dtype=float) - (w0 * np.abs(y - q) + z_pen)
+
+        def slope_u(q, side, t, y, v, z_pen, w0):
+            parts = pre_y(t, v)
+            return g_y(t, q, v, *parts) + side * w0, g_yy(t, q, v, *parts)
+
+        def along_v(q, t, z, u, y_pen, *w):
+            return (np.asarray(self.g(t, u, q), dtype=float)
+                    - (y_pen + self._z_penalty(w, np.abs(z - q))))
+
+        def slope_v(q, side, t, z, u, y_pen, *w):
+            parts = pre_z(t, u)
+            dp, ddp = self._z_slope(w, np.abs(z - q))
+            return g_z(t, u, q, *parts) + side * dp, g_zz(t, u, q, *parts) - ddp
+
         u, v = best_u, best_v = y, z
         for _ in range(max(1, self.grid.passes)):
             z_pen = self._z_penalty(w, np.abs(z - v), _libm_power)
-
-            def along_u(q):
-                penalty = w[0] * np.abs(y - q) + z_pen
-                return np.asarray(self.g(t, q, v), dtype=float) - penalty
-
-            u = _line_search(along_u, y, du, self.grid.nodes)
-            y_pen = w[0] * np.abs(y - u)
-
-            def along_v(q):
-                penalty = y_pen + self._z_penalty(w, np.abs(z - q))
-                return np.asarray(self.g(t, u, q), dtype=float) - penalty
-
-            v = _line_search(along_v, z, dv, self.grid.nodes)
-            cur = along_v(v)
+            u = _line_search(along_u, slope_u, y, du, self.grid.nodes, (t, y, v, z_pen, w[0]))
+            params = (t, z, u, w[0] * np.abs(y - u), *w)
+            v = _line_search(along_v, slope_v, z, dv, self.grid.nodes, params)
+            cur = along_v(v, *params)
             better = cur > best
             best = np.where(better, cur, best)
             best_u = np.where(better, u, best_u)
@@ -536,6 +526,9 @@ class SupConvolutionEnvelope(_BaseSupConvolution):
     def _z_penalty(self, w, dz_abs, power=None):  # no power in this penalty
         return w[1] * dz_abs
 
+    def _z_slope(self, w, dz_abs):
+        return w[1], 0.0
+
     def _box(self, t, y, z):
         uw, vw = self.u_w(t), self.v_w(t)
         sy, sz = self.growth.u(t), self.growth.v(t)
@@ -565,6 +558,12 @@ class WedgeSupConvolutionEnvelope(_BaseSupConvolution):
 
     def _z_penalty(self, w, dz_abs, power=np.power):
         return self.n * np.minimum(w[1] * dz_abs, w[2] * power(dz_abs, self.alpha))
+
+    def _z_slope(self, w, d):
+        # the linear arm up to the switch and at d = 0 (0 <= 0), the power arm beyond
+        a, linear = self.alpha, w[1] * d <= w[2] * np.power(d, self.alpha)
+        return (self.n * np.where(linear, w[1], a * w[2] * np.power(d, a - 1.0)),
+                self.n * np.where(linear, 0.0, a * (a - 1.0) * w[2] * np.power(d, a - 2.0)))
 
     def _box(self, t, y, z):
         uw, vw, lw = self.u_w(t), self.v_w(t), self.lam_w(t)

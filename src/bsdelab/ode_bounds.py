@@ -183,9 +183,18 @@ def _integrate(f, a, b, name):
     panels bisected wherever a panel and its two halves disagree by more than
     ``QUAD_TOL`` times the integral of |f| over the panel's interval; one call
     of f on an array per level.  A panel still unsettled after ``QUAD_DEPTH``
-    bisections raises ValueError naming ``name`` and its interval."""
-    n = len(a)
-    lo, hi, owner = a, b, np.arange(n)
+    bisections raises ValueError naming ``name`` and its interval.
+
+    The first panels cut each interval at a + (1 + |a|) 2^k, so that none is
+    much wider than its distance scale from a: a steep f (1/exp(x) from 10 to
+    1e6) may hold all its mass between the Gauss nodes of a wider one."""
+    n, scale = len(a), 1.0 + np.abs(a)
+    reach = float(np.max((b - a) / scale, initial=1.0))
+    cuts = a[:, None] + scale[:, None] * 2.0 ** np.arange(math.ceil(math.log2(reach)))
+    ends = np.concatenate([a[:, None], np.minimum(cuts, b[:, None]), b[:, None]], axis=1)
+    keep = ends[:, :-1] < ends[:, 1:]
+    keep[:, 0] = True  # an empty or reversed interval is one panel
+    lo, hi, owner = ends[:, :-1][keep], ends[:, 1:][keep], np.nonzero(keep)[0]
     total, total_mag = np.zeros(n), np.zeros(n)
     for _ in range(QUAD_DEPTH):
         mid = 0.5 * (lo + hi)

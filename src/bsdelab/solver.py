@@ -325,7 +325,8 @@ def _bracketed(h, slope, i, t, E, z, h_E):
     """rtsafe (*Numerical Recipes* 9.4) at every node: a bracket grown from E
     by doubling, first on the side where h would cross zero if it increased,
     then Newton's step where it stays in the bracket and halves the last
-    step, else bisection, until every node moves by less than NEWTON_TOL.
+    step, else bisection, until every node moves by less than NEWTON_TOL or
+    is held at an iterate that Newton's step leaves where it is.
     Raises ImplicitStepError where no sign change is found."""
     steps = 0
     # near: the last probe with the sign of h(E); far: the first without it
@@ -349,10 +350,13 @@ def _bracketed(h, slope, i, t, E, z, h_E):
         raise ImplicitStepError(i, float(t), k, float(E[k]), float(z[k]),
                                 abs(float(h_E[k])) * 2.0 ** (GROWTH_DOUBLINGS - 1))
     a, b = np.where(h_E < 0.0, near, far), np.where(h_E < 0.0, far, near)  # h(a) <= 0 <= h(b)
-    for _, (x, moved, _) in zip(range(BRACKET_CAP), _rtsafe(lambda x: (h(x), slope(x)), a, b)):
+    y, held = 0.5 * a + 0.5 * b, np.zeros(E.shape, dtype=bool)  # rtsafe's first iterate
+    for _, (x, moved, landed) in zip(range(BRACKET_CAP), _rtsafe(lambda x: (h(x), slope(x)), a, b)):
         steps += 1
-        if np.maximum.reduce(moved) < NEWTON_TOL:
-            return x, steps
+        held |= landed  # y is still the iterate that Newton's step left in place
+        y = np.where(held, y, x)
+        if np.maximum.reduce(np.where(held, 0.0, moved)) < NEWTON_TOL:
+            return y, steps
     raise SolverError(f"implicit step did not settle within {BRACKET_CAP} bracketed steps "
                       f"at step {i} (t = {t:g})", i, float(t))
 

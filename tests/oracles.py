@@ -1,9 +1,11 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here deliberately avoids the code paths it is used to check:
-dense scans instead of golden-section refinement, Simpson quadrature over
-the normal density instead of tree expectations, closed forms instead of
-backward recursions.
+dense scans and golden sections instead of max-plus sweeps and the slope's
+sign, Simpson quadrature over the normal density instead of tree
+expectations, closed forms instead of backward recursions.  The per-point
+references of the batched envelopes repeat their rules one point at a time
+in Python floats, so that the batches' bits can be pinned.
 """
 
 import itertools
@@ -341,14 +343,54 @@ def _supconv_penalty(env, t):
     return lambda dy, dz: n * uw * dy + n * vw * dz
 
 
+def _driver_slopes(g, var):
+    """g's first two derivatives in ``var`` at one point (t, y, z), through
+    their staged builds with every floating-point flag ignored: Python
+    floats from one-element arrays."""
+    expr = g.expr.rebind(g.expr.variables)
+    d1 = expr.derivative(var)
+    pre, _, d1_at, d2_at = expr.split(var, d1, d1.derivative(var))
+
+    def at(t, y, z):
+        point = {name: np.asarray([value]) for name, value in zip("tyz", (t, y, z))}
+        args = [point[name] for name in expr.variables]
+        with np.errstate(all="ignore"):
+            parts = pre(*(point[name] for name in expr.variables if name != var))
+            return tuple(float(np.broadcast_to(body(*args, *parts), (1,))[0])
+                         for body in (d1_at, d2_at))
+
+    return at
+
+
+def _supconv_z_slope(env, t):
+    """The z-penalty's slope and curvature in d = |z - v| at time t, at one
+    number: n v_w for the absolute penalty; the wedge's linear arm while
+    v_w d <= lam_w d^alpha (at d = 0 too), its power arm beyond."""
+    n, vw = env.n, float(env.v_w(t))
+    if not hasattr(env, "alpha"):
+        return lambda d: (n * vw, 0.0)
+    lw, a = float(env.lam_w(t)), env.alpha
+
+    def slope(d):
+        d = np.asarray([d])
+        with np.errstate(all="ignore"):
+            if vw * d[0] <= lw * float(np.power(d, a)[0]):
+                return n * vw, 0.0
+            return (n * float((a * lw * np.power(d, a - 1.0))[0]),
+                    n * float((a * (a - 1.0) * lw * np.power(d, a - 2.0))[0]))
+
+    return slope
+
+
 def supconv_descent_reference(env, t, y, z):
     """One point of a driver envelope by the per-point coordinate descent.
 
-    This is the descent as it ran before points were batched, in Python
-    floats: the truncation box, then per pass a 2001-node scan and 64 golden
-    steps in u, then the same in v.  It reads the envelope's driver, weights,
-    growth bound and grid, and none of its methods.  Returns the value and
-    the (u, v) that attains it.
+    This is the descent one point at a time, in Python floats: the
+    truncation box, then per pass a 2001-node scan in u and the slope rule
+    between the best node's neighbours (``_slope_line_max``), then the same
+    in v.  It reads the envelope's driver, weights, growth bound and grid,
+    and none of its methods.  Returns the value and the (u, v) that attains
+    it.
     """
     t, y, z = float(t), float(y), float(z)
     n, g, penalty = env.n, env.g, _supconv_penalty(env, t)
@@ -374,18 +416,54 @@ def supconv_descent_reference(env, t, y, z):
         values = np.asarray(g(t, np.full_like(v, u), v), dtype=float)
         return values - penalty(abs(y - u), np.abs(z - v))
 
+    g_y, g_z, z_slope = _driver_slopes(g, "y"), _driver_slopes(g, "z"), _supconv_z_slope(env, t)
+
+    def slope_u(u, v, side):
+        d1, d2 = g_y(t, u, v)
+        return d1 + side * (n * uw), d2
+
+    def slope_v(u, v, side):
+        (d1, d2), (dp, ddp) = g_z(t, u, v), z_slope(abs(z - v))
+        return d1 + side * dp, d2 - ddp
+
     du, dv, m = min(du, env.grid.radius), min(dv, env.grid.radius), env.grid.nodes
     u0, v0, best, arg = y, z, g0, (y, z)
     for _ in range(max(1, env.grid.passes)):
-        u0 = _coordinate_max(lambda q: along_u(q, v0), y, du, m)
-        v0 = _coordinate_max(lambda q: along_v(u0, q), z, dv, m)
+        u0 = _slope_line_max(lambda q: along_u(q, v0), lambda q, s: slope_u(q, v0, s), y, du, m)
+        v0 = _slope_line_max(lambda q: along_v(u0, q), lambda q, s: slope_v(u0, q, s), z, dv, m)
         cur = float(along_v(u0, np.asarray([v0]))[0])
         if cur > best:
             best, arg = cur, (u0, v0)
     return best, arg
 
 
+def _slope_line_max(f, slope, centre, half, nodes):
+    """The best of ``nodes`` nodes over centre +- half, or a root of f's
+    slope between that node's neighbours where f is strictly larger there.
+
+    The kink at ``centre`` splits the neighbours [lo, hi] into [lo, min(hi,
+    centre)] and [max(lo, centre), hi]; ``slope(q, side)`` gives f's slope and
+    curvature, ``side`` +1 on the first and -1 on the second.  On a side whose
+    slope goes from + to -, rtsafe on the curvature finds its root.
+    """
+    grid = np.linspace(centre - half, centre + half, nodes)
+    vals = f(grid)
+    k = int(np.argmax(vals))
+    lo, hi = float(grid[max(k - 1, 0)]), float(grid[min(k + 1, nodes - 1)])
+    best, arg = float(vals[k]), float(grid[k])
+    for lower, upper, side in ((lo, min(hi, centre), 1.0), (max(lo, centre), hi, -1.0)):
+        if lower < upper and slope(lower, side)[0] > 0.0 and slope(upper, side)[0] < 0.0:
+            q = _rtsafe_root(lambda q: slope(q, side)[0], lambda q: slope(q, side)[1], upper, lower)
+            value = float(f(np.asarray([q]))[0])
+            if value > best:
+                best, arg = value, q
+    return arg
+
+
 def _coordinate_max(f, centre, half, nodes):
+    """The best of ``nodes`` nodes over centre +- half, or the midpoint of 64
+    golden-section steps between that node's neighbours where f is strictly
+    larger there."""
     grid = np.linspace(centre - half, centre + half, nodes)
     vals = f(grid)
     k = int(np.argmax(vals))

@@ -17,6 +17,7 @@ from bsdelab.envelopes import (
 )
 from bsdelab.generators import Generator, WeightFn
 from tests.oracles import (
+    _coordinate_max,
     envelope_family_reference,
     lipschitz_envelope_golden_reference,
     lipschitz_envelope_reference,
@@ -350,6 +351,16 @@ class TestBatchedDescent:
         for got, want in zip((values, u, v), descent_reference(env, self.POINTS)):
             assert same_bits(got, want)
 
+    def test_roots_on_the_wedges_power_arm(self):
+        # at 9 of the points the z-maximum lies past the switch |dz| = 1, where
+        # the wedge's slope and curvature are its power arm's; no line of
+        # DRIVERS at these points has a root there
+        env = self.envelope("-(z - 3)^2 - y^2", "wedge", WeightFn.parse("1 + t"))
+        values, (u, v) = env.value_at(*self.POINTS.T)
+        for got, want in zip((values, u, v), descent_reference(env, self.POINTS)):
+            assert same_bits(got, want)
+        assert np.sum(np.abs(v - self.POINTS[:, 2]) > 1.0) == 9
+
     @pytest.mark.parametrize("penalty", ["absolute", "wedge"])
     def test_family_matches_per_point_loop(self, penalty):
         envs = [self.envelope(self.DRIVERS[2], penalty, WeightFn.parse("1 + t"), n)
@@ -446,6 +457,41 @@ class TestBatchedDescent:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+class TestSlopeRuleLines:
+    """Each line of the descent against 64 golden-section steps on it."""
+
+    DRIVERS = TestBatchedDescent.DRIVERS + (
+        "cos(3*y) - abs(z)", "-abs(z)^2", "sin(5*z) - 0.1*z^2")
+
+    def test_no_line_maximum_below_golden_section(self, monkeypatch):
+        lines = []
+
+        def recorded(objective, slope, centre, half, nodes, params):
+            arg = line_search(objective, slope, centre, half, nodes, params)
+            lines.append((objective, centre, half, nodes, params, arg))
+            return arg
+
+        line_search = envelopes._line_search
+        monkeypatch.setattr(envelopes, "_line_search", recorded)
+        pts = np.random.default_rng(21).uniform([0.0, -1.0, -2.5], [1.0, 2.5, 2.5], size=(15, 3))
+        for source in self.DRIVERS:
+            for penalty in ("absolute", "wedge"):
+                env = TestBatchedDescent.envelope(source, penalty, WeightFn.parse("1 + t"))
+                env.value_at(*pts.T)
+        # u- and v-lines alternate, one call per pass for all 15 points
+        assert min(sum(line[1].size for line in lines[side::2]) for side in (0, 1)) >= 500
+        for objective, centre, half, nodes, params, arg in lines:
+            for i in range(centre.size):
+                point = [np.broadcast_to(p, centre.shape)[i] for p in params]
+
+                def f(q, point=point):
+                    return objective(q, *point)
+
+                got = float(f(np.asarray([arg[i]]))[0])
+                golden = float(f(np.asarray([_coordinate_max(f, centre[i], half[i], nodes)]))[0])
+                assert got >= golden - 1e-14 * max(1.0, abs(golden))
 
 
 class TestEnvelopeFamilyProperties:

@@ -99,15 +99,17 @@ class TestGrowthOde:
         assert err.value.value == 1e12
         assert str(err.value).startswith("upper bound left [-1e12, 1e12] at t = ")
 
-    def test_growth_that_overflows_below_the_threshold_blows_up(self):
-        # F(1e12) = e^-0.5 - e^-1e12 = e^-0.5 < S(0) = 1, so U crosses 1e12
-        # at the t with S(t) = 1 - t = e^-0.5; exp(x) overflows on the way,
-        # where 1/l is 0
+    @pytest.mark.parametrize("terminal", [0.5, 1.0, 3.0, 6.0, 10.0])
+    def test_growth_that_overflows_below_the_threshold_blows_up(self, terminal):
+        # F(1e12) = e^-b - e^-1e12 = e^-b < S(0) = 1, so U crosses 1e12 at the
+        # t with S(t) = 1 - t = e^-b; exp(x) overflows on the way, where 1/l
+        # is 0; from b = 1 up, a first panel as wide as [b, 1e12] held all of
+        # 1/l's mass between its Gauss nodes and put the time near 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BlowUpError) as err:
-                solve_growth_ode("upper", 0.5, ONE, "exp(x)", TimeGrid.uniform(1.0, 8))
-        assert err.value.time_reached == pytest.approx(1.0 - math.exp(-0.5), abs=1e-9)
+                solve_growth_ode("upper", terminal, ONE, "exp(x)", TimeGrid.uniform(1.0, 8))
+        assert err.value.time_reached == pytest.approx(1.0 - math.exp(-terminal), abs=1e-9)
 
     def test_growth_outside_its_domain_is_still_a_domain_error(self):
         # the negative control: no overflow, so the checked l's error stands
@@ -553,7 +555,6 @@ class TestFixedOptions:
         [
             ("ode_bounds", "BIHARI_TOL", 1e-9, "bihari_sequence", "tol"),
             ("ode_bounds", "OSGOOD_EPS", (1e-1, 1e-2, 1e-3, 1e-4), "osgood_diagnostic", "eps_seq"),
-            ("envelopes", "GOLDEN_ITERS", 64, "_golden_argmax", "iters"),
             ("transforms", "GAMMA_BAND_SAMPLES", 2001, "gamma_for_band", "samples"),
             ("generators", "WEIGHT_SAMPLES", 2049, "WeightFn.validate", "samples"),
             ("norms", "SAMPLE_PATHS", 32768, "estimate_norms", "sample_paths"),

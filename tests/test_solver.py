@@ -188,18 +188,32 @@ class TestSolveTree:
             np.testing.assert_allclose(sol.y[i], -0.8 * E, rtol=1e-12, atol=0)
 
     def test_infinite_slope_is_bracketed(self, monkeypatch):
-        # g_y = -1/(2 sqrt(|y|)) is infinite at y = 0, which the odd payoff
-        # reaches: those levels trap, and their replays bracket the root
-        g, xi = Generator.parse("-sqrt(abs(y)) * sign(y)"), TerminalCondition.parse("w")
+        # g_y = -1/(2 sqrt(|y|)) is infinite at y = 0, which the odd payoffs
+        # reach: those levels trap, and their replays bracket the root; a node
+        # is held where Newton's step leaves it, so no level bisects on
+        bracketed = []
 
-        def solve():
-            return solve_tree(g, xi, 4, scheme="implicit")
+        def counted(*args):
+            bracketed.append(args[2])  # the step
+            return _bracketed(*args)
 
-        sol, ref = solve(), oracle_solve(monkeypatch, solve)
-        assert sol.diagnostics["replayed_levels"] > 0
-        assert sol.diagnostics["picard_max_iterations"] > solver.NEWTON_CAP
-        for ours, theirs in zip(sol.y, ref.y):
-            np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12)
+        _bracketed = solver._bracketed
+        for source, payoff, steps in (("-sqrt(abs(y)) * sign(y)", "w", 4),
+                                      ("-sqrt(abs(y)) * sign(y) + 5*y", "w^3", 30)):
+            g, xi = Generator.parse(source), TerminalCondition.parse(payoff)
+
+            def solve():
+                return solve_tree(g, xi, steps, scheme="implicit")
+
+            bracketed.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_bracketed", counted)
+                sol = solve()
+            ref = oracle_solve(monkeypatch, solve)
+            assert sol.diagnostics["replayed_levels"] > 0 and bracketed
+            assert sol.diagnostics["picard_max_iterations"] <= 8
+            for ours, theirs in zip(sol.y, ref.y):
+                np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12)
 
     def test_no_root_names_the_step_node_and_point(self):
         # h(y) = y - 1 - y^2 < 0 for every y: the step has no root
