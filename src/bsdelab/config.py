@@ -96,9 +96,17 @@ def _section(raw, path):
     return raw
 
 
+def _known(mapping, path, names, common=()):
+    """A key of ``mapping`` in neither ``names`` nor ``common`` is an error at ``path.key``."""
+    unknown = [key for key in mapping if key not in names and key not in common]
+    if unknown:
+        raise ConfigError(_at(path, unknown[0]), f"unknown key; expected one of {names}")
+
+
 def parse_generator(raw, path):
     """Driver section ``{"expr": ..., "certificate": ...}`` found at ``path``."""
     section = _section(raw, path)
+    _known(section, path, ["expr", "certificate"])
     try:
         generator = Generator.parse(_need(section, "expr", path, str))
         if section.get("certificate") is not None:
@@ -113,6 +121,7 @@ def parse_generator(raw, path):
 def parse_terminal(raw, path):
     """Terminal section ``{"expr": ..., "bound": ...}`` found at ``path``."""
     section = _section(raw, path)
+    _known(section, path, ["expr", "bound"])
     source = _need(section, "expr", path, str)
     bound = number(section, "bound", path, default=None)
     try:
@@ -137,10 +146,7 @@ def bind(fn, mapping, path, common=()):
     parameter, nor one of ``common``, is an error.  Errors name ``path.key``.
     """
     params = list(_keywords(fn))
-    names = [p.name for p in params]
-    unknown = [key for key in mapping if key not in names and key not in common]
-    if unknown:
-        raise ConfigError(_at(path, unknown[0]), f"unknown key; expected one of {names}")
+    _known(mapping, path, [p.name for p in params], common)
     return {p.name: _read(p.annotation, mapping, p.name, path, p.default) for p in params}
 
 
@@ -260,6 +266,7 @@ class RunConfig:
     def from_dict(cls, raw):
         if not isinstance(raw, dict):
             raise ConfigError("<root>", "config must be a JSON object")
+        _known(raw, "", ["model", "generator", "terminal", "checks", "bounds", "envelope"])
         raw_checks = raw.get("checks", [])
         if not isinstance(raw_checks, list):
             raise ConfigError("checks", "must be a list")

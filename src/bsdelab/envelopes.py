@@ -47,11 +47,11 @@ __all__ = [
     "envelope_family_values",
 ]
 
-# an interior maximiser is settled once an rtsafe step moves it by at most
-# ROOT_ULPS units in its last place, or once Newton's step leaves it where it
-# is; one still moving after ROOT_CAP steps keeps its last iterate
+# _settled stops an entry once its move is at most ROOT_ULPS units in its last
+# place (or the caller's tolerance, if larger), or once Newton's step leaves it
+# in place; bisection alone closes any bracket of doubles within ROOT_CAP steps
 ROOT_ULPS = 4
-ROOT_CAP = 100
+ROOT_CAP = 2200
 
 
 class EnvelopeError(ValueError):
@@ -98,18 +98,18 @@ def linearize_phi(phi, a, b, n, x):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def _rtsafe(f, a, b):
-    """rtsafe (*Numerical Recipes* 9.4) per entry, on brackets with f(a) <= 0
-    <= f(b) (a may lie above b): from the midpoint, Newton's step where it
-    stays in the bracket and halves the last move, else bisection.  ``f(x)``
-    returns f and its derivative at x.  Yields, without end, each iterate,
-    how far each entry moved to it, and where Newton's step from the iterate
-    before left that one where it was: the book stops there, but the step is
-    not strictly inside the bracket, so a bisection follows.  The caller
-    stops."""
-    x = 0.5 * a + 0.5 * b
-    moved = np.abs(b - a)
-    while True:
+def _settled(f, a, b, tol=0.0):
+    """rtsafe (*Numerical Recipes* 9.4) per entry on brackets with f(a) <= 0
+    <= f(b) (a may lie above b), ``f(x)`` giving f and f' at x: from the
+    midpoint, Newton's step where it stays in the bracket and halves the last
+    move, else bisection.  Returns the roots and the steps taken.  An entry
+    stops at its first iterate that moved by at most max(tol, ROOT_ULPS ulps),
+    or at the iterate that Newton's step leaves in place; one still moving
+    after ROOT_CAP steps keeps its last iterate.  An entry's root does not
+    depend on the other entries."""
+    x, moved = 0.5 * a + 0.5 * b, np.abs(b - a)
+    root, todo = np.empty_like(x), np.ones(np.shape(x), dtype=bool)
+    for steps in range(1, ROOT_CAP + 1):
         r, d = f(x)
         a, b = np.where(r <= 0.0, x, a), np.where(r >= 0.0, x, b)
         newton = x - np.divide(r, d, out=np.full_like(x, np.inf), where=d != 0.0)
@@ -117,29 +117,15 @@ def _rtsafe(f, a, b):
                   & (np.abs(2.0 * r) <= np.abs(moved * d)))
         nxt = np.where(inside, newton, 0.5 * a + 0.5 * b)
         moved = np.abs(nxt - x)
-        yield nxt, moved, newton == x
-        x = nxt
-
-
-def _settled(f, a, b):
-    """Per entry, the first rtsafe iterate within ROOT_ULPS units in its last
-    place of the one before, or the iterate that Newton's step leaves where
-    it is; an entry still moving after ROOT_CAP steps keeps its last iterate.
-    An entry's iterates are its own, so its root does not depend on the other
-    entries."""
-    x = 0.5 * a + 0.5 * b
-    root = np.empty_like(x)
-    todo = np.ones(x.shape, dtype=bool)
-    for _, (nxt, moved, landed) in zip(range(ROOT_CAP), _rtsafe(f, a, b)):
-        close = todo & (moved <= ROOT_ULPS * np.spacing(np.abs(nxt)))
-        landed &= todo & ~close
+        close = todo & (moved <= np.maximum(tol, ROOT_ULPS * np.spacing(np.abs(nxt))))
+        landed = todo & ~close & (newton == x)
         root[close], root[landed] = nxt[close], x[landed]
         todo &= ~(close | landed)
         if not todo.any():
-            return root
+            return root, steps
         x = nxt
     root[todo] = x[todo]
-    return root
+    return root, ROOT_CAP
 
 
 def _slopes(expr, var):
@@ -175,7 +161,7 @@ def _peaks(objective, slope, centre, lo, hi, params):
         params = [np.broadcast_to(p, inner.shape)[inner] for p in params]
         side = np.broadcast_to(side[:2], inner.shape)[inner]
         root[inner] = _settled(lambda y: [np.broadcast_to(r, y.shape) for r in slope(
-            y, side, *params)], ends[2:][inner], ends[:2][inner])
+            y, side, *params)], ends[2:][inner], ends[:2][inner])[0]
     peak[inner] = objective(root[inner], *params)
     top = peak[1] > peak[0]
     return np.where(top, peak[1], peak[0]), np.where(top, root[1], root[0])

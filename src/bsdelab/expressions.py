@@ -518,12 +518,7 @@ def _emit(root, names, hoisted):
         # a bare variable is the caller's own array; ``+v`` evaluates to a new one
         return (f"+{x[0]}", _PREC_UNARY) if x in bare else x
 
-    def combine(node, kids):
-        source = _source_step(node, [s for _, s in kids])
-        if id(node) in hoisted:
-            return hoisted[id(node)], source
-        ops = [x for x, _ in kids]
-        src = repr(source[0])
+    def emit(node, ops, src):
         if isinstance(node, Num):
             value = node.value if math.isfinite(node.value) else (f"_f({node.value!r})", _PREC_ATOM)
         elif isinstance(node, Var):
@@ -571,8 +566,16 @@ def _emit(root, names, hoisted):
                             or b != math.floor(b) and not _nonnegative(node.lhs))
                 flags = f", {negative}, {not isinstance(b, float) or b < 0}"
                 value = _step(f"_power({_code(a)}, {_code(b)}, {src}{flags})", _PREC_ATOM, a, b)
+        return value
+
+    def combine(node, kids):
+        source = _source_step(node, [s for _, s in kids])
+        if id(node) in hoisted:
+            return hoisted[id(node)], source
+        ops, src = [x for x, _ in kids], repr(source[0])
+        value = emit(node, ops, src)
         if ops and all(isinstance(x, float) for x in ops) and not isinstance(value, float):
-            return combine(node, [((f"_f({x!r})", _PREC_ATOM), s) for x, s in kids])
+            value = emit(node, [(f"_f({x!r})", _PREC_ATOM) for x in ops], src)
         return value, source
 
     result, (source, _) = _fold(root, combine)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelopes import EnvelopeGrid, LipschitzEnvelope
+from .envelopes import EnvelopeGrid, LipschitzEnvelope, _settled
 from .expressions import EvalDomainError
 from .generators import _as_univariate
 
@@ -331,16 +331,14 @@ def solve_growth_ode(side, terminal, u_w, l, grid):
 
 
 def _raise_blow_up(side, sign, u_w, u_name, nodes, S, F_top):
-    """BlowUpError at the t with S(t) = F_top, by bisection to 1e-10 (1 + t)."""
+    """BlowUpError at the t with S(t) = F_top: on the step [t_i, t_i+1] where
+    S crosses F_top, the root of f(t) = F_top - S(t_i+1) - int_t^t_i+1 u_w,
+    which increases with f' = u_w, settled by rtsafe (``_settled``)."""
     i = int(np.flatnonzero(S > F_top)[-1])
-    t_lo, t_hi = nodes[i], nodes[i + 1]
-    while t_hi - t_lo > 1e-10 * (1.0 + t_hi):
-        mid = 0.5 * (t_lo + t_hi)
-        if S[i + 1] + _integrate(u_w, np.array([mid]), nodes[i + 1:i + 2], u_name)[0] > F_top:
-            t_lo = mid
-        else:
-            t_hi = mid
-    raise BlowUpError(side, 0.5 * (t_lo + t_hi), sign * BLOWUP_THRESHOLD)
+    end = nodes[i + 1:i + 2]
+    t, _ = _settled(lambda t: (F_top - S[i + 1] - _integrate(u_w, t, end, u_name), u_w(t)),
+                    nodes[i:i + 1], end)
+    raise BlowUpError(side, float(t[0]), sign * BLOWUP_THRESHOLD)
 
 
 def sandwich_envelope(xi_bound, u_w, l, grid):

@@ -96,7 +96,7 @@ from typing import Optional
 
 import numpy as np
 
-from .envelopes import _rtsafe
+from .envelopes import ROOT_CAP, _settled
 from .expressions import EvalDomainError, all_finite
 from .generators import Generator, TerminalCondition
 from .ode_bounds import TimeGrid
@@ -110,13 +110,12 @@ __all__ = ["TreeModel", "PathEnsemble", "DiscreteSolution", "SolverError", "Impl
 # from its observed contraction theta below RATE_TOL, which allows for a theta
 # that grows; after NEWTON_CAP steps the level goes on bracketed.  A bracket
 # is grown from E by GROWTH_DOUBLINGS doublings at most on either side, and
-# bisected to NEWTON_TOL within BRACKET_CAP steps.
+# settled by ``envelopes._settled`` to NEWTON_TOL.
 NEWTON_TOL = 1e-12
 RATE_TOL = NEWTON_TOL / 100
 NEWTON_CAP = 20
 THETA_REFRESH = 0.01
 GROWTH_DOUBLINGS = 64
-BRACKET_CAP = 2200
 
 
 class SolverError(RuntimeError):
@@ -322,12 +321,12 @@ def _implicit_update(h, slope, affine, i, t, E, z):
 
 
 def _bracketed(h, slope, i, t, E, z, h_E):
-    """rtsafe (*Numerical Recipes* 9.4) at every node: a bracket grown from E
-    by doubling, first on the side where h would cross zero if it increased,
-    then Newton's step where it stays in the bracket and halves the last
-    step, else bisection, until every node moves by less than NEWTON_TOL or
-    is held at an iterate that Newton's step leaves where it is.
-    Raises ImplicitStepError where no sign change is found."""
+    """The root at every node, and the steps taken: a bracket grown from E by
+    doubling, first on the side where h would cross zero if it increased,
+    then settled by rtsafe (``envelopes._settled``), each node once its move
+    is at most NEWTON_TOL or Newton's step leaves it in place.  Raises
+    ImplicitStepError where no sign change is found, and SolverError where
+    rtsafe takes all its ROOT_CAP steps."""
     steps = 0
     # near: the last probe with the sign of h(E); far: the first without it
     near, far = E, np.where(h_E == 0.0, E, np.nan)
@@ -350,15 +349,11 @@ def _bracketed(h, slope, i, t, E, z, h_E):
         raise ImplicitStepError(i, float(t), k, float(E[k]), float(z[k]),
                                 abs(float(h_E[k])) * 2.0 ** (GROWTH_DOUBLINGS - 1))
     a, b = np.where(h_E < 0.0, near, far), np.where(h_E < 0.0, far, near)  # h(a) <= 0 <= h(b)
-    y, held = 0.5 * a + 0.5 * b, np.zeros(E.shape, dtype=bool)  # rtsafe's first iterate
-    for _, (x, moved, landed) in zip(range(BRACKET_CAP), _rtsafe(lambda x: (h(x), slope(x)), a, b)):
-        steps += 1
-        held |= landed  # y is still the iterate that Newton's step left in place
-        y = np.where(held, y, x)
-        if np.maximum.reduce(np.where(held, 0.0, moved)) < NEWTON_TOL:
-            return y, steps
-    raise SolverError(f"implicit step did not settle within {BRACKET_CAP} bracketed steps "
-                      f"at step {i} (t = {t:g})", i, float(t))
+    y, settle = _settled(lambda x: (h(x), slope(x)), a, b, NEWTON_TOL)
+    if settle == ROOT_CAP:
+        raise SolverError(f"implicit step did not settle within {ROOT_CAP} bracketed steps "
+                          f"at step {i} (t = {t:g})", i, float(t))
+    return y, steps + settle
 
 
 # the trap under which a level runs unchecked; underflow is no error

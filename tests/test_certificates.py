@@ -17,7 +17,7 @@ from bsdelab.certificates import (
     check_certificate,
     check_witnesses,
 )
-from bsdelab.generators import Generator, WeightFn
+from bsdelab.generators import Generator, WeightFn, dual_generator
 
 ONE = WeightFn.parse("1")
 GRID_50 = SampleGrid(t_count=50, y_count=50, z_count=50, cap=10_000_000)
@@ -160,6 +160,23 @@ class TestSideRestrictedFamilies:
         grid = SampleGrid(t_count=5, y_range=(-5, 5), y_count=21, z_range=(-1, 1), z_count=21)
         assert not check_certificate(g, cert, grid).passed
 
+    def test_lower_on_nonneg_ignores_negative_y(self):
+        # the dual -g(t, -y, -z) misbehaves only for y < 0, which this side must not see
+        g = dual_generator(Generator.parse("exp(y) * abs(z)^2 - 10"))
+        cert = OneSidedLinear("0", ONE, ONE, side="lower_on_nonneg")
+        grid = SampleGrid(t_count=5, y_range=(-5, 5), y_count=21, z_range=(-1, 1), z_count=21)
+        assert check_certificate(g, cert, grid).passed
+        assert not check_certificate(g, OneSidedLinear("0", ONE, ONE, side="absolute"),
+                                     grid).passed
+
+    def test_lower_on_nonneg_catches_a_driver_below_it(self):
+        # -g = 10 - exp(y)|z|^2 exceeds |y| + |z| at y = 0, z = 0
+        g = Generator.parse("exp(y) * abs(z)^2 - 10")
+        cert = OneSidedLinear("0", ONE, ONE, side="lower_on_nonneg")
+        grid = SampleGrid(t_count=5, y_range=(-5, 5), y_count=21, z_range=(-1, 1), z_count=21)
+        report = check_certificate(g, cert, grid)
+        assert not report.passed and report.location["y"] >= 0.0
+
     def test_bad_side_rejected(self):
         with pytest.raises(CertificateError):
             OneSidedLinear("0", ONE, ONE, side="sideways")
@@ -198,6 +215,13 @@ class TestSubLinearDiffZ:
         # (1 + |y| + |z|)^0.5 >= |z|^0.5
         assert check_certificate(g, cert, SMALL).passed
 
+    def test_offset_witness_must_be_nonnegative(self):
+        lam = WeightFn.parse("1", "Lq", 0.5)
+        assert check_witnesses(SubLinearDiffZ(lam, 0.5, f="1 + t")).passed
+        report = check_witnesses(SubLinearDiffZ(lam, 0.5, f="t - 0.5"))
+        assert not report.passed and report.violation == 0.5
+        assert report.location == {"constraint": "f >= 0"}
+
     def test_alpha_range(self):
         from bsdelab.certificates import SubLinearDiffZ
 
@@ -206,6 +230,14 @@ class TestSubLinearDiffZ:
 
 
 class TestOtherFamilies:
+    def test_quad_growth_witnesses_must_be_nonnegative(self):
+        assert check_witnesses(QuadGrowth(ONE, "1 + y^2", "abs(y)")).passed
+        phi = check_witnesses(QuadGrowth(ONE, "y", "1"))  # -5 at the grid's y = -5
+        assert not phi.passed and phi.violation == 5.0
+        assert phi.location == {"constraint": "phi_bar nonnegative"}
+        h = check_witnesses(QuadGrowth(ONE, "1", "y - 1"))
+        assert not h.passed and h.location == {"constraint": "h_bar nonnegative"}
+
     def test_local_lipschitz_quadratic(self):
         g = Generator.parse("z^2")
         cert = LocalLipschitzZ(WeightFn.parse("1", "L2"))

@@ -326,12 +326,39 @@ class TestCheckKeys:
             ({"check": "envelope_domination", "growth": GROWTH, "n": 0},
              "checks[1].n: must be >= 1"),
             ({"check": "monotone_family", "n_list": []}, "checks[1].n_list: must be nonempty"),
+            ({"check": "uniqueness_smoke", "generator": {"expr": "-y", "bund": 2}},
+             "checks[1].generator.bund: unknown key; expected one of ['expr', 'certificate']"),
+            ({"check": "uniqueness_smoke", "terminal": {"expr": "w", "bonud": 2}},
+             "checks[1].terminal.bonud: unknown key; expected one of ['expr', 'bound']"),
+            ({"check": "comparison", "generator_prime": {"expr": "0", "certifcate": {}},
+              "terminal_prime": {"expr": "w"}},
+             "checks[1].generator_prime.certifcate: unknown key"),
+            ({"check": "comparison", "generator_prime": {"expr": "0"},
+              "terminal_prime": {"expr": "w", "bund": 1}},
+             "checks[1].terminal_prime.bund: unknown key"),
         ],
     )
     def test_bad_key_names_its_path(self, tmp_path, capsys, solve_counts, check, where):
         assert run_checks(tmp_path, [self.ORACLE, check]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert f"config error: {where}" in err, err
+        assert solve_counts == {"tree": 0, "mc-regression": 0}
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("sections, where", [
+        ({"modle": {"N": 7, "backend": "mc-regression"}}, "modle"),
+        ({"generator": {"expr": "-y", "certifcate": {"kind": "convexity_z"}}},
+         "generator.certifcate"),
+        ({"terminal": {"expr": "w", "bund": 2}}, "terminal.bund"),
+    ])
+    def test_unknown_section_key_names_its_path(self, tmp_path, capsys, solve_counts, command,
+                                                sections, where):
+        # a misspelt key once ran silently: the default model's 200-step solve
+        cfg = write_config(tmp_path, {"generator": {"expr": "-y"}, "terminal": {"expr": "1"},
+                                      "checks": [self.ORACLE], **sections})
+        code = main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"])
+        assert code == EXIT_CONFIG_ERROR
+        assert f"config error: {where}: unknown key; expected one of [" in capsys.readouterr().err
         assert solve_counts == {"tree": 0, "mc-regression": 0}
 
     @pytest.mark.parametrize("missing", ["generator", "terminal"])

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -556,6 +557,32 @@ def test_suite_drivers_derivatives_have_no_unit_factors_or_zero_terms():
         for var in expr.variables:
             source = _generate(expr.derivative(var).root, expr.variables)
             assert not unit_or_zero.search(source), (driver, var, source)
+
+
+def test_compiling_leaves_no_reference_cycle():
+    # the emitter once re-emitted a node through its own closure cell, so each
+    # compile was garbage until a full collection; the overflowing literal
+    # takes that re-emission path
+    config = json.loads((resources.files("bsdelab") / "configs" / "acceptance_suite.json")
+                        .read_text())
+    drivers = {section[key]["expr"] for section in [config] + config["checks"]
+               for key in ("generator", "generator_prime") if key in section}
+    drivers |= {"-y^3 + abs(z)^1.5*sin(y) + y/t", "min(y, 1e400) - y^3"}
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for driver in drivers:
+            expr = parse_expression(driver)
+            slope = expr.derivative("y")
+            expr(0.5, 0.25, 0.75), slope(0.5, 0.25, 0.75)
+            expr.split("y", slope)
+        del expr, slope
+        gc.collect()
+        assert not gc.garbage, sorted({type(obj).__name__ for obj in gc.garbage})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
 
 
 def test_warnings_as_errors_still_give_the_domain_error():

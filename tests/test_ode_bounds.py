@@ -95,7 +95,8 @@ class TestGrowthOde:
         with pytest.raises(BlowUpError) as err:
             solve_growth_ode("upper", 1.0, ONE, "1 + x^2", grid)
         # U = tan(pi/4 + T - t) reaches 1e12 at pi - (atan(1e12) - pi/4) = 3 pi/4 + 1e-12
-        assert err.value.time_reached == pytest.approx(0.75 * math.pi, abs=1e-9)
+        exact = math.pi - math.atan(1e12) + math.pi / 4
+        assert err.value.time_reached == pytest.approx(exact, rel=0, abs=1e-12)
         assert err.value.value == 1e12
         assert str(err.value).startswith("upper bound left [-1e12, 1e12] at t = ")
 
@@ -109,7 +110,7 @@ class TestGrowthOde:
             warnings.simplefilter("error")
             with pytest.raises(BlowUpError) as err:
                 solve_growth_ode("upper", terminal, ONE, "exp(x)", TimeGrid.uniform(1.0, 8))
-        assert err.value.time_reached == pytest.approx(1.0 - math.exp(-terminal), abs=1e-9)
+        assert err.value.time_reached == pytest.approx(1.0 - math.exp(-terminal), rel=0, abs=1e-12)
 
     def test_growth_outside_its_domain_is_still_a_domain_error(self):
         # the negative control: no overflow, so the checked l's error stands
@@ -124,7 +125,7 @@ class TestGrowthOde:
             warnings.simplefilter("error")
             with pytest.raises(BlowUpError) as err:
                 solve_growth_ode("upper", 0.5, ONE, "1e308*10 + abs(x)", TimeGrid.uniform(1.0, 8))
-        assert err.value.time_reached == pytest.approx(1.0, abs=1e-9)
+        assert err.value.time_reached == pytest.approx(1.0, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("terminal", [800.0, 30.0])
     def test_growth_overflowing_at_the_terminal_value_blows_up(self, terminal):
@@ -134,7 +135,7 @@ class TestGrowthOde:
             warnings.simplefilter("error")
             with pytest.raises(BlowUpError) as err:
                 solve_growth_ode("upper", terminal, ONE, "exp(x)", TimeGrid.uniform(1.0, 8))
-        assert err.value.time_reached == pytest.approx(1.0 - math.exp(-terminal), abs=1e-9)
+        assert err.value.time_reached == pytest.approx(1.0 - math.exp(-terminal), rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("growth, crossing", [
         ("max(1, 100*abs(x))", 1.0 - math.log(1e12 / 0.7) / 100.0),
@@ -149,7 +150,7 @@ class TestGrowthOde:
         assert str(err.value).startswith("upper bound left [-1e12, 1e12] at t = ")
         assert "outside" not in str(err.value)
         assert err.value.value == 1e12
-        assert err.value.time_reached == pytest.approx(crossing, abs=1e-9)
+        assert err.value.time_reached == pytest.approx(crossing, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("side, sign", [("upper", 1.0), ("lower", -1.0)])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -215,6 +215,50 @@ class TestSolveTree:
             for ours, theirs in zip(sol.y, ref.y):
                 np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("source, payoff, steps, most", [
+        ("-exp(3*y)", "exp(w)", 10, 50),
+        ("1/y", "3*cos(w)", 10, 15),
+        ("-ln(abs(y) + 1e-3)", "sin(w)", 4, 13),
+    ])
+    def test_steps_that_do_not_contract_go_bracketed(self, monkeypatch, source, payoff, steps,
+                                                     most):
+        # two Newton steps on fresh slopes of which the second is the longer:
+        # the level brackets its root there (-exp(3*y) took 66 steps without)
+        bracketed = []
+
+        def counted(*args):
+            bracketed.append(args[2])  # the step
+            return _bracketed(*args)
+
+        _bracketed = solver._bracketed
+        g, xi = Generator.parse(source), TerminalCondition.parse(payoff)
+
+        def solve():
+            return solve_tree(g, xi, steps, scheme="implicit")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_bracketed", counted)
+            sol = solve()
+        assert bracketed and sol.diagnostics["replayed_levels"] == 0
+        assert sol.diagnostics["picard_max_iterations"] <= most
+        for ours, theirs in zip(sol.y, oracle_solve(monkeypatch, solve).y):
+            np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12)
+
+    @pytest.mark.xfail(raises=EvalDomainError, strict=True,
+                       reason="a bracket growth probe leaves the driver's domain")
+    def test_step_out_of_the_domain_is_bracketed_inside_it(self):
+        # h(y) = y - E + sqrt(y) dt increases on y >= 0 and has its root in
+        # (0, E); Newton's first step leaves y >= 0, and the bracket's first
+        # probe, E - |h(E)| = -0.015, does too: a bare EvalDomainError that
+        # names no step, node or point
+        sol = solve_tree(Generator.parse("-sqrt(y)"), TerminalCondition.parse("0.01"), 4,
+                         scheme="implicit")
+        dt, y = 0.25, 0.01
+        for i in range(3, -1, -1):  # sqrt(y_i) solves s^2 + dt s - y_{i+1} = 0
+            y = ((-dt + math.sqrt(dt * dt + 4.0 * y)) / 2.0) ** 2
+            np.testing.assert_allclose(sol.y[i], y, rtol=1e-9, atol=0)
+        assert y == pytest.approx(1.2086610457131275e-15, rel=1e-9)
+
     def test_no_root_names_the_step_node_and_point(self):
         # h(y) = y - 1 - y^2 < 0 for every y: the step has no root
         with pytest.raises(ImplicitStepError) as err:
