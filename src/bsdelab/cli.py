@@ -185,7 +185,7 @@ def _envelope_rows(g, path, *, radius: float = 100.0, nodes: int = 2001, passes:
     """The keys of an envelope section; returns the sweep's rows (y, g, envelope)."""
     require(path, ("radius", 0 < radius < np.inf, "must be positive and finite"),
             ("nodes", nodes >= 3 and nodes % 2 == 1, "must be odd and >= 3"),
-            ("passes", passes >= 0, "must be >= 0"), ("points", points >= 1, "must be >= 1"))
+            ("passes", passes >= 1, "must be >= 1"), ("points", points >= 1, "must be >= 1"))
     env = _driver_envelope(g, path, EnvelopeGrid(radius, nodes, passes), **driver)
     ys = np.linspace(y_min, y_max, points)
     return list(zip(ys.tolist(), g(t, ys, z).tolist(), env(t, ys, z).tolist()))

@@ -73,8 +73,8 @@ class EnvelopeGrid:
             raise ValueError("need at least 3 nodes")
         if self.nodes % 2 == 0:
             raise ValueError("node count must be odd so 0 is a node")
-        if self.passes < 0:
-            raise ValueError("passes must be >= 0")
+        if self.passes < 1:
+            raise ValueError("passes must be >= 1")
 
 
 def linearize_phi(phi, a, b, n, x):
@@ -475,7 +475,7 @@ class _BaseSupConvolution:
             return g_z(t, u, q, *parts) + side * dp, g_zz(t, u, q, *parts) - ddp
 
         u, v = best_u, best_v = y, z
-        for _ in range(max(1, self.grid.passes)):
+        for _ in range(self.grid.passes):
             z_pen = self._z_penalty(w, np.abs(z - v), _libm_power)
             u = _line_search(along_u, slope_u, y, du, self.grid.nodes, (t, y, v, z_pen, w[0]))
             params = (t, z, u, w[0] * np.abs(y - u), *w)

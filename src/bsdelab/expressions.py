@@ -24,9 +24,9 @@ call: a single numpy expression in which only ``/``, ``^``, ``exp``, ``ln``
 and ``sqrt`` call a checking helper, variable-free sub-expressions fold to
 literals, and ``x^k`` for a constant integer ``0 <= k <= 4`` is the
 product ``x * ... * x`` (it can differ from ``np.power`` in the last bit).
-A quotient evaluates and checks its denominator before its numerator; a
-chain of ``*`` and ``/`` that contains one compiles to one flat call, so it
-nests no deeper however long it is.
+Every node evaluates its operands depth first, left to right, a quotient too:
+it is the infix ``a / _domain(b)``, so a chain of ``*`` and ``/`` nests no
+deeper however long it is.
 ``Expression.split(var)`` is one staged build, for a caller that traps
 floating-point exceptions: the same code in two stages (the largest
 sub-expressions free of ``var``, then the rest given their values), run
@@ -171,10 +171,9 @@ def _tokenize(source):
 
 
 # Parenthesised groups, function arguments, unary minus and exponents nest at
-# most this deep.  One level generates up to four nested calls, as in
-# ``_quotient('/', _domain(sqrt(_domain(`` for ``x/sqrt(...)``, and Python
-# compiles at most 200 nested parentheses.  A chain of * and / joined to a
-# quotient is one flat call, however long.
+# most this deep.  One level generates up to three nested calls, as in
+# ``_domain(sqrt(_domain(`` for ``x/sqrt(...)``, and Python compiles at most
+# 200 nested parentheses.  A chain of * and / is infix, so it nests nothing.
 MAX_NESTING = 32
 
 # At most this many terms and factors, joined by + - * /, in one expression.
@@ -417,18 +416,6 @@ def _domain(value, kind, subexpr):
     return value
 
 
-def _quotient(ops, *operands):
-    # a chain of * and / with k divisions (ops, left to right): its k divisors,
-    # outermost first so that each is evaluated and checked before its
-    # numerator, then the chain's head, then its factors in order
-    k = ops.count("/")
-    divisors, factors = list(operands[:k]), iter(operands[k + 1:])
-    out = operands[k]
-    for op in ops:
-        out = out / divisors.pop() if op == "/" else out * next(factors)
-    return out
-
-
 def _chain(base, k, subexpr):
     out = 1.0 if k == 0 else base
     for _ in range(k - 1):
@@ -455,7 +442,7 @@ def _f(value):
 _NAMESPACE = {
     "abs": np.abs, "sign": np.sign, "sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log,
     "sqrt": np.sqrt, "min": np.minimum, "max": np.maximum, "clamp": np.clip, "inf": math.inf,
-    "nan": math.nan, **{f.__name__: f for f in (_finite, _domain, _quotient, _chain, _power, _f)},
+    "nan": math.nan, **{f.__name__: f for f in (_finite, _domain, _chain, _power, _f)},
     # ``clamp`` with a bound that is not a literal: np.clip gives this to array
     # bounds, but keeps x at a tie of signed zeros with scalar ones
     "_clamp": lambda x, lo, hi: np.minimum(np.maximum(x, lo), hi),
@@ -510,9 +497,6 @@ def _emit(root, names, hoisted):
     literals that does not fold to a finite one takes them as numpy floats.
     """
     bare = set(names.values()) | set(hoisted.values())
-    # a quotient, and a * or / whose left operand is one, is one flat
-    # ``_quotient`` call: id(node) -> (ops, divisors, head and factors)
-    chains = {}
 
     def fresh(x):
         # a bare variable is the caller's own array; ``+v`` evaluates to a new one
@@ -536,24 +520,10 @@ def _emit(root, names, hoisted):
             else:
                 text = f"{node.name}({text})"
             value = _step(text, _PREC_ATOM, *ops)
-        elif node.op == "/" or node.op == "*" and id(node.lhs) in chains:
-            n, d = ops
-            if node.op == "/":
-                d = _step(f"_domain({_code(d)}, '/', {src})", _PREC_ATOM, d)
-            chain = chains.get(id(node.lhs))
-            if chain is None and isinstance(d, float):
-                value = _step(f"{_code(n, _PREC_MUL)} / {_code(d, _PREC_UNARY)}", _PREC_MUL, n, d)
-            else:
-                chain_ops, divisors, rest = chain or ("", (), (n,))
-                if node.op == "/":
-                    divisors = (d,) + divisors
-                else:
-                    rest += (d,)
-                chains[id(node)] = chain_ops + node.op, divisors, rest
-                args = ", ".join(map(_code, divisors + rest))
-                value = f"_quotient({chain_ops + node.op!r}, {args})", _PREC_ATOM
         elif node.op != "^":
             a, b = ops
+            if node.op == "/":
+                b = _step(f"_domain({_code(b)}, '/', {src})", _PREC_ATOM, b)
             prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
             value = _step(f"{_code(a, prec)} {node.op} {_code(b, prec + 1)}", prec, a, b)
         else:

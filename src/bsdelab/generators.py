@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .expressions import (
+    EvalDomainError,
     Expression,
     ExpressionError,
     Func,
@@ -94,13 +95,24 @@ class WeightFn:
 
         The integral of the tagged power is evaluated by composite Simpson
         quadrature on ``WEIGHT_SAMPLES`` points and on every other one; it
-        must be finite and stable within 1% under refinement.  Sampling
-        evidence only, not a proof.
+        must be finite and stable within 1% under refinement.  A weight that
+        cannot be evaluated at a sample is rejected at the first such sample.
+        Sampling evidence only, not a proof.
         """
         if horizon <= 0:
             raise WeightValidationError("horizon must be positive")
         t = np.linspace(0.0, horizon, WEIGHT_SAMPLES)
-        vals = np.asarray(self.expr(t), dtype=float)
+        try:
+            vals = np.asarray(self.expr(t), dtype=float)
+        except EvalDomainError:
+            for s in t.tolist():
+                try:
+                    self.expr(s)
+                except EvalDomainError as error:
+                    raise WeightValidationError(
+                        f"weight {self.expr.to_source()} is undefined at t={s:.6g}: {error}"
+                    ) from error
+            raise
         if np.any(vals < 0):
             k = int(np.argmin(vals))
             raise WeightValidationError(
@@ -108,8 +120,9 @@ class WeightFn:
             )
         h = t[1] - t[0]
         for p in self._integrand_powers():
-            coarse = _simpson(vals[::2] ** p, 2 * h)
-            fine = _simpson(vals**p, h)
+            with np.errstate(over="ignore"):  # an overflow is the non-finite case below
+                coarse = _simpson(vals[::2] ** p, 2 * h)
+                fine = _simpson(vals**p, h)
             if not np.isfinite(fine):
                 raise WeightValidationError(f"integral of power {p} is not finite")
             if abs(fine - coarse) > 0.01 * max(abs(fine), 1e-12):

@@ -55,6 +55,9 @@ BLOWUP_THRESHOLD = 1e12
 # the integral of |f| over the panel's interval, at most QUAD_DEPTH times
 QUAD_TOL = 1e-13
 QUAD_DEPTH = 60
+# and keeps at most QUAD_PANELS panels live, 15 times the most a test needs
+# (8,610); a level then samples f at 3 x 7 x 2^17 points, 22 MB of arguments
+QUAD_PANELS = 2**17
 # solve_growth_ode's cap on Newton steps: bisection alone takes [b, 1e12] to an ulp in ~100
 _NEWTON_STEPS = 200
 # bihari_sequence stops a row once it moves by less than BIHARI_TOL in sup norm;
@@ -183,7 +186,8 @@ def _integrate(f, a, b, name):
     panels bisected wherever a panel and its two halves disagree by more than
     ``QUAD_TOL`` times the integral of |f| over the panel's interval; one call
     of f on an array per level.  A panel still unsettled after ``QUAD_DEPTH``
-    bisections raises ValueError naming ``name`` and its interval.
+    bisections, or more than ``QUAD_PANELS`` live panels, raises ValueError
+    naming ``name`` and its interval.
 
     The first panels cut each interval at a + (1 + |a|) 2^k, so that none is
     much wider than its distance scale from a: a steep f (1/exp(x) from 10 to
@@ -197,6 +201,8 @@ def _integrate(f, a, b, name):
     lo, hi, owner = ends[:, :-1][keep], ends[:, 1:][keep], np.nonzero(keep)[0]
     total, total_mag = np.zeros(n), np.zeros(n)
     for _ in range(QUAD_DEPTH):
+        if len(lo) > QUAD_PANELS:
+            break
         mid = 0.5 * (lo + hi)
         est, mag = _panels(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
         k = len(lo)
@@ -210,8 +216,10 @@ def _integrate(f, a, b, name):
         lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
         owner = np.tile(owner[keep], 2)
     i = owner.min()
-    raise ValueError(f"the integral of {name} over [{a[i]:.6g}, {b[i]:.6g}] does not settle "
-                     f"in {QUAD_DEPTH} bisections")
+    limit = (f"within {QUAD_PANELS} panels" if len(lo) > QUAD_PANELS
+             else f"in {QUAD_DEPTH} bisections")
+    raise ValueError(f"the integral of {name} over [{a[i]:.6g}, {b[i]:.6g}] does not "
+                     f"settle {limit}")
 
 
 def _sampled(l, x):

@@ -116,8 +116,8 @@ def _has_variable(node):
 def reference_evaluate(root, variables, values):
     """Evaluate an expression AST by walking the tree: the semantics of ``Expression``.
 
-    - Nodes are evaluated depth first, left to right, except that a quotient
-      evaluates and checks its denominator before its numerator.
+    - Nodes are evaluated depth first, left to right; a quotient evaluates
+      both operands, then checks its denominator.
     - ``x^k`` with a variable-free exponent whose value is an integer ``k`` in
       [0, 4] is the product ``x * ... * x`` of ``k`` factors (1.0 for ``k = 0``).
       Every other power is ``np.power``, after rejecting a negative base with a
@@ -160,12 +160,11 @@ def reference_evaluate(root, variables, values):
                 # np.clip keeps x at a tie of signed zeros only with scalar bounds
                 return np.minimum(np.maximum(args[0], args[1]), args[2])
             return _REFERENCE_FUNCTIONS[node.name](*args)
-        if node.op == "/":
-            denominator = ev(node.rhs)
-            if np.any(denominator == 0):
-                raise EvalDomainError("division by zero", _to_source(node))
-            return ev(node.lhs) / denominator
         a, b = ev(node.lhs), ev(node.rhs)
+        if node.op == "/":
+            if np.any(b == 0):
+                raise EvalDomainError("division by zero", _to_source(node))
+            return a / b
         if node.op == "+":
             return a + b
         if node.op == "-":

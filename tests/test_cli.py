@@ -100,6 +100,19 @@ class TestConfigErrors:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
         assert where in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, where", [
+        ({"checks": {"check": "solver_oracle"}}, "checks: must be a list"),
+        ({"checks": [3]}, "checks[0]: must be an object"),
+        ({"checks": [{"check": "solver_oracle", "expected": 0.0, "expect": "maybe"}]},
+         "checks[0].expect: must be 'pass' or 'fail'"),
+        ({"bounds": 3}, "bounds: must be an object"),
+    ])
+    def test_malformed_structure_reports_path(self, tmp_path, capsys, payload, where):
+        cfg = write_config(tmp_path, {"generator": {"expr": "0"}, **payload})
+        command = "verify" if "checks" in payload else "bounds"
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert f"config error: {where}" in capsys.readouterr().err
+
     def test_integral_floats_still_load(self, tmp_path):
         cfg = write_config(tmp_path, {"model": {"N": 1e1, "paths": 1e5, "seed": 3.0}})
         model = load_config(cfg).model
@@ -163,6 +176,13 @@ class TestCheckConfigErrors:
                 "checks[0].N",
             ),
             ({"check": "certificate"}, "checks[0].generator.certificate"),
+            (
+                {"check": "sandwich", "xi_bound": 1.0, "generator": {"expr": "-y", "certificate": {
+                    "kind": "one_sided_linear", "f": "0", "u": "1", "v": "1",
+                    "side": "absolute"}}},
+                "checks[0].generator.certificate: sandwich needs a one_sided_super_linear "
+                "certificate",
+            ),
             (
                 {"check": "certificate", "grid": {"y_count": "abc"}, "generator": {
                     "expr": "-y", "certificate": {"kind": "convexity_z"}}},
@@ -482,7 +502,7 @@ class TestSectionKeys:
          ("envelope", {"growth": "linear"}, "envelope.growth: must be an object")]
         + [("envelope", {"growth": GROWTH, key: value}, f"envelope.{key}: must be")
            for key, value in (("points", -1), ("points", 0), ("nodes", 4), ("nodes", 1),
-                              ("radius", -1), ("passes", -1), ("n", 0))]
+                              ("radius", -1), ("passes", -1), ("passes", 0), ("n", 0))]
         + [("bounds", {"u": "1", "l": "1 + abs(x)", "xi_bound": 1.0, key: value},
             f"bounds.{key}: must be")
            for key, value in (("xi_bound", -1), ("N", 0), ("T", -1), ("T", math.inf))],
@@ -569,6 +589,15 @@ class TestBoundsCommand:
     def test_missing_keys(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"bounds": {"u": "1"}})
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+
+    def test_blow_up_is_a_runtime_error(self, tmp_path, capsys):
+        # U = tan(pi/4 + T - t) leaves [-1e12, 1e12] at t = 3 pi/4
+        cfg = write_config(tmp_path, {"bounds": {"u": "1", "l": "1 + x^2", "xi_bound": 1.0,
+                                                 "T": math.pi, "N": 64}})
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == EXIT_RUNTIME_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: upper bound left [-1e12, 1e12] at t = 2.35619"), err
+        assert not (tmp_path / "bounds.csv").exists()
 
 
 class TestEnvelopeCommand:

@@ -129,6 +129,7 @@ class TestLipschitzEnvelope:
             assert batch[k] == pytest.approx(env(float(x)), abs=1e-12)
 
 
+@pytest.mark.simd_exact
 class TestLipschitzScan:
     """The two-sweep scan against the dense (points, nodes) reference."""
 
@@ -322,6 +323,7 @@ def same_bits(got, want):
     return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
+@pytest.mark.simd_exact
 class TestBatchedDescent:
     """The batched descent against the per-point loop it replaced, bit for bit."""
 
@@ -459,6 +461,7 @@ class TestBatchedDescent:
         assert peak < 8e6
 
 
+@pytest.mark.simd_exact
 class TestSlopeRuleLines:
     """Each line of the descent against 64 golden-section steps on it."""
 
@@ -623,3 +626,5 @@ class TestEnvelopeGrid:
             EnvelopeGrid(radius=-1.0)
         with pytest.raises(ValueError):
             EnvelopeGrid(nodes=1)
+        with pytest.raises(ValueError, match="passes must be >= 1"):
+            EnvelopeGrid(passes=0)

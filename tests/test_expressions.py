@@ -123,7 +123,7 @@ class TestNestingLimit:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_deepest_nesting_evaluates(self, kind):
-        # x/sqrt( opens four nested calls per level in the generated code
+        # x/sqrt( opens three nested calls per level in the generated code
         source, _ = nest(kind, MAX_NESTING)
         expr = parse_univariate(source)
         for x in (0.7, np.asarray([0.3, 1.9])):
@@ -187,6 +187,19 @@ class TestEvaluation:
         with pytest.raises(EvalDomainError, match="division by zero"):
             parse_expression("1 / y")(0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("source, y, message", [
+        ("ln(y)/y", 0.0, "ln of a non-positive value in sub-expression 'ln(y)'"),
+        ("sqrt(y)/(y - y)", -1.0, "sqrt of a negative value in sub-expression 'sqrt(y)'"),
+        ("1/y", 0.0, "division by zero in sub-expression '1.0 / y'"),
+    ])
+    def test_quotient_evaluates_left_to_right(self, source, y, message):
+        # the numerator's fault is the one reported; the divisor is checked last
+        e = parse_expression(source)
+        for args in ((0.0, y, 0.0), (0.0, np.array([1.0, y]), 0.0)):
+            with pytest.raises(EvalDomainError) as err:
+                e(*args)
+            assert str(err.value) == message
+
     def test_overflow_reported_not_inf(self):
         # a scalar call runs under the array call's np.errstate: no warning first
         with warnings.catch_warnings():
@@ -211,6 +224,7 @@ class TestEvaluation:
             assert out.tolist() == [1e200, 1e200] and caught == []
 
 
+@pytest.mark.simd_exact
 class TestScalarCalls:
     """A call with scalars runs the array call's compiled function and returns
     a Python float with the array call's bits."""
@@ -338,6 +352,7 @@ def _outcome(call):
     return type(out), np.shape(out), np.asarray(out).tobytes()
 
 
+@pytest.mark.simd_exact
 @settings(max_examples=600, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_generated_evaluator_matches_reference(seed):
@@ -362,6 +377,7 @@ def staged(expr, var, values, *others):
     return [body(*values, *parts) for body in bodies]
 
 
+@pytest.mark.simd_exact
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["t", "y", "z"]))
 def test_split_evaluation_is_bit_identical(seed, var):
@@ -381,6 +397,7 @@ def test_split_evaluation_is_bit_identical(seed, var):
                 assert out.tobytes() == expected.tobytes(), (whole.to_source(), var)
 
 
+@pytest.mark.simd_exact
 @settings(max_examples=600, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_unchecked_split_traps_or_gives_the_checked_bits(seed):
@@ -415,6 +432,7 @@ def test_unchecked_split_traps_or_gives_the_checked_bits(seed):
             assert out.tobytes() == expected.tobytes(), whole.to_source()
 
 
+@pytest.mark.simd_exact
 @pytest.mark.parametrize("source", ["y^0*1e308*10", "min(exp(z^0*1e308*10), 1) + y", "y^0/0"])
 def test_unchecked_zeroth_power_raises_flags(source):
     # x^0 is a numpy 1.0 in the split: Python float arithmetic on it would
@@ -481,6 +499,7 @@ def derivative_checks(root, var, points, h=1e-4):
     return checked, failures
 
 
+@pytest.mark.simd_exact
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["t", "y", "z"]))
 def test_derivative_matches_central_differences(seed, var):
@@ -500,6 +519,7 @@ def test_derivative_checks_are_not_vacuous():
     assert checked >= 0.8 * 200 * 10
 
 
+@pytest.mark.simd_exact
 @pytest.mark.parametrize("source, y, expected", [
     ("abs(y)", 0.0, 0.0),  # sign(0) = 0
     ("abs(y - 1)", 1.0, 0.0),
@@ -527,6 +547,7 @@ def test_derivative_at_kinks_and_exponents(source, y, expected):
     assert slope(0.5, y, 0.75) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
+@pytest.mark.simd_exact
 def test_derivative_rules_fold_and_drop():
     cases = {
         "-y^3 + abs(z)^1.5*sin(y)": "-(3.0 * y^2.0) + abs(z)^1.5 * cos(y)",

@@ -41,6 +41,33 @@ class TestWeightFn:
         with pytest.raises(WeightValidationError):
             WeightFn.parse("1", tag="L7")
 
+    def test_square_integrability_is_checked(self):
+        # 1e200 is integrable, its square overflows
+        assert WeightFn.parse("1e200").validate(1.0)
+        for tag in ("L2", "L1&L2"):
+            with pytest.raises(WeightValidationError,
+                               match=r"^integral of power 2.0 is not finite$"):
+                WeightFn.parse("1e200", tag=tag).validate(1.0)
+
+    def test_unresolved_integral_rejected(self):
+        # |sin(1024 pi t)| vanishes at every other sample, and only there
+        u = WeightFn.parse("abs(sin(3216.9908772759483*t))")
+        with pytest.raises(WeightValidationError,
+                           match=r"^integral of power 1.0 not stable under refinement "
+                                 r"\([-0-9.e]+ vs 0.666667\)$"):
+            u.validate(1.0)
+
+    @pytest.mark.parametrize("source, message", [
+        ("1/t", "weight 1.0 / t is undefined at t=0: division by zero in sub-expression "
+                "'1.0 / t'"),
+        ("1/(t - 0.5)", "weight 1.0 / (t - 0.5) is undefined at t=0.5: division by zero "
+                        "in sub-expression '1.0 / (t - 0.5)'"),
+    ])
+    def test_undefined_sample_rejected(self, source, message):
+        with pytest.raises(WeightValidationError) as err:
+            WeightFn.parse(source).validate(1.0)
+        assert str(err.value) == message
+
 
 class TestGenerator:
     def test_only_t_y_z_allowed(self):

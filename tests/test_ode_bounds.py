@@ -195,6 +195,22 @@ class TestGrowthOde:
         exact = 0.5 - 0.3 * np.exp(-2.0 * (1.0 - grid.nodes))
         assert np.max(np.abs(vals - sign * exact)) < 1e-9
 
+    def test_unsettled_panels_are_bounded(self, monkeypatch):
+        # 1/(2 + sin x) over about [0, 1e11]: its unsettled panels double at
+        # every level, so an unbounded quadrature would take all the memory
+        panels = ode_bounds._panels
+
+        def bounded(f, lo, hi):
+            assert len(lo) <= 3 * 2**17, f"a batch of {len(lo)} panels"
+            return panels(f, lo, hi)
+
+        monkeypatch.setattr(ode_bounds, "_panels", bounded)
+        with pytest.raises(ValueError, match=r"^the integral of 1/l with l\(x\) = 2.0 \+ sin\(x\) "
+                                             r"over \[0, [0-9.e+]+\] does not settle within "
+                                             r"131072 panels$"):
+            solve_growth_ode("upper", 0.0, WeightFn.parse("1e11"), "2 + sin(x)",
+                             TimeGrid.uniform(1.0, 2))
+
 
 NON_UNIFORM = TimeGrid(np.asarray([0.0, 0.05, 0.3, 0.31, 0.7, 1.0]))
 GRIDS = pytest.mark.parametrize(

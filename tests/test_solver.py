@@ -631,6 +631,7 @@ class TestStagedSweep:
     """The sweep evaluates the driver's y-free parts once per level; every
     value and every error is the one the whole driver gives."""
 
+    @pytest.mark.simd_exact
     @pytest.mark.parametrize("z_clamp", [None, 0.5])
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     @pytest.mark.parametrize("substrate", sorted(SUBSTRATES))
@@ -652,6 +653,7 @@ class TestStagedSweep:
         assert expected.pop("replayed_levels") == len(sol.z)
         assert diagnostics == expected
 
+    @pytest.mark.simd_exact
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     @pytest.mark.parametrize("substrate", sorted(SUBSTRATES))
     @pytest.mark.parametrize("driver", STAGED_DRIVERS)
@@ -671,6 +673,7 @@ class TestStagedSweep:
         if scheme == "implicit":
             assert sol.diagnostics["picard_max_iterations"] <= solver.NEWTON_CAP
 
+    @pytest.mark.simd_exact
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     @pytest.mark.parametrize("driver, terminal, subexpr", [
         ("ln(y) + ln(z)", "-1", "ln(y)"),  # the y-free ln(z) fails first in the split form
@@ -690,6 +693,7 @@ class TestStagedSweep:
         assert type(err) is type(ref) is EvalDomainError
         assert str(err) == str(ref) and err.subexpr == subexpr
 
+    @pytest.mark.simd_exact
     def test_cubic_is_its_replays(self, monkeypatch):
         # -y^3 with 3 cos(w) at N = 10, where Picard iteration diverged: the
         # staged Newton steps give the bits of their checked replay
@@ -756,6 +760,7 @@ def outcome(solve, ignored=("replayed_levels",)):
     return [row.tobytes() for row in sol.y + sol.z], diagnostics
 
 
+@pytest.mark.simd_exact
 class TestTrappedSweep:
     """A level runs unchecked with floating-point exceptions trapped, and is
     re-run through the checked code when one fires: every value and every

@@ -417,6 +417,7 @@ BLOCK_CASES = [(d, n, s, b) for d in BLOCK_DRIVERS for n in (1, 7, 64, 400)
                for s in ("explicit", "implicit") for b in (1, 7, 8192)]
 
 
+@pytest.mark.simd_exact
 class TestBlockReading:
     """Every check that reads solutions in blocks of levels gives the status,
     the violation bits and the location of the level-by-level reference."""
