@@ -5,6 +5,14 @@ and carries the witness functions appearing in the defining inequality.  A
 certificate check evaluates that inequality on a finite sample grid and
 reports the worst violation; passing a grid check is evidence, never a
 proof.
+
+A grid whose Cartesian product has at most ``cap`` samples is evaluated on its
+open mesh (``np.ix_``): each axis is a broadcastable 1-d array, so a
+sub-expression of one axis runs on that axis alone and only the combining
+operations run on every sample.  A larger grid is thinned to at most ``cap``
+samples by ``SampleGrid.product`` and evaluated on those flat arrays.  Either
+way the worst sample is the first maximum, or the first NaN, in the C order
+of the product, and each value has the bits it has on the flat product.
 """
 
 from __future__ import annotations
@@ -48,8 +56,10 @@ class CertificateError(ValueError):
 class SampleGrid:
     """Finite sampling grid for certificate checks.
 
-    Pairwise conditions combine two copies of the y (or z) axis; the full
-    Cartesian product is thinned uniformly to at most ``cap`` evaluations.
+    Pairwise conditions combine two copies of the y (or z) axis.  A check
+    evaluates the open mesh of its axes when their Cartesian product has at
+    most ``cap`` samples, and otherwise the product thinned uniformly to at
+    most ``cap`` evaluations (:meth:`product`).
     """
 
     t_range: tuple = (0.0, 1.0)
@@ -110,10 +120,11 @@ def _weight_from(obj, name, alpha):
 
 class _Certificate:
     """Grid check shared by all kinds: each states ``gap(g, ...)``, its left- minus
-    right-hand side at sampled points.  The parameters after ``g`` name the sample
-    axes, each starting with the grid axis it is drawn from (``y1`` from y).  Fields
-    are coerced from their declared types (an ``Expression`` of ``t`` for ``f``, else
-    of ``x``; a ``WeightFn`` by :func:`_weight_from`); subclasses add range checks."""
+    right-hand side at sampled points, of the shape the sample arrays broadcast to.
+    The parameters after ``g`` name the sample axes, each starting with the grid
+    axis it is drawn from (``y1`` from y).  Fields are coerced from their declared
+    types (an ``Expression`` of ``t`` for ``f``, else of ``x``; a ``WeightFn`` by
+    :func:`_weight_from`); subclasses add range checks."""
 
     def __post_init__(self):
         for f in sorted(fields(self), key=lambda f: f.type == "WeightFn"):  # weights read alpha
@@ -129,9 +140,14 @@ class _Certificate:
             object.__setattr__(self, f.name, value)
 
     def violation(self, g, grid):
-        axes = tuple(inspect.signature(self.gap).parameters)[1:]
-        coords = grid.product(*(getattr(grid, f"{name[0]}_axis")() for name in axes))
-        return worst_gap([(self.gap(g, *coords), at_samples(**dict(zip(axes, coords))))])
+        names = tuple(inspect.signature(self.gap).parameters)[1:]
+        axes = [getattr(grid, f"{name[0]}_axis")() for name in names]
+        if math.prod(map(len, axes)) <= grid.cap:
+            # the open mesh: a sub-expression of one axis runs on that axis alone
+            coords = np.ix_(*axes)
+        else:
+            coords = grid.product(*axes)
+        return worst_gap([(self.gap(g, *coords), at_samples(**dict(zip(names, coords))))])
 
     def witness_violation(self, grid):
         return {}

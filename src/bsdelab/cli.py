@@ -47,6 +47,7 @@ from .config import (
     ConfigError,
     ModelConfig,
     RunConfig,
+    _at,
     bind,
     load_config,
     parse_generator,
@@ -55,7 +56,7 @@ from .config import (
 )
 from .envelopes import EnvelopeGrid, sup_convolution_generator
 from .expressions import Expression
-from .generators import Generator, TerminalCondition, WeightFn
+from .generators import Generator, TerminalCondition, WeightFn, WeightValidationError
 from .ode_bounds import BlowUpError, TimeGrid, sandwich_envelope
 from .report import VerificationReport, at_samples, worst_gap
 from .solver import solve_mc_regression, solve_tree
@@ -162,7 +163,17 @@ def _bounds_envelope(model, path, *, u: Expression = None, l: Expression = None,
     require(path, ("xi_bound", np.isfinite(xi_bound) and xi_bound >= 0, "must be finite and >= 0"),
             ("T", np.isfinite(T) and T > 0, "must be finite and > 0"),
             ("N", N >= 1, "must be >= 1"))
-    return partial(sandwich_envelope, xi_bound, WeightFn.parse(u), l, TimeGrid.uniform(T, N))
+    u = _valid_weight(WeightFn.parse(u), T, _at(path, "u"))
+    return partial(sandwich_envelope, xi_bound, u, l, TimeGrid.uniform(T, N))
+
+
+def _valid_weight(weight, horizon, path):
+    """``weight``, checked nonnegative and integrable on [0, horizon] before a barrier uses it."""
+    try:
+        weight.validate(horizon)
+    except WeightValidationError as exc:
+        raise ConfigError(path, str(exc)) from exc
+    return weight
 
 
 def _growth_bound(*, f: Expression = "0", u: Expression = "1", v: Expression = "1"):
@@ -251,10 +262,11 @@ def _check_sandwich(run, solve, *, xi_bound: float = None, tol: float = 1e-3):
     if xi_bound is None:
         raise ConfigError("xi_bound", "missing, and the terminal section has no bound")
     require("", ("xi_bound", np.isfinite(xi_bound) and xi_bound >= 0, "must be finite and >= 0"))
+    u = _valid_weight(cert.u, run.model.horizon, "generator.certificate.u")
     grid = TimeGrid.uniform(run.model.horizon, run.model.steps)
     return lambda: sandwich_check(
         solve(run.model, run.generator, run.terminal),
-        sandwich_envelope(xi_bound, cert.u, cert.l, grid), tol,
+        sandwich_envelope(xi_bound, u, cert.l, grid), tol,
     )
 
 

@@ -96,7 +96,8 @@ class WeightFn:
         The integral of the tagged power is evaluated by composite Simpson
         quadrature on ``WEIGHT_SAMPLES`` points and on every other one; it
         must be finite and stable within 1% under refinement.  A weight that
-        cannot be evaluated at a sample is rejected at the first such sample.
+        is negative, or cannot be evaluated, at a sample is rejected at the
+        first such sample.
         Sampling evidence only, not a proof.
         """
         if horizon <= 0:
@@ -113,8 +114,9 @@ class WeightFn:
                         f"weight {self.expr.to_source()} is undefined at t={s:.6g}: {error}"
                     ) from error
             raise
-        if np.any(vals < 0):
-            k = int(np.argmin(vals))
+        negative = vals < 0
+        if negative.any():
+            k = int(np.argmax(negative))
             raise WeightValidationError(
                 f"weight is negative at t={t[k]:.6g} (value {vals[k]:.6g})"
             )

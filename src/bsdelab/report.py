@@ -61,22 +61,26 @@ class VerificationReport:
 def worst_gap(pairs):
     """The largest sampled gap over ``(gap, locate)`` pairs, taken in order.
 
-    Returns ``gap[k]`` and ``locate(k)`` for the first sample ``k``, in order,
-    that holds the maximum, or the first NaN wherever it lies, as ``np.argmax``
-    takes them within one array; ``-inf`` and ``{}`` when every gap array is
-    empty.
+    Returns the gap and ``locate(k)`` at the first sample ``k``, in order, that
+    holds the maximum, or the first NaN wherever it lies, as ``np.argmax`` takes
+    them within one array: ``k`` indexes an N-d gap's C-order flattening.
+    ``-inf`` and ``{}`` when every gap array is empty.
     """
     worst, where = -math.inf, None
     for gap, locate in pairs:
         gap = np.asarray(gap)
         if gap.size:
             k = int(np.argmax(gap))
+            value = gap.flat[k]
             # not <= holds for a larger gap and for a NaN; a NaN found stays
-            if where is None or not (math.isnan(worst) or gap[k] <= worst):
-                worst, where = float(gap[k]), locate(k)
+            if where is None or not (math.isnan(worst) or value <= worst):
+                worst, where = float(value), locate(k)
     return worst, where or {}
 
 
 def at_samples(**coords):
-    """``locate`` for :func:`worst_gap`: the named coordinate arrays at sample ``k``."""
-    return lambda k: {name: float(c[k]) for name, c in coords.items()}
+    """``locate`` for :func:`worst_gap`: the named coordinate arrays, broadcast
+    together (flat arrays, or the open mesh of ``np.ix_``), at the C-order flat
+    index ``k``."""
+    return lambda k: {name: float(c.flat[k])
+                      for name, c in zip(coords, np.broadcast_arrays(*coords.values()))}

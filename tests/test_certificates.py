@@ -1,7 +1,11 @@
+import inspect
+import math
+
 import numpy as np
 import pytest
 
 from bsdelab.certificates import (
+    SIDES,
     CertificateError,
     ContinuityZ,
     ConvexityZ,
@@ -17,7 +21,9 @@ from bsdelab.certificates import (
     check_certificate,
     check_witnesses,
 )
+from bsdelab.expressions import EvalDomainError
 from bsdelab.generators import Generator, WeightFn, dual_generator
+from bsdelab.report import at_samples, worst_gap
 
 ONE = WeightFn.parse("1")
 GRID_50 = SampleGrid(t_count=50, y_count=50, z_count=50, cap=10_000_000)
@@ -402,3 +408,82 @@ class TestFromDict:
         )
         assert isinstance(cert, MixedSubLinear)
         assert cert.lam.alpha == 0.5
+
+
+MESH = SampleGrid(t_count=5, y_count=7, z_count=9)
+MESH_CERTS = [
+    OneSidedOsgoodY(WeightFn.parse("1 + t"), "sqrt(x)", 1.0),
+    ContinuityZ(WeightFn.parse("exp(t)", "L2"), "x^1.5", 1.0, 0.0),
+    SubLinearDiffZ(WeightFn.parse("1 + t", "Lq", 0.5), 0.5, "1 + sin(t)"),
+    SubLinearDiffZ(WeightFn.parse("2", "Lq", 0.3), 0.3),
+    OneSidedSuperLinear(WeightFn.parse("1 + t"), "1 + abs(y)", "exp(y/5)"),
+    QuadGrowth(ONE, "1 + y^2", "cos(y)"),
+    LocalLipschitzZ(L2),
+    ConvexityZ(True),
+    ConvexityZ(False),
+    *(OneSidedLinear("1 + t", ONE, L2, side) for side in SIDES),
+    MixedSubLinear("exp(-t)", ONE, L2, WeightFn.parse("1 + t", "Lq", 0.25), 0.25,
+                   "upper_on_nonpos"),
+]
+
+
+def _axes(cert, grid):
+    names = tuple(inspect.signature(cert.gap).parameters)[1:]
+    return names, [getattr(grid, f"{name[0]}_axis")() for name in names]
+
+
+def _flat_reference(g, cert, grid):
+    """The gap on the flat product and its worst sample, as every check took them
+    before checks evaluated the open mesh."""
+    names, axes = _axes(cert, grid)
+    coords = grid.product(*axes)
+    gap = cert.gap(g, *coords)
+    return gap, worst_gap([(gap, at_samples(**dict(zip(names, coords))))])
+
+
+@pytest.mark.simd_exact
+class TestOpenMesh:
+    """A grid under its cap is evaluated on the open mesh of its axes, with the
+    flat product's bits, worst sample and errors."""
+
+    @pytest.mark.parametrize("source", [
+        "-y^3 + abs(z)^1.5 * sin(y)",
+        "cos(z) * exp(-t) + ln(1 + y^2) - sqrt(abs(y)) * abs(z)^0.7",
+        "exp(y / 5) * z^2 / (1 + t) + sqrt(1 + z^2)^1.5",
+        "sin(3*t*y) + cos(y - z)",
+    ])
+    @pytest.mark.parametrize("cert", MESH_CERTS, ids=lambda c: type(c).__name__)
+    def test_mesh_keeps_the_flat_products_bits(self, cert, source):
+        g = Generator.parse(source)
+        names, axes = _axes(cert, MESH)
+        mesh_gap = cert.gap(g, *np.ix_(*axes))
+        flat_gap, (worst, where) = _flat_reference(g, cert, MESH)
+        assert mesh_gap.shape == tuple(map(len, axes))
+        assert mesh_gap.tobytes() == flat_gap.tobytes()
+        report = check_certificate(g, cert, MESH)
+        assert np.float64(report.violation).tobytes() == np.float64(worst).tobytes()
+        assert report.location == where
+
+    def test_nan_gap_reports_its_first_nan(self):
+        # u_bar phi_bar overflows to inf where t >= 0.25 and y > 0.72, h_bar z^2 to -inf
+        # where |z| > 1.35: their sum is NaN there, past the earlier gaps of +inf
+        cert = QuadGrowth(WeightFn.parse("10*t"), "1e308 * clamp(y, 0, 1)", "-1e308")
+        g = Generator.parse("sin(y) + z")
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = check_certificate(g, cert, MESH)
+            _, (worst, where) = _flat_reference(g, cert, MESH)
+        assert math.isnan(report.violation) and math.isnan(worst)
+        assert report.location == where == {"t": 0.25, "y": float(MESH.y_axis()[4]), "z": -5.0}
+
+    @pytest.mark.parametrize("source", [
+        "ln(y) + z", "z / (y - t)", "sqrt(t - 0.5) + ln(y)", "abs(z)^1.5 * (y*z)^0.5",
+    ])
+    @pytest.mark.parametrize("cert", MESH_CERTS[:3], ids=lambda c: type(c).__name__)
+    def test_driver_off_its_domain_raises_the_flat_products_error(self, cert, source):
+        g = Generator.parse(source)
+        with pytest.raises(EvalDomainError) as flat:
+            _flat_reference(g, cert, MESH)
+        with pytest.raises(EvalDomainError) as mesh:
+            check_certificate(g, cert, MESH)
+        assert str(mesh.value) == str(flat.value)
+        assert mesh.value.args == flat.value.args

@@ -177,6 +177,18 @@ class TestCheckConfigErrors:
             ),
             ({"check": "certificate"}, "checks[0].generator.certificate"),
             (
+                {"check": "bounds_oracle", "u": "t - 0.5", "l": "1 + abs(x)", "xi_bound": 1.0,
+                 "expected_U0": 4.4},
+                "checks[0].u: weight is negative at t=0 (value -0.5)",
+            ),
+            # the first negative sample, not the most negative one (t = 1)
+            (
+                {"check": "sandwich", "xi_bound": 1.0, "generator": {"expr": "-y", "certificate": {
+                    "kind": "one_sided_super_linear", "u": "0.25 - t", "l": "1 + abs(y)",
+                    "h": "1"}}},
+                "checks[0].generator.certificate.u: weight is negative at t=0.250488 ",
+            ),
+            (
                 {"check": "sandwich", "xi_bound": 1.0, "generator": {"expr": "-y", "certificate": {
                     "kind": "one_sided_linear", "f": "0", "u": "1", "v": "1",
                     "side": "absolute"}}},
@@ -589,6 +601,15 @@ class TestBoundsCommand:
     def test_missing_keys(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"bounds": {"u": "1"}})
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+
+    def test_negative_weight_is_a_config_error(self, tmp_path, capsys):
+        # u < 0 on [0, 1) once broke the barrier's ordering at run time (exit 3)
+        cfg = write_config(tmp_path, {"bounds": {"u": "t - 1", "l": "1 + abs(x)",
+                                                 "xi_bound": 1.0, "T": 2.0, "N": 8}})
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err == "config error: bounds.u: weight is negative at t=0 (value -1)\n", err
+        assert not (tmp_path / "bounds.csv").exists()
 
     def test_blow_up_is_a_runtime_error(self, tmp_path, capsys):
         # U = tan(pi/4 + T - t) leaves [-1e12, 1e12] at t = 3 pi/4

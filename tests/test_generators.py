@@ -30,6 +30,9 @@ class TestWeightFn:
         u = WeightFn.parse("t - 1")
         with pytest.raises(WeightValidationError, match="negative"):
             u.validate(2.0)
+        # at the first negative sample, not at the most negative one (t = 1)
+        with pytest.raises(WeightValidationError, match=r"^weight is negative at t=0\.250488 "):
+            WeightFn.parse("0.25 - t").validate(1.0)
 
     def test_lq_tag_requires_alpha(self):
         with pytest.raises(WeightValidationError, match="alpha"):

@@ -10,7 +10,7 @@ from bsdelab import verify
 from bsdelab.certificates import OneSidedSuperLinear
 from bsdelab.generators import Generator, TerminalCondition, WeightFn
 from bsdelab.ode_bounds import sandwich_envelope
-from bsdelab.report import worst_gap
+from bsdelab.report import at_samples, worst_gap
 from bsdelab.solver import solve_mc_regression, solve_tree
 from bsdelab.verify import (
     SubstrateMismatchError,
@@ -367,6 +367,13 @@ class TestNanGaps:
         worst, where = worst_gap([([math.nan], lambda k: "first"), ([5.0], lambda k: "later")])
         assert math.isnan(worst) and where == "first"
         assert worst_gap([([1.0, 3.0, 3.0], lambda k: k), ([3.0], lambda k: -1)]) == (3.0, 1)
+        # an N-d gap is read in C order, at coordinates that broadcast to its shape
+        mesh = at_samples(a=np.array([[10.0], [20.0]]), b=np.array([[1.0, 2.0, 3.0]]))
+        tied = np.array([[1.0, 0.0, 3.0], [3.0, 2.0, 0.0]])
+        assert worst_gap([(tied, mesh)]) == (3.0, {"a": 10.0, "b": 3.0})
+        worst, where = worst_gap([(np.array([[0.0, math.nan, 9.0], [math.nan, 0.0, 0.0]]), mesh),
+                                  ([math.nan], lambda k: "later")])
+        assert math.isnan(worst) and where == {"a": 10.0, "b": 2.0}
 
     def test_nan_after_the_first_level_fails_comparison(self):
         lo = solve_tree(ZERO, TerminalCondition.parse("0"), 8)
