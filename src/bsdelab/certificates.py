@@ -147,7 +147,9 @@ class _Certificate:
             coords = np.ix_(*axes)
         else:
             coords = grid.product(*axes)
-        return worst_gap([(self.gap(g, *coords), at_samples(**dict(zip(names, coords))))])
+        with np.errstate(all="ignore"):  # a gap that overflows is reported, NaN first
+            gap = self.gap(g, *coords)
+        return worst_gap([(gap, at_samples(**dict(zip(names, coords))))])
 
     def witness_violation(self, grid):
         return {}

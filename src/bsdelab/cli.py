@@ -10,8 +10,10 @@ Subcommands::
 
 ``verify`` and ``suite`` parse every check before the first one runs, so a
 config error (exit code 2, naming its path, such as ``checks[3].n_lsit``)
-costs no solve.  Within one command a check reuses any tree solve that an
-earlier check, or itself, made for an equal (model, generator, terminal).
+costs no solve.  Parsing plans the command's solves: each distinct problem
+is solved once, and the tree problems on one substrate (steps, horizon)
+share one stacked backward sweep, run when the first check that needs it
+runs.  Monte-Carlo problems are solved each time a check asks for one.
 Every CSV is written by the ``csv`` module, so cells holding commas or quotes
 are quoted as any CSV reader expects.
 
@@ -33,6 +35,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 from importlib import resources
@@ -59,7 +62,7 @@ from .expressions import Expression
 from .generators import Generator, TerminalCondition, WeightFn, WeightValidationError
 from .ode_bounds import BlowUpError, TimeGrid, sandwich_envelope
 from .report import VerificationReport, at_samples, worst_gap
-from .solver import solve_mc_regression, solve_tree
+from .solver import solve_mc_regression, solve_tree, solve_tree_stack
 from .verify import (
     comparison_check,
     indicator_premise_check,
@@ -128,22 +131,40 @@ def _solve_with(model: ModelConfig, generator, terminal):
                                model.seed, model.horizon, model.scheme, z_clamp=model.z_clamp)
 
 
-def _command_solver():
-    """The ``solve`` of one command's checks.  Tree solutions are kept, keyed by
-    (model, generator, terminal), so that a problem posed by several checks is
-    solved once.  Monte-Carlo solutions, two (paths,) rows per step, are too
-    large to keep and are solved each time they are asked for."""
-    kept = {}
+class _Plan:
+    """The solves of one command's checks, posed while they are parsed.
 
-    def solve(model, generator, terminal):
+    ``solve(model, generator, terminal)`` poses a problem and returns a thunk,
+    to be called once, that gives its solution.  The first thunk called on a
+    tree substrate (steps, horizon) solves every distinct problem posed on it
+    and not yet solved, in one stacked sweep; the plan keeps each solution
+    until the last of its thunks is called.  A Monte-Carlo thunk solves when
+    it is called: that solution, two (paths,) rows per step, is too large to
+    keep.
+    """
+
+    def __init__(self):
+        self.trees = {}  # (steps, horizon) -> {problem: its solution, or None before the sweep}
+        self.uncalled = Counter()  # (substrate, problem) -> its thunks not yet called
+
+    def solve(self, model, generator, terminal):
         if model.backend != "tree":
-            return _solve_with(model, generator, terminal)
-        key = (model, generator, terminal)
-        if key not in kept:
-            kept[key] = _solve_with(*key)
-        return kept[key]
+            return partial(_solve_with, model, generator, terminal)
+        substrate = (model.steps, model.horizon)
+        problem = (generator, terminal, model.scheme, model.z_clamp)
+        self.trees.setdefault(substrate, {}).setdefault(problem, None)
+        self.uncalled[substrate, problem] += 1
+        return partial(self._solution, substrate, problem)
 
-    return solve
+    def _solution(self, substrate, problem):
+        solutions = self.trees[substrate]
+        if solutions[problem] is None:
+            todo = [p for p, sol in solutions.items() if sol is None]
+            solutions.update(zip(todo, solve_tree_stack(todo, *substrate)))
+        self.uncalled[substrate, problem] -= 1
+        if self.uncalled[substrate, problem]:
+            return solutions[problem]
+        return solutions.pop(problem)
 
 
 def _solution_rows(sol):
@@ -208,8 +229,8 @@ def _envelope_rows(g, path, *, radius: float = 100.0, nodes: int = 2001, passes:
 # Each kind is one function: its keyword-only parameters are the check's keys,
 # with their types and defaults, and ``tol``'s default is the kind's default
 # tolerance.  Called with the effective config (and, if it takes one, the
-# ``solve`` function), it rejects what that config cannot run and returns the
-# check, which solves only when it is called.
+# plan's ``solve``), it rejects what that config cannot run, poses its
+# problems, and returns the check, which calls their thunks when it runs.
 
 
 def _closed_form(name, symbol, value, expected, tol):
@@ -223,27 +244,24 @@ def _closed_form(name, symbol, value, expected, tol):
 
 
 def _check_solver_oracle(run, solve, *, expected: float, tol: float = 1e-2):
-    return lambda: _closed_form(
-        "solver-oracle", "y_0", solve(run.model, run.generator, run.terminal).y0, expected, tol
-    )
+    sol = solve(run.model, run.generator, run.terminal)
+    return lambda: _closed_form("solver-oracle", "y_0", sol().y0, expected, tol)
 
 
 def _check_comparison(run, solve, *, generator_prime: Generator,
                       terminal_prime: TerminalCondition, tol: float = 1e-6):
-    return lambda: comparison_check(
-        solve(run.model, run.generator, run.terminal),
-        solve(run.model, generator_prime, terminal_prime), tol,
-    )
+    sol = solve(run.model, run.generator, run.terminal)
+    sol_prime = solve(run.model, generator_prime, terminal_prime)
+    return lambda: comparison_check(sol(), sol_prime(), tol)
 
 
 def _check_premise(run, solve, *, generator_prime: Generator, terminal_prime: TerminalCondition,
                    which: Literal["along_prime", "along_unprimed"] = "along_prime",
                    tol: float = 0.0):
+    sol = solve(run.model, run.generator, run.terminal)
+    sol_prime = solve(run.model, generator_prime, terminal_prime)
     return lambda: indicator_premise_check(
-        solve(run.model, run.generator, run.terminal),
-        solve(run.model, generator_prime, terminal_prime),
-        run.generator, generator_prime, which, tol,
-    )
+        sol(), sol_prime(), run.generator, generator_prime, which, tol)
 
 
 def _check_dominance(run, *, generator_prime: Generator, level: float = 0.0,
@@ -264,27 +282,22 @@ def _check_sandwich(run, solve, *, xi_bound: float = None, tol: float = 1e-3):
     require("", ("xi_bound", np.isfinite(xi_bound) and xi_bound >= 0, "must be finite and >= 0"))
     u = _valid_weight(cert.u, run.model.horizon, "generator.certificate.u")
     grid = TimeGrid.uniform(run.model.horizon, run.model.steps)
-    return lambda: sandwich_check(
-        solve(run.model, run.generator, run.terminal),
-        sandwich_envelope(xi_bound, u, cert.l, grid), tol,
-    )
+    sol = solve(run.model, run.generator, run.terminal)
+    return lambda: sandwich_check(sol(), sandwich_envelope(xi_bound, u, cert.l, grid), tol)
 
 
 def _check_monotone_family(run, solve, *, n_list: list[float] = (1, 2, 4, 8), tol: float = 1e-9):
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("n_list", "must be nonempty and strictly increasing")
-    return lambda: monotone_family_check(
-        [solve(run.model, run.generator, run.terminal.truncated_above(n)) for n in n_list],
-        n_list, tol,
-    )
+    family = [solve(run.model, run.generator, run.terminal.truncated_above(n)) for n in n_list]
+    return lambda: monotone_family_check([sol() for sol in family], n_list, tol)
 
 
 def _check_transform_residual(run, solve, *, gamma: float = 1.0, coefficient: float = 0.05):
     if run.model.backend != "tree":
         raise ConfigError("model.backend", "transform_residual runs on tree solutions only")
-    return lambda: transform_residual_check(
-        solve(run.model, run.generator, run.terminal), run.generator, gamma, coefficient
-    )
+    sol = solve(run.model, run.generator, run.terminal)
+    return lambda: transform_residual_check(sol(), run.generator, gamma, coefficient)
 
 
 def _check_bounds_oracle(run, *, expected_U0: float, tol: float = 1e-5,
@@ -311,9 +324,9 @@ def _check_certificate(run, *, grid: dict = None):
 
 
 def _check_uniqueness_smoke(run, solve, *, tol: float = 5e-3):
-    models = [replace(run.model, scheme=s) for s in ("explicit", "implicit")]
-    return lambda: uniqueness_smoke_check(
-        *(solve(m, run.generator, run.terminal) for m in models), tol)
+    pair = [solve(replace(run.model, scheme=s), run.generator, run.terminal)
+            for s in ("explicit", "implicit")]
+    return lambda: uniqueness_smoke_check(*(sol() for sol in pair), tol)
 
 
 def _check_envelope_domination(run, *, points: int = 25, tol: float = 0.0,
@@ -373,8 +386,8 @@ def _effective_config(cfg: RunConfig, check: CheckConfig) -> RunConfig:
 def _parse_check(cfg, check, tol, solve):
     """The check ready to run: its keys parsed, its sections applied; ``tol`` overrides.
 
-    A check that solves (its function takes ``solve``) gets ``solve``, and
-    needs an effective generator and terminal.
+    A check that solves (its function takes ``solve``) gets ``solve``, the
+    plan's, and needs an effective generator and terminal.
     """
     if check.kind not in CHECKS:
         raise ConfigError("check", f"unknown kind; know {sorted(CHECKS)}")
@@ -451,11 +464,11 @@ def _cmd_envelope(cfg, out_dir, args):
 def _cmd_verify(cfg, out_dir, args, per_check_files=False):
     if not cfg.checks:
         raise ConfigError("checks", "verify needs a non-empty checks list")
-    solve = _command_solver()
+    plan = _Plan()
     runs = []  # every check is parsed before the first one runs
     for idx, check in enumerate(cfg.checks):
         try:
-            runs.append(_parse_check(cfg, check, args.tol, solve))
+            runs.append(_parse_check(cfg, check, args.tol, plan.solve))
         except ConfigError as exc:
             path = ".".join(filter(None, (f"checks[{idx}]", exc.path)))
             raise ConfigError(path, exc.message) from exc

@@ -1,11 +1,18 @@
 """Discrete-time solvers for scalar terminal-value equations driven by a
 one-dimensional Brownian motion.
 
-Both backends run one backward sweep, ``_backward_sweep``:
+Both backends run one backward sweep, ``_backward_sweep``, over a stack of
+problems (generator, terminal, scheme, z_clamp) on one substrate:
 
     (E_i, z_i) = expect(i, y_{i+1})
     y_i = E_i + g(t_i, E_i, z_i) dt                 (explicit)
     y_i solves y = E_i + g(t_i, y, z_i) dt          (implicit, Newton's method)
+
+``expect`` runs once per level for the whole stack; each problem then takes
+its own update, trap and replay, diagnostics and errors, so that its solution
+has the bits of its own sweep.  In a stack of more than one, an error names
+its problem.  ``solve_tree`` sweeps a stack of one, ``solve_tree_stack`` any
+number on one tree; Monte Carlo sweeps one problem per ensemble.
 
 The driver runs staged at y (``Expression.split``): once per level, its
 largest sub-expressions free of y, such as ``abs(z)^1.5`` in
@@ -29,13 +36,18 @@ the root unique.  Where h' <= 0 or is not finite, where a step on a fresh
 slope does not contract after one that was also fresh, or after
 ``NEWTON_CAP`` steps, the level goes on bracketed: a bracket grown from E by
 doubling, and Newton's step where it stays inside, bisection elsewhere
-(rtsafe, *Numerical Recipes* 9.4).  It fails only where no sign change is
-found within 2^63 |h(E)| of E on either side.
+(rtsafe, *Numerical Recipes* 9.4).  The growth probes evaluate the staged
+driver with flags ignored; once a node's probe is not finite, such as sqrt's
+below 0 or an overflow, its probes bisect back between its last finite one
+and its nearest non-finite one.  It fails only where no sign change is found
+within 2^63 |h(E)| of E on either side, or within the driver's domain.
 
 Trap, then replay.  Each level first runs ``expect``, the clamp and the
 staged driver and derivative (the checked code with helpers that test
 nothing) under one ``np.errstate`` that raises on overflow, invalid and
-divide (underflow is no error), entered once per sweep.  From finite inputs,
+divide (underflow is no error), entered once per sweep.  Where ``expect``
+traps, it runs again with flags ignored, and the problems whose estimates are
+not finite are replayed.  From finite inputs,
 IEEE arithmetic cannot reach inf or NaN without raising one of those flags,
 so a level that finishes has every value the checked code gives, and would
 have passed each of its tests.  A level that raises ``FloatingPointError``
@@ -64,14 +76,15 @@ level, Newton's and bracketed ones.  Five rules keep the premise:
 The two backends differ only in the conditional-expectation operator
 ``expect``.  On the recombining binomial tree (increments +-sqrt(dt) with
 probability 1/2) it is the exact pairwise average,
-``TreeModel.pairwise_average``:
+``TreeModel.pairwise_average``, along the last axis of the (k, nodes) stack:
 
     E_i    = y_{i+1, j+1} / 2 + y_{i+1, j} / 2
     z_{ij} = (y_{i+1, j+1} - y_{i+1, j}) / (2 sqrt(dt))
 
 The level is halved before it is summed, so that neighbours near the largest
 double average to a finite value; wherever their sum is finite and normal
-this gives the same bits as (a + b) / 2.
+this gives the same bits as (a + b) / 2.  Every operation is elementwise, so
+a row of the stack has the bits of the same row alone.
 
 On Monte Carlo it is one least-squares projection of the two targets y_{i+1}
 and y_{i+1} dB_i / dt onto the orthonormal probabilists' Hermite polynomials
@@ -97,20 +110,23 @@ from typing import Optional
 import numpy as np
 
 from .envelopes import ROOT_CAP, _settled
-from .expressions import EvalDomainError, all_finite
+from .expressions import EvalDomainError, ExpressionError, all_finite
 from .generators import Generator, TerminalCondition
 from .ode_bounds import TimeGrid
 
 __all__ = ["TreeModel", "PathEnsemble", "DiscreteSolution", "SolverError", "ImplicitStepError",
-           "PicardDivergenceError", "RankDeficientError", "solve_tree", "solve_mc_regression"]
+           "PicardDivergenceError", "RankDeficientError", "solve_tree", "solve_tree_stack",
+           "solve_mc_regression"]
 
 
 # The implicit step's Newton iteration stops once its step falls below
 # NEWTON_TOL in sup norm, or the error theta / (1 - theta) |step| estimated
 # from its observed contraction theta below RATE_TOL, which allows for a theta
 # that grows; after NEWTON_CAP steps the level goes on bracketed.  A bracket
-# is grown from E by GROWTH_DOUBLINGS doublings at most on either side, and
-# settled by ``envelopes._settled`` to NEWTON_TOL.
+# is grown from E by GROWTH_DOUBLINGS probes at most on either side, and
+# settled by ``envelopes._settled`` to ROOT_ULPS ulps: an absolute NEWTON_TOL
+# stops a bracket 1e-15 wide after one step, which put the root 1.2e-15 of
+# y - E + sqrt(y) dt at 6.0e-15.
 NEWTON_TOL = 1e-12
 RATE_TOL = NEWTON_TOL / 100
 NEWTON_CAP = 20
@@ -119,7 +135,10 @@ GROWTH_DOUBLINGS = 64
 
 
 class SolverError(RuntimeError):
-    """A solve that cannot go on; ``step`` and ``time`` say where, when known."""
+    """A solve that cannot go on; ``step`` and ``time`` say where, when known,
+    and ``problem``, in a stacked sweep, which of its problems."""
+
+    problem = None
 
     def __init__(self, message, step=None, time=None):
         super().__init__(message)
@@ -130,11 +149,11 @@ class SolverError(RuntimeError):
 class ImplicitStepError(SolverError):
     """The implicit step's residual y - E - g(t, y, z) dt keeps its sign."""
 
-    def __init__(self, step, time, node, y, z, reach):
+    def __init__(self, step, time, node, y, z, below, above):
         self.node = node
         super().__init__(
             f"implicit step has no root at step {step} (t = {time:g}), node {node}: "
-            f"y - E - g(t, y, z) dt keeps its sign on [E - {reach:.3g}, E + {reach:.3g}] "
+            f"y - E - g(t, y, z) dt keeps its sign on [E - {below:.3g}, E + {above:.3g}] "
             f"from (t, y, z) = ({time:g}, {y:g}, {z:g})",
             step,
             time,
@@ -173,9 +192,10 @@ class TreeModel:
 
     @staticmethod
     def pairwise_average(level):
-        """(level[j + 1] + level[j]) / 2 for j = 0 .. len(level) - 2, halved first."""
+        """(level[..., j + 1] + level[..., j]) / 2 for j = 0 .. n - 2 along the
+        last axis, of length n, halved first."""
         half = 0.5 * level
-        return half[1:] + half[:-1]
+        return half[..., 1:] + half[..., :-1]
 
     def level_weights(self):
         """Binomial weights C(i, j) / 2^i of the levels i = 0 .. steps, in order,
@@ -276,7 +296,7 @@ def _finite_or_raise(y, step, t, E, z):
     return y
 
 
-def _implicit_update(h, slope, affine, i, t, E, z):
+def _implicit_update(h, slope, probe, affine, i, t, E, z):
     """The root of the level's residual h(y) = y - E - g(t, y, z) dt at every
     node, and the steps taken.
 
@@ -284,9 +304,10 @@ def _implicit_update(h, slope, affine, i, t, E, z):
     1 - g_y dt.  The slope is evaluated at E, and again only after a step
     longer than THETA_REFRESH times the one before (simplified Newton
     otherwise).  One step where g_y is free of y (``affine``).  Bracketed
-    (``_bracketed``) where h' <= 0 or is not finite, after two steps on fresh
-    slopes of which the second does not contract, after a domain error of the
-    driver, or after NEWTON_CAP steps.
+    (``_bracketed``, whose growth ``probe``s the residual unchecked) where
+    h' <= 0 or is not finite, after two steps on fresh slopes of which the
+    second does not contract, after a domain error of the driver, or after
+    NEWTON_CAP steps.
     """
     y, r = E, h(E)
     h_E, d, k = r, None, 0
@@ -316,40 +337,55 @@ def _implicit_update(h, slope, affine, i, t, E, z):
             r = h(y)
         except EvalDomainError:  # a step left the driver's domain
             break
-    y, steps = _bracketed(h, slope, i, t, E, z, h_E)
+    y, steps = _bracketed(h, slope, i, t, E, z, h_E, probe)
     return y, k + steps
 
 
-def _bracketed(h, slope, i, t, E, z, h_E):
+def _bracketed(h, slope, i, t, E, z, h_E, probe):
     """The root at every node, and the steps taken: a bracket grown from E by
     doubling, first on the side where h would cross zero if it increased,
     then settled by rtsafe (``envelopes._settled``), each node once its move
-    is at most NEWTON_TOL or Newton's step leaves it in place.  Raises
-    ImplicitStepError where no sign change is found, and SolverError where
-    rtsafe takes all its ROOT_CAP steps."""
+    is at most ROOT_ULPS ulps or Newton's step leaves it in place.
+
+    The growth evaluates ``probe``, the residual from the unchecked driver,
+    with flags ignored.  A node whose probe is not finite has left the
+    driver's domain or overflowed there: from then on its probes bisect
+    between its last finite probe (E at first) and its nearest non-finite one.
+    Raises ImplicitStepError where no sign change is found, and SolverError
+    where rtsafe takes all its ROOT_CAP steps."""
     steps = 0
     # near: the last probe with the sign of h(E); far: the first without it
     near, far = E, np.where(h_E == 0.0, E, np.nan)
-    for side in (1.0, -1.0):
-        direction = side * np.copysign(1.0, -h_E)
-        near = np.where(np.isnan(far), E, near)
-        reach = np.abs(h_E)
-        for _ in range(GROWTH_DOUBLINGS):
-            todo = np.isnan(far)
-            if not todo.any():
-                break
-            x = np.where(todo, E + direction * reach, near)
-            crossed = todo & (np.sign(h(x)) != np.sign(h_E))
-            steps += 1
-            far = np.where(crossed, x, far)
-            near = np.where(todo & ~crossed, x, near)
-            reach = reach * 2.0
+    kept = {}  # how far from E each node's probes kept the sign of h(E), per direction
+    with np.errstate(all="ignore"):
+        for side in (1.0, -1.0):
+            direction = side * np.copysign(1.0, -h_E)
+            near = np.where(np.isnan(far), E, near)
+            # distances from E: of near, of the nearest non-finite probe, of the next probe
+            inner, outer, reach = np.zeros_like(E), np.full_like(E, np.inf), np.abs(h_E)
+            for _ in range(GROWTH_DOUBLINGS):
+                todo = np.isnan(far)
+                if not todo.any():
+                    break
+                x = np.where(todo, E + direction * reach, near)
+                h_x = probe(x)
+                inside = np.isfinite(h_x)
+                crossed = todo & inside & (np.sign(h_x) != np.sign(h_E))
+                grown = todo & inside & ~crossed
+                steps += 1
+                far = np.where(crossed, x, far)
+                near = np.where(grown, x, near)
+                inner = np.where(grown, reach, inner)
+                outer = np.where(inside, outer, reach)
+                reach = np.where(outer < np.inf, 0.5 * inner + 0.5 * outer, reach * 2.0)
+            kept[side] = inner
     if np.isnan(far).any():
         k = int(np.argmax(np.isnan(far)))
+        up = 1.0 if h_E[k] < 0.0 else -1.0  # the side whose probes went up from E
         raise ImplicitStepError(i, float(t), k, float(E[k]), float(z[k]),
-                                abs(float(h_E[k])) * 2.0 ** (GROWTH_DOUBLINGS - 1))
+                                float(kept[-up][k]), float(kept[up][k]))
     a, b = np.where(h_E < 0.0, near, far), np.where(h_E < 0.0, far, near)  # h(a) <= 0 <= h(b)
-    y, settle = _settled(lambda x: (h(x), slope(x)), a, b, NEWTON_TOL)
+    y, settle = _settled(lambda x: (h(x), slope(x)), a, b)
     if settle == ROOT_CAP:
         raise SolverError(f"implicit step did not settle within {ROOT_CAP} bracketed steps "
                           f"at step {i} (t = {t:g})", i, float(t))
@@ -360,86 +396,160 @@ def _bracketed(h, slope, i, t, E, z, h_E):
 _TRAP = {"over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"}
 
 
-def _backward_sweep(g, xi, grid, states, expect, scheme, z_clamp, **source):
-    """The backward recursion shared by both backends; see module docstring.
+class _Problem:
+    """One problem of a sweep: its driver staged at y, its rows and its
+    diagnostics."""
 
-    ``states`` are the terminal values of B.  ``expect(i, y_next)`` returns the
-    backend's estimates (E_i, z_i) of E_i[y_{i+1}] and E_i[y_{i+1} dB_i] / dt;
-    it may run twice for one level.  ``source`` names the backend and its
-    substrate (seed and paths).
-    """
-    if scheme not in ("explicit", "implicit"):
-        raise ValueError("scheme must be 'explicit' or 'implicit'")
-    if z_clamp is not None and not z_clamp > 0:
-        raise ValueError(f"z_clamp must be > 0, got {z_clamp!r}")
-    steps = grid.steps
-    dt = grid.dt
-    # without y the implicit step is the explicit one
-    single = scheme == "explicit" or "y" not in g.expr.free_variables()
-    g_y = None if single else g.expr.derivative("y")
-    affine = not single and "y" not in g_y.free_variables()
-    # (pre, body) of the driver staged at y, and g_y's body over its parts
-    staged = g.expr.split("y", *(() if single else (g_y,)))
-    z_rows = [None] * steps
-    clamped = False
-    newton_max = 0
-    replayed = 0
-    with np.errstate(all="ignore"):
-        xi.check_bound(states)
-        y_rows = [None] * steps + [np.asarray(xi(states), dtype=float)]
-    y_rows[steps].flags.writeable = False
+    def __init__(self, g, xi, scheme, z_clamp, grid, states):
+        if scheme not in ("explicit", "implicit"):
+            raise ValueError("scheme must be 'explicit' or 'implicit'")
+        if z_clamp is not None and not z_clamp > 0:
+            raise ValueError(f"z_clamp must be > 0, got {z_clamp!r}")
+        self.g, self.xi, self.scheme, self.z_clamp, self.grid = g, xi, scheme, z_clamp, grid
+        self.dt = grid.dt  # a property that checks the grid: read once
+        # without y the implicit step is the explicit one
+        self.single = scheme == "explicit" or "y" not in g.expr.free_variables()
+        g_y = None if self.single else g.expr.derivative("y")
+        self.affine = not self.single and "y" not in g_y.free_variables()
+        # (pre, body) of the driver staged at y, and g_y's body over its parts
+        self.staged = g.expr.split("y", *(() if self.single else (g_y,)))
+        self.clamped = False
+        self.newton_max = 0
+        self.replayed = 0
+        with np.errstate(all="ignore"):
+            xi.check_bound(states)
+            terminal = np.asarray(xi(states), dtype=float)
+        terminal.flags.writeable = False
+        self.y = [None] * grid.steps + [terminal]
+        self.z = [None] * grid.steps
 
-    def level(i, trapped):
+    def level(self, i, E, z, trapped):
         """(y_i, z_i, root-finding steps) from the staged driver if ``trapped``,
         else from the whole checked driver; g_y is always the staged one."""
-        nonlocal clamped
-        E, z = expect(i, y_rows[i + 1])
-        if z_clamp is not None:
+        if self.z_clamp is not None:
             before = z
-            z = np.clip(z, -z_clamp, z_clamp)
-            clamped = clamped or bool(np.any(before != z))
+            z = np.clip(z, -self.z_clamp, self.z_clamp)
+            self.clamped = self.clamped or bool(np.any(before != z))
         # t as a numpy float, so that its arithmetic raises flags under the trap
         # and gives inf, not an error, under np.errstate(all="ignore")
-        t = grid.nodes[i]
+        t, dt = self.grid.nodes[i], self.dt
+        g, staged = self.g, self.staged
         parts = staged[0](t, z)
-        g_at = (lambda y: staged[1](t, y, z, *parts)) if trapped else (lambda y: g(t, y, z))
-        if single:
+        unchecked = lambda y: staged[1](t, y, z, *parts)  # noqa: E731
+        g_at = unchecked if trapped else (lambda y: g(t, y, z))
+        if self.single:
             y, used = E + np.multiply(g_at(E), dt), 1
         else:
             y, used = _implicit_update(lambda y: (y - E) - np.multiply(g_at(y), dt),
                                        lambda y: 1.0 - np.multiply(staged[2](t, y, z, *parts), dt),
-                                       affine, i, t, E, z)
+                                       lambda y: (y - E) - np.multiply(unchecked(y), dt),
+                                       self.affine, i, t, E, z)
         if not trapped:
             _finite_or_raise(y, i, t, E, z)
         return y, z, used
 
-    with np.errstate(**_TRAP):
-        for i in range(steps - 1, -1, -1):
+    def step(self, i, E, z, trap):
+        """Keeps level i's rows from the estimates (E_i, z_i), and returns y_i:
+        the trapped level if ``trap`` and it finishes, else its replay."""
+        y = None
+        if trap:
             try:
-                y, z, used = level(i, True)
+                y, z, used = self.level(i, E, z, True)
             except (FloatingPointError, SolverError):
-                y = None
-            if y is None:  # the whole checked driver gives the values, or the error
-                replayed += 1
+                pass
+        if y is None:  # the whole checked driver gives the values, or the error
+            self.replayed += 1
+            with np.errstate(all="ignore"):
+                y, z, used = self.level(i, E, z, False)
+        if self.scheme == "implicit":
+            self.newton_max = max(self.newton_max, used)
+        y.flags.writeable = z.flags.writeable = False  # solutions may be shared
+        self.y[i], self.z[i] = y, z
+        return y
+
+    def solution(self, **source):
+        return DiscreteSolution(
+            grid=self.grid,
+            y=tuple(self.y),
+            z=tuple(self.z),
+            scheme=self.scheme,
+            generator=self.g,
+            terminal=self.xi,
+            diagnostics={"picard_max_iterations": self.newton_max, "z_clamped": self.clamped,
+                         "replayed_levels": self.replayed},
+            conforming=not self.clamped,
+            **source,
+        )
+
+
+def _name_problem(exc, p, problem):
+    """Prefixes the message of ``exc``, raised by problem ``p`` of a stack, with
+    that problem."""
+    g, xi, scheme, _ = problem
+    exc.problem = p
+    exc.args = (f"problem {p} ({scheme}, g = {g.to_source()}, terminal {xi.expr.to_source()}): "
+                f"{exc}",)
+
+
+def _backward_sweep(problems, grid, states, expect, **source):
+    """The backward recursion shared by both backends, for ``problems``
+    (generator, terminal, scheme, z_clamp) on one substrate; returns their
+    solutions, in order.  See module docstring.
+
+    ``states`` are the terminal values of B.  ``expect(i, nxt)`` returns the
+    backend's estimates (E_i, z_i) of E_i[y_{i+1}] and E_i[y_{i+1} dB_i] / dt
+    from one problem's row y_{i+1}, or from the (k, nodes) stack of k
+    problems' rows, stacked alike; it runs again with flags ignored where it
+    traps.  ``source`` names the backend and its substrate (seed and paths).
+    """
+    sweeps = []
+    for p, problem in enumerate(problems):
+        try:
+            sweeps.append(_Problem(*problem, grid, states))
+        except (SolverError, ExpressionError, ValueError) as exc:
+            if len(problems) > 1:
+                _name_problem(exc, p, problem)
+            raise
+    one = len(sweeps) == 1  # one problem sweeps its own rows: no stack, no copy
+    nxt = sweeps[0].y[-1] if one else np.array([s.y[-1] for s in sweeps])
+    with np.errstate(**_TRAP):
+        for i in range(grid.steps - 1, -1, -1):
+            try:
+                E, z = expect(i, nxt)
+                fine = None
+            except FloatingPointError:  # replay the problems whose estimates are not finite
                 with np.errstate(all="ignore"):
-                    y, z, used = level(i, False)
-            if scheme == "implicit":
-                newton_max = max(newton_max, used)
-            y_rows[i] = y
-            z_rows[i] = z
-            y.flags.writeable = z.flags.writeable = False  # solutions may be shared
-    return DiscreteSolution(
-        grid=grid,
-        y=tuple(y_rows),
-        z=tuple(z_rows),
-        scheme=scheme,
-        generator=g,
-        terminal=xi,
-        diagnostics={"picard_max_iterations": newton_max, "z_clamped": clamped,
-                     "replayed_levels": replayed},
-        conforming=not clamped,
-        **source,
-    )
+                    E, z = expect(i, nxt)
+                    fine = [all_finite(e) and all_finite(w)
+                            for e, w in ([(E, z)] if one else zip(E, z))]
+            if one:
+                nxt = sweeps[0].step(i, E, z, fine is None or fine[0])
+            else:
+                ys = []
+                for p, sweep in enumerate(sweeps):
+                    try:
+                        ys.append(sweep.step(i, E[p], z[p], fine is None or fine[p]))
+                    except (SolverError, ExpressionError, ValueError) as exc:
+                        _name_problem(exc, p, problems[p])
+                        raise
+                nxt = np.array(ys)
+            del E, z  # a Monte-Carlo E is a view that holds the level's whole projection
+    return [s.solution(**source) for s in sweeps]
+
+
+def solve_tree_stack(problems, steps, horizon=1.0):
+    """``solve_tree`` for each of ``problems``, (generator, terminal, scheme,
+    z_clamp), on one tree in one backward sweep: the level loop and the
+    pairwise average run once for the (k, nodes) stack.  Each solution has the
+    bits and diagnostics of its own ``solve_tree``; an error names its problem.
+    """
+    tree = TreeModel.uniform(horizon, steps)
+    sdt = tree.sqrt_dt
+
+    def expect(i, nxt):
+        return tree.pairwise_average(nxt), (nxt[..., 1:] - nxt[..., :-1]) / (2.0 * sdt)
+
+    return _backward_sweep(problems, tree.grid, tree.brownian_level(steps), expect, backend="tree")
 
 
 def solve_tree(g, xi, steps, horizon=1.0, scheme="explicit", *, z_clamp=None):
@@ -449,15 +559,7 @@ def solve_tree(g, xi, steps, horizon=1.0, scheme="explicit", *, z_clamp=None):
     With ``z_clamp`` set, extracted z values are clipped to [-z_clamp, z_clamp]
     and the solution is labelled non-conforming.
     """
-    tree = TreeModel.uniform(horizon, steps)
-    sdt = tree.sqrt_dt
-
-    def expect(i, nxt):
-        return tree.pairwise_average(nxt), (nxt[1:] - nxt[:-1]) / (2.0 * sdt)
-
-    return _backward_sweep(
-        g, xi, tree.grid, tree.brownian_level(steps), expect, scheme, z_clamp, backend="tree"
-    )
+    return solve_tree_stack([(g, xi, scheme, z_clamp)], steps, horizon)[0]
 
 
 def _hermite_rows(x, out):
@@ -532,7 +634,7 @@ def solve_mc_regression(g, xi, steps, paths, degree, seed, horizon=1.0, scheme="
     targets = np.empty((2, paths))
 
     def expect(i, y_next):
-        # on entry, not on exit: a level replayed after a trap runs expect twice
+        # on entry, not on exit: a level whose estimates trap runs expect twice
         del increments[i + 1:], levels[i + 1:]
         targets[0] = y_next
         np.multiply(y_next, increments[i], out=targets[1])
@@ -550,8 +652,8 @@ def solve_mc_regression(g, xi, steps, paths, degree, seed, horizon=1.0, scheme="
         # z is stored per step: copy it out so it does not hold on to E's row
         return fitted[:, 0], fitted[:, 1].copy()
 
-    sol = _backward_sweep(
-        g, xi, grid, levels[-1], expect, scheme, z_clamp,
+    [sol] = _backward_sweep(
+        [(g, xi, scheme, z_clamp)], grid, levels[-1], expect,
         backend="mc-regression", seed=int(seed), paths=int(paths),
     )
     sol.diagnostics["regression_condition_numbers"] = tuple(conds)

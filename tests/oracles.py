@@ -552,11 +552,17 @@ def _bisection_root_reference(g, t, E, z, dt, tol=1e-15):
         lo, hi = np.where(open_ & (h_mid <= 0.0), mid, lo), np.where(open_ & (h_mid > 0.0), mid, hi)
 
 
-def bisection_sweep_reference(g, xi, grid, states, expect, scheme, z_clamp, **source):
+def bisection_sweep_reference(problems, grid, states, expect, **source):
     """The backward sweep with the whole driver through ``Expression.__call__``
     at every explicit step, and every implicit node solved by bisection to
-    1e-15 (``_bisection_root_reference``).  Same signature as
-    ``solver._backward_sweep``; the diagnostics hold ``z_clamped`` only."""
+    1e-15 (``_bisection_root_reference``), one problem (generator, terminal,
+    scheme, z_clamp) after the other, each from its own rows.  Same signature
+    as ``solver._backward_sweep``; the diagnostics hold ``z_clamped`` only."""
+    return [_bisection_sweep_reference(*problem, grid, states, expect, **source)
+            for problem in problems]
+
+
+def _bisection_sweep_reference(g, xi, scheme, z_clamp, grid, states, expect, **source):
     if scheme not in ("explicit", "implicit"):
         raise ValueError("scheme must be 'explicit' or 'implicit'")
     if z_clamp is not None and not z_clamp > 0:

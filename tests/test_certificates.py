@@ -469,8 +469,8 @@ class TestOpenMesh:
         # where |z| > 1.35: their sum is NaN there, past the earlier gaps of +inf
         cert = QuadGrowth(WeightFn.parse("10*t"), "1e308 * clamp(y, 0, 1)", "-1e308")
         g = Generator.parse("sin(y) + z")
+        report = check_certificate(g, cert, MESH)
         with np.errstate(over="ignore", invalid="ignore"):
-            report = check_certificate(g, cert, MESH)
             _, (worst, where) = _flat_reference(g, cert, MESH)
         assert math.isnan(report.violation) and math.isnan(worst)
         assert report.location == where == {"t": 0.25, "y": float(MESH.y_axis()[4]), "z": -5.0}

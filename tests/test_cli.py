@@ -1,10 +1,12 @@
 import csv
+import gc
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from bsdelab.cli import (
     main,
 )
 from bsdelab.config import load_config
+from bsdelab.solver import solve_tree_stack
 from tests.oracles import solution_rows_reference
 
 
@@ -255,20 +258,37 @@ class TestCheckConfigErrors:
 
 @pytest.fixture
 def solve_counts(monkeypatch):
-    """Solves run through either backend, counted wherever ``cli`` or ``verify`` call them."""
+    """Tree sweeps, as (steps, horizon, problems) in call order, and Monte-Carlo
+    solves, wherever ``cli`` or ``verify`` call them; a tree solve is a sweep of one."""
     import bsdelab.cli as cli
     import bsdelab.verify as verify
 
-    counts = {"tree": 0, "mc-regression": 0}
+    counts = {"sweeps": [], "mc-regression": 0}
+
+    def stack(real):
+        def counted(problems, steps, horizon=1.0):
+            counts["sweeps"].append((steps, horizon, len(problems)))
+            return real(problems, steps, horizon)
+        return counted
+
+    def tree(real):
+        def counted(g, xi, steps, horizon=1.0, *args, **kwargs):
+            counts["sweeps"].append((steps, horizon, 1))
+            return real(g, xi, steps, horizon, *args, **kwargs)
+        return counted
+
+    def monte_carlo(real):
+        def counted(*args, **kwargs):
+            counts["mc-regression"] += 1
+            return real(*args, **kwargs)
+        return counted
+
     for module in (cli, verify):
-        for name, backend in (("solve_tree", "tree"), ("solve_mc_regression", "mc-regression")):
+        for name, wrap in (("solve_tree_stack", stack), ("solve_tree", tree),
+                           ("solve_mc_regression", monte_carlo)):
             real = getattr(module, name, None)
             if real is not None:
-                def counted(*args, _real=real, _backend=backend, **kwargs):
-                    counts[_backend] += 1
-                    return _real(*args, **kwargs)
-
-                monkeypatch.setattr(module, name, counted)
+                monkeypatch.setattr(module, name, wrap(real))
     return counts
 
 
@@ -301,7 +321,7 @@ class TestCheckKeys:
                   {"check": "monotone_family", "n_lsit": [1, 2]}]
         assert run_checks(tmp_path, checks) == EXIT_CONFIG_ERROR
         assert "config error: checks[3].n_lsit: unknown key" in capsys.readouterr().err
-        assert solve_counts == {"tree": 0, "mc-regression": 0}
+        assert solve_counts == {"sweeps": [], "mc-regression": 0}
         assert not (tmp_path / "reports.csv").exists()
 
     @pytest.mark.parametrize(
@@ -374,7 +394,7 @@ class TestCheckKeys:
         assert run_checks(tmp_path, [self.ORACLE, check]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert f"config error: {where}" in err, err
-        assert solve_counts == {"tree": 0, "mc-regression": 0}
+        assert solve_counts == {"sweeps": [], "mc-regression": 0}
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     @pytest.mark.parametrize("sections, where", [
@@ -391,7 +411,7 @@ class TestCheckKeys:
         code = main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"])
         assert code == EXIT_CONFIG_ERROR
         assert f"config error: {where}: unknown key; expected one of [" in capsys.readouterr().err
-        assert solve_counts == {"tree": 0, "mc-regression": 0}
+        assert solve_counts == {"sweeps": [], "mc-regression": 0}
 
     @pytest.mark.parametrize("missing", ["generator", "terminal"])
     @pytest.mark.parametrize(
@@ -421,14 +441,14 @@ class TestCheckKeys:
         code = main(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"])
         assert code == EXIT_CONFIG_ERROR
         assert f"config error: checks[1].{missing}: missing" in capsys.readouterr().err
-        assert solve_counts == {"tree": 0, "mc-regression": 0}
+        assert solve_counts == {"sweeps": [], "mc-regression": 0}
 
     def test_transform_residual_needs_the_tree(self, tmp_path, capsys, solve_counts):
         checks = [self.ORACLE, {"check": "transform_residual"}]
         model = {"N": 10, "backend": "mc-regression", "paths": 2000, "basis_degree": 2}
         assert run_checks(tmp_path, checks, model) == EXIT_CONFIG_ERROR
         assert "config error: checks[1].model.backend" in capsys.readouterr().err
-        assert solve_counts == {"tree": 0, "mc-regression": 0}
+        assert solve_counts == {"sweeps": [], "mc-regression": 0}
 
     def test_tol_override_skips_kinds_without_a_tolerance(self, tmp_path):
         checks = [self.ORACLE, {"check": "certificate", "generator": {
@@ -714,33 +734,69 @@ MC_VERIFY = Path(__file__).resolve().parent / "data" / "mc_verify.json"
 
 
 class TestSolveReuse:
-    """A command solves each tree problem once; Monte-Carlo solves are not kept."""
+    """A command plans its solves: the first check on a tree substrate sweeps
+    every distinct problem posed on it in one stack, and no solution outlives
+    the command; Monte-Carlo solves are not kept."""
 
     def test_sandwich_pair_solves_once(self, tmp_path, solve_counts):
         control = {**SANDWICH, "xi_bound": 0.1, "expect": "fail"}
         assert run_checks(tmp_path, [SANDWICH, control]) == EXIT_OK
-        assert solve_counts == {"tree": 1, "mc-regression": 0}
+        assert solve_counts == {"sweeps": [(50, 1.0, 1)], "mc-regression": 0}
 
-    @pytest.mark.parametrize("model", [{"N": 50, "scheme": "explicit"}, {"N": 60},
-                                       {"N": 50, "scheme": "implicit", "T": 0.5}])
-    def test_another_model_solves_anew(self, tmp_path, solve_counts, model):
+    @pytest.mark.parametrize("model, sweeps", [
+        ({"N": 50, "scheme": "explicit"}, [(50, 1.0, 2)]),  # another problem, the same tree
+        ({"N": 60}, [(50, 1.0, 1), (60, 1.0, 1)]),
+        ({"N": 50, "scheme": "implicit", "T": 0.5}, [(50, 1.0, 1), (50, 0.5, 1)]),
+    ])
+    def test_another_model_solves_anew(self, tmp_path, solve_counts, model, sweeps):
         other = {**SANDWICH, "model": model}
         assert run_checks(tmp_path, [SANDWICH, other]) in (EXIT_OK, EXIT_CHECK_FAILED)
-        assert solve_counts == {"tree": 2, "mc-regression": 0}
+        assert solve_counts == {"sweeps": sweeps, "mc-regression": 0}
 
     def test_a_tree_solve_is_kept_for_the_whole_command(self, tmp_path, solve_counts):
         between = {"check": "dominance", "generator_prime": {"expr": "0"}}
         assert run_checks(tmp_path, [SANDWICH, between, SANDWICH]) == EXIT_OK
-        assert solve_counts == {"tree": 1, "mc-regression": 0}
+        assert solve_counts == {"sweeps": [(50, 1.0, 1)], "mc-regression": 0}
 
     def test_each_command_solves_afresh(self, tmp_path, solve_counts):
         for _ in range(2):
             assert run_checks(tmp_path, [SANDWICH]) == EXIT_OK
-        assert solve_counts == {"tree": 2, "mc-regression": 0}
+        assert solve_counts == {"sweeps": [(50, 1.0, 1)] * 2, "mc-regression": 0}
 
-    def test_shipped_suite_solves_each_problem_once(self, tmp_path, solve_counts):
+    def test_shipped_suite_sweeps_each_substrate_once(self, tmp_path, solve_counts):
+        # 15 distinct problems: 13 on the N = 200 tree, 2 on the N = 400 one
         assert main(["suite", "--out", str(tmp_path), "--quiet"]) == EXIT_OK
-        assert solve_counts == {"tree": 15, "mc-regression": 0}
+        assert solve_counts == {"sweeps": [(200, 1.0, 13), (400, 1.0, 2)], "mc-regression": 0}
+
+    def test_no_solution_outlives_its_command(self, tmp_path, monkeypatch):
+        import bsdelab.cli as cli
+
+        kept = []
+
+        def stack(problems, steps, horizon=1.0):
+            sols = solve_tree_stack(problems, steps, horizon)
+            kept.extend(weakref.ref(sol) for sol in sols)
+            return sols
+
+        monkeypatch.setattr(cli, "solve_tree_stack", stack)
+        assert main(["suite", "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        gc.collect()
+        assert len(kept) == 15 and all(ref() is None for ref in kept)
+
+    def test_reversed_checks_give_the_same_rows(self, tmp_path, solve_counts):
+        # each stack holds its problems in another order: a row of a stack has
+        # the bits of the same row alone
+        cfg = json.loads(default_suite_path().read_text())
+        rows = {}
+        for order in ("forward", "reversed"):
+            if order == "reversed":
+                cfg["checks"].reverse()
+            out = tmp_path / order
+            path = write_config(tmp_path, cfg, f"{order}.json")
+            assert main(["suite", "--config", path, "--out", str(out), "--quiet"]) == EXIT_OK
+            rows[order] = sorted(read_csv(out / "reports.csv"), key=lambda row: row["name"])
+        assert len(rows["forward"]) == 15 and rows["forward"] == rows["reversed"]
+        assert solve_counts["sweeps"] == [(200, 1.0, 13), (400, 1.0, 2)] * 2
 
     def test_monte_carlo_solves_are_not_kept(self, tmp_path, solve_counts):
         cfg = json.loads(MC_VERIFY.read_text())
@@ -748,7 +804,7 @@ class TestSolveReuse:
         path = write_config(tmp_path, cfg)
         code = main(["verify", "--config", path, "--out", str(tmp_path), "--quiet"])
         assert code == EXIT_CHECK_FAILED  # comparisons on Monte Carlo are inconclusive
-        assert solve_counts == {"tree": 0, "mc-regression": 7}
+        assert solve_counts == {"sweeps": [], "mc-regression": 7}
         assert [r["status"] for r in read_csv(tmp_path / "reports.csv")] == ["inconclusive"] * 3
 
 

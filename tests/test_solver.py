@@ -1,9 +1,13 @@
 import math
+import random
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsdelab import solver
 from bsdelab.expressions import EvalDomainError, Expression
@@ -20,6 +24,7 @@ from bsdelab.solver import (
     _regress,
     solve_mc_regression,
     solve_tree,
+    solve_tree_stack,
 )
 from bsdelab.verify import one_step_residual
 from tests.oracles import (
@@ -28,6 +33,7 @@ from tests.oracles import (
     lstsq_reference,
     mc_expect_reference,
 )
+from tests.test_expressions import random_signed_ast
 
 ZERO = Generator.parse("0")
 B_T = TerminalCondition.parse("w")
@@ -244,13 +250,10 @@ class TestSolveTree:
         for ours, theirs in zip(sol.y, oracle_solve(monkeypatch, solve).y):
             np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12)
 
-    @pytest.mark.xfail(raises=EvalDomainError, strict=True,
-                       reason="a bracket growth probe leaves the driver's domain")
     def test_step_out_of_the_domain_is_bracketed_inside_it(self):
         # h(y) = y - E + sqrt(y) dt increases on y >= 0 and has its root in
         # (0, E); Newton's first step leaves y >= 0, and the bracket's first
-        # probe, E - |h(E)| = -0.015, does too: a bare EvalDomainError that
-        # names no step, node or point
+        # probe, E - |h(E)| = -0.015, does too: its probes bisect back to y >= 0
         sol = solve_tree(Generator.parse("-sqrt(y)"), TerminalCondition.parse("0.01"), 4,
                          scheme="implicit")
         dt, y = 0.25, 0.01
@@ -268,6 +271,31 @@ class TestSolveTree:
             "implicit step has no root at step 0 (t = 0), node 0: y - E - g(t, y, z) dt keeps "
             "its sign on [E - 9.22e+18, E + 9.22e+18] from (t, y, z) = (0, 1, 0)")
         assert PicardDivergenceError is ImplicitStepError  # the name before Newton's method
+
+    @pytest.mark.parametrize("driver, payoff, steps, message", [
+        # h(y) = y - E + (sqrt(y) + 1) dt > 0 on y >= 0 where E < dt: the probes
+        # below E bisect toward 0, those above grow
+        ("-sqrt(y) - 1", "0.01", 4, "at step 3 (t = 0.75), node 0: y - E - g(t, y, z) dt keeps "
+         "its sign on [E - 0.01, E + 2.54e+18] from (t, y, z) = (0.75, 0.01, 0)"),
+        # the root, about 1e315, is no double: g overflows past 1.8e307 on either side
+        ("9.999999999999998*y - 1e295", "w", 10, "at step 9 (t = 0.9), node 0: y - E - "
+         "g(t, y, z) dt keeps its sign on [E - 1.8e+307, E + 1.8e+307] from (t, y, z) = "
+         "(0.9, -2.84605, 1)"),
+    ])
+    def test_no_root_inside_the_domain_names_the_step_node_and_point(self, driver, payoff,
+                                                                     steps, message):
+        g, xi = Generator.parse(driver), TerminalCondition.parse(payoff)
+        with pytest.raises(ImplicitStepError) as alone:
+            solve_tree(g, xi, steps, scheme="implicit")
+        assert str(alone.value) == f"implicit step has no root {message}"
+        assert (alone.value.step, alone.value.node, alone.value.problem) == (steps - 1, 0, None)
+        # in a stack, behind a problem that solves, it names its problem too
+        problems = [(Generator.parse("-y"), xi, "implicit", None), (g, xi, "implicit", None)]
+        with pytest.raises(ImplicitStepError) as stacked:
+            solve_tree_stack(problems, steps)
+        assert str(stacked.value) == (f"problem 1 (implicit, g = {g.to_source()}, terminal "
+                                      f"{payoff}): implicit step has no root {message}")
+        assert (stacked.value.step, stacked.value.node, stacked.value.problem) == (steps - 1, 0, 1)
 
     def test_declared_bound_enforced(self):
         lying = TerminalCondition.parse("sin(w)", bound=0.1)
@@ -420,8 +448,8 @@ class TestSolveMcRegression:
         sol = solve_mc_regression(g, xi, 20, 2000, 3, seed=4, scheme=scheme)
         grid = TimeGrid.uniform(1.0, 20)
         states, expect, conds = mc_expect_reference(grid, 2000, 3, seed=4)
-        ref = solver._backward_sweep(g, xi, grid, states, expect, scheme, None,
-                                     backend="mc-regression", seed=4, paths=2000)
+        [ref] = solver._backward_sweep([(g, xi, scheme, None)], grid, states, expect,
+                                       backend="mc-regression", seed=4, paths=2000)
         assert [row.tobytes() for row in sol.y + sol.z] == [row.tobytes() for row in ref.y + ref.z]
         assert sol.diagnostics["regression_condition_numbers"] == tuple(conds)
         assert sol.diagnostics["replayed_levels"] == ref.diagnostics["replayed_levels"] == replayed
@@ -605,14 +633,18 @@ def oracle_solve(monkeypatch, solve):
 
 def replayed_solve(monkeypatch, solve):
     """``solve()`` with every level replayed: the staged driver's body raises
-    FloatingPointError, so each level runs the whole checked driver."""
+    FloatingPointError under the trap, so each level runs the whole checked
+    driver; with flags ignored, as the bracket's growth probes run, it gives
+    its values."""
     split = Expression.split
 
     def trapping(expr, var, *others):
         staged = split(expr, var, *others)
 
-        def body(*_):
-            raise FloatingPointError("replay")
+        def body(*args):
+            if np.geterr()["over"] == "raise":
+                raise FloatingPointError("replay")
+            return staged[1](*args)
 
         return (staged[0], body, *staged[2:])
 
@@ -819,3 +851,50 @@ class TestTrappedSweep:
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
             with pytest.raises(FloatingPointError):
                 _regress(basis, target)
+
+
+# Stacked with the random drivers of each example: every level of the first
+# replays, since its 1e400 is no finite literal, and the implicit levels of
+# the second go bracketed (two Newton steps on fresh slopes do not contract).
+STACK_PINNED = [("min(y, 1e400) - y^3", "sin(w)"), ("-exp(3*y)", "exp(w)")]
+
+
+@pytest.mark.simd_exact
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_stacked_sweep_is_each_problems_own(seed):
+    # every solution of a stack has the bits and diagnostics of its own
+    # solve_tree; a stack with a problem that fails raises that problem's error
+    rng = random.Random(seed)
+    pairs = [(Generator.parse(g), TerminalCondition.parse(xi)) for g, xi in STACK_PINNED]
+    for _ in range(4):
+        ast = random_signed_ast(rng, rng.randrange(1, 4))
+        pairs.append((Generator(Expression(ast, ("t", "y", "z"))),
+                      TerminalCondition.parse(rng.choice(["w", "sin(w)", "2 + cos(w)"]))))
+    problems = [(g, xi, scheme, None) for g, xi in pairs for scheme in ("explicit", "implicit")]
+    steps = 8
+    alone = [outcome(lambda: solve_tree(g, xi, steps, scheme=scheme), ignored=())
+             for g, xi, scheme, _ in problems]
+    solved = [p for p, out in enumerate(alone) if type(out) is tuple and type(out[0]) is list]
+    bracketed = []
+
+    def counted(*args):
+        bracketed.append(args[2])  # the step
+        return _bracketed(*args)
+
+    _bracketed = solver._bracketed
+    with mock.patch.object(solver, "_bracketed", counted):
+        stacked = solve_tree_stack([problems[p] for p in solved], steps)
+    assert bracketed and solved[:4] == [0, 1, 2, 3]
+    assert stacked[0].diagnostics["replayed_levels"] == stacked[1].diagnostics[
+        "replayed_levels"] == steps
+    for p, sol in zip(solved, stacked):
+        assert outcome(lambda: sol, ignored=()) == alone[p]
+    if len(solved) < len(problems):
+        with pytest.raises(Exception) as err:
+            solve_tree_stack(problems, steps)
+        p = err.value.problem
+        g, xi, scheme, _ = problems[p]
+        assert p not in solved and (type(err.value), str(err.value)) == (alone[p][0], (
+            f"problem {p} ({scheme}, g = {g.to_source()}, terminal {xi.expr.to_source()}): "
+            f"{alone[p][1]}"))
