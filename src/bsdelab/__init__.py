@@ -43,10 +43,7 @@ from .generators import (
     Generator,
     TerminalCondition,
     WeightFn,
-    dual_generator,
-    truncate_generator,
 )
-from .norms import NormReport, estimate_norms
 from .ode_bounds import (
     BihariResult,
     BlowUpError,

@@ -365,14 +365,17 @@ def _node_grid(lo, hi, nodes):
 def _line_search(objective, slope, centre, half, nodes, params):
     """Per point, the maximiser of the objective over centre +- half: the best
     of ``nodes`` nodes, or the best root of its slope between that node's
-    neighbours (``_peaks``) where that is strictly better."""
+    neighbours (``_peaks``) where that is strictly better, or the kink at
+    ``centre`` itself where that is strictly better than both."""
     grid = _node_grid(centre - half, centre + half, nodes)
     vals = objective(grid, *params)
     k = np.argmax(vals, axis=0)
     cols = np.arange(grid.shape[1])
     lo, hi = grid[np.maximum(k - 1, 0), cols], grid[np.minimum(k + 1, nodes - 1), cols]
     peak, root = _peaks(objective, slope, centre, lo, hi, params)
-    return np.where(peak > vals[k, cols], root, grid[k, cols])
+    better = peak > vals[k, cols]
+    best, arg = np.where(better, peak, vals[k, cols]), np.where(better, root, grid[k, cols])
+    return np.where(objective(centre, *params) > best, centre, arg)
 
 
 def _refuse(*rules):

@@ -645,13 +645,6 @@ def _rebuild(node, kids):
     return node
 
 
-def _substitute(root, mapping):
-    def rebuild(node, kids):
-        return mapping.get(node.name, node) if isinstance(node, Var) else _rebuild(node, kids)
-
-    return _fold(root, rebuild)
-
-
 # ---------------------------------------------------------------------------
 # Symbolic derivative: an AST rewrite whose builders fold literals and drop
 # the factors 1 and the terms 0
@@ -878,10 +871,6 @@ class Expression:
 
     def free_variables(self):
         return frozenset(_free_variables(self.root))
-
-    def substitute(self, mapping):
-        """Return a new Expression with variables rewritten to AST nodes."""
-        return Expression(_substitute(self.root, mapping), self.variables)
 
     def rebind(self, variables):
         """Same AST over a different variable tuple (must cover free vars)."""

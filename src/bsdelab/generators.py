@@ -12,9 +12,7 @@ from .expressions import (
     Expression,
     ExpressionError,
     Func,
-    Neg,
     Num,
-    Var,
     parse_expression,
     parse_univariate,
 )
@@ -24,8 +22,6 @@ __all__ = [
     "Generator",
     "TerminalCondition",
     "WeightValidationError",
-    "dual_generator",
-    "truncate_generator",
 ]
 
 WEIGHT_TAGS = ("L1", "L2", "L1&L2", "Lq")
@@ -212,22 +208,3 @@ class TerminalCondition:
     def parse(cls, source, bound=None):
         return cls(parse_expression(source, variables=("w",)), bound)
 
-
-def dual_generator(g):
-    """AST rewrite of g into (t, y, z) -> -g(t, -y, -z).
-
-    The rewrite is an involution at the evaluation level: applying it twice
-    yields a generator that evaluates bit-identically to the original.
-    """
-    flipped = g.expr.substitute({"y": Neg(Var("y")), "z": Neg(Var("z"))})
-    return Generator(Expression(Neg(flipped.root), g.expr.variables))
-
-
-def truncate_generator(g, level):
-    """AST rewrite of g into (t, y, z) -> g(t, clamp(y, -K, K), z)."""
-    if not level > 0:
-        raise ValueError("truncation level must be positive")
-    k = float(level)
-    clamped = Func("clamp", (Var("y"), Neg(Num(k)), Num(k)))
-    rewritten = g.expr.substitute({"y": clamped})
-    return Generator(rewritten)

@@ -277,8 +277,7 @@ class DiscreteSolution:
 
     def level_means(self, rows):
         """The mean of each row under the substrate's law, level by level from
-        t_0: binomial weights on the tree, the path average on Monte Carlo.  A
-        row may stack several functions of one level along leading axes."""
+        t_0: binomial weights on the tree, the path average on Monte Carlo."""
         if self.backend == "tree":
             weights = TreeModel(self.grid).level_weights()
             return [np.sum(w * row, axis=-1) for row, w in zip(rows, weights)]

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from bsdelab.expressions import Bin, EvalDomainError, Func, Neg, Num, Var, _to_source
+from bsdelab.expressions import Bin, EvalDomainError, Expression, Func, Neg, Num, Var, _to_source
 from bsdelab.generators import Generator
 from bsdelab.solver import (
     DiscreteSolution,
@@ -188,6 +188,25 @@ def reference_evaluate(root, variables, values):
         return finite(float(out), "non-finite result", root)
     out = np.broadcast_to(out, np.broadcast_shapes(*shapes)).copy()
     return finite(out, "non-finite result", root)
+
+
+def dual_generator(g):
+    """The driver (t, y, z) -> -g(t, -y, -z), by rewriting g's AST: y and z
+    become -y and -z, and the root is negated.  Rewriting twice gives a driver
+    that evaluates bit-identically to g, since negation is exact."""
+
+    def flip(node):
+        if isinstance(node, Var):
+            return Neg(node) if node.name in ("y", "z") else node
+        if isinstance(node, Neg):
+            return Neg(flip(node.operand))
+        if isinstance(node, Bin):
+            return Bin(node.op, flip(node.lhs), flip(node.rhs))
+        if isinstance(node, Func):
+            return Func(node.name, tuple(map(flip, node.args)))
+        return node
+
+    return Generator(Expression(Neg(flip(g.expr.root)), g.expr.variables))
 
 
 def binomial_weights_reference(i):
@@ -438,7 +457,8 @@ def supconv_descent_reference(env, t, y, z):
 
 def _slope_line_max(f, slope, centre, half, nodes):
     """The best of ``nodes`` nodes over centre +- half, or a root of f's
-    slope between that node's neighbours where f is strictly larger there.
+    slope between that node's neighbours where f is strictly larger there, or
+    the kink ``centre`` where f is strictly larger than at both.
 
     The kink at ``centre`` splits the neighbours [lo, hi] into [lo, min(hi,
     centre)] and [max(lo, centre), hi]; ``slope(q, side)`` gives f's slope and
@@ -456,6 +476,8 @@ def _slope_line_max(f, slope, centre, half, nodes):
             value = float(f(np.asarray([q]))[0])
             if value > best:
                 best, arg = value, q
+    if float(f(np.asarray([centre]))[0]) > best:
+        arg = centre
     return arg
 
 
@@ -647,31 +669,6 @@ def solution_rows_reference(sol):
         z_mean = None if z is None else _mean_reference(w, z)
         rows.append((float(t), _mean_reference(w, y), float(np.min(y)), float(np.max(y)), z_mean))
     return rows
-
-
-def tail_table_reference(sol, ladder):
-    """E[|y_t| 1_{|y_t| > c}] level by level, one cut-off at a time."""
-    table = np.empty((len(sol.y), len(ladder)))
-    for i, (row, w) in enumerate(zip(sol.y, _level_weights_or_none(sol))):
-        absy = np.abs(row)
-        for k, c in enumerate(ladder):
-            if w is None:
-                table[i, k] = np.mean(absy * (absy > c))
-            else:
-                table[i, k] = np.sum(w * absy * (absy > c))
-    return table
-
-
-def remaining_variation_reference(sol):
-    """The largest conditional remaining quadratic variation on the tree, by
-    the summed-then-halved pairwise average."""
-    dt = sol.grid.dt
-    rem = np.zeros(sol.grid.steps + 1)
-    bmo = 0.0
-    for i in range(sol.grid.steps - 1, -1, -1):
-        rem = sol.z[i] * sol.z[i] * dt + 0.5 * (rem[1:] + rem[:-1])
-        bmo = max(bmo, float(np.max(rem)))
-    return bmo
 
 
 def first_worst_reference(pairs):

@@ -22,8 +22,9 @@ from bsdelab.certificates import (
     check_witnesses,
 )
 from bsdelab.expressions import EvalDomainError
-from bsdelab.generators import Generator, WeightFn, dual_generator
+from bsdelab.generators import Generator, WeightFn
 from bsdelab.report import at_samples, worst_gap
+from tests.oracles import dual_generator
 
 ONE = WeightFn.parse("1")
 GRID_50 = SampleGrid(t_count=50, y_count=50, z_count=50, cap=10_000_000)

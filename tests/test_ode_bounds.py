@@ -574,7 +574,6 @@ class TestFixedOptions:
             ("ode_bounds", "OSGOOD_EPS", (1e-1, 1e-2, 1e-3, 1e-4), "osgood_diagnostic", "eps_seq"),
             ("transforms", "GAMMA_BAND_SAMPLES", 2001, "gamma_for_band", "samples"),
             ("generators", "WEIGHT_SAMPLES", 2049, "WeightFn.validate", "samples"),
-            ("norms", "SAMPLE_PATHS", 32768, "estimate_norms", "sample_paths"),
         ],
         ids=lambda case: case[1],
     )

@@ -258,9 +258,10 @@ class TestSolveTree:
                          scheme="implicit")
         dt, y = 0.25, 0.01
         for i in range(3, -1, -1):  # sqrt(y_i) solves s^2 + dt s - y_{i+1} = 0
-            y = ((-dt + math.sqrt(dt * dt + 4.0 * y)) / 2.0) ** 2
-            np.testing.assert_allclose(sol.y[i], y, rtol=1e-9, atol=0)
-        assert y == pytest.approx(1.2086610457131275e-15, rel=1e-9)
+            # the root's form without the cancellation of -dt + sqrt(dt^2 + 4y)
+            y = (2.0 * y / (dt + math.sqrt(dt * dt + 4.0 * y))) ** 2
+            np.testing.assert_allclose(sol.y[i], y, rtol=1e-14, atol=0)
+        assert y == pytest.approx(1.208661046196735e-15, rel=1e-14)
 
     def test_no_root_names_the_step_node_and_point(self):
         # h(y) = y - 1 - y^2 < 0 for every y: the step has no root

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsdelab.generators import Generator, WeightFn, dual_generator
+from bsdelab.generators import Generator, WeightFn
 from bsdelab.ode_bounds import TimeGrid
 from bsdelab.transforms import (
     exp_transform_generator,
@@ -14,6 +14,7 @@ from bsdelab.transforms import (
     inverse_exp_transform,
     qs_bounds,
 )
+from tests.oracles import dual_generator
 
 ONE = WeightFn.parse("1")
 
