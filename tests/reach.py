@@ -50,8 +50,9 @@ ALLOWED = {
 }
 
 
-def definitions():
-    """{(file, first line): (dotted name, line count)} for each def, nested ones keyed too."""
+def definitions(src=SRC):
+    """{(file, first line): (dotted name, line count)} for each def in the
+    ``src`` directory's modules, nested ones keyed too."""
     found = {}
 
     def walk(nodes, prefix, path):
@@ -63,9 +64,24 @@ def definitions():
                     found[(path, first)] = (name, node.end_lineno - first + 1)
                 walk(node.body, name, path)
 
-    for file in sorted(SRC.glob("*.py")):
+    for file in sorted(src.glob("*.py")):
         walk(ast.parse(file.read_text(encoding="utf-8")).body, file.stem, str(file))
     return found
+
+
+def verdict(found, entered):
+    """The unreached definitions of ``found`` ({name: lines}, a def inside an
+    unreached one left out) and the problems with them, given the ``entered``
+    (file, first line) keys."""
+    unreached = {name: lines for key, (name, lines) in found.items() if key not in entered}
+    unreached = {name: lines for name, lines in unreached.items()
+                 if not any(name.startswith(f"{outer}.") for outer in unreached)}
+    names = {name for name, _ in found.values()}
+    problems = [f"{name}: unreached and not in ALLOWED" for name in unreached
+                if name not in ALLOWED]
+    problems += [f"{name}: in ALLOWED but {'reached' if name in names else 'not defined'}"
+                 for name in ALLOWED if name not in unreached]
+    return unreached, problems
 
 
 def main():
@@ -91,15 +107,7 @@ def main():
     if status != 0:
         print(f"reach: the selected tests did not pass (pytest exit {int(status)})")
         return 1
-    found = definitions()
-    unreached = {name: lines for key, (name, lines) in found.items() if key not in entered}
-    unreached = {name: lines for name, lines in unreached.items()
-                 if not any(name.startswith(f"{outer}.") for outer in unreached)}
-    names = {name for name, _ in found.values()}
-    problems = [f"{name}: unreached and not in ALLOWED" for name in unreached
-                if name not in ALLOWED]
-    problems += [f"{name}: in ALLOWED but {'reached' if name in names else 'not defined'}"
-                 for name in ALLOWED if name not in unreached]
+    unreached, problems = verdict(definitions(), entered)
     print(f"reach: {len(unreached)} unreached definitions, {sum(unreached.values())} lines")
     for name, lines in sorted(unreached.items()):
         print(f"  {name} ({lines} lines): {ALLOWED.get(name, 'NOT ALLOWED')}")

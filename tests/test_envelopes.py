@@ -497,6 +497,38 @@ class TestSlopeRuleLines:
                 assert got >= golden - 4e-15 * max(1.0, abs(golden))
 
 
+class TestLineSearchKink:
+    """``_line_search`` on a line whose kink at the centre is no node."""
+
+    CENTRE = np.array([0.3, -1.7, 2.0])
+    HALF = np.array([0.5, 1.0, 0.25])
+
+    @staticmethod
+    def search(objective, slope):
+        # four nodes sit at centre +- half and centre +- half/3, never at the centre
+        return envelopes._line_search(objective, slope, TestLineSearchKink.CENTRE,
+                                      TestLineSearchKink.HALF, 4, (TestLineSearchKink.CENTRE,))
+
+    def test_a_peak_at_the_kink_is_taken(self):
+        # -|q - a| rises to the kink from both sides, so its slope has no root
+        arg = self.search(lambda q, a: -np.abs(q - a),
+                          lambda q, side, a: (side * np.ones_like(q), np.zeros_like(q)))
+        assert np.array_equal(arg, self.CENTRE)
+
+    def test_a_trough_at_the_kink_is_not_taken(self):
+        arg = self.search(lambda q, a: np.abs(q - a),
+                          lambda q, side, a: (-side * np.ones_like(q), np.zeros_like(q)))
+        assert np.all((arg == self.CENTRE - self.HALF) | (arg == self.CENTRE + self.HALF))
+
+    def test_a_root_above_the_kink_beats_it(self):
+        # -0.1|d| - (d - 0.2)^2 with d = q - a peaks at d = 0.15 (-0.0175), above
+        # the kink's -0.04 and every node's value
+        arg = self.search(lambda q, a: -0.1 * np.abs(q - a) - (q - a - 0.2) ** 2,
+                          lambda q, side, a: (0.1 * side - 2.0 * (q - a - 0.2),
+                                              np.full_like(q, -2.0)))
+        np.testing.assert_allclose(arg - self.CENTRE, 0.15, rtol=1e-12)
+
+
 class TestEnvelopeFamilyProperties:
     def setup_method(self):
         self.g = Generator.parse("-y^2 - z^4 / 4")

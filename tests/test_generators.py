@@ -12,7 +12,7 @@ from bsdelab.generators import (
 )
 from tests.oracles import dual_generator
 from tests.test_expressions import random_ast
-from bsdelab.expressions import Expression
+from bsdelab.expressions import _FUNCTION_ARITY, Expression
 
 
 class TestWeightFn:
@@ -85,6 +85,24 @@ class TestGenerator:
 
 
 class TestDual:
+    # one driver per function of the expression language, each flipped node by node
+    FUNCTION_DRIVERS = {
+        "abs": "abs(1 + y - 2*z)", "sign": "sign(y - z) * t", "sin": "sin(t + y - 2*z)",
+        "cos": "cos(1 + y - 3*z)", "exp": "exp(sin(y + z))", "ln": "ln(7 + y - z)",
+        "sqrt": "sqrt(7 + y - z)", "min": "min(y, t - z)", "max": "max(y^2, z)",
+        "clamp": "clamp(y, -abs(z), 1 + t)",
+    }
+
+    def test_every_function_has_a_driver(self):
+        assert set(self.FUNCTION_DRIVERS) == set(_FUNCTION_ARITY)
+
+    @pytest.mark.parametrize("name", sorted(FUNCTION_DRIVERS))
+    def test_dual_is_the_negated_driver_at_the_negated_state(self, name):
+        g = Generator.parse(self.FUNCTION_DRIVERS[name])
+        t, y, z = np.random.default_rng(11).uniform([0.0, -3.0, -3.0], [1.0, 3.0, 3.0],
+                                                     size=(64, 3)).T
+        assert np.array_equal(dual_generator(g).expr(t, y, z), -g.expr(t, -y, -z))
+
     def test_odd_function_self_dual(self):
         g = Generator.parse("y")
         d = dual_generator(g)
