@@ -20,7 +20,6 @@ from .certificates import (
     SubLinearDiffZ,
     certificate_from_dict,
     check_certificate,
-    check_witnesses,
 )
 from .envelopes import (
     EnvelopeError,

@@ -41,7 +41,6 @@ __all__ = [
     "OneSidedLinear",
     "MixedSubLinear",
     "check_certificate",
-    "check_witnesses",
     "certificate_from_dict",
 ]
 
@@ -114,6 +113,10 @@ def _weight_from(obj, name, alpha):
     if isinstance(obj, WeightFn):
         return obj
     if isinstance(obj, dict):
+        unknown = sorted(set(obj) - {"expr", "tag", "alpha"})
+        if unknown:
+            raise CertificateError(f"weight {_JSON_KEYS.get(name, name)!r} has unknown key "
+                                   f"{unknown[0]!r}; expected 'expr', 'tag' or 'alpha'")
         return WeightFn.parse(obj["expr"], obj.get("tag", tag), obj.get("alpha"))
     return WeightFn.parse(obj, tag, alpha if tag == "Lq" else None)
 
@@ -151,65 +154,28 @@ class _Certificate:
             gap = self.gap(g, *coords)
         return worst_gap([(gap, at_samples(**dict(zip(names, coords))))])
 
-    def witness_violation(self, grid):
-        return {}
-
-
-def _modulus_gaps(name, fn, x, cap, cap_label):
-    """Gaps of a modulus witness sampled at ``x``: zero at zero, nondecreasing, under ``cap``."""
-    r = np.asarray(fn(x))
-    return {
-        f"{name}(0)=0": abs(float(r[0])),
-        f"{name} nondecreasing": float(np.max(-(np.diff(r)))),
-        cap_label: float(np.max(r - cap)),
-    }
-
 
 @dataclass(frozen=True)
 class OneSidedOsgoodY(_Certificate):
-    """(g(t,y1,z) - g(t,y2,z)) sgn(y1-y2) <= u(t) rho(|y1-y2|).
-
-    rho must be nondecreasing with rho(0)=0 and rho(x) <= k (1+x).
-    """
+    """(g(t,y1,z) - g(t,y2,z)) sgn(y1-y2) <= u(t) rho(|y1-y2|)."""
 
     u: WeightFn
     rho: Expression
-    rho_growth_k: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.rho_growth_k < 0:
-            raise CertificateError("rho growth constant must be >= 0")
 
     def gap(self, g, t, y1, y2, z):
         lhs = (g(t, y1, z) - g(t, y2, z)) * np.sign(y1 - y2)
         return lhs - self.u(t) * self.rho(np.abs(y1 - y2))
 
-    def witness_violation(self, grid):
-        x = np.linspace(0.0, max(abs(grid.y_range[0]), abs(grid.y_range[1])) * 2, 512)
-        return _modulus_gaps("rho", self.rho, x, self.rho_growth_k * (1.0 + x), "rho linear growth")
-
 
 @dataclass(frozen=True)
 class ContinuityZ(_Certificate):
-    """|g(t,y,z1) - g(t,y,z2)| <= v(t) phi(|z1-z2|) with phi(x) <= a x + b."""
+    """|g(t,y,z1) - g(t,y,z2)| <= v(t) phi(|z1-z2|)."""
 
     v: WeightFn
     phi: Expression
-    a: float
-    b: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.a < 0 or self.b < 0:
-            raise CertificateError("phi envelope slopes a, b must be >= 0")
 
     def gap(self, g, t, y, z1, z2):
         return np.abs(g(t, y, z1) - g(t, y, z2)) - self.v(t) * self.phi(np.abs(z1 - z2))
-
-    def witness_violation(self, grid):
-        x = np.linspace(0.0, (grid.z_range[1] - grid.z_range[0]), 512)
-        return _modulus_gaps("phi", self.phi, x, self.a * x + self.b, "phi <= a x + b")
 
 
 @dataclass(frozen=True)
@@ -229,12 +195,6 @@ class SubLinearDiffZ(_Certificate):
         base = np.abs(z) if self.f is None else self.f(t) + np.abs(y) + np.abs(z)
         return np.abs(g(t, y, z) - g(t, y, np.zeros_like(z))) - self.lam(t) * base**self.alpha
 
-    def witness_violation(self, grid):
-        if self.f is None:
-            return {}
-        t = grid.t_axis()
-        return {"f >= 0": float(np.max(-(np.asarray(self.f(t)))))}
-
 
 @dataclass(frozen=True)
 class OneSidedSuperLinear(_Certificate):
@@ -247,15 +207,6 @@ class OneSidedSuperLinear(_Certificate):
     def gap(self, g, t, y, z):
         return _side_lhs("sgn", g(t, y, z), y) - (self.u(t) * self.l(y) + self.h(y) * z * z)
 
-    def witness_violation(self, grid):
-        y = grid.y_axis()
-        lv = np.asarray(self.l(y))
-        hv = np.asarray(self.h(y))
-        return {
-            "l strictly positive": float(np.max(-(lv - 1e-300))),
-            "h nonnegative": float(np.max(-hv)),
-        }
-
 
 @dataclass(frozen=True)
 class QuadGrowth(_Certificate):
@@ -267,13 +218,6 @@ class QuadGrowth(_Certificate):
 
     def gap(self, g, t, y, z):
         return np.abs(g(t, y, z)) - (self.u_bar(t) * self.phi_bar(y) + self.h_bar(y) * z * z)
-
-    def witness_violation(self, grid):
-        y = grid.y_axis()
-        return {
-            "phi_bar nonnegative": float(np.max(-np.asarray(self.phi_bar(y)))),
-            "h_bar nonnegative": float(np.max(-np.asarray(self.h_bar(y)))),
-        }
 
 
 @dataclass(frozen=True)
@@ -321,9 +265,6 @@ class _SideRestricted(_Certificate):
 
     def gap(self, g, t, y, z):
         return _side_lhs(self.side, g(t, y, z), y) - self._rhs(t, y, z)
-
-    def witness_violation(self, grid):
-        return {"f nonnegative": float(np.max(-np.asarray(self.f(grid.t_axis()))))}
 
 
 @dataclass(frozen=True)
@@ -403,25 +344,6 @@ def check_certificate(g, cert, grid=None):
     )
 
 
-def check_witnesses(cert, grid=None):
-    """Check the shape constraints on the certificate's witness functions.
-
-    Monotonicity, zero-at-zero and growth caps are sampled on 1-d grids; the
-    report's violation is the worst gap across all constraints.
-    """
-    grid = grid or SampleGrid()
-    gaps = cert.witness_violation(grid)
-    if not gaps:
-        return VerificationReport.from_violation(
-            name="witnesses", claim="no witness shape constraints", violation=0.0
-        )
-    names = list(gaps)
-    worst, where = worst_gap([(list(gaps.values()), lambda k: {"constraint": names[k]})])
-    return VerificationReport.from_violation(
-        name="witnesses", claim="; ".join(gaps), violation=worst, location=where
-    )
-
-
 def certificate_from_dict(raw):
     """Build a certificate from a plain dict, e.g. from a JSON config.
 
@@ -429,9 +351,13 @@ def certificate_from_dict(raw):
     with a default may be left out.  An unknown key, or a flag that is not a
     JSON boolean, is a :class:`CertificateError` naming the key.
     """
+    if not isinstance(raw, dict):
+        raise CertificateError(f"a certificate must be an object, got {raw!r}")
     if "kind" not in raw:
         raise CertificateError("certificate dict needs a 'kind'")
     kind = raw["kind"]
+    if not isinstance(kind, str):
+        raise CertificateError(f"certificate kind must be a string, got {kind!r}")
     if kind not in CERTIFICATE_KINDS:
         raise CertificateError(f"unknown certificate kind {kind!r}")
     cls = CERTIFICATE_KINDS[kind]

@@ -540,12 +540,17 @@ def main(argv=None):
         else:
             raise ConfigError("--config", "required for this subcommand")
         cfg = _apply_overrides(cfg, args)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            where = "--out" if args.out else OUT_DIR_ENV
+            raise ConfigError(where, f"cannot be a directory: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    os.makedirs(out_dir, exist_ok=True)
     try:
         code, outputs = SUBCOMMANDS[args.subcommand](cfg, out_dir, args)
+        _write_manifest(out_dir, cfg.raw, cfg.model.seed, outputs, args.subcommand)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -555,7 +560,6 @@ def main(argv=None):
     except Exception as exc:  # noqa: BLE001 - map to the documented exit code
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
-    _write_manifest(out_dir, cfg.raw, cfg.model.seed, outputs, args.subcommand)
     return code
 
 

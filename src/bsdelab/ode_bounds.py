@@ -28,7 +28,7 @@ search radius moves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,45 +68,30 @@ OSGOOD_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing nodes t_0 = 0 < ... < t_N = T with finite T."""
+    """Uniform nodes t_i = i T / N, i = 0 .. N, with finite T > 0; grids are
+    equal when their T and N are."""
 
-    nodes: np.ndarray
+    horizon: float
+    steps: int
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 1 or len(nodes) < 2:
-            raise ValueError("need at least two time nodes")
-        if nodes[0] != 0.0:
-            raise ValueError("time grid must start at 0")
-        if not np.all(np.diff(nodes) > 0):
-            raise ValueError("time nodes must be strictly increasing")
-        if not np.isfinite(nodes[-1]):
-            raise ValueError("the horizon must be finite")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"the horizon must be finite and > 0, got {self.horizon!r}")
+        if self.steps < 1:
+            raise ValueError(f"need at least one step, got {self.steps!r}")
+        nodes = np.linspace(0.0, float(self.horizon), self.steps + 1)
+        nodes.flags.writeable = False
+        object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "nodes", nodes)
 
     @property
-    def horizon(self):
-        return float(self.nodes[-1])
-
-    @property
-    def steps(self):
-        return len(self.nodes) - 1
-
-    @property
     def dt(self):
-        # linspace rounds each node to within an ulp of the horizon
-        steps = np.diff(self.nodes)
-        if np.abs(steps - steps[0]).max() > 4.0 * np.spacing(self.nodes[-1]):
-            raise ValueError("grid is not uniform")
-        return float(steps[0])
+        return float(self.nodes[1])  # nodes[0] is 0.0
 
     @classmethod
     def uniform(cls, horizon, steps):
-        if steps < 1:
-            raise ValueError("need at least one step")
-        if not math.isfinite(horizon):
-            raise ValueError(f"the horizon must be finite, got {horizon!r}")
-        return cls(np.linspace(0.0, float(horizon), steps + 1))
+        return cls(horizon, steps)
 
 
 class BlowUpError(RuntimeError):

@@ -179,9 +179,6 @@ class TreeModel:
 
     grid: TimeGrid
 
-    def __post_init__(self):
-        self.grid.dt  # raises if non-uniform
-
     @property
     def sqrt_dt(self):
         return math.sqrt(self.grid.dt)
@@ -405,7 +402,6 @@ class _Problem:
         if z_clamp is not None and not z_clamp > 0:
             raise ValueError(f"z_clamp must be > 0, got {z_clamp!r}")
         self.g, self.xi, self.scheme, self.z_clamp, self.grid = g, xi, scheme, z_clamp, grid
-        self.dt = grid.dt  # a property that checks the grid: read once
         # without y the implicit step is the explicit one
         self.single = scheme == "explicit" or "y" not in g.expr.free_variables()
         g_y = None if self.single else g.expr.derivative("y")
@@ -431,7 +427,7 @@ class _Problem:
             self.clamped = self.clamped or bool(np.any(before != z))
         # t as a numpy float, so that its arithmetic raises flags under the trap
         # and gives inf, not an error, under np.errstate(all="ignore")
-        t, dt = self.grid.nodes[i], self.dt
+        t, dt = self.grid.nodes[i], self.grid.dt
         g, staged = self.g, self.staged
         parts = staged[0](t, z)
         unchecked = lambda y: staged[1](t, y, z, *parts)  # noqa: E731

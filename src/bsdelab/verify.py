@@ -207,9 +207,7 @@ def sandwich_check(sol, env, tol=1e-3):
     if sol.terminal.bound is None:
         return VerificationReport.inconclusive(
             "sandwich", claim, "terminal payoff has no declared bound")
-    if len(env.grid.nodes) != len(sol.grid.nodes) or not np.allclose(
-        env.grid.nodes, sol.grid.nodes, rtol=0, atol=1e-12
-    ):
+    if env.grid != sol.grid:
         raise ValueError("envelope and solution must share the time grid")
 
     def gaps():

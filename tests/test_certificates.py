@@ -19,7 +19,6 @@ from bsdelab.certificates import (
     SubLinearDiffZ,
     certificate_from_dict,
     check_certificate,
-    check_witnesses,
 )
 from bsdelab.expressions import EvalDomainError
 from bsdelab.generators import Generator, WeightFn
@@ -56,13 +55,13 @@ class TestSampleGrid:
 
 class TestOsgoodCertificate:
     def test_identity_driver_equality_case(self):
-        cert = OneSidedOsgoodY(ONE, "x", 1.0)
+        cert = OneSidedOsgoodY(ONE, "x")
         report = check_certificate(Generator.parse("y"), cert, SMALL)
         assert report.passed
         assert report.violation == 0.0
 
     def test_square_driver_fails_on_positive_range(self):
-        cert = OneSidedOsgoodY(ONE, "x", 1.0)
+        cert = OneSidedOsgoodY(ONE, "x")
         grid = SampleGrid(t_count=3, y_range=(0.0, 10.0), y_count=51, z_count=3)
         report = check_certificate(Generator.parse("y^2"), cert, grid)
         assert not report.passed
@@ -76,16 +75,10 @@ class TestOsgoodCertificate:
         # negative control: the driver breaks the bound only near z = -4.8,
         # where the gap is |y1 - y2| (5 - 2), so 30 at |y1 - y2| = 10
         g = Generator.parse("-y + 5*y*max(0, 1 - 20*abs(z + 4.8))")
-        report = check_certificate(g, OneSidedOsgoodY(ONE, "x", 1.0))
+        report = check_certificate(g, OneSidedOsgoodY(ONE, "x"))
         assert not report.passed
         assert report.violation == pytest.approx(30.0)
         assert report.location["z"] == pytest.approx(-4.8)
-
-    def test_witness_shape_checks(self):
-        good = OneSidedOsgoodY(ONE, "x", 1.0)
-        assert check_witnesses(good).passed
-        decreasing = OneSidedOsgoodY(ONE, "1 - x", 1.0)
-        assert not check_witnesses(decreasing).passed
 
 
 class TestNamedDriversFirstBlock:
@@ -100,10 +93,6 @@ class TestNamedDriversFirstBlock:
         g = Generator.parse("-y^3 + abs(z)^1.5 * sin(y)")
         cert = OneSidedSuperLinear(ONE, "1 + abs(y)", "1")
         assert check_certificate(g, cert, GRID_50).passed
-
-    def test_l_must_be_strictly_positive(self):
-        cert = OneSidedSuperLinear(ONE, "abs(y)", "1")
-        assert not check_witnesses(cert).passed
 
 
 class TestNamedDriversSecondBlock:
@@ -139,18 +128,14 @@ class TestNamedDriversThirdBlock:
 class TestContinuityZ:
     def test_absolute_value_driver(self):
         g = Generator.parse("abs(z)")
-        cert = ContinuityZ(WeightFn.parse("1", "L2"), "x", a=1.0, b=0.0)
+        cert = ContinuityZ(WeightFn.parse("1", "L2"), "x")
         assert check_certificate(g, cert, SMALL).passed
 
     def test_quadratic_driver_fails_linear_modulus(self):
         g = Generator.parse("z^2")
-        cert = ContinuityZ(WeightFn.parse("1", "L2"), "x", a=1.0, b=0.0)
+        cert = ContinuityZ(WeightFn.parse("1", "L2"), "x")
         report = check_certificate(g, cert, SMALL)
         assert not report.passed
-
-    def test_phi_envelope_witness(self):
-        cert = ContinuityZ(WeightFn.parse("1", "L2"), "x^2", a=1.0, b=0.0)
-        assert not check_witnesses(cert).passed  # x^2 > x for x > 1
 
 
 class TestSideRestrictedFamilies:
@@ -222,13 +207,6 @@ class TestSubLinearDiffZ:
         # (1 + |y| + |z|)^0.5 >= |z|^0.5
         assert check_certificate(g, cert, SMALL).passed
 
-    def test_offset_witness_must_be_nonnegative(self):
-        lam = WeightFn.parse("1", "Lq", 0.5)
-        assert check_witnesses(SubLinearDiffZ(lam, 0.5, f="1 + t")).passed
-        report = check_witnesses(SubLinearDiffZ(lam, 0.5, f="t - 0.5"))
-        assert not report.passed and report.violation == 0.5
-        assert report.location == {"constraint": "f >= 0"}
-
     def test_alpha_range(self):
         from bsdelab.certificates import SubLinearDiffZ
 
@@ -237,14 +215,6 @@ class TestSubLinearDiffZ:
 
 
 class TestOtherFamilies:
-    def test_quad_growth_witnesses_must_be_nonnegative(self):
-        assert check_witnesses(QuadGrowth(ONE, "1 + y^2", "abs(y)")).passed
-        phi = check_witnesses(QuadGrowth(ONE, "y", "1"))  # -5 at the grid's y = -5
-        assert not phi.passed and phi.violation == 5.0
-        assert phi.location == {"constraint": "phi_bar nonnegative"}
-        h = check_witnesses(QuadGrowth(ONE, "1", "y - 1"))
-        assert not h.passed and h.location == {"constraint": "h_bar nonnegative"}
-
     def test_local_lipschitz_quadratic(self):
         g = Generator.parse("z^2")
         cert = LocalLipschitzZ(WeightFn.parse("1", "L2"))
@@ -270,7 +240,7 @@ class TestStringWeights:
         "cls, strings, weights",
         [
             (OneSidedOsgoodY, ("1 + t", "x"), (WeightFn.parse("1 + t"), "x")),
-            (ContinuityZ, ("1 + t", "x", 1, 0), (L2, "x", 1.0, 0.0)),
+            (ContinuityZ, ("1 + t", "x"), (L2, "x")),
             (SubLinearDiffZ, ("1 + t", 0.5), (WeightFn.parse("1 + t", "Lq", 0.5), 0.5)),
             (OneSidedSuperLinear, ("1 + t", "1 + abs(y)", "1"),
              (WeightFn.parse("1 + t"), "1 + abs(y)", "1")),
@@ -316,11 +286,11 @@ class TestFromDict:
         [
             (
                 {"kind": "one_sided_osgood_y", "u": "1", "rho": "x"},
-                OneSidedOsgoodY(WeightFn.parse("1", "L1"), "x", 1.0),
+                OneSidedOsgoodY(WeightFn.parse("1", "L1"), "x"),
             ),
             (
-                {"kind": "continuity_z", "v": "1", "phi": "x", "a": 1, "b": 0},
-                ContinuityZ(WeightFn.parse("1", "L2"), "x", 1.0, 0.0),
+                {"kind": "continuity_z", "v": "1", "phi": "x"},
+                ContinuityZ(WeightFn.parse("1", "L2"), "x"),
             ),
             (
                 {"kind": "sublinear_diff_z", "lambda": "2", "alpha": 0.5, "f": "1"},
@@ -367,8 +337,8 @@ class TestFromDict:
         "raw, key",
         [
             ({"kind": "one_sided_osgood_y", "rho": "x"}, "u"),
-            # the missing b is reported before the bad a is converted
-            ({"kind": "continuity_z", "v": "1", "phi": "x", "a": "abc"}, "b"),
+            # the missing phi is reported before the bad v is converted
+            ({"kind": "continuity_z", "v": {"expr": "1", "tag": "L7"}}, "phi"),
             ({"kind": "sublinear_diff_z", "alpha": 0.5}, "lambda"),
             ({"kind": "one_sided_super_linear", "u": "1", "h": "1"}, "l"),
             ({"kind": "quad_growth", "u_bar": "1", "phi_bar": "1"}, "h_bar"),
@@ -385,7 +355,7 @@ class TestFromDict:
     @pytest.mark.parametrize(
         "raw",
         [
-            {"kind": "continuity_z", "v": "1", "phi": "x", "a": "abc", "b": 0},
+            {"kind": "sublinear_diff_z", "lambda": "1", "alpha": "abc"},
             {"kind": "local_lipschitz_z", "v": {"expr": "1", "tag": "L7"}},
         ],
     )
@@ -393,9 +363,30 @@ class TestFromDict:
         with pytest.raises(CertificateError, match=raw["kind"]):
             certificate_from_dict(raw)
 
-    def test_unknown_key_is_named(self):
-        raw = {"kind": "one_sided_linear", "f": "0", "u": "1", "v": "1", "sdie": "absolute"}
-        with pytest.raises(CertificateError, match="unknown key 'sdie'"):
+    @pytest.mark.parametrize("raw, key", [
+        ({"kind": "one_sided_linear", "f": "0", "u": "1", "v": "1", "sdie": "absolute"}, "sdie"),
+        # the modulus caps rho <= k (1 + x) and phi <= a x + b are not sampled, so not keys
+        ({"kind": "one_sided_osgood_y", "u": "1", "rho": "x", "rho_growth_k": 1.0}, "rho_growth_k"),
+        ({"kind": "continuity_z", "v": "1", "phi": "x", "a": 1.0}, "a"),
+        ({"kind": "continuity_z", "v": "1", "phi": "x", "b": 0.0}, "b"),
+    ])
+    def test_unknown_key_is_named(self, raw, key):
+        with pytest.raises(CertificateError, match=f"unknown key '{key}'"):
+            certificate_from_dict(raw)
+
+    @pytest.mark.parametrize("raw, message", [
+        *((raw, "a certificate must be an object") for raw in ("kind", 5, ["kind"], None)),
+        *(({"kind": kind}, "certificate kind must be a string") for kind in ([1], 3, None)),
+    ])
+    def test_malformed_certificate_is_named(self, raw, message):
+        with pytest.raises(CertificateError, match=message):
+            certificate_from_dict(raw)
+
+    @pytest.mark.parametrize("key", ["lambda", "v"])
+    def test_unknown_weight_key_is_named(self, key):
+        raw = {"kind": "mixed_sublinear", "f": "1", "u": "1", "v": "1", "lambda": "1",
+               "alpha": 0.5, key: {"expr": "1", "tagg": "L2"}}
+        with pytest.raises(CertificateError, match=f"weight '{key}' has unknown key 'tagg'"):
             certificate_from_dict(raw)
 
     @pytest.mark.parametrize("flag", ["false", 0, 1, None])
@@ -413,8 +404,8 @@ class TestFromDict:
 
 MESH = SampleGrid(t_count=5, y_count=7, z_count=9)
 MESH_CERTS = [
-    OneSidedOsgoodY(WeightFn.parse("1 + t"), "sqrt(x)", 1.0),
-    ContinuityZ(WeightFn.parse("exp(t)", "L2"), "x^1.5", 1.0, 0.0),
+    OneSidedOsgoodY(WeightFn.parse("1 + t"), "sqrt(x)"),
+    ContinuityZ(WeightFn.parse("exp(t)", "L2"), "x^1.5"),
     SubLinearDiffZ(WeightFn.parse("1 + t", "Lq", 0.5), 0.5, "1 + sin(t)"),
     SubLinearDiffZ(WeightFn.parse("2", "Lq", 0.3), 0.3),
     OneSidedSuperLinear(WeightFn.parse("1 + t"), "1 + abs(y)", "exp(y/5)"),

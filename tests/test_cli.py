@@ -11,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
+from bsdelab import cli
 from bsdelab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_RUNTIME_ERROR,
+    OUT_DIR_ENV,
     _solve_with,
     default_suite_path,
     main,
@@ -109,12 +111,58 @@ class TestConfigErrors:
         ({"checks": [{"check": "solver_oracle", "expected": 0.0, "expect": "maybe"}]},
          "checks[0].expect: must be 'pass' or 'fail'"),
         ({"bounds": 3}, "bounds: must be an object"),
+        *(({"generator": {"expr": "0", "certificate": cert}},
+           "generator.certificate: a certificate must be an object")
+          for cert in ("kind", 5, ["kind"])),
+        ({"generator": {"expr": "0", "certificate": {"kind": [1]}}},
+         "generator.certificate: certificate kind must be a string"),
     ])
     def test_malformed_structure_reports_path(self, tmp_path, capsys, payload, where):
         cfg = write_config(tmp_path, {"generator": {"expr": "0"}, **payload})
         command = "verify" if "checks" in payload else "bounds"
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
         assert f"config error: {where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("certificate, key", [
+        ({"kind": "one_sided_osgood_y", "u": "1", "rho": "x", "rho_growth_k": 1.0},
+         "unknown key 'rho_growth_k'"),
+        ({"kind": "continuity_z", "v": "1", "phi": "x", "a": 1.0, "b": 0.0}, "unknown key 'a'"),
+        ({"kind": "local_lipschitz_z", "v": {"expr": "1", "tagg": "L2"}},
+         "weight 'v' has unknown key 'tagg'"),
+    ])
+    def test_unknown_certificate_key_is_named(self, tmp_path, capsys, certificate, key):
+        cfg = write_config(tmp_path, {"generator": {"expr": "0", "certificate": certificate},
+                                      "checks": [{"check": "certificate"}]})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "config error: generator.certificate: " in err and key in err
+
+    @pytest.mark.parametrize("command, via", [
+        ("suite", "--out"), ("solve", "--out"), ("suite", OUT_DIR_ENV)])
+    def test_out_that_cannot_be_a_directory_is_named(self, tmp_path, capsys, monkeypatch,
+                                                     command, via):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = write_config(tmp_path, {"generator": {"expr": "0"}, "terminal": {"expr": "w"}})
+        for out in (taken, taken / "below"):
+            args = [command, *(["--config", cfg] if command == "solve" else [])]
+            if via == "--out":
+                args += ["--out", str(out)]
+            else:
+                monkeypatch.setenv(OUT_DIR_ENV, str(out))
+            assert main(args) == EXIT_CONFIG_ERROR
+            assert f"config error: {via}: cannot be a directory" in capsys.readouterr().err
+        assert taken.read_text() == ""
+
+    def test_manifest_that_cannot_be_written_is_a_runtime_error(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def unwritable(*args):
+            raise PermissionError("run_manifest.json: permission denied")
+
+        monkeypatch.setattr(cli, "_write_manifest", unwritable)
+        cfg = write_config(tmp_path, {"generator": {"expr": "0"}, "terminal": {"expr": "w"}})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_RUNTIME_ERROR
+        assert "runtime error: PermissionError: run_manifest.json" in capsys.readouterr().err
 
     def test_integral_floats_still_load(self, tmp_path):
         cfg = write_config(tmp_path, {"model": {"N": 1e1, "paths": 1e5, "seed": 3.0}})

@@ -9,7 +9,7 @@ import pytest
 from bsdelab import verify
 from bsdelab.certificates import OneSidedSuperLinear
 from bsdelab.generators import Generator, TerminalCondition, WeightFn
-from bsdelab.ode_bounds import sandwich_envelope
+from bsdelab.ode_bounds import TimeGrid, sandwich_envelope
 from bsdelab.report import at_samples, worst_gap
 from bsdelab.solver import solve_mc_regression, solve_tree
 from bsdelab.verify import (
@@ -219,6 +219,15 @@ class TestSandwichCheck:
         env = sandwich_envelope(1.0, ONE_W, "1", sol.grid)
         report = sandwich_check(sol, env)
         assert report.status == "inconclusive"
+
+    @pytest.mark.parametrize("horizon, steps", [(1.0, 32), (2.0, 64)])
+    def test_envelope_on_another_grid_is_refused(self, horizon, steps):
+        cert = OneSidedSuperLinear(ONE_W, "1", "1")
+        xi = TerminalCondition.parse("sin(w)", bound=1.0)
+        sol = solve_tree(ZERO.with_certificate(cert), xi, 64)
+        env = sandwich_envelope(1.0, ONE_W, "1", TimeGrid.uniform(horizon, steps))
+        with pytest.raises(ValueError, match="must share the time grid"):
+            sandwich_check(sol, env)
 
 
 class TestMonotoneFamily:
