@@ -18,7 +18,6 @@ from .certificates import (
     QuadGrowth,
     SampleGrid,
     SubLinearDiffZ,
-    certificate_from_dict,
     check_certificate,
 )
 from .envelopes import (

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import MISSING, dataclass, fields
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "OneSidedLinear",
     "MixedSubLinear",
     "check_certificate",
-    "certificate_from_dict",
 ]
 
 SIDES = ("sgn", "upper_on_nonpos", "lower_on_nonneg", "absolute")
@@ -102,40 +101,25 @@ class SampleGrid:
 # Certificate kinds
 
 
-# JSON spells the field ``lam`` as ``lambda``.  A weight's integrability tag
-# defaults to L1 unless listed; only the Lq weight takes the certificate's alpha.
-_JSON_KEYS = {"lam": "lambda"}
-_WEIGHT_TAGS = {"v": "L2", "lam": "Lq"}
-
-
-def _weight_from(obj, name, alpha):
-    tag = _WEIGHT_TAGS.get(name, "L1")
-    if isinstance(obj, WeightFn):
-        return obj
-    if isinstance(obj, dict):
-        unknown = sorted(set(obj) - {"expr", "tag", "alpha"})
-        if unknown:
-            raise CertificateError(f"weight {_JSON_KEYS.get(name, name)!r} has unknown key "
-                                   f"{unknown[0]!r}; expected 'expr', 'tag' or 'alpha'")
-        return WeightFn.parse(obj["expr"], obj.get("tag", tag), obj.get("alpha"))
-    return WeightFn.parse(obj, tag, alpha if tag == "Lq" else None)
-
-
 class _Certificate:
     """Grid check shared by all kinds: each states ``gap(g, ...)``, its left- minus
     right-hand side at sampled points, of the shape the sample arrays broadcast to.
     The parameters after ``g`` name the sample axes, each starting with the grid
     axis it is drawn from (``y1`` from y).  Fields are coerced from their declared
-    types (an ``Expression`` of ``t`` for ``f``, else of ``x``; a ``WeightFn`` by
-    :func:`_weight_from`); subclasses add range checks."""
+    types (a ``WeightFn`` from an expression in ``t``; an ``Expression`` of ``t``
+    for ``f``, else of ``x``, a constant taking that variable); subclasses add
+    range checks."""
 
     def __post_init__(self):
-        for f in sorted(fields(self), key=lambda f: f.type == "WeightFn"):  # weights read alpha
+        for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "WeightFn":
-                value = _weight_from(value, f.name, getattr(self, "alpha", None))
+            if f.type == "WeightFn" and not isinstance(value, WeightFn):
+                value = WeightFn.parse(value)
             elif f.type in ("Expression", "Optional[Expression]") and value is not None:
-                value = _as_univariate(value, hint="t" if f.name == "f" else "x")
+                hint = "t" if f.name == "f" else "x"
+                value = _as_univariate(value, hint)
+                if not value.free_variables():
+                    value = value.rebind((hint,))
             elif f.type == "float":
                 value = float(value)
             elif f.type == "bool" and not isinstance(value, bool):
@@ -280,7 +264,7 @@ class OneSidedLinear(_SideRestricted):
     f: Expression
     u: WeightFn
     v: WeightFn
-    side: str = "sgn"
+    side: Literal[SIDES] = "sgn"
 
     def _rhs(self, t, y, z):
         return self.f(t) + self.u(t) * np.abs(y) + self.v(t) * np.abs(z)
@@ -295,7 +279,7 @@ class MixedSubLinear(_SideRestricted):
     v: WeightFn
     lam: WeightFn
     alpha: float
-    side: str = "sgn"
+    side: Literal[SIDES] = "sgn"
 
     def __post_init__(self):
         super().__post_init__()
@@ -342,34 +326,3 @@ def check_certificate(g, cert, grid=None):
         violation=worst,
         location=loc,
     )
-
-
-def certificate_from_dict(raw):
-    """Build a certificate from a plain dict, e.g. from a JSON config.
-
-    The keys are the kind's field names (``lambda`` for ``lam``); fields
-    with a default may be left out.  An unknown key, or a flag that is not a
-    JSON boolean, is a :class:`CertificateError` naming the key.
-    """
-    if not isinstance(raw, dict):
-        raise CertificateError(f"a certificate must be an object, got {raw!r}")
-    if "kind" not in raw:
-        raise CertificateError("certificate dict needs a 'kind'")
-    kind = raw["kind"]
-    if not isinstance(kind, str):
-        raise CertificateError(f"certificate kind must be a string, got {kind!r}")
-    if kind not in CERTIFICATE_KINDS:
-        raise CertificateError(f"unknown certificate kind {kind!r}")
-    cls = CERTIFICATE_KINDS[kind]
-    keys = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
-    unknown = sorted(set(raw) - set(keys) - {"kind"})
-    if unknown:
-        raise CertificateError(f"certificate kind {kind!r} has unknown key {unknown[0]!r}")
-    try:
-        # every key is looked up before any value is converted
-        values = {f.name: raw[key] for key, f in keys.items() if f.default is MISSING or key in raw}
-        return cls(**values)
-    except KeyError as exc:
-        raise CertificateError(f"certificate kind {kind!r} lacks witness {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise CertificateError(f"certificate kind {kind!r}: {exc}") from exc

@@ -174,7 +174,7 @@ def _solution_rows(sol):
             for t, row, y_mean, z_mean in zip(sol.grid.nodes, sol.y, y_means, z_means)]
 
 
-def _bounds_envelope(model, path, *, u: Expression = None, l: Expression = None,
+def _bounds_envelope(model, path, *, u: WeightFn = None, l: Expression = None,
                      xi_bound: float = None, T: float = None, N: int = None):
     """The keys of a bounds section; returns a function that builds the ODE sandwich."""
     missing = [k for k, v in (("u", u), ("l", l), ("xi_bound", xi_bound)) if v is None]
@@ -184,7 +184,7 @@ def _bounds_envelope(model, path, *, u: Expression = None, l: Expression = None,
     require(path, ("xi_bound", np.isfinite(xi_bound) and xi_bound >= 0, "must be finite and >= 0"),
             ("T", np.isfinite(T) and T > 0, "must be finite and > 0"),
             ("N", N >= 1, "must be >= 1"))
-    u = _valid_weight(WeightFn.parse(u), T, _at(path, "u"))
+    u = _valid_weight(u, T, _at(path, "u"))
     return partial(sandwich_envelope, xi_bound, u, l, TimeGrid.uniform(T, N))
 
 
@@ -203,12 +203,10 @@ def _growth_bound(*, f: Expression = "0", u: Expression = "1", v: Expression = "
 
 
 def _driver_envelope(generator, path, grid=None, *, growth: _growth_bound = None, n: int = 2,
-                     u_w: Expression = "1", v_w: Expression = "1"):
+                     u_w: WeightFn = "1", v_w: WeightFn = "1"):
     """Sup-convolution majorant; without a growth section the driver's certificate sizes it."""
     require(path, ("n", n >= 1, "must be >= 1"))
-    return sup_convolution_generator(
-        generator, n, WeightFn.parse(u_w), WeightFn.parse(v_w), grid, growth=growth
-    )
+    return sup_convolution_generator(generator, n, u_w, v_w, grid, growth=growth)
 
 
 def _envelope_rows(g, path, *, radius: float = 100.0, nodes: int = 2001, passes: int = 3,
@@ -217,7 +215,9 @@ def _envelope_rows(g, path, *, radius: float = 100.0, nodes: int = 2001, passes:
     """The keys of an envelope section; returns the sweep's rows (y, g, envelope)."""
     require(path, ("radius", 0 < radius < np.inf, "must be positive and finite"),
             ("nodes", nodes >= 3 and nodes % 2 == 1, "must be odd and >= 3"),
-            ("passes", passes >= 1, "must be >= 1"), ("points", points >= 1, "must be >= 1"))
+            ("passes", passes >= 1, "must be >= 1"), ("points", points >= 1, "must be >= 1"),
+            *((key, np.isfinite(value), "must be finite")
+              for key, value in (("t", t), ("z", z), ("y_min", y_min), ("y_max", y_max))))
     env = _driver_envelope(g, path, EnvelopeGrid(radius, nodes, passes), **driver)
     ys = np.linspace(y_min, y_max, points)
     return list(zip(ys.tolist(), g(t, ys, z).tolist(), env(t, ys, z).tolist()))
@@ -266,7 +266,8 @@ def _check_premise(run, solve, *, generator_prime: Generator, terminal_prime: Te
 
 def _check_dominance(run, *, generator_prime: Generator, level: float = 0.0,
                      side: Literal["below", "above"] = "below", tol: float = 0.0):
-    return lambda: one_sided_dominance_check(run.generator, generator_prime, level, side, tol=tol)
+    grid = SampleGrid(t_range=(0.0, run.model.horizon))
+    return lambda: one_sided_dominance_check(run.generator, generator_prime, level, side, grid, tol)
 
 
 def _check_sandwich(run, solve, *, xi_bound: float = None, tol: float = 1e-3):
@@ -294,6 +295,7 @@ def _check_monotone_family(run, solve, *, n_list: list[float] = (1, 2, 4, 8), to
 
 
 def _check_transform_residual(run, solve, *, gamma: float = 1.0, coefficient: float = 0.05):
+    require("", ("gamma", np.isfinite(gamma) and gamma > 0, "must be finite and > 0"))
     if run.model.backend != "tree":
         raise ConfigError("model.backend", "transform_residual runs on tree solutions only")
     sol = solve(run.model, run.generator, run.terminal)
@@ -311,7 +313,9 @@ def _sample_grid(horizon, path, *, T: float = None, t_count: int = 21,
                  z_range: tuple[float, float] = (-5.0, 5.0), z_count: int = 51):
     counts = {"t_count": t_count, "y_count": y_count, "z_count": z_count}
     require(path, *((key, count >= 1, "must be >= 1") for key, count in counts.items()),
-            ("T", T is None or np.isfinite(T) and T > 0, "must be finite and > 0"))
+            ("T", T is None or np.isfinite(T) and T > 0, "must be finite and > 0"),
+            ("y_range", np.isfinite(y_range).all(), "must be finite"),
+            ("z_range", np.isfinite(z_range).all(), "must be finite"))
     t_range = (0.0, horizon if T is None else T)
     return SampleGrid(t_range, t_count, y_range, y_count, z_range, z_count)
 

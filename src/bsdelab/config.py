@@ -13,19 +13,20 @@ import inspect
 import json
 import math
 import typing
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Literal, Optional
 
-from .certificates import CertificateError, certificate_from_dict
+from .certificates import CERTIFICATE_KINDS, CertificateError
 from .expressions import Expression, ExpressionError
-from .generators import Generator, TerminalCondition, _as_univariate
+from .generators import Generator, TerminalCondition, WeightFn, _as_univariate
 
 __all__ = [
-    "ConfigError", "ModelConfig", "CheckConfig", "RunConfig", "load_config",
-    "parse_generator", "parse_terminal", "number", "numbers", "bind", "require",
+    "ConfigError", "ModelConfig", "CheckConfig", "RunConfig", "load_config", "parse_generator",
+    "parse_certificate", "parse_terminal", "number", "numbers", "bind", "require",
 ]
 
 _REQUIRED = inspect.Parameter.empty  # what a parameter without a default holds
+_JSON_KEYS = {"lam": "lambda"}  # a certificate field's key, where it is not the field's name
 
 
 class ConfigError(ValueError):
@@ -109,13 +110,33 @@ def parse_generator(raw, path):
     _known(section, path, ["expr", "certificate"])
     try:
         generator = Generator.parse(_need(section, "expr", path, str))
-        if section.get("certificate") is not None:
-            generator = generator.with_certificate(certificate_from_dict(section["certificate"]))
     except ExpressionError as exc:
         raise ConfigError(f"{path}.expr", str(exc)) from exc
+    certificate = section.get("certificate")
+    if certificate is None:
+        return generator
+    return generator.with_certificate(parse_certificate(certificate, f"{path}.certificate"))
+
+
+def parse_certificate(raw, path):
+    """Certificate section ``{"kind": ..., ...}`` found at ``path``.
+
+    The other keys are the kind's fields (``lambda`` for ``lam``), each read
+    by its declared type; a field with a default may be left out.
+    """
+    section = _section(raw, path)
+    kind = _read(Literal[tuple(CERTIFICATE_KINDS)], section, "kind", path, _REQUIRED)
+    cls = CERTIFICATE_KINDS[kind]
+    keys = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    _known(section, path, list(keys), ("kind",))
+    types = typing.get_type_hints(cls)
+    values = {f.name: _read(types[f.name], section, key, path,
+                            _REQUIRED if f.default is MISSING else f.default)
+              for key, f in keys.items()}
+    try:
+        return cls(**values)
     except CertificateError as exc:
-        raise ConfigError(f"{path}.certificate", str(exc)) from exc
-    return generator
+        raise ConfigError(path, str(exc)) from exc
 
 
 def parse_terminal(raw, path):
@@ -138,10 +159,11 @@ def bind(fn, mapping, path, common=()):
     A parameter's annotation picks the parser: ``float`` or ``int``
     (:func:`number`), ``list[float]`` or ``tuple[float, float]``
     (:func:`numbers`), ``Generator`` or ``TerminalCondition`` (their section
-    parsers), ``Expression`` (a one-variable expression, or a number),
-    ``Literal[...]`` (one of its values), ``dict`` (an object), a function
-    (an object whose keys are the function's, passed to it); any other value
-    is taken as it is.  A parameter without a default is a required key, and
+    parsers), ``Expression`` or ``WeightFn`` (a one-variable expression, or a
+    number), ``bool`` (true or false), ``Literal[...]`` (one of its values),
+    ``Optional[X]`` (as ``X``), ``dict`` (an object), a function (an object
+    whose keys are the function's, passed to it); any other value is taken
+    as it is.  A parameter without a default is a required key, and
     ``**rest: f`` adds the keys of function ``f``.  A key that names no
     parameter, nor one of ``common``, is an error.  Errors name ``path.key``.
     """
@@ -160,6 +182,8 @@ def _keywords(fn):
 
 def _read(kind, mapping, key, path, default):
     origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is typing.Union:  # Optional[X]
+        return _read(args[0], mapping, key, path, default)
     if kind in (float, int):
         return number(mapping, key, path, kind, default)
     if origin is list:
@@ -170,13 +194,16 @@ def _read(kind, mapping, key, path, default):
         parse = parse_generator if kind is Generator else parse_terminal
         return parse(mapping.get(key), _at(path, key))
     value = mapping.get(key, default)
-    if value is _REQUIRED:
+    if value is _REQUIRED or value is None and default is _REQUIRED:
         raise ConfigError(_at(path, key), "missing")
-    if kind is Expression and value is not None:
+    if kind in (Expression, WeightFn) and value is not None:
         try:
-            return _as_univariate(value, "t")
+            expr = _as_univariate(value, "t")
         except (ExpressionError, TypeError) as exc:
             raise ConfigError(_at(path, key), str(exc)) from exc
+        return WeightFn(expr) if kind is WeightFn else expr
+    if kind is bool and not isinstance(value, bool):
+        raise ConfigError(_at(path, key), "must be true or false")
     if inspect.isfunction(kind) and value is not None:
         return kind(**bind(kind, _section(value, _at(path, key)), _at(path, key)))
     if origin is Literal and value not in args:

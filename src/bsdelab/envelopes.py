@@ -48,8 +48,8 @@ __all__ = [
 ]
 
 # _settled stops an entry once its move is at most ROOT_ULPS units in its last
-# place (or the caller's tolerance, if larger), or once Newton's step leaves it
-# in place; bisection alone closes any bracket of doubles within ROOT_CAP steps
+# place, or once Newton's step leaves it in place; bisection alone closes any
+# bracket of doubles within ROOT_CAP steps
 ROOT_ULPS = 4
 ROOT_CAP = 2200
 
@@ -98,12 +98,12 @@ def linearize_phi(phi, a, b, n, x):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def _settled(f, a, b, tol=0.0):
+def _settled(f, a, b):
     """rtsafe (*Numerical Recipes* 9.4) per entry on brackets with f(a) <= 0
     <= f(b) (a may lie above b), ``f(x)`` giving f and f' at x: from the
     midpoint, Newton's step where it stays in the bracket and halves the last
     move, else bisection.  Returns the roots and the steps taken.  An entry
-    stops at its first iterate that moved by at most max(tol, ROOT_ULPS ulps),
+    stops at its first iterate that moved by at most ROOT_ULPS ulps,
     or at the iterate that Newton's step leaves in place; one still moving
     after ROOT_CAP steps keeps its last iterate.  An entry's root does not
     depend on the other entries."""
@@ -117,7 +117,7 @@ def _settled(f, a, b, tol=0.0):
                   & (np.abs(2.0 * r) <= np.abs(moved * d)))
         nxt = np.where(inside, newton, 0.5 * a + 0.5 * b)
         moved = np.abs(nxt - x)
-        close = todo & (moved <= np.maximum(tol, ROOT_ULPS * np.spacing(np.abs(nxt))))
+        close = todo & (moved <= ROOT_ULPS * np.spacing(np.abs(nxt)))
         landed = todo & ~close & (newton == x)
         root[close], root[landed] = nxt[close], x[landed]
         todo &= ~(close | landed)

@@ -24,7 +24,6 @@ __all__ = [
     "WeightValidationError",
 ]
 
-WEIGHT_TAGS = ("L1", "L2", "L1&L2", "Lq")
 # WeightFn.validate samples [0, horizon] at this many points (odd, for Simpson's rule)
 WEIGHT_SAMPLES = 2049
 
@@ -55,45 +54,23 @@ def _simpson(values, h):
 
 @dataclass(frozen=True)
 class WeightFn:
-    """Nonnegative function of time with a declared integrability class.
-
-    ``tag`` is one of ``L1`` (integrable), ``L2`` (square integrable),
-    ``L1&L2`` (both) or ``Lq`` (the exponent ``2/(2 - alpha)`` class used with
-    sub-linear continuity moduli, requiring ``alpha``).
-    """
+    """Nonnegative function of time, integrable on the horizon it is used on."""
 
     expr: Expression
-    tag: str = "L1"
-    alpha: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "expr", _as_univariate(self.expr, hint="t"))
-        if self.tag not in WEIGHT_TAGS:
-            raise WeightValidationError(f"unknown integrability tag {self.tag!r}")
-        if self.tag == "Lq":
-            if self.alpha is None or not (0.0 < self.alpha < 1.0):
-                raise WeightValidationError("Lq tag requires alpha in (0, 1)")
 
     def __call__(self, t):
         return self.expr(t)
 
-    def _integrand_powers(self):
-        if self.tag == "L1":
-            return (1.0,)
-        if self.tag == "L2":
-            return (2.0,)
-        if self.tag == "L1&L2":
-            return (1.0, 2.0)
-        return (2.0 / (2.0 - self.alpha),)
-
     def validate(self, horizon):
-        """Check nonnegativity on [0, horizon] and the declared integrability.
+        """Check nonnegativity and integrability on [0, horizon].
 
-        The integral of the tagged power is evaluated by composite Simpson
-        quadrature on ``WEIGHT_SAMPLES`` points and on every other one; it
-        must be finite and stable within 1% under refinement.  A weight that
-        is negative, or cannot be evaluated, at a sample is rejected at the
-        first such sample.
+        The integral is evaluated by composite Simpson quadrature on
+        ``WEIGHT_SAMPLES`` points and on every other one; it must be finite
+        and stable within 1% under refinement.  A weight that is negative, or
+        cannot be evaluated, at a sample is rejected at the first such sample.
         Sampling evidence only, not a proof.
         """
         if horizon <= 0:
@@ -117,22 +94,20 @@ class WeightFn:
                 f"weight is negative at t={t[k]:.6g} (value {vals[k]:.6g})"
             )
         h = t[1] - t[0]
-        for p in self._integrand_powers():
-            with np.errstate(over="ignore"):  # an overflow is the non-finite case below
-                coarse = _simpson(vals[::2] ** p, 2 * h)
-                fine = _simpson(vals**p, h)
-            if not np.isfinite(fine):
-                raise WeightValidationError(f"integral of power {p} is not finite")
-            if abs(fine - coarse) > 0.01 * max(abs(fine), 1e-12):
-                raise WeightValidationError(
-                    f"integral of power {p} not stable under refinement "
-                    f"({coarse:.6g} vs {fine:.6g})"
-                )
+        with np.errstate(over="ignore"):  # an overflow is the non-finite case below
+            coarse = _simpson(vals[::2], 2 * h)
+            fine = _simpson(vals, h)
+        if not np.isfinite(fine):
+            raise WeightValidationError("integral is not finite")
+        if abs(fine - coarse) > 0.01 * max(abs(fine), 1e-12):
+            raise WeightValidationError(
+                f"integral not stable under refinement ({coarse:.6g} vs {fine:.6g})"
+            )
         return True
 
     @classmethod
-    def parse(cls, source, tag="L1", alpha=None):
-        return cls(_as_univariate(source, hint="t"), tag, alpha)
+    def parse(cls, source):
+        return cls(source)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ from bsdelab.certificates import (
     QuadGrowth,
     SampleGrid,
     SubLinearDiffZ,
-    certificate_from_dict,
     check_certificate,
 )
+from bsdelab.config import ConfigError, parse_certificate
 from bsdelab.expressions import EvalDomainError
 from bsdelab.generators import Generator, WeightFn
 from bsdelab.report import at_samples, worst_gap
@@ -114,26 +114,24 @@ class TestNamedDriversThirdBlock:
 
     def test_cube_root_driver(self):
         g = Generator.parse("-abs(z)^2 * y^3 + abs(z)^(1/3)")
-        cert = MixedSubLinear("1", ONE, ONE, WeightFn.parse("1", "Lq", 1 / 3), 1 / 3)
+        cert = MixedSubLinear("1", ONE, ONE, ONE, 1 / 3)
         assert check_certificate(g, cert, GRID_50).passed
 
     def test_square_root_driver(self):
         g = Generator.parse("exp(-y) * sqrt(abs(z)) + sqrt(1 + abs(y) + abs(z))")
-        cert = MixedSubLinear(
-            "4", ONE, WeightFn.parse("2", "L2"), WeightFn.parse("2", "Lq", 0.5), 0.5
-        )
+        cert = MixedSubLinear("4", ONE, WeightFn.parse("2"), WeightFn.parse("2"), 0.5)
         assert check_certificate(g, cert, GRID_50).passed
 
 
 class TestContinuityZ:
     def test_absolute_value_driver(self):
         g = Generator.parse("abs(z)")
-        cert = ContinuityZ(WeightFn.parse("1", "L2"), "x")
+        cert = ContinuityZ(ONE, "x")
         assert check_certificate(g, cert, SMALL).passed
 
     def test_quadratic_driver_fails_linear_modulus(self):
         g = Generator.parse("z^2")
-        cert = ContinuityZ(WeightFn.parse("1", "L2"), "x")
+        cert = ContinuityZ(ONE, "x")
         report = check_certificate(g, cert, SMALL)
         assert not report.passed
 
@@ -180,7 +178,7 @@ class TestSubLinearDiffZ:
 
         # y-free driver: the difference evaluates to exactly |z|^0.5
         g = Generator.parse("abs(z)^0.5")
-        cert = SubLinearDiffZ(WeightFn.parse("1", "Lq", 0.5), 0.5)
+        cert = SubLinearDiffZ(ONE, 0.5)
         report = check_certificate(g, cert, SMALL)
         assert report.passed
         assert report.violation == 0.0
@@ -189,21 +187,21 @@ class TestSubLinearDiffZ:
         from bsdelab.certificates import SubLinearDiffZ
 
         g = Generator.parse("abs(z)^0.5 / 2 - y")
-        cert = SubLinearDiffZ(WeightFn.parse("1", "Lq", 0.5), 0.5)
+        cert = SubLinearDiffZ(ONE, 0.5)
         assert check_certificate(g, cert, SMALL).passed
 
     def test_linear_difference_fails(self):
         from bsdelab.certificates import SubLinearDiffZ
 
         g = Generator.parse("z")
-        cert = SubLinearDiffZ(WeightFn.parse("1", "Lq", 0.5), 0.5)
+        cert = SubLinearDiffZ(ONE, 0.5)
         assert not check_certificate(g, cert, SMALL).passed
 
     def test_shifted_modulus_with_offset_process(self):
         from bsdelab.certificates import SubLinearDiffZ
 
         g = Generator.parse("abs(z)^0.5 + y")
-        cert = SubLinearDiffZ(WeightFn.parse("1", "Lq", 0.5), 0.5, f="1")
+        cert = SubLinearDiffZ(ONE, 0.5, f="1")
         # (1 + |y| + |z|)^0.5 >= |z|^0.5
         assert check_certificate(g, cert, SMALL).passed
 
@@ -211,13 +209,13 @@ class TestSubLinearDiffZ:
         from bsdelab.certificates import SubLinearDiffZ
 
         with pytest.raises(CertificateError):
-            SubLinearDiffZ(WeightFn.parse("1", "Lq", 0.5), 1.0)
+            SubLinearDiffZ(ONE, 1.0)
 
 
 class TestOtherFamilies:
     def test_local_lipschitz_quadratic(self):
         g = Generator.parse("z^2")
-        cert = LocalLipschitzZ(WeightFn.parse("1", "L2"))
+        cert = LocalLipschitzZ(ONE)
         assert check_certificate(g, cert, SMALL).passed
 
     def test_convexity(self):
@@ -230,26 +228,23 @@ class TestOtherFamilies:
         ).passed
 
 
-L2 = WeightFn.parse("1 + t", "L2")
+W = WeightFn.parse("1 + t")
 
 
 class TestStringWeights:
-    """Weights given as expressions are coerced at construction, tagged as from a dict."""
+    """Weights given as expressions are coerced to weight functions at construction."""
 
     @pytest.mark.parametrize(
         "cls, strings, weights",
         [
-            (OneSidedOsgoodY, ("1 + t", "x"), (WeightFn.parse("1 + t"), "x")),
-            (ContinuityZ, ("1 + t", "x"), (L2, "x")),
-            (SubLinearDiffZ, ("1 + t", 0.5), (WeightFn.parse("1 + t", "Lq", 0.5), 0.5)),
-            (OneSidedSuperLinear, ("1 + t", "1 + abs(y)", "1"),
-             (WeightFn.parse("1 + t"), "1 + abs(y)", "1")),
-            (QuadGrowth, ("1 + t", "1 + y^2", "1"), (WeightFn.parse("1 + t"), "1 + y^2", "1")),
-            (LocalLipschitzZ, ("1 + t",), (L2,)),
-            (OneSidedLinear, ("0", "1 + t", "1 + t", "absolute"),
-             ("0", WeightFn.parse("1 + t"), L2, "absolute")),
-            (MixedSubLinear, ("1", "1 + t", "1 + t", "1 + t", 0.25),
-             ("1", WeightFn.parse("1 + t"), L2, WeightFn.parse("1 + t", "Lq", 0.25), 0.25)),
+            (OneSidedOsgoodY, ("1 + t", "x"), (W, "x")),
+            (ContinuityZ, ("1 + t", "x"), (W, "x")),
+            (SubLinearDiffZ, ("1 + t", 0.5), (W, 0.5)),
+            (OneSidedSuperLinear, ("1 + t", "1 + abs(y)", "1"), (W, "1 + abs(y)", "1")),
+            (QuadGrowth, ("1 + t", "1 + y^2", "1"), (W, "1 + y^2", "1")),
+            (LocalLipschitzZ, ("1 + t",), (W,)),
+            (OneSidedLinear, ("0", "1 + t", "1 + t", "absolute"), ("0", W, W, "absolute")),
+            (MixedSubLinear, ("1", "1 + t", "1 + t", "1 + t", 0.25), ("1", W, W, W, 0.25)),
         ],
         ids=lambda v: v.__name__ if isinstance(v, type) else None,
     )
@@ -265,103 +260,90 @@ class TestStringWeights:
 
 
 class TestFromDict:
+    """A config's certificate section, read by ``config.parse_certificate``."""
+
     def test_round_trip(self):
-        cert = certificate_from_dict(
-            {"kind": "one_sided_super_linear", "u": "1", "l": "1 + abs(y)", "h": "1"}
+        cert = parse_certificate(
+            {"kind": "one_sided_super_linear", "u": "1", "l": "1 + abs(y)", "h": "1"}, "c"
         )
         assert isinstance(cert, OneSidedSuperLinear)
         g = Generator.parse("-y^3 + abs(z)^1.5 * sin(y)")
         assert check_certificate(g, cert, SMALL).passed
 
     def test_missing_witness(self):
-        with pytest.raises(CertificateError, match="lacks witness"):
-            certificate_from_dict({"kind": "one_sided_super_linear", "u": "1"})
+        with pytest.raises(ConfigError, match=r"^c\.l: missing$"):
+            parse_certificate({"kind": "one_sided_super_linear", "u": "1"}, "c")
 
     def test_unknown_kind(self):
-        with pytest.raises(CertificateError, match="unknown certificate kind"):
-            certificate_from_dict({"kind": "wishful"})
+        with pytest.raises(ConfigError, match=r"^c\.kind: must be one of \('one_sided_osgood_y', "):
+            parse_certificate({"kind": "wishful"}, "c")
 
     @pytest.mark.parametrize(
         "raw, expected",
         [
-            (
-                {"kind": "one_sided_osgood_y", "u": "1", "rho": "x"},
-                OneSidedOsgoodY(WeightFn.parse("1", "L1"), "x"),
-            ),
-            (
-                {"kind": "continuity_z", "v": "1", "phi": "x"},
-                ContinuityZ(WeightFn.parse("1", "L2"), "x"),
-            ),
-            (
-                {"kind": "sublinear_diff_z", "lambda": "2", "alpha": 0.5, "f": "1"},
-                SubLinearDiffZ(WeightFn.parse("2", "Lq", 0.5), 0.5, "1"),
-            ),
-            (
-                {"kind": "one_sided_super_linear", "u": "1", "l": "1 + abs(y)", "h": "1"},
-                OneSidedSuperLinear(WeightFn.parse("1", "L1"), "1 + abs(y)", "1"),
-            ),
-            (
-                {"kind": "quad_growth", "u_bar": "1", "phi_bar": "1 + y^2", "h_bar": "1"},
-                QuadGrowth(WeightFn.parse("1", "L1"), "1 + y^2", "1"),
-            ),
-            (
-                {"kind": "local_lipschitz_z", "v": {"expr": "1 + t", "tag": "L1&L2"}},
-                LocalLipschitzZ(WeightFn.parse("1 + t", "L1&L2")),
-            ),
+            ({"kind": "one_sided_osgood_y", "u": "1", "rho": "x"}, OneSidedOsgoodY("1", "x")),
+            ({"kind": "continuity_z", "v": "1", "phi": "x"}, ContinuityZ("1", "x")),
+            ({"kind": "sublinear_diff_z", "lambda": "2", "alpha": 0.5, "f": "1"},
+             SubLinearDiffZ("2", 0.5, "1")),
+            ({"kind": "sublinear_diff_z", "lambda": 2, "alpha": 0.5, "f": None},
+             SubLinearDiffZ(2, 0.5)),
+            ({"kind": "one_sided_super_linear", "u": "1", "l": "1 + abs(y)", "h": "1"},
+             OneSidedSuperLinear("1", "1 + abs(y)", "1")),
+            ({"kind": "quad_growth", "u_bar": "1", "phi_bar": 2, "h_bar": "1"},
+             QuadGrowth("1", 2, "1")),
+            ({"kind": "local_lipschitz_z", "v": "1 + t"}, LocalLipschitzZ("1 + t")),
             ({"kind": "convexity_z", "convex": False}, ConvexityZ(False)),
-            (
-                {"kind": "one_sided_linear", "f": "1", "u": "1", "v": "1", "side": "absolute"},
-                OneSidedLinear(
-                    "1", WeightFn.parse("1", "L1"), WeightFn.parse("1", "L2"), "absolute"
-                ),
-            ),
-            (
-                {"kind": "mixed_sublinear", "f": "1", "u": "1", "v": "1", "lambda": "1",
-                 "alpha": 0.25},
-                MixedSubLinear(
-                    "1",
-                    WeightFn.parse("1", "L1"),
-                    WeightFn.parse("1", "L2"),
-                    WeightFn.parse("1", "Lq", 0.25),
-                    0.25,
-                    "sgn",
-                ),
-            ),
+            ({"kind": "convexity_z"}, ConvexityZ()),
+            ({"kind": "one_sided_linear", "f": "1", "u": "1", "v": "1", "side": "absolute"},
+             OneSidedLinear("1", "1", "1", "absolute")),
+            ({"kind": "mixed_sublinear", "f": "1", "u": "1", "v": "1", "lambda": "1",
+              "alpha": 0.25}, MixedSubLinear("1", "1", "1", "1", 0.25, "sgn")),
         ],
         ids=lambda v: v["kind"] if isinstance(v, dict) else type(v).__name__,
     )
     def test_every_kind_from_dict(self, raw, expected):
-        assert certificate_from_dict(raw) == expected
+        # a constant keeps the variable name it takes when built in Python
+        assert parse_certificate(raw, "c") == expected
 
     @pytest.mark.parametrize(
         "raw, key",
         [
             ({"kind": "one_sided_osgood_y", "rho": "x"}, "u"),
-            # the missing phi is reported before the bad v is converted
-            ({"kind": "continuity_z", "v": {"expr": "1", "tag": "L7"}}, "phi"),
+            ({"kind": "continuity_z", "v": "1"}, "phi"),
             ({"kind": "sublinear_diff_z", "alpha": 0.5}, "lambda"),
             ({"kind": "one_sided_super_linear", "u": "1", "h": "1"}, "l"),
             ({"kind": "quad_growth", "u_bar": "1", "phi_bar": "1"}, "h_bar"),
             ({"kind": "local_lipschitz_z"}, "v"),
             ({"kind": "one_sided_linear", "u": "1", "v": "1"}, "f"),
             ({"kind": "mixed_sublinear", "f": "1", "u": "1", "v": "1", "lambda": "1"}, "alpha"),
+            ({"kind": "mixed_sublinear", "f": "1", "u": "1", "v": None, "lambda": "1",
+              "alpha": 0.5}, "v"),
         ],
         ids=lambda v: v["kind"] if isinstance(v, dict) else v,
     )
     def test_missing_witness_per_kind(self, raw, key):
-        with pytest.raises(CertificateError, match=f"lacks witness '{key}'"):
-            certificate_from_dict(raw)
+        with pytest.raises(ConfigError, match=rf"^c\.{key}: missing$"):
+            parse_certificate(raw, "c")
 
-    @pytest.mark.parametrize(
-        "raw",
-        [
-            {"kind": "sublinear_diff_z", "lambda": "1", "alpha": "abc"},
-            {"kind": "local_lipschitz_z", "v": {"expr": "1", "tag": "L7"}},
-        ],
-    )
-    def test_bad_value_is_a_certificate_error(self, raw):
-        with pytest.raises(CertificateError, match=raw["kind"]):
-            certificate_from_dict(raw)
+    @pytest.mark.parametrize("raw, message", [
+        ({"kind": "sublinear_diff_z", "lambda": "1", "alpha": "abc"},
+         "c.alpha: expected float, got 'abc'"),
+        ({"kind": "sublinear_diff_z", "lambda": "1", "alpha": True},
+         "c.alpha: expected float, got True"),
+        ({"kind": "sublinear_diff_z", "lambda": "1", "alpha": 1.0}, "c: alpha must lie in (0, 1)"),
+        ({"kind": "one_sided_linear", "f": "0", "u": "1", "v": "1", "side": "sideways"},
+         f"c.side: must be one of {SIDES}"),
+        ({"kind": "one_sided_osgood_y", "u": "1", "rho": "1 +"}, "c.rho: syntax error"),
+        ({"kind": "one_sided_osgood_y", "u": "y + t", "rho": "x"},
+         "c.u: expected at most one free variable"),
+        # a weight is an expression in t; the object form {"expr", "tag", "alpha"} is gone
+        ({"kind": "local_lipschitz_z", "v": {"expr": "1", "tag": "L2"}},
+         "c.v: cannot interpret {'expr': '1', 'tag': 'L2'} as a one-variable function"),
+    ])
+    def test_bad_value_is_named(self, raw, message):
+        with pytest.raises(ConfigError) as err:
+            parse_certificate(raw, "c")
+        assert str(err.value).startswith(message), err.value
 
     @pytest.mark.parametrize("raw, key", [
         ({"kind": "one_sided_linear", "f": "0", "u": "1", "v": "1", "sdie": "absolute"}, "sdie"),
@@ -369,52 +351,51 @@ class TestFromDict:
         ({"kind": "one_sided_osgood_y", "u": "1", "rho": "x", "rho_growth_k": 1.0}, "rho_growth_k"),
         ({"kind": "continuity_z", "v": "1", "phi": "x", "a": 1.0}, "a"),
         ({"kind": "continuity_z", "v": "1", "phi": "x", "b": 0.0}, "b"),
+        ({"kind": "mixed_sublinear", "f": "1", "u": "1", "v": "1", "lam": "1", "alpha": 0.5},
+         "lam"),
     ])
     def test_unknown_key_is_named(self, raw, key):
-        with pytest.raises(CertificateError, match=f"unknown key '{key}'"):
-            certificate_from_dict(raw)
+        with pytest.raises(ConfigError, match=rf"^c\.{key}: unknown key; expected one of \["):
+            parse_certificate(raw, "c")
 
     @pytest.mark.parametrize("raw, message", [
-        *((raw, "a certificate must be an object") for raw in ("kind", 5, ["kind"], None)),
-        *(({"kind": kind}, "certificate kind must be a string") for kind in ([1], 3, None)),
+        *((raw, "c: must be an object") for raw in ("kind", 5, ["kind"])),
+        (None, "c: missing"),
+        *(({"kind": kind}, "c.kind: must be one of") for kind in ([1], 3)),
+        ({"kind": None}, "c.kind: missing"),
     ])
     def test_malformed_certificate_is_named(self, raw, message):
-        with pytest.raises(CertificateError, match=message):
-            certificate_from_dict(raw)
-
-    @pytest.mark.parametrize("key", ["lambda", "v"])
-    def test_unknown_weight_key_is_named(self, key):
-        raw = {"kind": "mixed_sublinear", "f": "1", "u": "1", "v": "1", "lambda": "1",
-               "alpha": 0.5, key: {"expr": "1", "tagg": "L2"}}
-        with pytest.raises(CertificateError, match=f"weight '{key}' has unknown key 'tagg'"):
-            certificate_from_dict(raw)
+        with pytest.raises(ConfigError) as err:
+            parse_certificate(raw, "c")
+        assert str(err.value).startswith(message), err.value
 
     @pytest.mark.parametrize("flag", ["false", 0, 1, None])
     def test_flag_must_be_a_boolean(self, flag):
-        with pytest.raises(CertificateError, match="'convex' must be true or false"):
-            certificate_from_dict({"kind": "convexity_z", "convex": flag})
+        with pytest.raises(ConfigError, match=r"^c\.convex: must be true or false$"):
+            parse_certificate({"kind": "convexity_z", "convex": flag}, "c")
 
     def test_wedge_from_dict(self):
-        cert = certificate_from_dict(
-            {"kind": "mixed_sublinear", "f": "1", "u": "1", "v": "1", "lambda": "1", "alpha": 0.5}
+        cert = parse_certificate(
+            {"kind": "mixed_sublinear", "f": "1", "u": "1", "v": "1", "lambda": "1", "alpha": 0.5},
+            "c",
         )
         assert isinstance(cert, MixedSubLinear)
-        assert cert.lam.alpha == 0.5
+        assert (cert.lam, cert.alpha) == (ONE, 0.5)
 
 
 MESH = SampleGrid(t_count=5, y_count=7, z_count=9)
 MESH_CERTS = [
     OneSidedOsgoodY(WeightFn.parse("1 + t"), "sqrt(x)"),
-    ContinuityZ(WeightFn.parse("exp(t)", "L2"), "x^1.5"),
-    SubLinearDiffZ(WeightFn.parse("1 + t", "Lq", 0.5), 0.5, "1 + sin(t)"),
-    SubLinearDiffZ(WeightFn.parse("2", "Lq", 0.3), 0.3),
+    ContinuityZ(WeightFn.parse("exp(t)"), "x^1.5"),
+    SubLinearDiffZ(WeightFn.parse("1 + t"), 0.5, "1 + sin(t)"),
+    SubLinearDiffZ(WeightFn.parse("2"), 0.3),
     OneSidedSuperLinear(WeightFn.parse("1 + t"), "1 + abs(y)", "exp(y/5)"),
     QuadGrowth(ONE, "1 + y^2", "cos(y)"),
-    LocalLipschitzZ(L2),
+    LocalLipschitzZ(W),
     ConvexityZ(True),
     ConvexityZ(False),
-    *(OneSidedLinear("1 + t", ONE, L2, side) for side in SIDES),
-    MixedSubLinear("exp(-t)", ONE, L2, WeightFn.parse("1 + t", "Lq", 0.25), 0.25,
+    *(OneSidedLinear("1 + t", ONE, W, side) for side in SIDES),
+    MixedSubLinear("exp(-t)", ONE, W, W, 0.25,
                    "upper_on_nonpos"),
 ]
 

@@ -644,7 +644,7 @@ class TestWedgeEnvelope:
             sup_convolution_generator_alpha(g, 2, ONE, ONE, ONE, 1.5, growth=self.wedge_growth())
 
     def test_mixed_certificate_is_picked_up(self):
-        cert = MixedSubLinear("0", ZERO, ONE, WeightFn.parse("1", "Lq", 0.5), 0.5, side="absolute")
+        cert = MixedSubLinear("0", ZERO, ONE, ONE, 0.5, side="absolute")
         g = Generator.parse("-abs(z)^2").with_certificate(cert)
         env = sup_convolution_generator_alpha(g, 4, ONE, ONE, ONE, 0.5)
         assert env(0.0, 0.0, 3.0) == pytest.approx(WEDGE_VALUE_AT_3, abs=1e-8)
