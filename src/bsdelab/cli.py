@@ -39,23 +39,32 @@ from collections import Counter
 from dataclasses import replace
 from functools import partial
 from importlib import resources
-from typing import Literal
+from typing import Annotated, Literal
 
 import numpy as np
 
 from . import __version__
 from .certificates import OneSidedLinear, OneSidedSuperLinear, SampleGrid, check_certificate
 from .config import (
+    AtLeast,
     CheckConfig,
     ConfigError,
+    Count,
+    Finite,
     ModelConfig,
+    NonNegative,
+    Positive,
+    Odd,
+    Real,
     RunConfig,
+    Seed,
+    Tol,
     _at,
     bind,
     load_config,
     parse_generator,
     parse_terminal,
-    require,
+    read,
 )
 from .envelopes import EnvelopeGrid, sup_convolution_generator
 from .expressions import Expression
@@ -175,15 +184,12 @@ def _solution_rows(sol):
 
 
 def _bounds_envelope(model, path, *, u: WeightFn = None, l: Expression = None,
-                     xi_bound: float = None, T: float = None, N: int = None):
+                     xi_bound: NonNegative = None, T: Positive = None, N: Count = None):
     """The keys of a bounds section; returns a function that builds the ODE sandwich."""
     missing = [k for k, v in (("u", u), ("l", l), ("xi_bound", xi_bound)) if v is None]
     if missing:
         raise ConfigError(path, f"missing keys {missing}")
     T, N = model.horizon if T is None else T, model.steps if N is None else N
-    require(path, ("xi_bound", np.isfinite(xi_bound) and xi_bound >= 0, "must be finite and >= 0"),
-            ("T", np.isfinite(T) and T > 0, "must be finite and > 0"),
-            ("N", N >= 1, "must be >= 1"))
     u = _valid_weight(u, T, _at(path, "u"))
     return partial(sandwich_envelope, xi_bound, u, l, TimeGrid.uniform(T, N))
 
@@ -202,23 +208,18 @@ def _growth_bound(*, f: Expression = "0", u: Expression = "1", v: Expression = "
     return OneSidedLinear(f, u, v, side="absolute")
 
 
-def _driver_envelope(generator, path, grid=None, *, growth: _growth_bound = None, n: int = 2,
+def _driver_envelope(generator, grid=None, *, growth: _growth_bound = None, n: Count = 2,
                      u_w: WeightFn = "1", v_w: WeightFn = "1"):
     """Sup-convolution majorant; without a growth section the driver's certificate sizes it."""
-    require(path, ("n", n >= 1, "must be >= 1"))
     return sup_convolution_generator(generator, n, u_w, v_w, grid, growth=growth)
 
 
-def _envelope_rows(g, path, *, radius: float = 100.0, nodes: int = 2001, passes: int = 3,
-                   t: float = 0.0, z: float = 0.0, y_min: float = -3.0, y_max: float = 3.0,
-                   points: int = 61, **driver: _driver_envelope):
+def _envelope_rows(g, *, radius: Positive = 100.0,
+                   nodes: Annotated[int, Odd, AtLeast(3)] = 2001,
+                   passes: Count = 3, t: Real = 0.0, z: Real = 0.0, y_min: Real = -3.0,
+                   y_max: Real = 3.0, points: Count = 61, **driver: _driver_envelope):
     """The keys of an envelope section; returns the sweep's rows (y, g, envelope)."""
-    require(path, ("radius", 0 < radius < np.inf, "must be positive and finite"),
-            ("nodes", nodes >= 3 and nodes % 2 == 1, "must be odd and >= 3"),
-            ("passes", passes >= 1, "must be >= 1"), ("points", points >= 1, "must be >= 1"),
-            *((key, np.isfinite(value), "must be finite")
-              for key, value in (("t", t), ("z", z), ("y_min", y_min), ("y_max", y_max))))
-    env = _driver_envelope(g, path, EnvelopeGrid(radius, nodes, passes), **driver)
+    env = _driver_envelope(g, EnvelopeGrid(radius, nodes, passes), **driver)
     ys = np.linspace(y_min, y_max, points)
     return list(zip(ys.tolist(), g(t, ys, z).tolist(), env(t, ys, z).tolist()))
 
@@ -243,13 +244,13 @@ def _closed_form(name, symbol, value, expected, tol):
     )
 
 
-def _check_solver_oracle(run, solve, *, expected: float, tol: float = 1e-2):
+def _check_solver_oracle(run, solve, *, expected: Real, tol: Tol = 1e-2):
     sol = solve(run.model, run.generator, run.terminal)
     return lambda: _closed_form("solver-oracle", "y_0", sol().y0, expected, tol)
 
 
 def _check_comparison(run, solve, *, generator_prime: Generator,
-                      terminal_prime: TerminalCondition, tol: float = 1e-6):
+                      terminal_prime: TerminalCondition, tol: Tol = 1e-6):
     sol = solve(run.model, run.generator, run.terminal)
     sol_prime = solve(run.model, generator_prime, terminal_prime)
     return lambda: comparison_check(sol(), sol_prime(), tol)
@@ -257,20 +258,20 @@ def _check_comparison(run, solve, *, generator_prime: Generator,
 
 def _check_premise(run, solve, *, generator_prime: Generator, terminal_prime: TerminalCondition,
                    which: Literal["along_prime", "along_unprimed"] = "along_prime",
-                   tol: float = 0.0):
+                   tol: Tol = 0.0):
     sol = solve(run.model, run.generator, run.terminal)
     sol_prime = solve(run.model, generator_prime, terminal_prime)
     return lambda: indicator_premise_check(
         sol(), sol_prime(), run.generator, generator_prime, which, tol)
 
 
-def _check_dominance(run, *, generator_prime: Generator, level: float = 0.0,
-                     side: Literal["below", "above"] = "below", tol: float = 0.0):
+def _check_dominance(run, *, generator_prime: Generator, level: Real = 0.0,
+                     side: Literal["below", "above"] = "below", tol: Tol = 0.0):
     grid = SampleGrid(t_range=(0.0, run.model.horizon))
     return lambda: one_sided_dominance_check(run.generator, generator_prime, level, side, grid, tol)
 
 
-def _check_sandwich(run, solve, *, xi_bound: float = None, tol: float = 1e-3):
+def _check_sandwich(run, solve, *, xi_bound: NonNegative = None, tol: Tol = 1e-3):
     cert = run.generator.certificate
     if not isinstance(cert, OneSidedSuperLinear):
         raise ConfigError(
@@ -280,63 +281,58 @@ def _check_sandwich(run, solve, *, xi_bound: float = None, tol: float = 1e-3):
         xi_bound = run.terminal and run.terminal.bound
     if xi_bound is None:
         raise ConfigError("xi_bound", "missing, and the terminal section has no bound")
-    require("", ("xi_bound", np.isfinite(xi_bound) and xi_bound >= 0, "must be finite and >= 0"))
     u = _valid_weight(cert.u, run.model.horizon, "generator.certificate.u")
     grid = TimeGrid.uniform(run.model.horizon, run.model.steps)
     sol = solve(run.model, run.generator, run.terminal)
     return lambda: sandwich_check(sol(), sandwich_envelope(xi_bound, u, cert.l, grid), tol)
 
 
-def _check_monotone_family(run, solve, *, n_list: list[float] = (1, 2, 4, 8), tol: float = 1e-9):
+def _check_monotone_family(run, solve, *, n_list: list[Real] = (1, 2, 4, 8), tol: Tol = 1e-9):
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("n_list", "must be nonempty and strictly increasing")
     family = [solve(run.model, run.generator, run.terminal.truncated_above(n)) for n in n_list]
     return lambda: monotone_family_check([sol() for sol in family], n_list, tol)
 
 
-def _check_transform_residual(run, solve, *, gamma: float = 1.0, coefficient: float = 0.05):
-    require("", ("gamma", np.isfinite(gamma) and gamma > 0, "must be finite and > 0"))
+def _check_transform_residual(run, solve, *, gamma: Positive = 1.0, coefficient: Tol = 0.05):
     if run.model.backend != "tree":
         raise ConfigError("model.backend", "transform_residual runs on tree solutions only")
     sol = solve(run.model, run.generator, run.terminal)
     return lambda: transform_residual_check(sol(), run.generator, gamma, coefficient)
 
 
-def _check_bounds_oracle(run, *, expected_U0: float, tol: float = 1e-5,
+def _check_bounds_oracle(run, *, expected_U0: Real, tol: Tol = 1e-5,
                          **bounds: _bounds_envelope):
     build = _bounds_envelope(run.model, "", **bounds)
     return lambda: _closed_form("bounds-oracle", "U_0", float(build().upper[0]), expected_U0, tol)
 
 
-def _sample_grid(horizon, path, *, T: float = None, t_count: int = 21,
-                 y_range: tuple[float, float] = (-5.0, 5.0), y_count: int = 51,
-                 z_range: tuple[float, float] = (-5.0, 5.0), z_count: int = 51):
-    counts = {"t_count": t_count, "y_count": y_count, "z_count": z_count}
-    require(path, *((key, count >= 1, "must be >= 1") for key, count in counts.items()),
-            ("T", T is None or np.isfinite(T) and T > 0, "must be finite and > 0"),
-            ("y_range", np.isfinite(y_range).all(), "must be finite"),
-            ("z_range", np.isfinite(z_range).all(), "must be finite"))
-    t_range = (0.0, horizon if T is None else T)
-    return SampleGrid(t_range, t_count, y_range, y_count, z_range, z_count)
+def _sample_grid(*, T: Positive = None, t_count: Count = 21,
+                 y_range: Annotated[tuple[float, float], Finite] = (-5.0, 5.0),
+                 y_count: Count = 51,
+                 z_range: Annotated[tuple[float, float], Finite] = (-5.0, 5.0),
+                 z_count: Count = 51):
+    """The keys of a grid section; returns the grid, on [0, T] or on [0, the horizon]."""
+    return lambda horizon: SampleGrid((0.0, horizon if T is None else T), t_count, y_range,
+                                      y_count, z_range, z_count)
 
 
-def _check_certificate(run, *, grid: dict = None):
+def _check_certificate(run, *, grid: _sample_grid = None):
     if run.generator is None or run.generator.certificate is None:
         raise ConfigError("generator.certificate", "missing; the certificate check needs one")
-    sample = _sample_grid(run.model.horizon, "grid", **bind(_sample_grid, grid or {}, "grid"))
+    sample = (grid or _sample_grid())(run.model.horizon)
     return lambda: check_certificate(run.generator, run.generator.certificate, sample)
 
 
-def _check_uniqueness_smoke(run, solve, *, tol: float = 5e-3):
+def _check_uniqueness_smoke(run, solve, *, tol: Tol = 5e-3):
     pair = [solve(replace(run.model, scheme=s), run.generator, run.terminal)
             for s in ("explicit", "implicit")]
     return lambda: uniqueness_smoke_check(*(sol() for sol in pair), tol)
 
 
-def _check_envelope_domination(run, *, points: int = 25, tol: float = 0.0,
+def _check_envelope_domination(run, *, points: Count = 25, tol: Tol = 0.0,
                                **driver: _driver_envelope):
-    require("", ("points", points >= 1, "must be >= 1"))
-    env = _driver_envelope(run.generator, "", **driver)
+    env = _driver_envelope(run.generator, **driver)
 
     def check():
         rng = np.random.default_rng(run.model.seed)
@@ -418,11 +414,11 @@ _REPORT_HEADER = (
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    given = {k: getattr(args, k) for k in ("seed", "threads") if getattr(args, k) is not None}
-    model = replace(cfg.model, **given)
-    require("", *((f"--{key}", ok, message) for key, ok, message in model.rules() if key in given),
-            ("--tol", args.tol is None or args.tol == args.tol, "must not be NaN"))
-    return replace(cfg, model=model)
+    """``--seed`` and ``--threads`` laid over the model; each flag read as the key it overrides."""
+    flags = {"seed": Seed, "threads": Count, "tol": Tol}
+    given = {key: read(kind, getattr(args, key), f"--{key}") for key, kind in flags.items()}
+    model = {key: given[key] for key in ("seed", "threads") if given[key] is not None}
+    return replace(cfg, model=replace(cfg.model, **model))
 
 
 def _cmd_solve(cfg, out_dir, args):
@@ -438,8 +434,9 @@ def _cmd_solve(cfg, out_dir, args):
 
 
 def _cmd_bounds(cfg, out_dir, args):
-    # a bounds oracle may keep its expected value in this section
-    keys = bind(_bounds_envelope, cfg.bounds or {}, "bounds", ("expected_U0",))
+    section = cfg.bounds or {}  # a bounds oracle may keep its expected value in this section
+    read(Real, section.get("expected_U0"), "bounds.expected_U0")
+    keys = bind(_bounds_envelope, section, "bounds", ("expected_U0",))
     env = _bounds_envelope(cfg.model, "bounds", **keys)()
     rows = [
         (float(t), float(L), float(U))
@@ -457,7 +454,7 @@ def _cmd_envelope(cfg, out_dir, args):
     if cfg.generator is None:
         raise ConfigError("generator", "envelope needs a generator section")
     keys = bind(_envelope_rows, cfg.envelope or {}, "envelope")
-    rows = _envelope_rows(cfg.generator, "envelope", **keys)
+    rows = _envelope_rows(cfg.generator, **keys)
     path = os.path.join(out_dir, "envelope.csv")
     _write_csv(path, ("y", "g", "envelope"), rows)
     if not args.quiet:

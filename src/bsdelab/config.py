@@ -12,9 +12,10 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import operator
 import typing
 from dataclasses import MISSING, dataclass, fields
-from typing import Literal, Optional
+from typing import Annotated, Literal, Optional
 
 from .certificates import CERTIFICATE_KINDS, CertificateError
 from .expressions import Expression, ExpressionError
@@ -22,7 +23,8 @@ from .generators import Generator, TerminalCondition, WeightFn, _as_univariate
 
 __all__ = [
     "ConfigError", "ModelConfig", "CheckConfig", "RunConfig", "load_config", "parse_generator",
-    "parse_certificate", "parse_terminal", "number", "numbers", "bind", "require",
+    "parse_certificate", "parse_terminal", "bind", "read", "Rule", "Above", "AtLeast", "Finite",
+    "Odd", "Real", "Positive", "NonNegative", "Tol", "Count", "Seed",
 ]
 
 _REQUIRED = inspect.Parameter.empty  # what a parameter without a default holds
@@ -42,53 +44,39 @@ def _at(path, key):
     return ".".join(filter(None, (path, key)))
 
 
-def _need(mapping, key, path, kind=None):
-    if key not in mapping:
-        raise ConfigError(f"{path}.{key}", "missing")
-    value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"{path}.{key}", f"expected {kind}, got {type(value).__name__}")
-    return value
+class Rule(typing.NamedTuple):
+    """A range marker of ``Annotated[X, *rules]``: ``test(item, *args)`` holds
+    for a value read as ``X``, or for each of its items, or the error says
+    "must be" and the rules' ``text`` joined by "and".  A rule holds no
+    function of this module: ``typing`` caches each ``Annotated[...]``, and
+    that would keep every import of the module alive."""
+
+    test: typing.Callable
+    text: str
+    args: tuple = ()
 
 
-def number(mapping, key, path, kind=float, default=_REQUIRED):
-    """``mapping[key]`` converted by ``kind``; ``default`` when absent or null.
-
-    Without a ``default`` the key is required.  A boolean, a NaN, or a
-    fractional value for an ``int``, is an error; errors name ``path.key``.
-    """
-    where = _at(path, key)
-    value = mapping.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ConfigError(where, "missing")
-        return default
-    try:
-        fractional = kind is int and isinstance(value, float) and not value.is_integer()
-        if isinstance(value, bool) or fractional:
-            raise TypeError(value)
-        value = kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(where, f"expected {kind.__name__}, got {value!r}") from exc
-    if value != value:  # NaN compares false with every bound, and would pass every check
-        raise ConfigError(where, "must not be NaN")
-    return value
+def Above(bound):
+    return Rule(operator.gt, f"> {bound}", (bound,))
 
 
-def numbers(mapping, key, path, kind=float, default=_REQUIRED, length=None):
-    """List ``mapping[key]``, each item converted by ``kind``; errors name ``path.key[i]``."""
-    values = mapping.get(key, None if default is _REQUIRED else default)
-    if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
-        what = "a list" if length is None else f"a list of {length}"
-        raise ConfigError(_at(path, key), f"expected {what}, got {values!r}")
-    return [number({f"{key}[{i}]": v}, f"{key}[{i}]", path, kind) for i, v in enumerate(values)]
+def AtLeast(bound):
+    return Rule(operator.ge, f">= {bound}", (bound,))
 
 
-def require(path, *rules):
-    """Raise a :class:`ConfigError` at ``path.key`` for the first failing ``(key, ok, message)``."""
-    for key, ok, message in rules:
-        if not ok:
-            raise ConfigError(_at(path, key), message)
+Finite = Rule(math.isfinite, "finite")
+Odd = Rule(operator.and_, "odd", (1,))
+Real = Annotated[float, Finite]
+Positive = Annotated[float, Finite, Above(0)]
+NonNegative = Annotated[float, Finite, AtLeast(0)]
+Tol = NonNegative  # every check's tolerance, and --tol
+Count = Annotated[int, AtLeast(1)]
+Seed = Annotated[int, Rule(range(2**64).__contains__, "an integer in [0, 2^64)")]
+
+
+def read(kind, value, path):
+    """``value`` read as a key of type ``kind`` is; errors name ``path``."""
+    return _read(kind, {path: value}, path, "", None)
 
 
 def _section(raw, path):
@@ -109,7 +97,7 @@ def parse_generator(raw, path):
     section = _section(raw, path)
     _known(section, path, ["expr", "certificate"])
     try:
-        generator = Generator.parse(_need(section, "expr", path, str))
+        generator = Generator.parse(_read(str, section, "expr", path, _REQUIRED))
     except ExpressionError as exc:
         raise ConfigError(f"{path}.expr", str(exc)) from exc
     certificate = section.get("certificate")
@@ -143,29 +131,29 @@ def parse_terminal(raw, path):
     """Terminal section ``{"expr": ..., "bound": ...}`` found at ``path``."""
     section = _section(raw, path)
     _known(section, path, ["expr", "bound"])
-    source = _need(section, "expr", path, str)
-    bound = number(section, "bound", path, default=None)
+    source = _read(str, section, "expr", path, _REQUIRED)
+    bound = _read(NonNegative, section, "bound", path, None)
     try:
         return TerminalCondition.parse(source, bound=bound)
     except ExpressionError as exc:
         raise ConfigError(f"{path}.expr", str(exc)) from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}.bound", str(exc)) from exc
 
 
 def bind(fn, mapping, path, common=()):
     """Keyword arguments for ``fn``, read from ``mapping`` by its keyword-only parameters.
 
-    A parameter's annotation picks the parser: ``float`` or ``int``
-    (:func:`number`), ``list[float]`` or ``tuple[float, float]``
-    (:func:`numbers`), ``Generator`` or ``TerminalCondition`` (their section
-    parsers), ``Expression`` or ``WeightFn`` (a one-variable expression, or a
-    number), ``bool`` (true or false), ``Literal[...]`` (one of its values),
-    ``Optional[X]`` (as ``X``), ``dict`` (an object), a function (an object
-    whose keys are the function's, passed to it); any other value is taken
-    as it is.  A parameter without a default is a required key, and
-    ``**rest: f`` adds the keys of function ``f``.  A key that names no
-    parameter, nor one of ``common``, is an error.  Errors name ``path.key``.
+    A parameter's annotation picks the parser: ``float`` or ``int`` (a
+    number, not a boolean, a NaN or, for ``int``, a fraction), ``list[X]`` or
+    ``tuple[X, X]`` (each item as ``X``, named ``key[i]``), ``Generator`` or
+    ``TerminalCondition`` (their section parsers), ``Expression`` or
+    ``WeightFn`` (a one-variable expression, or a number), ``bool`` (true or
+    false), ``Literal[...]`` (one of its values), ``Optional[X]`` (as ``X``),
+    ``Annotated[X, *rules]`` (as ``X``, then each :class:`Rule` on the value,
+    or on each item of a list or tuple, unless it is None), a function (an object whose keys are the
+    function's, passed to it); any other value is taken as it is.  A
+    parameter without a default is a required key, and ``**rest: f`` adds
+    the keys of function ``f``.  A key that names no parameter, nor one of
+    ``common``, is an error.  Errors name ``path.key``.
     """
     params = list(_keywords(fn))
     _known(mapping, path, [p.name for p in params], common)
@@ -182,34 +170,52 @@ def _keywords(fn):
 
 def _read(kind, mapping, key, path, default):
     origin, args = typing.get_origin(kind), typing.get_args(kind)
+    where = _at(path, key)
     if origin is typing.Union:  # Optional[X]
         return _read(args[0], mapping, key, path, default)
-    if kind in (float, int):
-        return number(mapping, key, path, kind, default)
-    if origin is list:
-        return numbers(mapping, key, path, args[0], default)
-    if origin is tuple:
-        return tuple(numbers(mapping, key, path, args[0], default, len(args)))
+    if origin is Annotated:
+        value = _read(args[0], mapping, key, path, default)
+        items = value if isinstance(value, (list, tuple)) else [value]
+        if value is not None and not all(rule.test(item, *rule.args)
+                                         for rule in args[1:] for item in items):
+            raise ConfigError(where, "must be " + " and ".join(rule.text for rule in args[1:]))
+        return value
+    value = mapping.get(key, default)
+    if value is None and kind in (float, int):  # a number given as null takes its default
+        value = default
+    if value is _REQUIRED or value is None and default is _REQUIRED:
+        raise ConfigError(where, "missing")
+    if kind in (float, int) and value is not None:
+        try:
+            fractional = kind is int and isinstance(value, float) and not value.is_integer()
+            if isinstance(value, bool) or fractional:
+                raise TypeError(value)
+            value = kind(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(where, f"expected {kind.__name__}, got {value!r}") from exc
+        if value != value:  # NaN compares false with every bound, and would pass every check
+            raise ConfigError(where, "must not be NaN")
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)) or origin is tuple and len(value) != len(args):
+            what = "a list" if origin is list else f"a list of {len(args)}"
+            raise ConfigError(where, f"expected {what}, got {value!r}")
+        return origin(_read(args[0], {f"{key}[{i}]": v}, f"{key}[{i}]", path, _REQUIRED)
+                      for i, v in enumerate(value))
     if kind in (Generator, TerminalCondition):
         parse = parse_generator if kind is Generator else parse_terminal
-        return parse(mapping.get(key), _at(path, key))
-    value = mapping.get(key, default)
-    if value is _REQUIRED or value is None and default is _REQUIRED:
-        raise ConfigError(_at(path, key), "missing")
+        return parse(value, where)
     if kind in (Expression, WeightFn) and value is not None:
         try:
             expr = _as_univariate(value, "t")
         except (ExpressionError, TypeError) as exc:
-            raise ConfigError(_at(path, key), str(exc)) from exc
+            raise ConfigError(where, str(exc)) from exc
         return WeightFn(expr) if kind is WeightFn else expr
-    if kind is bool and not isinstance(value, bool):
-        raise ConfigError(_at(path, key), "must be true or false")
+    if kind in (bool, str) and not isinstance(value, kind):
+        raise ConfigError(where, "must be a string" if kind is str else "must be true or false")
     if inspect.isfunction(kind) and value is not None:
-        return kind(**bind(kind, _section(value, _at(path, key)), _at(path, key)))
+        return kind(**bind(kind, _section(value, where), where))
     if origin is Literal and value not in args:
-        raise ConfigError(_at(path, key), f"must be one of {args}")
-    if kind is dict and not isinstance(value, (dict, type(None))):
-        raise ConfigError(_at(path, key), "must be an object")
+        raise ConfigError(where, f"must be one of {args}")
     return value
 
 
@@ -225,37 +231,31 @@ class ModelConfig:
     threads: int
     z_clamp: Optional[float]
 
+    @staticmethod
+    def keys(*, T: Positive = 1.0, N: Count = 200,
+             backend: Literal["tree", "mc-regression"] = "tree",
+             scheme: Literal["explicit", "implicit"] = "explicit", seed: Seed = 0,
+             paths: int = 20000, basis_degree: int = 3, threads: Count = 1,
+             z_clamp: Annotated[float, Above(0)] = None):
+        """The model section's keys, with their types, ranges and defaults."""
+        return ModelConfig(T, N, backend, scheme, seed, paths, basis_degree, threads, z_clamp)
+
     @classmethod
     def from_dict(cls, raw, path="model", base=None):
         """The model section at ``path``, its keys laid over those of ``base``."""
-
-        def keys(
-            *, T: float = 1.0, N: int = 200, backend: Literal["tree", "mc-regression"] = "tree",
-            scheme: Literal["explicit", "implicit"] = "explicit", seed: int = 0,
-            paths: int = 20000, basis_degree: int = 3, threads: int = 1, z_clamp: float = None,
-        ):
-            return cls(T, N, backend, scheme, seed, paths, basis_degree, threads, z_clamp)
-
-        cfg = keys(**bind(keys, {**(base or {}), **_section(raw, path)}, path))
-        require(path, *cfg.rules())
+        cfg = cls.keys(**bind(cls.keys, {**(base or {}), **_section(raw, path)}, path))
+        for key, ok, message in cfg.rules():
+            if not ok:
+                raise ConfigError(_at(path, key), message)
         return cfg
 
     def rules(self):
-        """``(key, ok, message)`` for each rule of a model, as :func:`require` takes them."""
-        rules = [
-            ("T", math.isfinite(self.horizon) and self.horizon > 0, "must be finite and > 0"),
-            ("N", self.steps >= 1, "must be >= 1"),
-            ("seed", 0 <= self.seed < 2**64, "must be an integer in [0, 2^64)"),
-            ("threads", self.threads >= 1, "must be >= 1"),
-            ("z_clamp", self.z_clamp is None or self.z_clamp > 0, "must be > 0"),
-        ]
-        if self.backend == "mc-regression":
-            rules += [
-                ("basis_degree", self.basis_degree >= 1, "must be >= 1 under mc-regression"),
+        """``(key, ok, message)`` for each rule that spans keys; each key's range is its marker."""
+        if self.backend != "mc-regression":
+            return []
+        return [("basis_degree", self.basis_degree >= 1, "must be >= 1 under mc-regression"),
                 ("paths", self.paths >= 10 * (self.basis_degree + 1),
-                 "must be at least 10 (basis_degree + 1) under mc-regression"),
-            ]
-        return rules
+                 "must be at least 10 (basis_degree + 1) under mc-regression")]
 
 
 @dataclass(frozen=True)
@@ -270,12 +270,11 @@ class CheckConfig:
     def from_dict(cls, raw, path):
         if not isinstance(raw, dict):
             raise ConfigError(path, "must be an object")
-        kind = _need(raw, "check", path, str)
+        kind = _read(str, raw, "check", path, _REQUIRED)
         expect = raw.get("expect", "pass")
         if expect not in ("pass", "fail"):
             raise ConfigError(f"{path}.expect", "must be 'pass' or 'fail'")
-        if not isinstance(raw.get("name", ""), str):
-            raise ConfigError(f"{path}.name", "must be a string")
+        _read(str, raw, "name", path, "")
         params = {k: v for k, v in raw.items() if k not in ("check", "expect")}
         return cls(kind=kind, expect=expect, params=params)
 

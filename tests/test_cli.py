@@ -95,6 +95,10 @@ class TestConfigErrors:
              "checks[0].n_list[1]: must not be NaN"),
             ({"model": {"T": math.nan}}, "model.T: must not be NaN"),
             ({"model": {"N": math.nan}}, "model.N: expected int, got nan"),
+            ({"terminal": {"expr": "w", "bound": 1e309}},
+             "terminal.bound: must be finite and >= 0"),
+            # an integer too large for a float once escaped main as a traceback
+            ({"model": {"T": 10**400}}, "model.T: expected float, got 1000"),
         ],
     )
     def test_bad_number_reports_path(self, tmp_path, capsys, payload, where):
@@ -116,12 +120,33 @@ class TestConfigErrors:
           for cert in ("kind", 5, ["kind"])),
         ({"generator": {"expr": "0", "certificate": {"kind": [1]}}},
          "generator.certificate.kind: must be one of ('one_sided_osgood_y', "),
+        ({"generator": {"expr": 5}}, "generator.expr: must be a string"),
+        ({"generator": {"expr": None}}, "generator.expr: missing"),
+        ({"checks": [{"check": 5}]}, "checks[0].check: must be a string"),
+        ({"checks": [{"check": "solver_oracle", "expected": 0.0, "name": None}]},
+         "checks[0].name: must be a string"),
     ])
     def test_malformed_structure_reports_path(self, tmp_path, capsys, payload, where):
         cfg = write_config(tmp_path, {"generator": {"expr": "0"}, **payload})
         command = "verify" if "checks" in payload else "bounds"
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
         assert f"config error: {where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", [1e309, -1])
+    @pytest.mark.parametrize("command", ["solve", "bounds", "envelope", "verify", "suite"])
+    def test_terminal_bound_is_read_by_every_command(self, tmp_path, capsys, command, bound):
+        # an infinite bound was once accepted, and sandwich blamed checks[0].xi_bound for it
+        cfg = write_config(tmp_path, {
+            "generator": {"expr": "-y^3", "certificate": {
+                "kind": "one_sided_super_linear", "u": "1", "l": "1 + abs(y)", "h": "1"}},
+            "terminal": {"expr": "sin(w)", "bound": bound},
+            "bounds": {"u": "1", "l": "1 + abs(x)", "xi_bound": 1.0},
+            "envelope": {"growth": {"f": "0", "u": "1", "v": "0"}},
+            "checks": [{"check": "sandwich"}],
+        })
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err == "config error: terminal.bound: must be finite and >= 0\n", err
 
     @pytest.mark.parametrize("certificate, where", [
         ({"kind": "one_sided_osgood_y", "u": "1", "rho": "x", "rho_growth_k": 1.0},
@@ -195,6 +220,20 @@ class TestConfigErrors:
         )
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
         assert f"{command}.{key}: expected" in capsys.readouterr().err
+
+
+# each kind that takes a tol, with the keys it needs besides
+TOL_KINDS = {
+    "solver_oracle": {"expected": 0.0},
+    "comparison": {"generator_prime": {"expr": "0"}, "terminal_prime": {"expr": "w"}},
+    "premise": {"generator_prime": {"expr": "0"}, "terminal_prime": {"expr": "w"}},
+    "dominance": {"generator_prime": {"expr": "0"}},
+    "sandwich": {"xi_bound": 1.0},
+    "monotone_family": {},
+    "bounds_oracle": {"u": "1", "l": "1 + abs(x)", "xi_bound": 1.0, "expected_U0": 4.4},
+    "uniqueness_smoke": {},
+    "envelope_domination": {"growth": {"f": "0", "u": "1", "v": "0"}},
+}
 
 
 class TestCheckConfigErrors:
@@ -304,6 +343,13 @@ class TestCheckConfigErrors:
                  "n": "abc"},
                 "checks[0].n",
             ),
+            # an infinite tolerance passed a check vacuously; a negative one failed one that holds
+            *(({"check": kind, **keys, "tol": tol}, "checks[0].tol: must be finite and >= 0")
+              for kind, keys in TOL_KINDS.items() for tol in (1e309, -1)),
+            *(({"check": "transform_residual", "coefficient": coefficient},
+               "checks[0].coefficient: must be finite and >= 0") for coefficient in (1e309, -1)),
+            ({"check": "sandwich", "terminal": {"expr": "w", "bound": 1e309}},
+             "checks[0].terminal.bound: must be finite and >= 0"),
         ],
     )
     def test_exit_code_and_path(self, tmp_path, capsys, check, where):
@@ -456,6 +502,16 @@ class TestCheckKeys:
             ({"check": "comparison", "generator_prime": {"expr": "0"},
               "terminal_prime": {"expr": "w", "bund": 1}},
              "checks[1].terminal_prime.bund: unknown key"),
+            # an infinite expected value once ran its solve, and an infinite cap failed in it
+            ({"check": "solver_oracle", "expected": 1e309}, "checks[1].expected: must be finite"),
+            ({"check": "bounds_oracle", "expected_U0": -1e309, "u": "1", "l": "1 + abs(x)",
+              "xi_bound": 1.0}, "checks[1].expected_U0: must be finite"),
+            *(({"check": "dominance", "generator_prime": {"expr": "0"}, "level": level},
+               "checks[1].level: must be finite") for level in (-1e309, 1e309)),
+            ({"check": "monotone_family", "n_list": [-1e309, 1]},
+             "checks[1].n_list[0]: must be finite"),
+            ({"check": "monotone_family", "n_list": [1, 1e309]},
+             "checks[1].n_list[1]: must be finite"),
         ],
     )
     def test_bad_key_names_its_path(self, tmp_path, capsys, solve_counts, check, where):
@@ -568,6 +624,8 @@ class TestModelKeys:
         ("--seed", str(2**64), "must be an integer in [0, 2^64)"),
         ("--threads", "0", "must be >= 1"),
         ("--tol", "nan", "must not be NaN"),
+        ("--tol", "inf", "must be finite and >= 0"),
+        ("--tol", "-1", "must be finite and >= 0"),
     ])
     def test_command_line_override_is_checked(self, tmp_path, capsys, flag, value, message):
         # a negative seed used to fail in numpy, after the checks before it had run
@@ -607,7 +665,11 @@ class TestSectionKeys:
            for key in ("t", "z", "y_min", "y_max") for value in (-1e309, 1e309)]
         + [("bounds", {"u": "1", "l": "1 + abs(x)", "xi_bound": 1.0, key: value},
             f"bounds.{key}: must be")
-           for key, value in (("xi_bound", -1), ("N", 0), ("T", -1), ("T", math.inf))],
+           for key, value in (("xi_bound", -1), ("N", 0), ("T", -1), ("T", math.inf))]
+        # the bounds command once took an expected value that verify rejects
+        + [("bounds", {"u": "1", "l": "1 + abs(x)", "xi_bound": 1.0, "expected_U0": value},
+            f"bounds.expected_U0: {message}")
+           for value, message in (("abc", "expected float"), (1e309, "must be finite"))],
     )
     def test_bad_expression(self, tmp_path, capsys, command, section, where):
         cfg = write_config(tmp_path, {"generator": {"expr": "-y^2"}, command: section})
